@@ -8,11 +8,11 @@ wire-level implementation of that same interface:
 
 * :class:`TcpServiceServer` hosts a whole replica group (a list of
   :class:`~repro.service.node.ServiceNode`) behind one listening socket;
-  requests carry the destination ``server_id`` and are dispatched to the
+  requests carry their destination server ids and are dispatched to each
   node's ordinary ``handle`` method.  A node that answers
   :data:`~repro.service.node.NO_REPLY` (crashed, silent-Byzantine) gets **no
-  response frame** — the caller's deadline expires exactly as it would
-  in process, so live fault injection works unchanged over the wire.
+  response** — the caller's deadline expires exactly as it would in
+  process, so live fault injection works unchanged over the wire.
 * :class:`TcpTransport` is a drop-in :class:`~repro.service.transport.
   AsyncTransport`: per-RPC wall-clock deadlines, the same failure counters,
   and the same client-side drop/latency simulation knobs (a "dropped" RPC is
@@ -30,12 +30,31 @@ rates over this path agree with the in-process service and both Monte-Carlo
 engines, and that no fabricated value is ever accepted.
 
 Frames are the length-prefixed format of :mod:`repro.service.wire` under
-either codec (tagged JSON, or the struct-packed binary fast path);
-request/response shapes::
+either codec (tagged JSON, or the struct-packed binary fast path).  Four
+request/response shapes, plus the negotiation pair::
 
-    ("req", request_id, server_id, method, args_tuple)
+    ("mreq", op_id, (server_id, ...), method, args_tuple)   # TcpDispatcher.fan_out
+    ("mrsp", op_id, (((server_id, ...), reply_envelope), ...))
+    ("req", request_id, server_id, method, args_tuple)      # TcpTransport.call, repairs
     ("rsp", request_id, reply_envelope)
-    ("hello", [codec, ...]) / ("hello", chosen)     # codec negotiation
+    ("hello", [codec, ...]) / ("hello", chosen)             # codec negotiation
+
+A quorum operation is **one frame each way**: every replica of a group
+lives behind the same server socket, so ``fan_out`` names its q servers in
+one ``mreq``, the server validates the whole id list before touching any
+node, calls each node's ``handle`` in process and answers with one
+``mrsp``.  Replicas whose replies encode to *identical bytes* share one
+envelope (a benign read is one group; a forger or a laggard is its own) —
+bytes, never ``==``, because ``1 == True == 1.0`` and the codec is a
+bijection.  A silent replica is simply absent from the ``mrsp``; when the
+next group would push a frame past ``MAX_FRAME_BYTES`` the server starts
+another ``mrsp`` with the same ``op_id``, and the client takes any number
+of them per op.  Single RPCs (the per-RPC oracle path, cluster probes,
+fire-and-forget repairs) keep the ``req``/``rsp`` pair.  The vectored
+shapes are not negotiated: both ends of this wire ship together and the
+server accepts either request shape on any connection.  A request may
+carry the client's trace id as a trailing sixth element on connections
+that negotiated the ``trace`` extension.
 
 Negotiation is per connection: a client preferring the binary codec opens
 with a JSON-encoded hello offering its codecs, the server answers with its
@@ -63,8 +82,10 @@ from repro.service.wire import (
     decode_binary_request_body,
     decode_binary_response_body,
     encode_frame,
+    encode_grouped_response_frames,
     encode_request_frame,
     encode_response_frame,
+    encode_vectored_request_frame,
     hello_frame,
     hello_offers_trace,
     hello_reply_frame,
@@ -178,7 +199,10 @@ class TcpServiceServer:
         self._connection_writers: "set[asyncio.StreamWriter]" = set()
         self.trace_support = bool(trace)
         self.connections_accepted = 0
+        #: Replica RPCs served (an ``mreq`` naming q replicas counts q) ...
         self.requests_handled = 0
+        #: ... and the request frames that carried them.
+        self.frames_handled = 0
         #: Requests that arrived with a trace id (the extension negotiated).
         self.traced_requests = 0
         #: The most recent trace id seen (tests pin cross-process survival).
@@ -248,9 +272,7 @@ class TcpServiceServer:
                             hello_reply_frame(join_negotiated(codec, traced))
                         )
                         continue
-                    reply_frame = self._handle_request(frame, codec, traced)
-                    if reply_frame is not None:
-                        responses.append(reply_frame)
+                    responses.extend(self._handle_request(frame, codec, traced))
                 if responses:
                     writer.write(b"".join(responses))
                     await writer.drain()
@@ -269,42 +291,70 @@ class TcpServiceServer:
 
     def _handle_request(
         self, frame: Any, codec: str = "json", traced: bool = False
-    ) -> Optional[bytes]:
+    ) -> List[bytes]:
+        """Serve one ``req`` or ``mreq`` frame; return its reply frames.
+
+        The whole frame is validated before any node is touched, so a
+        vectored write naming one bad replica is applied to none.
+        """
+        nodes = self.nodes
         try:
             trace_id: Optional[int] = None
             if traced and isinstance(frame, tuple) and len(frame) == 6:
-                kind, request_id, server_id, method, args, trace_id = frame
+                kind, request_id, target, method, args, trace_id = frame
                 if not isinstance(trace_id, int):
                     raise ValueError(trace_id)
             else:
                 # Off a trace-negotiated connection the envelope stays the
                 # strict 5-tuple: a 6-tuple from a peer that never offered
                 # the token is as malformed as it always was.
-                kind, request_id, server_id, method, args = frame
-            if kind != "req" or not isinstance(args, tuple):
+                kind, request_id, target, method, args = frame
+            if (
+                not isinstance(request_id, int)
+                or not isinstance(method, str)
+                or not isinstance(args, tuple)
+            ):
+                raise ValueError(frame)
+            if kind == "req":
+                server_ids: Tuple[int, ...] = (target,)
+            elif kind == "mreq" and isinstance(target, tuple) and len(target) <= len(nodes):
+                server_ids = target
+            else:
                 raise ValueError(kind)
-            # Explicit bounds check: Python's negative indexing would
-            # otherwise silently route server_id=-1 to the last replica.
-            if not isinstance(server_id, int) or not 0 <= server_id < len(self.nodes):
-                raise ValueError(server_id)
-            node = self.nodes[server_id]
-        except (TypeError, ValueError, IndexError, KeyError) as error:
+            # Exact ints only (``True`` is not replica 1), explicit bounds
+            # (Python's negative indexing would otherwise silently route
+            # -1 to the last replica), no replica named twice.
+            if (
+                set(map(type, server_ids)) != {int}
+                or min(server_ids) < 0
+                or max(server_ids) >= len(nodes)
+                or len(set(server_ids)) != len(server_ids)
+            ):
+                raise ValueError(target)
+        except (TypeError, ValueError) as error:
             raise WireFormatError(f"malformed request frame: {frame!r}") from error
+        replies = []
         try:
-            reply = node.handle(method, *args)
-        except ServiceError as error:
-            # Method-level garbage gets the same containment as frame-level
-            # garbage: this peer loses its connection, nothing more.
+            for server_id in server_ids:
+                reply = nodes[server_id].handle(method, *args)
+                # Silence stays silence on the wire, per replica: the
+                # caller's deadline is the only thing that resolves it, as
+                # on the in-process paths.
+                if reply is not NO_REPLY:
+                    replies.append((server_id, reply))
+        except (ServiceError, TypeError, ValueError) as error:
+            # Method-level garbage (unknown method, wrong argument shape)
+            # gets the same containment as frame-level garbage: this peer
+            # loses its connection, nothing more.
             raise WireFormatError(f"unroutable request frame: {error}") from error
-        self.requests_handled += 1
+        self.frames_handled += 1
+        self.requests_handled += len(server_ids)
         if trace_id is not None:
-            self.traced_requests += 1
+            self.traced_requests += len(server_ids)
             self.last_trace_id = trace_id
-        if reply is NO_REPLY:
-            # Silence stays silence on the wire: the caller's deadline is
-            # the only thing that resolves it, as on the in-process paths.
-            return None
-        return encode_response_frame(request_id, reply, codec)
+        if kind == "mreq":
+            return encode_grouped_response_frames(request_id, replies, codec)
+        return [encode_response_frame(request_id, reply, codec) for _, reply in replies]
 
     def metrics_snapshot(self, labels: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
         """This server's metrics as a mergeable registry snapshot.
@@ -318,6 +368,7 @@ class TcpServiceServer:
         registry = MetricsRegistry(labels=base)
         registry.counter("server_connections_accepted").inc(self.connections_accepted)
         registry.counter("server_requests_handled").inc(self.requests_handled)
+        registry.counter("server_frames_handled").inc(self.frames_handled)
         registry.counter("server_traced_requests").inc(self.traced_requests)
         registry.counter("node_requests").inc(
             sum(node.requests for node in self.nodes)
@@ -367,11 +418,6 @@ class _TcpConnection:
 
     def enqueue(self, frame: bytes) -> None:
         """Queue one already-encoded frame on a connection :meth:`ensure`-d up."""
-        self._queue.put_nowait(frame)
-
-    async def send(self, frame: bytes, connect_timeout: Optional[float] = None) -> None:
-        """Queue one frame, (re)opening the socket first when needed."""
-        await self.ensure(connect_timeout)
         self._queue.put_nowait(frame)
 
     async def _connect(self) -> None:
@@ -559,7 +605,8 @@ class TcpTransport(AsyncTransport):
         self.hello_disabled = False
         self.address = (str(address[0]), int(address[1]))
         self._connections = [_TcpConnection(self) for _ in range(connections)]
-        #: request_id -> Future (per-RPC path) or (op, server) (dispatcher path).
+        #: request_id -> Future (per-RPC path) or _WireOp (dispatcher path):
+        #: one entry per frame awaiting an answer, whichever path sent it.
         self._pending: Dict[int, Any] = {}
         self._next_request_id = 0
         #: Times a dropped connection was re-opened by a later send.
@@ -579,21 +626,31 @@ class TcpTransport(AsyncTransport):
             await connection.aclose()
 
     def _dispatch_response(self, frame: Any) -> None:
+        """Route one ``rsp``/``mrsp`` frame to whoever awaits its id.
+
+        Unknown and late ids are ignored (the deadline already answered
+        for them), as are ``mrsp`` ids the op never asked; an op takes any
+        number of ``mrsp`` frames (the server splits oversized answers).
+        """
         try:
-            kind, request_id, payload = frame
-            if kind != "rsp":
+            kind, request_id, body = frame
+            if kind == "mrsp":
+                # Strip the ("ok", payload) reply envelope once per group, as
+                # the in-process dispatcher and the per-RPC path do per RPC.
+                groups = [(server_ids, envelope[1]) for server_ids, envelope in body]
+                if any(set(map(type, server_ids)) != {int} for server_ids, _ in groups):
+                    raise ValueError(groups)
+            elif kind != "rsp":
                 raise ValueError(kind)
-        except (TypeError, ValueError) as error:
+            entry = self._pending.get(request_id)
+        except (TypeError, ValueError, LookupError) as error:
             raise WireFormatError(f"malformed response frame: {frame!r}") from error
-        entry = self._pending.get(request_id)
-        if entry is None:
-            return
-        if isinstance(entry, asyncio.Future):
-            if not entry.done():
-                entry.set_result(payload)
-            return
-        op, server = entry
-        op.deliver(server, request_id, payload)
+        if kind == "rsp":
+            if isinstance(entry, asyncio.Future) and not entry.done():
+                entry.set_result(body)
+        elif isinstance(entry, _WireOp):
+            for server_ids, payload in groups:
+                entry.deliver(server_ids, payload)
 
     async def call(
         self,
@@ -709,7 +766,7 @@ class _WireOp:
     """
 
     __slots__ = (
-        "transport", "loop", "future", "replies", "outstanding",
+        "transport", "loop", "future", "replies", "outstanding", "op_id",
         "misses", "timer", "start", "trace", "method",
     )
 
@@ -724,7 +781,9 @@ class _WireOp:
         self.loop = loop
         self.future = loop.create_future()
         self.replies: Dict[Any, Any] = {}
-        self.outstanding: Dict[int, Any] = {}  # request_id -> server
+        #: Servers named in the sent ``mreq`` that have not answered yet.
+        self.outstanding: Dict[Any, None] = {}
+        self.op_id: Optional[int] = None  # set when the frame is sent
         self.misses = misses
         self.start = loop.time()
         self.trace: Any = None
@@ -733,20 +792,22 @@ class _WireOp:
             loop.call_later(timeout, self._deadline) if timeout is not None else None
         )
 
-    def deliver(self, server: Any, request_id: int, envelope: Any) -> None:
-        self.outstanding.pop(request_id, None)
-        self.transport._pending.pop(request_id, None)
-        # Strip the ("ok", payload) reply envelope, as the in-process
-        # dispatcher and the per-RPC client path both do.
-        self.replies[server] = envelope[1]
+    def deliver(self, server_ids: Sequence[int], payload: Any) -> None:
+        """One reply group: ``payload`` is what every listed server answered."""
+        outstanding = self.outstanding
         now = self.loop.time()
         tracker = self.transport.tracker
-        if tracker is not None:
-            tracker.observe(server, now - self.start)
-        if self.trace is not None:
-            self.trace.record(server, self.method, self.start, now, "ok")
-        if not self.outstanding and (self.misses == 0 or self.timer is None):
-            # Every sent RPC answered: resolve early.  With misses (drops),
+        for server in server_ids:
+            if server not in outstanding:
+                continue  # never asked, or already answered
+            del outstanding[server]
+            self.replies[server] = payload
+            if tracker is not None:
+                tracker.observe(server, now - self.start)
+            if self.trace is not None:
+                self.trace.record(server, self.method, self.start, now, "ok")
+        if not outstanding and (self.misses == 0 or self.timer is None):
+            # Every sent server answered: resolve early.  With misses (drops),
             # the deadline timer resolves instead — a partially failed
             # operation costs its whole deadline, as on every other path.
             self._resolve()
@@ -757,10 +818,10 @@ class _WireOp:
         transport.timed_out += len(self.outstanding)
         now = self.loop.time()
         if transport.tracker is not None:
-            for server in self.outstanding.values():
+            for server in self.outstanding:
                 transport.tracker.penalize(server, now - self.start)
         if self.trace is not None:
-            for server in self.outstanding.values():
+            for server in self.outstanding:
                 self.trace.record(server, self.method, self.start, now, "timeout")
         self._resolve()
 
@@ -768,8 +829,7 @@ class _WireOp:
         if self.timer is not None:
             self.timer.cancel()
             self.timer = None
-        for request_id in self.outstanding:
-            self.transport._pending.pop(request_id, None)
+        self.transport._pending.pop(self.op_id, None)
         self.outstanding = {}
         if not self.future.done():
             self.future.set_result(self.replies)
@@ -778,20 +838,20 @@ class _WireOp:
 class TcpDispatcher:
     """Operation-level fan-out over a :class:`TcpTransport`.
 
-    The per-RPC path (:meth:`TcpTransport.call`) costs one future and one
-    ``wait_for`` timer per RPC; at quorum size ``q`` that is ``q`` timer
-    heap operations per logical read.  This dispatcher implements the same
-    ``fan_out`` interface as the in-process
+    The per-RPC path (:meth:`TcpTransport.call`) costs one future, one
+    ``wait_for`` timer and one frame each way per RPC.  This dispatcher
+    implements the same ``fan_out`` interface as the in-process
     :class:`~repro.service.dispatch.BatchedDispatcher` — the quorum client
-    accepts either — so one operation is **one** future and **one** deadline
-    timer however many servers it touches, and all of its request frames are
-    handed to the connection writers in a single burst (which the writer
-    tasks coalesce into few socket writes).
+    accepts either — so one operation is **one** future, **one** deadline
+    timer and **one** ``mreq``/``mrsp`` frame pair however many servers it
+    touches (concurrent operations still coalesce into few socket writes in
+    the connection's writer task).
 
     Drop simulation, counters and deadline semantics mirror the other
-    paths: drops are sampled per RPC from the transport RNG, a partially
-    failed operation resolves at its deadline with whatever arrived, and
-    every unanswered sent RPC increments ``timed_out`` exactly once.
+    paths: drops are sampled per server from the transport RNG before
+    framing, a partially failed operation resolves at its deadline with
+    whatever arrived, and every unanswered sent server increments
+    ``timed_out`` exactly once.
     """
 
     def __init__(self, transport: TcpTransport, tracker: Optional[Any] = None) -> None:
@@ -893,74 +953,67 @@ class TcpDispatcher:
             # One coalesced delay per operation, drawn from the same stream
             # and distribution as the per-RPC path's.
             await asyncio.sleep(transport.draw_delay())
-        connections = transport._connections
-        stripes = len(connections)
-        pending = transport._pending
-        codec = transport.negotiated_codec
-        if codec is None or (
-            trace is not None
-            and transport.trace_wanted
-            and not transport.negotiated_trace
-            and not transport.hello_disabled
-        ):
-            # First op on a binary-preference (or traced) transport: bring
-            # one connection up (running the hello handshake) so the tail
-            # below is built in the codec the whole fan-out will be sent in
-            # and the trace-extension verdict is known before framing.
-            remaining = (
-                None if timeout is None else max(op.start + timeout - loop.time(), 0.001)
-            )
-            try:
-                await connections[0].ensure(connect_timeout=remaining)
-            except (ConnectionError, OSError):
-                pass  # the per-server sends below fail (and count) individually
-            codec = transport.negotiated_codec or "json"
-        # The (method, args) payload is serialised once per op, not per
-        # frame: only request_id and server differ between the q frames.
-        tail = request_tail(method, args, codec=codec)
-        # The trace id joins the envelope only once the handshake (run by
-        # `ensure` above or an earlier op) confirmed the server speaks the
-        # extension; otherwise the frames stay byte-identical to untraced.
-        trace_id = (
-            trace.trace_id
-            if trace is not None and transport.negotiated_trace
-            else None
-        )
-        for position, server in enumerate(sent):
-            if op.future.done():
-                # The deadline fired while this coroutine was suspended
-                # (delay sleep or a reconnecting send): sending the rest
-                # would only leak pending entries.  The unsent RPCs were
-                # already counted in `calls`, so charge them as timeouts to
-                # keep the drop/timeout columns partitioning the failures.
-                transport.timed_out += len(sent) - position
-                if trace is not None:
-                    now = loop.time()
-                    for unsent in sent[position:]:
-                        trace.record(unsent, method, op.start, now, "unsent")
-                break
-            transport._next_request_id += 1
-            request_id = transport._next_request_id
-            op.outstanding[request_id] = server
-            pending[request_id] = (op, server)
-            remaining = (
-                None if timeout is None else max(op.start + timeout - loop.time(), 0.001)
-            )
-            try:
-                await connections[request_id % stripes].send(
-                    encode_request_frame(request_id, server, tail, trace_id=trace_id),
-                    connect_timeout=remaining,
-                )
-            except (ConnectionError, OSError):
-                # Unreachable server: silence.  Counted as a *miss* too so
-                # the op still resolves at its deadline (never early with
-                # partial replies), exactly like a simulated drop.
-                op.outstanding.pop(request_id, None)
-                pending.pop(request_id, None)
-                op.misses += 1
-                transport.timed_out += 1
-                if trace is not None:
-                    trace.record(server, method, op.start, loop.time(), "unsent")
+        if sent and not await self._send(op, sent, method, args, timeout):
+            # Already counted in `calls`: charge the unsent RPCs as timeouts
+            # so the drop/timeout columns keep partitioning the failures.
+            transport.timed_out += len(sent)
+            if trace is not None:
+                now = loop.time()
+                for server in sent:
+                    trace.record(server, method, op.start, now, "unsent")
         if op.timer is None and not op.outstanding and not op.future.done():
             op._resolve()
         return await op.future
+
+    async def _send(
+        self,
+        op: _WireOp,
+        sent: Sequence[Any],
+        method: str,
+        args: tuple,
+        timeout: Optional[float],
+    ) -> bool:
+        """Queue the op as one ``mreq`` frame; ``False`` if it never hit the wire.
+
+        Every replica of the group lives behind the same server socket, so
+        the q questions ride one frame on one striped connection.
+        """
+        transport = self.transport
+        transport._next_request_id += 1
+        op_id = transport._next_request_id
+        connection = transport._connections[op_id % len(transport._connections)]
+        if not connection.connected:
+            # Bring the socket up (running the hello handshake) before
+            # framing: the codec and the trace-extension verdict must be
+            # known to build the frame.
+            remaining = (
+                None if timeout is None
+                else max(op.start + timeout - op.loop.time(), 0.001)
+            )
+            try:
+                await connection.ensure(connect_timeout=remaining)
+            except (ConnectionError, OSError):
+                # Unreachable server: silence.  Counted as *misses* too so
+                # the op still resolves at its deadline (never early with
+                # partial replies), exactly like simulated drops.
+                op.misses += len(sent)
+                return False
+        if op.future.done():
+            # The deadline fired while the caller was suspended (delay sleep
+            # or the reconnect): sending now would only leak a pending entry.
+            return False
+        # The trace id joins the envelope only once the handshake confirmed
+        # the server speaks the extension; otherwise the frame stays
+        # byte-identical to an untraced one.
+        traced = op.trace is not None and transport.negotiated_trace
+        frame = encode_vectored_request_frame(
+            op_id,
+            sent,
+            request_tail(method, args, codec=transport.negotiated_codec or "json"),
+            trace_id=op.trace.trace_id if traced else None,
+        )
+        op.op_id = op_id
+        op.outstanding = dict.fromkeys(sent)
+        transport._pending[op_id] = op
+        connection.enqueue(frame)
+        return True

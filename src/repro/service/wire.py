@@ -48,6 +48,25 @@ codecs — the hypothesis suite in ``tests/service/test_wire.py`` pins the
 round trips down, including adversarially large and empty values, and pins
 that the same logical frame decodes identically whichever codec carried it.
 
+**Envelopes.**  Four request/response shapes ride the framing (who sends
+which, and why none of them is negotiated, is in :mod:`repro.service.net`),
+each with a fast encoder::
+
+    ("req", request_id, server_id, method, args)           encode_request_frame
+    ("rsp", request_id, reply_envelope)                    encode_response_frame
+    ("mreq", op_id, (server_id, ...), method, args)        encode_vectored_request_frame
+    ("mrsp", op_id, (((server_id, ...), envelope), ...))   encode_grouped_response_frames
+
+(decoded by :func:`decode_binary_request_body` / :func:`decode_binary_response_body`).
+Either request may end in a trace id.  Every fast path is byte-identical
+to (encoders) or value-identical with (decoders) the generic
+:func:`encode_frame` / :func:`decode_binary_body` on the tuple shown, and
+falls back to them on anything irregular.  An ``mrsp`` groups replicas by
+their reply's **encoded bytes** — never ``==`` (``1 == True == 1.0``) — and
+splits into several frames, same ``op_id``, rather than exceed
+:data:`MAX_FRAME_BYTES`; ``tests/service/test_wire_vectored.py`` is the
+differential fuzz over all four shapes and both codecs.
+
 A frame is a 4-byte big-endian length prefix followed by the body.
 :class:`FrameDecoder` is an *incremental* decoder: feed it whatever chunks
 the socket produced — single bytes, frame fragments, several frames glued
@@ -398,6 +417,15 @@ def encode_binary_body(payload: Any) -> bytes:
 # -- framing -----------------------------------------------------------------------
 
 
+def _frame(body: bytes) -> bytes:
+    """Length-prefix one encoded body, enforcing the frame cap."""
+    if len(body) > MAX_FRAME_BYTES:
+        raise WireFormatError(
+            f"frame body of {len(body)} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"
+        )
+    return len(body).to_bytes(_PREFIX_BYTES, "big") + body
+
+
 def encode_frame(payload: Any, codec: str = "json") -> bytes:
     """One payload as a length-prefixed frame, ready for a socket write."""
     if codec == "json":
@@ -408,22 +436,17 @@ def encode_frame(payload: Any, codec: str = "json") -> bytes:
         raise WireFormatError(
             f"unknown wire codec {codec!r}; choose from {WIRE_CODECS}"
         )
-    if len(body) > MAX_FRAME_BYTES:
-        raise WireFormatError(
-            f"frame body of {len(body)} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"
-        )
-    return len(body).to_bytes(_PREFIX_BYTES, "big") + body
+    return _frame(body)
 
 
 def request_tail(method: str, args: tuple, codec: str = "json"):
-    """Pre-serialised shared suffix of a fan-out's request frames.
+    """Pre-serialised ``method, args`` suffix of a request frame.
 
-    A quorum fan-out sends ``q`` request frames differing only in
-    ``request_id`` and ``server``; serialising the (potentially large)
-    ``(method, args)`` payload once per *operation* instead of once per
-    frame keeps the wire fast path linear in the payload size.  Compose
-    with :func:`encode_request_frame`; the tail is ``str`` under the JSON
-    codec and ``bytes`` under the binary one.
+    The ``(method, args)`` suffix both request envelopes end in, serialised
+    apart from the ids in front of it.  Compose with
+    :func:`encode_vectored_request_frame` (one frame per quorum operation)
+    or :func:`encode_request_frame` (one per RPC); the tail is ``str``
+    under the JSON codec and ``bytes`` under the binary one.
     """
     if codec == "json":
         return (
@@ -439,16 +462,21 @@ def request_tail(method: str, args: tuple, codec: str = "json"):
     raise WireFormatError(f"unknown wire codec {codec!r}; choose from {WIRE_CODECS}")
 
 
-#: Fixed prefix of every binary request body: magic, 5-tuple header, "req".
-_BINARY_REQ_PREFIX = bytes(
-    (BINARY_MAGIC, _T_TUPLE)
-) + _STRUCT_I.pack(5) + bytes((_T_STR,)) + _STRUCT_I.pack(3) + b"req"
+def _envelope_prefix(arity: int, kind: str) -> bytes:
+    """Fixed opening of a binary envelope body: magic, tuple header, kind."""
+    out = bytearray((BINARY_MAGIC, _T_TUPLE))
+    out += _STRUCT_I.pack(arity)
+    _pack_str(kind, out)
+    return bytes(out)
 
+
+#: Fixed prefix of every binary request body: magic, 5-tuple header, "req".
+_BINARY_REQ_PREFIX = _envelope_prefix(5, "req")
 #: The traced variant: magic, 6-tuple header, "req" — the sixth element is
 #: the 64-bit trace id of the client-side quorum trace this RPC belongs to.
-_BINARY_REQ6_PREFIX = bytes(
-    (BINARY_MAGIC, _T_TUPLE)
-) + _STRUCT_I.pack(6) + bytes((_T_STR,)) + _STRUCT_I.pack(3) + b"req"
+_BINARY_REQ6_PREFIX = _envelope_prefix(6, "req")
+#: The vectored request (one frame per quorum operation) and its traced variant.
+_BINARY_MREQ_PREFIXES = (_envelope_prefix(5, "mreq"), _envelope_prefix(6, "mreq"))
 
 
 def encode_request_frame(
@@ -482,17 +510,15 @@ def encode_request_frame(
         if trace_id is not None:
             _pack_int(trace_id, out)
         body = bytes(out)
-    if len(body) > MAX_FRAME_BYTES:
-        raise WireFormatError(
-            f"frame body of {len(body)} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"
-        )
-    return len(body).to_bytes(_PREFIX_BYTES, "big") + body
+    return _frame(body)
 
 
 #: Fixed prefix of every binary response body: magic, 3-tuple header, "rsp".
-_BINARY_RSP_PREFIX = bytes(
-    (BINARY_MAGIC, _T_TUPLE)
-) + _STRUCT_I.pack(3) + bytes((_T_STR,)) + _STRUCT_I.pack(3) + b"rsp"
+_BINARY_RSP_PREFIX = _envelope_prefix(3, "rsp")
+#: The grouped response to a vectored request, and the 2-tuple header that
+#: opens each of its ``(server_ids, reply_envelope)`` groups.
+_BINARY_MRSP_PREFIX = _envelope_prefix(3, "mrsp")
+_BINARY_PAIR_HEADER = bytes((_T_TUPLE,)) + _STRUCT_I.pack(2)
 
 
 def encode_response_frame(request_id: int, payload: Any, codec: str = "json") -> bytes:
@@ -507,11 +533,7 @@ def encode_response_frame(request_id: int, payload: Any, codec: str = "json") ->
     out = bytearray(_BINARY_RSP_PREFIX)
     _pack_int(request_id, out)
     _pack_binary(payload, out)
-    if len(out) > MAX_FRAME_BYTES:
-        raise WireFormatError(
-            f"frame body of {len(out)} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"
-        )
-    return len(out).to_bytes(_PREFIX_BYTES, "big") + bytes(out)
+    return _frame(bytes(out))
 
 
 def decode_binary_request_body(body: bytes) -> Any:
@@ -553,6 +575,21 @@ def decode_binary_request_body(body: bytes) -> Any:
                     return ("req", request_id, server, method, args, trace_id)
         except Exception:
             pass
+    elif body.startswith(_BINARY_MREQ_PREFIXES):
+        # The vectored envelope: op id at a fixed offset, then the id list
+        # as one struct unpack, then the same (method, args[, trace_id]) tail.
+        try:
+            if body[15] == _T_INT:
+                op_id = _STRUCT_Q.unpack_from(body, 16)[0]
+                servers, offset = _unpack_int64_tuple(body, 24)
+                rest = []
+                for _ in range(body[5] - 3):  # body[5]: the envelope's arity
+                    item, offset = _unpack_binary(body, offset)
+                    rest.append(item)
+                if offset == len(body):
+                    return ("mreq", op_id, servers, *rest)
+        except Exception:
+            pass
     return decode_binary_body(body)
 
 
@@ -571,7 +608,158 @@ def decode_binary_response_body(body: bytes) -> Any:
                     return ("rsp", request_id, payload)
         except Exception:
             pass
+    elif body.startswith(_BINARY_MRSP_PREFIX):
+        try:
+            if body[15] == _T_INT and body[24] == _T_TUPLE:
+                op_id = _STRUCT_Q.unpack_from(body, 16)[0]
+                (count,) = _STRUCT_I.unpack_from(body, 25)
+                offset = 29
+                groups = []
+                for _ in range(count):
+                    if body[offset : offset + 5] != _BINARY_PAIR_HEADER:
+                        break
+                    servers, offset = _unpack_int64_tuple(body, offset + 5)
+                    envelope, offset = _unpack_binary(body, offset)
+                    groups.append((servers, envelope))
+                else:
+                    if offset == len(body):
+                        return ("mrsp", op_id, tuple(groups))
+        except Exception:
+            pass
     return decode_binary_body(body)
+
+
+# -- the vectored envelope: one frame per quorum operation --------------------------
+
+#: Id lists longer than this decode through the generic path: the fast path
+#: compiles one struct format per list length, which must stay quorum-sized.
+_FAST_ID_COUNT = 1024
+
+
+def _unpack_int64_tuple(body: bytes, offset: int) -> Tuple[Tuple[int, ...], int]:
+    """A counted tuple of ``!q`` ints in one struct unpack; raise on any other shape."""
+    (count,) = _STRUCT_I.unpack_from(body, offset + 1)
+    if body[offset] != _T_TUPLE or count > _FAST_ID_COUNT:
+        raise ValueError("not a short tuple")
+    fields = struct.unpack_from("!" + "Bq" * count, body, offset + 5)
+    if fields[0::2].count(_T_INT) != count:
+        raise ValueError("not a tuple of int64s")
+    return fields[1::2], offset + 5 + 9 * count
+
+
+def encode_vectored_request_frame(
+    op_id: int, servers: Sequence[int], tail, trace_id: Optional[int] = None
+) -> bytes:
+    """One ``mreq`` frame from a pre-serialised :func:`request_tail`.
+
+    Byte-identical to ``encode_frame(("mreq", op_id, tuple(servers), method,
+    args), codec)`` for the codec the tail was built with, and to the
+    6-tuple ending in ``trace_id`` when one is given (same negotiation rule
+    as :func:`encode_request_frame`).  ``servers`` must be plain ints.
+    """
+    if isinstance(tail, str):
+        ids = ",".join(map(str, servers))
+        if trace_id is None:
+            text = '{"t":["mreq",%d,{"t":[%s]},%s]}' % (op_id, ids, tail)
+        else:
+            text = '{"t":["mreq",%d,{"t":[%s]},%s,%d]}' % (op_id, ids, tail, trace_id)
+        return _frame(text.encode("utf-8"))
+    out = bytearray(_BINARY_MREQ_PREFIXES[trace_id is not None])
+    _pack_int(op_id, out)
+    out.append(_T_TUPLE)
+    out += _STRUCT_I.pack(len(servers))
+    for server in servers:
+        _pack_int(server, out)
+    out += tail
+    if trace_id is not None:
+        _pack_int(trace_id, out)
+    return _frame(bytes(out))
+
+
+def _reply_identity(reply: Any) -> tuple:
+    """The object identities that determine a reply envelope's encoding.
+
+    Replicas that applied the same write hold the very same value,
+    timestamp and signature objects (one decoded request, q ``handle``
+    calls), so equal identities mean equal bytes without encoding twice.
+    Sound for any reply — the same objects always encode the same — and
+    only ever a shortcut: replies of distinct identity still meet in one
+    group when their bytes agree.
+    """
+    if type(reply) is tuple and len(reply) == 2:
+        tag, payload = reply
+        if type(payload) is StoredValue:
+            return (id(tag), id(payload.value), id(payload.timestamp), id(payload.signature))
+        return (id(tag), id(payload))
+    return (id(reply),)
+
+
+def encode_grouped_response_frames(
+    op_id: int, replies: Sequence[Tuple[int, Any]], codec: str = "json"
+) -> List[bytes]:
+    """The ``mrsp`` frame(s) answering one ``mreq``; none when nobody replied.
+
+    ``replies`` lists ``(server_id, reply_envelope)`` for every replica
+    that answered (a silent one is simply absent).  Replicas are grouped by
+    their reply's *encoded bytes* — exact where ``==`` is not (``1 == True
+    == 1.0``, and the codec is a bijection) — so a benign read ships one
+    envelope however large the quorum (and, the replicas sharing the
+    writer's objects, encodes it once: see :func:`_reply_identity`).  Each
+    frame is byte-identical to ``encode_frame(("mrsp", op_id, groups),
+    codec)``; a new frame is started whenever the next group would push the
+    body past :data:`MAX_FRAME_BYTES`, so q large distinct values that each
+    fit an ``rsp`` frame still get through.
+    """
+    binary = codec == "binary"
+    if not binary and codec != "json":
+        raise WireFormatError(f"unknown wire codec {codec!r}; choose from {WIRE_CODECS}")
+    grouped: dict = {}
+    encoded: dict = {}  # reply identity -> its encoding: agreeing replicas encode once
+    for server_id, reply in replies:
+        identity = _reply_identity(reply)
+        key = encoded.get(identity)
+        if key is None:
+            if binary:
+                packed = bytearray()
+                _pack_binary(reply, packed)
+                key = bytes(packed)
+            else:
+                key = json.dumps(pack_value(reply), separators=(",", ":")).encode("ascii")
+            encoded[identity] = key
+        grouped.setdefault(key, []).append(server_id)
+    if binary:
+        opening = bytearray(_BINARY_MRSP_PREFIX)
+        _pack_int(op_id, opening)
+        opening.append(_T_TUPLE)
+        head, separator, tail = bytes(opening), b"", b""
+        groups = []
+        for envelope, servers in grouped.items():
+            group = bytearray(_BINARY_PAIR_HEADER)
+            _pack_tuple(tuple(servers), group)
+            groups.append(bytes(group) + envelope)
+    else:
+        head = b'{"t":["mrsp",%d,{"t":[' % op_id
+        separator, tail = b",", b"]}]}"
+        groups = [
+            b'{"t":[{"t":[%s]},%s]}' % (",".join(map(str, servers)).encode("ascii"), envelope)
+            for envelope, servers in grouped.items()
+        ]
+
+    def close(chunk: List[bytes]) -> bytes:
+        count = _STRUCT_I.pack(len(chunk)) if binary else b""
+        return _frame(head + count + separator.join(chunk) + tail)
+
+    frames: List[bytes] = []
+    overhead = len(head) + 4  # the binary group count, or the JSON closing brackets
+    start, size = 0, overhead
+    for index, group in enumerate(groups):
+        if index > start and size + len(group) > MAX_FRAME_BYTES:
+            frames.append(close(groups[start:index]))
+            start, size = index, overhead
+        size += len(group) + 1  # at most one separator byte per group
+    if groups:
+        frames.append(close(groups[start:]))
+    return frames
 
 
 # -- codec negotiation -------------------------------------------------------------
@@ -630,8 +818,8 @@ def hello_reply_frame(chosen: str) -> bytes:
 def parse_hello(frame: Any) -> Optional[Any]:
     """The hello payload (offered list or chosen name), or ``None``.
 
-    Request frames are 5-tuples and response frames 3-tuples, so a 2-tuple
-    opening with ``"hello"`` is unambiguously a negotiation frame.
+    Request frames are 5- or 6-tuples and response frames 3-tuples, so a
+    2-tuple opening with ``"hello"`` is unambiguously a negotiation frame.
     """
     if isinstance(frame, tuple) and len(frame) == 2 and frame[0] == "hello":
         return frame[1]

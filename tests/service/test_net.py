@@ -8,8 +8,10 @@ import random
 import pytest
 
 from repro.core.masking import ProbabilisticMaskingSystem
-from repro.exceptions import RpcTimeoutError, ServiceError
+from repro.exceptions import RpcTimeoutError, ServiceError, WireFormatError
+from repro.obs.trace import Tracer
 from repro.protocol.timestamps import Timestamp
+from repro.service import net, wire
 from repro.service.client import AsyncQuorumClient
 from repro.service.net import (
     RemoteNode,
@@ -20,7 +22,8 @@ from repro.service.net import (
 )
 from repro.service.node import ServiceNode
 from repro.service.register import AsyncMaskingRegister
-from repro.simulation.server import ByzantineForgeBehavior
+from repro.service.wire import FrameDecoder, encode_frame
+from repro.simulation.server import ByzantineForgeBehavior, ByzantineSilentBehavior
 
 MASKING = ProbabilisticMaskingSystem(25, 10, 3)
 
@@ -206,20 +209,164 @@ class TestFailureSemantics:
             TcpTransport(("127.0.0.1", 1), connections=0)
 
 
-class TestTcpDispatcher:
-    def test_fan_out_matches_per_rpc_replies(self):
+async def raw_exchange(server, payload, codec):
+    """Send one hand-built frame on a fresh socket; return the decoded reply
+    frames, or ``None`` if the server hung up without a word."""
+    reader, writer = await asyncio.open_connection(*server.address)
+    try:
+        writer.write(encode_frame(payload, codec))
+        await writer.drain()
+        data = await asyncio.wait_for(reader.read(65536), 1.0)
+        return FrameDecoder().feed(data) if data else None
+    finally:
+        writer.close()
+
+
+WRITE = ("x", "v", Timestamp(1), None)
+
+HOSTILE_MREQS = {
+    "out-of-range id": ("mreq", 1, (0, 3), "write", WRITE),
+    "negative id": ("mreq", 1, (0, -1), "write", WRITE),
+    "duplicated id": ("mreq", 1, (1, 1), "write", WRITE),
+    "bool id": ("mreq", 1, (0, True), "write", WRITE),
+    "float id": ("mreq", 1, (0, 1.0), "write", WRITE),
+    "str id": ("mreq", 1, (0, "1"), "write", WRITE),
+    "more ids than replicas": ("mreq", 1, (0, 1, 2, 0), "write", WRITE),
+    "amplification": ("mreq", 1, (0,) * 100_000, "write", WRITE),
+    "no ids": ("mreq", 1, (), "write", WRITE),
+    "ids not a tuple": ("mreq", 1, [0, 1], "write", WRITE),
+    "single id": ("mreq", 1, 0, "write", WRITE),
+    "args not a tuple": ("mreq", 1, (0, 1), "write", list(WRITE)),
+    "method not a str": ("mreq", 1, (0, 1), 5, WRITE),
+    "op id not an int": ("mreq", "1", (0, 1), "write", WRITE),
+    "unknown method": ("mreq", 1, (0, 1), "bogus-method", WRITE),
+    "wrong argument count": ("mreq", 1, (0, 1), "write", ("x",)),
+    "trace id nobody negotiated": ("mreq", 1, (0, 1), "write", WRITE, 99),
+    "too short": ("mreq", 1, (0, 1), "write"),
+    "unknown kind": ("mrsp", 1, (0, 1), "write", WRITE),
+}
+
+
+class TestHostileVectoredFrames:
+    """All-or-nothing validation of ``mreq``: a bad frame costs its sender
+    the connection, touches no replica, and nobody else notices."""
+
+    @pytest.mark.parametrize("codec", ["json", "binary"])
+    @pytest.mark.parametrize("case", sorted(HOSTILE_MREQS))
+    def test_bad_mreq_drops_only_that_connection(self, case, codec):
         async def scenario():
-            nodes, server, transport = await deploy(n=10)
-            for node in nodes:
-                node.server.handle_write("x", node.server_id, Timestamp(1), None)
-            dispatcher = TcpDispatcher(transport)
-            replies = await dispatcher.fan_out(range(10), "read", ("x",), 1.0)
-            assert sorted(replies) == list(range(10))
-            assert all(replies[s].value == s for s in replies)
-            assert dispatcher.ops == 1
+            nodes, server, transport = await deploy(n=3, connections=1)
+            assert await transport.call(RemoteNode(2), "ping", timeout=1.0) == ("ok", True)
+            assert await raw_exchange(server, HOSTILE_MREQS[case], codec) is None
+            # Only the bystander's ping was served: the bad frame counted
+            # for nothing and was applied to NO replica, valid ids included.
+            assert (server.requests_handled, server.frames_handled) == (1, 1)
+            assert all(node.stored("x") is None for node in nodes)
+            assert server.serving
+            assert await transport.call(RemoteNode(2), "ping", timeout=1.0) == ("ok", True)
+            assert transport.reconnects == 0  # the bystander kept its socket
             await teardown(server, transport)
 
         run(scenario())
+
+    @pytest.mark.parametrize("codec", ["json", "binary"])
+    def test_well_formed_mreq_is_served_in_one_frame(self, codec):
+        async def scenario():
+            nodes, server, transport = await deploy(n=3)
+            nodes[1].crash()
+            frames = await raw_exchange(server, ("mreq", 7, (2, 0, 1), "write", WRITE), codec)
+            # No hello was sent, so the answer is JSON; the crashed replica
+            # is absent, the other two agree and share one envelope.
+            assert frames == [("mrsp", 7, (((2, 0), ("ok", True)),))]
+            assert [node.stored("x") is not None for node in nodes] == [True, False, True]
+            assert (server.requests_handled, server.frames_handled) == (3, 1)
+            # All silent: no frame at all.
+            nodes[0].crash()
+            nodes[2].crash()
+            with pytest.raises(asyncio.TimeoutError):
+                await raw_exchange(server, ("mreq", 8, (0, 1, 2), "ping", ()), codec)
+            await teardown(server, transport)
+
+        run(scenario())
+
+    def test_stray_and_malformed_mrsp_frames(self):
+        async def scenario():
+            nodes, server, transport = await deploy(n=3)
+            dispatcher = TcpDispatcher(transport)
+            nodes[1].crash()
+            op = asyncio.ensure_future(dispatcher.fan_out((0, 1), "ping", (), 0.1))
+            await asyncio.sleep(0.03)
+            (op_id,) = transport._pending
+            # Unknown op ids, ids the op never asked, a second answer for a
+            # server that already answered: all ignored.
+            transport._dispatch_response(("mrsp", op_id + 1000, (((0, 1), ("ok", "stray")),)))
+            transport._dispatch_response(("mrsp", op_id, (((0, 2), ("ok", "stray")),)))
+            transport._dispatch_response(("rsp", op_id, ("ok", "stray")))
+            assert op_id in transport._pending
+            # A second frame for the same op completes it (the split rule).
+            transport._dispatch_response(("mrsp", op_id, (((1,), ("ok", "late twin")),)))
+            assert await op == {0: True, 1: "late twin"}
+            assert not transport._pending
+            for malformed in (
+                ("mrsp", 1),
+                ("mrsp", 1, 5),
+                ("mrsp", 1, ((0, ("ok", True)),)),
+                ("mrsp", 1, ((("0",), ("ok", True)),)),
+                ("mrsp", 1, (((True,), ("ok", True)),)),
+                ("mrsp", 1, ((([0],), ("ok", True)),)),
+                ("mrsp", 1, (((0,), ()),)),
+                ("mrsp", [1], ()),
+                ("mreq", 1, ()),
+            ):
+                with pytest.raises(WireFormatError):
+                    transport._dispatch_response(malformed)
+            await teardown(server, transport)
+
+        run(scenario())
+
+
+async def per_rpc_replies(transport, servers, method, *args, timeout=0.05):
+    """The per-RPC oracle: what ``transport.call`` gets from each server, in
+    order, as fan_out would report it (payloads of responders only)."""
+    replies = {}
+    for server in servers:
+        try:
+            envelope = await transport.call(RemoteNode(server), method, *args, timeout=timeout)
+        except RpcTimeoutError:
+            continue
+        replies[server] = envelope[1]
+    return replies
+
+
+class TestTcpDispatcher:
+    def test_fan_out_matches_per_rpc_replies(self):
+        async def scenario(codec):
+            nodes, server, transport = await deploy(n=10, codec=codec)
+            for node in nodes:
+                node.server.handle_write("x", node.server_id % 3, Timestamp(1), None)
+            nodes[2].crash()
+            nodes[5].set_behavior(ByzantineSilentBehavior())
+            nodes[7].set_behavior(ByzantineForgeBehavior("FORGED", Timestamp.forged_maximum()))
+            dispatcher = TcpDispatcher(transport)
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            replies = await dispatcher.fan_out(range(10), "read", ("x",), 0.05)
+            waited = loop.time() - started
+            # Two silent members: the op waits out its one deadline and
+            # charges exactly them.
+            assert sorted(replies) == [0, 1, 3, 4, 6, 7, 8, 9]
+            assert waited == pytest.approx(0.05, abs=0.1)
+            assert transport.timed_out == 2 and transport.calls == 10
+            assert replies[7].value == "FORGED"
+            assert len(transport._pending) == 0  # nothing leaked
+            oracle = await per_rpc_replies(transport, range(10), "read", "x")
+            assert replies == oracle
+            assert [repr(replies[s]) for s in oracle] == [repr(oracle[s]) for s in oracle]
+            assert dispatcher.ops == 1
+            await teardown(server, transport)
+
+        for codec in wire.WIRE_CODECS:
+            run(scenario(codec))
 
     def test_silent_servers_resolve_at_the_op_deadline(self):
         async def scenario():
@@ -235,6 +382,122 @@ class TestTcpDispatcher:
             assert waited == pytest.approx(0.05, abs=0.1)
             assert transport.timed_out == 2
             assert len(transport._pending) == 0  # nothing leaked
+            await teardown(server, transport)
+
+        run(scenario())
+
+    def test_one_frame_per_op_and_one_per_rpc(self):
+        async def scenario():
+            nodes, server, transport = await deploy(n=25, codec="binary")
+            dispatcher = TcpDispatcher(transport)
+            for _ in range(5):
+                assert len(await dispatcher.fan_out(range(3, 13), "ping", (), 1.0)) == 10
+                assert len(transport._pending) == 0
+            assert (server.requests_handled, server.frames_handled) == (50, 5)
+            counters = server.metrics_snapshot()["counters"]
+            assert counters["server_requests_handled"] == 10 * counters["server_frames_handled"]
+            # The per-RPC path stays one frame per RPC.
+            await per_rpc_replies(transport, range(4), "ping", timeout=1.0)
+            assert (server.requests_handled, server.frames_handled) == (54, 9)
+            await teardown(server, transport)
+
+        run(scenario())
+
+    def test_simulated_drops_match_the_per_rpc_path(self):
+        async def scenario(vectored):
+            nodes, server, transport = await deploy(n=12, drop_probability=0.4, seed=21)
+            if vectored:
+                trace = Tracer(sample_rate=1.0).begin("read", variable="x")
+                replies = await TcpDispatcher(transport).fan_out(
+                    range(12), "ping", (), 0.05, trace=trace
+                )
+                assert trace.span_dispositions() == {
+                    "ok": len(replies), "dropped": transport.dropped
+                }
+                assert len(trace.spans) == 12
+                assert len(transport._pending) == 0
+            else:
+                replies = await per_rpc_replies(transport, range(12), "ping")
+            counters = (transport.calls, transport.dropped, transport.timed_out)
+            assert server.requests_handled == 12 - transport.dropped  # drops never hit the wire
+            await teardown(server, transport)
+            return sorted(replies), counters
+
+        answered, counters = run(scenario(vectored=True))
+        assert 0 < len(answered) < 12 and counters == (12, 12 - len(answered), 0)
+        assert (answered, counters) == run(scenario(vectored=False))
+
+    def test_every_server_gets_one_span_whatever_its_fate(self):
+        async def scenario():
+            nodes, server, transport = await deploy(n=8, drop_probability=0.3, seed=5, trace=True)
+            nodes[0].crash()
+            nodes[6].crash()
+            dispatcher = TcpDispatcher(transport)
+            tracer = Tracer(sample_rate=1.0)
+            trace = tracer.begin("read", variable="x")
+            replies = await dispatcher.fan_out(range(8), "ping", (), 0.05, trace=trace)
+            fates = {span.server_id: span.disposition for span in trace.spans}
+            assert len(trace.spans) == 8 and sorted(fates) == list(range(8))
+            assert {s for s, fate in fates.items() if fate == "ok"} == set(replies)
+            assert set(fates.values()) == {"ok", "dropped", "timeout"}
+            assert all(fates[s] in ("timeout", "dropped") for s in (0, 6))
+            assert server.last_trace_id == trace.trace_id
+            # Against a dead port every sent server is charged as unsent.
+            await server.aclose()
+            dead = TcpTransport(server.address)
+            trace = tracer.begin("read", variable="x")
+            assert await TcpDispatcher(dead).fan_out(range(3), "ping", (), 0.05, trace=trace) == {}
+            assert trace.span_dispositions() == {"unsent": 3}
+            assert (dead.calls, dead.timed_out, len(dead._pending)) == (3, 3, 0)
+            await dead.aclose()
+            await teardown(server, transport)
+
+        run(scenario())
+
+    def test_server_killed_mid_op_then_reconnect_on_the_next(self):
+        async def scenario():
+            nodes, server, transport = await deploy(n=4, connections=1)
+            nodes[1].crash()  # keeps the first op open until its deadline
+            dispatcher = TcpDispatcher(transport)
+            op = asyncio.ensure_future(dispatcher.fan_out(range(4), "ping", (), 0.2))
+            await asyncio.sleep(0.05)
+            await server.aclose()  # the server dies with the op in flight
+            assert sorted(await op) == [0, 2, 3]  # what had arrived, at the deadline
+            assert transport.timed_out == 1 and len(transport._pending) == 0
+            # Nobody listening: the next op fails to send and says so.
+            assert await dispatcher.fan_out(range(4), "ping", (), 0.05) == {}
+            assert transport.timed_out == 5 and len(transport._pending) == 0
+            # A server back on the same port: the next op reconnects by itself.
+            reborn = TcpServiceServer(nodes, port=server.port)
+            await reborn.start()
+            nodes[1].recover()
+            assert sorted(await dispatcher.fan_out(range(4), "ping", (), 1.0)) == [0, 1, 2, 3]
+            assert transport.reconnects == 1 and len(transport._pending) == 0
+            await teardown(reborn, transport)
+
+        run(scenario())
+
+    @pytest.mark.parametrize("codec", ["json", "binary"])
+    def test_replies_beyond_the_frame_cap_arrive_in_several_frames(self, codec, monkeypatch):
+        async def scenario():
+            nodes, server, transport = await deploy(n=6, codec=codec)
+            for node in nodes:
+                node.server.handle_write("x", bytes([node.server_id]) * 400, Timestamp(1), None)
+            frames = []
+            encode = net.encode_grouped_response_frames
+            monkeypatch.setattr(
+                net,
+                "encode_grouped_response_frames",
+                lambda *args: frames.append(encode(*args)) or frames[-1],
+            )
+            # Six distinct 400-byte replies cannot share a 1500-byte frame.
+            monkeypatch.setattr(wire, "MAX_FRAME_BYTES", 1500)
+            replies = await TcpDispatcher(transport).fan_out(range(6), "read", ("x",), 1.0)
+            assert {s: stored.value for s, stored in replies.items()} == {
+                s: bytes([s]) * 400 for s in range(6)
+            }
+            assert len(frames) == 1 and len(frames[0]) > 1
+            assert len(transport._pending) == 0
             await teardown(server, transport)
 
         run(scenario())

@@ -40,8 +40,10 @@ from repro.service.wire import (
     decode_binary_response_body,
     encode_binary_body,
     encode_frame,
+    encode_grouped_response_frames,
     encode_request_frame,
     encode_response_frame,
+    encode_vectored_request_frame,
     pack_value,
     request_tail,
     unpack_value,
@@ -203,6 +205,27 @@ class TestBinaryCodec:
             assert decoded == value
         # raw bytes ship without base64: framing overhead stays tiny
         assert len(encode_frame(blob, "binary")) < len(blob) + 64
+
+    def test_megabyte_payloads_round_trip_vectored(self):
+        """The same 1 MiB value through the one-frame-per-op envelopes: the
+        write carries it once for the whole quorum, and ten replicas
+        answering it back share one reply envelope."""
+        blob = bytes(range(256)) * 4096
+        write_args = ("x", blob, Timestamp(1), None)
+        stored = ("ok", StoredValue(blob, Timestamp(1), None))
+        for codec in WIRE_CODECS:
+            request = encode_vectored_request_frame(
+                7, (0, 1, 2), request_tail("write", write_args, codec)
+            )
+            assert len(request) < 1.5 * len(blob)
+            (decoded,) = FrameDecoder(decode_binary=decode_binary_request_body).feed(request)
+            assert decoded == ("mreq", 7, (0, 1, 2), "write", write_args)
+            (reply,) = encode_grouped_response_frames(
+                7, [(server, stored) for server in range(10)], codec
+            )
+            assert len(reply) < 1.5 * len(blob)
+            (decoded,) = FrameDecoder(decode_binary=decode_binary_response_body).feed(reply)
+            assert decoded == ("mrsp", 7, ((tuple(range(10)), stored),))
 
     @given(payloads, st.data())
     @settings(max_examples=150, deadline=None)

@@ -199,6 +199,35 @@ class TestTcpLifecycle:
 
         run(scenario())
 
+    @pytest.mark.parametrize("dispatch, rpcs_per_frame", [("batched", None), ("per-rpc", 1)])
+    def test_merged_metrics_show_frames_beside_requests(self, dispatch, rpcs_per_frame):
+        """A quorum op is one request frame per shard server on the
+        dispatcher path and q on the per-RPC path — visible in the merged
+        counters, across shards."""
+
+        async def scenario():
+            deployment = (
+                Deployment.builder(SCENARIO)
+                .transport("tcp")
+                .shards(2)
+                .dispatch(dispatch)
+                .deadline(1.0)
+                .seed(5)
+                .build()
+            )
+            async with deployment:
+                client = deployment.connect()
+                for index in range(8):
+                    await client.write(f"k{index}", index)
+                    assert (await client.read(f"k{index}")).value == index
+                counters = deployment.metrics()["counters"]
+            requests = counters["server_requests_handled"]
+            assert requests == counters["rpc_calls"] > 0
+            quorum = rpcs_per_frame or SCENARIO.system.quorum_size
+            assert requests == quorum * counters["server_frames_handled"]
+
+        run(scenario())
+
     def test_clients_before_start_are_refused_over_tcp(self):
         async def scenario():
             deployment = (
