@@ -110,7 +110,7 @@ def throughput_spec(dispatch: str) -> ServiceLoadSpec:
         clients=1_000,
         reads_per_client=3,
         writes=50,
-        rpc_timeout=1.0,
+        deadline=1.0,
         dispatch=dispatch,
         seed=11,
     )
@@ -238,7 +238,7 @@ def tcp_spec(
 ) -> ServiceLoadSpec:
     """200 localhost clients over real sockets; healthy deployment.
 
-    ``rpc_timeout`` is generous because TCP deadlines are wall-clock: the
+    ``deadline`` is generous because TCP deadlines are wall-clock: the
     floor measures throughput, and spurious deadline expiries under
     scheduler noise would deflate it artificially.
     """
@@ -247,7 +247,7 @@ def tcp_spec(
         clients=200,
         reads_per_client=5,
         writes=max(20, keys),
-        rpc_timeout=2.0,
+        deadline=2.0,
         transport="tcp",
         shards=shards,
         keys=keys,

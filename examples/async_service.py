@@ -10,8 +10,8 @@ Four acts (in-process transport, the default):
 
 1. a single client against a healthy masking deployment — write, read,
    inspect where the value landed;
-2. a crash-heavy deployment — watch the client's probe fallback route
-   around dead servers;
+2. a crash-heavy deployment — watch the client top its quorum up from
+   servers it has not asked yet, routing around dead ones;
 3. two clients contending for a quorum-backed distributed lock —
    REQUEST / GRANT / RELEASE over the same replicated register;
 4. the full soak of the ``serve`` experiment — colluding Byzantine forgers
@@ -77,7 +77,7 @@ async def act_one_healthy() -> None:
 
 
 async def act_two_crashes() -> None:
-    print("=== 2. Probe-based quorum repair under crashes " + "=" * 21)
+    print("=== 2. Degraded-quorum top-up under crashes " + "=" * 24)
     deployment = Deployment.builder(SCENARIO).deadline(0.005).seed(2).build()
     async with deployment:
         client = deployment.connect()
@@ -92,7 +92,7 @@ async def act_two_crashes() -> None:
         outcome = await client.read("x")
         register = client.register_for("x")
         print(f"read -> {outcome.value!r}; label: {register.classify_read(outcome)}; "
-              f"{client.probe_fallbacks} probe fallback(s) re-assembled a live quorum\n")
+              f"{client.probe_fallbacks} degraded op(s) topped up from spare servers\n")
 
 
 async def act_three_lock() -> None:

@@ -32,8 +32,7 @@ The builder's knob names (``deadline``, ``seed``, ``dispatch``,
 canonical spellings used across
 :class:`~repro.service.client.AsyncQuorumClient`,
 :class:`~repro.service.sharding.ShardedDeployment` and
-:class:`~repro.service.load.ServiceLoadSpec`; the pre-facade aliases
-(``timeout``, ``rpc_timeout``) keep working with a ``DeprecationWarning``.
+:class:`~repro.service.load.ServiceLoadSpec`.
 """
 
 from __future__ import annotations
@@ -207,7 +206,7 @@ class DeploymentBuilder:
         Pass an explicit :class:`~repro.simulation.scenario.AntiEntropySpec`
         or use the keyword knobs to build one.  Clients the deployment
         hands out then piggyback up to ``repair_budget`` read-repairs onto
-        their coalesced deliveries and skip the probe-fallback round when a
+        their coalesced deliveries and skip the top-up round when a
         partial reply set can already settle a value; a gossiping spec
         (``fanout > 0``) additionally runs one background push-gossip task
         per shard.  Without this call the deployment inherits the

@@ -5,8 +5,9 @@ read or write (or the lock protocol's read/write rounds riding on them) —
 from the moment the client samples a quorum to the moment the operation's
 result is classified:
 
-* which servers the quorum contained (and how it changed across probe-based
-  repair retries);
+* which servers the quorum contained (after a degraded operation's top-up
+  rounds: the answering servers it finally rests on; ``retried`` says a
+  top-up ran, ``probes_used`` counts the spare servers it asked);
 * one :class:`RpcSpan` per RPC actually attempted, with its wall-clock
   window and **disposition**: ``ok``, ``dropped`` (the transport lost it),
   ``timeout`` (the deadline expired), ``silent`` (the server answered

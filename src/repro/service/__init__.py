@@ -12,9 +12,9 @@ safety under live fault injection.
   live behaviour swapping for fault injection;
 * :mod:`repro.service.transport` — message passing with latency, jitter,
   drops and deadline enforcement;
-* :mod:`repro.service.client` — the concurrent quorum client, falling back
-  to :mod:`repro.quorum.probe` strategies to re-assemble a live quorum on
-  partial failure;
+* :mod:`repro.service.client` — the concurrent quorum client; on partial
+  failure it tops the quorum up in place, sending the operation itself to
+  as many not-yet-contacted servers as stayed silent;
 * :mod:`repro.service.dispatch` — the batched fast path: one coalesced
   delivery event per (node, tick) and one shared deadline per operation,
   instead of a coroutine + timer per RPC;

@@ -3,20 +3,35 @@
 A client performs one protocol operation (read or write) by sampling a
 quorum through the system's access strategy — the paper stresses the
 strategy must be followed for the ε guarantee to hold — and issuing every
-per-server RPC *concurrently* with a per-RPC deadline.  Under partial
-failure (some RPCs time out) the client falls back to the adaptive probing
-of :mod:`repro.quorum.probe`: it pings the whole universe concurrently,
-feeds the answers to a probe strategy as the liveness oracle, and re-issues
-the operation against the live quorum the strategy assembles.  Uniform
-constructions use :class:`~repro.quorum.probe.UniformProbeStrategy` (any
-``q`` live servers form a quorum, and random-order probing preserves the
-load profile); structured systems fall back to
-:class:`~repro.quorum.probe.GreedyProbeStrategy`.
+per-server RPC *concurrently* with a per-RPC deadline.
 
-The repair pass *replaces* the original quorum rather than merging reply
-sets: a merged super-quorum would not be a strategy-drawn quorum, and for
-the masking protocol it would inflate ``|Q ∩ B|`` beyond what Lemma 5.7
-accounts for.
+Under partial failure (some members stay silent past the deadline) **the
+operation is the probe**: the members that answered are known alive and are
+kept, the silent ones are known dead-or-lost, and only the deficit
+``q − |answered|`` is re-drawn — uniformly, without replacement, from the
+servers this operation has not contacted yet — and sent the operation
+itself (one more fan-out; over TCP one more ``mreq`` carrying only the spare
+ids).  Each server is asked at most once per operation and answers in hand
+are never discarded.
+
+For the uniform constructions ``R(n, q)`` this is the random-order probe of
+:class:`~repro.quorum.probe.UniformProbeStrategy` with the operation as the
+probe.  The sampled quorum followed by the spare batches is a prefix of a
+uniformly random permutation of the universe, and a batch is never larger
+than the current deficit, so the reply set never overshoots ``q``: when the
+deficit closes, the final quorum is the first ``q`` answering servers of
+that permutation — a uniform ``q``-subset of the answering servers, which
+is what ε and Lemma 5.7's ``|Q ∩ B|`` accounting are stated for.  A merged
+*super*-quorum, which would inflate ``|Q ∩ B|``, cannot arise.  Systems
+without a fixed ``quorum_size`` (explicit strategies, grids) use the general
+form of the same rule: ``find_live_quorum(universe − silent)`` names a
+replacement quorum, only its members not yet asked are contacted, and the
+final reply set is restricted to it.
+
+At most :data:`MAX_TOP_UP_ROUNDS` top-up rounds run per operation; after the
+last one the operation returns what it has — ``acknowledged`` /
+``responders`` tell the caller how thin it is, and a write raises only when
+*nobody* acknowledged.
 
 Two orthogonal fast-path knobs:
 
@@ -46,7 +61,7 @@ import asyncio
 import random
 import warnings
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,12 +70,6 @@ from repro.exceptions import (
     ConfigurationError,
     QuorumUnavailableError,
     RpcTimeoutError,
-)
-from repro.quorum.probe import (
-    GreedyProbeStrategy,
-    ProbeResult,
-    UniformProbeStrategy,
-    oracle_from_alive_set,
 )
 from repro.obs.trace import QuorumTrace, Tracer
 from repro.rngs import fresh_rng
@@ -77,29 +86,10 @@ SELECTION_MODES = ("strategy", "latency-aware")
 #: Quorums pre-sampled per pool refill (one vectorised block draw).
 DEFAULT_QUORUM_POOL = 32
 
-#: Sentinel distinguishing "not passed" from every meaningful value of a
-#: deprecated keyword alias (``None`` disables a deadline, so it cannot be
-#: the sentinel).
-UNSET = object()
-
-
-def resolve_deprecated_alias(value, legacy_value, canonical: str, legacy: str):
-    """Resolve a renamed keyword, warning when the legacy spelling is used.
-
-    The service layer's constructors all call their per-RPC deadline
-    ``deadline`` (and their root randomness ``seed``); the pre-facade
-    spellings (``timeout``, ``rpc_timeout``) keep working through this
-    shim so existing deployments migrate on their own schedule.
-    """
-    if legacy_value is UNSET:
-        return value
-    warnings.warn(
-        f"the {legacy!r} keyword is deprecated; pass {canonical!r} instead "
-        f"(same meaning, the repro.api facade spelling)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return legacy_value
+#: At most two top-up rounds per op: worst-case latency stays ≤ 3 deadlines
+#: (what a liveness sweep plus a full retry would cost) while the typical
+#: degraded op is 1 deadline + 1 RTT.
+MAX_TOP_UP_ROUNDS = 2
 
 EPSILON_CAVEAT = (
     "latency-aware quorum selection deviates from the access strategy: the "
@@ -112,8 +102,13 @@ EPSILON_CAVEAT = (
 class WriteRpcResult:
     """Outcome of one fanned-out quorum write.
 
-    ``trace`` carries the operation's :class:`~repro.obs.trace.QuorumTrace`
-    when the client samples traces, ``None`` otherwise.
+    ``quorum`` is the set the write finally rests on: the sampled quorum,
+    or after a top-up the answering originals plus the answering spares
+    (never more than ``q`` servers), so ``acknowledged ⊆ quorum``.
+    ``retried`` says a top-up round ran and ``probes_used`` counts the spare
+    servers it asked.  ``trace`` carries the operation's
+    :class:`~repro.obs.trace.QuorumTrace` when the client samples traces,
+    ``None`` otherwise.
     """
 
     quorum: Quorum
@@ -129,9 +124,11 @@ class ReadRpcResult:
 
     ``replies`` holds the value-bearing answers; ``responders`` counts every
     server that answered at all (including explicit "I store nothing"), which
-    is what distinguishes an empty register from a dead quorum.  ``trace``
-    carries the operation's :class:`~repro.obs.trace.QuorumTrace` when the
-    client samples traces, ``None`` otherwise.
+    is what distinguishes an empty register from a dead quorum.  ``quorum``,
+    ``retried`` and ``probes_used`` (spare servers asked) read as on
+    :class:`WriteRpcResult`.  ``trace`` carries the operation's
+    :class:`~repro.obs.trace.QuorumTrace` when the client samples traces,
+    ``None`` otherwise.
     """
 
     quorum: Quorum
@@ -149,20 +146,18 @@ class AsyncQuorumClient:
     ----------
     system:
         The probabilistic quorum system; quorums are drawn from its access
-        strategy and repair uses its structure.
+        strategy and top-up uses its structure.
     nodes:
         The ``n`` replica nodes, indexed by server id.
     transport:
         The shared :class:`~repro.service.transport.AsyncTransport`.
     deadline:
         Per-RPC deadline in event-loop seconds (``None`` disables it).
-        The pre-facade spelling ``timeout=`` is still accepted with a
-        :class:`DeprecationWarning`.
     rng:
-        Random source for quorum sampling and probe order.
+        Random source for quorum sampling and spare draws.
     repair:
-        Whether partial failures trigger the probe fallback (on by default;
-        the load harness counts how often it fires).
+        Whether partial failures trigger the top-up rounds (on by default;
+        :attr:`probe_fallbacks` counts the operations that needed one).
     dispatcher:
         Optional shared :class:`~repro.service.dispatch.BatchedDispatcher`;
         when given, fan-outs coalesce per destination node instead of
@@ -185,7 +180,7 @@ class AsyncQuorumClient:
     tracer:
         Optional :class:`~repro.obs.trace.Tracer`.  When set, sampled
         operations assemble a :class:`~repro.obs.trace.QuorumTrace` (quorum,
-        per-RPC spans, retry/probe accounting) attached to the RPC result.
+        per-RPC spans, top-up accounting) attached to the RPC result.
         ``None`` (the default) keeps every per-operation trace branch off
         the hot path — tracing costs nothing when unused.
     client_id:
@@ -201,16 +196,15 @@ class AsyncQuorumClient:
         effective with a dispatcher installed — the per-RPC path has no
         delivery events for a repair to ride.
     lazy_fallback:
-        Skip the read path's probe-fallback round when the partial reply
-        set can already settle a value (at least ``read_threshold``
-        value-bearing replies).  The probe round exists to chase freshness
-        into a fully live quorum; with anti-entropy running that freshness
-        is maintained in the background, so deployments arm this together
-        with gossip/read-repair and the extra round becomes pure overhead.
-        Off by default — without anti-entropy the fallback is what keeps
-        reads fresh under churn.  Writes always keep their fallback: a
-        write that lands on too few servers is a durability loss no later
-        read can repair.
+        Skip the read path's top-up round when the partial reply set can
+        already settle a value (at least ``read_threshold`` value-bearing
+        replies).  The top-up exists to chase freshness into a full
+        quorum; with anti-entropy running that freshness is maintained in
+        the background, so deployments arm this together with
+        gossip/read-repair and the extra round becomes pure overhead.
+        Off by default — without anti-entropy the top-up is what keeps
+        reads fresh under churn.  Writes always top up: a write that lands
+        on too few servers is a durability loss no later read can repair.
     """
 
     def __init__(
@@ -231,9 +225,7 @@ class AsyncQuorumClient:
         shard: Optional[int] = None,
         repair_budget: int = 0,
         lazy_fallback: bool = False,
-        timeout: Optional[float] = UNSET,
     ) -> None:
-        deadline = resolve_deprecated_alias(deadline, timeout, "deadline", "timeout")
         if len(nodes) != system.n:
             raise ConfigurationError(
                 f"the system is over {system.n} servers but {len(nodes)} nodes were given"
@@ -299,11 +291,6 @@ class AsyncQuorumClient:
                     "tracker; pass that tracker to every client of the "
                     "deployment"
                 )
-
-    @property
-    def timeout(self) -> Optional[float]:
-        """Deprecated spelling of :attr:`deadline` (kept for old callers)."""
-        return self.deadline
 
     # -- raw RPC fan-out ----------------------------------------------------------
 
@@ -421,37 +408,50 @@ class AsyncQuorumClient:
                 trace.record(server, "repair", now, now, "repair")
         return len(targets)
 
-    # -- liveness probing ---------------------------------------------------------
+    # -- degraded-quorum top-up ---------------------------------------------------
 
-    def _probe_strategy(self) -> Union[UniformProbeStrategy, GreedyProbeStrategy]:
-        if hasattr(self.system, "quorum_size"):
-            return UniformProbeStrategy(self.system.n, int(self.system.quorum_size))
-        return GreedyProbeStrategy(self.system)
+    async def _top_up(
+        self,
+        ordered: Sequence[ServerId],
+        answers: Dict[ServerId, Any],
+        method: str,
+        args: tuple,
+        trace: Optional[QuorumTrace],
+    ) -> Tuple[Dict[ServerId, Any], int]:
+        """Send ``method`` itself to spare servers until the quorum is whole.
 
-    async def ping_alive(
-        self, trace: Optional[QuorumTrace] = None
-    ) -> Set[ServerId]:
-        """Ping every node concurrently; return the responders."""
-        answers = await self._fan_out(range(self.system.n), "ping", trace=trace)
-        return set(answers)
-
-    async def assemble_live_quorum(
-        self, trace: Optional[QuorumTrace] = None
-    ) -> ProbeResult:
-        """Probe for a quorum of currently-responding servers.
-
-        The concurrent ping sweep plays the role of the probe strategy's
-        liveness oracle; the strategy then decides which live servers form
-        a quorum (and reports how many probes that inspection cost).  A
-        ``trace`` collects the sweep's pings as spans of the repaired
-        operation.
+        ``answers`` holds the first round's replies from ``ordered``; its
+        silent members are written off, its answering members are kept, and
+        each round asks just enough not-yet-contacted servers to close the
+        deficit (the module docstring argues why the result is still a
+        strategy-faithful quorum).  Returns the reply map the operation
+        finally rests on and how many spare servers were asked.
         """
-        alive = await self.ping_alive(trace=trace)
-        oracle = oracle_from_alive_set(alive)
-        strategy = self._probe_strategy()
-        if isinstance(strategy, UniformProbeStrategy):
-            return strategy.probe(oracle, rng=self.rng)
-        return strategy.probe(oracle)
+        self.probe_fallbacks += 1
+        system = self.system
+        universe = range(system.n)
+        uniform = hasattr(system, "quorum_size")
+        asked = set(ordered)
+        replacement: Optional[Quorum] = None
+        for _ in range(MAX_TOP_UP_ROUNDS):
+            if uniform:
+                unasked = [server for server in universe if server not in asked]
+                deficit = len(ordered) - len(answers)
+                spares = self.rng.sample(unasked, min(deficit, len(unasked)))
+            else:
+                silent = asked.difference(answers)
+                replacement = system.find_live_quorum(set(universe) - silent)
+                spares = [server for server in replacement or () if server not in asked]
+            if not spares:
+                break
+            spares.sort()
+            asked.update(spares)
+            answers.update(await self._fan_out(spares, method, *args, trace=trace))
+        if replacement is not None and replacement <= answers.keys():
+            # First-round answers from outside the replacement quorum would
+            # make the reply set a super-quorum; the op rests on the quorum.
+            answers = {server: answers[server] for server in replacement}
+        return answers, len(asked) - len(ordered)
 
     # -- quorum selection ---------------------------------------------------------
 
@@ -493,12 +493,12 @@ class AsyncQuorumClient:
         timestamp: Any,
         signature: Optional[bytes] = None,
     ) -> WriteRpcResult:
-        """Fan a write out to a strategy-drawn quorum, repairing on failure.
+        """Fan a write out to a strategy-drawn quorum, topping up on failure.
 
         Raises :class:`~repro.exceptions.QuorumUnavailableError` only when no
-        server at all acknowledged and no live quorum could be assembled —
-        short of that, missed servers are exactly the crash-misses the ε
-        analysis accounts for.
+        server at all acknowledged — short of that, missed servers are
+        exactly the crash-misses the ε analysis accounts for, and
+        ``acknowledged`` (always a subset of ``quorum``) says how many.
         """
         trace = (
             self.tracer.begin(
@@ -512,51 +512,29 @@ class AsyncQuorumClient:
         if trace is not None:
             trace.quorum = list(ordered)
             trace.selection = {"mode": self.selection}
-        acks = await self._fan_out(
-            ordered, "write", variable, value, timestamp, signature, trace=trace
-        )
-        retried = False
-        probes = 0
+        args = (variable, value, timestamp, signature)
+        acks = await self._fan_out(ordered, "write", *args, trace=trace)
+        spares = 0
         if len(acks) < len(ordered) and self.repair:
-            self.probe_fallbacks += 1
-            probe = await self.assemble_live_quorum(trace=trace)
-            probes = probe.probes_used
-            if probe.found:
-                retried = True
-                quorum = probe.quorum
-                if trace is not None:
-                    trace.quorum = sorted(probe.quorum)
-                retry_acks = await self._fan_out(
-                    sorted(probe.quorum),
-                    "write",
-                    variable,
-                    value,
-                    timestamp,
-                    signature,
-                    trace=trace,
-                )
-                acks = {**acks, **retry_acks}
-            if not acks:
-                # Even a successfully probed quorum can lose every retry RPC
-                # on a lossy transport; a write nobody stored must not be
-                # reported as complete.
-                if trace is not None:
-                    trace.retried = retried
-                    trace.probes_used = probes
-                    self.tracer.finish(trace, status="unavailable")
-                raise QuorumUnavailableError(
-                    f"write of {variable!r}: no server acknowledged "
-                    f"({probe.servers_alive} answered the liveness sweep)"
-                )
+            acks, spares = await self._top_up(ordered, acks, "write", args, trace)
+            quorum = frozenset(acks)
+            if trace is not None:
+                trace.quorum = sorted(acks)
         if trace is not None:
-            trace.retried = retried
-            trace.probes_used = probes
-            self.tracer.finish(trace)
+            trace.retried = spares > 0
+            trace.probes_used = spares
+            self.tracer.finish(trace, status="ok" if acks else "unavailable")
+        if not acks:
+            # A write nobody stored must not be reported as complete.
+            raise QuorumUnavailableError(
+                f"write of {variable!r}: none of the {len(ordered) + spares} "
+                f"servers contacted acknowledged"
+            )
         return WriteRpcResult(
             quorum=quorum,
             acknowledged=frozenset(acks),
-            retried=retried,
-            probes_used=probes,
+            retried=spares > 0,
+            probes_used=spares,
             trace=trace,
         )
 
@@ -566,7 +544,7 @@ class AsyncQuorumClient:
         At least ``read_threshold`` value-bearing replies (one for the
         benign and dissemination protocols, ``⌈k⌉`` for masking) means the
         selection rule has enough votes to pick a winner; chasing the
-        missing servers into a probe round buys nothing anti-entropy is
+        missing servers into a top-up round buys nothing anti-entropy is
         not already providing in the background.
         """
         threshold = int(getattr(self.system, "read_threshold", 1))
@@ -576,7 +554,7 @@ class AsyncQuorumClient:
         return value_bearing >= threshold
 
     async def read(self, variable: str) -> ReadRpcResult:
-        """Fan a read out to a strategy-drawn quorum, repairing on failure.
+        """Fan a read out to a strategy-drawn quorum, topping up on failure.
 
         Never raises: with every reply missing the register layer returns ⊥,
         which is the protocol's own account of an unreachable quorum.
@@ -594,36 +572,30 @@ class AsyncQuorumClient:
             trace.quorum = list(ordered)
             trace.selection = {"mode": self.selection}
         responses = await self._fan_out(ordered, "read", variable, trace=trace)
-        retried = False
-        probes = 0
+        spares = 0
         if (
             len(responses) < len(ordered)
             and self.repair
             and not (self.lazy_fallback and self._settleable(responses))
         ):
-            self.probe_fallbacks += 1
-            probe = await self.assemble_live_quorum(trace=trace)
-            probes = probe.probes_used
-            if probe.found:
-                retried = True
-                quorum = probe.quorum
-                if trace is not None:
-                    trace.quorum = sorted(probe.quorum)
-                responses = await self._fan_out(
-                    sorted(probe.quorum), "read", variable, trace=trace
-                )
+            responses, spares = await self._top_up(
+                ordered, responses, "read", (variable,), trace
+            )
+            quorum = frozenset(responses)
+            if trace is not None:
+                trace.quorum = sorted(responses)
         replies = {
             server: stored for server, stored in responses.items() if stored is not None
         }
         if trace is not None:
-            trace.retried = retried
-            trace.probes_used = probes
+            trace.retried = spares > 0
+            trace.probes_used = spares
             self.tracer.finish(trace)
         return ReadRpcResult(
             quorum=quorum,
             replies=replies,
             responders=len(responses),
-            retried=retried,
-            probes_used=probes,
+            retried=spares > 0,
+            probes_used=spares,
             trace=trace,
         )

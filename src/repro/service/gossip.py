@@ -23,8 +23,8 @@ load is in flight:
   fanout, counting rounds and adoptions for the metrics registry.
 
 The point of running freshness in the background is measured by the load
-harness: with gossip (and piggybacked read-repair) on, the probe-fallback
-round that dominates read tail latency under churn almost never fires.
+harness: with gossip (and piggybacked read-repair) on, the top-up round
+that dominates read tail latency under churn almost never fires.
 """
 
 from __future__ import annotations

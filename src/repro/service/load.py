@@ -56,12 +56,7 @@ from repro.obs.monitor import EpsilonMonitor
 from repro.obs.trace import Tracer
 from repro.protocol.classification import OUTCOME_LABELS, classify_read_outcome
 from repro.protocol.variable import ReadOutcome, WriteOutcome
-from repro.service.client import (
-    DEFAULT_QUORUM_POOL,
-    SELECTION_MODES,
-    UNSET,
-    resolve_deprecated_alias,
-)
+from repro.service.client import DEFAULT_QUORUM_POOL, SELECTION_MODES
 from repro.service.dispatch import DISPATCH_MODES
 from repro.service.sharding import TRANSPORT_MODES, ShardedDeployment, shard_for_key
 from repro.service.wire import WIRE_CODECS
@@ -150,8 +145,7 @@ class ServiceLoadSpec:
         added to the real socket cost).
     deadline:
         Per-RPC deadline for every client (``None`` disables it; never
-        disable it on a lossy or TCP transport).  ``rpc_timeout`` is the
-        deprecated pre-facade spelling of the same knob.
+        disable it on a lossy or TCP transport).
     fault_injection:
         Live crash/recovery churn on top of the scenario's failures.
     transport:
@@ -240,18 +234,8 @@ class ServiceLoadSpec:
     #: declares diffusion keeps it under load, and everything stays off
     #: when neither declares it.
     anti_entropy: Optional[AntiEntropySpec] = None
-    #: Deprecated alias for ``deadline`` (the pre-facade spelling).
-    rpc_timeout: Optional[float] = UNSET  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        deadline = resolve_deprecated_alias(
-            self.deadline, self.rpc_timeout, "deadline", "rpc_timeout"
-        )
-        # Keep both spellings readable after normalisation (the frozen
-        # dataclass needs object.__setattr__): new code reads ``deadline``,
-        # pre-facade callers keep reading ``rpc_timeout``.
-        object.__setattr__(self, "deadline", deadline)
-        object.__setattr__(self, "rpc_timeout", deadline)
         if not isinstance(self.scenario, ScenarioSpec):
             raise ConfigurationError(
                 f"a service load is described over a ScenarioSpec, "

@@ -41,12 +41,7 @@ from repro.exceptions import ConfigurationError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.protocol.variable import WriteOutcome
-from repro.service.client import (
-    DEFAULT_QUORUM_POOL,
-    UNSET,
-    AsyncQuorumClient,
-    resolve_deprecated_alias,
-)
+from repro.service.client import DEFAULT_QUORUM_POOL, AsyncQuorumClient
 from repro.service.dispatch import BatchedDispatcher
 from repro.service.gossip import GOSSIP_SEED_SALT, GossipService, scenario_verifier
 from repro.service.net import (
@@ -155,10 +150,8 @@ class ShardedClientAPI:
         selection: str = "strategy",
         quorum_pool: int = DEFAULT_QUORUM_POOL,
         client_id: Optional[str] = None,
-        timeout: Optional[float] = UNSET,
     ) -> AsyncQuorumClient:
         """One quorum client bound to a single shard's replica group."""
-        deadline = resolve_deprecated_alias(deadline, timeout, "deadline", "timeout")
         if not self._started:
             raise ConfigurationError(
                 "start() the deployment before creating clients (TCP ports "
@@ -184,7 +177,7 @@ class ShardedClientAPI:
                 anti_entropy.repair_budget if anti_entropy is not None else 0
             ),
             # With anti-entropy maintaining freshness in the background, a
-            # partial-but-settleable read skips the probe-fallback round.
+            # partial-but-settleable read skips the top-up round.
             lazy_fallback=anti_entropy is not None,
         )
 
@@ -195,7 +188,6 @@ class ShardedClientAPI:
         selection: str = "strategy",
         quorum_pool: int = DEFAULT_QUORUM_POOL,
         writer_id: Optional[int] = None,
-        timeout: Optional[float] = UNSET,
     ) -> "ShardedAsyncRegisterClient":
         """One logical sharded client (one quorum client per shard).
 
@@ -206,7 +198,6 @@ class ShardedClientAPI:
         writers must each write under their own id or colliding timestamps
         would alias distinct values.
         """
-        deadline = resolve_deprecated_alias(deadline, timeout, "deadline", "timeout")
         clients = [
             self.client_for_shard(
                 index,

@@ -60,3 +60,26 @@ def grid_25():
 def healthy_cluster():
     """A 25-server cluster with no failures."""
     return Cluster(25, seed=7)
+
+
+@pytest.fixture
+def record_fan_outs():
+    """Patch a quorum client to log each fan-out round it issues.
+
+    ``record_fan_outs(client)`` returns the live list of
+    ``(servers asked, servers answered)`` pairs, one per round.
+    """
+
+    def install(client):
+        rounds = []
+        fan_out = client._fan_out
+
+        async def recording(servers, method, *args, trace=None):
+            replies = await fan_out(servers, method, *args, trace=trace)
+            rounds.append((tuple(servers), frozenset(replies)))
+            return replies
+
+        client._fan_out = recording
+        return rounds
+
+    return install

@@ -4,15 +4,23 @@ from __future__ import annotations
 
 import asyncio
 import random
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
 from repro.core.dissemination import ProbabilisticDisseminationSystem
-from repro.core.epsilon_intersecting import UniformEpsilonIntersectingSystem
+from repro.core.epsilon_intersecting import (
+    EpsilonIntersectingSystem,
+    UniformEpsilonIntersectingSystem,
+)
 from repro.core.masking import ProbabilisticMaskingSystem
 from repro.exceptions import ConfigurationError, QuorumUnavailableError
+from repro.obs.trace import Tracer
 from repro.protocol.timestamps import Timestamp
-from repro.service.client import AsyncQuorumClient
+from repro.quorum.grid import GridQuorumSystem
+from repro.quorum.probe import UniformProbeStrategy, oracle_from_alive_set
+from repro.service.client import MAX_TOP_UP_ROUNDS, AsyncQuorumClient
 from repro.service.node import ServiceNode
 from repro.service.register import (
     AsyncDisseminationRegister,
@@ -22,7 +30,7 @@ from repro.service.register import (
 )
 from repro.service.transport import AsyncTransport
 from repro.simulation.scenario import ScenarioSpec
-from repro.simulation.server import ByzantineForgeBehavior
+from repro.simulation.server import ByzantineForgeBehavior, ByzantineSilentBehavior
 
 PLAIN = UniformEpsilonIntersectingSystem(25, 8)
 MASKING = ProbabilisticMaskingSystem(25, 10, 3)
@@ -33,13 +41,26 @@ def run(coroutine):
     return asyncio.run(coroutine)
 
 
-def deploy(system, seed=0, timeout=0.01, **transport_kwargs):
+def deploy(system, seed=0, deadline=0.01, tracer=None, **transport_kwargs):
     nodes = [ServiceNode(server) for server in range(system.n)]
     transport = AsyncTransport(seed=seed, **transport_kwargs)
     client = AsyncQuorumClient(
-        system, nodes, transport, timeout=timeout, rng=random.Random(seed)
+        system,
+        nodes,
+        transport,
+        deadline=deadline,
+        rng=random.Random(seed),
+        tracer=tracer,
     )
     return nodes, client
+
+
+def chi_square(observed, expected):
+    return sum((observed[key] - expected) ** 2 / expected for key in observed)
+
+
+#: Upper 0.1 % point of the chi-square distribution with 3 degrees of freedom.
+CHI2_3DF_999 = 16.27
 
 
 class TestAsyncQuorumClient:
@@ -64,33 +85,16 @@ class TestAsyncQuorumClient:
 
         run(scenario())
 
-    def test_partial_failure_triggers_probe_repair(self):
-        nodes, client = deploy(PLAIN, seed=5)
-        for server in range(10):
-            nodes[server].crash()
-
-        async def scenario():
-            write = await client.write("x", "v", Timestamp(1), None)
-            return write
-
-        write = run(scenario())
-        # With 10 of 25 servers crashed a sampled 8-quorum almost surely hits
-        # a crash; the client then probes and re-assembles a live quorum.
-        assert client.probe_fallbacks >= 1
-        assert write.retried
-        assert len(write.acknowledged & write.quorum) == 8
-        assert all(not nodes[server].server.is_crashed for server in write.quorum)
-
     def test_write_with_no_live_quorum_raises(self):
         nodes, client = deploy(PLAIN)
         for node in nodes:
             node.crash()
 
-        async def scenario():
-            await client.write("x", "v", Timestamp(1), None)
-
-        with pytest.raises(QuorumUnavailableError):
-            run(scenario())
+        # Nobody answers, so every round asks a full deficit of 8 — and the
+        # write gives up after the round cap, each server asked once.
+        with pytest.raises(QuorumUnavailableError, match="none of the 24 servers"):
+            run(client.write("x", "v", Timestamp(1), None))
+        assert client.transport.calls == 8 * (1 + MAX_TOP_UP_ROUNDS)
 
     def test_read_with_everything_dead_returns_no_replies(self):
         nodes, client = deploy(PLAIN)
@@ -100,6 +104,8 @@ class TestAsyncQuorumClient:
         read = run(client.read("x"))
         assert read.replies == {}
         assert read.responders == 0
+        assert read.probes_used == 8 * MAX_TOP_UP_ROUNDS
+        assert client.transport.calls == 8 * (1 + MAX_TOP_UP_ROUNDS)
 
     def test_repair_can_be_disabled(self):
         nodes = [ServiceNode(server) for server in range(PLAIN.n)]
@@ -107,7 +113,7 @@ class TestAsyncQuorumClient:
             PLAIN,
             nodes,
             AsyncTransport(),
-            timeout=0.01,
+            deadline=0.01,
             rng=random.Random(1),
             repair=False,
         )
@@ -116,13 +122,198 @@ class TestAsyncQuorumClient:
 
         read = run(client.read("x"))
         assert client.probe_fallbacks == 0
-        assert not read.retried
+        assert not read.retried and read.probes_used == 0
+        assert client.transport.calls == 8  # one round, no spares
 
-    def test_probe_strategy_matches_the_construction(self):
-        _, uniform_client = deploy(PLAIN)
-        from repro.quorum.probe import UniformProbeStrategy
+        # One round is all a write gets too; one nobody stored still raises.
+        for node in nodes:
+            node.crash()
+        with pytest.raises(QuorumUnavailableError, match="none of the 8 servers"):
+            run(client.write("x", "v", Timestamp(1), None))
+        assert client.transport.calls == 16 and client.probe_fallbacks == 0
 
-        assert isinstance(uniform_client._probe_strategy(), UniformProbeStrategy)
+
+class TestDegradedQuorumTopUp:
+    def test_degraded_write_tops_up_in_place(self, record_fan_outs):
+        nodes, client = deploy(PLAIN, seed=5)
+        for server in range(10):
+            nodes[server].crash()
+        rounds = record_fan_outs(client)
+
+        write = run(client.write("x", "v", Timestamp(1), None))
+        # With 10 of 25 servers crashed a sampled 8-quorum almost surely hits
+        # a crash; the answering members are kept and only the silent slots
+        # are re-drawn from servers the write has not contacted.
+        assert client.probe_fallbacks == 1
+        assert write.retried
+        first_asked, first_answered = rounds[0]
+        assert first_answered < frozenset(first_asked)
+        assert first_answered <= write.quorum
+        assert write.acknowledged <= write.quorum
+        assert len(write.quorum) <= 8
+        assert all(not nodes[server].server.is_crashed for server in write.quorum)
+        assert write.probes_used == sum(len(asked) for asked, _ in rounds[1:])
+        asked = [server for servers, _ in rounds for server in servers]
+        assert len(asked) == len(set(asked))
+
+    def test_top_up_quorum_is_uniform_over_the_live_subsets(self):
+        # R(6, 3) with servers 0 and 1 crashed: 80 % of the sampled quorums
+        # are degraded.  Over the ops that end whole, the final quorum must
+        # be a uniform draw from the C(4, 3) live subsets — exactly what
+        # random-order probing of the same liveness set produces.
+        # Ten sequential clients side by side (each owns its RNG, so the run
+        # is deterministic) keep the 3000 deadline waits off the wall clock.
+        system = UniformEpsilonIntersectingSystem(6, 3)
+        nodes = [ServiceNode(server) for server in range(6)]
+        for server in (0, 1):
+            nodes[server].crash()
+        alive = frozenset(range(2, 6))
+        clients = [
+            AsyncQuorumClient(
+                system, nodes, AsyncTransport(), deadline=1e-4, rng=random.Random(seed)
+            )
+            for seed in range(170, 180)
+        ]
+        ops = 3000
+
+        async def drive(client):
+            finals = Counter()
+            for _ in range(ops // len(clients)):
+                read = await client.read("x")
+                assert len(read.quorum) <= 3 and read.quorum <= alive
+                if len(read.quorum) == 3:
+                    finals[read.quorum] += 1
+            return finals
+
+        async def scenario():
+            return sum(await asyncio.gather(*map(drive, clients)), Counter())
+
+        finals = run(scenario())
+        subsets = [frozenset(subset) for subset in combinations(sorted(alive), 3)]
+        assert set(finals) == set(subsets)
+        whole = sum(finals.values())
+        assert whole > 0.9 * ops
+        assert sum(client.probe_fallbacks for client in clients) > 0.7 * ops
+        assert chi_square(finals, whole / 4) < CHI2_3DF_999
+
+        # The differential oracle: the analysis module's probe strategy over
+        # the same liveness set, compared as two samples of one distribution.
+        strategy = UniformProbeStrategy(6, 3)
+        oracle = oracle_from_alive_set(alive)
+        rng = random.Random(17)
+        probed = Counter(strategy.probe(oracle, rng=rng).quorum for _ in range(whole))
+        assert chi_square(probed, whole / 4) < CHI2_3DF_999
+        homogeneity = sum(
+            (finals[subset] - probed[subset]) ** 2 / (finals[subset] + probed[subset])
+            for subset in subsets
+        )
+        assert homogeneity < CHI2_3DF_999
+
+    def test_top_up_under_byzantine_and_crash_faults_never_overshoots(self, record_fan_outs):
+        system = ProbabilisticMaskingSystem(25, 14, 3)
+        nodes, client = deploy(system, seed=23, tracer=Tracer(1.0, seed=1))
+        nodes[0].set_behavior(ByzantineSilentBehavior())
+        nodes[1].set_behavior(
+            ByzantineForgeBehavior("FORGED", Timestamp.forged_maximum())
+        )
+        for server in (2, 3, 4, 5):
+            nodes[server].crash()
+        rounds = record_fan_outs(client)
+
+        async def scenario():
+            await client.write("x", "v", Timestamp(1), None)
+            for _ in range(40):
+                del rounds[:]
+                read = await client.read("x")
+                assert len(read.quorum) <= 14
+                assert read.responders == len(read.quorum)
+                spans = [span.server_id for span in read.trace.spans]
+                assert len(spans) == len(set(spans))
+                assert {span.method for span in read.trace.spans} == {"read"}
+                first_asked, answered = rounds[0]
+                assert len(rounds) <= 1 + MAX_TOP_UP_ROUNDS
+                for spares, replies in rounds[1:]:
+                    assert not set(spares) & set(first_asked)
+                    assert len(spares) == 14 - len(answered)
+                    answered = answered | replies
+                assert read.quorum == answered or len(rounds) == 1
+                assert read.trace.quorum == sorted(read.quorum)
+                assert read.probes_used == len(spans) - 14
+
+        run(scenario())
+        assert client.probe_fallbacks > 0
+
+    def test_degraded_write_costs_one_spare_rpc_and_no_ping(self):
+        # The load claim: a quorum holding one crashed member costs q + 1
+        # RPCs (the spare answers), never a sweep of all n plus a re-issue.
+        nodes, client = deploy(MASKING, seed=3, tracer=Tracer(1.0, seed=1))
+        nodes[0].crash()
+        transport = client.transport
+
+        async def scenario():
+            for version in range(1, 200):
+                before = transport.calls
+                write = await client.write("x", "v", Timestamp(version), None)
+                if write.retried:
+                    return write, transport.calls - before
+            raise AssertionError("no sampled quorum contained the crashed server")
+
+        write, calls = run(scenario())
+        assert calls == 10 + 1
+        assert write.probes_used == 1
+        assert len(write.acknowledged) == len(write.quorum) == 10
+        assert 0 not in write.quorum
+        assert {span.method for span in write.trace.spans} == {"write"}
+        assert write.trace.span_dispositions() == {"ok": 10, "silent": 1}
+
+    def test_top_up_on_a_structured_system_reuses_first_round_answers(self, record_fan_outs):
+        # The 3x3 Maekawa grid as experiments/contention.py wraps it: one
+        # full row plus one full column.  Server 0 is in 5 of the 9 quorums.
+        grid = EpsilonIntersectingSystem(9, GridQuorumSystem(9).enumerate_quorums())
+        nodes, client = deploy(grid, seed=2)
+        nodes[0].crash()
+        rounds = record_fan_outs(client)
+
+        async def scenario():
+            for version in range(1, 100):
+                del rounds[:]
+                write = await client.write("x", "v", Timestamp(version), None)
+                if write.retried:
+                    return write
+            raise AssertionError("no sampled quorum contained the crashed server")
+
+        write = run(scenario())
+        assert write.quorum in grid.quorums and 0 not in write.quorum
+        assert write.acknowledged == write.quorum
+        (first_asked, first_answered), (spares, spare_answers) = rounds
+        assert first_answered == frozenset(first_asked) - {0}
+        assert not set(spares) & set(first_asked)
+        assert set(spares) == write.quorum - first_answered
+        assert write.probes_used == len(spares)
+
+    def test_degraded_structured_write_without_a_live_quorum_keeps_its_acks(self, record_fan_outs):
+        grid = EpsilonIntersectingSystem(9, GridQuorumSystem(9).enumerate_quorums())
+        nodes, client = deploy(grid, seed=2)
+        for server in (0, 4, 8):  # the diagonal: no full row or column survives
+            nodes[server].crash()
+        rounds = record_fan_outs(client)
+
+        write = run(client.write("x", "v", Timestamp(1), None))
+        # The client learns of each crash only by asking; once the diagonal
+        # is known silent no replacement quorum exists and the write returns
+        # the acks it has, each server asked once.
+        assert client.probe_fallbacks == 1
+        assert len(rounds) <= 1 + MAX_TOP_UP_ROUNDS
+        asked = [server for servers, _ in rounds for server in servers]
+        assert len(asked) == len(set(asked))
+        answered = frozenset().union(*(replies for _, replies in rounds))
+        assert write.acknowledged == write.quorum == answered
+        assert answered and not any(quorum <= answered for quorum in grid.quorums)
+
+        for node in nodes:
+            node.crash()
+        with pytest.raises(QuorumUnavailableError):
+            run(client.write("x", "v", Timestamp(2), None))
 
 
 class TestAsyncRegisters:

@@ -22,7 +22,7 @@ from repro.simulation.scenario import ScenarioSpec
 MASKING = ProbabilisticMaskingSystem(25, 10, 3)
 
 
-def deploy(system, seed=0, timeout=0.01, window=0.0, **transport_kwargs):
+def deploy(system, seed=0, deadline=0.01, window=0.0, **transport_kwargs):
     nodes = [ServiceNode(server) for server in range(system.n)]
     transport = AsyncTransport(**transport_kwargs)
     dispatcher = BatchedDispatcher(nodes, transport, window=window)
@@ -30,7 +30,7 @@ def deploy(system, seed=0, timeout=0.01, window=0.0, **transport_kwargs):
         system,
         nodes,
         transport,
-        timeout=timeout,
+        deadline=deadline,
         rng=random.Random(seed),
         dispatcher=dispatcher,
     )
@@ -80,7 +80,7 @@ class TestBatchedDispatcher:
         assert transport.calls == 10 + 500
 
     def test_silent_nodes_cost_the_operation_deadline_once(self):
-        nodes, transport, dispatcher, client = deploy(MASKING, timeout=0.005)
+        nodes, transport, dispatcher, client = deploy(MASKING, deadline=0.005)
         for node in nodes:
             node.crash()
 
@@ -100,7 +100,7 @@ class TestBatchedDispatcher:
 
     def test_drops_are_counted_and_resolve_at_the_deadline(self):
         nodes, transport, dispatcher, client = deploy(
-            MASKING, timeout=0.005, drop_probability=0.5, seed=3
+            MASKING, deadline=0.005, drop_probability=0.5, seed=3
         )
 
         async def scenario():
@@ -113,7 +113,7 @@ class TestBatchedDispatcher:
 
     def test_no_deadline_resolves_after_delivery(self):
         nodes, transport, dispatcher, client = deploy(
-            MASKING, timeout=None, drop_probability=0.3, seed=5
+            MASKING, deadline=None, drop_probability=0.3, seed=5
         )
 
         async def scenario():
@@ -124,8 +124,8 @@ class TestBatchedDispatcher:
         # delivery tick; dropped RPCs are simply absent.
         assert 0 <= read.responders <= 10
 
-    def test_partial_failure_triggers_probe_repair(self):
-        nodes, transport, dispatcher, client = deploy(MASKING, timeout=0.005)
+    def test_degraded_read_tops_up_through_the_dispatcher(self):
+        nodes, transport, dispatcher, client = deploy(MASKING, deadline=0.005)
         for server in range(20, 25):
             nodes[server].crash()
 
@@ -134,14 +134,15 @@ class TestBatchedDispatcher:
             return await client.read("x")
 
         read = asyncio.run(scenario())
-        # Any quorum touching a crashed node forces the probe fallback; the
-        # repaired quorum is drawn from live servers only.
+        # Any quorum touching a crashed node forces a top-up; the quorum the
+        # read finally rests on holds answering servers only.
         if client.probe_fallbacks:
             assert read.quorum <= frozenset(range(20))
+            assert len(read.quorum) <= 10
 
     def test_delay_exceeding_timeout_counts_as_timeout(self):
         nodes, transport, dispatcher, client = deploy(
-            MASKING, timeout=0.001, latency=0.01
+            MASKING, deadline=0.001, latency=0.01
         )
         client.repair = False
 
@@ -224,7 +225,7 @@ class TestLoadProfile:
             clients=100,
             reads_per_client=10,
             writes=2,
-            rpc_timeout=0.002,
+            deadline=0.002,
             dispatch="batched",
             selection="latency-aware",
             seed=13,

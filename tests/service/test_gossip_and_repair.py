@@ -224,7 +224,7 @@ class TestLazyFallback:
             nodes[server].crash()
         return nodes, client
 
-    def test_settleable_reads_skip_the_probe_round(self):
+    def test_settleable_reads_skip_the_top_up_round(self):
         nodes, client = self.prepopulated(lazy_fallback=True)
 
         async def scenario():
@@ -232,10 +232,11 @@ class TestLazyFallback:
 
         result = run(scenario())
         assert client.probe_fallbacks == 0
-        assert not result.retried
+        assert not result.retried and result.probes_used == 0
+        assert result.responders < len(result.quorum) == 8
         assert any(stored.value == "v" for stored in result.replies.values())
 
-    def test_without_lazy_fallback_the_same_read_probes(self):
+    def test_without_lazy_fallback_the_same_degraded_read_tops_up(self):
         nodes, client = self.prepopulated(lazy_fallback=False)
 
         async def scenario():
@@ -258,9 +259,9 @@ class TestLazyFallback:
         padded[MASKING.n - 1] = None
         assert not client._settleable(padded)
 
-    def test_writes_always_keep_the_probe_fallback(self):
+    def test_degraded_writes_always_top_up(self):
         # Lazy fallback is a read-path optimisation only: a write that
-        # missed acks must still probe, or the write quorum silently thins.
+        # missed acks must still top up, or the write quorum silently thins.
         nodes, client = deploy_client(PLAIN, seed=5, lazy_fallback=True)
         for server in range(10):
             nodes[server].crash()
@@ -270,7 +271,8 @@ class TestLazyFallback:
 
         write = run(scenario())
         assert client.probe_fallbacks >= 1
-        assert write.retried
+        assert write.retried and write.probes_used >= 1
+        assert write.acknowledged <= write.quorum and len(write.quorum) <= 8
 
 
 class RecordingDispatcher:

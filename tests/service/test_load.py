@@ -161,7 +161,7 @@ class TestRunServiceLoad:
             clients=40,
             reads_per_client=5,
             latency=0.0005,
-            rpc_timeout=0.01,
+            deadline=0.01,
             fault_injection=FaultInjectionSpec(crash_count=4, interval=0.001),
         )
         report = run_service_load(spec)
@@ -173,7 +173,7 @@ class TestRunServiceLoad:
     def test_dropping_transport_still_makes_progress(self):
         spec = small_spec(
             drop_probability=0.05,
-            rpc_timeout=0.005,
+            deadline=0.005,
         )
         report = run_service_load(spec)
         assert report.rpc_dropped > 0

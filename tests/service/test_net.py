@@ -520,7 +520,7 @@ class TestQuorumClientOverTcp:
                 MASKING,
                 remote_nodes(25),
                 transport,
-                timeout=1.0,
+                deadline=1.0,
                 rng=random.Random(3),
                 dispatcher=TcpDispatcher(transport),
             )
@@ -547,7 +547,7 @@ class TestQuorumClientOverTcp:
                 system,
                 remote_nodes(25),
                 transport,
-                timeout=1.0,
+                deadline=1.0,
                 rng=random.Random(5),
                 dispatcher=TcpDispatcher(transport),
             )
@@ -560,14 +560,14 @@ class TestQuorumClientOverTcp:
 
         run(scenario())
 
-    def test_probe_repair_works_over_tcp(self):
+    def test_degraded_op_tops_up_over_tcp(self):
         async def scenario():
             nodes, server, transport = await deploy()
             client = AsyncQuorumClient(
                 MASKING,
                 remote_nodes(25),
                 transport,
-                timeout=0.05,
+                deadline=0.05,
                 rng=random.Random(11),
             )
             register = AsyncMaskingRegister(client)
@@ -577,6 +577,47 @@ class TestQuorumClientOverTcp:
             outcome = await register.read()
             assert outcome.value in ("durable", None)
             assert client.probe_fallbacks >= 1
+            await teardown(server, transport)
+
+        run(scenario())
+
+    def test_top_up_is_one_extra_vectored_frame_carrying_only_the_spares(
+        self, record_fan_outs
+    ):
+        async def scenario():
+            nodes, server, transport = await deploy(codec="binary")
+            client = AsyncQuorumClient(
+                MASKING,
+                remote_nodes(25),
+                transport,
+                deadline=0.05,
+                rng=random.Random(11),
+                dispatcher=TcpDispatcher(transport),
+                tracer=Tracer(sample_rate=1.0),
+            )
+            rounds = record_fan_outs(client)
+            await client.write("x", "durable", Timestamp(1), None)
+            for victim in random.Random(2).sample(range(25), 10):
+                nodes[victim].crash()
+            degraded = 0
+            for _ in range(6):
+                del rounds[:]
+                frames, requests = server.frames_handled, server.requests_handled
+                read = await client.read("x")
+                batches = [len(asked) for asked, _ in rounds]
+                # One mreq per round: the sampled quorum, then only the spares.
+                assert server.frames_handled - frames == len(batches)
+                assert server.requests_handled - requests == sum(batches)
+                assert batches[0] == 10 and sum(batches[1:]) == read.probes_used
+                assert len(read.quorum) <= 10 and read.responders == len(read.quorum)
+                assert {span.method for span in read.trace.spans} == {"read"}
+                assert len(read.trace.spans) == sum(batches)
+                if read.retried:
+                    degraded += 1
+                    # A top-up batch is exactly the deficit it set out to close.
+                    assert batches[1] == 10 - len(rounds[0][1])
+            assert degraded >= 1 and client.probe_fallbacks == degraded
+            assert len(transport._pending) == 0
             await teardown(server, transport)
 
         run(scenario())

@@ -121,7 +121,7 @@ class TestShardedDeployment:
     def test_writes_land_only_on_the_keys_shard(self):
         async def scenario():
             deployment = ShardedDeployment(SCENARIO, shards=2, rng=random.Random(3))
-            client = deployment.new_register_client(random.Random(4), timeout=1.0)
+            client = deployment.new_register_client(random.Random(4), deadline=1.0)
             keys = [f"x{i}" for i in range(6)]
             for key in keys:
                 await client.write(key, f"value-{key}")
@@ -147,7 +147,7 @@ class TestShardedDeployment:
     def test_crashed_shard_only_affects_its_own_keys(self):
         async def scenario():
             deployment = ShardedDeployment(SCENARIO, shards=2, rng=random.Random(5))
-            client = deployment.new_register_client(random.Random(6), timeout=0.01)
+            client = deployment.new_register_client(random.Random(6), deadline=0.01)
             keys = [f"x{i}" for i in range(8)]
             for key in keys:
                 await client.write(key, "before-the-crash")
@@ -178,7 +178,7 @@ class TestShardedDeployment:
             async with deployment:
                 ports = {shard.server.port for shard in deployment.shards}
                 assert len(ports) == 2
-                client = deployment.new_register_client(random.Random(8), timeout=1.0)
+                client = deployment.new_register_client(random.Random(8), deadline=1.0)
                 await client.write("x0", "tcp-value")
                 outcome = await client.read("x0")
                 assert outcome.value in ("tcp-value", None)
@@ -219,9 +219,6 @@ class TestShardedLoadHarness:
             self.base_spec(shards=4, keys=2)
         with pytest.raises(ConfigurationError, match="deadline"):
             self.base_spec(transport="tcp", deadline=None)
-        with pytest.raises(ConfigurationError, match="deadline"):
-            with pytest.warns(DeprecationWarning, match="rpc_timeout"):
-                self.base_spec(transport="tcp", rpc_timeout=None)
 
     def test_sharded_run_completes_and_tallies_per_shard_ops(self):
         report = run_service_load(self.base_spec())
