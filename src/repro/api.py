@@ -42,12 +42,9 @@ from typing import Any, Optional
 
 from repro.exceptions import ConfigurationError
 from repro.service.client import DEFAULT_QUORUM_POOL, SELECTION_MODES
+from repro.service.cluster import deploy
 from repro.service.dispatch import DISPATCH_MODES
-from repro.service.sharding import (
-    TRANSPORT_MODES,
-    ShardedAsyncRegisterClient,
-    ShardedDeployment,
-)
+from repro.service.sharding import TRANSPORT_MODES, ShardedAsyncRegisterClient
 from repro.service.wire import WIRE_CODECS
 from repro.simulation.scenario import AntiEntropySpec, ScenarioSpec
 
@@ -269,37 +266,21 @@ class Deployment:
         self.quorum_pool = builder._quorum_pool
         self.processes = builder._processes
         self.trace_sample = builder._trace_sample
-        if builder._processes > 0:
-            # Imported here: the cluster module drags multiprocessing along,
-            # which in-loop deployments never need.
-            from repro.service.cluster import ClusterDeployment
-
-            self.sharded = ClusterDeployment(
-                builder._scenario,
-                shards=builder._shards,
-                codec=builder._codec,
-                latency=builder._latency,
-                jitter=builder._jitter,
-                drop_probability=builder._drop_probability,
-                dispatch=builder._dispatch,
-                latency_tracking=builder._selection == "latency-aware",
-                rng=self._rng,
-                anti_entropy=builder._anti_entropy,
-            )
-        else:
-            self.sharded = ShardedDeployment(
-                builder._scenario,
-                shards=builder._shards,
-                transport=builder._transport,
-                codec=builder._codec,
-                latency=builder._latency,
-                jitter=builder._jitter,
-                drop_probability=builder._drop_probability,
-                dispatch=builder._dispatch,
-                latency_tracking=builder._selection == "latency-aware",
-                rng=self._rng,
-                anti_entropy=builder._anti_entropy,
-            )
+        # In-loop servers, or one server process per shard when processes > 0.
+        self.sharded = deploy(
+            builder._scenario,
+            processes=builder._processes,
+            shards=builder._shards,
+            transport=builder._transport,
+            codec=builder._codec,
+            latency=builder._latency,
+            jitter=builder._jitter,
+            drop_probability=builder._drop_probability,
+            dispatch=builder._dispatch,
+            latency_tracking=builder._selection == "latency-aware",
+            rng=self._rng,
+            anti_entropy=builder._anti_entropy,
+        )
         self.tracer = None
         if builder._trace_sample > 0.0:
             # Imported lazily so untraced deployments never touch repro.obs.

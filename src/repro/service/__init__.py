@@ -31,14 +31,14 @@ safety under live fault injection.
   :class:`TcpTransport` implementing the same call/counter interface with
   wall-clock deadlines, per-connection writer tasks and reconnect-on-drop,
   and the op-level :class:`TcpDispatcher` fast path;
-* :mod:`repro.service.sharding` — multi-register scale-out:
-  :func:`shard_for_key` stable routing, :class:`ShardedDeployment`
-  (independent replica group + transport + dispatcher per shard, either
-  transport mode) and :class:`ShardedAsyncRegisterClient`;
-* :mod:`repro.service.load` — :class:`ServiceLoadSpec` (mirroring
-  :class:`~repro.simulation.scenario.ScenarioSpec`) and the load harness
-  behind the ``serve`` experiment, now spanning transports, shards and
-  multi-key workloads.
+* :mod:`repro.service.sharding` / :mod:`repro.service.cluster` — scale-out:
+  :func:`shard_for_key` routing and the one deployment spine
+  (``ShardedClientAPI``) under :class:`ShardedDeployment` (servers on this
+  loop) and ``ClusterDeployment`` (a server process per shard);
+* :mod:`repro.service.load` — :class:`ServiceLoadSpec` and the one load
+  driver behind the ``serve`` experiment: :func:`serve_load` slices a
+  workload by key, ``drive_load`` runs each slice (in process or in worker
+  processes) and ``merge_reports`` folds the per-slice reports.
 """
 
 from repro.service.client import (

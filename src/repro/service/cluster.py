@@ -3,76 +3,59 @@
 :class:`~repro.service.sharding.ShardedDeployment` hosts every shard's
 socket server on the *caller's* event loop — fine for conformance runs, but
 the whole deployment then shares one core with the load that drives it.
-This module moves each shard into its own OS process:
+This module moves each shard into its own OS process; everything on the
+client side of the sockets (seed derivation, transports, dispatchers, the
+client API) is the shared :class:`~repro.service.sharding.ShardedClientAPI`
+spine, unchanged:
 
 * :class:`ShardServerConfig` — the picklable description one shard server
   needs (scenario, sampled failure plan, bind host, codecs); it crosses the
   ``multiprocessing`` *spawn* boundary, so child processes never inherit
   the parent's interpreter state.
 * :func:`_shard_server_main` — the child entry point: build the replica
-  group, apply the static failure plan, serve one
+  group with its static failure plan, serve one
   :class:`~repro.service.net.TcpServiceServer` until SIGTERM/SIGINT.
 * :class:`ClusterDeployment` — spawn one server process per shard, wait
   for the readiness handshake (each child reports its ephemeral port on a
-  queue), build client-side transports/dispatchers, expose the same
-  :class:`~repro.service.sharding.ShardedClientAPI` surface as the in-loop
-  deployment, probe shard health, and tear everything down without
-  orphans (terminate → join → kill).
-* :class:`ClusterClientPool` — a client-side-only view of an already
-  running cluster (addresses known), used by load worker processes.
-* :func:`run_cluster_load` — the multi-process load generator: partition a
-  :class:`~repro.service.load.ServiceLoadSpec` across worker processes
-  (each running the ordinary async client harness against the shared
-  cluster) and merge the partial results into one
-  :class:`~repro.service.load.ServiceLoadReport`.
+  queue), connect the spine to those addresses, probe shard health, and
+  tear everything down without orphans (terminate → join → kill) —
+  including when :meth:`~ClusterDeployment.start` itself fails half way.
+* :class:`ClusterClientPool` — the spine alone: a client-side view of a
+  cluster that is already serving (addresses known), which load worker
+  processes attach before driving their slice of a workload.
 
-The load partition is by *register key*: worker ``w`` owns the keys whose
-index satisfies ``index % workers == w``, and runs both the writers and
-the readers of those keys.  Readers classify against per-key issued
-histories and settled-write snapshots, which are only sound when observed
-in the same process that tracks them — co-locating each key's readers and
-writers keeps the zero-fabrication accounting exact with no cross-process
-coordination.  (This is also why live fault injection and write
-``contention`` are refused in cluster mode: the first needs in-process
-node objects, the second would collide writers across partitions.)
-
-Live fault injection aside, the cluster path runs the same scenario
-semantics as every other layer — the conformance suite holds its
-classification rates against the Monte-Carlo engines and the in-loop
-services.
+The multi-process load generator that uses these lives with the one load
+driver in :mod:`repro.service.load` (slice → drive → merge).  Live fault
+injection aside (it needs in-process node objects), the cluster path runs
+the same scenario semantics as every other layer — the conformance suite
+holds its classification rates against the Monte-Carlo engines and the
+in-loop services.
 """
 
 from __future__ import annotations
 
 import asyncio
-import concurrent.futures
-import multiprocessing
 import queue as queue_module
 import random
 import signal
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.exceptions import ConfigurationError, QuorumUnavailableError, ServiceError
-from repro.protocol.classification import OUTCOME_LABELS
-from repro.protocol.variable import WriteOutcome
-from repro.service.dispatch import DISPATCH_MODES
-from repro.service.gossip import GOSSIP_SEED_SALT, GossipService, scenario_verifier
-from repro.service.net import (
-    TcpDispatcher,
-    TcpServiceServer,
-    TcpTransport,
-    remote_nodes,
+from repro.exceptions import ServiceError
+from repro.service.net import TcpServiceServer
+from repro.service.sharding import (
+    ShardedClientAPI,
+    ShardedDeployment,
+    arm_gossip,
+    build_nodes,
 )
-from repro.service.node import ServiceNode
-from repro.service.sharding import ShardedClientAPI, _Shard, shard_for_key
-from repro.service.stats import EwmaLatencyTracker
 from repro.service.wire import WIRE_CODECS
 from repro.simulation.failures import FailurePlan
 from repro.simulation.scenario import AntiEntropySpec, ScenarioSpec
+
+if TYPE_CHECKING:  # the load module imports this one
+    from repro.service.load import ServiceLoadReport, ServiceLoadSpec
 
 #: How long :meth:`ClusterDeployment.start` waits for every shard process
 #: to report readiness before tearing the partial cluster down.
@@ -91,33 +74,19 @@ class ShardServerConfig:
     plan: FailurePlan
     host: str = "127.0.0.1"
     codecs: Tuple[str, ...] = WIRE_CODECS
-    #: Optional :class:`~repro.simulation.scenario.AntiEntropySpec`: a
-    #: gossiping spec arms a background gossip task next to the server.
-    anti_entropy: Any = None
-    #: Seed of the gossip task's peer-selection RNG.
-    gossip_seed: int = 0
+    #: A gossiping spec arms a background gossip task next to the server,
+    #: its peer-selection stream derived from the shard's transport seed.
+    anti_entropy: Optional[AntiEntropySpec] = None
+    transport_seed: int = 0
 
 
 async def _serve_shard(config: ShardServerConfig, ready) -> None:
-    nodes = [ServiceNode(server) for server in range(config.scenario.n)]
-    for server in config.plan.crashed:
-        nodes[server].crash()
-    for server, behavior in config.plan.byzantine.items():
-        nodes[server].set_behavior(behavior)
+    nodes = build_nodes(config.scenario.n, config.plan)
     server = TcpServiceServer(nodes, host=config.host, codecs=tuple(config.codecs))
     address = await server.start()
-    gossip = None
-    if config.anti_entropy is not None and config.anti_entropy.gossips:
-        # Background anti-entropy runs where the replicas live: in this
-        # shard's process, alongside the socket server, with the same
-        # verifiability rule the scenario's register kind implies.
-        gossip = GossipService(
-            nodes,
-            config.anti_entropy,
-            rng=random.Random(config.gossip_seed),
-            verify=scenario_verifier(config.scenario),
-        )
-        gossip.start()
+    gossip = arm_gossip(
+        nodes, config.scenario, config.anti_entropy, config.transport_seed
+    )
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()
     for signum in (signal.SIGTERM, signal.SIGINT):
@@ -135,23 +104,10 @@ async def _serve_shard(config: ShardServerConfig, ready) -> None:
     # Server-side metrics ride the same pipe home at shutdown: put before
     # closing the server (counters are final once stop is signalled) and
     # tagged so the parent's readiness loop can never confuse the shapes.
-    ready.put(
-        (
-            "metrics",
-            config.index,
-            server.metrics_snapshot({"shard": config.index, "role": "shard-server"}),
-        )
-    )
+    labels = {"shard": config.index, "role": "shard-server"}
+    ready.put(("metrics", config.index, server.metrics_snapshot(labels)))
     if gossip is not None:
-        ready.put(
-            (
-                "metrics",
-                config.index,
-                gossip.metrics_snapshot(
-                    {"shard": config.index, "role": "shard-server"}
-                ),
-            )
-        )
+        ready.put(("metrics", config.index, gossip.metrics_snapshot(labels)))
     await server.aclose()
 
 
@@ -166,13 +122,13 @@ def _shard_server_main(config: ShardServerConfig, ready) -> None:
 class ClusterDeployment(ShardedClientAPI):
     """``shards`` independent replica-group *processes*, routed by key.
 
-    The client-facing surface (``client_for_shard``, ``new_register_client``,
-    the RPC counters) is the shared :class:`ShardedClientAPI`; what differs
-    from :class:`~repro.service.sharding.ShardedDeployment` is only where
-    the servers live.  Per-shard failure plans, transport seeds and pool
-    generators are sampled from ``rng`` in the same shard order as the
-    in-loop deployment, so one seed describes the same cluster in both
-    shapes.
+    Everything client-facing — per-shard failure plans, transport seeds and
+    pool generators sampled from ``rng`` in shard order (so one seed
+    describes the same cluster as the in-loop deployment), the TCP client
+    wiring, ``client_for_shard`` / ``new_register_client``, the counters —
+    is the shared :class:`~repro.service.sharding.ShardedClientAPI`; what
+    differs from :class:`~repro.service.sharding.ShardedDeployment` is only
+    where the servers live.
 
     Parameters mirror ``ShardedDeployment`` (transport is always TCP here)
     plus ``codec`` — the wire codec client transports prefer (negotiated
@@ -198,62 +154,24 @@ class ClusterDeployment(ShardedClientAPI):
         start_timeout: float = DEFAULT_START_TIMEOUT,
         anti_entropy: Optional[AntiEntropySpec] = None,
     ) -> None:
-        if not isinstance(scenario, ScenarioSpec):
-            raise ConfigurationError(
-                f"a deployment is described over a ScenarioSpec, "
-                f"got {type(scenario).__name__}"
-            )
-        if shards < 1:
-            raise ConfigurationError(f"need at least one shard, got {shards}")
-        if codec not in WIRE_CODECS:
-            raise ConfigurationError(
-                f"unknown wire codec {codec!r}; choose from {WIRE_CODECS}"
-            )
-        if dispatch not in DISPATCH_MODES:
-            raise ConfigurationError(
-                f"unknown dispatch mode {dispatch!r}; choose from {DISPATCH_MODES}"
-            )
-        if rng is None:
-            rng = random.Random(seed) if seed is not None else random.Random()
-        if anti_entropy is None:
-            anti_entropy = scenario.anti_entropy
-        elif not isinstance(anti_entropy, AntiEntropySpec):
-            raise ConfigurationError(
-                f"anti_entropy is described by an AntiEntropySpec, "
-                f"got {type(anti_entropy).__name__}"
-            )
-        if anti_entropy is not None and anti_entropy.fanout >= scenario.n:
-            raise ConfigurationError(
-                f"anti-entropy fanout {anti_entropy.fanout} must be smaller "
-                f"than the replica group size {scenario.n}"
-            )
-        self.anti_entropy = anti_entropy
-        self.scenario = scenario
-        self.codec = codec
-        self.transport_mode = "tcp"
-        self.latency_tracking = bool(latency_tracking)
-        self._knobs = (latency, jitter, drop_probability, dispatch)
+        super().__init__(
+            scenario,
+            shards,
+            "tcp",
+            codec=codec,
+            latency=latency,
+            jitter=jitter,
+            drop_probability=drop_probability,
+            dispatch=dispatch,
+            latency_tracking=latency_tracking,
+            rng=rng,
+            seed=seed,
+            anti_entropy=anti_entropy,
+        )
         self._host = host
         self._start_timeout = float(start_timeout)
-        self._started = False
         self._processes: List[Any] = []
         self._ready_queue: Optional[Any] = None
-        #: ``(host, port)`` per shard, known after :meth:`start`.
-        self.addresses: List[Tuple[str, int]] = []
-        #: Per-shard server metric snapshots, drained from the readiness
-        #: pipe during :meth:`aclose` (each child reports once at SIGTERM).
-        self.server_metrics: List[dict] = []
-        n = scenario.n
-        self.shards: List[_Shard] = []
-        for index in range(shards):
-            shard = _Shard()
-            shard.index = index
-            shard.plan = scenario.failure_model.sample_plan_for(n, rng)
-            shard.transport_seed = rng.randrange(2**63)
-            shard.tracker = EwmaLatencyTracker(n) if latency_tracking else None
-            shard.client_nodes = remote_nodes(n)
-            shard.pool_generator = np.random.default_rng(rng.randrange(2**63))
-            self.shards.append(shard)
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -272,49 +190,44 @@ class ClusterDeployment(ShardedClientAPI):
         return [process.is_alive() for process in self._processes]
 
     async def start(self) -> None:
-        """Spawn the shard servers; returns once every shard reported ready."""
+        """Spawn the shard servers, await every readiness report, connect.
+
+        Any failure on the way — a child dying, the readiness timeout, a
+        client-side connect error — reaps every process already spawned
+        before it propagates.
+        """
         if self._started:
             return
+        # Imported where processes are spawned, not with the module: every
+        # deployment shape imports this module, and merely having it loaded
+        # measured ~2.5 % on the in-loop `tcp-read` benchmark.
+        import multiprocessing
+
         context = multiprocessing.get_context("spawn")
         self._ready_queue = context.Queue()
-        for shard in self.shards:
-            config = ShardServerConfig(
-                index=shard.index,
-                scenario=self.scenario,
-                plan=shard.plan,
-                host=self._host,
-                anti_entropy=self.anti_entropy,
-                gossip_seed=shard.transport_seed ^ GOSSIP_SEED_SALT,
-            )
-            process = context.Process(
-                target=_shard_server_main,
-                args=(config, self._ready_queue),
-                name=f"repro-shard-{shard.index}",
-                daemon=True,
-            )
-            process.start()
-            self._processes.append(process)
         try:
+            for shard in self.shards:
+                config = ShardServerConfig(
+                    index=shard.index,
+                    scenario=self.scenario,
+                    plan=shard.plan,
+                    host=self._host,
+                    anti_entropy=self.anti_entropy,
+                    transport_seed=shard.transport_seed,
+                )
+                process = context.Process(
+                    target=_shard_server_main,
+                    args=(config, self._ready_queue),
+                    name=f"repro-shard-{shard.index}",
+                    daemon=True,
+                )
+                process.start()
+                self._processes.append(process)
             addresses = await self._await_ready()
+            await self._connect([addresses[shard.index] for shard in self.shards])
         except BaseException:
             await self.aclose()
             raise
-        self.addresses = [addresses[index] for index in range(len(self.shards))]
-        latency, jitter, drop_probability, dispatch = self._knobs
-        for shard, address in zip(self.shards, self.addresses):
-            shard.transport = TcpTransport(
-                address,
-                latency=latency,
-                jitter=jitter,
-                drop_probability=drop_probability,
-                seed=shard.transport_seed,
-                codec=self.codec,
-                trace=self.tracer is not None,
-            )
-            await shard.transport.connect()
-            if dispatch == "batched":
-                shard.dispatcher = TcpDispatcher(shard.transport, tracker=shard.tracker)
-        self._started = True
 
     async def _await_ready(self) -> Dict[int, Tuple[str, int]]:
         loop = asyncio.get_running_loop()
@@ -349,11 +262,7 @@ class ClusterDeployment(ShardedClientAPI):
         exits its loop), then SIGKILL after :data:`_JOIN_TIMEOUT`.  After
         this returns no child of the deployment is left running.
         """
-        for shard in self.shards:
-            if shard.transport is not None:
-                await shard.transport.aclose()
-                shard.transport = None
-            shard.dispatcher = None
+        await super().aclose()
         loop = asyncio.get_running_loop()
         for process in self._processes:
             if process.is_alive():
@@ -387,18 +296,6 @@ class ClusterDeployment(ShardedClientAPI):
             self._ready_queue.close()
             self._ready_queue.cancel_join_thread()
             self._ready_queue = None
-        self._started = False
-
-    def metrics_snapshots(self, labels: Optional[Dict[str, Any]] = None) -> List[dict]:
-        """Client-side snapshots plus whatever the shard servers reported."""
-        return super().metrics_snapshots(labels) + list(self.server_metrics)
-
-    async def __aenter__(self) -> "ClusterDeployment":
-        await self.start()
-        return self
-
-    async def __aexit__(self, *exc_info: Any) -> None:
-        await self.aclose()
 
     # -- health -------------------------------------------------------------------
 
@@ -439,103 +336,144 @@ class ClusterClientPool(ShardedClientAPI):
     """Client-side view of a cluster that is already serving.
 
     Load worker processes construct one of these from the parent's shard
-    addresses: same routing, same client API, no server ownership — closing
-    the pool closes sockets, never processes.
+    addresses: same routing, same client API, same wiring, no server
+    ownership — ``start()`` is *connect to these addresses* and closing the
+    pool closes sockets, never processes.  ``options`` are the spine's
+    (``rng`` seeds this pool's own transport and quorum-pool streams).
     """
 
     def __init__(
         self,
         scenario: ScenarioSpec,
         addresses: Sequence[Tuple[str, int]],
-        codec: str = "json",
-        latency: float = 0.0,
-        jitter: float = 0.0,
-        drop_probability: float = 0.0,
-        dispatch: str = "batched",
-        transport_seeds: Optional[Sequence[int]] = None,
-        pool_seeds: Optional[Sequence[int]] = None,
+        **options: Any,
     ) -> None:
-        self.scenario = scenario
-        self.codec = codec
-        self.transport_mode = "tcp"
-        self._started = False
-        self._knobs = (latency, jitter, drop_probability, dispatch)
-        self.addresses = [(str(host), int(port)) for host, port in addresses]
-        n = scenario.n
-        self.shards: List[_Shard] = []
-        for index, _address in enumerate(self.addresses):
-            shard = _Shard()
-            shard.index = index
-            shard.transport_seed = (
-                transport_seeds[index] if transport_seeds is not None else index
-            )
-            shard.client_nodes = remote_nodes(n)
-            shard.pool_generator = np.random.default_rng(
-                pool_seeds[index] if pool_seeds is not None else index
-            )
-            self.shards.append(shard)
-
-    async def start(self) -> None:
-        if self._started:
-            return
-        latency, jitter, drop_probability, dispatch = self._knobs
-        for shard, address in zip(self.shards, self.addresses):
-            shard.transport = TcpTransport(
-                address,
-                latency=latency,
-                jitter=jitter,
-                drop_probability=drop_probability,
-                seed=shard.transport_seed,
-                codec=self.codec,
-                trace=self.tracer is not None,
-            )
-            await shard.transport.connect()
-            if dispatch == "batched":
-                shard.dispatcher = TcpDispatcher(shard.transport)
-        self._started = True
-
-    async def aclose(self) -> None:
+        super().__init__(scenario, len(addresses), "tcp", **options)
+        self.addresses = list(addresses)
         for shard in self.shards:
-            if shard.transport is not None:
-                await shard.transport.aclose()
-                shard.transport = None
-            shard.dispatcher = None
-        self._started = False
-
-    async def __aenter__(self) -> "ClusterClientPool":
-        await self.start()
-        return self
-
-    async def __aexit__(self, *exc_info: Any) -> None:
-        await self.aclose()
+            # The failure plans live with the servers; the one the spine
+            # drew here describes nothing this pool can see.
+            shard.plan = None
 
 
-# -- the multi-process load generator ----------------------------------------------
+def deploy(
+    scenario: ScenarioSpec,
+    processes: int = 0,
+    transport: str = "inproc",
+    dispatch_window: float = 0.0,
+    **options: Any,
+) -> ShardedClientAPI:
+    """Where the replica groups run, decided once for every caller.
+
+    ``processes == 0`` hosts them on the caller's event loop
+    (:class:`~repro.service.sharding.ShardedDeployment`); ``processes > 0``
+    gives every shard its own server process (:class:`ClusterDeployment`,
+    always over TCP — ``transport`` and ``dispatch_window`` describe the
+    in-loop shape only).  ``options`` are what the two shapes share:
+    ``shards``, ``codec``, ``latency``, ``jitter``, ``drop_probability``,
+    ``dispatch``, ``latency_tracking``, ``rng`` / ``seed``, ``anti_entropy``.
+    """
+    if processes > 0:
+        return ClusterDeployment(scenario, **options)
+    return ShardedDeployment(
+        scenario, transport=transport, dispatch_window=dispatch_window, **options
+    )
+
+
+# -- the multi-process half of the load generator ----------------------------------
 
 
 @dataclass(frozen=True)
-class LoadWorkerConfig:
-    """One load worker's slice of a cluster workload (fully picklable).
+class LoadSlice:
+    """One worker's share of a load spec (picklable; the spec travels beside it).
 
-    The partition is by key: ``keys``/``key_ranks`` are the worker's subset
-    of the global key list (global zipf ranks preserved, so the merged key
-    distribution matches the single-process workload), ``versions`` the
-    global write version numbers that land on those keys, ``readers`` how
-    many reader clients this worker runs, and ``writer_id_base`` the first
-    of its ``spec.resolved_writers`` globally unique writer identities.
+    The partition is by key: ``key_ranks`` are the *global* ranks of the
+    register keys the worker owns (so its reads keep their global zipf
+    weights), ``versions`` the global write version numbers that land on
+    those keys, ``readers`` how many reader clients it runs, and
+    ``writer_id_base`` the first of its ``spec.resolved_writers`` globally
+    unique writer identities.
     """
 
     worker: int
-    spec: Any  # ServiceLoadSpec (typed loosely to avoid the import cycle)
-    addresses: Tuple[Tuple[str, int], ...]
-    keys: Tuple[str, ...]
     key_ranks: Tuple[int, ...]
     versions: Tuple[int, ...]
     readers: int
     writer_id_base: int
-    seed: int
-    transport_seeds: Tuple[int, ...]
-    pool_seeds: Tuple[int, ...]
+
+
+def partition_load(spec: "ServiceLoadSpec") -> List[LoadSlice]:
+    """Split one load spec by key into ``max(1, spec.processes)`` slices.
+
+    Worker ``w`` owns the keys whose rank satisfies ``rank % workers == w``
+    and runs both the writers and the readers of those keys; the single
+    slice of an unpartitioned run is the whole workload.
+    """
+    workers = max(1, spec.processes)
+    base_clients, extra_clients = divmod(spec.clients, workers)
+    return [
+        LoadSlice(
+            worker=worker,
+            key_ranks=tuple(range(worker, spec.keys, workers)),
+            versions=tuple(
+                version
+                for version in range(spec.writes)
+                if (version % spec.keys) % workers == worker
+            ),
+            readers=base_clients + (1 if worker < extra_clients else 0),
+            writer_id_base=spec.scenario.writer_id + worker * spec.resolved_writers,
+        )
+        for worker in range(workers)
+    ]
+
+
+def _load_worker_main(*job: Any) -> "ServiceLoadReport":
+    """Worker-process entry point: attach to the cluster, drive one slice."""
+    # Imported at call time: the load module imports this one.
+    from repro.service.load import drive_slice
+
+    return asyncio.run(drive_slice(*job))
+
+
+def _warm_worker() -> None:
+    """Pre-import the harness in a pool worker (keeps spawn cost untimed)."""
+    import repro.service.load  # noqa: F401  (the heavy transitive imports)
+
+
+async def drive_in_workers(
+    spec: "ServiceLoadSpec",
+    addresses: Sequence[Tuple[str, int]],
+    slices: Sequence[LoadSlice],
+    rng: random.Random,
+) -> Tuple[List["ServiceLoadReport"], float]:
+    """Drive each slice in its own spawned worker process.
+
+    Returns the per-slice reports in worker order and the parent's wall
+    clock from dispatch to the last result (what the caller waited).
+    """
+    # One seed per worker, drawn from the run's root: worker streams are
+    # distinct from each other and reproducible from ``spec.seed``.
+    jobs = [
+        (spec, tuple(addresses), load_slice, rng.randrange(2**63))
+        for load_slice in slices
+    ]
+    import concurrent.futures
+    import multiprocessing  # at use, like ClusterDeployment.start()
+
+    loop = asyncio.get_running_loop()
+    with concurrent.futures.ProcessPoolExecutor(
+        max_workers=len(jobs), mp_context=multiprocessing.get_context("spawn")
+    ) as executor:
+        # Spawn + import every pool worker before the clock starts:
+        # interpreter startup is deployment cost, not workload cost.
+        await asyncio.gather(
+            *(loop.run_in_executor(executor, _warm_worker) for _ in jobs)
+        )
+        started = time.perf_counter()
+        reports = await asyncio.gather(
+            *(loop.run_in_executor(executor, _load_worker_main, *job) for job in jobs)
+        )
+        return list(reports), time.perf_counter() - started
 
 
 def merge_worker_provenance(values: Sequence[Any]) -> Any:
@@ -549,372 +487,3 @@ def merge_worker_provenance(values: Sequence[Any]) -> Any:
     if merged and all(value == merged[0] for value in merged[1:]):
         return merged[0]
     return merged
-
-
-def _worker_key_cdf(ranks: Sequence[int], skew: float) -> List[float]:
-    """Cumulative weights over a worker's keys, from their *global* ranks."""
-    weights = [1.0 / float(rank + 1) ** skew for rank in ranks]
-    total = sum(weights)
-    cdf: List[float] = []
-    running = 0.0
-    for weight in weights:
-        running += weight / total
-        cdf.append(running)
-    cdf[-1] = 1.0
-    return cdf
-
-
-async def _drive_worker(config: LoadWorkerConfig) -> Dict[str, Any]:
-    """Run one worker's share of the load; return a picklable partial report."""
-    # Imported lazily: this runs inside worker processes too, and the load
-    # module imports this one's runner (cycle broken at call time).
-    from repro.obs.monitor import EpsilonMonitor
-    from repro.obs.trace import Tracer
-    from repro.service.load import classify_service_read, key_names
-
-    spec = config.spec
-    scenario = spec.scenario
-    rng = random.Random(config.seed)
-    pool = ClusterClientPool(
-        scenario,
-        config.addresses,
-        codec=spec.codec,
-        latency=spec.latency,
-        jitter=spec.jitter,
-        drop_probability=spec.drop_probability,
-        dispatch=spec.dispatch,
-        transport_seeds=config.transport_seeds,
-        pool_seeds=config.pool_seeds,
-    )
-    # Installed before start(): the pool's transports offer the trace
-    # extension in their handshakes only when a tracer exists.  Disjoint
-    # id bases keep trace ids globally unique across workers.
-    tracer = (
-        Tracer(
-            sample_rate=spec.trace_sample,
-            seed=config.seed,
-            id_base=config.worker << 40,
-        )
-        if getattr(spec, "trace_sample", 0.0) > 0.0
-        else None
-    )
-    pool.tracer = tracer
-    # Clients opened by this pool piggyback read-repair within the spec's
-    # budget; the gossip half of anti-entropy runs server-side.
-    pool.anti_entropy = getattr(spec, "resolved_anti_entropy", None)
-    monitor = (
-        EpsilonMonitor.for_scenario(scenario)
-        if getattr(spec, "monitor_epsilon", False)
-        else None
-    )
-    await pool.start()
-    try:
-        writer_count = spec.resolved_writers
-        writers = [
-            pool.new_register_client(
-                rng,
-                deadline=spec.deadline,
-                selection=spec.selection,
-                quorum_pool=spec.quorum_pool,
-                writer_id=config.writer_id_base + index,
-            )
-            for index in range(writer_count)
-        ]
-        readers = [
-            pool.new_register_client(
-                rng,
-                deadline=spec.deadline,
-                selection=spec.selection,
-                quorum_pool=spec.quorum_pool,
-            )
-            for _ in range(config.readers)
-        ]
-        global_names = key_names(spec.keys)
-        names = list(config.keys)
-        shard_of = {name: shard_for_key(name, spec.shards) for name in names}
-        cdf = _worker_key_cdf(config.key_ranks, spec.key_skew) if len(names) > 1 else None
-        reader_rngs = [
-            random.Random(rng.randrange(2**63)) for _ in range(config.readers)
-        ]
-
-        history: Dict[str, Dict[Any, Any]] = {name: {} for name in names}
-        settled: Dict[str, Optional[WriteOutcome]] = {name: None for name in names}
-        outcomes: Dict[str, int] = {label: 0 for label in OUTCOME_LABELS}
-        read_latencies: List[float] = []
-        write_latencies: List[float] = []
-        shard_ops = [0] * spec.shards
-        counters = {"reads": 0, "writes": 0, "write_failures": 0}
-
-        for writer in writers:
-            writer.on_issued = (
-                lambda key, timestamp, value: history[key].__setitem__(timestamp, value)
-            )
-
-        def settle(key: str, outcome: WriteOutcome) -> None:
-            current = settled[key]
-            if current is None or current.timestamp < outcome.timestamp:
-                settled[key] = outcome
-
-        async def run_writer(writer_index: int) -> None:
-            writer = writers[writer_index]
-            for version in config.versions:
-                if version % writer_count != writer_index:
-                    continue
-                key = global_names[version % spec.keys]
-                if writer_count == 1:
-                    value = (scenario.workload.written_value, version)
-                else:
-                    value = (scenario.workload.written_value, writer_index, version)
-                started = time.perf_counter()
-                try:
-                    outcome = await writer.write(key, value)
-                except QuorumUnavailableError:
-                    counters["write_failures"] += 1
-                else:
-                    write_latencies.append(time.perf_counter() - started)
-                    settle(key, outcome)
-                    counters["writes"] += 1
-                    shard_ops[shard_of[key]] += 1
-                if spec.write_interval:
-                    await asyncio.sleep(spec.write_interval)
-
-        async def run_reader(reader, index: int) -> None:
-            for _ in range(spec.reads_per_client):
-                if len(names) == 1:
-                    key = names[0]
-                else:
-                    key = reader_rngs[index].choices(names, cum_weights=cdf)[0]
-                snapshot = settled[key]
-                started = time.perf_counter()
-                outcome = await reader.read(key)
-                read_latencies.append(time.perf_counter() - started)
-                label = classify_service_read(outcome, snapshot, history[key])
-                outcomes[label] += 1
-                if tracer is not None and reader.last_trace is not None:
-                    reader.last_trace.classification = label
-                if monitor is not None:
-                    monitor.observe(label)
-                counters["reads"] += 1
-                shard_ops[shard_of[key]] += 1
-
-        started = time.perf_counter()
-        await asyncio.gather(
-            *(run_writer(index) for index in range(writer_count)),
-            *(run_reader(reader, index) for index, reader in enumerate(readers)),
-        )
-        elapsed = time.perf_counter() - started
-        negotiated = {
-            (shard.transport.negotiated_codec or "json") for shard in pool.shards
-        }
-        return {
-            "elapsed": elapsed,
-            "reads": counters["reads"],
-            "writes": counters["writes"],
-            "write_failures": counters["write_failures"],
-            "outcomes": outcomes,
-            "read_latencies": read_latencies,
-            "write_latencies": write_latencies,
-            "rpc_calls": pool.rpc_calls,
-            "rpc_dropped": pool.rpc_dropped,
-            "rpc_timeouts": pool.rpc_timeouts,
-            "probe_fallbacks": sum(client.probe_fallbacks for client in writers)
-            + sum(client.probe_fallbacks for client in readers),
-            "repairs_piggybacked": pool.repairs_piggybacked,
-            "shard_ops": shard_ops,
-            # Provenance the merge must not flatten to the first worker's
-            # values: each worker reports what actually drove and carried
-            # *its* slice of the load.
-            "loop_driver": "asyncio",
-            "codec": (
-                negotiated.pop() if len(negotiated) == 1 else sorted(negotiated)
-            ),
-            "traces": tracer.to_dicts() if tracer is not None else [],
-            "metrics": pool.metrics_snapshots({"worker": config.worker}),
-            "epsilon_alerts": list(monitor.alerts) if monitor is not None else [],
-            "epsilon_monitor": monitor.to_dict() if monitor is not None else None,
-        }
-    finally:
-        await pool.aclose()
-
-
-def _load_worker_main(config: LoadWorkerConfig) -> Dict[str, Any]:
-    """Worker-process entry point (also runnable in the parent for 1 worker)."""
-    return asyncio.run(_drive_worker(config))
-
-
-def _warm_worker() -> None:
-    """Pre-import the harness in a pool worker (keeps spawn cost untimed)."""
-    import repro.service.load  # noqa: F401  (the heavy transitive imports)
-
-
-def partition_load(
-    spec: Any, addresses: Sequence[Tuple[str, int]], rng: random.Random
-) -> List[LoadWorkerConfig]:
-    """Split one load spec into per-worker configs (keys, clients, writes)."""
-    from repro.service.load import key_names
-
-    workers = spec.processes
-    names = key_names(spec.keys)
-    configs: List[LoadWorkerConfig] = []
-    base_clients, extra_clients = divmod(spec.clients, workers)
-    for worker in range(workers):
-        ranks = tuple(range(worker, spec.keys, workers))
-        keys = tuple(names[rank] for rank in ranks)
-        versions = tuple(
-            version
-            for version in range(spec.writes)
-            if (version % spec.keys) % workers == worker
-        )
-        configs.append(
-            LoadWorkerConfig(
-                worker=worker,
-                spec=spec,
-                addresses=tuple(addresses),
-                keys=keys,
-                key_ranks=ranks,
-                versions=versions,
-                readers=base_clients + (1 if worker < extra_clients else 0),
-                writer_id_base=spec.scenario.writer_id
-                + worker * spec.resolved_writers,
-                seed=rng.randrange(2**63),
-                transport_seeds=tuple(
-                    rng.randrange(2**63) for _ in range(len(addresses))
-                ),
-                pool_seeds=tuple(rng.randrange(2**63) for _ in range(len(addresses))),
-            )
-        )
-    return configs
-
-
-async def _cluster_load(spec: Any):
-    from repro.service.load import ServiceLoadReport
-
-    rng = random.Random(spec.seed)
-    cluster = ClusterDeployment(
-        spec.scenario,
-        shards=spec.shards,
-        codec=spec.codec,
-        latency=spec.latency,
-        jitter=spec.jitter,
-        drop_probability=spec.drop_probability,
-        dispatch=spec.dispatch,
-        latency_tracking=spec.selection == "latency-aware",
-        rng=rng,
-        anti_entropy=spec.resolved_anti_entropy,
-    )
-    try:
-        await cluster.start()
-        configs = partition_load(spec, cluster.addresses, rng)
-        if len(configs) == 1:
-            # One worker: drive it on this loop, skipping a process hop.
-            started = time.perf_counter()
-            results = [await _drive_worker(configs[0])]
-            elapsed = time.perf_counter() - started
-        else:
-            loop = asyncio.get_running_loop()
-            context = multiprocessing.get_context("spawn")
-            with concurrent.futures.ProcessPoolExecutor(
-                max_workers=len(configs), mp_context=context
-            ) as executor:
-                # Spawn + import every pool worker before the clock starts:
-                # interpreter startup is deployment cost, not workload cost.
-                await asyncio.gather(
-                    *(
-                        loop.run_in_executor(executor, _warm_worker)
-                        for _ in configs
-                    )
-                )
-                started = time.perf_counter()
-                results = list(
-                    await asyncio.gather(
-                        *(
-                            loop.run_in_executor(executor, _load_worker_main, config)
-                            for config in configs
-                        )
-                    )
-                )
-                elapsed = time.perf_counter() - started
-        outcomes = {label: 0 for label in OUTCOME_LABELS}
-        shard_ops = [0] * spec.shards
-        read_latencies: List[float] = []
-        write_latencies: List[float] = []
-        traces: List[dict] = []
-        metrics: List[dict] = []
-        epsilon_alerts: List[dict] = []
-        for result in results:
-            for label, count in result["outcomes"].items():
-                outcomes[label] = outcomes.get(label, 0) + count
-            for index, ops in enumerate(result["shard_ops"]):
-                shard_ops[index] += ops
-            read_latencies.extend(result["read_latencies"])
-            write_latencies.extend(result["write_latencies"])
-            traces.extend(result["traces"])
-            metrics.extend(result["metrics"])
-            epsilon_alerts.extend(result["epsilon_alerts"])
-        monitors = [
-            result["epsilon_monitor"]
-            for result in results
-            if result["epsilon_monitor"] is not None
-        ]
-        epsilon_monitor = None
-        if monitors:
-            observed = sum(monitor["observed"] for monitor in monitors)
-            errors = sum(monitor["errors"] for monitor in monitors)
-            epsilon_monitor = {
-                "epsilon": monitors[0]["epsilon"],
-                "slack": monitors[0]["slack"],
-                "window": monitors[0]["window"],
-                "min_samples": monitors[0]["min_samples"],
-                "observed": observed,
-                "errors": errors,
-                # The most alarming worker window: windows do not compose
-                # across processes, so report the worst one seen.
-                "window_rate": max(monitor["window_rate"] for monitor in monitors),
-                "total_rate": errors / observed if observed else 0.0,
-                "alerts": epsilon_alerts,
-            }
-        report = ServiceLoadReport(
-            spec=spec,
-            elapsed=elapsed,
-            reads_completed=sum(result["reads"] for result in results),
-            writes_completed=sum(result["writes"] for result in results),
-            write_failures=sum(result["write_failures"] for result in results),
-            outcomes=outcomes,
-            read_latencies=read_latencies,
-            write_latencies=write_latencies,
-            rpc_calls=sum(result["rpc_calls"] for result in results),
-            rpc_dropped=sum(result["rpc_dropped"] for result in results),
-            rpc_timeouts=sum(result["rpc_timeouts"] for result in results),
-            probe_fallbacks=sum(result["probe_fallbacks"] for result in results),
-            repairs_piggybacked=sum(
-                result.get("repairs_piggybacked", 0) for result in results
-            ),
-            injected_crashes=0,
-            dispatch_flushes=0,
-            transport="tcp",
-            shard_ops=shard_ops,
-            loop_driver=merge_worker_provenance(
-                [result["loop_driver"] for result in results]
-            ),
-            codec=merge_worker_provenance([result["codec"] for result in results]),
-            traces=traces,
-            metrics=metrics,
-            epsilon_alerts=epsilon_alerts,
-            epsilon_monitor=epsilon_monitor,
-        )
-    finally:
-        await cluster.aclose()
-    # The shard servers report their metric snapshots on the readiness pipe
-    # at SIGTERM, so they only exist once aclose() has drained it — and the
-    # gossip-round tally the report carries comes from those snapshots too.
-    report.metrics.extend(cluster.server_metrics)
-    report.gossip_rounds = sum(
-        snapshot.get("counters", {}).get("gossip_rounds", 0)
-        for snapshot in cluster.server_metrics
-    )
-    return report
-
-
-def run_cluster_load(spec: Any):
-    """Run one cluster load experiment (sync entry; parent of all workers)."""
-    return asyncio.run(_cluster_load(spec))

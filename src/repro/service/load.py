@@ -10,18 +10,34 @@ independent shards the deployment runs and how many register keys the
 workload spreads over (optionally zipf-skewed), and a rolling
 crash/recovery schedule injected while requests are in flight.
 
-:func:`run_service_load` deploys the scenario through
-:class:`~repro.service.sharding.ShardedDeployment` — each shard an
-independent replica group + transport + dispatcher — drives ``writers``
-concurrent writers (each under its own writer identity, so contending
-timestamps tie-break by writer id exactly as in the Monte-Carlo engines)
-and ``clients`` concurrent readers through per-shard
-:class:`~repro.service.client.AsyncQuorumClient` instances, and reports
-throughput (aggregate and per shard), latency percentiles and — via the
-shared classifier of :mod:`repro.protocol.classification` — the same
-fresh/stale/empty/fabricated outcome counts the Monte-Carlo engines
-produce.  ``fabricated`` outcomes are the report's *safety violations*:
-values that were never written being accepted by a reader.
+:func:`serve_load` is *deploy → slice → drive → merge*.  It deploys the
+scenario through the one factory (:func:`~repro.service.cluster.deploy`:
+replica groups on this loop, or one server process per shard when
+``processes > 0``), partitions the workload by register key
+(:func:`partition_load` — the unpartitioned run is the 1-way partition),
+and hands each :class:`LoadSlice` to :func:`drive_load`, the **only**
+workload loop: ``writers`` concurrent writers (each under its own writer
+identity, so contending timestamps tie-break by writer id exactly as in the
+Monte-Carlo engines) and the slice's concurrent readers, driven through the
+ordinary client surface of whatever
+:class:`~repro.service.sharding.ShardedClientAPI` it is given.  With
+``processes <= 1`` that is the deployment itself; with more, each spawned
+worker attaches a :class:`~repro.service.cluster.ClusterClientPool` to the
+shared cluster, runs the same :func:`drive_load` on its slice and returns
+its :class:`ServiceLoadReport`, and :func:`merge_reports` folds them.  A
+report carries throughput (aggregate and per shard), latency percentiles
+and — via the shared classifier of :mod:`repro.protocol.classification` —
+the same fresh/stale/empty/fabricated outcome counts the Monte-Carlo
+engines produce.  ``fabricated`` outcomes are the report's *safety
+violations*: values that were never written being accepted by a reader.
+
+The partition is by *key* because readers classify against per-key issued
+histories and settled-write snapshots, which are only sound when observed
+in the process that tracks them: co-locating each key's readers and
+writers keeps the zero-fabrication accounting exact with no cross-process
+coordination.  (It is also why live fault injection and write
+``contention`` are refused with ``processes > 0``: the first needs
+in-process node objects, the second would collide writers across slices.)
 
 Unlike the trial engines, reads here genuinely overlap writes, and the
 theorems say nothing about a read concurrent with a write.  The harness
@@ -48,7 +64,7 @@ import time
 from collections import deque
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import ConfigurationError, QuorumUnavailableError
 from repro.obs.metrics import MetricsRegistry
@@ -57,9 +73,20 @@ from repro.obs.trace import Tracer
 from repro.protocol.classification import OUTCOME_LABELS, classify_read_outcome
 from repro.protocol.variable import ReadOutcome, WriteOutcome
 from repro.service.client import DEFAULT_QUORUM_POOL, SELECTION_MODES
-from repro.service.dispatch import DISPATCH_MODES
-from repro.service.sharding import TRANSPORT_MODES, ShardedDeployment, shard_for_key
-from repro.service.wire import WIRE_CODECS
+from repro.service.cluster import (
+    ClusterClientPool,
+    LoadSlice,
+    deploy,
+    drive_in_workers,
+    merge_worker_provenance,
+    partition_load,
+)
+from repro.service.sharding import (
+    ShardedClientAPI,
+    ShardedDeployment,
+    shard_for_key,
+    validate_deployment,
+)
 from repro.simulation.scenario import AntiEntropySpec, ScenarioSpec
 
 try:  # pragma: no cover - exercised only where the optional extra is installed
@@ -104,14 +131,18 @@ def key_names(keys: int) -> List[str]:
     return [f"x{index}" for index in range(keys)]
 
 
-def key_weight_cdf(keys: int, skew: float) -> List[float]:
+def key_weight_cdf(keys: Union[int, Sequence[int]], skew: float) -> List[float]:
     """Cumulative selection weights over ``keys`` ranks.
 
     ``skew=0`` is uniform; ``skew>0`` is zipf-like (rank ``i`` drawn with
     probability proportional to ``1/(i+1)**skew``), modelling the hot-key
-    traffic real multi-register deployments see.
+    traffic real multi-register deployments see.  ``keys`` is a count (the
+    ranks ``0..keys-1``) or an explicit subset of *global* ranks — a load
+    slice's keys keep their global weights, so the slices' draws reassemble
+    the unpartitioned key distribution.
     """
-    weights = [1.0 / float(rank + 1) ** skew for rank in range(keys)]
+    ranks = range(keys) if isinstance(keys, int) else keys
+    weights = [1.0 / float(rank + 1) ** skew for rank in ranks]
     total = sum(weights)
     cdf: List[float] = []
     running = 0.0
@@ -236,11 +267,16 @@ class ServiceLoadSpec:
     anti_entropy: Optional[AntiEntropySpec] = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.scenario, ScenarioSpec):
-            raise ConfigurationError(
-                f"a service load is described over a ScenarioSpec, "
-                f"got {type(self.scenario).__name__}"
-            )
+        # Scenario, shards, transport, codec, dispatch and anti-entropy are
+        # refused by the same check the deployments themselves run.
+        validate_deployment(
+            self.scenario,
+            self.shards,
+            self.transport,
+            self.codec,
+            self.dispatch,
+            self.anti_entropy,
+        )
         if self.clients < 1:
             raise ConfigurationError(f"need at least one client, got {self.clients}")
         if self.reads_per_client < 1:
@@ -253,12 +289,6 @@ class ServiceLoadSpec:
             raise ConfigurationError(
                 f"the write interval must be non-negative, got {self.write_interval}"
             )
-        if self.transport not in TRANSPORT_MODES:
-            raise ConfigurationError(
-                f"unknown transport {self.transport!r}; choose from {TRANSPORT_MODES}"
-            )
-        if self.shards < 1:
-            raise ConfigurationError(f"need at least one shard, got {self.shards}")
         if self.keys < 1:
             raise ConfigurationError(f"need at least one register key, got {self.keys}")
         if self.shards > self.keys:
@@ -285,10 +315,6 @@ class ServiceLoadSpec:
             raise ConfigurationError(
                 f"contention is a probability in [0, 1], got {self.contention}"
             )
-        if self.dispatch not in DISPATCH_MODES:
-            raise ConfigurationError(
-                f"unknown dispatch mode {self.dispatch!r}; choose from {DISPATCH_MODES}"
-            )
         if self.selection not in SELECTION_MODES:
             raise ConfigurationError(
                 f"unknown selection mode {self.selection!r}; choose from {SELECTION_MODES}"
@@ -301,15 +327,6 @@ class ServiceLoadSpec:
             raise ConfigurationError(
                 f"the quorum pool size must be non-negative, got {self.quorum_pool}"
             )
-        if self.codec not in WIRE_CODECS:
-            raise ConfigurationError(
-                f"unknown wire codec {self.codec!r}; choose from {WIRE_CODECS}"
-            )
-        if self.codec != "json" and self.transport != "tcp":
-            raise ConfigurationError(
-                "codec applies to the wire: transport='inproc' passes payloads "
-                "by reference, so codec='json' is the only valid spelling there"
-            )
         if self.processes < 0:
             raise ConfigurationError(
                 f"the process count must be non-negative, got {self.processes}"
@@ -318,22 +335,6 @@ class ServiceLoadSpec:
             raise ConfigurationError(
                 f"the trace sampling rate is a probability in [0, 1], "
                 f"got {self.trace_sample}"
-            )
-        if self.anti_entropy is not None and not isinstance(
-            self.anti_entropy, AntiEntropySpec
-        ):
-            raise ConfigurationError(
-                f"anti_entropy is described by an AntiEntropySpec, "
-                f"got {type(self.anti_entropy).__name__}"
-            )
-        resolved_anti_entropy = self.resolved_anti_entropy
-        if (
-            resolved_anti_entropy is not None
-            and resolved_anti_entropy.fanout >= self.scenario.n
-        ):
-            raise ConfigurationError(
-                f"anti-entropy fanout {resolved_anti_entropy.fanout} must be "
-                f"smaller than the replica group size {self.scenario.n}"
             )
         if self.processes > 0:
             if self.transport != "tcp":
@@ -470,9 +471,9 @@ class ServiceLoadReport:
     transport: str = "inproc"
     #: Completed operations routed to each shard (length ``spec.shards``).
     shard_ops: List[int] = field(default_factory=list)
-    #: Wire codec the run's transports preferred ("json"/"binary"); merged
-    #: across workers with the same list-when-differing rule as
-    #: ``loop_driver``.
+    #: Wire codec the run's connections negotiated ("json" in process);
+    #: merged across shards and workers with the same list-when-differing
+    #: rule as ``loop_driver``.
     codec: Any = "json"
     #: Sampled :class:`~repro.obs.trace.QuorumTrace` dicts (empty unless
     #: ``spec.trace_sample > 0``).
@@ -688,36 +689,21 @@ async def inject_faults(
         counters["injected"] += 1
 
 
-async def serve_load(spec: ServiceLoadSpec) -> ServiceLoadReport:
-    """Run one service load experiment on the current event loop."""
-    rng = random.Random(spec.seed)
-    scenario = spec.scenario
+async def drive_load(
+    deployment: ShardedClientAPI,
+    spec: ServiceLoadSpec,
+    load_slice: LoadSlice,
+    rng: random.Random,
+) -> ServiceLoadReport:
+    """Drive one slice of ``spec``'s workload through a started deployment.
 
-    # -- deploy: per-shard node groups with sampled static failures ---------------
-    deployment = ShardedDeployment(
-        scenario,
-        shards=spec.shards,
-        transport=spec.transport,
-        latency=spec.latency,
-        jitter=spec.jitter,
-        drop_probability=spec.drop_probability,
-        dispatch=spec.dispatch,
-        dispatch_window=spec.dispatch_window,
-        # One tracker per shard (created inside the deployment): the shards
-        # are independent replica groups, so latency estimates never mix.
-        latency_tracking=spec.selection == "latency-aware",
-        rng=rng,
-        codec=spec.codec,
-        anti_entropy=spec.resolved_anti_entropy,
-    )
-    # Installed before start(): a TCP deployment offers the trace envelope
-    # extension in its connection handshakes only when a tracer exists.
-    tracer = (
-        Tracer(sample_rate=spec.trace_sample, seed=spec.seed)
-        if spec.trace_sample > 0.0
-        else None
-    )
-    deployment.tracer = tracer
+    The only workload loop there is: every deployment shape and every load
+    worker runs it against the client surface it is handed.  ``rng`` seeds
+    every client (and, in-loop, the fault injector); the deployment's
+    ``tracer``, if any, was installed by the caller before ``start()``.
+    """
+    scenario = spec.scenario
+    tracer = deployment.tracer
     monitor = EpsilonMonitor.for_scenario(scenario) if spec.monitor_epsilon else None
 
     def make_client(writer_id: Optional[int] = None):
@@ -730,165 +716,324 @@ async def serve_load(spec: ServiceLoadSpec) -> ServiceLoadReport:
         )
 
     writer_count = spec.resolved_writers
-    try:
-        # Inside the try: a partial TCP startup (one shard's bind failing
-        # after others came up) must still tear every started server down.
-        await deployment.start()
-        writers = [
-            make_client(writer_id=scenario.writer_id + index)
-            for index in range(writer_count)
+    writers = [
+        make_client(writer_id=load_slice.writer_id_base + index)
+        for index in range(writer_count)
+    ]
+    readers = [make_client() for _ in range(load_slice.readers)]
+
+    # -- workload: the slice's keys and their read distribution -------------------
+    all_names = key_names(spec.keys)
+    names = [all_names[rank] for rank in load_slice.key_ranks]
+    # Routing is stable, so hash each key once instead of per operation.
+    shard_of = {name: shard_for_key(name, spec.shards) for name in names}
+    # Reader / writer streams are drawn only when something will use them,
+    # so single-key and uncontended runs keep their per-seed randomness
+    # byte for byte.
+    if len(names) > 1:
+        cdf = key_weight_cdf(load_slice.key_ranks, spec.key_skew)
+        reader_rngs = [
+            random.Random(rng.randrange(2**63)) for _ in range(load_slice.readers)
         ]
-        readers = [make_client() for _ in range(spec.clients)]
+    if spec.contention > 0.0:
+        writer_rngs = [
+            random.Random(rng.randrange(2**63)) for _ in range(writer_count)
+        ]
 
-        # -- workload: keys and their read distribution ---------------------------
-        names = key_names(spec.keys)
-        # Routing is stable, so hash each key once instead of per operation.
-        shard_of = {name: shard_for_key(name, spec.shards) for name in names}
-        if spec.keys > 1:
-            cdf = key_weight_cdf(spec.keys, spec.key_skew)
-            reader_rngs = [
-                random.Random(rng.randrange(2**63)) for _ in range(spec.clients)
-            ]
-        # Drawn only when contention can redirect a write, so uncontended
-        # runs keep the historical per-seed randomness stream byte for byte.
-        if spec.contention > 0.0:
-            writer_rngs = [
-                random.Random(rng.randrange(2**63)) for _ in range(writer_count)
-            ]
+    # -- shared observation state -------------------------------------------------
+    history: Dict[str, Dict[Any, Any]] = {name: {} for name in names}
+    settled: Dict[str, Optional[WriteOutcome]] = {name: None for name in names}
+    outcomes: Dict[str, int] = {label: 0 for label in OUTCOME_LABELS}
+    read_latencies: List[float] = []
+    write_latencies: List[float] = []
+    shard_ops = [0] * spec.shards
+    counters = {"reads": 0, "writes": 0, "write_failures": 0, "injected": 0}
 
-        # -- shared observation state ---------------------------------------------
-        history: Dict[str, Dict[Any, Any]] = {name: {} for name in names}
-        settled: Dict[str, Optional[WriteOutcome]] = {name: None for name in names}
-        outcomes: Dict[str, int] = {label: 0 for label in OUTCOME_LABELS}
-        read_latencies: List[float] = []
-        write_latencies: List[float] = []
-        shard_ops = [0] * spec.shards
-        counters = {"reads": 0, "writes": 0, "write_failures": 0, "injected": 0}
+    # A reader may legitimately observe a write the moment its RPCs fan
+    # out, before the writer considers it complete — record issued pairs
+    # eagerly, per key.  Writer ids are distinct, so concurrent writers
+    # never collide on a timestamp key.
+    for writer in writers:
+        writer.on_issued = (
+            lambda key, timestamp, value: history[key].__setitem__(timestamp, value)
+        )
 
-        # A reader may legitimately observe a write the moment its RPCs fan
-        # out, before the writer considers it complete — record issued pairs
-        # eagerly, per key.  Writer ids are distinct, so concurrent writers
-        # never collide on a timestamp key.
-        for writer in writers:
-            writer.on_issued = (
-                lambda key, timestamp, value: history[key].__setitem__(timestamp, value)
-            )
+    def settle(key: str, outcome: WriteOutcome) -> None:
+        # With concurrent writers the *highest timestamp* settles, not
+        # the last completion: that is the value the shared selection
+        # rule makes every subsequent read prefer, whichever writer's
+        # RPCs happened to finish later.
+        current = settled[key]
+        if current is None or current.timestamp < outcome.timestamp:
+            settled[key] = outcome
 
-        def settle(key: str, outcome: WriteOutcome) -> None:
-            # With concurrent writers the *highest timestamp* settles, not
-            # the last completion: that is the value the shared selection
-            # rule makes every subsequent read prefer, whichever writer's
-            # RPCs happened to finish later.
-            current = settled[key]
-            if current is None or current.timestamp < outcome.timestamp:
-                settled[key] = outcome
-
-        async def run_writer(writer_index: int) -> None:
-            writer = writers[writer_index]
-            for version in range(writer_index, spec.writes, writer_count):
-                key = names[version % len(names)]
-                if spec.contention > 0.0:
-                    if writer_rngs[writer_index].random() < spec.contention:
-                        key = names[0]
-                if writer_count == 1:
-                    value = (scenario.workload.written_value, version)
-                else:
-                    value = (scenario.workload.written_value, writer_index, version)
-                started = time.perf_counter()
-                try:
-                    outcome = await writer.write(key, value)
-                except QuorumUnavailableError:
-                    counters["write_failures"] += 1
-                else:
-                    write_latencies.append(time.perf_counter() - started)
-                    settle(key, outcome)
-                    counters["writes"] += 1
-                    shard_ops[shard_of[key]] += 1
-                if spec.write_interval:
-                    await asyncio.sleep(spec.write_interval)
-
-        async def run_reader(reader, index: int) -> None:
-            for _ in range(spec.reads_per_client):
-                if spec.keys == 1:
+    async def run_writer(writer_index: int) -> None:
+        writer = writers[writer_index]
+        for version in load_slice.versions:
+            if version % writer_count != writer_index:
+                continue
+            key = all_names[version % spec.keys]
+            if spec.contention > 0.0:
+                if writer_rngs[writer_index].random() < spec.contention:
                     key = names[0]
-                else:
-                    key = reader_rngs[index].choices(names, cum_weights=cdf)[0]
-                snapshot = settled[key]
-                started = time.perf_counter()
-                outcome = await reader.read(key)
-                read_latencies.append(time.perf_counter() - started)
-                label = classify_service_read(outcome, snapshot, history[key])
-                outcomes[label] += 1
-                if tracer is not None and reader.last_trace is not None:
-                    # The read's trace was just finished by the client;
-                    # stamping its classification afterwards keeps the hot
-                    # path label-free and lets the acceptance check
-                    # reconcile traces against the report's counters.
-                    reader.last_trace.classification = label
-                if monitor is not None:
-                    monitor.observe(label)
-                counters["reads"] += 1
-                shard_ops[shard_of[key]] += 1
-
-        injector = asyncio.ensure_future(
-            inject_faults(deployment, spec.fault_injection, rng, counters)
-        )
-        started = time.perf_counter()
-        try:
-            await asyncio.gather(
-                *(run_writer(index) for index in range(writer_count)),
-                *(run_reader(reader, index) for index, reader in enumerate(readers)),
-            )
-        finally:
-            injector.cancel()
+            if writer_count == 1:
+                value = (scenario.workload.written_value, version)
+            else:
+                value = (scenario.workload.written_value, writer_index, version)
+            started = time.perf_counter()
             try:
-                await injector
-            except asyncio.CancelledError:
-                pass
-        elapsed = time.perf_counter() - started
+                outcome = await writer.write(key, value)
+            except QuorumUnavailableError:
+                counters["write_failures"] += 1
+            else:
+                write_latencies.append(time.perf_counter() - started)
+                settle(key, outcome)
+                counters["writes"] += 1
+                shard_ops[shard_of[key]] += 1
+            if spec.write_interval:
+                await asyncio.sleep(spec.write_interval)
 
-        probe_fallbacks = sum(writer.probe_fallbacks for writer in writers) + sum(
-            reader.probe_fallbacks for reader in readers
-        )
-        # The harness's own perf accounting rides along as one more
-        # snapshot: the read-path cost (probe fallbacks) next to the
-        # background cost that absorbs it (repairs, gossip rounds), plus
-        # the freshness the trade bought.
-        harness = MetricsRegistry(labels={"component": "load-harness"})
-        harness.counter("probe_fallback_ops").inc(probe_fallbacks)
-        harness.counter("repairs_piggybacked").inc(deployment.repairs_piggybacked)
-        harness.counter("gossip_rounds").inc(deployment.gossip_rounds)
-        harness.gauge("fresh_read_fraction").set(
-            outcomes.get("fresh", 0) / counters["reads"] if counters["reads"] else 0.0
-        )
+    async def run_reader(reader, index: int) -> None:
+        for _ in range(spec.reads_per_client):
+            if len(names) == 1:
+                key = names[0]
+            else:
+                key = reader_rngs[index].choices(names, cum_weights=cdf)[0]
+            snapshot = settled[key]
+            started = time.perf_counter()
+            outcome = await reader.read(key)
+            read_latencies.append(time.perf_counter() - started)
+            label = classify_service_read(outcome, snapshot, history[key])
+            outcomes[label] += 1
+            if tracer is not None and reader.last_trace is not None:
+                # The read's trace was just finished by the client;
+                # stamping its classification afterwards keeps the hot
+                # path label-free and lets the acceptance check
+                # reconcile traces against the report's counters.
+                reader.last_trace.classification = label
+            if monitor is not None:
+                monitor.observe(label)
+            counters["reads"] += 1
+            shard_ops[shard_of[key]] += 1
 
-        return ServiceLoadReport(
-            spec=spec,
-            elapsed=elapsed,
-            reads_completed=counters["reads"],
-            writes_completed=counters["writes"],
-            write_failures=counters["write_failures"],
-            outcomes=outcomes,
-            read_latencies=read_latencies,
-            write_latencies=write_latencies,
-            rpc_calls=deployment.rpc_calls,
-            rpc_dropped=deployment.rpc_dropped,
-            rpc_timeouts=deployment.rpc_timeouts,
-            probe_fallbacks=probe_fallbacks,
-            injected_crashes=counters["injected"],
-            dispatch_flushes=deployment.dispatch_flushes,
-            repairs_piggybacked=deployment.repairs_piggybacked,
-            gossip_rounds=deployment.gossip_rounds,
-            transport=spec.transport,
-            shard_ops=shard_ops,
-            codec=spec.codec,
-            traces=tracer.to_dicts() if tracer is not None else [],
-            metrics=deployment.metrics_snapshots() + [harness.to_dict()],
-            epsilon_alerts=list(monitor.alerts) if monitor is not None else [],
-            epsilon_monitor=monitor.to_dict() if monitor is not None else None,
+    # Returns at once unless the spec injects crashes — which it may only
+    # do where the replica nodes are in this process.
+    injector = asyncio.ensure_future(
+        inject_faults(deployment, spec.fault_injection, rng, counters)
+    )
+    started = time.perf_counter()
+    try:
+        await asyncio.gather(
+            *(run_writer(index) for index in range(writer_count)),
+            *(run_reader(reader, index) for index, reader in enumerate(readers)),
         )
     finally:
+        injector.cancel()
+        try:
+            await injector
+        except asyncio.CancelledError:
+            pass
+    elapsed = time.perf_counter() - started
+
+    probe_fallbacks = sum(client.probe_fallbacks for client in writers + readers)
+    # The harness's own perf accounting rides along as one more
+    # snapshot: the read-path cost (probe fallbacks) next to the
+    # background cost that absorbs it (repairs, gossip rounds), plus
+    # the freshness the trade bought.
+    labels = {"worker": load_slice.worker}
+    harness = MetricsRegistry(labels={"component": "load-harness", **labels})
+    harness.counter("probe_fallback_ops").inc(probe_fallbacks)
+    harness.counter("repairs_piggybacked").inc(deployment.repairs_piggybacked)
+    harness.counter("gossip_rounds").inc(deployment.gossip_rounds)
+    harness.gauge("fresh_read_fraction").set(
+        outcomes.get("fresh", 0) / counters["reads"] if counters["reads"] else 0.0
+    )
+    # What the connections actually negotiated, not what the spec preferred.
+    negotiated = (
+        sorted({shard.transport.negotiated_codec or "json" for shard in deployment.shards})
+        if spec.transport == "tcp"
+        else ["json"]
+    )
+
+    return ServiceLoadReport(
+        spec=spec,
+        elapsed=elapsed,
+        reads_completed=counters["reads"],
+        writes_completed=counters["writes"],
+        write_failures=counters["write_failures"],
+        outcomes=outcomes,
+        read_latencies=read_latencies,
+        write_latencies=write_latencies,
+        rpc_calls=deployment.rpc_calls,
+        rpc_dropped=deployment.rpc_dropped,
+        rpc_timeouts=deployment.rpc_timeouts,
+        probe_fallbacks=probe_fallbacks,
+        injected_crashes=counters["injected"],
+        dispatch_flushes=deployment.dispatch_flushes,
+        repairs_piggybacked=deployment.repairs_piggybacked,
+        gossip_rounds=deployment.gossip_rounds,
+        transport=spec.transport,
+        shard_ops=shard_ops,
+        codec=merge_worker_provenance(negotiated),
+        traces=tracer.to_dicts() if tracer is not None else [],
+        metrics=deployment.metrics_snapshots(labels) + [harness.to_dict()],
+        epsilon_alerts=list(monitor.alerts) if monitor is not None else [],
+        epsilon_monitor=monitor.to_dict() if monitor is not None else None,
+    )
+
+
+_SUMMED_FIELDS = (
+    "reads_completed",
+    "writes_completed",
+    "write_failures",
+    "rpc_calls",
+    "rpc_dropped",
+    "rpc_timeouts",
+    "probe_fallbacks",
+    "injected_crashes",
+    "dispatch_flushes",
+    "repairs_piggybacked",
+    "gossip_rounds",
+)
+_CONCATENATED_FIELDS = (
+    "read_latencies",
+    "write_latencies",
+    "traces",
+    "metrics",
+    "epsilon_alerts",
+)
+
+
+def merge_reports(reports: Sequence[ServiceLoadReport]) -> ServiceLoadReport:
+    """Fold the reports of concurrently driven slices into the run's report.
+
+    Counters and outcome counts sum, ``shard_ops`` sums per shard index,
+    latencies / traces / metric snapshots / alerts concatenate in worker
+    order, ``elapsed`` is the slowest slice, and the provenance fields keep
+    the single shared value or the per-worker list
+    (:func:`~repro.service.cluster.merge_worker_provenance`).  Merging one
+    report returns an equal report.
+    """
+    merged: Dict[str, Any] = {
+        name: sum(getattr(report, name) for report in reports)
+        for name in _SUMMED_FIELDS
+    }
+    for name in _CONCATENATED_FIELDS:
+        merged[name] = [item for report in reports for item in getattr(report, name)]
+    monitors = [
+        report.epsilon_monitor
+        for report in reports
+        if report.epsilon_monitor is not None
+    ]
+    epsilon_monitor = None
+    if monitors:
+        observed = sum(monitor["observed"] for monitor in monitors)
+        errors = sum(monitor["errors"] for monitor in monitors)
+        epsilon_monitor = {
+            **monitors[0],
+            "observed": observed,
+            "errors": errors,
+            # The most alarming worker window: windows do not compose
+            # across processes, so report the worst one seen.
+            "window_rate": max(monitor["window_rate"] for monitor in monitors),
+            "total_rate": errors / observed if observed else 0.0,
+            "alerts": merged["epsilon_alerts"],
+        }
+    return ServiceLoadReport(
+        spec=reports[0].spec,
+        elapsed=max(report.elapsed for report in reports),
+        outcomes={
+            label: sum(report.outcomes.get(label, 0) for report in reports)
+            for label in OUTCOME_LABELS
+        },
+        transport=reports[0].transport,
+        shard_ops=[sum(ops) for ops in zip(*(report.shard_ops for report in reports))],
+        loop_driver=merge_worker_provenance([report.loop_driver for report in reports]),
+        codec=merge_worker_provenance([report.codec for report in reports]),
+        epsilon_monitor=epsilon_monitor,
+        **merged,
+    )
+
+
+def _client_options(spec: ServiceLoadSpec, rng: random.Random) -> Dict[str, Any]:
+    """The spine parameters a spec fixes, for a deployment or a worker's pool."""
+    return {
+        "codec": spec.codec,
+        "latency": spec.latency,
+        "jitter": spec.jitter,
+        "drop_probability": spec.drop_probability,
+        "dispatch": spec.dispatch,
+        # One tracker per shard (created inside the spine): the shards are
+        # independent replica groups, so latency estimates never mix.
+        "latency_tracking": spec.selection == "latency-aware",
+        "rng": rng,
+        "anti_entropy": spec.resolved_anti_entropy,
+    }
+
+
+def _load_tracer(spec: ServiceLoadSpec, seed: int, worker: int = 0) -> Optional[Tracer]:
+    """The run's tracer, to install *before* ``start()``: TCP transports
+    offer the trace envelope extension in their handshakes only when a
+    tracer exists.  Disjoint id bases keep trace ids unique across workers."""
+    if spec.trace_sample <= 0.0:
+        return None
+    return Tracer(sample_rate=spec.trace_sample, seed=seed, id_base=worker << 40)
+
+
+async def drive_slice(
+    spec: ServiceLoadSpec,
+    addresses: Sequence[Tuple[str, int]],
+    load_slice: LoadSlice,
+    seed: int,
+) -> ServiceLoadReport:
+    """What a load worker process runs: attach a client pool to the shard
+    servers at ``addresses`` and drive one slice through it."""
+    rng = random.Random(seed)
+    pool = ClusterClientPool(spec.scenario, addresses, **_client_options(spec, rng))
+    pool.tracer = _load_tracer(spec, seed, load_slice.worker)
+    async with pool:
+        return await drive_load(pool, spec, load_slice, rng)
+
+
+async def serve_load(spec: ServiceLoadSpec) -> ServiceLoadReport:
+    """Run one service load experiment on the current event loop.
+
+    Deploy, slice, drive, merge: with at most one load process the single
+    slice is driven on the deployment itself; with more, each slice goes to
+    a worker process that attaches its own client pool to the cluster.
+    """
+    rng = random.Random(spec.seed)
+    deployment = deploy(
+        spec.scenario,
+        processes=spec.processes,
+        shards=spec.shards,
+        transport=spec.transport,
+        dispatch_window=spec.dispatch_window,
+        **_client_options(spec, rng),
+    )
+    deployment.tracer = _load_tracer(spec, spec.seed)
+    slices = partition_load(spec)
+    try:
+        await deployment.start()
+        if len(slices) == 1:
+            report = await drive_load(deployment, spec, slices[0], rng)
+        else:
+            reports, elapsed = await drive_in_workers(
+                spec, deployment.addresses, slices, rng
+            )
+            report = merge_reports(reports)
+            report.elapsed = elapsed
+    finally:
         await deployment.aclose()
+    # Shard server processes report their metric snapshots on the readiness
+    # pipe at SIGTERM, so they (and the gossip rounds they ran) only exist
+    # once aclose() has drained it; in-loop deployments have none.
+    report.metrics.extend(deployment.server_metrics)
+    report.gossip_rounds += sum(
+        snapshot.get("counters", {}).get("gossip_rounds", 0)
+        for snapshot in deployment.server_metrics
+    )
+    return report
 
 
 def active_loop_driver() -> str:
@@ -902,27 +1047,18 @@ def run_service_load(spec: ServiceLoadSpec) -> ServiceLoadReport:
 
     Uses ``uvloop`` when importable (``pip install repro[fast]``) and
     silently falls back to the stock asyncio event loop otherwise; the
-    report's ``loop_driver`` records which one actually ran.
-
-    ``spec.processes > 0`` routes to the multi-process path: servers in a
-    :class:`~repro.service.cluster.ClusterDeployment` (one process per
-    shard), load split over ``processes`` worker processes.
+    report's ``loop_driver`` records which one actually drove the load.
     """
-    if spec.processes > 0:
-        from repro.service.cluster import run_cluster_load
-
-        # The cluster merge records each worker's actual loop driver and
-        # codec (a single value when they agree, the per-worker list when
-        # not) — do not overwrite its provenance here.
-        return run_cluster_load(spec)
     if _uvloop is None:
         report = asyncio.run(serve_load(spec))
-        report.loop_driver = "asyncio"
-        return report
-    loop = _uvloop.new_event_loop()
-    try:
-        report = loop.run_until_complete(serve_load(spec))
-    finally:
-        loop.close()
-    report.loop_driver = "uvloop"
+    else:
+        loop = _uvloop.new_event_loop()
+        try:
+            report = loop.run_until_complete(serve_load(spec))
+        finally:
+            loop.close()
+    if spec.processes <= 1:
+        # The load ran on this loop.  With worker processes each worker
+        # recorded the loop that drove *its* slice; keep that provenance.
+        report.loop_driver = active_loop_driver()
     return report

@@ -13,12 +13,15 @@ to it (the sharding tests pin this isolation down).
 
 * :func:`shard_for_key` — the stable routing hash (BLAKE2b, *not* Python's
   randomised ``hash``), identical across processes and runs;
-* :class:`ShardedDeployment` — builds and owns the per-shard resources for
-  either transport mode (``"inproc"``: shared-memory nodes, optionally
-  behind the batched dispatcher; ``"tcp"``: one
-  :class:`~repro.service.net.TcpServiceServer` per shard with a
+* :class:`ShardedClientAPI` — the spine every deployment shape shares:
+  per-shard seed derivation, the one TCP client-side wiring (a
   :class:`~repro.service.net.TcpTransport` + op-level
-  :class:`~repro.service.net.TcpDispatcher` in front);
+  :class:`~repro.service.net.TcpDispatcher` per shard address) and its
+  teardown, and the clients it hands out;
+* :class:`ShardedDeployment` — the shape whose replica groups run on the
+  caller's loop (``"inproc"``: shared-memory nodes, optionally behind the
+  batched dispatcher; ``"tcp"``: one
+  :class:`~repro.service.net.TcpServiceServer` per shard);
 * :class:`ShardedAsyncRegisterClient` — one logical client routing
   ``read(key)``/``write(key, value)`` to per-key register frontends on the
   key's shard.
@@ -30,10 +33,9 @@ rates agree.
 
 from __future__ import annotations
 
-import asyncio
 import hashlib
 import random
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,10 +44,9 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.protocol.variable import WriteOutcome
 from repro.service.client import DEFAULT_QUORUM_POOL, AsyncQuorumClient
-from repro.service.dispatch import BatchedDispatcher
+from repro.service.dispatch import DISPATCH_MODES, BatchedDispatcher
 from repro.service.gossip import GOSSIP_SEED_SALT, GossipService, scenario_verifier
 from repro.service.net import (
-    RemoteNode,
     TcpDispatcher,
     TcpServiceServer,
     TcpTransport,
@@ -56,6 +57,7 @@ from repro.service.register import AsyncRegister, async_register_for
 from repro.service.stats import EwmaLatencyTracker
 from repro.service.transport import AsyncTransport
 from repro.service.wire import WIRE_CODECS
+from repro.simulation.failures import FailurePlan
 from repro.simulation.scenario import AntiEntropySpec, ScenarioSpec
 
 #: The two deployment transports the service layer exposes.
@@ -77,6 +79,92 @@ def shard_for_key(key: str, shards: int) -> int:
     return int.from_bytes(digest, "big") % shards
 
 
+def validate_deployment(
+    scenario: ScenarioSpec,
+    shards: int,
+    transport: str,
+    codec: str,
+    dispatch: str,
+    anti_entropy: Optional[AntiEntropySpec],
+) -> Optional[AntiEntropySpec]:
+    """The checks every deployment shape and the load spec share.
+
+    Returns the effective anti-entropy spec: the explicit one, else the
+    scenario's own axis (``None`` keeps read-repair and gossip off).
+    """
+    if not isinstance(scenario, ScenarioSpec):
+        raise ConfigurationError(
+            f"a deployment is described over a ScenarioSpec, "
+            f"got {type(scenario).__name__}"
+        )
+    if shards < 1:
+        raise ConfigurationError(f"need at least one shard, got {shards}")
+    if transport not in TRANSPORT_MODES:
+        raise ConfigurationError(
+            f"unknown transport {transport!r}; choose from {TRANSPORT_MODES}"
+        )
+    if codec not in WIRE_CODECS:
+        raise ConfigurationError(
+            f"unknown wire codec {codec!r}; choose from {WIRE_CODECS}"
+        )
+    if codec != "json" and transport == "inproc":
+        raise ConfigurationError(
+            "codec applies to the wire: transport='inproc' passes payloads "
+            "by reference, so codec='json' is the only valid spelling there"
+        )
+    if dispatch not in DISPATCH_MODES:
+        raise ConfigurationError(
+            f"unknown dispatch mode {dispatch!r}; choose from {DISPATCH_MODES}"
+        )
+    if anti_entropy is None:
+        anti_entropy = scenario.anti_entropy
+    elif not isinstance(anti_entropy, AntiEntropySpec):
+        raise ConfigurationError(
+            f"anti_entropy is described by an AntiEntropySpec, "
+            f"got {type(anti_entropy).__name__}"
+        )
+    if anti_entropy is not None and anti_entropy.fanout >= scenario.n:
+        raise ConfigurationError(
+            f"anti-entropy fanout {anti_entropy.fanout} must be smaller "
+            f"than the replica group size {scenario.n}"
+        )
+    return anti_entropy
+
+
+def build_nodes(n: int, plan: FailurePlan) -> List[ServiceNode]:
+    """One shard's replica group with its static failure plan applied."""
+    nodes = [ServiceNode(server) for server in range(n)]
+    for server in plan.crashed:
+        nodes[server].crash()
+    for server, behavior in plan.byzantine.items():
+        nodes[server].set_behavior(behavior)
+    return nodes
+
+
+def arm_gossip(
+    nodes: Sequence[ServiceNode],
+    scenario: ScenarioSpec,
+    anti_entropy: Optional[AntiEntropySpec],
+    transport_seed: int,
+) -> Optional[GossipService]:
+    """Start one shard's background gossip task (``None`` unless it gossips).
+
+    Runs where the replicas live (the deployment's loop, or the shard's
+    server process), under the scenario's verifiability rule; needs a
+    running event loop.
+    """
+    if anti_entropy is None or not anti_entropy.gossips:
+        return None
+    service = GossipService(
+        nodes,
+        anti_entropy,
+        rng=random.Random(transport_seed ^ GOSSIP_SEED_SALT),
+        verify=scenario_verifier(scenario),
+    )
+    service.start()
+    return service
+
+
 class _Shard:
     """One shard's resources (internal holder; the deployment owns these)."""
 
@@ -88,6 +176,7 @@ class _Shard:
         "transport_seed",
         "dispatcher",
         "server",
+        "gossip",
         "client_nodes",
         "pool_generator",
         "tracker",
@@ -96,42 +185,131 @@ class _Shard:
     def __init__(self) -> None:
         self.index = 0
         self.nodes: List[ServiceNode] = []
-        self.plan = None
+        self.plan: Optional[FailurePlan] = None
         self.transport = None
         self.transport_seed = 0
         self.dispatcher = None
+        #: In-loop socket server / gossip task (``None``: not on this loop).
         self.server: Optional[TcpServiceServer] = None
+        self.gossip: Optional[GossipService] = None
         self.client_nodes: Sequence[Any] = ()
         self.pool_generator: Optional[np.random.Generator] = None
         self.tracker: Optional[Any] = None
 
 
 class ShardedClientAPI:
-    """The client-facing surface a sharded deployment hands out.
+    """The deployment spine: per-shard client resources and the client API.
 
-    Shared by :class:`ShardedDeployment` (servers on the current loop) and
-    :class:`~repro.service.cluster.ClusterDeployment` (one server process
-    per shard): both own a ``scenario``, a ``shards`` list of per-shard
-    resources (transport / dispatcher / client node stubs / pool generator
-    / tracker) and a ``_started`` flag, and everything clients need —
-    routing, per-shard quorum clients, the logical sharded register client,
-    aggregate RPC counters — derives from exactly that, so the two
-    deployment shapes are interchangeable above this line.
+    A deployment is *(replica groups) × (a transport) × (where the groups
+    run)*; this class is everything but the last factor.  It draws each
+    shard's failure plan, transport seed and pool generator from the root
+    ``rng`` (in that order, shard by shard — so one seed describes the same
+    deployment in every shape), wires the TCP client side to a list of
+    shard addresses, and derives everything clients need — routing, quorum
+    clients, the sharded register client, aggregate counters — from that.
+    :class:`ShardedDeployment` (servers on this loop) and
+    :class:`~repro.service.cluster.ClusterDeployment` (a server process per
+    shard) add only bringing their servers up and down.  Parameters are
+    documented on :class:`ShardedDeployment`.
     """
 
-    scenario: ScenarioSpec
-    shards: List["_Shard"]
-    _started: bool
     #: Optional shared :class:`~repro.obs.trace.Tracer`.  Set it before
-    #: creating clients and every quorum client built through this surface
-    #: samples traces from it; ``None`` (the default) keeps tracing off the
-    #: hot path entirely.
+    #: :meth:`start` (TCP transports offer the trace envelope extension in
+    #: their handshakes only when a tracer exists) and before creating
+    #: clients: every quorum client built through this surface samples
+    #: traces from it.  ``None`` keeps tracing off the hot path entirely.
     tracer: Optional[Tracer] = None
-    #: The deployment's :class:`~repro.simulation.scenario.AntiEntropySpec`
-    #: (``None`` keeps both piggybacked read-repair and background gossip
-    #: off).  Quorum clients built through this surface derive their repair
-    #: budget from it.
-    anti_entropy: Optional[AntiEntropySpec] = None
+
+    def __init__(
+        self,
+        scenario: ScenarioSpec,
+        shards: int,
+        transport: str,
+        codec: str = "json",
+        latency: float = 0.0,
+        jitter: float = 0.0,
+        drop_probability: float = 0.0,
+        dispatch: str = "batched",
+        latency_tracking: bool = False,
+        rng: Optional[random.Random] = None,
+        seed: Optional[int] = None,
+        anti_entropy: Optional[AntiEntropySpec] = None,
+    ) -> None:
+        #: The effective :class:`~repro.simulation.scenario.AntiEntropySpec`
+        #: (quorum clients derive their repair budget from it).
+        self.anti_entropy = validate_deployment(
+            scenario, shards, transport, codec, dispatch, anti_entropy
+        )
+        self.scenario = scenario
+        self.codec = codec
+        self.transport_mode = transport
+        self._conditions = dict(
+            latency=latency, jitter=jitter, drop_probability=drop_probability
+        )
+        self._dispatch = dispatch
+        self._started = False
+        #: ``(host, port)`` per shard, known once the servers are up.
+        self.addresses: List[Tuple[str, int]] = []
+        #: Metric snapshots reported by servers living in other processes
+        #: (a cluster's :meth:`aclose` fills this in).
+        self.server_metrics: List[dict] = []
+        if rng is None:
+            rng = random.Random(seed) if seed is not None else random.Random()
+        n = scenario.n
+        self.shards: List[_Shard] = []
+        for index in range(shards):
+            shard = _Shard()
+            shard.index = index
+            shard.plan = scenario.failure_model.sample_plan_for(n, rng)
+            shard.transport_seed = rng.randrange(2**63)
+            shard.tracker = EwmaLatencyTracker(n) if latency_tracking else None
+            shard.client_nodes = remote_nodes(n)
+            shard.pool_generator = np.random.default_rng(rng.randrange(2**63))
+            self.shards.append(shard)
+
+    # -- lifecycle ----------------------------------------------------------------
+
+    async def _connect(self, addresses: Sequence[Tuple[str, int]]) -> None:
+        """Wire the TCP client side: one transport (+ dispatcher) per shard."""
+        self.addresses = [(str(host), int(port)) for host, port in addresses]
+        for shard, address in zip(self.shards, self.addresses):
+            shard.transport = TcpTransport(
+                address,
+                seed=shard.transport_seed,
+                codec=self.codec,
+                trace=self.tracer is not None,
+                **self._conditions,
+            )
+            await shard.transport.connect()
+            if self._dispatch == "batched":
+                shard.dispatcher = TcpDispatcher(shard.transport, tracker=shard.tracker)
+        self._started = True
+
+    async def start(self) -> None:
+        """Connect to :attr:`addresses`; a failure closes what was opened."""
+        if self._started:
+            return
+        try:
+            await self._connect(self.addresses)
+        except BaseException:
+            await self.aclose()
+            raise
+
+    async def aclose(self) -> None:
+        """Close the client-side sockets (idempotent; never stops servers)."""
+        for shard in self.shards:
+            if isinstance(shard.transport, TcpTransport):
+                await shard.transport.aclose()
+        self._started = False
+
+    async def __aenter__(self):
+        await self.start()
+        return self
+
+    async def __aexit__(self, *exc_info: Any) -> None:
+        await self.aclose()
+
+    # -- clients ------------------------------------------------------------------
 
     @property
     def shard_count(self) -> int:
@@ -237,7 +415,7 @@ class ShardedClientAPI:
     def repairs_piggybacked(self) -> int:
         """Read-repair payloads piggybacked across every shard's dispatcher."""
         return sum(
-            getattr(shard.dispatcher, "repairs_piggybacked", 0)
+            shard.dispatcher.repairs_piggybacked
             for shard in self.shards
             if shard.dispatcher is not None
         )
@@ -250,18 +428,20 @@ class ShardedClientAPI:
         server processes report theirs through the metrics pipe instead).
         """
         return sum(
-            service.gossip_rounds for service in getattr(self, "_gossip", ())
+            shard.gossip.gossip_rounds
+            for shard in self.shards
+            if shard.gossip is not None
         )
 
     # -- metrics ------------------------------------------------------------------
 
     def metrics_snapshots(self, labels: Optional[Dict[str, Any]] = None) -> List[dict]:
-        """Picklable metric snapshots: client-side counters plus one
-        snapshot per in-process shard server (TCP mode).
+        """Picklable metric snapshots: client-side counters, one snapshot
+        per in-loop shard server and gossip task, and whatever servers in
+        other processes reported home (:attr:`server_metrics`).
 
         Feed the list to :func:`repro.obs.metrics.merge_snapshots` (the
-        ``Deployment.metrics()`` facade does) — a cluster deployment
-        contributes its worker and server-process snapshots the same way.
+        ``Deployment.metrics()`` facade does).
         """
         registry = MetricsRegistry(
             labels={"component": "sharded-client", **(labels or {})}
@@ -277,14 +457,10 @@ class ShardedClientAPI:
             registry.counter("traces_sampled_out").inc(self.tracer.sampled_out)
         snapshots = [registry.to_dict()]
         for shard in self.shards:
-            server = getattr(shard, "server", None)
-            if server is not None:
-                snapshots.append(server.metrics_snapshot({"shard": shard.index}))
-        # One snapshot per in-loop gossip task (cluster deployments have
-        # none here: their shard server processes report over the pipe).
-        for shard, service in zip(self.shards, getattr(self, "_gossip", ())):
-            snapshots.append(service.metrics_snapshot({"shard": shard.index}))
-        return snapshots
+            for part in (shard.server, shard.gossip):
+                if part is not None:
+                    snapshots.append(part.metrics_snapshot({"shard": shard.index}))
+        return snapshots + list(self.server_metrics)
 
 
 class ShardedDeployment(ShardedClientAPI):
@@ -359,89 +535,38 @@ class ShardedDeployment(ShardedClientAPI):
         codec: str = "json",
         anti_entropy: Optional[AntiEntropySpec] = None,
     ) -> None:
-        if not isinstance(scenario, ScenarioSpec):
-            raise ConfigurationError(
-                f"a deployment is described over a ScenarioSpec, "
-                f"got {type(scenario).__name__}"
-            )
-        if shards < 1:
-            raise ConfigurationError(f"need at least one shard, got {shards}")
-        if transport not in TRANSPORT_MODES:
-            raise ConfigurationError(
-                f"unknown transport {transport!r}; choose from {TRANSPORT_MODES}"
-            )
-        if codec not in WIRE_CODECS:
-            raise ConfigurationError(
-                f"unknown wire codec {codec!r}; choose from {WIRE_CODECS}"
-            )
-        if codec != "json" and transport == "inproc":
-            raise ConfigurationError(
-                "codec applies to the wire: transport='inproc' passes payloads "
-                "by reference, so codec='json' is the only valid spelling there"
-            )
-        if anti_entropy is None:
-            anti_entropy = scenario.anti_entropy
-        elif not isinstance(anti_entropy, AntiEntropySpec):
-            raise ConfigurationError(
-                f"anti_entropy is described by an AntiEntropySpec, "
-                f"got {type(anti_entropy).__name__}"
-            )
-        if anti_entropy is not None and anti_entropy.fanout >= scenario.n:
-            raise ConfigurationError(
-                f"anti-entropy fanout {anti_entropy.fanout} must be smaller "
-                f"than the replica group size {scenario.n}"
-            )
-        self.anti_entropy = anti_entropy
-        self.codec = codec
-        self.scenario = scenario
-        self.transport_mode = transport
-        self.latency_tracking = bool(latency_tracking)
-        self._tcp_host = tcp_host
-        self._gossip: List[GossipService] = []
-        self._started = transport == "inproc"
-        if rng is None:
-            rng = random.Random(seed) if seed is not None else random.Random()
-        n = scenario.n
-        self.shards: List[_Shard] = []
-        for index in range(shards):
-            shard = _Shard()
-            shard.index = index
-            shard.nodes = [ServiceNode(server) for server in range(n)]
-            shard.plan = scenario.failure_model.sample_plan_for(n, rng)
-            for server in shard.plan.crashed:
-                shard.nodes[server].crash()
-            for server, behavior in shard.plan.byzantine.items():
-                shard.nodes[server].set_behavior(behavior)
-            shard.transport_seed = rng.randrange(2**63)
-            shard.tracker = EwmaLatencyTracker(n) if latency_tracking else None
-            if transport == "inproc":
-                shard.transport = AsyncTransport(
-                    latency=latency,
-                    jitter=jitter,
-                    drop_probability=drop_probability,
-                    seed=shard.transport_seed,
-                )
-                shard.dispatcher = (
-                    BatchedDispatcher(
-                        shard.nodes,
-                        shard.transport,
-                        window=dispatch_window,
-                        tracker=shard.tracker,
-                    )
-                    if dispatch == "batched"
-                    else None
-                )
-                shard.client_nodes = shard.nodes
-            else:
-                # The transport needs the server's ephemeral port, known
-                # only after start(); stash the knobs until then.
+        super().__init__(
+            scenario,
+            shards,
+            transport,
+            codec=codec,
+            latency=latency,
+            jitter=jitter,
+            drop_probability=drop_probability,
+            dispatch=dispatch,
+            latency_tracking=latency_tracking,
+            rng=rng,
+            seed=seed,
+            anti_entropy=anti_entropy,
+        )
+        for shard in self.shards:
+            shard.nodes = build_nodes(scenario.n, shard.plan)
+            if transport == "tcp":
+                # The client side needs the server's ephemeral port, known
+                # only after start().
                 shard.server = TcpServiceServer(shard.nodes, host=tcp_host)
-                shard.transport = None
-                shard.dispatcher = None
-                shard.client_nodes = remote_nodes(n)
-            shard.pool_generator = np.random.default_rng(rng.randrange(2**63))
-            self.shards.append(shard)
-        self._tcp_knobs = (latency, jitter, drop_probability, dispatch)
+                continue
+            shard.transport = AsyncTransport(seed=shard.transport_seed, **self._conditions)
+            if dispatch == "batched":
+                shard.dispatcher = BatchedDispatcher(
+                    shard.nodes,
+                    shard.transport,
+                    window=dispatch_window,
+                    tracker=shard.tracker,
+                )
+            shard.client_nodes = shard.nodes
+        # In-process deployments are serving from construction.
+        self._started = transport == "inproc"
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -450,68 +575,34 @@ class ShardedDeployment(ShardedClientAPI):
 
         Also arms the per-shard background gossip tasks when the deployment
         has a gossiping anti-entropy spec — in *both* transport modes, since
-        the replica node objects live on this loop either way.
+        the replica node objects live on this loop either way.  Any failure
+        tears down whatever was already brought up, then re-raises.
         """
-        if self._started:
-            # In-process deployments are serving from construction, but the
-            # gossip tasks still need a running event loop to arm on.
-            self._start_gossip()
-            return
-        latency, jitter, drop_probability, dispatch = self._tcp_knobs
-        for shard in self.shards:
-            await shard.server.start()
-            shard.transport = TcpTransport(
-                shard.server.address,
-                latency=latency,
-                jitter=jitter,
-                drop_probability=drop_probability,
-                seed=shard.transport_seed,
-                codec=self.codec,
-                # Offer the trace envelope extension only when a tracer is
-                # installed: untraced deployments keep pre-trace frames.
-                trace=self.tracer is not None,
-            )
-            await shard.transport.connect()
-            if dispatch == "batched":
-                shard.dispatcher = TcpDispatcher(shard.transport, tracker=shard.tracker)
-        self._started = True
-        self._start_gossip()
-
-    def _start_gossip(self) -> None:
-        spec = self.anti_entropy
-        if spec is None or not spec.gossips or self._gossip:
-            return
-        verify = scenario_verifier(self.scenario)
-        for shard in self.shards:
-            service = GossipService(
-                shard.nodes,
-                spec,
-                rng=random.Random(shard.transport_seed ^ GOSSIP_SEED_SALT),
-                verify=verify,
-            )
-            service.start()
-            self._gossip.append(service)
+        try:
+            if not self._started:
+                for shard in self.shards:
+                    await shard.server.start()
+                await self._connect([shard.server.address for shard in self.shards])
+            for shard in self.shards:
+                if shard.gossip is None:
+                    shard.gossip = arm_gossip(
+                        shard.nodes, self.scenario, self.anti_entropy, shard.transport_seed
+                    )
+        except BaseException:
+            await self.aclose()
+            raise
 
     async def aclose(self) -> None:
         """Tear the deployment down (closes sockets in TCP mode; idempotent)."""
-        for service in self._gossip:
-            await service.aclose()
-        self._gossip = []
+        for shard in self.shards:
+            if shard.gossip is not None:
+                await shard.gossip.aclose()
+                shard.gossip = None
         if self.transport_mode != "tcp":
             return
+        await super().aclose()
         for shard in self.shards:
-            if isinstance(shard.transport, TcpTransport):
-                await shard.transport.aclose()
-            if shard.server is not None:
-                await shard.server.aclose()
-        self._started = False
-
-    async def __aenter__(self) -> "ShardedDeployment":
-        await self.start()
-        return self
-
-    async def __aexit__(self, *exc_info: Any) -> None:
-        await self.aclose()
+            await shard.server.aclose()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return (

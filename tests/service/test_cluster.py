@@ -26,6 +26,7 @@ from repro.core.masking import ProbabilisticMaskingSystem
 from repro.exceptions import ConfigurationError
 from repro.service.cluster import ClusterDeployment, partition_load
 from repro.service.load import ServiceLoadSpec
+from repro.service.net import TcpTransport
 from repro.simulation.scenario import ScenarioSpec
 
 
@@ -148,6 +149,42 @@ class TestClusterLifecycle:
         run(main())
 
 
+    def test_client_connect_failure_reaps_the_spawned_servers(self, monkeypatch):
+        """The wiring that can fail sits inside the one ``try`` that cleans
+        up: when the second shard's client transport cannot connect, every
+        server process already spawned is reaped before the error escapes
+        ``async with`` (whose ``__aexit__`` never runs for a failed enter)."""
+        deployment = (
+            Deployment.builder(scenario())
+            .processes(1)
+            .shards(2)
+            .deadline(2.0)
+            .seed(23)
+            .build()
+        )
+        seen = {"connects": 0, "pids": []}
+        real_connect = TcpTransport.connect
+
+        async def failing_connect(transport, *args, **kwargs):
+            seen["connects"] += 1
+            if seen["connects"] == 2:
+                seen["pids"] = list(deployment.sharded.pids)
+                raise OSError("injected connect failure")
+            return await real_connect(transport, *args, **kwargs)
+
+        monkeypatch.setattr(TcpTransport, "connect", failing_connect)
+
+        async def main():
+            with pytest.raises(OSError, match="injected connect failure"):
+                async with deployment:
+                    pass  # pragma: no cover - the enter itself fails
+            assert deployment.sharded.processes_alive == 0
+
+        run(main())
+        assert len(seen["pids"]) == 2
+        assert_no_orphans(seen["pids"])
+
+
 class TestClusterFacade:
     def test_api_processes_builds_a_cluster_with_locks(self):
         async def main():
@@ -211,8 +248,7 @@ class TestPartitionLoad:
 
     def test_partition_reassembles_the_global_workload(self):
         spec = self.spec(processes=3)
-        addresses = [("127.0.0.1", 1), ("127.0.0.1", 2)]
-        configs = partition_load(spec, addresses, random.Random(1))
+        configs = partition_load(spec)
         assert len(configs) == 3
         # Keys: disjoint cover of the global key list, global ranks intact.
         all_ranks = sorted(rank for c in configs for rank in c.key_ranks)
@@ -236,7 +272,7 @@ class TestPartitionLoad:
 
     def test_single_worker_owns_everything(self):
         spec = self.spec(processes=1)
-        (config,) = partition_load(spec, [("h", 1), ("h", 2)], random.Random(2))
+        (config,) = partition_load(spec)
         assert list(config.key_ranks) == list(range(spec.keys))
         assert list(config.versions) == list(range(spec.writes))
         assert config.readers == spec.clients

@@ -9,6 +9,10 @@ Three contracts pin the subsystem to the load harness:
   classifications reconcile *exactly* with the merged report's outcome
   counters — no lost, double-counted or mislabelled operation, in-process
   and across a 2-shard multi-process cluster;
+* **report parity** — the one load driver produces the same *kind* of
+  report whatever the process count: same metric components, the
+  negotiated codec, and no second set of client connections at
+  ``processes=1``;
 * **ε-monitor** — zero alerts under the benign conformance scenario
   (ε = 0 exactly for the 24-of-36 system), and provable firing when an
   injected forger regime pushes the observed error rate past ε + slack.
@@ -88,6 +92,7 @@ class TestSpecKnobs:
         assert report.traces == []
         assert report.epsilon_monitor is None
         assert report.epsilon_alerts == []
+        assert report.codec == "json"  # in process nothing is negotiated
 
 
 class TestZeroDivergence:
@@ -169,6 +174,60 @@ class TestReconciliation:
         assert report.epsilon_monitor is not None
         assert report.epsilon_monitor["observed"] == report.reads_completed
         assert report.epsilon_alerts == []
+
+
+class TestReportParity:
+    def report(self, processes: int):
+        return run_service_load(
+            small_spec(
+                clients=6,
+                reads_per_client=3,
+                writes=6,
+                keys=4,
+                shards=2,
+                processes=processes,
+                transport="tcp",
+                codec="binary",
+                seed=3,
+            )
+        )
+
+    def test_report_parity_across_process_counts(self):
+        from repro.obs.metrics import merge_snapshots
+
+        reports = {processes: self.report(processes) for processes in (0, 1, 2)}
+        components = {
+            processes: {
+                snapshot["labels"]["component"] for snapshot in report.metrics
+            }
+            for processes, report in reports.items()
+        }
+        assert components[0] == components[1] == components[2]
+        assert "load-harness" in components[0]
+        for processes, report in reports.items():
+            harness = [
+                snapshot
+                for snapshot in report.metrics
+                if snapshot["labels"]["component"] == "load-harness"
+            ]
+            # One harness snapshot per driven slice, labelled with its worker.
+            assert sorted(snapshot["labels"]["worker"] for snapshot in harness) == list(
+                range(max(1, processes))
+            )
+            assert all("probe_fallback_ops" in h["counters"] for h in harness)
+            assert all("fresh_read_fraction" in h["gauges"] for h in harness)
+            # The codec the connections negotiated, in every shape.
+            assert report.codec == "binary"
+            assert report.reads_completed == 18 and report.writes_completed == 6
+        accepted = {
+            processes: merge_snapshots(report.metrics)["counters"][
+                "server_connections_accepted"
+            ]
+            for processes, report in reports.items()
+        }
+        # processes=1 drives the load on the cluster deployment's own
+        # transports: no second client pool beside them.
+        assert accepted[1] == accepted[0]
 
 
 class TestEpsilonMonitor:

@@ -186,6 +186,39 @@ class TestShardedDeployment:
 
         run(scenario())
 
+    def test_client_connect_failure_stops_the_started_servers(self, monkeypatch):
+        """A ``start()`` that fails at the client-side connect of the second
+        shard leaves no in-loop socket server listening behind it."""
+        from repro.api import Deployment
+        from repro.service.net import TcpTransport
+
+        connects = []
+        real_connect = TcpTransport.connect
+
+        async def failing_connect(transport, *args, **kwargs):
+            connects.append(transport)
+            if len(connects) == 2:
+                raise OSError("injected connect failure")
+            return await real_connect(transport, *args, **kwargs)
+
+        monkeypatch.setattr(TcpTransport, "connect", failing_connect)
+        deployment = (
+            Deployment.builder(SCENARIO).transport("tcp").shards(2).seed(9).build()
+        )
+
+        async def scenario():
+            with pytest.raises(OSError, match="injected connect failure"):
+                async with deployment:
+                    pass  # pragma: no cover - the enter itself fails
+            assert [shard.server.serving for shard in deployment.sharded.shards] == [
+                False,
+                False,
+            ]
+            with pytest.raises(ConfigurationError, match="start"):
+                deployment.connect()
+
+        run(scenario())
+
     def test_clients_require_a_started_tcp_deployment(self):
         deployment = ShardedDeployment(SCENARIO, transport="tcp", rng=random.Random(9))
         with pytest.raises(ConfigurationError, match="start"):
