@@ -16,13 +16,11 @@ model the strongest possible fabrication attack.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import total_ordering
 from typing import Optional
 
 from repro.exceptions import ProtocolError
 
 
-@total_ordering
 @dataclass(frozen=True)
 class Timestamp:
     """A totally ordered (counter, writer) pair.
@@ -46,6 +44,24 @@ class Timestamp:
         if not isinstance(other, Timestamp):
             return NotImplemented
         return (self.counter, self.writer_id) < (other.counter, other.writer_id)
+
+    # Spelled out rather than derived by ``functools.total_ordering``: gossip,
+    # selection and read-repair compare timestamps on every hot path, and the
+    # derived methods cost an extra call plus an ``__eq__`` per comparison.
+    def __gt__(self, other: "Timestamp") -> bool:
+        if not isinstance(other, Timestamp):
+            return NotImplemented
+        return (self.counter, self.writer_id) > (other.counter, other.writer_id)
+
+    def __le__(self, other: "Timestamp") -> bool:
+        if not isinstance(other, Timestamp):
+            return NotImplemented
+        return (self.counter, self.writer_id) <= (other.counter, other.writer_id)
+
+    def __ge__(self, other: "Timestamp") -> bool:
+        if not isinstance(other, Timestamp):
+            return NotImplemented
+        return (self.counter, self.writer_id) >= (other.counter, other.writer_id)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Timestamp):

@@ -56,21 +56,19 @@ class NodeClusterView:
     crashed mid-run stops pushing and receiving on the next round.
     """
 
-    __slots__ = ("_nodes",)
+    __slots__ = ("_nodes", "servers")
 
     def __init__(self, nodes: Sequence[ServiceNode]) -> None:
         self._nodes = list(nodes)
+        #: The nodes' replica servers; a node keeps its server for life.
+        self.servers: List[Any] = [node.server for node in self._nodes]
 
     @property
     def n(self) -> int:
         return len(self._nodes)
 
-    @property
-    def servers(self) -> List[Any]:
-        return [node.server for node in self._nodes]
-
     def server(self, server_id: ServerId) -> Any:
-        return self._nodes[server_id].server
+        return self.servers[server_id]
 
     def correct_servers(self) -> Set[ServerId]:
         return {

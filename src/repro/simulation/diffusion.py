@@ -13,6 +13,9 @@ peers, which adopt it when the timestamp is newer.  Crashed servers neither
 push nor receive; Byzantine servers ignore gossip (the most adversarial
 choice for freshness) but their own pushes are also ignored by correct
 servers when ``verify`` rejects their payloads (self-verifying data).
+A round skips only pushes that cannot adopt (see
+:meth:`DiffusionEngine.run_round`), so its peers, adoptions and message
+count are those of the plain merge-every-push loop.
 
 The ablation benchmark ``benchmarks/test_ablation_diffusion.py`` measures
 how quickly the fraction of up-to-date servers approaches one as rounds
@@ -22,7 +25,7 @@ accumulate, which is the mechanism behind the paper's claim.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Iterable, List, Optional, Set
+from typing import Callable, Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -73,36 +76,67 @@ class DiffusionEngine:
         self.rng = rng or random.Random(0)
         self.rounds_run = 0
         self.messages_pushed = 0
+        #: Per-server peer candidates: every other server id.
+        self._candidates: List[List[ServerId]] = [
+            [s for s in range(cluster.n) if s != server.server_id]
+            for server in cluster.servers
+        ]
 
     # -- core gossip --------------------------------------------------------------
 
     def run_round(self, variables: Optional[Iterable[str]] = None) -> int:
-        """Run one gossip round; return how many replicas adopted a newer value."""
+        """Run one gossip round; return how many replicas adopted a newer value.
+
+        Every correct server, in server order, draws ``fanout`` distinct
+        peers and pushes each of its (verified) copies to all of them; a
+        correct peer adopts a copy iff its own is missing or older.  The
+        loop skips only work that provably moves nothing — a peer that
+        already holds the identical record, and a variable every correct
+        replica already holds at one timestamp — so peers, adoptions,
+        ``messages_pushed`` and the RNG stream are those of the plain loop.
+        """
         adopted = 0
         if self.fanout == 0:
             # fanout=0 is the identity: a round happens, nothing moves.
             self.rounds_run += 1
             return adopted
-        server_ids = list(range(self.cluster.n))
-        for server in self.cluster.servers:
-            if server.is_crashed or server.is_byzantine:
+        # Crashed and Byzantine servers neither push nor accept gossip.
+        receivers: List[Optional[Dict[str, StoredValue]]] = [
+            None if server.is_crashed or server.is_byzantine else server.storage
+            for server in self.cluster.servers
+        ]
+        open_storages = [storage for storage in receivers if storage is not None]
+        fixed_names = list(variables) if variables is not None else None
+        settled: Dict[str, bool] = {}
+        sample, fanout, verify = self.rng.sample, self.fanout, self.verify
+        for storage, candidates in zip(receivers, self._candidates):
+            if storage is None:
                 continue
-            names = list(variables) if variables is not None else list(server.storage)
+            names = fixed_names if fixed_names is not None else list(storage)
             if not names:
                 continue
-            peers = self.rng.sample(
-                [s for s in server_ids if s != server.server_id], self.fanout
-            )
+            targets = [receivers[peer] for peer in sample(candidates, fanout)]
             for variable in names:
-                stored = server.storage.get(variable)
+                stored = storage.get(variable)
                 if stored is None:
                     continue
-                if self.verify is not None and not self.verify(variable, stored):
+                if verify is not None and not verify(variable, stored):
                     continue
-                for peer_id in peers:
-                    self.messages_pushed += 1
-                    peer = self.cluster.server(peer_id)
-                    if peer.merge(variable, stored):
+                self.messages_pushed += fanout
+                quiet = settled.get(variable)
+                if quiet is None:
+                    quiet = settled[variable] = _settled(open_storages, variable)
+                if quiet:
+                    continue
+                timestamp = stored.timestamp
+                for target in targets:
+                    if target is None:
+                        continue
+                    current = target.get(variable)
+                    if current is stored:
+                        continue
+                    if current is None or timestamp > current.timestamp:
+                        target[variable] = stored
                         adopted += 1
         self.rounds_run += 1
         return adopted
@@ -155,6 +189,26 @@ class DiffusionEngine:
             self.run_round([variable])
             profile.append(self.coverage(variable, value))
         return profile
+
+
+def _settled(storages: List[Dict[str, StoredValue]], variable: str) -> bool:
+    """Whether every storage (at least one) holds ``variable`` at one timestamp.
+
+    A push of a settled variable between these replicas can never adopt
+    (adoption needs a strictly newer timestamp), and since nothing adopts
+    it the variable stays settled for the rest of the round.
+    """
+    first = storages[0].get(variable)
+    if first is None:
+        return False
+    timestamp = first.timestamp
+    for storage in storages:
+        current = storage.get(variable)
+        if current is None:
+            return False
+        if current is not first and current.timestamp != timestamp:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

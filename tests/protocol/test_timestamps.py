@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import operator
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -50,6 +52,40 @@ class TestTimestamp:
         assert (a < b) or (b < a) or (a == b)
         # Antisymmetry.
         assert not ((a < b) and (b < a))
+
+    @given(
+        st.integers(min_value=0, max_value=5),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=5),
+        st.integers(min_value=0, max_value=3),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_six_comparisons_follow_tuple_order(self, c1, w1, c2, w2):
+        a, b = Timestamp(c1, w1), Timestamp(c2, w2)
+        x, y = (c1, w1), (c2, w2)
+        assert (a < b) == (x < y)
+        assert (a <= b) == (x <= y)
+        assert (a > b) == (x > y)
+        assert (a >= b) == (x >= y)
+        assert (a == b) == (x == y)
+        assert (a != b) == (x != y)
+
+    @pytest.mark.parametrize("name", ["lt", "le", "gt", "ge"])
+    def test_ordering_against_other_types_is_not_implemented(self, name):
+        stamp = Timestamp(1, 0)
+        assert getattr(stamp, f"__{name}__")((1, 0)) is NotImplemented
+        with pytest.raises(TypeError):
+            getattr(operator, name)(stamp, 1)
+
+    @given(
+        st.integers(min_value=0, max_value=2**62 - 1),
+        st.integers(min_value=0, max_value=2**30),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_forged_maximum_outranks_every_honest_timestamp(self, counter, writer):
+        honest, forged = Timestamp(counter, writer), Timestamp.forged_maximum()
+        assert forged > honest and forged >= honest
+        assert honest < forged and honest <= forged and honest != forged
 
 
 class TestTimestampGenerator:

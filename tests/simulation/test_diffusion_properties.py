@@ -13,6 +13,11 @@ vectorised batch kernel
   verification rejects it (object engine) / when its holder is
   ineligible (batch kernel);
 * ``fanout=0`` is the identity.
+
+The object engine additionally skips variables every correct replica
+already holds at one timestamp; a round over such a settled cluster must
+adopt nothing, leave every stored record the identical object, and still
+count its rounds and pushes.
 """
 
 from __future__ import annotations
@@ -117,6 +122,40 @@ class TestEngineProperties:
             server: cluster.server(server).storage.get("x") for server in range(n)
         }
         assert after == before
+
+    @given(
+        n=st.integers(min_value=3, max_value=20),
+        fanout=st.integers(min_value=1, max_value=4),
+        variables=st.integers(min_value=1, max_value=5),
+        crash_fraction=st.floats(min_value=0.0, max_value=0.4),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_settled_round_moves_nothing(
+        self, n, fanout, variables, crash_fraction, seed
+    ):
+        # Every correct replica holds the same timestamp for every variable
+        # (as distinct objects, some with a different value); crashed ones
+        # hold older copies.  Nothing can adopt, yet the round still runs
+        # and every correct server still pushes every variable.
+        rng = random.Random(seed)
+        fanout = min(fanout, n - 1)
+        cluster = Cluster(n, failure_plan=crashed_plan(n, crash_fraction, rng), seed=seed)
+        names = [f"k{index}" for index in range(variables)]
+        for server in cluster.servers:
+            for index, name in enumerate(names):
+                counter = 1 if server.is_crashed else index + 2
+                value = rng.choice(["a", "b"])
+                server.storage[name] = StoredValue(value, Timestamp(counter, 0))
+        before = [dict(server.storage) for server in cluster.servers]
+        engine = DiffusionEngine(cluster, fanout=fanout, rng=random.Random(seed))
+        assert engine.run_round() == 0
+        for server, storage in zip(cluster.servers, before):
+            assert server.storage.keys() == storage.keys()
+            assert all(server.storage[name] is storage[name] for name in storage)
+        assert engine.rounds_run == 1
+        correct = len(cluster.correct_servers())
+        assert engine.messages_pushed == correct * fanout * variables
 
 
 def random_state(n, trials, seed, forged_servers=0):
