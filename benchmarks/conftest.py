@@ -6,23 +6,13 @@ be compared against the published numbers (see EXPERIMENTS.md).  Run with::
 
     pytest benchmarks/ --benchmark-only -s
 
-Performance-trajectory benchmarks additionally record their numbers into the
-top-level ``BENCH_service.json`` through the :func:`bench_record` fixture.
-The committed copy of that file is the perf baseline of record; CI
-regenerates it, uploads it as an artifact and *warns* (never fails) when a
-freshly measured entry regresses more than 20% against the committed one —
-see ``benchmarks/compare_bench.py``.
+Nothing here asserts an ops/s floor or writes a file: service
+performance is measured by the repo benchmark under ``bench/``.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
-
 import pytest
-
-#: The perf-trajectory file at the repository top level.
-BENCH_FILE = pathlib.Path(__file__).resolve().parent.parent / "BENCH_service.json"
 
 
 def pytest_configure(config):
@@ -42,37 +32,3 @@ def report_sink(capsys):
             print("\n" + text)
 
     return emit
-
-
-@pytest.fixture
-def bench_record():
-    """Merge one named measurement into the top-level ``BENCH_service.json``.
-
-    ``bench_record(name, payload)`` reads the current file (tolerating a
-    missing or corrupt one), replaces the ``name`` entry under ``"benches"``
-    and rewrites the file with stable key order, so repeated runs produce
-    minimal diffs against the committed baseline.
-
-    Every entry is stamped with its ``instrumentation`` mode (``"off"``
-    unless the payload says otherwise): a benchmark run with quorum tracing
-    enabled measures a different code path, and ``compare_bench.py``
-    refuses to compare entries across instrumentation modes rather than
-    report the tracing overhead as a perf regression.
-    """
-
-    def record(name: str, payload: dict) -> None:
-        payload = dict(payload)
-        payload.setdefault("instrumentation", "off")
-        document = {"schema": 1, "benches": {}}
-        if BENCH_FILE.exists():
-            try:
-                loaded = json.loads(BENCH_FILE.read_text())
-            except (OSError, ValueError):
-                loaded = {}
-            if isinstance(loaded.get("benches"), dict):
-                document["benches"] = loaded["benches"]
-        document["benches"][name] = payload
-        document["benches"] = dict(sorted(document["benches"].items()))
-        BENCH_FILE.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-
-    return record

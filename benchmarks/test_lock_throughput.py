@@ -1,13 +1,10 @@
-"""Benchmark: lock-service throughput and coordination safety under faults.
+"""Lock-service soaks: coordination safety under faults, never wall-clock.
 
 Three workloads exercise the quorum-backed lock service
 (:mod:`repro.apps.mutex`):
 
-* **contended throughput** — 8 in-process contenders cycling over 2 shared
-  lock names; grants/s, wait-time percentiles and the Jain fairness index
-  go to ``BENCH_service.json``.  Lock throughput is tracked **warn-only**
-  (the ``compare_bench.py`` trajectory), never asserted: wall-clock floors
-  on a contended lock would gate merges on scheduler noise.
+* **contended** — 8 in-process contenders cycling over 2 shared lock
+  names: every acquisition is granted, nobody starves.
 * **coordination soak, in-process** — the serve experiment's Byzantine
   scenario (colluding forgers below the masking threshold) plus rolling
   live crash churn.  Safety expectations, both *blocking*: **zero double
@@ -21,28 +18,14 @@ Three workloads exercise the quorum-backed lock service
   sockets with wall-clock deadlines.
 
 The two soaks are the blocking ``coordination-safety`` CI job (run with
-``-k soak``); the throughput bench feeds the non-blocking perf artifact.
+``-k soak``).
 """
 
 from __future__ import annotations
 
-import os
-
 from repro.apps.mutex import LockLoadSpec, run_lock_load
 from repro.experiments.serve import serve_scenario
 from repro.service.load import FaultInjectionSpec
-
-
-def machine_fields(spec) -> dict:
-    """Schema fields every service bench entry records (codec, processes,
-    cpu_count) so ``BENCH_service.json`` stays comparable across machines.
-    Lock loads always run the in-loop JSON path; the ``getattr`` spelling
-    keeps the schema stable if :class:`LockLoadSpec` ever grows the knobs."""
-    return {
-        "codec": getattr(spec, "codec", "json"),
-        "processes": getattr(spec, "processes", 0),
-        "cpu_count": os.cpu_count() or 1,
-    }
 
 
 def contended_spec(**overrides) -> LockLoadSpec:
@@ -73,32 +56,11 @@ def check_coordination_safety(report) -> None:
     assert report.releases == report.grants
 
 
-def test_lock_throughput_contended(report_sink, bench_record):
+def test_lock_throughput_contended(report_sink):
     report = run_lock_load(contended_spec())
     check_coordination_safety(report)
     assert report.grants == 24
     assert report.starved_clients == 0
-    bench_record(
-        "lock_throughput_inproc",
-        {
-            **machine_fields(report.spec),
-            "clients": report.spec.clients,
-            "locks": report.spec.locks,
-            "grants": report.grants,
-            "ops_per_second": round(report.throughput, 1),
-            "elapsed_seconds": round(report.elapsed, 4),
-            "wait_time_seconds": {
-                "p50": report.wait_time(0.50),
-                "p90": report.wait_time(0.90),
-                "p99": report.wait_time(0.99),
-            },
-            "jain_fairness": round(report.fairness, 4),
-            "refused_requests": report.refused_requests,
-            "verify_back_offs": report.back_offs,
-            "double_grants": report.double_grants,
-            "fabricated_records": report.fabricated_records,
-        },
-    )
     report_sink(report.render())
 
 
@@ -128,24 +90,11 @@ def run_soak(transport: str):
     return run_lock_load(spec)
 
 
-def test_coordination_soak_inproc(report_sink, bench_record):
+def test_coordination_soak_inproc(report_sink):
     report = run_soak("inproc")
     check_coordination_safety(report)
     assert report.injected_crashes > 0
     assert report.starved_clients == 0
-    bench_record(
-        "lock_soak_inproc",
-        {
-            **machine_fields(report.spec),
-            "transport": "inproc",
-            "grants_per_second": round(report.throughput, 1),
-            "double_grants": report.double_grants,
-            "fabricated_records": report.fabricated_records,
-            "verify_back_offs": report.back_offs,
-            "injected_crashes": report.injected_crashes,
-            "jain_fairness": round(report.fairness, 4),
-        },
-    )
     report_sink(report.render())
 
 

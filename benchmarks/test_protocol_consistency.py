@@ -67,7 +67,7 @@ def test_protocol_consistency(benchmark, report_sink):
     report_sink("\n".join(lines))
 
 
-def test_masking_batch_speedup(report_sink, bench_record):
+def test_masking_batch_speedup(report_sink):
     """The batch engine beats the sequential oracle >= 20x on the masking scenario."""
     spec = theorem_scenarios(n=N, b=B)["masking"]
     trials = 400
@@ -87,16 +87,6 @@ def test_masking_batch_speedup(report_sink, bench_record):
     report_sink(
         f"Masking consistency at {trials} trials: sequential {sequential_s:.3f}s, "
         f"batch {batch_s * 1000:.1f}ms ({speedup:.0f}x)"
-    )
-    bench_record(
-        "consistency_masking_engines",
-        {
-            "trials": trials,
-            "sequential_seconds": round(sequential_s, 4),
-            "batch_seconds": round(batch_s, 4),
-            "batch_trials_per_second": round(trials / batch_s, 1),
-            "speedup": round(speedup, 1),
-        },
     )
     assert batch.trials == sequential.trials == trials
     assert speedup >= 20.0

@@ -27,9 +27,8 @@ suite pins down: registers route through
 :class:`~repro.service.sharding.ShardedAsyncRegisterClient` (the scenario's
 protocol per key, shared deterministic selection), and lock handles are
 :class:`~repro.apps.mutex.AsyncQuorumMutex` over the same quorum clients.
-The builder's knob names (``deadline``, ``seed``, ``dispatch``,
-``selection``, ``codec``, ``processes``, ``anti_entropy``) are the
-canonical spellings used across
+The builder's knob names (``deadline``, ``seed``, ``codec``,
+``processes``, ``anti_entropy``) are the canonical spellings used across
 :class:`~repro.service.client.AsyncQuorumClient`,
 :class:`~repro.service.sharding.ShardedDeployment` and
 :class:`~repro.service.load.ServiceLoadSpec`.
@@ -41,9 +40,8 @@ import random
 from typing import Any, Optional
 
 from repro.exceptions import ConfigurationError
-from repro.service.client import DEFAULT_QUORUM_POOL, SELECTION_MODES
+from repro.service.client import DEFAULT_QUORUM_POOL
 from repro.service.cluster import deploy
-from repro.service.dispatch import DISPATCH_MODES
 from repro.service.sharding import TRANSPORT_MODES, ShardedAsyncRegisterClient
 from repro.service.wire import WIRE_CODECS
 from repro.simulation.scenario import AntiEntropySpec, ScenarioSpec
@@ -70,8 +68,6 @@ class DeploymentBuilder:
         self._shards = 1
         self._deadline: Optional[float] = 0.05
         self._seed: Optional[int] = None
-        self._dispatch = "batched"
-        self._selection = "strategy"
         self._latency = 0.0
         self._jitter = 0.0
         self._drop_probability = 0.0
@@ -107,24 +103,6 @@ class DeploymentBuilder:
     def seed(self, seed: int) -> "DeploymentBuilder":
         """Root seed: failure sampling, transport noise and client RNGs."""
         self._seed = int(seed)
-        return self
-
-    def dispatch(self, mode: str) -> "DeploymentBuilder":
-        """``"batched"`` (coalescing fast path) or ``"per-rpc"`` (the oracle)."""
-        if mode not in DISPATCH_MODES:
-            raise ConfigurationError(
-                f"unknown dispatch mode {mode!r}; choose from {DISPATCH_MODES}"
-            )
-        self._dispatch = mode
-        return self
-
-    def selection(self, mode: str) -> "DeploymentBuilder":
-        """``"strategy"`` (ε-faithful) or ``"latency-aware"`` (benign only)."""
-        if mode not in SELECTION_MODES:
-            raise ConfigurationError(
-                f"unknown selection mode {mode!r}; choose from {SELECTION_MODES}"
-            )
-        self._selection = mode
         return self
 
     def conditions(
@@ -261,8 +239,6 @@ class Deployment:
         self._rng = random.Random(builder._seed)
         self.scenario = builder._scenario
         self.deadline = builder._deadline
-        self.dispatch = builder._dispatch
-        self.selection = builder._selection
         self.quorum_pool = builder._quorum_pool
         self.processes = builder._processes
         self.trace_sample = builder._trace_sample
@@ -276,8 +252,6 @@ class Deployment:
             latency=builder._latency,
             jitter=builder._jitter,
             drop_probability=builder._drop_probability,
-            dispatch=builder._dispatch,
-            latency_tracking=builder._selection == "latency-aware",
             rng=self._rng,
             anti_entropy=builder._anti_entropy,
         )
@@ -366,7 +340,6 @@ class Deployment:
         return self.sharded.new_register_client(
             rng,
             deadline=self.deadline,
-            selection=self.selection,
             quorum_pool=self.quorum_pool,
             writer_id=writer_id,
         )
@@ -406,7 +379,6 @@ class Deployment:
             shard,
             rng=random.Random(rng.randrange(2**63)),
             deadline=self.deadline,
-            selection=self.selection,
             quorum_pool=self.quorum_pool,
             client_id=f"lock:{name}:{client_id}",
         )

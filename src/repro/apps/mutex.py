@@ -45,8 +45,7 @@ from repro.exceptions import ConfigurationError, ProtocolError, QuorumUnavailabl
 from repro.protocol.timestamps import Timestamp
 from repro.rngs import fresh_rng
 from repro.protocol.variable import ReadOutcome
-from repro.service.client import DEFAULT_QUORUM_POOL, SELECTION_MODES
-from repro.service.dispatch import DISPATCH_MODES
+from repro.service.client import DEFAULT_QUORUM_POOL
 from repro.service.load import FaultInjectionSpec, _percentile, inject_faults
 from repro.service.register import AsyncRegister, async_register_for
 from repro.service.sharding import TRANSPORT_MODES, ShardedDeployment
@@ -403,7 +402,7 @@ class LockLoadSpec:
     ``fault_injection`` on top of the scenario's static failures — the
     lock-service analogue of
     :class:`~repro.service.load.ServiceLoadSpec`, sharing its kwarg
-    spellings (``deadline``, ``seed``, ``dispatch``, ``selection``).
+    spellings (``deadline``, ``seed``, ``quorum_pool``).
     """
 
     scenario: ScenarioSpec
@@ -420,8 +419,6 @@ class LockLoadSpec:
     deadline: Optional[float] = 0.05
     fault_injection: FaultInjectionSpec = field(default_factory=FaultInjectionSpec)
     transport: str = "inproc"
-    dispatch: str = "batched"
-    selection: str = "strategy"
     quorum_pool: int = DEFAULT_QUORUM_POOL
     seed: int = 0
 
@@ -464,14 +461,6 @@ class LockLoadSpec:
             raise ConfigurationError(
                 "deadline=None is refused over transport='tcp' (a silent "
                 "replica would block the caller forever)"
-            )
-        if self.dispatch not in DISPATCH_MODES:
-            raise ConfigurationError(
-                f"unknown dispatch mode {self.dispatch!r}; choose from {DISPATCH_MODES}"
-            )
-        if self.selection not in SELECTION_MODES:
-            raise ConfigurationError(
-                f"unknown selection mode {self.selection!r}; choose from {SELECTION_MODES}"
             )
 
     def lock_names(self) -> List[str]:
@@ -583,7 +572,6 @@ async def lock_load(spec: LockLoadSpec) -> LockLoadReport:
         latency=spec.latency,
         jitter=spec.jitter,
         drop_probability=spec.drop_probability,
-        dispatch=spec.dispatch,
         rng=rng,
     )
     try:
@@ -595,7 +583,6 @@ async def lock_load(spec: LockLoadSpec) -> LockLoadReport:
                 0,
                 rng=random.Random(rng.randrange(2**63)),
                 deadline=spec.deadline,
-                selection=spec.selection,
                 quorum_pool=spec.quorum_pool,
             )
             mutexes.append(

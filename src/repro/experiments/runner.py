@@ -68,8 +68,6 @@ from repro.experiments.serve import (
     run_serve,
 )
 from repro.rngs import seed_sequential
-from repro.service.client import SELECTION_MODES
-from repro.service.dispatch import DISPATCH_MODES
 from repro.service.sharding import TRANSPORT_MODES
 from repro.service.wire import WIRE_CODECS
 from repro.simulation.scenario import REGISTER_KINDS
@@ -221,8 +219,6 @@ def run_experiment(
     register_kind: str = "auto",
     clients: int = DEFAULT_CLIENTS,
     ops: int = DEFAULT_READS_PER_CLIENT,
-    dispatch: str = "batched",
-    selection: str = "strategy",
     transport: str = "inproc",
     shards: int = 1,
     keys: int = 1,
@@ -280,8 +276,6 @@ def run_experiment(
                 clients=clients,
                 reads_per_client=ops,
                 seed=seed,
-                dispatch=dispatch,
-                selection=selection,
                 transport=transport,
                 shards=shards,
                 keys=keys,
@@ -379,22 +373,6 @@ def main(argv: List[str] = None) -> int:
         default=DEFAULT_READS_PER_CLIENT,
         help="reads each serve client issues "
         f"(default: {DEFAULT_READS_PER_CLIENT})",
-    )
-    parser.add_argument(
-        "--dispatch",
-        default="batched",
-        choices=DISPATCH_MODES,
-        help="serve RPC path: coalesced 'batched' fast path or the original "
-        "'per-rpc' oracle (default: batched)",
-    )
-    parser.add_argument(
-        "--selection",
-        default="strategy",
-        choices=SELECTION_MODES,
-        help="serve quorum selection: 'strategy' is ε-faithful; "
-        "'latency-aware' biases toward fast replicas and voids the ε "
-        "guarantee, so serve then deploys the Byzantine-free crash variant "
-        "of its scenario (default: strategy)",
     )
     parser.add_argument(
         "--transport",
@@ -535,8 +513,6 @@ def main(argv: List[str] = None) -> int:
             register_kind=args.register_kind,
             clients=args.clients,
             ops=args.ops,
-            dispatch=args.dispatch,
-            selection=args.selection,
             transport=args.transport,
             shards=args.shards,
             keys=args.keys,

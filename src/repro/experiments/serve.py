@@ -47,9 +47,7 @@ def serve_scenario(
     The defaults put the threshold strictly above the adversary
     (``k = 5 > b = 3``), so the zero-fabrication safety check is a theorem,
     not a statistical accident.  ``byzantine=False`` swaps the colluding
-    forgers for the same number of benign crashes — the variant deployed
-    under latency-aware selection, which the spec layer (correctly) refuses
-    to combine with a Byzantine adversary.
+    forgers for the same number of benign crashes.
     """
     system = ProbabilisticMaskingSystem(n, quorum_size, b)
     if system.read_threshold <= b:
@@ -73,8 +71,6 @@ def serve_load_spec(
     writes: int = DEFAULT_WRITES,
     seed: int = 0,
     scenario: ScenarioSpec = None,
-    dispatch: str = "batched",
-    selection: str = "strategy",
     transport: str = "inproc",
     shards: int = 1,
     keys: int = 1,
@@ -89,9 +85,7 @@ def serve_load_spec(
 ) -> ServiceLoadSpec:
     """The full soak configuration: forgers + drops + latency + live churn.
 
-    ``dispatch`` picks the RPC path (``batched`` coalesced fast path, the
-    default, or the original ``per-rpc`` oracle); ``selection`` picks the
-    quorum-selection mode.  ``transport`` moves the same soak between the
+    ``transport`` moves the same soak between the
     simulated in-process message layer and real localhost TCP sockets;
     ``shards``/``keys``/``key_skew`` spread it over a multi-register
     sharded deployment (each shard its own replica group and failure plan).
@@ -101,13 +95,6 @@ def serve_load_spec(
     many concurrent writer clients (each under its own writer identity);
     ``contention`` is the probability a multi-key write is redirected to
     the hottest key, colliding the writers on one register.
-
-    The default soak deploys Byzantine forgers, which
-    :class:`~repro.service.load.ServiceLoadSpec` refuses to combine with
-    ``latency-aware`` selection (the ε accounting would be void) — so with
-    ``selection="latency-aware"`` and no explicit ``scenario`` the
-    Byzantine-free crash variant of the scenario is deployed instead.  An
-    explicitly passed Byzantine ``scenario`` still raises.
 
     ``codec`` picks the TCP wire codec (``"json"`` or the struct-packed
     ``"binary"``, negotiated per connection).  ``processes > 0`` moves the
@@ -132,7 +119,7 @@ def serve_load_spec(
     if codec != "json" or processes > 0:
         transport = "tcp"
     if scenario is None:
-        scenario = serve_scenario(byzantine=selection != "latency-aware")
+        scenario = serve_scenario()
     fault_injection = (
         FaultInjectionSpec(crash_count=0)
         if processes > 0
@@ -156,8 +143,6 @@ def serve_load_spec(
         shards=shards,
         keys=keys,
         key_skew=key_skew,
-        dispatch=dispatch,
-        selection=selection,
         writers=writers,
         contention=contention,
         codec=codec,
@@ -174,8 +159,6 @@ def run_serve(
     reads_per_client: int = DEFAULT_READS_PER_CLIENT,
     writes: int = DEFAULT_WRITES,
     seed: int = 0,
-    dispatch: str = "batched",
-    selection: str = "strategy",
     transport: str = "inproc",
     shards: int = 1,
     keys: int = 1,
@@ -230,8 +213,6 @@ def run_serve(
             reads_per_client=reads_per_client,
             writes=max(writes, keys),
             seed=seed,
-            dispatch=dispatch,
-            selection=selection,
             transport=transport,
             shards=shards,
             keys=keys,

@@ -12,14 +12,15 @@ safety under live fault injection.
   live behaviour swapping for fault injection;
 * :mod:`repro.service.transport` — message passing with latency, jitter,
   drops and deadline enforcement;
-* :mod:`repro.service.client` — the concurrent quorum client; on partial
-  failure it tops the quorum up in place, sending the operation itself to
-  as many not-yet-contacted servers as stayed silent;
-* :mod:`repro.service.dispatch` — the batched fast path: one coalesced
-  delivery event per (node, tick) and one shared deadline per operation,
-  instead of a coroutine + timer per RPC;
-* :mod:`repro.service.stats` — per-server EWMA latency tracking backing the
-  opt-in (ε-voiding, hence guarded) latency-aware quorum selection;
+* :mod:`repro.service.quorum_op` — one quorum operation as a pure state
+  machine: who is asked, which replies count, and the top-up rule that
+  sends the operation itself to as many not-yet-contacted servers as
+  stayed silent;
+* :mod:`repro.service.client` — the concurrent quorum client: draws a
+  quorum, has a driver run the op, wraps the result;
+* :mod:`repro.service.dispatch` — the driver loop and the in-process
+  driver: one coalesced delivery event per (node, tick) and one shared
+  deadline per round, instead of a coroutine + timer per RPC;
 * :mod:`repro.service.register` — async frontends for the plain (§3.1),
   dissemination (§4) and masking (§5) read protocols, labelled through the
   same classifier as both Monte-Carlo engines;
@@ -30,7 +31,7 @@ safety under live fault injection.
   :class:`TcpServiceServer` replica groups behind localhost sockets, a
   :class:`TcpTransport` implementing the same call/counter interface with
   wall-clock deadlines, per-connection writer tasks and reconnect-on-drop,
-  and the op-level :class:`TcpDispatcher` fast path;
+  and the op-level :class:`TcpDispatcher` driver;
 * :mod:`repro.service.sharding` / :mod:`repro.service.cluster` — scale-out:
   :func:`shard_for_key` routing and the one deployment spine
   (``ShardedClientAPI``) under :class:`ShardedDeployment` (servers on this
@@ -41,18 +42,12 @@ safety under live fault injection.
   processes) and ``merge_reports`` folds the per-slice reports.
 """
 
-from repro.service.client import (
-    SELECTION_MODES,
-    AsyncQuorumClient,
-    ReadRpcResult,
-    WriteRpcResult,
-)
-from repro.service.dispatch import DISPATCH_MODES, BatchedDispatcher
+from repro.service.client import AsyncQuorumClient, ReadRpcResult, WriteRpcResult
+from repro.service.dispatch import BatchedDispatcher
 from repro.service.load import (
     FaultInjectionSpec,
     ServiceLoadReport,
     ServiceLoadSpec,
-    active_loop_driver,
     classify_service_read,
     key_names,
     key_weight_cdf,
@@ -73,8 +68,8 @@ from repro.service.sharding import (
     shard_for_key,
 )
 from repro.service.wire import FrameDecoder, encode_frame, pack_value, unpack_value
-from repro.service.stats import EwmaLatencyTracker
 from repro.service.node import NO_REPLY, ServiceNode
+from repro.service.quorum_op import QuorumOp
 from repro.service.register import (
     AsyncDisseminationRegister,
     AsyncMaskingRegister,
@@ -104,10 +99,7 @@ __all__ = [
     "NO_REPLY",
     "AsyncQuorumClient",
     "BatchedDispatcher",
-    "EwmaLatencyTracker",
-    "DISPATCH_MODES",
-    "SELECTION_MODES",
-    "active_loop_driver",
+    "QuorumOp",
     "ReadRpcResult",
     "WriteRpcResult",
     "AsyncRegister",

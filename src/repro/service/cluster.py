@@ -146,8 +146,6 @@ class ClusterDeployment(ShardedClientAPI):
         latency: float = 0.0,
         jitter: float = 0.0,
         drop_probability: float = 0.0,
-        dispatch: str = "batched",
-        latency_tracking: bool = False,
         rng: Optional[random.Random] = None,
         seed: Optional[int] = None,
         host: str = "127.0.0.1",
@@ -162,8 +160,6 @@ class ClusterDeployment(ShardedClientAPI):
             latency=latency,
             jitter=jitter,
             drop_probability=drop_probability,
-            dispatch=dispatch,
-            latency_tracking=latency_tracking,
             rng=rng,
             seed=seed,
             anti_entropy=anti_entropy,
@@ -371,7 +367,7 @@ def deploy(
     always over TCP — ``transport`` and ``dispatch_window`` describe the
     in-loop shape only).  ``options`` are what the two shapes share:
     ``shards``, ``codec``, ``latency``, ``jitter``, ``drop_probability``,
-    ``dispatch``, ``latency_tracking``, ``rng`` / ``seed``, ``anti_entropy``.
+    ``rng`` / ``seed``, ``anti_entropy``.
     """
     if processes > 0:
         return ClusterDeployment(scenario, **options)

@@ -1,108 +1,96 @@
-"""Batched RPC dispatch: the coalescing fast path of the service layer.
+"""Quorum-operation drivers and the in-process one, the batched dispatcher.
 
-The per-RPC path (:meth:`repro.service.transport.AsyncTransport.call`) costs
-one coroutine, one ``asyncio.sleep`` timer and one deadline per RPC.  At
-quorum size ``q`` with a thousand concurrent clients that is thousands of
-timer handles per scheduling tick — per-*operation* bookkeeping, where the
-paper's whole point is that only per-*server* load should grow with traffic.
+A :class:`~repro.service.quorum_op.QuorumOp` decides who is asked and
+which answers count; a *driver* moves its messages and owns its deadline.
+:class:`QuorumDriver` is the loop every driver shares — run a round, let
+the op close it, run the spares it names — and ``fan_out`` is its
+one-round case.  There are two drivers: :class:`BatchedDispatcher` here,
+and the wire-level :class:`~repro.service.net.TcpDispatcher`.
 
-:class:`BatchedDispatcher` replaces that bookkeeping with per-server
-batching:
+Calling :meth:`~repro.service.transport.AsyncTransport.call` once per RPC
+costs one coroutine, one ``asyncio.sleep`` timer and one deadline per RPC.
+At quorum size ``q`` with a thousand concurrent clients that is thousands
+of timer handles per scheduling tick — per-*operation* bookkeeping, where
+the paper's whole point is that only per-*server* load should grow with
+traffic.  :class:`BatchedDispatcher` replaces that bookkeeping with
+per-server batching:
 
 * every RPC is appended to its destination node's pending bucket; the
   **first** RPC to reach a node in a scheduling window arms one delivery
   event (``call_later`` at the transport delay plus the window, or
   ``call_soon`` when both are zero) and every later RPC to the same node
   rides along — one timer per *(node, tick)*, not per RPC;
-* a fanned-out operation is one :class:`_PendingOp`: a single future the
-  caller awaits, resolved when every constituent RPC's fate is known.  An
-  operation with missed RPCs (drops, crashes, silent servers) resolves at
-  its *operation* deadline — at most one ``call_later`` per operation, armed
-  lazily and only when a miss actually happened — so the loss-free fast path
-  runs with **zero** deadline timers.
+* a round of an operation is a single future the caller awaits, resolved
+  when every constituent RPC's fate is known.  A round with missed RPCs
+  (drops, crashes, silent servers) resolves at its deadline — at most one
+  ``call_later`` per round, armed lazily and only when a miss actually
+  happened — so the loss-free fast path runs with **zero** deadline timers.
 
 The transport still decides each message's fate: drops are sampled per
 message from the transport's RNG and all failure counters
-(``calls``/``dropped``/``timed_out``) live on the transport, so a report
-reads identically in both modes.  What coalescing does change is jitter
-granularity: the delivery delay is drawn once per (node, tick) rather than
-per RPC, and RPCs joining an already-armed window are delivered with it.
-Observable semantics are preserved — a missing reply still costs the caller
-its deadline, and with no deadline the caller learns of the loss after the
+(``calls``/``dropped``/``timed_out``) live on the transport.  The delivery
+delay is drawn once per (node, tick), and RPCs joining an already-armed
+window are delivered with it.  A missing reply still costs the caller its
+deadline, and with no deadline the caller learns of the loss after the
 transport delay.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.exceptions import ConfigurationError
 from repro.service.node import NO_REPLY, ServiceNode
-from repro.service.stats import EwmaLatencyTracker
+from repro.service.quorum_op import QuorumOp
 from repro.service.transport import AsyncTransport
 from repro.types import ServerId
 
-#: The two dispatch modes the service layer exposes.
-DISPATCH_MODES = ("batched", "per-rpc")
 
+class QuorumDriver:
+    """The round loop shared by every driver; subclasses supply ``_round``.
 
-class _PendingOp:
-    """One fanned-out operation: shared reply dict, shared deadline.
-
-    The caller awaits :attr:`future`, which resolves to the
-    ``{server: payload}`` map of every RPC that answered.  ``deliver`` and
-    ``miss`` are called from flush callbacks as each constituent RPC's fate
-    becomes known; the op resolves immediately when everything answered, and
-    otherwise at ``start + timeout`` (one lazily armed timer), mirroring the
-    per-RPC path where a missing reply costs the caller its whole deadline.
+    ``_round(op, servers, method, args, timeout, trace)`` sends ``method``
+    to ``servers``, feeds each fate to ``op.on_reply`` / ``op.on_miss`` and
+    returns when the round is over (every fate known, or its deadline hit).
     """
 
-    __slots__ = (
-        "loop", "future", "replies", "timeout", "start", "remaining", "misses",
-        "trace",
-    )
+    async def run(
+        self,
+        op: QuorumOp,
+        method: str,
+        args: tuple,
+        timeout: Optional[float],
+        trace: Optional[Any] = None,
+    ) -> QuorumOp:
+        """Drive ``op`` to completion: its first round, then its top-ups."""
+        servers = op.start()
+        while servers:
+            await self._round(op, servers, method, args, timeout, trace)
+            servers = op.round_end()
+        return op
 
-    def __init__(
-        self, loop: asyncio.AbstractEventLoop, timeout: Optional[float], total: int
-    ) -> None:
-        self.loop = loop
-        self.future = loop.create_future()
-        self.replies: Dict[ServerId, Any] = {}
-        self.timeout = timeout
-        self.start = loop.time()
-        self.remaining = total
-        self.misses = 0
-        self.trace: Any = None
-
-    def deliver(self, server: ServerId, payload: Any) -> None:
-        self.replies[server] = payload
-        self.remaining -= 1
-        if self.remaining == 0:
-            self._finish()
-
-    def miss(self, server: ServerId) -> None:
-        self.misses += 1
-        self.remaining -= 1
-        if self.remaining == 0:
-            self._finish()
-
-    def _finish(self) -> None:
-        if self.misses == 0 or self.timeout is None:
-            self._resolve()
-            return
-        remaining = self.start + self.timeout - self.loop.time()
-        if remaining <= 0.0:
-            self._resolve()
-        else:
-            self.loop.call_later(remaining, self._resolve)
-
-    def _resolve(self) -> None:
-        if not self.future.done():
-            self.future.set_result(self.replies)
+    async def fan_out(
+        self,
+        servers: Sequence[ServerId],
+        method: str,
+        args: tuple,
+        timeout: Optional[float],
+        trace: Optional[Any] = None,
+    ) -> Dict[ServerId, Any]:
+        """One round: ``method`` to every listed server; map responders to
+        the payloads that arrived within ``timeout``.  A ``trace`` collects
+        one span per constituent RPC."""
+        op = await self.run(QuorumOp(servers), method, args, timeout, trace)
+        return op.replies
 
 
-class BatchedDispatcher:
+def _resolve(future: asyncio.Future) -> None:
+    if not future.done():
+        future.set_result(None)
+
+
+class BatchedDispatcher(QuorumDriver):
     """Coalescing RPC dispatch shared by every client of one deployment.
 
     Parameters
@@ -117,9 +105,6 @@ class BatchedDispatcher:
         delay before a node's bucket is flushed.  ``0.0`` (the default)
         flushes on the next loop iteration at zero latency, which already
         coalesces everything enqueued by the currently runnable tasks.
-    tracker:
-        Optional :class:`~repro.service.stats.EwmaLatencyTracker` fed with
-        per-server delivery latencies and miss penalties.
     """
 
     def __init__(
@@ -127,7 +112,6 @@ class BatchedDispatcher:
         nodes: Sequence[ServiceNode],
         transport: AsyncTransport,
         window: float = 0.0,
-        tracker: Optional[EwmaLatencyTracker] = None,
     ) -> None:
         if window < 0.0:
             raise ConfigurationError(
@@ -136,10 +120,9 @@ class BatchedDispatcher:
         self.nodes = list(nodes)
         self.transport = transport
         self.window = float(window)
-        self.tracker = tracker
-        self._pending: List[List[Tuple[_PendingOp, str, tuple]]] = [
-            [] for _ in self.nodes
-        ]
+        #: Per node: ``(op, future, start, timeout, trace, method, args)``
+        #: of every RPC awaiting the node's next flush.
+        self._pending: List[List[tuple]] = [[] for _ in self.nodes]
         self._armed: List[bool] = [False] * len(self.nodes)
         #: Delivery events fired so far (tests assert coalescing through it:
         #: with batching this is far below the RPC count).
@@ -150,42 +133,25 @@ class BatchedDispatcher:
         #: transport calls: they ride delivery events that already happened).
         self.repairs_piggybacked = 0
 
-    async def fan_out(
-        self,
-        servers: Sequence[ServerId],
-        method: str,
-        args: tuple,
-        timeout: Optional[float],
-        trace: Optional[Any] = None,
-    ) -> Dict[ServerId, Any]:
-        """Issue one logical operation: ``method`` to every listed server.
-
-        Returns the ``{server: payload}`` map of the replies that arrived
-        within the operation deadline (the batched equivalent of the per-RPC
-        path's gather-over-:meth:`~AsyncTransport.call`).  A ``trace``
-        collects one span per constituent RPC as its fate is flushed.
-        """
-        if not servers:
-            # Mirror the per-RPC oracle: an empty fan-out answers instantly.
-            return {}
+    async def _round(self, op, servers, method, args, timeout, trace) -> None:
         loop = asyncio.get_running_loop()
-        op = _PendingOp(loop, timeout, len(servers))
-        if trace is not None:
-            op.trace = trace
+        future = loop.create_future()
+        start = loop.time()
+        entry = (op, future, start, timeout, trace, method, args)
         transport = self.transport
         transport.calls += len(servers)
         pending = self._pending
         armed = self._armed
         for server in servers:
-            pending[server].append((op, method, args))
+            pending[server].append(entry)
             if not armed[server]:
                 armed[server] = True
                 delay = transport.draw_delay() + self.window
                 if delay > 0.0:
                     loop.call_later(delay, self._flush, server, loop.time() + delay)
                 else:
-                    loop.call_soon(self._flush, server, op.start)
-        return await op.future
+                    loop.call_soon(self._flush, server, start)
+        await future
 
     def enqueue_repair(
         self,
@@ -230,50 +196,58 @@ class BatchedDispatcher:
         if not bucket:
             return
         self.flushes += 1
-        node = self.nodes[server]
         transport = self.transport
         rng_draw = transport.rng.random
         drop_p = transport.drop_probability
-        handle = node.handle
-        tracker = self.tracker
-        now = bucket[0][0].loop.time() if tracker is not None else 0.0
-        for op, method, args in bucket:
+        handle = self.nodes[server].handle
+        for op, future, start, timeout, trace, method, args in bucket:
             if drop_p and rng_draw() < drop_p:
                 transport.dropped += 1
-                if op.trace is not None:
-                    op.trace.record(server, method, op.start, flush_at, "dropped")
-            elif op.timeout is not None and flush_at - op.start > op.timeout:
-                # Deadlines are judged per *operation* in simulated time: an
+                disposition = "dropped"
+            elif timeout is not None and flush_at - start > timeout:
+                # Deadlines are judged per *round* in simulated time: an
                 # RPC that rode an already-armed window was enqueued after
-                # the op that armed it, so its own delivery delay
+                # the round that armed it, so its own delivery delay
                 # (scheduled flush time minus its start) can be inside its
                 # deadline even when the window's drawn delay is not.  Using
                 # the *scheduled* flush time (not the wall clock at which
                 # this callback actually ran) keeps event-loop lag from
-                # counting against the transport's deadline, exactly as in
-                # the per-RPC path where fates follow drawn delays.
+                # counting against the transport's deadline.
                 transport.timed_out += 1
-                if op.trace is not None:
-                    op.trace.record(server, method, op.start, flush_at, "timeout")
+                disposition = "timeout"
             else:
                 reply = handle(method, *args)
                 if reply is not NO_REPLY:
-                    if tracker is not None:
-                        tracker.observe(server, now - op.start)
-                    if op.trace is not None:
-                        op.trace.record(server, method, op.start, flush_at, "ok")
-                    op.deliver(server, reply[1])
+                    if trace is not None:
+                        trace.record(server, method, start, flush_at, "ok")
+                    if op.on_reply(server, reply[1]) and not op.pending:
+                        self._settle(op, future, start, timeout)
                     continue
                 transport.timed_out += 1
-                if op.trace is not None:
-                    op.trace.record(server, method, op.start, flush_at, "silent")
-            if tracker is not None:
-                tracker.penalize(
-                    server, op.timeout if op.timeout is not None else now - op.start
-                )
-            op.miss(server)
+                disposition = "silent"
+            if trace is not None:
+                trace.record(server, method, start, flush_at, disposition)
+            if op.on_miss(server) and not op.pending:
+                self._settle(op, future, start, timeout)
         # Reuse the bucket list across ticks instead of reallocating it.
         bucket.clear()
+
+    @staticmethod
+    def _settle(
+        op: QuorumOp, future: asyncio.Future, start: float, timeout: Optional[float]
+    ) -> None:
+        """Every fate of the round is known: resolve now, or at the deadline
+        when something missed (a missing reply costs the caller its whole
+        deadline)."""
+        if op.misses == 0 or timeout is None:
+            _resolve(future)
+            return
+        loop = future.get_loop()
+        remaining = start + timeout - loop.time()
+        if remaining <= 0.0:
+            _resolve(future)
+        else:
+            loop.call_later(remaining, _resolve, future)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return (

@@ -72,7 +72,7 @@ from repro.obs.monitor import EpsilonMonitor
 from repro.obs.trace import Tracer
 from repro.protocol.classification import OUTCOME_LABELS, classify_read_outcome
 from repro.protocol.variable import ReadOutcome, WriteOutcome
-from repro.service.client import DEFAULT_QUORUM_POOL, SELECTION_MODES
+from repro.service.client import DEFAULT_QUORUM_POOL
 from repro.service.cluster import (
     ClusterClientPool,
     LoadSlice,
@@ -88,11 +88,6 @@ from repro.service.sharding import (
     validate_deployment,
 )
 from repro.simulation.scenario import AntiEntropySpec, ScenarioSpec
-
-try:  # pragma: no cover - exercised only where the optional extra is installed
-    import uvloop as _uvloop
-except ImportError:  # the `fast` extra is optional; plain asyncio is the fallback
-    _uvloop = None
 
 
 @dataclass(frozen=True)
@@ -190,18 +185,9 @@ class ServiceLoadSpec:
         Register keys the workload spreads over.
     key_skew:
         Zipf exponent of the readers' key distribution (0 = uniform).
-    dispatch:
-        ``"batched"`` (default): coalescing fast path of the active
-        transport — the in-process
-        :class:`~repro.service.dispatch.BatchedDispatcher`, or the op-level
-        :class:`~repro.service.net.TcpDispatcher` on the wire.  ``"per-rpc"``
-        is the original coroutine-per-RPC path (the semantic oracle).
-    selection:
-        ``"strategy"`` (default, ε-faithful) or ``"latency-aware"`` (EWMA
-        bias toward fast replicas; refused when the scenario deploys
-        Byzantine servers — see :mod:`repro.service.stats`).
     dispatch_window:
-        Extra coalescing time per delivery event (in-process batched mode).
+        Extra coalescing time per delivery event of the in-process
+        :class:`~repro.service.dispatch.BatchedDispatcher`.
     quorum_pool:
         Strategy quorums pre-sampled per client per block refill
         (``0`` disables pooling).
@@ -233,8 +219,6 @@ class ServiceLoadSpec:
     shards: int = 1
     keys: int = 1
     key_skew: float = 0.0
-    dispatch: str = "batched"
-    selection: str = "strategy"
     dispatch_window: float = 0.0
     quorum_pool: int = DEFAULT_QUORUM_POOL
     seed: int = 0
@@ -267,15 +251,10 @@ class ServiceLoadSpec:
     anti_entropy: Optional[AntiEntropySpec] = None
 
     def __post_init__(self) -> None:
-        # Scenario, shards, transport, codec, dispatch and anti-entropy are
-        # refused by the same check the deployments themselves run.
+        # Scenario, shards, transport, codec and anti-entropy are refused by
+        # the same check the deployments themselves run.
         validate_deployment(
-            self.scenario,
-            self.shards,
-            self.transport,
-            self.codec,
-            self.dispatch,
-            self.anti_entropy,
+            self.scenario, self.shards, self.transport, self.codec, self.anti_entropy
         )
         if self.clients < 1:
             raise ConfigurationError(f"need at least one client, got {self.clients}")
@@ -314,10 +293,6 @@ class ServiceLoadSpec:
         if not 0.0 <= self.contention <= 1.0:
             raise ConfigurationError(
                 f"contention is a probability in [0, 1], got {self.contention}"
-            )
-        if self.selection not in SELECTION_MODES:
-            raise ConfigurationError(
-                f"unknown selection mode {self.selection!r}; choose from {SELECTION_MODES}"
             )
         if self.dispatch_window < 0.0:
             raise ConfigurationError(
@@ -365,17 +340,6 @@ class ServiceLoadSpec:
                     f"{self.processes} load processes need at least that many "
                     f"reader clients, got {self.clients}"
                 )
-        if (
-            self.selection == "latency-aware"
-            and self.scenario.failure_model.byzantine_count > 0
-        ):
-            raise ConfigurationError(
-                "latency-aware selection is refused for Byzantine scenarios: the "
-                "ε accounting (Lemma 5.7's |Q ∩ B| bound) holds only for "
-                "strategy-drawn quorums, so a biased quorum voids the very "
-                "guarantee the scenario is deployed to measure; use "
-                "selection='strategy'"
-            )
 
     @property
     def total_ops(self) -> int:
@@ -421,7 +385,6 @@ class ServiceLoadSpec:
         return (
             f"ServiceLoadSpec({self.scenario.describe()}, clients={self.clients}, "
             f"reads/client={self.reads_per_client}, writes={self.writes}, "
-            f"dispatch={self.dispatch}, selection={self.selection}, "
             f"latency={self.latency}, drop={self.drop_probability}, "
             f"injected_crashes={self.fault_injection.crash_count}{extras})"
         )
@@ -453,7 +416,7 @@ class ServiceLoadReport:
     probe_fallbacks: int
     injected_crashes: int
     #: Delivery events the in-process batched dispatcher fired (0 on the
-    #: per-RPC and TCP paths); coalescing quality is roughly
+    #: TCP path); coalescing quality is roughly
     #: ``rpc_calls / dispatch_flushes``.
     dispatch_flushes: int = 0
     #: Read-repair payloads piggybacked on already-scheduled deliveries
@@ -462,10 +425,10 @@ class ServiceLoadReport:
     #: Background gossip rounds the deployment ran while the load was in
     #: flight (0 unless the anti-entropy spec gossips).
     gossip_rounds: int = 0
-    #: Which event loop drove the run ("asyncio", or "uvloop" via the
-    #: optional ``repro[fast]`` extra).  A multi-process merge keeps the
-    #: single value when every worker agrees and the per-worker list when
-    #: they differ (never silently the first worker's value).
+    #: Which event loop drove the run (always stock "asyncio").  A
+    #: multi-process merge keeps the single value when every worker agrees
+    #: and the per-worker list when they differ (never silently the first
+    #: worker's value).
     loop_driver: Any = "asyncio"
     #: Which transport carried the RPCs ("inproc" or "tcp").
     transport: str = "inproc"
@@ -710,7 +673,6 @@ async def drive_load(
         return deployment.new_register_client(
             rng,
             deadline=spec.deadline,
-            selection=spec.selection,
             quorum_pool=spec.quorum_pool,
             writer_id=writer_id,
         )
@@ -962,10 +924,6 @@ def _client_options(spec: ServiceLoadSpec, rng: random.Random) -> Dict[str, Any]
         "latency": spec.latency,
         "jitter": spec.jitter,
         "drop_probability": spec.drop_probability,
-        "dispatch": spec.dispatch,
-        # One tracker per shard (created inside the spine): the shards are
-        # independent replica groups, so latency estimates never mix.
-        "latency_tracking": spec.selection == "latency-aware",
         "rng": rng,
         "anti_entropy": spec.resolved_anti_entropy,
     }
@@ -1036,29 +994,6 @@ async def serve_load(spec: ServiceLoadSpec) -> ServiceLoadReport:
     return report
 
 
-def active_loop_driver() -> str:
-    """Which event loop :func:`run_service_load` will drive: uvloop if the
-    optional ``repro[fast]`` extra is importable, plain asyncio otherwise."""
-    return "asyncio" if _uvloop is None else "uvloop"
-
-
 def run_service_load(spec: ServiceLoadSpec) -> ServiceLoadReport:
-    """Run one service load experiment (sync entry point).
-
-    Uses ``uvloop`` when importable (``pip install repro[fast]``) and
-    silently falls back to the stock asyncio event loop otherwise; the
-    report's ``loop_driver`` records which one actually drove the load.
-    """
-    if _uvloop is None:
-        report = asyncio.run(serve_load(spec))
-    else:
-        loop = _uvloop.new_event_loop()
-        try:
-            report = loop.run_until_complete(serve_load(spec))
-        finally:
-            loop.close()
-    if spec.processes <= 1:
-        # The load ran on this loop.  With worker processes each worker
-        # recorded the loop that drove *its* slice; keep that provenance.
-        report.loop_driver = active_loop_driver()
-    return report
+    """Run one service load experiment on a fresh asyncio event loop."""
+    return asyncio.run(serve_load(spec))

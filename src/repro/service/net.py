@@ -33,14 +33,14 @@ Frames are the length-prefixed format of :mod:`repro.service.wire` under
 either codec (tagged JSON, or the struct-packed binary fast path).  Four
 request/response shapes, plus the negotiation pair::
 
-    ("mreq", op_id, (server_id, ...), method, args_tuple)   # TcpDispatcher.fan_out
+    ("mreq", op_id, (server_id, ...), method, args_tuple)   # TcpDispatcher, per round
     ("mrsp", op_id, (((server_id, ...), reply_envelope), ...))
     ("req", request_id, server_id, method, args_tuple)      # TcpTransport.call, repairs
     ("rsp", request_id, reply_envelope)
     ("hello", [codec, ...]) / ("hello", chosen)             # codec negotiation
 
 A quorum operation is **one frame each way**: every replica of a group
-lives behind the same server socket, so ``fan_out`` names its q servers in
+lives behind the same server socket, so a round names its q servers in
 one ``mreq``, the server validates the whole id list before touching any
 node, calls each node's ``handle`` in process and answers with one
 ``mrsp``.  Replicas whose replies encode to *identical bytes* share one
@@ -49,7 +49,7 @@ bytes, never ``==``, because ``1 == True == 1.0`` and the codec is a
 bijection.  A silent replica is simply absent from the ``mrsp``; when the
 next group would push a frame past ``MAX_FRAME_BYTES`` the server starts
 another ``mrsp`` with the same ``op_id``, and the client takes any number
-of them per op.  Single RPCs (the per-RPC oracle path, cluster probes,
+of them per op.  Single RPCs (:meth:`TcpTransport.call`, cluster probes,
 fire-and-forget repairs) keep the ``req``/``rsp`` pair.  The vectored
 shapes are not negotiated: both ends of this wire ship together and the
 server accepts either request shape on any connection.  A request may
@@ -73,7 +73,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import RpcTimeoutError, ServiceError, WireFormatError
 from repro.obs.metrics import MetricsRegistry
+from repro.service.dispatch import QuorumDriver
 from repro.service.node import NO_REPLY, ServiceNode
+from repro.service.quorum_op import QuorumOp
 from repro.service.transport import AsyncTransport
 from repro.service.wire import (
     WIRE_CODECS,
@@ -605,14 +607,12 @@ class TcpTransport(AsyncTransport):
         self.hello_disabled = False
         self.address = (str(address[0]), int(address[1]))
         self._connections = [_TcpConnection(self) for _ in range(connections)]
-        #: request_id -> Future (per-RPC path) or _WireOp (dispatcher path):
-        #: one entry per frame awaiting an answer, whichever path sent it.
+        #: request_id -> Future (:meth:`call`) or _WireOp (a dispatcher
+        #: round): one entry per frame awaiting an answer.
         self._pending: Dict[int, Any] = {}
         self._next_request_id = 0
         #: Times a dropped connection was re-opened by a later send.
         self.reconnects = 0
-        #: Optional latency tracker fed by the dispatcher path.
-        self.tracker: Optional[Any] = None
 
     async def connect(self) -> None:
         """Eagerly open every pooled connection (optional; sends also do it)."""
@@ -636,7 +636,7 @@ class TcpTransport(AsyncTransport):
             kind, request_id, body = frame
             if kind == "mrsp":
                 # Strip the ("ok", payload) reply envelope once per group, as
-                # the in-process dispatcher and the per-RPC path do per RPC.
+                # the in-process dispatcher does per RPC.
                 groups = [(server_ids, envelope[1]) for server_ids, envelope in body]
                 if any(set(map(type, server_ids)) != {int} for server_ids, _ in groups):
                     raise ValueError(groups)
@@ -757,71 +757,59 @@ class TcpTransport(AsyncTransport):
 
 
 class _WireOp:
-    """One fanned-out operation over the wire: shared replies, one deadline.
+    """One round of a :class:`~repro.service.quorum_op.QuorumOp` on the wire.
 
-    Mirrors the batched dispatcher's ``_PendingOp`` with the one difference
-    the wire forces: a silent remote server produces *no* event at all, so
-    the deadline timer must be armed eagerly at op creation rather than
-    lazily when the last fate comes in.
+    The replies live in the op; this is the driver's state: the round's
+    future, its ``mreq`` id once sent, its start and its deadline timer.  A
+    silent remote server produces *no* event at all, so the timer is armed
+    eagerly at creation rather than lazily when the last fate comes in.
     """
 
-    __slots__ = (
-        "transport", "loop", "future", "replies", "outstanding", "op_id",
-        "misses", "timer", "start", "trace", "method",
-    )
+    __slots__ = ("op", "transport", "future", "op_id", "timer", "start", "trace", "method")
 
     def __init__(
         self,
+        op: QuorumOp,
         transport: "TcpTransport",
-        loop: asyncio.AbstractEventLoop,
         timeout: Optional[float],
-        misses: int,
+        trace: Optional[Any],
+        method: str,
     ) -> None:
+        loop = asyncio.get_running_loop()
+        self.op = op
         self.transport = transport
-        self.loop = loop
         self.future = loop.create_future()
-        self.replies: Dict[Any, Any] = {}
-        #: Servers named in the sent ``mreq`` that have not answered yet.
-        self.outstanding: Dict[Any, None] = {}
         self.op_id: Optional[int] = None  # set when the frame is sent
-        self.misses = misses
         self.start = loop.time()
-        self.trace: Any = None
-        self.method = ""
+        self.trace = trace
+        self.method = method
         self.timer = (
             loop.call_later(timeout, self._deadline) if timeout is not None else None
         )
 
     def deliver(self, server_ids: Sequence[int], payload: Any) -> None:
         """One reply group: ``payload`` is what every listed server answered."""
-        outstanding = self.outstanding
-        now = self.loop.time()
-        tracker = self.transport.tracker
+        op = self.op
+        trace = self.trace
+        now = self.future.get_loop().time() if trace is not None else 0.0
         for server in server_ids:
-            if server not in outstanding:
-                continue  # never asked, or already answered
-            del outstanding[server]
-            self.replies[server] = payload
-            if tracker is not None:
-                tracker.observe(server, now - self.start)
-            if self.trace is not None:
-                self.trace.record(server, self.method, self.start, now, "ok")
-        if not outstanding and (self.misses == 0 or self.timer is None):
+            if op.on_reply(server, payload) and trace is not None:
+                trace.record(server, self.method, self.start, now, "ok")
+        if not op.pending and (op.misses == 0 or self.timer is None):
             # Every sent server answered: resolve early.  With misses (drops),
-            # the deadline timer resolves instead — a partially failed
-            # operation costs its whole deadline, as on every other path.
+            # the deadline timer resolves instead — a partially failed round
+            # costs its whole deadline, as on every other path.
             self._resolve()
 
     def _deadline(self) -> None:
         self.timer = None
-        transport = self.transport
-        transport.timed_out += len(self.outstanding)
-        now = self.loop.time()
-        if transport.tracker is not None:
-            for server in self.outstanding:
-                transport.tracker.penalize(server, now - self.start)
+        # Only servers the sent frame named can time out; an unsent round is
+        # charged by the dispatcher instead.
+        silent = self.op.pending if self.op_id is not None else ()
+        self.transport.timed_out += len(silent)
         if self.trace is not None:
-            for server in self.outstanding:
+            now = self.future.get_loop().time()
+            for server in silent:
                 self.trace.record(server, self.method, self.start, now, "timeout")
         self._resolve()
 
@@ -830,37 +818,33 @@ class _WireOp:
             self.timer.cancel()
             self.timer = None
         self.transport._pending.pop(self.op_id, None)
-        self.outstanding = {}
         if not self.future.done():
-            self.future.set_result(self.replies)
+            self.future.set_result(None)
 
 
-class TcpDispatcher:
-    """Operation-level fan-out over a :class:`TcpTransport`.
+class TcpDispatcher(QuorumDriver):
+    """The wire-level driver: each round of a quorum op is one ``mreq``.
 
-    The per-RPC path (:meth:`TcpTransport.call`) costs one future, one
-    ``wait_for`` timer and one frame each way per RPC.  This dispatcher
-    implements the same ``fan_out`` interface as the in-process
-    :class:`~repro.service.dispatch.BatchedDispatcher` — the quorum client
-    accepts either — so one operation is **one** future, **one** deadline
-    timer and **one** ``mreq``/``mrsp`` frame pair however many servers it
-    touches (concurrent operations still coalesce into few socket writes in
-    the connection's writer task).
+    Calling :meth:`TcpTransport.call` per RPC costs one future, one
+    ``wait_for`` timer and one frame each way per RPC.  This driver runs the
+    same :class:`~repro.service.dispatch.QuorumDriver` loop as the
+    in-process :class:`~repro.service.dispatch.BatchedDispatcher`, so one
+    round is **one** future, **one** deadline timer and **one**
+    ``mreq``/``mrsp`` frame pair however many servers it touches (concurrent
+    operations still coalesce into few socket writes in the connection's
+    writer task).
 
-    Drop simulation, counters and deadline semantics mirror the other
-    paths: drops are sampled per server from the transport RNG before
-    framing, a partially failed operation resolves at its deadline with
-    whatever arrived, and every unanswered sent server increments
-    ``timed_out`` exactly once.
+    Drops are sampled per server from the transport RNG before framing, a
+    partially failed round resolves at its deadline with whatever arrived,
+    and every unanswered sent server increments ``timed_out`` exactly once.
     """
 
-    def __init__(self, transport: TcpTransport, tracker: Optional[Any] = None) -> None:
+    def __init__(self, transport: TcpTransport) -> None:
         self.transport = transport
-        transport.tracker = tracker
         #: Interface parity with ``BatchedDispatcher``: the wire path has no
         #: (node, tick) delivery events, so this stays 0 in reports.
         self.flushes = 0
-        #: Logical operations fanned out so far.
+        #: Rounds fanned out so far (one ``mreq`` each, when sent).
         self.ops = 0
         #: Read-repair frames piggybacked onto already-open connections.
         self.repairs_piggybacked = 0
@@ -903,77 +887,57 @@ class TcpDispatcher:
         connection.enqueue(encode_request_frame(request_id, server, tail))
         self.repairs_piggybacked += 1
 
-    @property
-    def tracker(self) -> Optional[Any]:
-        return self.transport.tracker
-
-    @tracker.setter
-    def tracker(self, value: Optional[Any]) -> None:
-        self.transport.tracker = value
-
-    async def fan_out(
-        self,
-        servers: Sequence[Any],
-        method: str,
-        args: tuple,
-        timeout: Optional[float],
-        trace: Optional[Any] = None,
-    ) -> Dict[Any, Any]:
-        """Issue ``method`` to every listed server; map responders to payloads."""
-        if not servers:
-            return {}
+    async def _round(self, op, servers, method, args, timeout, trace) -> None:
         self.ops += 1
         transport = self.transport
-        loop = asyncio.get_running_loop()
         transport.calls += len(servers)
         drop_probability = transport.drop_probability
         rng_draw = transport.rng.random
         sent = []
         dropped = []
-        misses = 0
         for server in servers:
             if drop_probability > 0.0 and rng_draw() < drop_probability:
                 transport.dropped += 1
-                misses += 1
-                if trace is not None:
-                    dropped.append(server)
+                op.on_miss(server)
+                dropped.append(server)
                 continue
             sent.append(server)
-        # The op (and its deadline timer) starts *before* the injected
+        # The round (and its deadline timer) starts *before* the injected
         # delay, so simulated latency counts against the deadline exactly
-        # as on the in-process paths.
-        op = _WireOp(transport, loop, timeout, misses)
+        # as on the in-process path.
+        wire = _WireOp(op, transport, timeout, trace, method)
         if trace is not None:
-            op.trace = trace
-            op.method = method
             for server in dropped:
                 # Sampled drops never hit the wire: zero-length spans.
-                trace.record(server, method, op.start, op.start, "dropped")
+                trace.record(server, method, wire.start, wire.start, "dropped")
         if transport.latency > 0.0:
-            # One coalesced delay per operation, drawn from the same stream
-            # and distribution as the per-RPC path's.
+            # One coalesced delay per round, drawn from the transport's
+            # stream and distribution.
             await asyncio.sleep(transport.draw_delay())
-        if sent and not await self._send(op, sent, method, args, timeout):
+        if sent and not await self._send(wire, sent, method, args, timeout):
             # Already counted in `calls`: charge the unsent RPCs as timeouts
             # so the drop/timeout columns keep partitioning the failures.
+            # Counted as misses too, so the round still resolves at its
+            # deadline (never early with partial replies).
             transport.timed_out += len(sent)
-            if trace is not None:
-                now = loop.time()
-                for server in sent:
-                    trace.record(server, method, op.start, now, "unsent")
-        if op.timer is None and not op.outstanding and not op.future.done():
-            op._resolve()
-        return await op.future
+            now = wire.future.get_loop().time()
+            for server in sent:
+                op.on_miss(server)
+                if trace is not None:
+                    trace.record(server, method, wire.start, now, "unsent")
+        if wire.timer is None and not op.pending:
+            wire._resolve()
+        await wire.future
 
     async def _send(
         self,
-        op: _WireOp,
+        wire: _WireOp,
         sent: Sequence[Any],
         method: str,
         args: tuple,
         timeout: Optional[float],
     ) -> bool:
-        """Queue the op as one ``mreq`` frame; ``False`` if it never hit the wire.
+        """Queue the round as one ``mreq`` frame; ``False`` if it never hit the wire.
 
         Every replica of the group lives behind the same server socket, so
         the q questions ride one frame on one striped connection.
@@ -988,32 +952,27 @@ class TcpDispatcher:
             # known to build the frame.
             remaining = (
                 None if timeout is None
-                else max(op.start + timeout - op.loop.time(), 0.001)
+                else max(wire.start + timeout - wire.future.get_loop().time(), 0.001)
             )
             try:
                 await connection.ensure(connect_timeout=remaining)
             except (ConnectionError, OSError):
-                # Unreachable server: silence.  Counted as *misses* too so
-                # the op still resolves at its deadline (never early with
-                # partial replies), exactly like simulated drops.
-                op.misses += len(sent)
-                return False
-        if op.future.done():
+                return False  # unreachable server: silence
+        if wire.future.done():
             # The deadline fired while the caller was suspended (delay sleep
             # or the reconnect): sending now would only leak a pending entry.
             return False
         # The trace id joins the envelope only once the handshake confirmed
         # the server speaks the extension; otherwise the frame stays
         # byte-identical to an untraced one.
-        traced = op.trace is not None and transport.negotiated_trace
+        traced = wire.trace is not None and transport.negotiated_trace
         frame = encode_vectored_request_frame(
             op_id,
             sent,
             request_tail(method, args, codec=transport.negotiated_codec or "json"),
-            trace_id=op.trace.trace_id if traced else None,
+            trace_id=wire.trace.trace_id if traced else None,
         )
-        op.op_id = op_id
-        op.outstanding = dict.fromkeys(sent)
-        transport._pending[op_id] = op
+        wire.op_id = op_id
+        transport._pending[op_id] = wire
         connection.enqueue(frame)
         return True

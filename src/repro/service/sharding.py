@@ -19,8 +19,8 @@ to it (the sharding tests pin this isolation down).
   :class:`~repro.service.net.TcpDispatcher` per shard address) and its
   teardown, and the clients it hands out;
 * :class:`ShardedDeployment` — the shape whose replica groups run on the
-  caller's loop (``"inproc"``: shared-memory nodes, optionally behind the
-  batched dispatcher; ``"tcp"``: one
+  caller's loop (``"inproc"``: shared-memory nodes behind the batched
+  dispatcher; ``"tcp"``: one
   :class:`~repro.service.net.TcpServiceServer` per shard);
 * :class:`ShardedAsyncRegisterClient` — one logical client routing
   ``read(key)``/``write(key, value)`` to per-key register frontends on the
@@ -44,7 +44,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.protocol.variable import WriteOutcome
 from repro.service.client import DEFAULT_QUORUM_POOL, AsyncQuorumClient
-from repro.service.dispatch import DISPATCH_MODES, BatchedDispatcher
+from repro.service.dispatch import BatchedDispatcher
 from repro.service.gossip import GOSSIP_SEED_SALT, GossipService, scenario_verifier
 from repro.service.net import (
     TcpDispatcher,
@@ -54,7 +54,6 @@ from repro.service.net import (
 )
 from repro.service.node import ServiceNode
 from repro.service.register import AsyncRegister, async_register_for
-from repro.service.stats import EwmaLatencyTracker
 from repro.service.transport import AsyncTransport
 from repro.service.wire import WIRE_CODECS
 from repro.simulation.failures import FailurePlan
@@ -84,7 +83,6 @@ def validate_deployment(
     shards: int,
     transport: str,
     codec: str,
-    dispatch: str,
     anti_entropy: Optional[AntiEntropySpec],
 ) -> Optional[AntiEntropySpec]:
     """The checks every deployment shape and the load spec share.
@@ -111,10 +109,6 @@ def validate_deployment(
         raise ConfigurationError(
             "codec applies to the wire: transport='inproc' passes payloads "
             "by reference, so codec='json' is the only valid spelling there"
-        )
-    if dispatch not in DISPATCH_MODES:
-        raise ConfigurationError(
-            f"unknown dispatch mode {dispatch!r}; choose from {DISPATCH_MODES}"
         )
     if anti_entropy is None:
         anti_entropy = scenario.anti_entropy
@@ -179,7 +173,6 @@ class _Shard:
         "gossip",
         "client_nodes",
         "pool_generator",
-        "tracker",
     )
 
     def __init__(self) -> None:
@@ -194,7 +187,6 @@ class _Shard:
         self.gossip: Optional[GossipService] = None
         self.client_nodes: Sequence[Any] = ()
         self.pool_generator: Optional[np.random.Generator] = None
-        self.tracker: Optional[Any] = None
 
 
 class ShardedClientAPI:
@@ -229,8 +221,6 @@ class ShardedClientAPI:
         latency: float = 0.0,
         jitter: float = 0.0,
         drop_probability: float = 0.0,
-        dispatch: str = "batched",
-        latency_tracking: bool = False,
         rng: Optional[random.Random] = None,
         seed: Optional[int] = None,
         anti_entropy: Optional[AntiEntropySpec] = None,
@@ -238,7 +228,7 @@ class ShardedClientAPI:
         #: The effective :class:`~repro.simulation.scenario.AntiEntropySpec`
         #: (quorum clients derive their repair budget from it).
         self.anti_entropy = validate_deployment(
-            scenario, shards, transport, codec, dispatch, anti_entropy
+            scenario, shards, transport, codec, anti_entropy
         )
         self.scenario = scenario
         self.codec = codec
@@ -246,7 +236,6 @@ class ShardedClientAPI:
         self._conditions = dict(
             latency=latency, jitter=jitter, drop_probability=drop_probability
         )
-        self._dispatch = dispatch
         self._started = False
         #: ``(host, port)`` per shard, known once the servers are up.
         self.addresses: List[Tuple[str, int]] = []
@@ -262,7 +251,6 @@ class ShardedClientAPI:
             shard.index = index
             shard.plan = scenario.failure_model.sample_plan_for(n, rng)
             shard.transport_seed = rng.randrange(2**63)
-            shard.tracker = EwmaLatencyTracker(n) if latency_tracking else None
             shard.client_nodes = remote_nodes(n)
             shard.pool_generator = np.random.default_rng(rng.randrange(2**63))
             self.shards.append(shard)
@@ -270,7 +258,7 @@ class ShardedClientAPI:
     # -- lifecycle ----------------------------------------------------------------
 
     async def _connect(self, addresses: Sequence[Tuple[str, int]]) -> None:
-        """Wire the TCP client side: one transport (+ dispatcher) per shard."""
+        """Wire the TCP client side: one transport + dispatcher per shard."""
         self.addresses = [(str(host), int(port)) for host, port in addresses]
         for shard, address in zip(self.shards, self.addresses):
             shard.transport = TcpTransport(
@@ -281,8 +269,7 @@ class ShardedClientAPI:
                 **self._conditions,
             )
             await shard.transport.connect()
-            if self._dispatch == "batched":
-                shard.dispatcher = TcpDispatcher(shard.transport, tracker=shard.tracker)
+            shard.dispatcher = TcpDispatcher(shard.transport)
         self._started = True
 
     async def start(self) -> None:
@@ -325,7 +312,6 @@ class ShardedClientAPI:
         shard_index: int,
         rng: Optional[random.Random] = None,
         deadline: Optional[float] = 0.05,
-        selection: str = "strategy",
         quorum_pool: int = DEFAULT_QUORUM_POOL,
         client_id: Optional[str] = None,
     ) -> AsyncQuorumClient:
@@ -344,8 +330,6 @@ class ShardedClientAPI:
             deadline=deadline,
             rng=rng,
             dispatcher=shard.dispatcher,
-            selection=selection,
-            tracker=shard.tracker,
             quorum_pool=quorum_pool,
             pool_generator=shard.pool_generator,
             tracer=self.tracer,
@@ -363,7 +347,6 @@ class ShardedClientAPI:
         self,
         rng: random.Random,
         deadline: Optional[float] = 0.05,
-        selection: str = "strategy",
         quorum_pool: int = DEFAULT_QUORUM_POOL,
         writer_id: Optional[int] = None,
     ) -> "ShardedAsyncRegisterClient":
@@ -381,7 +364,6 @@ class ShardedClientAPI:
                 index,
                 rng=random.Random(rng.randrange(2**63)),
                 deadline=deadline,
-                selection=selection,
                 quorum_pool=quorum_pool,
                 client_id=None if writer_id is None else str(writer_id),
             )
@@ -405,20 +387,12 @@ class ShardedClientAPI:
 
     @property
     def dispatch_flushes(self) -> int:
-        return sum(
-            shard.dispatcher.flushes
-            for shard in self.shards
-            if shard.dispatcher is not None
-        )
+        return sum(shard.dispatcher.flushes for shard in self.shards)
 
     @property
     def repairs_piggybacked(self) -> int:
         """Read-repair payloads piggybacked across every shard's dispatcher."""
-        return sum(
-            shard.dispatcher.repairs_piggybacked
-            for shard in self.shards
-            if shard.dispatcher is not None
-        )
+        return sum(shard.dispatcher.repairs_piggybacked for shard in self.shards)
 
     @property
     def gossip_rounds(self) -> int:
@@ -479,20 +453,10 @@ class ShardedDeployment(ShardedClientAPI):
     latency, jitter, drop_probability:
         Transport conditions, with the same meaning in both modes (over TCP
         they are *added* to whatever the real sockets cost).
-    dispatch:
-        ``"batched"`` installs the coalescing dispatcher of the matching
-        transport (``BatchedDispatcher`` in process, the op-level
-        ``TcpDispatcher`` on the wire); ``"per-rpc"`` uses the
-        coroutine-per-RPC oracle path in both modes.
     dispatch_window:
-        Extra coalescing time for the in-process batched dispatcher.
-    latency_tracking:
-        When true, each shard gets its **own**
-        :class:`~repro.service.stats.EwmaLatencyTracker` (latency-aware
-        selection).  Trackers are never shared across shards: the shards
-        are independent replica groups with independent failure plans, so
-        server ``i`` of one shard says nothing about server ``i`` of
-        another.
+        Extra coalescing time for the in-process
+        :class:`~repro.service.dispatch.BatchedDispatcher` (each shard has
+        one; over TCP the op-level ``TcpDispatcher`` takes its place).
     rng:
         Root randomness: per-shard failure plans, transport seeds and pool
         generators derive from it in shard order, so a deployment is
@@ -526,9 +490,7 @@ class ShardedDeployment(ShardedClientAPI):
         latency: float = 0.0,
         jitter: float = 0.0,
         drop_probability: float = 0.0,
-        dispatch: str = "batched",
         dispatch_window: float = 0.0,
-        latency_tracking: bool = False,
         rng: Optional[random.Random] = None,
         seed: Optional[int] = None,
         tcp_host: str = "127.0.0.1",
@@ -543,8 +505,6 @@ class ShardedDeployment(ShardedClientAPI):
             latency=latency,
             jitter=jitter,
             drop_probability=drop_probability,
-            dispatch=dispatch,
-            latency_tracking=latency_tracking,
             rng=rng,
             seed=seed,
             anti_entropy=anti_entropy,
@@ -557,13 +517,9 @@ class ShardedDeployment(ShardedClientAPI):
                 shard.server = TcpServiceServer(shard.nodes, host=tcp_host)
                 continue
             shard.transport = AsyncTransport(seed=shard.transport_seed, **self._conditions)
-            if dispatch == "batched":
-                shard.dispatcher = BatchedDispatcher(
-                    shard.nodes,
-                    shard.transport,
-                    window=dispatch_window,
-                    tracker=shard.tracker,
-                )
+            shard.dispatcher = BatchedDispatcher(
+                shard.nodes, shard.transport, window=dispatch_window
+            )
             shard.client_nodes = shard.nodes
         # In-process deployments are serving from construction.
         self._started = transport == "inproc"

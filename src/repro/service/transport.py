@@ -82,7 +82,7 @@ class AsyncTransport:
         """Draw one delivery delay (``latency ± jitter``) from the transport RNG.
 
         The batched dispatcher draws a delay per *(node, tick)* delivery
-        event through this hook, so both dispatch modes take their timing
+        event through this hook, so it and :meth:`call` take their timing
         noise from the same stream and configuration.
         """
         return self._delay()

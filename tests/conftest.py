@@ -64,7 +64,7 @@ def healthy_cluster():
 
 @pytest.fixture
 def record_fan_outs():
-    """Patch a quorum client to log each fan-out round it issues.
+    """Patch a quorum client's driver to log each round it runs.
 
     ``record_fan_outs(client)`` returns the live list of
     ``(servers asked, servers answered)`` pairs, one per round.
@@ -72,14 +72,14 @@ def record_fan_outs():
 
     def install(client):
         rounds = []
-        fan_out = client._fan_out
+        driver = client.dispatcher
+        run_round = driver._round
 
-        async def recording(servers, method, *args, trace=None):
-            replies = await fan_out(servers, method, *args, trace=trace)
-            rounds.append((tuple(servers), frozenset(replies)))
-            return replies
+        async def recording(op, servers, *args):
+            await run_round(op, servers, *args)
+            rounds.append((tuple(servers), frozenset(op.replies).intersection(servers)))
 
-        client._fan_out = recording
+        driver._round = recording
         return rounds
 
     return install

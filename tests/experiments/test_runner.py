@@ -86,12 +86,6 @@ class TestRunExperiment:
         assert "Service load report" in reports[0]
         assert "safety verdict    OK" in reports[0]
         assert "clients=20" in reports[0]
-        assert "dispatch=batched" in reports[0]
-
-    def test_serve_runs_on_the_per_rpc_path_too(self):
-        reports = run_experiment("serve", clients=10, ops=2, seed=3, dispatch="per-rpc")
-        assert "dispatch=per-rpc" in reports[0]
-        assert "safety verdict    OK" in reports[0]
 
     def test_serve_validation_becomes_an_experiment_error(self):
         with pytest.raises(ExperimentError):
@@ -128,22 +122,6 @@ class TestRunExperiment:
             run_contention(trials=0)
         with pytest.raises(ExperimentError):
             run_experiment("contention", engine="warp")
-
-    def test_serve_latency_aware_deploys_the_byzantine_free_variant(self):
-        # The spec layer refuses latency-aware + forgers, so serve swaps in
-        # the crash-only variant of its scenario (and the clients warn about
-        # the ε caveat).
-        with pytest.warns(UserWarning, match="access strategy"):
-            report = run_serve(clients=10, reads_per_client=2, selection="latency-aware")
-        assert "selection=latency-aware" in report
-        assert "random_crashes" in report
-        assert "safety verdict    OK" in report
-
-    def test_serve_refuses_latency_aware_with_an_explicit_byzantine_scenario(self):
-        from repro.experiments.serve import serve_load_spec, serve_scenario
-
-        with pytest.raises(Exception, match="latency-aware"):
-            serve_load_spec(selection="latency-aware", scenario=serve_scenario())
 
 
 class TestCli:
@@ -223,22 +201,6 @@ class TestCli:
         )
         out = capsys.readouterr().out
         assert "writers=2" in out and "contention=1.0" in out
-
-    def test_main_serve_dispatch_and_selection_flags(self, capsys):
-        assert (
-            main(["serve", "--clients", "10", "--ops", "2", "--dispatch", "per-rpc"])
-            == 0
-        )
-        assert "dispatch=per-rpc" in capsys.readouterr().out
-        with pytest.raises(SystemExit):
-            main(["serve", "--dispatch", "warp"])
-        # Latency-aware swaps in the Byzantine-free scenario variant.
-        with pytest.warns(UserWarning, match="access strategy"):
-            code = main(
-                ["serve", "--clients", "10", "--ops", "2", "--selection", "latency-aware"]
-            )
-        assert code == 0
-        assert "selection=latency-aware" in capsys.readouterr().out
 
     def test_main_serve_observability_flags(self, tmp_path, capsys):
         import json

@@ -20,8 +20,9 @@ from repro.obs.trace import Tracer
 from repro.protocol.timestamps import Timestamp
 from repro.quorum.grid import GridQuorumSystem
 from repro.quorum.probe import UniformProbeStrategy, oracle_from_alive_set
-from repro.service.client import MAX_TOP_UP_ROUNDS, AsyncQuorumClient
+from repro.service.client import AsyncQuorumClient
 from repro.service.node import ServiceNode
+from repro.service.quorum_op import MAX_TOP_UP_ROUNDS
 from repro.service.register import (
     AsyncDisseminationRegister,
     AsyncMaskingRegister,

@@ -1,4 +1,4 @@
-"""Tests for the batched dispatch fast path and quorum-selection modes."""
+"""Tests for the batched dispatch fast path, against the per-RPC reference."""
 
 from __future__ import annotations
 
@@ -10,14 +10,16 @@ import pytest
 
 from repro.core.masking import ProbabilisticMaskingSystem
 from repro.exceptions import ConfigurationError
+from repro.obs.trace import Tracer
 from repro.protocol.timestamps import Timestamp
 from repro.service.client import AsyncQuorumClient
-from repro.service.dispatch import DISPATCH_MODES, BatchedDispatcher
+from repro.service.dispatch import BatchedDispatcher
 from repro.service.load import ServiceLoadSpec, run_service_load
 from repro.service.node import ServiceNode
 from repro.service.transport import AsyncTransport
-from repro.simulation.failures import FailureModel
 from repro.simulation.scenario import ScenarioSpec
+from repro.simulation.server import ByzantineForgeBehavior, ByzantineSilentBehavior
+from tests.service.per_rpc import PerRpcDriver
 
 MASKING = ProbabilisticMaskingSystem(25, 10, 3)
 
@@ -154,6 +156,65 @@ class TestBatchedDispatcher:
         assert transport.timed_out == 10
 
 
+def hostile_nodes():
+    """25 replicas holding ``x``: two crashed, one silent, one forger."""
+    nodes = [ServiceNode(server) for server in range(25)]
+    for node in nodes:
+        node.handle("write", "x", ("v", node.server_id % 3), Timestamp(1), None)
+    nodes[2].crash()
+    nodes[9].crash()
+    nodes[5].set_behavior(ByzantineSilentBehavior())
+    nodes[7].set_behavior(ByzantineForgeBehavior("FORGED", Timestamp.forged_maximum()))
+    return nodes
+
+
+class TestAgainstThePerRpcReference:
+    def test_fan_out_matches_the_reference(self):
+        async def fan_out(driver_class):
+            transport = AsyncTransport(seed=4)
+            driver = driver_class(hostile_nodes(), transport)
+            trace = Tracer(sample_rate=1.0).begin("read", variable="x")
+            replies = await driver.fan_out(range(12), "read", ("x",), 0.01, trace=trace)
+            counters = (transport.calls, transport.dropped, transport.timed_out)
+            return replies, counters, trace.span_dispositions()
+
+        batched = asyncio.run(fan_out(BatchedDispatcher))
+        assert batched == asyncio.run(fan_out(PerRpcDriver))
+        replies, counters, dispositions = batched
+        assert sorted(replies) == [0, 1, 3, 4, 6, 7, 8, 10, 11]
+        assert replies[7].value == "FORGED"
+        assert counters == (12, 0, 3) and dispositions == {"ok": 9, "silent": 3}
+
+    def test_seeded_client_runs_identically_on_both_drivers(self):
+        # Lossless and zero-latency, the transport draws nothing, so the
+        # only randomness is the client's: quorums, spares, top-ups and
+        # counters must agree operation by operation.
+        async def workload(driver_class):
+            nodes = hostile_nodes()
+            transport = AsyncTransport(seed=6)
+            client = AsyncQuorumClient(
+                MASKING,
+                nodes,
+                transport,
+                deadline=0.005,
+                rng=random.Random(8),
+                dispatcher=driver_class(nodes, transport),
+            )
+            history = []
+            for version in range(2, 12):
+                write = await client.write("x", "w", Timestamp(version), None)
+                read = await client.read("x")
+                history.append(
+                    (write.quorum, write.acknowledged, write.probes_used,
+                     read.quorum, sorted(read.replies), read.probes_used)
+                )
+            return history, client.probe_fallbacks, transport.calls, transport.timed_out
+
+        batched = asyncio.run(workload(BatchedDispatcher))
+        assert batched == asyncio.run(workload(PerRpcDriver))
+        assert batched[1] > 0  # the crashes forced top-ups on both paths
+
+
 class TestQuorumPool:
     def test_pooled_quorums_are_strategy_sized_and_sorted(self):
         nodes, transport, dispatcher, client = deploy(MASKING)
@@ -201,8 +262,6 @@ class TestLoadProfile:
             clients=100,
             reads_per_client=20,
             writes=1,
-            dispatch="batched",
-            selection="strategy",
             seed=13,
         )
         report, nodes = run_with_nodes(spec)
@@ -215,70 +274,6 @@ class TestLoadProfile:
             assert abs(count - mean) < 6 * sigma, (
                 f"server {server} saw {count} reads, expected {mean:.0f} ± {6 * sigma:.0f}"
             )
-
-    def test_latency_aware_biases_away_from_slow_servers(self):
-        """Crashed (never-answering) servers must lose traffic under the bias."""
-        spec = ServiceLoadSpec(
-            scenario=ScenarioSpec(
-                system=MASKING, failure_model=FailureModel.random_crashes(5)
-            ),
-            clients=100,
-            reads_per_client=10,
-            writes=2,
-            deadline=0.002,
-            dispatch="batched",
-            selection="latency-aware",
-            seed=13,
-        )
-        with pytest.warns(UserWarning, match="deviates from the access strategy"):
-            report, nodes = run_with_nodes(spec)
-        assert report.reads_completed == 1_000
-        crashed = [n.server.reads_handled for n in nodes if n.server.is_crashed]
-        live = [n.server.reads_handled for n in nodes if not n.server.is_crashed]
-        assert len(crashed) == 5
-        # The EWMA penalties push selection away from the dead servers.
-        assert max(crashed) < min(live) or sum(crashed) / 5 < 0.5 * sum(live) / 20
-
-
-class TestLatencyAwareGuards:
-    def test_rejected_for_byzantine_scenarios(self):
-        scenario = ScenarioSpec(
-            system=ProbabilisticMaskingSystem(100, 30, 3),
-            failure_model=FailureModel.colluding_forgers(
-                3, "FORGED", Timestamp.forged_maximum()
-            ),
-        )
-        with pytest.raises(ConfigurationError, match="latency-aware"):
-            ServiceLoadSpec(scenario=scenario, selection="latency-aware")
-
-    def test_client_warns_on_construction(self):
-        nodes = [ServiceNode(server) for server in range(25)]
-        transport = AsyncTransport()
-        with pytest.warns(UserWarning, match="ε guarantee"):
-            client = AsyncQuorumClient(
-                MASKING, nodes, transport, selection="latency-aware"
-            )
-        assert client.tracker is not None
-
-    def test_requires_a_fixed_quorum_size(self):
-        from repro.core.epsilon_intersecting import EpsilonIntersectingSystem
-
-        # An explicit-strategy system has no fixed quorum_size, so the
-        # latency-aware draw (which needs one) must be refused.
-        explicit = EpsilonIntersectingSystem(4, [[0, 1], [1, 2], [2, 3]])
-        nodes = [ServiceNode(server) for server in range(4)]
-        with pytest.raises(ConfigurationError, match="quorum_size"):
-            AsyncQuorumClient(
-                explicit, nodes, AsyncTransport(), selection="latency-aware"
-            )
-
-    def test_unknown_modes_are_rejected(self):
-        nodes = [ServiceNode(server) for server in range(25)]
-        with pytest.raises(ConfigurationError):
-            AsyncQuorumClient(MASKING, nodes, AsyncTransport(), selection="fastest")
-        with pytest.raises(ConfigurationError):
-            ServiceLoadSpec(scenario=ScenarioSpec(system=MASKING), dispatch="warp")
-        assert DISPATCH_MODES == ("batched", "per-rpc")
 
 
 def run_with_nodes(spec):

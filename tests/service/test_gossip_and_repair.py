@@ -245,20 +245,6 @@ class TestLazyFallback:
         run(scenario())
         assert client.probe_fallbacks >= 1
 
-    def test_settleable_respects_the_masking_threshold(self):
-        _, client = deploy_client(MASKING, lazy_fallback=True)
-        threshold = int(MASKING.read_threshold)
-        assert threshold > 1
-        value = StoredValue("v", Timestamp(1))
-        below = {server: value for server in range(threshold - 1)}
-        assert not client._settleable(below)
-        at = {server: value for server in range(threshold)}
-        assert client._settleable(at)
-        # Explicit "I store nothing" replies are not votes.
-        padded = dict(below)
-        padded[MASKING.n - 1] = None
-        assert not client._settleable(padded)
-
     def test_degraded_writes_always_top_up(self):
         # Lazy fallback is a read-path optimisation only: a write that
         # missed acks must still top up, or the write quorum silently thins.
@@ -298,17 +284,15 @@ class TestPiggybackRepairs:
         assert [entry[0] for entry in dispatcher.repairs] == [3, 4]
         assert dispatcher.repairs[0][1:] == ("x", "v", Timestamp(2), b"sig")
 
-    def test_no_dispatcher_or_budget_means_no_repairs(self):
-        _, client = deploy_client(PLAIN, repair_budget=2)
-        assert client.piggyback_repairs("x", "v", Timestamp(2), None, [3]) == 0
+    def test_no_budget_or_piggyback_path_means_no_repairs(self):
         _, budgetless = deploy_client(PLAIN, repair_budget=0)
         budgetless.dispatcher = RecordingDispatcher()
         assert budgetless.piggyback_repairs("x", "v", Timestamp(2), None, [3]) == 0
-        # A dispatcher with no piggyback path (the per-RPC oracle) is skipped.
+        # A driver with no piggyback path (the per-RPC reference) is skipped.
         _, plain_path = deploy_client(PLAIN, repair_budget=2)
         plain_path.dispatcher = object()
         assert plain_path.piggyback_repairs("x", "v", Timestamp(2), None, [3]) == 0
-        assert client.repairs_piggybacked == 0
+        assert plain_path.repairs_piggybacked == 0
 
     def test_negative_budget_is_refused(self):
         with pytest.raises(ConfigurationError):

@@ -24,6 +24,7 @@ from repro.service.node import ServiceNode
 from repro.service.register import AsyncMaskingRegister
 from repro.service.wire import FrameDecoder, encode_frame
 from repro.simulation.server import ByzantineForgeBehavior, ByzantineSilentBehavior
+from tests.service.per_rpc import PerRpcDriver
 
 MASKING = ProbabilisticMaskingSystem(25, 10, 3)
 
@@ -326,16 +327,9 @@ class TestHostileVectoredFrames:
 
 
 async def per_rpc_replies(transport, servers, method, *args, timeout=0.05):
-    """The per-RPC oracle: what ``transport.call`` gets from each server, in
-    order, as fan_out would report it (payloads of responders only)."""
-    replies = {}
-    for server in servers:
-        try:
-            envelope = await transport.call(RemoteNode(server), method, *args, timeout=timeout)
-        except RpcTimeoutError:
-            continue
-        replies[server] = envelope[1]
-    return replies
+    """The per-RPC reference: one ``transport.call`` per server."""
+    driver = PerRpcDriver(remote_nodes(max(servers) + 1), transport)
+    return await driver.fan_out(servers, method, args, timeout)
 
 
 class TestTcpDispatcher:
@@ -569,6 +563,7 @@ class TestQuorumClientOverTcp:
                 transport,
                 deadline=0.05,
                 rng=random.Random(11),
+                dispatcher=TcpDispatcher(transport),
             )
             register = AsyncMaskingRegister(client)
             await register.write("durable")

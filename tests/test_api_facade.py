@@ -40,8 +40,6 @@ class TestBuilder:
         assert builder.shards(2) is builder
         assert builder.deadline(0.1) is builder
         assert builder.seed(7) is builder
-        assert builder.dispatch("per-rpc") is builder
-        assert builder.selection("latency-aware") is builder
         assert builder.conditions(latency=0.001) is builder
         assert builder.quorum_pool(16) is builder
 
@@ -69,10 +67,6 @@ class TestBuilder:
             builder.shards(0)
         with pytest.raises(ConfigurationError):
             builder.deadline(-1.0)
-        with pytest.raises(ConfigurationError):
-            builder.dispatch("sometimes")
-        with pytest.raises(ConfigurationError):
-            builder.selection("psychic")
         with pytest.raises(ConfigurationError):
             builder.quorum_pool(-1)
         with pytest.raises(ConfigurationError):
@@ -199,18 +193,15 @@ class TestTcpLifecycle:
 
         run(scenario())
 
-    @pytest.mark.parametrize("dispatch, rpcs_per_frame", [("batched", None), ("per-rpc", 1)])
-    def test_merged_metrics_show_frames_beside_requests(self, dispatch, rpcs_per_frame):
-        """A quorum op is one request frame per shard server on the
-        dispatcher path and q on the per-RPC path — visible in the merged
-        counters, across shards."""
+    def test_merged_metrics_show_frames_beside_requests(self):
+        """A quorum op is one request frame naming its q replicas — visible
+        in the merged counters, across shards."""
 
         async def scenario():
             deployment = (
                 Deployment.builder(SCENARIO)
                 .transport("tcp")
                 .shards(2)
-                .dispatch(dispatch)
                 .deadline(1.0)
                 .seed(5)
                 .build()
@@ -223,7 +214,7 @@ class TestTcpLifecycle:
                 counters = deployment.metrics()["counters"]
             requests = counters["server_requests_handled"]
             assert requests == counters["rpc_calls"] > 0
-            quorum = rpcs_per_frame or SCENARIO.system.quorum_size
+            quorum = SCENARIO.system.quorum_size
             assert requests == quorum * counters["server_frames_handled"]
 
         run(scenario())
