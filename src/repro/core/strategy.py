@@ -28,7 +28,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.exceptions import ConfigurationError, StrategyError
-from repro.quorum.base import membership_matrix, sample_subset, sample_subset_batch
+from repro.quorum.base import (
+    membership_matrix,
+    sample_subset,
+    sample_subset_batch,
+    sample_subset_mask,
+)
 from repro.types import Quorum, make_quorum
 
 
@@ -142,9 +147,8 @@ class UniformSubsetStrategy(AccessStrategy):
     ) -> List[Tuple[int, ...]]:
         """Vectorised block draw: rank one ``(count, n)`` uniform matrix.
 
-        Shares :func:`repro.quorum.base.sample_subset_batch` with the batched
-        Monte-Carlo engine, so the service client's quorum pool and the trial
-        engine draw from literally the same kernel.
+        Uses :func:`repro.quorum.base.sample_subset_batch`, which picks the
+        same sets from the same uniforms as the batch engine's mask kernel.
         """
         if count < 0:
             raise ConfigurationError(f"block size must be non-negative, got {count}")
@@ -157,12 +161,6 @@ class UniformSubsetStrategy(AccessStrategy):
         indices.sort(axis=1)
         return [tuple(row) for row in indices.tolist()]
 
-    def sample_batch_indices(
-        self, trials: int, generator: np.random.Generator
-    ) -> np.ndarray:
-        """``trials`` uniform access sets as a ``(trials, q)`` index matrix."""
-        return sample_subset_batch(self._n, self._q, trials, generator)
-
     def sample_batch_membership(
         self,
         n: int,
@@ -174,13 +172,9 @@ class UniformSubsetStrategy(AccessStrategy):
             raise ConfigurationError(
                 f"strategy is over {self._n} servers but the batch asked for {n}"
             )
-        if out is not None and out.shape == (trials, n) and out.dtype == np.bool_:
-            member = out
-            member[:] = False
-        else:
-            member = np.zeros((trials, n), dtype=bool)
-        np.put_along_axis(member, self.sample_batch_indices(trials, generator), True, axis=1)
-        return member
+        if out is not None and (out.shape != (trials, n) or out.dtype != np.bool_):
+            out = None
+        return sample_subset_mask(n, self._q, trials, generator, out=out)
 
     def expected_quorum_size(self) -> float:
         return float(self._q)

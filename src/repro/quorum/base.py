@@ -298,8 +298,8 @@ def sample_subset_batch(n: int, size: int, trials: int, generator) -> "np.ndarra
     row of i.i.d. uniforms and keeping the ``size`` smallest ranks, which is
     exactly a uniform draw without replacement — the vectorised equivalent
     of :func:`sample_subset`.  ``generator`` is a
-    :class:`numpy.random.Generator`; callers chunk the trial count to keep
-    the ``(trials, n)`` scratch matrix bounded.
+    :class:`numpy.random.Generator`.  This is the service's block draw; the
+    batch engine draws the same sets as masks with :func:`sample_subset_mask`.
     """
     import numpy as np
 
@@ -311,3 +311,35 @@ def sample_subset_batch(n: int, size: int, trials: int, generator) -> "np.ndarra
         return np.broadcast_to(np.arange(n), (trials, n)).copy()
     ranks = generator.random((trials, n))
     return np.argpartition(ranks, size - 1, axis=1)[:, :size].copy()
+
+
+def sample_subset_mask(
+    n: int, size: int, trials: int, generator, out: "Optional[np.ndarray]" = None
+) -> "np.ndarray":
+    """The k-of-n mask kernel: ``trials`` uniform size-``size`` subsets as masks.
+
+    Marks, in a boolean ``(trials, n)`` matrix (``out`` when given), the
+    sets :func:`sample_subset_batch` picks from the same draws (none when
+    ``size`` is ``0`` or ``n``): each row's entries at or below its
+    ``size``-th smallest uniform, one partition and one comparison in place
+    of an index matrix and a scatter.  Rows tied at that threshold mark too
+    many servers; the count catches them and ``argpartition`` re-picks.
+    """
+    import numpy as np
+
+    if not 0 <= size <= n:
+        raise ConfigurationError(f"subset size must lie in [0, {n}], got {size}")
+    if trials < 0:
+        raise ConfigurationError(f"trial count must be non-negative, got {trials}")
+    if out is None:
+        out = np.empty((trials, n), dtype=bool)
+    if size == 0 or size == n:
+        out.fill(size == n)
+        return out
+    ranks = generator.random((trials, n))
+    kth = np.partition(ranks, size - 1, axis=1)[:, size - 1 : size]
+    np.less_equal(ranks, kth, out=out)
+    if np.count_nonzero(out) != trials * size:
+        out.fill(False)
+        np.put_along_axis(out, np.argpartition(ranks, size - 1, axis=1)[:, :size], True, axis=1)
+    return out

@@ -8,12 +8,12 @@ not need: for the uniform constructions a trial is completely described by
 *which servers* the write quorum, the read quorum and the failure masks
 touch.
 
-:class:`BatchTrialEngine` exploits that.  Access sets are drawn as
-``(trials, q)`` index matrices in one call (ranking a matrix of uniforms —
-see :func:`repro.quorum.base.sample_subset_batch`), failure plans become
-boolean ``(trials, n)`` masks (:meth:`FailureModel.sample_masks`), and the
-freshness / fabrication / staleness classification of every trial reduces
-to set-membership logic over those arrays.  Gossip between writes runs
+:class:`BatchTrialEngine` exploits that.  Access sets and counted failures
+are drawn as boolean ``(trials, n)`` masks, one call each, by one k-of-n
+kernel that thresholds a partition of a uniform matrix
+(:func:`repro.quorum.base.sample_subset_mask`), and the freshness /
+fabrication / staleness classification of every trial reduces to
+set-membership logic over those arrays.  Gossip between writes runs
 through the vectorised kernel in
 :func:`repro.simulation.diffusion.gossip_rounds_batch`.
 
@@ -62,7 +62,6 @@ Chernoff-derived tolerances for all three protocols.
 
 from __future__ import annotations
 
-import inspect
 from typing import Iterator, List, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
@@ -81,20 +80,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: a 1000-server universe is ~4 MB of boolean masks — large enough to
 #: amortise NumPy dispatch, small enough to stay cache- and memory-friendly.
 DEFAULT_CHUNK_SIZE = 4096
-
-
-def _accepts_keyword(callable_obj, name: str) -> bool:
-    """Whether ``callable_obj`` can be called with keyword ``name``."""
-    try:
-        parameters = inspect.signature(callable_obj).parameters
-    except (TypeError, ValueError):  # pragma: no cover - builtins/extensions
-        return False
-    if name in parameters:
-        return True
-    return any(
-        parameter.kind is inspect.Parameter.VAR_KEYWORD
-        for parameter in parameters.values()
-    )
 
 
 class _Workspace:
@@ -320,13 +305,6 @@ class BatchTrialEngine:
         self.semantics = semantics if semantics is not None else system.read_semantics()
         self.written_value = written_value
         self._workspace = _Workspace()
-        # Custom strategies may override sample_batch_membership with the
-        # pre-`out=` three-argument signature (explicitly supported: "any
-        # custom strategy stays batch-compatible"); detect once whether the
-        # buffer-reuse keyword can be passed.
-        self._membership_takes_out = _accepts_keyword(
-            self.system.strategy.sample_batch_membership, "out"
-        )
 
     @classmethod
     def from_spec(
@@ -432,13 +410,11 @@ class BatchTrialEngine:
     def _draw_membership(
         self, size: int, generator: np.random.Generator, buffer_name: str
     ) -> np.ndarray:
-        """One membership batch, drawn into a reusable buffer when supported."""
+        """One membership batch, drawn into a reusable buffer."""
         n = self.system.n
-        if self._membership_takes_out:
-            return self.system.strategy.sample_batch_membership(
-                n, size, generator, out=self._workspace.array(buffer_name, (size, n), bool)
-            )
-        return self.system.strategy.sample_batch_membership(n, size, generator)
+        return self.system.strategy.sample_batch_membership(
+            n, size, generator, out=self._workspace.array(buffer_name, (size, n), bool)
+        )
 
     def _sample_round(
         self, generator: np.random.Generator, size: int
@@ -547,8 +523,8 @@ class BatchTrialEngine:
             touched = workspace.array("touched", (size, n), bool)
             member_w = self._draw_membership(size, generator, "member_w")
             np.logical_and(member_w, masks.responsive_storers, out=touched)
-            latest[touched] = 0
-            first_seen[touched] = 0
+            np.copyto(latest, 0, where=touched)
+            np.copyto(first_seen, 0, where=touched)
             latest = gossip_rounds_batch(
                 latest, correct, diffusion.fanout, diffusion.rounds, generator
             )
@@ -604,8 +580,8 @@ class BatchTrialEngine:
             for index in range(writers):
                 member_w = self._draw_membership(size, generator, "member_w")
                 np.logical_and(member_w, storers, out=touched)
-                first_seen[touched & (first_seen < 0)] = index
-                latest[touched] = index
+                np.copyto(first_seen, index, where=touched & (first_seen < 0))
+                np.copyto(latest, index, where=touched)
             if self.anti_entropy is not None and self.anti_entropy.gossips:
                 correct = ~(masks.crashed | masks.byzantine)
                 latest = gossip_rounds_batch(
@@ -702,8 +678,8 @@ class BatchTrialEngine:
             for version in range(writes):
                 member_w = self._draw_membership(size, generator, "member_w")
                 np.logical_and(member_w, storers, out=touched)
-                first_seen[touched & (first_seen < 0)] = version
-                latest[touched] = version
+                np.copyto(first_seen, version, where=touched & (first_seen < 0))
+                np.copyto(latest, version, where=touched)
                 if gossip_rounds_between_writes > 0:
                     latest = gossip_rounds_batch(
                         latest, correct, gossip_fanout, gossip_rounds_between_writes, generator

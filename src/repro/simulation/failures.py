@@ -34,6 +34,7 @@ from typing import (
 import numpy as np
 
 from repro.exceptions import ConfigurationError
+from repro.quorum.base import sample_subset_mask
 from repro.simulation.server import (
     ByzantineForgeBehavior,
     ByzantineReplayBehavior,
@@ -558,11 +559,10 @@ class FailureModel:
                 crashed[:, list(self.targets)] = True
         elif self.kind not in ("none", "message_reordering"):
             _validate_counts(n, self.count)
-            chosen = np.zeros((trials, n), dtype=bool)
-            if self.count:
-                ranks = generator.random((trials, n))
-                picks = np.argpartition(ranks, self.count - 1, axis=1)[:, : self.count]
-                np.put_along_axis(chosen, picks, True, axis=1)
+            chosen = sample_subset_mask(n, self.count, trials, generator)
+            if self.count == n:
+                # Failure masks draw a rank matrix for any count > 0; seeded runs rely on it.
+                generator.random((trials, n))
             if self.kind == "random_crashes":
                 crashed = chosen
             elif self.kind == "random_byzantine":

@@ -34,7 +34,7 @@ from repro.core.strategy import ExplicitStrategy, UniformSubsetStrategy
 from repro.exceptions import ConfigurationError
 from repro.protocol.timestamps import Timestamp
 from repro.protocol.variable import ProbabilisticRegister
-from repro.quorum.base import sample_subset_batch
+from repro.quorum.base import sample_subset_batch, sample_subset_mask
 from repro.quorum.measures import load_of_strategy
 from repro.simulation.batch import BatchTrialEngine, classify_threshold_votes
 from repro.simulation.client import measure_system_load
@@ -377,7 +377,8 @@ class TestBatchSamplingInvariants:
         size = data.draw(st.integers(min_value=1, max_value=n))
         trials = data.draw(st.integers(min_value=0, max_value=40))
         seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
-        matrix = sample_subset_batch(n, size, trials, np.random.default_rng(seed))
+        generator = np.random.default_rng(seed)
+        matrix = sample_subset_batch(n, size, trials, generator)
         assert matrix.shape == (trials, size)
         assert np.issubdtype(matrix.dtype, np.integer)
         if trials:
@@ -385,6 +386,40 @@ class TestBatchSamplingInvariants:
             # Every row is a subset: exactly `size` *distinct* server ids.
             for row in matrix:
                 assert len(set(row.tolist())) == size
+        # The mask kernel makes the same draws and marks the same sets.
+        mask_generator = np.random.default_rng(seed)
+        mask = sample_subset_mask(n, size, trials, mask_generator)
+        expected = np.zeros((trials, n), dtype=bool)
+        np.put_along_axis(expected, matrix, True, axis=1)
+        assert mask.dtype == bool
+        assert np.array_equal(mask, expected)
+        assert mask_generator.random() == generator.random()
+
+    def test_sample_subset_mask_ties_fall_back_to_the_argpartition_pick(self):
+        # Uniforms tied at the threshold would mark more than `size` servers
+        # by comparison alone; those rows must take argpartition's pick.
+        ranks = np.array(
+            [
+                [0.5, 0.2, 0.5, 0.9, 0.5, 0.1],
+                [0.3, 0.3, 0.3, 0.3, 0.3, 0.3],
+                [0.6, 0.1, 0.4, 0.2, 0.8, 0.7],
+            ]
+        )
+
+        class TiedGenerator:
+            def random(self, shape):
+                assert shape == ranks.shape
+                return ranks.copy()
+
+        size = 3
+        out = np.ones(ranks.shape, dtype=bool)
+        mask = sample_subset_mask(6, size, 3, TiedGenerator(), out=out)
+        assert mask is out
+        assert (mask.sum(axis=1) == size).all()
+        expected = np.zeros(ranks.shape, dtype=bool)
+        picks = np.argpartition(ranks, size - 1, axis=1)[:, :size]
+        np.put_along_axis(expected, picks, True, axis=1)
+        assert np.array_equal(mask, expected)
 
     @given(
         n=st.integers(min_value=1, max_value=64),
