@@ -12,7 +12,7 @@ and assert only what must hold on any machine:
   (`repro.service.net`: length-prefixed frames, per-connection writer tasks,
   the op-level `TcpDispatcher`).
 * **sharded TCP** — the wire path spread over 4 shards × 16 zipf-skewed
-  register keys on the negotiated *binary* codec; on a multi-core machine
+  register keys on the *binary* codec; on a multi-core machine
   through the full multi-process harness (`repro.service.cluster`: one
   server process per shard + worker processes).
 * **cluster TCP** — a fixed `ClusterDeployment` configuration (4 server

@@ -4,7 +4,7 @@ The other service examples run every replica inside one event loop.  This
 one crosses real process boundaries: ``Deployment.builder().processes(...)``
 deploys each shard's ``TcpServiceServer`` in its own spawned process
 (readiness handshake, health probes, escalating teardown), and the clients
-talk to them over localhost sockets on the negotiated binary wire codec.
+talk to them over localhost sockets on the binary wire codec.
 
 The smoke itself is the operational contract of the PODC '97 protocols:
 

@@ -118,10 +118,9 @@ class DeploymentBuilder:
         return self
 
     def codec(self, name: str) -> "DeploymentBuilder":
-        """Wire codec the TCP clients prefer: ``"json"`` or ``"binary"``.
+        """Wire codec the TCP clients send: ``"json"`` or ``"binary"``.
 
-        Negotiated per connection via a hello frame, so a ``"binary"``
-        deployment still interoperates with JSON-only peers.  Only
+        The servers answer in whichever codec a request arrives in.  Only
         meaningful over ``transport("tcp")`` — the in-process transport
         passes payloads by reference.
         """
@@ -156,8 +155,8 @@ class DeploymentBuilder:
 
         0 (the default) keeps the hot path entirely instrumentation-free;
         above 0 a :class:`~repro.obs.trace.Tracer` is shared by every client
-        the deployment hands out, and over TCP the trace id is negotiated
-        into the wire envelope so server processes can attribute requests.
+        the deployment hands out, and over TCP a traced request carries the
+        trace id in its wire envelope so server processes can attribute it.
         Collected traces come back from :meth:`Deployment.traces`.
         """
         if not 0.0 <= rate <= 1.0:
@@ -264,8 +263,7 @@ class Deployment:
                 sample_rate=builder._trace_sample,
                 seed=0 if builder._seed is None else builder._seed,
             )
-            # Must be set before start(): TCP transports decide whether to
-            # offer the trace extension when they negotiate their hello.
+            # Must be set before any client is created: each samples from it.
             self.sharded.tracer = self.tracer
 
     @classmethod

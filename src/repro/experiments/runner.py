@@ -426,7 +426,7 @@ def main(argv: List[str] = None) -> int:
         choices=WIRE_CODECS,
         default="json",
         help="serve wire codec over TCP: debug-friendly 'json' or the "
-        "struct-packed 'binary' (negotiated per connection; implies "
+        "struct-packed 'binary' (the servers answer in it; implies "
         "--transport tcp; default: json)",
     )
     parser.add_argument(

@@ -97,7 +97,7 @@ def serve_load_spec(
     the hottest key, colliding the writers on one register.
 
     ``codec`` picks the TCP wire codec (``"json"`` or the struct-packed
-    ``"binary"``, negotiated per connection).  ``processes > 0`` moves the
+    ``"binary"``; the servers answer in it).  ``processes > 0`` moves the
     soak onto a :class:`~repro.service.cluster.ClusterDeployment` — one
     server process per shard plus that many load-worker processes; both
     imply ``transport="tcp"``.  Live crash/recovery churn is in-loop

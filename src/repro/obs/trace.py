@@ -22,7 +22,7 @@ result is classified:
   runs.
 
 Traces cross the process boundary by **id**: the wire codecs carry the
-64-bit ``trace_id`` in a negotiated envelope extension
+64-bit ``trace_id`` as an optional sixth element of a request envelope
 (:mod:`repro.service.wire`), so a server process can attribute the requests
 it handles to the client-side trace without shipping the record itself.
 

@@ -9,7 +9,7 @@ client API) is the shared :class:`~repro.service.sharding.ShardedClientAPI`
 spine, unchanged:
 
 * :class:`ShardServerConfig` — the picklable description one shard server
-  needs (scenario, sampled failure plan, bind host, codecs); it crosses the
+  needs (scenario, sampled failure plan, bind host); it crosses the
   ``multiprocessing`` *spawn* boundary, so child processes never inherit
   the parent's interpreter state.
 * :func:`_shard_server_main` — the child entry point: build the replica
@@ -50,7 +50,6 @@ from repro.service.sharding import (
     arm_gossip,
     build_nodes,
 )
-from repro.service.wire import WIRE_CODECS
 from repro.simulation.failures import FailurePlan
 from repro.simulation.scenario import AntiEntropySpec, ScenarioSpec
 
@@ -73,7 +72,6 @@ class ShardServerConfig:
     scenario: ScenarioSpec
     plan: FailurePlan
     host: str = "127.0.0.1"
-    codecs: Tuple[str, ...] = WIRE_CODECS
     #: A gossiping spec arms a background gossip task next to the server,
     #: its peer-selection stream derived from the shard's transport seed.
     anti_entropy: Optional[AntiEntropySpec] = None
@@ -82,7 +80,7 @@ class ShardServerConfig:
 
 async def _serve_shard(config: ShardServerConfig, ready) -> None:
     nodes = build_nodes(config.scenario.n, config.plan)
-    server = TcpServiceServer(nodes, host=config.host, codecs=tuple(config.codecs))
+    server = TcpServiceServer(nodes, host=config.host)
     address = await server.start()
     gossip = arm_gossip(
         nodes, config.scenario, config.anti_entropy, config.transport_seed
@@ -131,8 +129,8 @@ class ClusterDeployment(ShardedClientAPI):
     where the servers live.
 
     Parameters mirror ``ShardedDeployment`` (transport is always TCP here)
-    plus ``codec`` — the wire codec client transports prefer (negotiated
-    per connection; the shard servers accept every codec).  A gossiping
+    plus ``codec`` — the wire codec client transports send (the shard
+    servers answer in whichever codec a request arrives in).  A gossiping
     ``anti_entropy`` spec (explicit, or inherited from the scenario) arms a
     background gossip task *inside each shard server process*; its counters
     ride the readiness pipe home at shutdown as extra metric snapshots.

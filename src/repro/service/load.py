@@ -224,8 +224,7 @@ class ServiceLoadSpec:
     seed: int = 0
     writers: Optional[int] = None
     contention: float = 0.0
-    #: Wire codec the TCP transports prefer (``"json"`` or ``"binary"``;
-    #: negotiated per connection, JSON is always the fallback).
+    #: Wire codec the TCP transports send (``"json"`` or ``"binary"``).
     codec: str = "json"
     #: ``0`` (default) keeps everything on the caller's event loop; ``> 0``
     #: deploys via :class:`~repro.service.cluster.ClusterDeployment` (one
@@ -434,7 +433,7 @@ class ServiceLoadReport:
     transport: str = "inproc"
     #: Completed operations routed to each shard (length ``spec.shards``).
     shard_ops: List[int] = field(default_factory=list)
-    #: Wire codec the run's connections negotiated ("json" in process);
+    #: Wire codec the run's connections sent ("json" in process);
     #: merged across shards and workers with the same list-when-differing
     #: rule as ``loop_driver``.
     codec: Any = "json"
@@ -810,9 +809,9 @@ async def drive_load(
     harness.gauge("fresh_read_fraction").set(
         outcomes.get("fresh", 0) / counters["reads"] if counters["reads"] else 0.0
     )
-    # What the connections actually negotiated, not what the spec preferred.
-    negotiated = (
-        sorted({shard.transport.negotiated_codec or "json" for shard in deployment.shards})
+    # What the connections sent, read off the transports themselves.
+    codecs = (
+        sorted({shard.transport.negotiated_codec for shard in deployment.shards})
         if spec.transport == "tcp"
         else ["json"]
     )
@@ -836,7 +835,7 @@ async def drive_load(
         gossip_rounds=deployment.gossip_rounds,
         transport=spec.transport,
         shard_ops=shard_ops,
-        codec=merge_worker_provenance(negotiated),
+        codec=merge_worker_provenance(codecs),
         traces=tracer.to_dicts() if tracer is not None else [],
         metrics=deployment.metrics_snapshots(labels) + [harness.to_dict()],
         epsilon_alerts=list(monitor.alerts) if monitor is not None else [],

@@ -31,13 +31,12 @@ engines, and that no fabricated value is ever accepted.
 
 Frames are the length-prefixed format of :mod:`repro.service.wire` under
 either codec (tagged JSON, or the struct-packed binary fast path).  Four
-request/response shapes, plus the negotiation pair::
+request/response shapes::
 
     ("mreq", op_id, (server_id, ...), method, args_tuple)   # TcpDispatcher, per round
     ("mrsp", op_id, (((server_id, ...), reply_envelope), ...))
     ("req", request_id, server_id, method, args_tuple)      # TcpTransport.call, repairs
     ("rsp", request_id, reply_envelope)
-    ("hello", [codec, ...]) / ("hello", chosen)             # codec negotiation
 
 A quorum operation is **one frame each way**: every replica of a group
 lives behind the same server socket, so a round names its q servers in
@@ -50,20 +49,14 @@ bijection.  A silent replica is simply absent from the ``mrsp``; when the
 next group would push a frame past ``MAX_FRAME_BYTES`` the server starts
 another ``mrsp`` with the same ``op_id``, and the client takes any number
 of them per op.  Single RPCs (:meth:`TcpTransport.call`, cluster probes,
-fire-and-forget repairs) keep the ``req``/``rsp`` pair.  The vectored
-shapes are not negotiated: both ends of this wire ship together and the
-server accepts either request shape on any connection.  A request may
-carry the client's trace id as a trailing sixth element on connections
-that negotiated the ``trace`` extension.
+fire-and-forget repairs) keep the ``req``/``rsp`` pair.
 
-Negotiation is per connection: a client preferring the binary codec opens
-with a JSON-encoded hello offering its codecs, the server answers with its
-choice, and each side then *sends* its negotiated codec (every frame
-self-identifies, so decoding needs no negotiation state).  A pre-codec
-peer treats the hello as a malformed request and drops the connection; the
-client detects the EOF, marks the whole transport JSON-only and
-reconnects — binary clients interoperate with JSON-only servers at the
-cost of one extra connect.
+Nothing is negotiated — both ends of this wire ship together.  A
+:class:`TcpTransport` sends every frame in the codec it was built with;
+the server accepts either request shape in either codec on any connection
+and answers in the codec the request arrived in (every frame
+self-identifies by its first byte).  A request may end in the client's
+trace id as an optional sixth element.
 """
 
 from __future__ import annotations
@@ -80,7 +73,6 @@ from repro.service.transport import AsyncTransport
 from repro.service.wire import (
     WIRE_CODECS,
     FrameDecoder,
-    choose_codec,
     decode_binary_request_body,
     decode_binary_response_body,
     encode_frame,
@@ -88,14 +80,7 @@ from repro.service.wire import (
     encode_request_frame,
     encode_response_frame,
     encode_vectored_request_frame,
-    hello_frame,
-    hello_offers_trace,
-    hello_reply_frame,
-    join_negotiated,
-    offer_codecs,
-    parse_hello,
     request_tail,
-    split_negotiated,
 )
 
 #: Socket read size for both the server's and the client's reader loops.
@@ -160,18 +145,9 @@ class TcpServiceServer:
     host, port:
         Bind address; ``port=0`` (the default) lets the OS pick a free
         ephemeral port, published via :attr:`address` after :meth:`start`.
-    codecs:
-        The wire codecs this server will negotiate (a client's hello picks
-        the first of its offers present here).  Must include ``"json"`` —
-        it is the negotiation carrier and the pre-codec fallback; pass
-        ``codecs=("json",)`` to deploy a JSON-only server.
-    trace:
-        Whether the server accepts the negotiated trace-context envelope
-        extension (clients offering the ``"trace"`` token then send
-        6-tuple request frames carrying their trace id).  ``False``
-        reproduces a pre-trace server exactly — the token is ignored and
-        only 5-tuple requests are accepted — which is what the
-        degradation tests deploy.
+
+    The server speaks both wire codecs on every connection and answers each
+    chunk of requests in the codec they arrived in.
     """
 
     def __init__(
@@ -179,33 +155,19 @@ class TcpServiceServer:
         nodes: Sequence[ServiceNode],
         host: str = "127.0.0.1",
         port: int = 0,
-        codecs: Sequence[str] = WIRE_CODECS,
-        trace: bool = True,
     ) -> None:
         self.nodes = list(nodes)
         self.host = host
         self.port = int(port)
-        self.codecs = tuple(codecs)
-        if "json" not in self.codecs:
-            raise ServiceError(
-                "the server's codecs must include 'json' (the negotiation "
-                f"carrier and pre-codec fallback), got {self.codecs!r}"
-            )
-        for name in self.codecs:
-            if name not in WIRE_CODECS:
-                raise ServiceError(
-                    f"unknown wire codec {name!r}; choose from {WIRE_CODECS}"
-                )
         self._server: Optional[asyncio.AbstractServer] = None
         self._connection_tasks: "set[asyncio.Task]" = set()
         self._connection_writers: "set[asyncio.StreamWriter]" = set()
-        self.trace_support = bool(trace)
         self.connections_accepted = 0
         #: Replica RPCs served (an ``mreq`` naming q replicas counts q) ...
         self.requests_handled = 0
         #: ... and the request frames that carried them.
         self.frames_handled = 0
-        #: Requests that arrived with a trace id (the extension negotiated).
+        #: Requests that arrived with a trace id.
         self.traced_requests = 0
         #: The most recent trace id seen (tests pin cross-process survival).
         self.last_trace_id: Optional[int] = None
@@ -252,8 +214,6 @@ class TcpServiceServer:
         self._connection_tasks.add(asyncio.current_task())
         self._connection_writers.add(writer)
         decoder = FrameDecoder(decode_binary=decode_binary_request_body)
-        codec = "json"  # per-connection response codec until a hello says otherwise
-        traced = False  # whether this connection negotiated the trace extension
         try:
             while True:
                 chunk = await reader.read(_READ_CHUNK)
@@ -265,16 +225,10 @@ class TcpServiceServer:
                 # Not reading while ``drain`` applies backpressure is the
                 # point — a slow peer throttles itself, nobody else.
                 responses: List[bytes] = []
-                for frame in decoder.feed(chunk):
-                    offered = parse_hello(frame)
-                    if offered is not None:
-                        codec = choose_codec(offered, self.codecs)
-                        traced = self.trace_support and hello_offers_trace(offered)
-                        responses.append(
-                            hello_reply_frame(join_negotiated(codec, traced))
-                        )
-                        continue
-                    responses.extend(self._handle_request(frame, codec, traced))
+                frames = decoder.feed(chunk)
+                codec = decoder.codec  # answer in the codec the requests came in
+                for frame in frames:
+                    responses.extend(self._handle_request(frame, codec))
                 if responses:
                     writer.write(b"".join(responses))
                     await writer.drain()
@@ -291,9 +245,7 @@ class TcpServiceServer:
             self._connection_writers.discard(writer)
             self._connection_tasks.discard(asyncio.current_task())
 
-    def _handle_request(
-        self, frame: Any, codec: str = "json", traced: bool = False
-    ) -> List[bytes]:
+    def _handle_request(self, frame: Any, codec: str) -> List[bytes]:
         """Serve one ``req`` or ``mreq`` frame; return its reply frames.
 
         The whole frame is validated before any node is touched, so a
@@ -301,20 +253,15 @@ class TcpServiceServer:
         """
         nodes = self.nodes
         try:
-            trace_id: Optional[int] = None
-            if traced and isinstance(frame, tuple) and len(frame) == 6:
-                kind, request_id, target, method, args, trace_id = frame
-                if not isinstance(trace_id, int):
-                    raise ValueError(trace_id)
-            else:
-                # Off a trace-negotiated connection the envelope stays the
-                # strict 5-tuple: a 6-tuple from a peer that never offered
-                # the token is as malformed as it always was.
-                kind, request_id, target, method, args = frame
+            kind, request_id, target, method, args, *trace = frame
             if (
                 not isinstance(request_id, int)
                 or not isinstance(method, str)
                 or not isinstance(args, tuple)
+                # An optional sixth element is the client's trace id: an
+                # exact int, like a server id (``True`` is not a trace id).
+                or len(trace) > 1
+                or (trace and type(trace[0]) is not int)
             ):
                 raise ValueError(frame)
             if kind == "req":
@@ -351,9 +298,9 @@ class TcpServiceServer:
             raise WireFormatError(f"unroutable request frame: {error}") from error
         self.frames_handled += 1
         self.requests_handled += len(server_ids)
-        if trace_id is not None:
+        if trace:
             self.traced_requests += len(server_ids)
-            self.last_trace_id = trace_id
+            self.last_trace_id = trace[0]
         if kind == "mreq":
             return encode_grouped_response_frames(request_id, replies, codec)
         return [encode_response_frame(request_id, reply, codec) for _, reply in replies]
@@ -398,12 +345,11 @@ class _TcpConnection:
         return self._writer is not None and not self._writer.is_closing()
 
     async def ensure(self, connect_timeout: Optional[float] = None) -> None:
-        """(Re)open the socket — and negotiate its codec — when needed.
+        """(Re)open the socket when needed.
 
-        ``connect_timeout`` bounds the whole connect (handshake included)
-        so a blackholed peer costs the caller its RPC deadline, not the OS
-        connect timeout.  After this returns, the transport's
-        ``negotiated_codec`` is resolved and :meth:`enqueue` cannot block.
+        ``connect_timeout`` bounds the whole connect so a blackholed peer
+        costs the caller its RPC deadline, not the OS connect timeout.
+        After this returns, :meth:`enqueue` cannot block.
         """
         if self.connected:
             return
@@ -427,86 +373,20 @@ class _TcpConnection:
             if self.connected:
                 return
             await self._teardown()
-            transport = self.transport
-            host, port = transport.address
-            reader, writer = await asyncio.open_connection(host, port)
-            decoder = FrameDecoder(decode_binary=decode_binary_response_body)
-            # Negotiate when the transport wants a non-JSON codec (unless a
-            # previous handshake already fell back to JSON) or the trace
-            # extension (unless a failed handshake disabled hellos for this
-            # transport).  A plain JSON-preference transport with no tracing
-            # still skips the hello entirely — pre-codec byte compatibility.
-            want_codec = (
-                transport.codec_preference != "json"
-                and transport.negotiated_codec != "json"
+            self._reader, self._writer = await asyncio.open_connection(
+                *self.transport.address
             )
-            want_trace = transport.trace_wanted and not transport.hello_disabled
-            if want_codec or want_trace:
-                reader, writer, decoder = await self._negotiate(reader, writer, decoder)
-            self._reader, self._writer = reader, writer
             self._queue = asyncio.Queue()
             self._tasks = [
                 asyncio.create_task(_drain_queue(self._queue, self._writer)),
-                asyncio.create_task(self._read_loop(self._reader, decoder)),
+                asyncio.create_task(self._read_loop(self._reader)),
             ]
             if self._was_connected:
-                transport.reconnects += 1
+                self.transport.reconnects += 1
             self._was_connected = True
 
-    async def _negotiate(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        decoder: FrameDecoder,
-    ):
-        """The hello exchange; falls back to JSON (and reconnects) on old peers."""
-        transport = self.transport
-        try:
-            writer.write(
-                hello_frame(
-                    offer_codecs(
-                        transport.offered_codecs, trace=transport.trace_wanted
-                    )
-                )
-            )
-            await writer.drain()
-            frames: List[Any] = []
-            while not frames:
-                chunk = await reader.read(_READ_CHUNK)
-                if not chunk:
-                    raise ConnectionResetError("peer closed during codec negotiation")
-                frames = decoder.feed(chunk)
-            chosen = parse_hello(frames[0])
-            if not isinstance(chosen, str):
-                raise WireFormatError(f"expected a hello reply, got {frames[0]!r}")
-        except (ConnectionError, OSError, WireFormatError):
-            # A pre-codec peer treats the hello as a malformed request and
-            # drops the connection.  Fall back to JSON for the *transport*
-            # (one extra connect total, not one per pooled connection), give
-            # up on the trace extension, and reconnect without a handshake.
-            transport.negotiated_codec = "json"
-            transport.negotiated_trace = False
-            transport.hello_disabled = True
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-            host, port = transport.address
-            reader, writer = await asyncio.open_connection(host, port)
-            return reader, writer, FrameDecoder(decode_binary=decode_binary_response_body)
-        chosen, traced = split_negotiated(chosen)
-        transport.negotiated_trace = traced and transport.trace_wanted
-        transport.negotiated_codec = chosen if chosen in WIRE_CODECS else "json"
-        for frame in frames[1:]:  # responses glued onto the hello reply
-            transport._dispatch_response(frame)
-        return reader, writer, decoder
-
-    async def _read_loop(
-        self, reader: asyncio.StreamReader, decoder: Optional[FrameDecoder] = None
-    ) -> None:
-        if decoder is None:
-            decoder = FrameDecoder(decode_binary=decode_binary_response_body)
+    async def _read_loop(self, reader: asyncio.StreamReader) -> None:
+        decoder = FrameDecoder(decode_binary=decode_binary_response_body)
         try:
             while True:
                 chunk = await reader.read(_READ_CHUNK)
@@ -559,17 +439,9 @@ class TcpTransport(AsyncTransport):
         Sockets the transport stripes RPCs across; each has its own writer
         task, so one slow ``drain`` never blocks the others.
     codec:
-        The *preferred* wire codec.  ``"json"`` (the default) sends the
-        pre-codec byte stream with no hello handshake; ``"binary"`` offers
-        the struct-packed codec per connection and falls back to JSON
-        against servers that do not speak it.  :attr:`negotiated_codec`
-        records the outcome once the first connection is up.
-    trace:
-        Whether to offer the trace-context envelope extension in the hello
-        (a JSON-preference transport then handshakes too).  Trace ids ride
-        the request frames only once :attr:`negotiated_trace` confirms the
-        server accepted the offer — against a pre-trace server everything
-        degrades to plain envelopes.
+        The wire codec every request frame is sent in: ``"json"`` (the
+        default) or the struct-packed ``"binary"``.  The server answers in
+        the same codec.
     """
 
     def __init__(
@@ -581,7 +453,6 @@ class TcpTransport(AsyncTransport):
         seed: int = 0,
         connections: int = DEFAULT_CONNECTIONS,
         codec: str = "json",
-        trace: bool = False,
     ) -> None:
         super().__init__(
             latency=latency, jitter=jitter, drop_probability=drop_probability, seed=seed
@@ -592,19 +463,11 @@ class TcpTransport(AsyncTransport):
             raise ServiceError(
                 f"unknown wire codec {codec!r}; choose from {WIRE_CODECS}"
             )
-        self.codec_preference = codec
-        #: Codecs offered in the hello (preference first; JSON always last).
-        self.offered_codecs = (codec, "json") if codec != "json" else ("json",)
-        #: The codec this transport *sends*: resolved immediately for a JSON
-        #: preference, by the first connection's handshake otherwise.
-        self.negotiated_codec: Optional[str] = "json" if codec == "json" else None
-        #: Whether the hello should offer the trace extension at all.
-        self.trace_wanted = bool(trace)
-        #: Whether the server accepted it (set by the handshake).
-        self.negotiated_trace = False
-        #: Set when a handshake failed outright: stop offering hellos so a
-        #: tracing JSON-preference transport still talks to hello-less peers.
-        self.hello_disabled = False
+        #: The codec this transport sends: always the constructor's, never
+        #: ``None``.  The name predates the removal of per-connection
+        #: negotiation; it stays because ``bench/harness.py`` (run
+        #: provenance) and the load report read it.
+        self.negotiated_codec = codec
         self.address = (str(address[0]), int(address[1]))
         self._connections = [_TcpConnection(self) for _ in range(connections)]
         #: request_id -> Future (:meth:`call`) or _WireOp (a dispatcher
@@ -668,10 +531,7 @@ class TcpTransport(AsyncTransport):
         (simulated-)dropped, the reply missed the wall-clock deadline, or
         the connection failed and could not be re-established in time; the
         error carries a ``disposition`` attribute for trace spans.  A
-        ``trace_id`` rides the request envelope only once the connection
-        handshake confirmed the server speaks the trace extension
-        (:attr:`negotiated_trace`); otherwise it is silently omitted so
-        un-instrumented peers keep interoperating.
+        ``trace_id`` rides the request envelope as its sixth element.
         """
         self.calls += 1
         if self.drop_probability > 0.0 and self.rng.random() < self.drop_probability:
@@ -707,16 +567,11 @@ class TcpTransport(AsyncTransport):
         started = loop.time()
         try:
             try:
-                # Connect (and, first time, negotiate the codec) before
-                # encoding: the request must be framed in whatever codec the
-                # handshake lands on.
                 await connection.ensure(connect_timeout=timeout)
                 payload = ("req", request_id, node.server_id, method, args)
-                if trace_id is not None and self.negotiated_trace:
+                if trace_id is not None:
                     payload = payload + (trace_id,)
-                connection.enqueue(
-                    encode_frame(payload, self.negotiated_codec or "json")
-                )
+                connection.enqueue(encode_frame(payload, self.negotiated_codec))
             except (ConnectionError, OSError) as error:
                 # Unreachable server: burn (the rest of) the deadline like
                 # any silent peer — a failed connect already consumed some.
@@ -882,7 +737,7 @@ class TcpDispatcher(QuorumDriver):
         tail = request_tail(
             "repair",
             (variable, value, timestamp, signature),
-            codec=transport.negotiated_codec or "json",
+            codec=transport.negotiated_codec,
         )
         connection.enqueue(encode_request_frame(request_id, server, tail))
         self.repairs_piggybacked += 1
@@ -947,9 +802,6 @@ class TcpDispatcher(QuorumDriver):
         op_id = transport._next_request_id
         connection = transport._connections[op_id % len(transport._connections)]
         if not connection.connected:
-            # Bring the socket up (running the hello handshake) before
-            # framing: the codec and the trace-extension verdict must be
-            # known to build the frame.
             remaining = (
                 None if timeout is None
                 else max(wire.start + timeout - wire.future.get_loop().time(), 0.001)
@@ -962,15 +814,11 @@ class TcpDispatcher(QuorumDriver):
             # The deadline fired while the caller was suspended (delay sleep
             # or the reconnect): sending now would only leak a pending entry.
             return False
-        # The trace id joins the envelope only once the handshake confirmed
-        # the server speaks the extension; otherwise the frame stays
-        # byte-identical to an untraced one.
-        traced = wire.trace is not None and transport.negotiated_trace
         frame = encode_vectored_request_frame(
             op_id,
             sent,
-            request_tail(method, args, codec=transport.negotiated_codec or "json"),
-            trace_id=wire.trace.trace_id if traced else None,
+            request_tail(method, args, codec=transport.negotiated_codec),
+            trace_id=wire.trace.trace_id if wire.trace is not None else None,
         )
         wire.op_id = op_id
         transport._pending[op_id] = wire

@@ -206,10 +206,9 @@ class ShardedClientAPI:
     """
 
     #: Optional shared :class:`~repro.obs.trace.Tracer`.  Set it before
-    #: :meth:`start` (TCP transports offer the trace envelope extension in
-    #: their handshakes only when a tracer exists) and before creating
-    #: clients: every quorum client built through this surface samples
-    #: traces from it.  ``None`` keeps tracing off the hot path entirely.
+    #: creating clients: every quorum client built through this surface
+    #: samples traces from it.  ``None`` keeps tracing off the hot path
+    #: entirely.
     tracer: Optional[Tracer] = None
 
     def __init__(
@@ -265,7 +264,6 @@ class ShardedClientAPI:
                 address,
                 seed=shard.transport_seed,
                 codec=self.codec,
-                trace=self.tracer is not None,
                 **self._conditions,
             )
             await shard.transport.connect()
@@ -468,8 +466,8 @@ class ShardedDeployment(ShardedClientAPI):
     tcp_host:
         Bind address for the per-shard socket servers.
     codec:
-        The wire codec the TCP transports prefer (``"json"`` or
-        ``"binary"``; negotiated per connection, with JSON fallback).
+        The wire codec the TCP transports send (``"json"`` or
+        ``"binary"``; the servers answer in the same codec).
         Meaningless — and therefore refused — for ``transport="inproc"``,
         where payloads pass by reference.
     anti_entropy:

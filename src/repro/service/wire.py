@@ -8,7 +8,7 @@ objects (honest and forged), signature bytes and
 a bijection on that whole value space, not just on JSON's native one.  Two
 codecs implement that bijection behind one framing:
 
-**json** (the debug codec and the compatibility fallback) packs every
+**json** (the debug codec and the default) packs every
 container and protocol object behind a one-key tag object before
 serialisation:
 
@@ -36,21 +36,17 @@ two-int64 ``Timestamp`` record and a three-field ``StoredValue`` record —
 so RPC request/response tuples cost a handful of ``struct`` packs instead
 of a JSON tree walk.
 
-**Codec negotiation** is per connection and sender-side only: a client
-preferring binary opens with a ``("hello", [codec, ...])`` frame (always
-JSON-encoded, so any peer can read it) and the server answers
-``("hello", chosen)``, after which each side *sends* its negotiated codec.
-Because every frame self-identifies via the magic byte, a receiver needs no
-negotiation state to decode — old JSON-only peers simply drop the hello as
-a malformed request, which the client detects (EOF) and falls back to JSON.
+**Codecs are never negotiated.**  Every frame self-identifies via the magic
+byte, so a receiver needs no per-connection state to decode: a client sends
+every frame in the codec it was built with, and the server answers in the
+codec its requests arrive in (:attr:`FrameDecoder.codec`).
 ``encode(decode(x)) == x`` for every supported payload under **both**
 codecs — the hypothesis suite in ``tests/service/test_wire.py`` pins the
 round trips down, including adversarially large and empty values, and pins
 that the same logical frame decodes identically whichever codec carried it.
 
 **Envelopes.**  Four request/response shapes ride the framing (who sends
-which, and why none of them is negotiated, is in :mod:`repro.service.net`),
-each with a fast encoder::
+which is in :mod:`repro.service.net`), each with a fast encoder::
 
     ("req", request_id, server_id, method, args)           encode_request_frame
     ("rsp", request_id, reply_envelope)                    encode_response_frame
@@ -96,8 +92,8 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 #: Length-prefix width in bytes (big-endian, unsigned).
 _PREFIX_BYTES = 4
 
-#: The codecs a connection can negotiate.  ``"json"`` is the debug codec
-#: and the universal fallback; ``"binary"`` is the struct-packed fast path.
+#: The wire codecs.  ``"json"`` is the debug codec and the default;
+#: ``"binary"`` is the struct-packed fast path.
 WIRE_CODECS = ("json", "binary")
 
 _SCALARS = (bool, int, float, str)
@@ -169,7 +165,7 @@ def unpack_value(packed: Any) -> Any:
 
 #: First body byte of every binary frame.  0xB1 is a UTF-8 continuation
 #: byte, so it can never open the UTF-8 text of a JSON body — which is what
-#: lets :class:`FrameDecoder` dispatch per frame with no negotiation state.
+#: lets :class:`FrameDecoder` dispatch per frame with no per-connection state.
 BINARY_MAGIC = 0xB1
 
 _T_NONE = 0x00
@@ -488,8 +484,7 @@ def encode_request_frame(
     args), codec)`` for the codec the tail was built with (the tail's type
     identifies it) — the wire tests pin the equivalence down.  With a
     ``trace_id`` the envelope grows a sixth element (byte-identical to
-    encoding the 6-tuple); only send it on connections that negotiated the
-    trace extension — an un-instrumented peer rejects 6-tuples.
+    encoding the 6-tuple).
     """
     if isinstance(tail, str):
         if trace_id is None:
@@ -654,8 +649,8 @@ def encode_vectored_request_frame(
 
     Byte-identical to ``encode_frame(("mreq", op_id, tuple(servers), method,
     args), codec)`` for the codec the tail was built with, and to the
-    6-tuple ending in ``trace_id`` when one is given (same negotiation rule
-    as :func:`encode_request_frame`).  ``servers`` must be plain ints.
+    6-tuple ending in ``trace_id`` when one is given.  ``servers`` must be
+    plain ints.
     """
     if isinstance(tail, str):
         ids = ",".join(map(str, servers))
@@ -762,79 +757,6 @@ def encode_grouped_response_frames(
     return frames
 
 
-# -- codec negotiation -------------------------------------------------------------
-
-#: Capability token a tracing client appends to its offered-codec list.  It
-#: is not a codec: :func:`choose_codec` skips names outside ``supported``,
-#: so an un-instrumented server silently ignores the token and negotiation
-#: degrades to plain frames — exactly the backward-compatibility story the
-#: hello exchange already has for unknown codecs.
-TRACE_TOKEN = "trace"
-
-#: Suffix a trace-aware server appends to its chosen-codec reply when (and
-#: only when) the client offered :data:`TRACE_TOKEN`.
-TRACE_SUFFIX = "+trace"
-
-
-def offer_codecs(codecs: Sequence[str], trace: bool = False) -> List[str]:
-    """The offered-codec list for a hello, with the trace token if asked."""
-    offered = list(codecs)
-    if trace:
-        offered.append(TRACE_TOKEN)
-    return offered
-
-
-def hello_offers_trace(offered: Any) -> bool:
-    """Whether a hello's offered list carries the trace capability token."""
-    return isinstance(offered, (list, tuple)) and TRACE_TOKEN in offered
-
-
-def split_negotiated(chosen: Any) -> Tuple[Any, bool]:
-    """Split a hello reply into ``(codec, traced)``.
-
-    ``"binary+trace"`` → ``("binary", True)``; anything without the suffix
-    (including the replies of pre-trace servers) passes through untraced.
-    """
-    if isinstance(chosen, str) and chosen.endswith(TRACE_SUFFIX):
-        return chosen[: -len(TRACE_SUFFIX)], True
-    return chosen, False
-
-
-def join_negotiated(codec: str, traced: bool) -> str:
-    """The server's reply spelling: the codec, suffixed when tracing."""
-    return codec + TRACE_SUFFIX if traced else codec
-
-
-def hello_frame(codecs: Sequence[str]) -> bytes:
-    """The negotiation opener: ``("hello", [codec, ...])``, always JSON."""
-    return encode_frame(("hello", list(codecs)), codec="json")
-
-
-def hello_reply_frame(chosen: str) -> bytes:
-    """The server's answer: ``("hello", chosen)``, always JSON."""
-    return encode_frame(("hello", str(chosen)), codec="json")
-
-
-def parse_hello(frame: Any) -> Optional[Any]:
-    """The hello payload (offered list or chosen name), or ``None``.
-
-    Request frames are 5- or 6-tuples and response frames 3-tuples, so a
-    2-tuple opening with ``"hello"`` is unambiguously a negotiation frame.
-    """
-    if isinstance(frame, tuple) and len(frame) == 2 and frame[0] == "hello":
-        return frame[1]
-    return None
-
-
-def choose_codec(offered: Any, supported: Sequence[str]) -> str:
-    """The first offered codec the receiver supports; JSON as the fallback."""
-    if isinstance(offered, (list, tuple)):
-        for name in offered:
-            if name in supported:
-                return str(name)
-    return "json"
-
-
 class FrameDecoder:
     """Incremental frame decoder, resilient to arbitrary chunk boundaries.
 
@@ -843,9 +765,9 @@ class FrameDecoder:
     possibly several); partial frames stay buffered until their remaining
     bytes arrive.  Each frame self-identifies its codec — a body opening
     with :data:`BINARY_MAGIC` is binary, anything else is JSON — so one
-    decoder handles mid-stream codec switches (e.g. the JSON hello exchange
-    preceding binary traffic).  The decoder is stateful per connection —
-    use one instance per stream.
+    decoder handles either codec, frame by frame, and :attr:`codec` names
+    the codec of the frame it decoded last (the server answers in it).
+    The decoder is stateful per connection — use one instance per stream.
     """
 
     def __init__(
@@ -861,6 +783,8 @@ class FrameDecoder:
         self._decode_binary = decode_binary or decode_binary_body
         #: Frames decoded so far (tests and server stats).
         self.frames_decoded = 0
+        #: The codec of the last decoded frame (``"json"`` before any).
+        self.codec = "json"
 
     @property
     def pending_bytes(self) -> int:
@@ -890,8 +814,10 @@ class FrameDecoder:
             body = bytes(buffer[offset + _PREFIX_BYTES : end])
             offset = end
             if body and body[0] == BINARY_MAGIC:
+                self.codec = "binary"
                 payloads.append(self._decode_binary(body))
             else:
+                self.codec = "json"
                 try:
                     payloads.append(unpack_value(json.loads(body.decode("utf-8"))))
                 except WireFormatError:

@@ -208,19 +208,26 @@ class TestFailureSemantics:
     def test_validation(self):
         with pytest.raises(ServiceError):
             TcpTransport(("127.0.0.1", 1), connections=0)
+        with pytest.raises(ServiceError):
+            TcpTransport(("127.0.0.1", 1), codec="xml")
 
 
-async def raw_exchange(server, payload, codec):
-    """Send one hand-built frame on a fresh socket; return the decoded reply
-    frames, or ``None`` if the server hung up without a word."""
+async def raw_reply(server, payload, codec):
+    """Send one hand-built frame on a fresh socket, with no preamble; return
+    the raw reply bytes (``b""`` if the server hung up without a word)."""
     reader, writer = await asyncio.open_connection(*server.address)
     try:
         writer.write(encode_frame(payload, codec))
         await writer.drain()
-        data = await asyncio.wait_for(reader.read(65536), 1.0)
-        return FrameDecoder().feed(data) if data else None
+        return await asyncio.wait_for(reader.read(65536), 1.0)
     finally:
         writer.close()
+
+
+async def raw_exchange(server, payload, codec):
+    """:func:`raw_reply`, decoded; ``None`` if the server hung up."""
+    data = await raw_reply(server, payload, codec)
+    return FrameDecoder().feed(data) if data else None
 
 
 WRITE = ("x", "v", Timestamp(1), None)
@@ -242,7 +249,10 @@ HOSTILE_MREQS = {
     "op id not an int": ("mreq", "1", (0, 1), "write", WRITE),
     "unknown method": ("mreq", 1, (0, 1), "bogus-method", WRITE),
     "wrong argument count": ("mreq", 1, (0, 1), "write", ("x",)),
-    "trace id nobody negotiated": ("mreq", 1, (0, 1), "write", WRITE, 99),
+    "trace id not an int": ("mreq", 1, (0, 1), "write", WRITE, "99"),
+    "bool trace id": ("mreq", 1, (0, 1), "write", WRITE, True),
+    "two trailing elements": ("mreq", 1, (0, 1), "write", WRITE, 99, 99),
+    "hello frame": ("hello", ["binary", "json"]),
     "too short": ("mreq", 1, (0, 1), "write"),
     "unknown kind": ("mrsp", 1, (0, 1), "write", WRITE),
 }
@@ -275,17 +285,27 @@ class TestHostileVectoredFrames:
         async def scenario():
             nodes, server, transport = await deploy(n=3)
             nodes[1].crash()
-            frames = await raw_exchange(server, ("mreq", 7, (2, 0, 1), "write", WRITE), codec)
-            # No hello was sent, so the answer is JSON; the crashed replica
-            # is absent, the other two agree and share one envelope.
-            assert frames == [("mrsp", 7, (((2, 0), ("ok", True)),))]
+            data = await raw_reply(server, ("mreq", 7, (2, 0, 1), "write", WRITE), codec)
+            # The answer comes in the request's codec (the body after the
+            # length prefix opens with the binary magic or with JSON text).
+            opening = bytes([wire.BINARY_MAGIC]) if codec == "binary" else b"{"
+            assert data[4:5] == opening
+            # The crashed replica is absent, the other two agree and share
+            # one envelope.
+            assert FrameDecoder().feed(data) == [("mrsp", 7, (((2, 0), ("ok", True)),))]
             assert [node.stored("x") is not None for node in nodes] == [True, False, True]
             assert (server.requests_handled, server.frames_handled) == (3, 1)
+            # A traced request needs no preamble either: the sixth element
+            # is the client's trace id.
+            frames = await raw_exchange(server, ("mreq", 8, (0, 2), "read", ("x",), 2**40), codec)
+            assert [(kind, op_id) for kind, op_id, _ in frames] == [("mrsp", 8)]
+            assert (server.traced_requests, server.last_trace_id) == (2, 2**40)
+            assert (server.requests_handled, server.frames_handled) == (5, 2)
             # All silent: no frame at all.
             nodes[0].crash()
             nodes[2].crash()
             with pytest.raises(asyncio.TimeoutError):
-                await raw_exchange(server, ("mreq", 8, (0, 1, 2), "ping", ()), codec)
+                await raw_exchange(server, ("mreq", 9, (0, 1, 2), "ping", ()), codec)
             await teardown(server, transport)
 
         run(scenario())
@@ -423,7 +443,7 @@ class TestTcpDispatcher:
 
     def test_every_server_gets_one_span_whatever_its_fate(self):
         async def scenario():
-            nodes, server, transport = await deploy(n=8, drop_probability=0.3, seed=5, trace=True)
+            nodes, server, transport = await deploy(n=8, drop_probability=0.3, seed=5)
             nodes[0].crash()
             nodes[6].crash()
             dispatcher = TcpDispatcher(transport)

@@ -1,22 +1,20 @@
-"""Property tests for the negotiated trace extension of the wire protocol.
+"""Property tests for the trace id on the wire.
 
-The trace extension must be invisible unless both ends opt in:
+A request may end in its client's trace id; nothing else changes:
 
-* the **hello** offers codecs plus an extra ``"trace"`` token; a codec
-  chooser that has never heard of the token picks the identical codec it
-  would have picked without it (the token is not a codec);
 * the **envelope** grows a sixth element only when a trace id is attached,
   and the traced request frame is byte-identical to encoding the 6-tuple
   generically — so payload semantics never depend on the fast path;
-* a **traced client against an un-instrumented server** degrades cleanly:
-  negotiation resolves to the plain codec, no 6-tuple ever hits the wire,
-  and the RPCs behave exactly as untraced ones.
+* over a real connection, under **either codec** and with no preamble, a
+  traced quorum round reaches the server with its id, and an untraced one
+  reaches it with none.
 """
 
 from __future__ import annotations
 
 import asyncio
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,15 +24,9 @@ from repro.service.node import ServiceNode
 from repro.service.wire import (
     WIRE_CODECS,
     FrameDecoder,
-    TRACE_TOKEN,
-    choose_codec,
     encode_frame,
     encode_request_frame,
-    hello_offers_trace,
-    join_negotiated,
-    offer_codecs,
     request_tail,
-    split_negotiated,
 )
 
 
@@ -98,47 +90,14 @@ class TestTracedEnvelope:
             )
 
 
-class TestHelloNegotiation:
-    @settings(max_examples=50)
-    @given(
-        st.lists(st.sampled_from(sorted(WIRE_CODECS)), min_size=1, max_size=3),
-        st.lists(st.sampled_from(sorted(WIRE_CODECS)), min_size=1, max_size=2),
-    )
-    def test_trace_token_never_changes_the_chosen_codec(self, offered, supported):
-        plain = offer_codecs(offered)
-        traced = offer_codecs(offered, trace=True)
-        assert choose_codec(plain, supported) == choose_codec(traced, supported)
-
-    def test_offer_appends_the_token_only_when_asked(self):
-        assert offer_codecs(["binary", "json"]) == ["binary", "json"]
-        assert offer_codecs(["binary"], trace=True) == ["binary", TRACE_TOKEN]
-        assert hello_offers_trace(offer_codecs(["json"], trace=True))
-        assert not hello_offers_trace(offer_codecs(["json"]))
-        assert not hello_offers_trace("json")  # not a list: malformed hello
-
-    def test_token_is_not_a_codec_to_an_old_server(self):
-        # An un-instrumented server treats the token as an unknown codec
-        # name and skips it — never selects it, never errors.
-        assert choose_codec([TRACE_TOKEN], WIRE_CODECS) == "json"
-        assert choose_codec(["binary", TRACE_TOKEN], WIRE_CODECS) == "binary"
-
-    @settings(max_examples=20)
-    @given(st.sampled_from(sorted(WIRE_CODECS)), st.booleans())
-    def test_split_join_round_trip(self, codec, traced):
-        assert split_negotiated(join_negotiated(codec, traced)) == (codec, traced)
-
-    def test_split_tolerates_untagged_replies(self):
-        assert split_negotiated("json") == ("json", False)
-        assert split_negotiated(None) == (None, False)
-
-
-class TestDegradation:
-    def test_traced_client_against_untraced_server(self):
+class TestTracedConnections:
+    @pytest.mark.parametrize("codec", WIRE_CODECS)
+    def test_traced_rounds_carry_their_trace_id_to_the_server(self, codec):
         async def scenario():
             nodes = [ServiceNode(server) for server in range(3)]
-            server = TcpServiceServer(nodes, trace=False)  # un-instrumented peer
+            server = TcpServiceServer(nodes)
             await server.start()
-            transport = TcpTransport(server.address, codec="binary", trace=True)
+            transport = TcpTransport(server.address, codec=codec)
             dispatcher = TcpDispatcher(transport)
             tracer = Tracer(sample_rate=1.0)
             trace = tracer.begin("write", variable="x")
@@ -146,39 +105,15 @@ class TestDegradation:
                 [0, 1, 2], "write", ("x", "v", None, None), 0.5, trace=trace
             )
             assert set(replies) == {0, 1, 2}
-            # Negotiation fell back to the plain codec: the server chose
-            # "binary" but refused the trace extension.
-            assert transport.negotiated_codec == "binary"
-            assert transport.negotiated_trace is False
-            assert server.traced_requests == 0
-            # The client-side trace still works — spans recorded locally.
+            assert server.traced_requests == 3
+            assert server.last_trace_id == trace.trace_id
             assert trace.span_dispositions() == {"ok": 3}
             await transport.aclose()
             await server.aclose()
 
         run(scenario())
 
-    def test_traced_pair_negotiates_and_attributes_requests(self):
-        async def scenario():
-            nodes = [ServiceNode(server) for server in range(3)]
-            server = TcpServiceServer(nodes)  # trace support on by default
-            await server.start()
-            transport = TcpTransport(server.address, codec="binary", trace=True)
-            dispatcher = TcpDispatcher(transport)
-            tracer = Tracer(sample_rate=1.0)
-            trace = tracer.begin("write", variable="x")
-            await dispatcher.fan_out(
-                [0, 1, 2], "write", ("x", "v", None, None), 0.5, trace=trace
-            )
-            assert transport.negotiated_trace is True
-            assert server.traced_requests == 3
-            assert server.last_trace_id == trace.trace_id
-            await transport.aclose()
-            await server.aclose()
-
-        run(scenario())
-
-    def test_untraced_client_against_traced_server_stays_untraced(self):
+    def test_untraced_rounds_send_no_trace_id(self):
         async def scenario():
             nodes = [ServiceNode(server) for server in range(2)]
             server = TcpServiceServer(nodes)
@@ -186,8 +121,8 @@ class TestDegradation:
             transport = TcpTransport(server.address, codec="binary")
             dispatcher = TcpDispatcher(transport)
             await dispatcher.fan_out([0, 1], "write", ("x", "v", None, None), 0.5)
-            assert transport.negotiated_trace is False
             assert server.traced_requests == 0
+            assert server.last_trace_id is None
             await transport.aclose()
             await server.aclose()
 
