@@ -40,9 +40,12 @@ import random
 from typing import Any, Optional
 
 from repro.exceptions import ConfigurationError
-from repro.service.client import DEFAULT_QUORUM_POOL
 from repro.service.cluster import deploy
-from repro.service.sharding import TRANSPORT_MODES, ShardedAsyncRegisterClient
+from repro.service.sharding import (
+    TRANSPORT_MODES,
+    ShardedAsyncRegisterClient,
+    check_deadline,
+)
 from repro.service.wire import WIRE_CODECS
 from repro.simulation.scenario import AntiEntropySpec, ScenarioSpec
 
@@ -71,7 +74,6 @@ class DeploymentBuilder:
         self._latency = 0.0
         self._jitter = 0.0
         self._drop_probability = 0.0
-        self._quorum_pool = DEFAULT_QUORUM_POOL
         self._codec = "json"
         self._processes = 0
         self._trace_sample = 0.0
@@ -139,9 +141,10 @@ class DeploymentBuilder:
         ``TcpServiceServer`` runs in its own spawned process with a
         readiness handshake, health probes and clean teardown.  Implies
         ``transport("tcp")`` (real sockets are the only way across a
-        process boundary).  ``count`` beyond 1 is a hint for load
-        harnesses (worker processes); the server side always runs one
-        process per shard.
+        process boundary).  The server side always runs one process per
+        shard, so every positive ``count`` builds the same deployment (load
+        worker processes are a :class:`~repro.service.load.ServiceLoadSpec`
+        setting).
         """
         if count < 0:
             raise ConfigurationError(
@@ -201,24 +204,11 @@ class DeploymentBuilder:
         self._anti_entropy = spec
         return self
 
-    def quorum_pool(self, size: int) -> "DeploymentBuilder":
-        """Strategy quorums pre-sampled per client (0 disables pooling)."""
-        if size < 0:
-            raise ConfigurationError(
-                f"the quorum pool size must be non-negative, got {size}"
-            )
-        self._quorum_pool = int(size)
-        return self
-
     def build(self) -> "Deployment":
         """Materialise the deployment (servers start on ``start()``)."""
         if self._processes > 0:
             self._transport = "tcp"  # process boundaries need real sockets
-        if self._transport == "tcp" and self._deadline is None:
-            raise ConfigurationError(
-                "deadline=None is refused over transport='tcp' (a silent "
-                "replica would block the caller forever)"
-            )
+        check_deadline(self._transport, self._deadline)
         return Deployment(self)
 
 
@@ -238,7 +228,6 @@ class Deployment:
         self._rng = random.Random(builder._seed)
         self.scenario = builder._scenario
         self.deadline = builder._deadline
-        self.quorum_pool = builder._quorum_pool
         self.processes = builder._processes
         self.trace_sample = builder._trace_sample
         # In-loop servers, or one server process per shard when processes > 0.
@@ -338,7 +327,6 @@ class Deployment:
         return self.sharded.new_register_client(
             rng,
             deadline=self.deadline,
-            quorum_pool=self.quorum_pool,
             writer_id=writer_id,
         )
 
@@ -346,8 +334,6 @@ class Deployment:
         self,
         name: str = "lock",
         client_id: int = 0,
-        verify_rounds: int = 2,
-        verify_delay: Optional[float] = None,
         rng: Optional[random.Random] = None,
     ):
         """A distributed-lock handle on lock ``name`` for ``client_id``.
@@ -358,8 +344,8 @@ class Deployment:
         each use a distinct ``client_id`` (it is both the holder identity
         and the timestamp tie-break).
 
-        ``verify_delay`` defaults per deployment: 0 (a bare event-loop
-        yield between verify reads) when every replica shares this process's
+        The pause before each verify read follows from the deployment: 0 (a
+        bare event-loop yield) when every replica shares this process's
         event loop — any ``await`` fully applies a competitor's in-flight
         write there — and 20ms on a multi-process
         :class:`~repro.service.cluster.ClusterDeployment`, where a racing
@@ -377,18 +363,14 @@ class Deployment:
             shard,
             rng=random.Random(rng.randrange(2**63)),
             deadline=self.deadline,
-            quorum_pool=self.quorum_pool,
             client_id=f"lock:{name}:{client_id}",
         )
-        if verify_delay is None:
-            verify_delay = 0.02 if self.processes > 0 else 0.0
         return mutex_for(
             self.scenario,
             client,
             name=name,
             client_id=client_id,
-            verify_rounds=verify_rounds,
-            verify_delay=verify_delay,
+            verify_delay=0.02 if self.processes > 0 else 0.0,
             rng=rng,
         )
 

@@ -45,11 +45,19 @@ from repro.exceptions import ConfigurationError, ProtocolError, QuorumUnavailabl
 from repro.protocol.timestamps import Timestamp
 from repro.rngs import fresh_rng
 from repro.protocol.variable import ReadOutcome
-from repro.service.client import DEFAULT_QUORUM_POOL
+from repro.service.cluster import deploy
 from repro.service.load import FaultInjectionSpec, _percentile, inject_faults
 from repro.service.register import AsyncRegister, async_register_for
-from repro.service.sharding import TRANSPORT_MODES, ShardedDeployment
+from repro.service.sharding import check_deadline, validate_deployment
 from repro.simulation.scenario import ScenarioSpec
+
+#: Independent verify reads after the held-record write.  When two clients
+#: grab a *free* lock simultaneously, these reads are the only guard: the
+#: later writer double-holds only if every read misses the earlier record,
+#: so each read multiplies the double-grant probability by the per-read
+#: visibility miss rate (ε, or the masking threshold's under-``k``-votes
+#: probability — the dominant term for small quorums).
+VERIFY_ROUNDS = 2
 
 
 def lock_variable(name: str) -> str:
@@ -85,19 +93,10 @@ class AsyncQuorumMutex:
         The lock name (many locks can share a deployment).
     client_id:
         This client's identity in lock records *and* timestamp tie-breaks.
-    verify_rounds:
-        Independent verify reads after the held-record write (default 2;
-        0 restores the single-read protocol of
-        :class:`repro.protocol.lock.QuorumLock`).  When two clients grab a
-        *free* lock simultaneously, these reads are the only guard: the
-        later writer double-holds only if every round misses the earlier
-        record, so each round multiplies the double-grant probability by
-        the per-read visibility miss rate (ε, or the masking threshold's
-        under-``k``-votes probability — the dominant term for small
-        quorums).
     verify_delay:
-        Wall-clock pause before each verify read (default 0: a bare
-        event-loop yield).  On a single event loop the yield suffices — a
+        Wall-clock pause before each of the :data:`VERIFY_ROUNDS` verify
+        reads (default 0: a bare event-loop yield).  On a single event
+        loop the yield suffices — a
         competitor's in-flight write is fully applied by the servers
         during any ``await``.  Across *real process boundaries*
         (:class:`~repro.service.cluster.ClusterDeployment`) it does not:
@@ -118,7 +117,6 @@ class AsyncQuorumMutex:
         register: AsyncRegister,
         name: str,
         client_id: int,
-        verify_rounds: int = 2,
         verify_delay: float = 0.0,
         rng: Optional[random.Random] = None,
     ) -> None:
@@ -126,10 +124,6 @@ class AsyncQuorumMutex:
             raise ProtocolError("client ids must be non-negative")
         if not name:
             raise ConfigurationError("lock names must be non-empty")
-        if verify_rounds < 0:
-            raise ConfigurationError(
-                f"verify_rounds must be non-negative, got {verify_rounds}"
-            )
         if verify_delay < 0.0:
             raise ConfigurationError(
                 f"verify_delay must be non-negative, got {verify_delay}"
@@ -137,7 +131,6 @@ class AsyncQuorumMutex:
         self.register = register
         self.name = str(name)
         self.client_id = int(client_id)
-        self.verify_rounds = int(verify_rounds)
         self.verify_delay = float(verify_delay)
         self.rng = rng or fresh_rng()
         self._held: Optional[Timestamp] = None
@@ -268,7 +261,7 @@ class AsyncQuorumMutex:
             {"state": "held", "holder": self.client_id}
         )
         self._tag_trace("hold-write")
-        for _ in range(self.verify_rounds):
+        for _ in range(VERIFY_ROUNDS):
             # Yield (or wait verify_delay) so a competitor's concurrent
             # write RPCs can land before this verify quorum is read — the
             # check should race as little as possible.  Cross-process
@@ -364,7 +357,6 @@ def mutex_for(
     client: Any,
     name: str = "lock",
     client_id: int = 0,
-    verify_rounds: int = 2,
     verify_delay: float = 0.0,
     rng: Optional[random.Random] = None,
 ) -> AsyncQuorumMutex:
@@ -380,12 +372,7 @@ def mutex_for(
         spec, client, name=lock_variable(name), writer_id=client_id
     )
     return AsyncQuorumMutex(
-        register,
-        name,
-        client_id,
-        verify_rounds=verify_rounds,
-        verify_delay=verify_delay,
-        rng=rng,
+        register, name, client_id, verify_delay=verify_delay, rng=rng
     )
 
 
@@ -402,7 +389,7 @@ class LockLoadSpec:
     ``fault_injection`` on top of the scenario's static failures — the
     lock-service analogue of
     :class:`~repro.service.load.ServiceLoadSpec`, sharing its kwarg
-    spellings (``deadline``, ``seed``, ``quorum_pool``).
+    spellings (``deadline``, ``seed``) and its deployment checks.
     """
 
     scenario: ScenarioSpec
@@ -412,22 +399,22 @@ class LockLoadSpec:
     hold_time: float = 0.0
     retry_interval: float = 0.001
     max_requests: int = 400
-    verify_rounds: int = 2
     latency: float = 0.0
     jitter: float = 0.0
     drop_probability: float = 0.0
     deadline: Optional[float] = 0.05
     fault_injection: FaultInjectionSpec = field(default_factory=FaultInjectionSpec)
     transport: str = "inproc"
-    quorum_pool: int = DEFAULT_QUORUM_POOL
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.scenario, ScenarioSpec):
-            raise ConfigurationError(
-                f"a lock load is described over a ScenarioSpec, "
-                f"got {type(self.scenario).__name__}"
-            )
+        # One shard, the default codec, the scenario's own anti-entropy:
+        # what lock_load deploys.
+        validate_deployment(
+            self.scenario, 1, self.transport, "json", None,
+            self.latency, self.jitter, self.drop_probability,
+        )
+        check_deadline(self.transport, self.deadline)
         if self.clients < 1:
             raise ConfigurationError(f"need at least one client, got {self.clients}")
         if self.acquisitions_per_client < 1:
@@ -449,19 +436,6 @@ class LockLoadSpec:
             raise ConfigurationError(
                 f"need at least one request per acquisition, got {self.max_requests}"
             )
-        if self.verify_rounds < 0:
-            raise ConfigurationError(
-                f"verify_rounds must be non-negative, got {self.verify_rounds}"
-            )
-        if self.transport not in TRANSPORT_MODES:
-            raise ConfigurationError(
-                f"unknown transport {self.transport!r}; choose from {TRANSPORT_MODES}"
-            )
-        if self.transport == "tcp" and self.deadline is None:
-            raise ConfigurationError(
-                "deadline=None is refused over transport='tcp' (a silent "
-                "replica would block the caller forever)"
-            )
 
     def lock_names(self) -> List[str]:
         """The shared lock names the contenders cycle over."""
@@ -475,7 +449,6 @@ class LockLoadSpec:
             f"LockLoadSpec({self.scenario.describe()}, clients={self.clients}, "
             f"acquisitions/client={self.acquisitions_per_client}, "
             f"locks={self.locks}, transport={self.transport}, "
-            f"verify_rounds={self.verify_rounds}, "
             f"injected_crashes={self.fault_injection.crash_count})"
         )
 
@@ -565,10 +538,10 @@ async def lock_load(spec: LockLoadSpec) -> LockLoadReport:
     """Run one lock-service load experiment on the current event loop."""
     rng = random.Random(spec.seed)
     scenario = spec.scenario
-    deployment = ShardedDeployment(
+    deployment = deploy(
         scenario,
-        shards=1,
         transport=spec.transport,
+        shards=1,
         latency=spec.latency,
         jitter=spec.jitter,
         drop_probability=spec.drop_probability,
@@ -583,7 +556,6 @@ async def lock_load(spec: LockLoadSpec) -> LockLoadReport:
                 0,
                 rng=random.Random(rng.randrange(2**63)),
                 deadline=spec.deadline,
-                quorum_pool=spec.quorum_pool,
             )
             mutexes.append(
                 {
@@ -592,7 +564,6 @@ async def lock_load(spec: LockLoadSpec) -> LockLoadReport:
                         client,
                         name=name,
                         client_id=scenario.writer_id + client_id,
-                        verify_rounds=spec.verify_rounds,
                         rng=random.Random(rng.randrange(2**63)),
                     )
                     for name in names

@@ -14,13 +14,12 @@ After the last top-up round the operation returns what it has —
 ``acknowledged`` / ``responders`` tell the caller how thin it is, and a
 write raises only when *nobody* acknowledged.
 
-One fast-path knob, **quorum pooling** (default-on: blocks of
-:data:`DEFAULT_QUORUM_POOL`; pass ``quorum_pool=0`` for per-operation
-draws): quorums are pre-sampled in blocks through
+A client draws its quorums from a **pool**, refilled
+:data:`DEFAULT_QUORUM_POOL` at a time through
 :meth:`~repro.core.probabilistic.ProbabilisticQuorumSystem.sample_quorum_block`
-(vectorised NumPy draw).  Every pooled quorum is an independent strategy
-draw, so pooling changes *when* the sampling cost is paid, never the
-distribution.
+(one vectorised NumPy draw).  Every pooled quorum is an independent
+strategy draw, so pooling changes *when* the sampling cost is paid, never
+the distribution.
 """
 
 from __future__ import annotations
@@ -103,19 +102,15 @@ class AsyncQuorumClient:
     deadline:
         Per-round deadline in event-loop seconds (``None`` disables it).
     rng:
-        Random source for quorum sampling and spare draws.
-    repair:
-        Whether partial failures trigger the top-up rounds (on by default;
-        :attr:`probe_fallbacks` counts the operations that needed one).
+        Random source for quorum sampling and spare draws.  Partial failures
+        always trigger the top-up rounds; :attr:`probe_fallbacks` counts the
+        operations that needed one.
     dispatcher:
         The driver that runs this client's operations, shared by every
         client of a deployment: a
         :class:`~repro.service.dispatch.BatchedDispatcher` in process or a
         :class:`~repro.service.net.TcpDispatcher` on the wire.  ``None``
         builds a private ``BatchedDispatcher(nodes, transport)``.
-    quorum_pool:
-        Strategy-drawn quorums pre-sampled per block refill (``0`` disables
-        pooling and draws per operation).
     pool_generator:
         Optional persistent NumPy generator backing the pool's block draws.
         A deployment shares one across its clients so a thousand clients do
@@ -157,9 +152,7 @@ class AsyncQuorumClient:
         transport: AsyncTransport,
         deadline: Optional[float] = 0.05,
         rng: Optional[random.Random] = None,
-        repair: bool = True,
         dispatcher: Optional[QuorumDriver] = None,
-        quorum_pool: int = DEFAULT_QUORUM_POOL,
         pool_generator: Optional[np.random.Generator] = None,
         tracer: Optional[Tracer] = None,
         client_id: Optional[str] = None,
@@ -173,10 +166,6 @@ class AsyncQuorumClient:
             )
         if deadline is not None and deadline <= 0.0:
             raise ConfigurationError(f"the RPC deadline must be positive, got {deadline}")
-        if quorum_pool < 0:
-            raise ConfigurationError(
-                f"the quorum pool size must be non-negative, got {quorum_pool}"
-            )
         if repair_budget < 0:
             raise ConfigurationError(
                 f"the repair budget must be non-negative, got {repair_budget}"
@@ -186,11 +175,9 @@ class AsyncQuorumClient:
         self.transport = transport
         self.deadline = deadline
         self.rng = rng or fresh_rng()
-        self.repair = bool(repair)
         self.dispatcher = (
             dispatcher if dispatcher is not None else BatchedDispatcher(self.nodes, transport)
         )
-        self.quorum_pool = int(quorum_pool)
         self._pool: list = []
         self._pool_generator = pool_generator
         self.probe_fallbacks = 0
@@ -248,15 +235,13 @@ class AsyncQuorumClient:
         """The quorum the next operation fans out to, as a sorted id tuple,
         popped from the block-sampled pool (refilled through the vectorised
         ``sample_quorum_block``)."""
-        if self.quorum_pool == 0:
-            return tuple(sorted(self.system.sample_quorum(self.rng)))
         pool = self._pool
         if not pool:
             if self._pool_generator is None:
                 self._pool_generator = np.random.default_rng(self.rng.randrange(2**63))
             pool.extend(
                 self.system.sample_quorum_block(
-                    count=self.quorum_pool, generator=self._pool_generator
+                    count=DEFAULT_QUORUM_POOL, generator=self._pool_generator
                 )
             )
         return pool.pop()
@@ -274,9 +259,7 @@ class AsyncQuorumClient:
             if self.tracer is not None
             else None
         )
-        op = QuorumOp(
-            self._next_quorum(), self.system, self.rng, repair=self.repair, lazy=lazy
-        )
+        op = QuorumOp(self._next_quorum(), self.system, self.rng, repair=True, lazy=lazy)
         if trace is not None:
             trace.quorum = list(op.quorum)
         await self.dispatcher.run(op, method, args, self.deadline, trace)

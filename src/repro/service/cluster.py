@@ -145,7 +145,6 @@ class ClusterDeployment(ShardedClientAPI):
         jitter: float = 0.0,
         drop_probability: float = 0.0,
         rng: Optional[random.Random] = None,
-        seed: Optional[int] = None,
         host: str = "127.0.0.1",
         start_timeout: float = DEFAULT_START_TIMEOUT,
         anti_entropy: Optional[AntiEntropySpec] = None,
@@ -159,7 +158,6 @@ class ClusterDeployment(ShardedClientAPI):
             jitter=jitter,
             drop_probability=drop_probability,
             rng=rng,
-            seed=seed,
             anti_entropy=anti_entropy,
         )
         self._host = host
@@ -354,7 +352,6 @@ def deploy(
     scenario: ScenarioSpec,
     processes: int = 0,
     transport: str = "inproc",
-    dispatch_window: float = 0.0,
     **options: Any,
 ) -> ShardedClientAPI:
     """Where the replica groups run, decided once for every caller.
@@ -362,16 +359,14 @@ def deploy(
     ``processes == 0`` hosts them on the caller's event loop
     (:class:`~repro.service.sharding.ShardedDeployment`); ``processes > 0``
     gives every shard its own server process (:class:`ClusterDeployment`,
-    always over TCP — ``transport`` and ``dispatch_window`` describe the
-    in-loop shape only).  ``options`` are what the two shapes share:
-    ``shards``, ``codec``, ``latency``, ``jitter``, ``drop_probability``,
-    ``rng`` / ``seed``, ``anti_entropy``.
+    always over TCP — ``transport`` describes the in-loop shape only).
+    ``options`` are what the two shapes share: ``shards``, ``codec``,
+    ``latency``, ``jitter``, ``drop_probability``, ``rng``,
+    ``anti_entropy``.
     """
     if processes > 0:
         return ClusterDeployment(scenario, **options)
-    return ShardedDeployment(
-        scenario, transport=transport, dispatch_window=dispatch_window, **options
-    )
+    return ShardedDeployment(scenario, transport=transport, **options)
 
 
 # -- the multi-process half of the load generator ----------------------------------
@@ -468,16 +463,3 @@ async def drive_in_workers(
             *(loop.run_in_executor(executor, _load_worker_main, *job) for job in jobs)
         )
         return list(reports), time.perf_counter() - started
-
-
-def merge_worker_provenance(values: Sequence[Any]) -> Any:
-    """Merge per-worker provenance fields (``loop_driver``, ``codec``).
-
-    Returns the single shared value when every worker agrees and the
-    per-worker list (worker order preserved) when they differ — never
-    silently the first worker's value.
-    """
-    merged = list(values)
-    if merged and all(value == merged[0] for value in merged[1:]):
-        return merged[0]
-    return merged

@@ -17,9 +17,9 @@ per-server batching:
 
 * every RPC is appended to its destination node's pending bucket; the
   **first** RPC to reach a node in a scheduling window arms one delivery
-  event (``call_later`` at the transport delay plus the window, or
-  ``call_soon`` when both are zero) and every later RPC to the same node
-  rides along — one timer per *(node, tick)*, not per RPC;
+  event (``call_later`` at the drawn transport delay, or ``call_soon``
+  when it is zero) and every later RPC to the same node rides along — one
+  timer per *(node, tick)*, not per RPC;
 * a round of an operation is a single future the caller awaits, resolved
   when every constituent RPC's fate is known.  A round with missed RPCs
   (drops, crashes, silent servers) resolves at its deadline — at most one
@@ -40,7 +40,6 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.exceptions import ConfigurationError
 from repro.service.node import NO_REPLY, ServiceNode
 from repro.service.quorum_op import QuorumOp
 from repro.service.transport import AsyncTransport
@@ -99,27 +98,15 @@ class BatchedDispatcher(QuorumDriver):
         The replica nodes, indexed by server id.
     transport:
         The shared transport: source of delays, drop sampling and the
-        ``calls``/``dropped``/``timed_out`` counters.
-    window:
-        Extra coalescing time (event-loop seconds) added to the transport
-        delay before a node's bucket is flushed.  ``0.0`` (the default)
-        flushes on the next loop iteration at zero latency, which already
-        coalesces everything enqueued by the currently runnable tasks.
+        ``calls``/``dropped``/``timed_out`` counters.  A node's bucket is
+        flushed at the drawn transport delay; at zero latency that is the
+        next loop iteration, which already coalesces everything enqueued by
+        the currently runnable tasks.
     """
 
-    def __init__(
-        self,
-        nodes: Sequence[ServiceNode],
-        transport: AsyncTransport,
-        window: float = 0.0,
-    ) -> None:
-        if window < 0.0:
-            raise ConfigurationError(
-                f"the dispatch window must be non-negative, got {window}"
-            )
+    def __init__(self, nodes: Sequence[ServiceNode], transport: AsyncTransport) -> None:
         self.nodes = list(nodes)
         self.transport = transport
-        self.window = float(window)
         #: Per node: ``(op, future, start, timeout, trace, method, args)``
         #: of every RPC awaiting the node's next flush.
         self._pending: List[List[tuple]] = [[] for _ in self.nodes]
@@ -146,7 +133,7 @@ class BatchedDispatcher(QuorumDriver):
             pending[server].append(entry)
             if not armed[server]:
                 armed[server] = True
-                delay = transport.draw_delay() + self.window
+                delay = transport.draw_delay()
                 if delay > 0.0:
                     loop.call_later(delay, self._flush, server, loop.time() + delay)
                 else:
@@ -172,7 +159,7 @@ class BatchedDispatcher(QuorumDriver):
         if not self._armed[server]:
             self._armed[server] = True
             loop = asyncio.get_running_loop()
-            delay = self.transport.draw_delay() + self.window
+            delay = self.transport.draw_delay()
             if delay > 0.0:
                 loop.call_later(delay, self._flush, server, loop.time() + delay)
             else:
@@ -251,6 +238,5 @@ class BatchedDispatcher(QuorumDriver):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return (
-            f"BatchedDispatcher(nodes={len(self.nodes)}, window={self.window}, "
-            f"flushes={self.flushes})"
+            f"BatchedDispatcher(nodes={len(self.nodes)}, flushes={self.flushes})"
         )

@@ -72,18 +72,17 @@ from repro.obs.monitor import EpsilonMonitor
 from repro.obs.trace import Tracer
 from repro.protocol.classification import OUTCOME_LABELS, classify_read_outcome
 from repro.protocol.variable import ReadOutcome, WriteOutcome
-from repro.service.client import DEFAULT_QUORUM_POOL
 from repro.service.cluster import (
     ClusterClientPool,
     LoadSlice,
     deploy,
     drive_in_workers,
-    merge_worker_provenance,
     partition_load,
 )
 from repro.service.sharding import (
     ShardedClientAPI,
     ShardedDeployment,
+    check_deadline,
     shard_for_key,
     validate_deployment,
 )
@@ -185,12 +184,6 @@ class ServiceLoadSpec:
         Register keys the workload spreads over.
     key_skew:
         Zipf exponent of the readers' key distribution (0 = uniform).
-    dispatch_window:
-        Extra coalescing time per delivery event of the in-process
-        :class:`~repro.service.dispatch.BatchedDispatcher`.
-    quorum_pool:
-        Strategy quorums pre-sampled per client per block refill
-        (``0`` disables pooling).
     seed:
         Root seed: per-shard failure sampling, transport noise and every
         client's quorum sampling derive from it.
@@ -219,8 +212,6 @@ class ServiceLoadSpec:
     shards: int = 1
     keys: int = 1
     key_skew: float = 0.0
-    dispatch_window: float = 0.0
-    quorum_pool: int = DEFAULT_QUORUM_POOL
     seed: int = 0
     writers: Optional[int] = None
     contention: float = 0.0
@@ -250,11 +241,13 @@ class ServiceLoadSpec:
     anti_entropy: Optional[AntiEntropySpec] = None
 
     def __post_init__(self) -> None:
-        # Scenario, shards, transport, codec and anti-entropy are refused by
-        # the same check the deployments themselves run.
+        # Scenario, shards, transport, codec, anti-entropy, conditions and
+        # deadline are refused by the same checks the deployments run.
         validate_deployment(
-            self.scenario, self.shards, self.transport, self.codec, self.anti_entropy
+            self.scenario, self.shards, self.transport, self.codec, self.anti_entropy,
+            self.latency, self.jitter, self.drop_probability,
         )
+        check_deadline(self.transport, self.deadline)
         if self.clients < 1:
             raise ConfigurationError(f"need at least one client, got {self.clients}")
         if self.reads_per_client < 1:
@@ -278,13 +271,6 @@ class ServiceLoadSpec:
             raise ConfigurationError(
                 f"the key skew must be non-negative, got {self.key_skew}"
             )
-        if self.transport == "tcp" and self.deadline is None:
-            raise ConfigurationError(
-                "deadline=None is refused over transport='tcp': a silent "
-                "replica sends no response frame, so without a deadline the "
-                "caller would block forever (in-process, the simulated "
-                "transport knows the fate and raises; the wire cannot)"
-            )
         if self.writers is not None and self.writers < 1:
             raise ConfigurationError(
                 f"need at least one writer, got {self.writers}"
@@ -292,14 +278,6 @@ class ServiceLoadSpec:
         if not 0.0 <= self.contention <= 1.0:
             raise ConfigurationError(
                 f"contention is a probability in [0, 1], got {self.contention}"
-            )
-        if self.dispatch_window < 0.0:
-            raise ConfigurationError(
-                f"the dispatch window must be non-negative, got {self.dispatch_window}"
-            )
-        if self.quorum_pool < 0:
-            raise ConfigurationError(
-                f"the quorum pool size must be non-negative, got {self.quorum_pool}"
             )
         if self.processes < 0:
             raise ConfigurationError(
@@ -424,19 +402,8 @@ class ServiceLoadReport:
     #: Background gossip rounds the deployment ran while the load was in
     #: flight (0 unless the anti-entropy spec gossips).
     gossip_rounds: int = 0
-    #: Which event loop drove the run (always stock "asyncio").  A
-    #: multi-process merge keeps the single value when every worker agrees
-    #: and the per-worker list when they differ (never silently the first
-    #: worker's value).
-    loop_driver: Any = "asyncio"
-    #: Which transport carried the RPCs ("inproc" or "tcp").
-    transport: str = "inproc"
     #: Completed operations routed to each shard (length ``spec.shards``).
     shard_ops: List[int] = field(default_factory=list)
-    #: Wire codec the run's connections sent ("json" in process);
-    #: merged across shards and workers with the same list-when-differing
-    #: rule as ``loop_driver``.
-    codec: Any = "json"
     #: Sampled :class:`~repro.obs.trace.QuorumTrace` dicts (empty unless
     #: ``spec.trace_sample > 0``).
     traces: List[dict] = field(default_factory=list)
@@ -448,6 +415,16 @@ class ServiceLoadReport:
     epsilon_alerts: List[dict] = field(default_factory=list)
     #: The ε-monitor's closing summary (``None`` unless enabled).
     epsilon_monitor: Optional[dict] = None
+
+    @property
+    def transport(self) -> str:
+        """Which transport carried the RPCs (the spec's)."""
+        return self.spec.transport
+
+    @property
+    def codec(self) -> str:
+        """The wire codec every connection of the run sent (the spec's)."""
+        return self.spec.codec
 
     @property
     def operations(self) -> int:
@@ -672,7 +649,6 @@ async def drive_load(
         return deployment.new_register_client(
             rng,
             deadline=spec.deadline,
-            quorum_pool=spec.quorum_pool,
             writer_id=writer_id,
         )
 
@@ -809,12 +785,6 @@ async def drive_load(
     harness.gauge("fresh_read_fraction").set(
         outcomes.get("fresh", 0) / counters["reads"] if counters["reads"] else 0.0
     )
-    # What the connections sent, read off the transports themselves.
-    codecs = (
-        sorted({shard.transport.negotiated_codec for shard in deployment.shards})
-        if spec.transport == "tcp"
-        else ["json"]
-    )
 
     return ServiceLoadReport(
         spec=spec,
@@ -833,9 +803,7 @@ async def drive_load(
         dispatch_flushes=deployment.dispatch_flushes,
         repairs_piggybacked=deployment.repairs_piggybacked,
         gossip_rounds=deployment.gossip_rounds,
-        transport=spec.transport,
         shard_ops=shard_ops,
-        codec=merge_worker_provenance(codecs),
         traces=tracer.to_dicts() if tracer is not None else [],
         metrics=deployment.metrics_snapshots(labels) + [harness.to_dict()],
         epsilon_alerts=list(monitor.alerts) if monitor is not None else [],
@@ -870,10 +838,8 @@ def merge_reports(reports: Sequence[ServiceLoadReport]) -> ServiceLoadReport:
 
     Counters and outcome counts sum, ``shard_ops`` sums per shard index,
     latencies / traces / metric snapshots / alerts concatenate in worker
-    order, ``elapsed`` is the slowest slice, and the provenance fields keep
-    the single shared value or the per-worker list
-    (:func:`~repro.service.cluster.merge_worker_provenance`).  Merging one
-    report returns an equal report.
+    order, and ``elapsed`` is the slowest slice.  Merging one report
+    returns an equal report.
     """
     merged: Dict[str, Any] = {
         name: sum(getattr(report, name) for report in reports)
@@ -907,10 +873,7 @@ def merge_reports(reports: Sequence[ServiceLoadReport]) -> ServiceLoadReport:
             label: sum(report.outcomes.get(label, 0) for report in reports)
             for label in OUTCOME_LABELS
         },
-        transport=reports[0].transport,
         shard_ops=[sum(ops) for ops in zip(*(report.shard_ops for report in reports))],
-        loop_driver=merge_worker_provenance([report.loop_driver for report in reports]),
-        codec=merge_worker_provenance([report.codec for report in reports]),
         epsilon_monitor=epsilon_monitor,
         **merged,
     )
@@ -929,9 +892,9 @@ def _client_options(spec: ServiceLoadSpec, rng: random.Random) -> Dict[str, Any]
 
 
 def _load_tracer(spec: ServiceLoadSpec, seed: int, worker: int = 0) -> Optional[Tracer]:
-    """The run's tracer, to install *before* ``start()``: TCP transports
-    offer the trace envelope extension in their handshakes only when a
-    tracer exists.  Disjoint id bases keep trace ids unique across workers."""
+    """The run's tracer, to install *before* ``start()``: every client the
+    deployment hands out samples from it.  Disjoint id bases keep trace ids
+    unique across workers."""
     if spec.trace_sample <= 0.0:
         return None
     return Tracer(sample_rate=spec.trace_sample, seed=seed, id_base=worker << 40)
@@ -965,7 +928,6 @@ async def serve_load(spec: ServiceLoadSpec) -> ServiceLoadReport:
         processes=spec.processes,
         shards=spec.shards,
         transport=spec.transport,
-        dispatch_window=spec.dispatch_window,
         **_client_options(spec, rng),
     )
     deployment.tracer = _load_tracer(spec, spec.seed)

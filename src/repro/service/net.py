@@ -55,8 +55,9 @@ Nothing is negotiated — both ends of this wire ship together.  A
 :class:`TcpTransport` sends every frame in the codec it was built with;
 the server accepts either request shape in either codec on any connection
 and answers in the codec the request arrived in (every frame
-self-identifies by its first byte).  A request may end in the client's
-trace id as an optional sixth element.
+self-identifies by its first byte).  A traced quorum round's ``mreq`` ends
+in the client's trace id as an optional sixth element; the server accepts
+one on either request shape.
 """
 
 from __future__ import annotations
@@ -466,7 +467,7 @@ class TcpTransport(AsyncTransport):
         #: The codec this transport sends: always the constructor's, never
         #: ``None``.  The name predates the removal of per-connection
         #: negotiation; it stays because ``bench/harness.py`` (run
-        #: provenance) and the load report read it.
+        #: provenance) reads it.
         self.negotiated_codec = codec
         self.address = (str(address[0]), int(address[1]))
         self._connections = [_TcpConnection(self) for _ in range(connections)]
@@ -521,7 +522,6 @@ class TcpTransport(AsyncTransport):
         method: str,
         *args: Any,
         timeout: Optional[float] = None,
-        trace_id: Optional[int] = None,
     ) -> Any:
         """One RPC over the wire; mirror the in-process failure semantics.
 
@@ -530,8 +530,7 @@ class TcpTransport(AsyncTransport):
         :class:`~repro.exceptions.RpcTimeoutError` when the RPC was
         (simulated-)dropped, the reply missed the wall-clock deadline, or
         the connection failed and could not be re-established in time; the
-        error carries a ``disposition`` attribute for trace spans.  A
-        ``trace_id`` rides the request envelope as its sixth element.
+        error carries a ``disposition`` attribute for trace spans.
         """
         self.calls += 1
         if self.drop_probability > 0.0 and self.rng.random() < self.drop_probability:
@@ -569,8 +568,6 @@ class TcpTransport(AsyncTransport):
             try:
                 await connection.ensure(connect_timeout=timeout)
                 payload = ("req", request_id, node.server_id, method, args)
-                if trace_id is not None:
-                    payload = payload + (trace_id,)
                 connection.enqueue(encode_frame(payload, self.negotiated_codec))
             except (ConnectionError, OSError) as error:
                 # Unreachable server: burn (the rest of) the deadline like

@@ -43,7 +43,7 @@ from repro.exceptions import ConfigurationError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.protocol.variable import WriteOutcome
-from repro.service.client import DEFAULT_QUORUM_POOL, AsyncQuorumClient
+from repro.service.client import AsyncQuorumClient
 from repro.service.dispatch import BatchedDispatcher
 from repro.service.gossip import GOSSIP_SEED_SALT, GossipService, scenario_verifier
 from repro.service.net import (
@@ -54,7 +54,7 @@ from repro.service.net import (
 )
 from repro.service.node import ServiceNode
 from repro.service.register import AsyncRegister, async_register_for
-from repro.service.transport import AsyncTransport
+from repro.service.transport import AsyncTransport, check_conditions
 from repro.service.wire import WIRE_CODECS
 from repro.simulation.failures import FailurePlan
 from repro.simulation.scenario import AntiEntropySpec, ScenarioSpec
@@ -84,11 +84,15 @@ def validate_deployment(
     transport: str,
     codec: str,
     anti_entropy: Optional[AntiEntropySpec],
+    latency: float,
+    jitter: float,
+    drop_probability: float,
 ) -> Optional[AntiEntropySpec]:
-    """The checks every deployment shape and the load spec share.
+    """The checks every deployment shape and both load specs share.
 
-    Returns the effective anti-entropy spec: the explicit one, else the
-    scenario's own axis (``None`` keeps read-repair and gossip off).
+    They run before anything is bound or spawned.  Returns the effective
+    anti-entropy spec: the explicit one, else the scenario's own axis
+    (``None`` keeps read-repair and gossip off).
     """
     if not isinstance(scenario, ScenarioSpec):
         raise ConfigurationError(
@@ -122,7 +126,18 @@ def validate_deployment(
             f"anti-entropy fanout {anti_entropy.fanout} must be smaller "
             f"than the replica group size {scenario.n}"
         )
+    check_conditions(latency, jitter, drop_probability)
     return anti_entropy
+
+
+def check_deadline(transport: str, deadline: Optional[float]) -> None:
+    """Refuse ``deadline=None`` over TCP, where a silent replica sends no
+    response frame (in process, the simulated transport knows every fate)."""
+    if transport == "tcp" and deadline is None:
+        raise ConfigurationError(
+            "deadline=None is refused over transport='tcp': a silent replica "
+            "sends no response frame, so the caller would block forever"
+        )
 
 
 def build_nodes(n: int, plan: FailurePlan) -> List[ServiceNode]:
@@ -221,28 +236,26 @@ class ShardedClientAPI:
         jitter: float = 0.0,
         drop_probability: float = 0.0,
         rng: Optional[random.Random] = None,
-        seed: Optional[int] = None,
         anti_entropy: Optional[AntiEntropySpec] = None,
     ) -> None:
+        self._conditions = dict(
+            latency=latency, jitter=jitter, drop_probability=drop_probability
+        )
         #: The effective :class:`~repro.simulation.scenario.AntiEntropySpec`
         #: (quorum clients derive their repair budget from it).
         self.anti_entropy = validate_deployment(
-            scenario, shards, transport, codec, anti_entropy
+            scenario, shards, transport, codec, anti_entropy, **self._conditions
         )
         self.scenario = scenario
         self.codec = codec
         self.transport_mode = transport
-        self._conditions = dict(
-            latency=latency, jitter=jitter, drop_probability=drop_probability
-        )
         self._started = False
         #: ``(host, port)`` per shard, known once the servers are up.
         self.addresses: List[Tuple[str, int]] = []
         #: Metric snapshots reported by servers living in other processes
         #: (a cluster's :meth:`aclose` fills this in).
         self.server_metrics: List[dict] = []
-        if rng is None:
-            rng = random.Random(seed) if seed is not None else random.Random()
+        rng = rng if rng is not None else random.Random()
         n = scenario.n
         self.shards: List[_Shard] = []
         for index in range(shards):
@@ -310,7 +323,6 @@ class ShardedClientAPI:
         shard_index: int,
         rng: Optional[random.Random] = None,
         deadline: Optional[float] = 0.05,
-        quorum_pool: int = DEFAULT_QUORUM_POOL,
         client_id: Optional[str] = None,
     ) -> AsyncQuorumClient:
         """One quorum client bound to a single shard's replica group."""
@@ -328,7 +340,6 @@ class ShardedClientAPI:
             deadline=deadline,
             rng=rng,
             dispatcher=shard.dispatcher,
-            quorum_pool=quorum_pool,
             pool_generator=shard.pool_generator,
             tracer=self.tracer,
             client_id=client_id,
@@ -345,7 +356,6 @@ class ShardedClientAPI:
         self,
         rng: random.Random,
         deadline: Optional[float] = 0.05,
-        quorum_pool: int = DEFAULT_QUORUM_POOL,
         writer_id: Optional[int] = None,
     ) -> "ShardedAsyncRegisterClient":
         """One logical sharded client (one quorum client per shard).
@@ -362,7 +372,6 @@ class ShardedClientAPI:
                 index,
                 rng=random.Random(rng.randrange(2**63)),
                 deadline=deadline,
-                quorum_pool=quorum_pool,
                 client_id=None if writer_id is None else str(writer_id),
             )
             for index in range(len(self.shards))
@@ -451,18 +460,10 @@ class ShardedDeployment(ShardedClientAPI):
     latency, jitter, drop_probability:
         Transport conditions, with the same meaning in both modes (over TCP
         they are *added* to whatever the real sockets cost).
-    dispatch_window:
-        Extra coalescing time for the in-process
-        :class:`~repro.service.dispatch.BatchedDispatcher` (each shard has
-        one; over TCP the op-level ``TcpDispatcher`` takes its place).
     rng:
         Root randomness: per-shard failure plans, transport seeds and pool
         generators derive from it in shard order, so a deployment is
         reproducible from one seed.
-    seed:
-        The facade spelling of the same root: ``seed=7`` is shorthand for
-        ``rng=random.Random(7)`` (ignored when an explicit ``rng`` is
-        given — the generator is the more specific request).
     tcp_host:
         Bind address for the per-shard socket servers.
     codec:
@@ -488,9 +489,7 @@ class ShardedDeployment(ShardedClientAPI):
         latency: float = 0.0,
         jitter: float = 0.0,
         drop_probability: float = 0.0,
-        dispatch_window: float = 0.0,
         rng: Optional[random.Random] = None,
-        seed: Optional[int] = None,
         tcp_host: str = "127.0.0.1",
         codec: str = "json",
         anti_entropy: Optional[AntiEntropySpec] = None,
@@ -504,7 +503,6 @@ class ShardedDeployment(ShardedClientAPI):
             jitter=jitter,
             drop_probability=drop_probability,
             rng=rng,
-            seed=seed,
             anti_entropy=anti_entropy,
         )
         for shard in self.shards:
@@ -515,9 +513,7 @@ class ShardedDeployment(ShardedClientAPI):
                 shard.server = TcpServiceServer(shard.nodes, host=tcp_host)
                 continue
             shard.transport = AsyncTransport(seed=shard.transport_seed, **self._conditions)
-            shard.dispatcher = BatchedDispatcher(
-                shard.nodes, shard.transport, window=dispatch_window
-            )
+            shard.dispatcher = BatchedDispatcher(shard.nodes, shard.transport)
             shard.client_nodes = shard.nodes
         # In-process deployments are serving from construction.
         self._started = transport == "inproc"

@@ -31,6 +31,21 @@ from repro.exceptions import ConfigurationError, RpcTimeoutError
 from repro.service.node import NO_REPLY, ServiceNode
 
 
+def check_conditions(latency: float, jitter: float, drop_probability: float) -> None:
+    """Refuse conditions no transport can simulate (run by every transport
+    and, before anything is bound or spawned, by every deployment shape)."""
+    if latency < 0.0:
+        raise ConfigurationError(f"latency must be non-negative, got {latency}")
+    if jitter < 0.0 or jitter > latency:
+        raise ConfigurationError(
+            f"jitter must lie in [0, latency={latency}], got {jitter}"
+        )
+    if not 0.0 <= drop_probability < 1.0:
+        raise ConfigurationError(
+            f"drop probability must lie in [0, 1), got {drop_probability}"
+        )
+
+
 class AsyncTransport:
     """Client-to-replica message passing for the asyncio service layer.
 
@@ -55,16 +70,7 @@ class AsyncTransport:
         drop_probability: float = 0.0,
         seed: int = 0,
     ) -> None:
-        if latency < 0.0:
-            raise ConfigurationError(f"latency must be non-negative, got {latency}")
-        if jitter < 0.0 or jitter > latency:
-            raise ConfigurationError(
-                f"jitter must lie in [0, latency={latency}], got {jitter}"
-            )
-        if not 0.0 <= drop_probability < 1.0:
-            raise ConfigurationError(
-                f"drop probability must lie in [0, 1), got {drop_probability}"
-            )
+        check_conditions(latency, jitter, drop_probability)
         self.latency = float(latency)
         self.jitter = float(jitter)
         self.drop_probability = float(drop_probability)
@@ -93,7 +99,6 @@ class AsyncTransport:
         method: str,
         *args: Any,
         timeout: Optional[float] = None,
-        trace_id: Optional[int] = None,
     ) -> Any:
         """Invoke ``method`` on a replica node; raise on timeout.
 
@@ -103,9 +108,7 @@ class AsyncTransport:
         the delay exceeds the deadline, or the node stays silent (crashed
         and silent-Byzantine behaviours never answer); the error carries a
         ``disposition`` attribute (``"dropped"``/``"timeout"``/``"silent"``)
-        for trace spans.  ``trace_id`` is accepted for interface parity with
-        the socket transport — in-process calls pass payloads by reference,
-        so there is no envelope to extend.
+        for trace spans.
         """
         self.calls += 1
         delay = self._delay()

@@ -54,7 +54,8 @@ which is in :mod:`repro.service.net`), each with a fast encoder::
     ("mrsp", op_id, (((server_id, ...), envelope), ...))   encode_grouped_response_frames
 
 (decoded by :func:`decode_binary_request_body` / :func:`decode_binary_response_body`).
-Either request may end in a trace id.  Every fast path is byte-identical
+An ``mreq`` may end in its trace id; the generic decoder accepts that sixth
+element on either request.  Every fast path is byte-identical
 to (encoders) or value-identical with (decoders) the generic
 :func:`encode_frame` / :func:`decode_binary_body` on the tuple shown, and
 falls back to them on anything irregular.  An ``mrsp`` groups replicas by
@@ -468,44 +469,25 @@ def _envelope_prefix(arity: int, kind: str) -> bytes:
 
 #: Fixed prefix of every binary request body: magic, 5-tuple header, "req".
 _BINARY_REQ_PREFIX = _envelope_prefix(5, "req")
-#: The traced variant: magic, 6-tuple header, "req" — the sixth element is
-#: the 64-bit trace id of the client-side quorum trace this RPC belongs to.
-_BINARY_REQ6_PREFIX = _envelope_prefix(6, "req")
-#: The vectored request (one frame per quorum operation) and its traced variant.
+#: The vectored request (one frame per quorum operation) and its traced
+#: variant, whose sixth element is the 64-bit id of the client-side trace.
 _BINARY_MREQ_PREFIXES = (_envelope_prefix(5, "mreq"), _envelope_prefix(6, "mreq"))
 
 
-def encode_request_frame(
-    request_id: int, server: int, tail, trace_id: Optional[int] = None
-) -> bytes:
+def encode_request_frame(request_id: int, server: int, tail) -> bytes:
     """One request frame from a pre-serialised :func:`request_tail`.
 
     Byte-identical to ``encode_frame(("req", request_id, server, method,
     args), codec)`` for the codec the tail was built with (the tail's type
-    identifies it) — the wire tests pin the equivalence down.  With a
-    ``trace_id`` the envelope grows a sixth element (byte-identical to
-    encoding the 6-tuple).
+    identifies it) — the wire tests pin the equivalence down.
     """
     if isinstance(tail, str):
-        if trace_id is None:
-            body = (
-                '{"t":["req",%d,%d,%s]}' % (request_id, server, tail)
-            ).encode("utf-8")
-        else:
-            body = (
-                '{"t":["req",%d,%d,%s,%d]}' % (request_id, server, tail, trace_id)
-            ).encode("utf-8")
-    else:
-        out = bytearray(
-            _BINARY_REQ_PREFIX if trace_id is None else _BINARY_REQ6_PREFIX
-        )
-        _pack_int(request_id, out)
-        _pack_int(server, out)
-        out += tail
-        if trace_id is not None:
-            _pack_int(trace_id, out)
-        body = bytes(out)
-    return _frame(body)
+        return _frame(('{"t":["req",%d,%d,%s]}' % (request_id, server, tail)).encode("utf-8"))
+    out = bytearray(_BINARY_REQ_PREFIX)
+    _pack_int(request_id, out)
+    _pack_int(server, out)
+    out += tail
+    return _frame(bytes(out))
 
 
 #: Fixed prefix of every binary response body: magic, 3-tuple header, "rsp".
@@ -534,11 +516,12 @@ def encode_response_frame(request_id: int, payload: Any, codec: str = "json") ->
 def decode_binary_request_body(body: bytes) -> Any:
     """:func:`decode_binary_body`, fast-pathing the canonical request shape.
 
-    Bodies produced by :func:`encode_request_frame` open with a fixed
-    14-byte envelope prefix; recognising it skips the generic tag dispatch
-    for the envelope (the server decodes one of these per RPC).  Anything
-    else — including a malformed lookalike — falls back to the generic
-    decoder, so error behaviour is unchanged.
+    Bodies produced by :func:`encode_request_frame` and
+    :func:`encode_vectored_request_frame` open with a fixed envelope
+    prefix; recognising it skips the generic tag dispatch for the envelope
+    (the server decodes one of these per frame).  Anything else — a traced
+    ``req``, a malformed lookalike — falls back to the generic decoder, so
+    error behaviour is unchanged.
     """
     if body.startswith(_BINARY_REQ_PREFIX):
         try:
@@ -549,25 +532,6 @@ def decode_binary_request_body(body: bytes) -> Any:
                 args, offset = _unpack_binary(body, offset)
                 if offset == len(body) and type(method) is str and type(args) is tuple:
                     return ("req", request_id, server, method, args)
-        except Exception:
-            pass
-    elif body.startswith(_BINARY_REQ6_PREFIX):
-        # The traced envelope shares the 5-tuple layout plus a trailing
-        # trace-id int; same fixed offsets, one extra field.
-        try:
-            if body[14] == _T_INT and body[23] == _T_INT:
-                request_id = _STRUCT_Q.unpack_from(body, 15)[0]
-                server = _STRUCT_Q.unpack_from(body, 24)[0]
-                method, offset = _unpack_binary(body, 32)
-                args, offset = _unpack_binary(body, offset)
-                trace_id, offset = _unpack_binary(body, offset)
-                if (
-                    offset == len(body)
-                    and type(method) is str
-                    and type(args) is tuple
-                    and type(trace_id) is int
-                ):
-                    return ("req", request_id, server, method, args, trace_id)
         except Exception:
             pass
     elif body.startswith(_BINARY_MREQ_PREFIXES):

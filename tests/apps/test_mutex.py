@@ -30,7 +30,7 @@ SCENARIO = ScenarioSpec(
 )
 
 
-def deploy_mutexes(scenario, clients, seed=0, verify_rounds=2):
+def deploy_mutexes(scenario, clients, seed=0):
     """An in-process deployment plus one mutex handle per client id."""
     rng = random.Random(seed)
     deployment = ShardedDeployment(scenario, shards=1, transport="inproc", rng=rng)
@@ -42,7 +42,6 @@ def deploy_mutexes(scenario, clients, seed=0, verify_rounds=2):
             ),
             name="L",
             client_id=client_id,
-            verify_rounds=verify_rounds,
             rng=random.Random(rng.randrange(2**63)),
         )
         for client_id in range(clients)
@@ -114,8 +113,6 @@ class TestMutexBasics:
                 AsyncQuorumMutex(mutex.register, "L", client_id=-1)
             with pytest.raises(ConfigurationError):
                 AsyncQuorumMutex(mutex.register, "", client_id=0)
-            with pytest.raises(ConfigurationError):
-                AsyncQuorumMutex(mutex.register, "L", client_id=0, verify_rounds=-1)
 
         run(scenario())
 
@@ -184,8 +181,6 @@ class TestLockLoadHarness:
             self.base_spec(hold_time=-0.1)
         with pytest.raises(ConfigurationError):
             self.base_spec(retry_interval=0.0)
-        with pytest.raises(ConfigurationError):
-            self.base_spec(verify_rounds=-1)
         with pytest.raises(ConfigurationError):
             self.base_spec(transport="pigeon")
         with pytest.raises(ConfigurationError):

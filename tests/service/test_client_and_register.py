@@ -108,31 +108,6 @@ class TestAsyncQuorumClient:
         assert read.probes_used == 8 * MAX_TOP_UP_ROUNDS
         assert client.transport.calls == 8 * (1 + MAX_TOP_UP_ROUNDS)
 
-    def test_repair_can_be_disabled(self):
-        nodes = [ServiceNode(server) for server in range(PLAIN.n)]
-        client = AsyncQuorumClient(
-            PLAIN,
-            nodes,
-            AsyncTransport(),
-            deadline=0.01,
-            rng=random.Random(1),
-            repair=False,
-        )
-        for server in range(10):
-            nodes[server].crash()
-
-        read = run(client.read("x"))
-        assert client.probe_fallbacks == 0
-        assert not read.retried and read.probes_used == 0
-        assert client.transport.calls == 8  # one round, no spares
-
-        # One round is all a write gets too; one nobody stored still raises.
-        for node in nodes:
-            node.crash()
-        with pytest.raises(QuorumUnavailableError, match="none of the 8 servers"):
-            run(client.write("x", "v", Timestamp(1), None))
-        assert client.transport.calls == 16 and client.probe_fallbacks == 0
-
 
 class TestDegradedQuorumTopUp:
     def test_degraded_write_tops_up_in_place(self, record_fan_outs):

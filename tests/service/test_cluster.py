@@ -55,15 +55,15 @@ def wait_for_exit(deployment, timeout: float = 10.0) -> None:
 class TestClusterLifecycle:
     def test_normal_exit_leaves_no_orphans(self):
         async def main():
-            cluster = ClusterDeployment(scenario(), shards=2, codec="binary", seed=7)
+            cluster = ClusterDeployment(
+                scenario(), shards=2, codec="binary", rng=random.Random(7)
+            )
             async with cluster:
                 pids = list(cluster.pids)
                 assert len(pids) == 2
                 assert cluster.processes_alive == 2
                 assert await cluster.probe() == [True, True]
-                client = cluster.new_register_client(
-                    random.Random(3), deadline=2.0, quorum_pool=0
-                )
+                client = cluster.new_register_client(random.Random(3), deadline=2.0)
                 await client.write("x", ("hello", 1))
                 outcome = await client.read("x")
                 assert outcome.value == ("hello", 1)
@@ -74,7 +74,7 @@ class TestClusterLifecycle:
 
     def test_aclose_is_idempotent(self):
         async def main():
-            cluster = ClusterDeployment(scenario(), shards=1, seed=11)
+            cluster = ClusterDeployment(scenario(), shards=1, rng=random.Random(11))
             await cluster.start()
             pids = list(cluster.pids)
             await cluster.aclose()
@@ -89,7 +89,7 @@ class TestClusterLifecycle:
         parent's ``aclose`` then has nothing left to kill."""
 
         async def main():
-            cluster = ClusterDeployment(scenario(), shards=2, seed=13)
+            cluster = ClusterDeployment(scenario(), shards=2, rng=random.Random(13))
             await cluster.start()
             pids = list(cluster.pids)
             for pid in pids:
@@ -109,7 +109,9 @@ class TestClusterLifecycle:
         serving, and teardown still leaves nothing behind."""
 
         async def main():
-            cluster = ClusterDeployment(scenario(), shards=2, codec="binary", seed=17)
+            cluster = ClusterDeployment(
+                scenario(), shards=2, codec="binary", rng=random.Random(17)
+            )
             await cluster.start()
             pids = list(cluster.pids)
             os.kill(pids[0], signal.SIGKILL)
@@ -120,9 +122,7 @@ class TestClusterLifecycle:
             probes = await cluster.probe(timeout=0.5)
             assert probes[0] is False and probes[1] is True
             # The surviving shard still serves: pick a key it owns.
-            client = cluster.new_register_client(
-                random.Random(5), deadline=2.0, quorum_pool=0
-            )
+            client = cluster.new_register_client(random.Random(5), deadline=2.0)
             key = next(
                 f"k{i}" for i in range(64) if cluster.shard_for(f"k{i}") == 1
             )
@@ -140,7 +140,7 @@ class TestClusterLifecycle:
 
         async def main():
             cluster = ClusterDeployment(
-                scenario(), shards=1, seed=19, start_timeout=0.0
+                scenario(), shards=1, rng=random.Random(19), start_timeout=0.0
             )
             with pytest.raises(Exception):
                 await cluster.start()
@@ -227,8 +227,6 @@ class TestClusterFacade:
         deployment = Deployment.builder(scenario()).seed(5).build()
         lock = deployment.lock_client("leader", client_id=1)
         assert lock.verify_delay == 0.0
-        with pytest.raises(ConfigurationError):
-            deployment.lock_client("leader", client_id=2, verify_delay=-0.5)
 
 
 class TestPartitionLoad:

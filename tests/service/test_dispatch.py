@@ -6,10 +6,7 @@ import asyncio
 import math
 import random
 
-import pytest
-
 from repro.core.masking import ProbabilisticMaskingSystem
-from repro.exceptions import ConfigurationError
 from repro.obs.trace import Tracer
 from repro.protocol.timestamps import Timestamp
 from repro.service.client import AsyncQuorumClient
@@ -24,10 +21,10 @@ from tests.service.per_rpc import PerRpcDriver
 MASKING = ProbabilisticMaskingSystem(25, 10, 3)
 
 
-def deploy(system, seed=0, deadline=0.01, window=0.0, **transport_kwargs):
+def deploy(system, seed=0, deadline=0.01, **transport_kwargs):
     nodes = [ServiceNode(server) for server in range(system.n)]
     transport = AsyncTransport(**transport_kwargs)
-    dispatcher = BatchedDispatcher(nodes, transport, window=window)
+    dispatcher = BatchedDispatcher(nodes, transport)
     client = AsyncQuorumClient(
         system,
         nodes,
@@ -40,11 +37,6 @@ def deploy(system, seed=0, deadline=0.01, window=0.0, **transport_kwargs):
 
 
 class TestBatchedDispatcher:
-    def test_window_must_be_non_negative(self):
-        nodes = [ServiceNode(0)]
-        with pytest.raises(ConfigurationError):
-            BatchedDispatcher(nodes, AsyncTransport(), window=-0.1)
-
     def test_write_then_read_round_trip(self):
         nodes, transport, dispatcher, client = deploy(MASKING)
 
@@ -143,16 +135,13 @@ class TestBatchedDispatcher:
             assert len(read.quorum) <= 10
 
     def test_delay_exceeding_timeout_counts_as_timeout(self):
-        nodes, transport, dispatcher, client = deploy(
-            MASKING, deadline=0.001, latency=0.01
-        )
-        client.repair = False
+        nodes, transport, dispatcher, client = deploy(MASKING, latency=0.01)
 
         async def scenario():
-            return await client.read("x")
+            # One round, no top-up: every RPC's delay overruns its deadline.
+            return await dispatcher.fan_out(range(10), "read", ("x",), 0.001)
 
-        read = asyncio.run(scenario())
-        assert read.responders == 0
+        assert asyncio.run(scenario()) == {}
         assert transport.timed_out == 10
 
 
@@ -225,13 +214,6 @@ class TestQuorumPool:
             assert all(0 <= server < 25 for server in quorum)
         # The pool refills in blocks but never repeats a block verbatim.
         assert len(set(drawn)) > 50
-
-    def test_pool_zero_falls_back_to_per_op_sampling(self):
-        nodes, transport, dispatcher, client = deploy(MASKING)
-        client.quorum_pool = 0
-        quorum = client._next_quorum()
-        assert len(quorum) == 10
-        assert client._pool == []
 
     def test_sample_quorum_block_matches_strategy_distribution(self):
         rng = random.Random(7)

@@ -495,10 +495,13 @@ class TestDeploymentBuilderAntiEntropy:
     def test_reads_piggyback_repairs_when_gossip_is_off(self):
         # fanout=0 keeps the background healer out of the way, so the
         # ε-misses of a 12/5 system leave laggards for reads to repair.
+        # Seeded: unseeded, about 3 % of runs have a read miss the write
+        # outright (the system's ε at work, not a bug).
         scenario = ScenarioSpec(system=UniformEpsilonIntersectingSystem(12, 5))
         deployment = (
             Deployment.builder(scenario)
             .anti_entropy(fanout=0, repair_budget=4)
+            .seed(1)
             .build()
         )
 

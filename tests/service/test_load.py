@@ -57,9 +57,9 @@ class TestServiceLoadSpec:
         with pytest.raises(ConfigurationError):
             small_spec(write_interval=-1.0)
         with pytest.raises(ConfigurationError):
-            small_spec(dispatch_window=-0.001)
+            small_spec(transport="tcp", latency=-1.0)
         with pytest.raises(ConfigurationError):
-            small_spec(quorum_pool=-1)
+            small_spec(transport="tcp", deadline=None)
         with pytest.raises(ConfigurationError):
             FaultInjectionSpec(crash_count=-1)
         with pytest.raises(ConfigurationError):
@@ -134,7 +134,6 @@ class TestRunServiceLoad:
         assert report.read_latency(0.5) <= report.read_latency(0.99)
         assert report.throughput > 0
         assert "throughput" in report.render()
-        assert report.loop_driver == "asyncio"
 
     def test_static_byzantine_failures_are_deployed(self):
         spec = small_spec(
@@ -312,10 +311,7 @@ def slice_report(spec, worker: int, **overrides) -> ServiceLoadReport:
         dispatch_flushes=6 + worker,
         repairs_piggybacked=7 + worker,
         gossip_rounds=8 + worker,
-        loop_driver="asyncio",
-        transport="tcp",
         shard_ops=[7 + worker, 5 + worker],
-        codec="binary",
         traces=[{"trace_id": (worker << 40) + 1}],
         metrics=[{"labels": {"component": "load-harness", "worker": worker}}],
         epsilon_alerts=[{"kind": "epsilon-exceeded", "worker": worker}],
@@ -385,18 +381,6 @@ class TestMergeReports:
             for worker in range(2)
         ]
         assert merge_reports(unmonitored).epsilon_monitor is None
-
-    def test_provenance_is_one_value_or_the_per_worker_list(self):
-        agreeing = merge_reports([slice_report(self.SPEC, worker) for worker in range(2)])
-        assert agreeing.loop_driver == "asyncio" and agreeing.codec == "binary"
-        differing = merge_reports(
-            [
-                slice_report(self.SPEC, 0, loop_driver="uvloop"),
-                slice_report(self.SPEC, 1, codec="json"),
-            ]
-        )
-        assert differing.loop_driver == ["uvloop", "asyncio"]
-        assert differing.codec == ["binary", "json"]
 
 
 class TestKeyWeightsOverRankSubsets:

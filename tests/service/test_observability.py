@@ -11,7 +11,7 @@ Three contracts pin the subsystem to the load harness:
   and across a 2-shard multi-process cluster;
 * **report parity** — the one load driver produces the same *kind* of
   report whatever the process count: same metric components, the
-  negotiated codec, and no second set of client connections at
+  spec's codec, and no second set of client connections at
   ``processes=1``;
 * **ε-monitor** — zero alerts under the benign conformance scenario
   (ε = 0 exactly for the 24-of-36 system), and provable firing when an
@@ -27,7 +27,6 @@ import pytest
 from repro.core.masking import ProbabilisticMaskingSystem
 from repro.exceptions import ConfigurationError
 from repro.protocol.timestamps import Timestamp
-from repro.service.cluster import merge_worker_provenance
 from repro.service.load import ServiceLoadSpec, run_service_load
 from repro.simulation.failures import FailureModel
 from repro.simulation.scenario import ScenarioSpec
@@ -92,7 +91,7 @@ class TestSpecKnobs:
         assert report.traces == []
         assert report.epsilon_monitor is None
         assert report.epsilon_alerts == []
-        assert report.codec == "json"  # in process nothing is negotiated
+        assert report.codec == "json"  # the in-process spelling
 
 
 class TestZeroDivergence:
@@ -216,7 +215,7 @@ class TestReportParity:
             )
             assert all("probe_fallback_ops" in h["counters"] for h in harness)
             assert all("fresh_read_fraction" in h["gauges"] for h in harness)
-            # The codec the connections negotiated, in every shape.
+            # The codec the connections sent, in every shape.
             assert report.codec == "binary"
             assert report.reads_completed == 18 and report.writes_completed == 6
         accepted = {
@@ -261,41 +260,3 @@ class TestEpsilonMonitor:
         report = run_service_load(small_spec(trace_sample=1.0))
         assert report.epsilon_monitor is None
 
-
-class TestWorkerProvenance:
-    def test_agreeing_values_collapse_to_one(self):
-        assert merge_worker_provenance(["asyncio", "asyncio"]) == "asyncio"
-        assert merge_worker_provenance(["json"]) == "json"
-
-    def test_differing_values_surface_as_the_per_worker_list(self):
-        assert merge_worker_provenance(["uvloop", "asyncio"]) == [
-            "uvloop",
-            "asyncio",
-        ]
-        assert merge_worker_provenance(["json", "binary", "json"]) == [
-            "json",
-            "binary",
-            "json",
-        ]
-
-    def test_empty_input_is_preserved(self):
-        assert merge_worker_provenance([]) == []
-
-    def test_cluster_report_records_per_worker_provenance(self):
-        spec = small_spec(
-            clients=4,
-            reads_per_client=1,
-            writes=4,
-            keys=4,
-            shards=2,
-            processes=2,
-            transport="tcp",
-            codec="binary",
-            seed=2,
-        )
-        report = run_service_load(spec)
-        # Homogeneous workers collapse to a single value; the negotiated
-        # codec is the binary one the spec asked for, not a silently kept
-        # first-worker default.
-        assert report.loop_driver == "asyncio"
-        assert report.codec == "binary"

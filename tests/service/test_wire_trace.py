@@ -1,10 +1,13 @@
 """Property tests for the trace id on the wire.
 
-A request may end in its client's trace id; nothing else changes:
+A traced quorum round's ``mreq`` ends in its client's trace id; nothing
+else changes:
 
 * the **envelope** grows a sixth element only when a trace id is attached,
-  and the traced request frame is byte-identical to encoding the 6-tuple
+  and the traced ``mreq`` frame is byte-identical to encoding the 6-tuple
   generically — so payload semantics never depend on the fast path;
+* no sender traces a single-RPC ``req``, but the server still accepts one:
+  a generically encoded 6-tuple decodes through the server's decoder;
 * over a real connection, under **either codec** and with no preamble, a
   traced quorum round reaches the server with its id, and an untraced one
   reaches it with none.
@@ -24,8 +27,10 @@ from repro.service.node import ServiceNode
 from repro.service.wire import (
     WIRE_CODECS,
     FrameDecoder,
+    decode_binary_request_body,
     encode_frame,
     encode_request_frame,
+    encode_vectored_request_frame,
     request_tail,
 )
 
@@ -36,6 +41,7 @@ def run(coroutine):
 
 request_ids = st.integers(min_value=0, max_value=2**62)
 server_ids = st.integers(min_value=0, max_value=2**31)
+server_lists = st.lists(server_ids, min_size=1, max_size=12, unique=True).map(tuple)
 trace_ids = st.integers(min_value=0, max_value=2**62)
 methods = st.sampled_from(["read", "write", "ping"])
 args_values = st.tuples(
@@ -45,30 +51,28 @@ args_values = st.tuples(
 
 class TestTracedEnvelope:
     @settings(max_examples=50)
-    @given(request_ids, server_ids, methods, args_values, trace_ids)
+    @given(request_ids, server_lists, methods, args_values, trace_ids)
     def test_traced_fast_path_is_byte_identical_on_both_codecs(
-        self, request_id, server, method, args, trace_id
+        self, op_id, servers, method, args, trace_id
     ):
         for codec in WIRE_CODECS:
             tail = request_tail(method, args, codec)
-            fast = encode_request_frame(request_id, server, tail, trace_id=trace_id)
-            generic = encode_frame(
-                ("req", request_id, server, method, args, trace_id), codec
-            )
+            fast = encode_vectored_request_frame(op_id, servers, tail, trace_id=trace_id)
+            generic = encode_frame(("mreq", op_id, servers, method, args, trace_id), codec)
             assert fast == generic
 
     @settings(max_examples=50)
-    @given(request_ids, server_ids, methods, args_values, trace_ids)
+    @given(request_ids, server_lists, methods, args_values, trace_ids)
     def test_traced_and_untraced_frames_decode_to_the_same_request(
-        self, request_id, server, method, args, trace_id
+        self, op_id, servers, method, args, trace_id
     ):
         for codec in WIRE_CODECS:
             tail = request_tail(method, args, codec)
-            decoder = FrameDecoder()
+            decoder = FrameDecoder(decode_binary=decode_binary_request_body)
             plain = decoder.feed(
-                encode_request_frame(request_id, server, tail)
+                encode_vectored_request_frame(op_id, servers, tail)
             ) + decoder.feed(
-                encode_request_frame(request_id, server, tail, trace_id=trace_id)
+                encode_vectored_request_frame(op_id, servers, tail, trace_id=trace_id)
             )
             assert len(plain) == 2
             untraced, traced = plain
@@ -76,6 +80,20 @@ class TestTracedEnvelope:
             # one plus the trailing id, nothing reinterpreted.
             assert tuple(traced[:5]) == tuple(untraced)
             assert traced[5] == trace_id
+
+    @settings(max_examples=50)
+    @given(request_ids, server_ids, methods, args_values, trace_ids)
+    def test_a_generically_traced_req_still_decodes_identically(
+        self, request_id, server, method, args, trace_id
+    ):
+        request = ("req", request_id, server, method, args, trace_id)
+        for codec in WIRE_CODECS:
+            frame = encode_frame(request, codec)
+            if codec == "binary":
+                assert decode_binary_request_body(frame[4:]) == request
+            for decode_binary in (None, decode_binary_request_body):
+                decoder = FrameDecoder(decode_binary=decode_binary)
+                assert decoder.feed(frame) == [request]
 
     @settings(max_examples=50)
     @given(request_ids, server_ids, methods, args_values)

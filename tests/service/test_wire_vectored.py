@@ -108,11 +108,16 @@ def fast_encoded(draw):
     if kind in ("req", "mreq"):
         request_id, method, args = draw(ids), draw(methods), draw(arguments)
         target = draw(servers if kind == "req" else server_lists)
-        trace_id = draw(trace_ids)
-        encoder = encode_request_frame if kind == "req" else encode_vectored_request_frame
+        # Only a quorum round's mreq carries a trace id.
+        trace_id = draw(trace_ids) if kind == "mreq" else None
         for codec in WIRE_CODECS:
             tail = request_tail(method, args, codec)
-            frames[codec] = encoder(request_id, target, tail, trace_id=trace_id)
+            if kind == "req":
+                frames[codec] = encode_request_frame(request_id, target, tail)
+            else:
+                frames[codec] = encode_vectored_request_frame(
+                    request_id, target, tail, trace_id=trace_id
+                )
         return traced((kind, request_id, target, method, args), trace_id), frames
     if kind == "rsp":
         request_id, envelope = draw(ids), draw(envelopes)

@@ -41,7 +41,6 @@ class TestBuilder:
         assert builder.deadline(0.1) is builder
         assert builder.seed(7) is builder
         assert builder.conditions(latency=0.001) is builder
-        assert builder.quorum_pool(16) is builder
 
     def test_build_materialises_the_configuration(self):
         deployment = (
@@ -68,9 +67,11 @@ class TestBuilder:
         with pytest.raises(ConfigurationError):
             builder.deadline(-1.0)
         with pytest.raises(ConfigurationError):
-            builder.quorum_pool(-1)
-        with pytest.raises(ConfigurationError):
             Deployment.builder(SCENARIO).transport("tcp").deadline(None).build()
+        with pytest.raises(ConfigurationError):
+            Deployment.builder(SCENARIO).transport("tcp").conditions(
+                drop_probability=1.5
+            ).build()
         with pytest.raises(ConfigurationError):
             Deployment("not-a-builder")
 
