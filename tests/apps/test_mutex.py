@@ -8,6 +8,7 @@ import random
 import pytest
 
 from repro.apps.mutex import (
+    VERIFY_ROUNDS,
     AsyncQuorumMutex,
     LockLoadSpec,
     jain_fairness,
@@ -116,6 +117,25 @@ class TestMutexBasics:
 
         run(scenario())
 
+    def test_an_uncontended_request_runs_every_verify_round(self):
+        async def scenario():
+            _, (mutex,) = deploy_mutexes(SCENARIO, 1)
+            scans = 0
+            read_credible = mutex.register.read_credible
+
+            async def counted():
+                nonlocal scans
+                scans += 1
+                return await read_credible()
+
+            mutex.register.read_credible = counted
+            assert (await mutex.request()).granted
+            return scans
+
+        # One scan for live holders, then the verify reads.
+        assert run(scenario()) == 1 + VERIFY_ROUNDS
+        assert VERIFY_ROUNDS == 2
+
     def test_lock_variable_namespacing(self):
         assert lock_variable("a") == "quorum-lock:a"
         _, (mutex,) = deploy_mutexes(SCENARIO, 1)
@@ -187,6 +207,14 @@ class TestLockLoadHarness:
             self.base_spec(transport="tcp", deadline=None)
         with pytest.raises(ConfigurationError):
             self.base_spec(scenario="not-a-scenario")
+
+    def test_spec_refuses_bad_conditions_before_deploying(self):
+        with pytest.raises(ConfigurationError, match="latency"):
+            self.base_spec(latency=-1.0)
+        with pytest.raises(ConfigurationError, match="jitter"):
+            self.base_spec(latency=0.001, jitter=0.01)
+        with pytest.raises(ConfigurationError, match="drop probability"):
+            self.base_spec(transport="tcp", drop_probability=1.0)
 
     def test_contended_run_grants_everyone_without_double_grants(self):
         report = run_lock_load(self.base_spec())

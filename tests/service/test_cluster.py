@@ -24,9 +24,10 @@ import pytest
 from repro.api import Deployment
 from repro.core.masking import ProbabilisticMaskingSystem
 from repro.exceptions import ConfigurationError
-from repro.service.cluster import ClusterDeployment, partition_load
+from repro.service.cluster import ClusterDeployment, deploy, partition_load
 from repro.service.load import ServiceLoadSpec
 from repro.service.net import TcpTransport
+from repro.service.sharding import ShardedDeployment
 from repro.simulation.scenario import ScenarioSpec
 
 
@@ -227,6 +228,26 @@ class TestClusterFacade:
         deployment = Deployment.builder(scenario()).seed(5).build()
         lock = deployment.lock_client("leader", client_id=1)
         assert lock.verify_delay == 0.0
+
+    def test_deploy_picks_the_shape_from_the_process_count(self):
+        in_loop = deploy(scenario(), shards=2, rng=random.Random(1))
+        assert isinstance(in_loop, ShardedDeployment)
+        assert in_loop.transport_mode == "inproc"
+        cluster = deploy(scenario(), processes=1, shards=2, rng=random.Random(1))
+        assert isinstance(cluster, ClusterDeployment)
+        assert cluster.transport_mode == "tcp"
+        assert cluster.pids == []  # nothing spawns before start()
+
+    def test_bad_conditions_are_refused_before_any_process_spawns(self):
+        for conditions in (
+            dict(latency=-1.0),
+            dict(latency=0.001, jitter=0.01),
+            dict(drop_probability=1.0),
+        ):
+            with pytest.raises(ConfigurationError):
+                ClusterDeployment(scenario(), shards=2, **conditions)
+            with pytest.raises(ConfigurationError):
+                deploy(scenario(), processes=1, **conditions)
 
 
 class TestPartitionLoad:

@@ -9,7 +9,7 @@ import random
 from repro.core.masking import ProbabilisticMaskingSystem
 from repro.obs.trace import Tracer
 from repro.protocol.timestamps import Timestamp
-from repro.service.client import AsyncQuorumClient
+from repro.service.client import DEFAULT_QUORUM_POOL, AsyncQuorumClient
 from repro.service.dispatch import BatchedDispatcher
 from repro.service.load import ServiceLoadSpec, run_service_load
 from repro.service.node import ServiceNode
@@ -144,6 +144,23 @@ class TestBatchedDispatcher:
         assert asyncio.run(scenario()) == {}
         assert transport.timed_out == 10
 
+    def test_delivery_waits_for_the_transport_delay(self):
+        nodes, transport, dispatcher, client = deploy(MASKING, latency=0.01)
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            replies = await dispatcher.fan_out(range(10), "read", ("x",), 1.0)
+            return replies, loop.time() - started
+
+        replies, elapsed = asyncio.run(scenario())
+        # Every RPC lands once the drawn delay has passed, well inside its
+        # deadline; one delivery event per node carried it.
+        assert sorted(replies) == list(range(10))
+        assert elapsed >= 0.009
+        assert transport.timed_out == 0 and transport.dropped == 0
+        assert dispatcher.flushes == 10
+
 
 def hostile_nodes():
     """25 replicas holding ``x``: two crashed, one silent, one forger."""
@@ -214,6 +231,16 @@ class TestQuorumPool:
             assert all(0 <= server < 25 for server in quorum)
         # The pool refills in blocks but never repeats a block verbatim.
         assert len(set(drawn)) > 50
+
+    def test_pool_refills_one_block_at_a_time(self):
+        nodes, transport, dispatcher, client = deploy(MASKING)
+        client._next_quorum()
+        assert len(client._pool) == DEFAULT_QUORUM_POOL - 1
+        for _ in range(DEFAULT_QUORUM_POOL - 1):
+            client._next_quorum()
+        assert client._pool == []
+        client._next_quorum()  # an empty pool draws the next whole block
+        assert len(client._pool) == DEFAULT_QUORUM_POOL - 1
 
     def test_sample_quorum_block_matches_strategy_distribution(self):
         rng = random.Random(7)

@@ -15,6 +15,7 @@ from repro.service.sharding import (
     TRANSPORT_MODES,
     ShardedAsyncRegisterClient,
     ShardedDeployment,
+    check_deadline,
     shard_for_key,
 )
 from repro.simulation.scenario import ScenarioSpec
@@ -102,6 +103,23 @@ class TestShardedDeployment:
         with pytest.raises(ConfigurationError):
             ShardedDeployment(SCENARIO, transport="carrier-pigeon")
         assert TRANSPORT_MODES == ("inproc", "tcp")
+
+    def test_bad_conditions_are_refused_at_construction_on_both_transports(self):
+        # Over TCP the refusal comes before start() binds a socket.
+        for transport in TRANSPORT_MODES:
+            with pytest.raises(ConfigurationError, match="latency"):
+                ShardedDeployment(SCENARIO, transport=transport, latency=-1.0)
+            with pytest.raises(ConfigurationError, match="jitter"):
+                ShardedDeployment(SCENARIO, transport=transport, latency=0.001, jitter=0.01)
+            with pytest.raises(ConfigurationError, match="drop probability"):
+                ShardedDeployment(SCENARIO, transport=transport, drop_probability=1.0)
+
+    def test_check_deadline_refuses_none_only_over_tcp(self):
+        with pytest.raises(ConfigurationError, match="deadline=None"):
+            check_deadline("tcp", None)
+        check_deadline("tcp", 0.05)
+        check_deadline("inproc", None)
+        check_deadline("inproc", 0.05)
 
     def test_shards_are_independent_replica_groups(self):
         deployment = ShardedDeployment(SCENARIO, shards=3, rng=random.Random(1))

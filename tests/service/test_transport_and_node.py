@@ -9,7 +9,7 @@ import pytest
 from repro.exceptions import ConfigurationError, RpcTimeoutError, ServiceError
 from repro.protocol.timestamps import Timestamp
 from repro.service.node import NO_REPLY, ServiceNode
-from repro.service.transport import AsyncTransport
+from repro.service.transport import AsyncTransport, check_conditions
 from repro.simulation.server import (
     ByzantineForgeBehavior,
     ByzantineSilentBehavior,
@@ -85,6 +85,21 @@ class TestAsyncTransport:
             AsyncTransport(latency=0.001, jitter=0.01)
         with pytest.raises(ConfigurationError):
             AsyncTransport(drop_probability=1.0)
+
+    def test_check_conditions_accepts_the_boundaries(self):
+        check_conditions(0.0, 0.0, 0.0)
+        check_conditions(0.01, 0.01, 0.999)  # jitter may equal the latency
+
+    def test_check_conditions_refuses_what_no_transport_can_simulate(self):
+        for latency, jitter, drop_probability in (
+            (-0.001, 0.0, 0.0),
+            (0.01, -0.001, 0.0),
+            (0.001, 0.01, 0.0),
+            (0.0, 0.0, -0.1),
+            (0.0, 0.0, 1.0),
+        ):
+            with pytest.raises(ConfigurationError):
+                check_conditions(latency, jitter, drop_probability)
 
     def test_jitter_is_reproducible_per_seed(self):
         delays = []
