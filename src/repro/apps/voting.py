@@ -34,6 +34,7 @@ from typing import Dict, List, Optional, Set
 
 from repro.core.probabilistic import ProbabilisticQuorumSystem
 from repro.exceptions import ConfigurationError, ProtocolError
+from repro.protocol.selection import ReadRule
 from repro.protocol.signatures import SignatureScheme
 from repro.protocol.timestamps import Timestamp
 from repro.simulation.cluster import Cluster
@@ -107,6 +108,9 @@ class VotingService:
         self.system = system
         self.cluster = cluster
         self.signatures = signatures
+        self.rule = ReadRule(
+            threshold=int(getattr(system, "read_threshold", 1)), signatures=signatures
+        )
         self.rng = rng or random.Random()
         self._accepted_by_voter: Counter = Counter()
         self._ballots_presented = 0
@@ -122,7 +126,7 @@ class VotingService:
     @property
     def read_threshold(self) -> int:
         """Votes a lock record needs to count as 'seen' (1 unless masking)."""
-        return int(getattr(self.system, "read_threshold", 1))
+        return self.rule.threshold
 
     def _next_timestamp(self, station_id: int) -> Timestamp:
         counter = self._station_counters.get(station_id, 0) + 1
@@ -130,23 +134,11 @@ class VotingService:
         return Timestamp(counter, writer_id=station_id)
 
     def _read_lock(self, voter_id: str) -> tuple:
-        """Return ``(locked, quorum)`` for the voter's lock variable."""
+        """Return ``(locked, quorum)``: locked when some credible record clears the threshold."""
         variable = self._lock_variable(voter_id)
         quorum = self.system.sample_quorum(self.rng)
         replies = self.cluster.read_quorum(quorum, variable)
-        votes: Counter = Counter()
-        for stored in replies.values():
-            if stored.timestamp is None:
-                continue
-            if self.signatures is not None:
-                if not isinstance(stored.timestamp, Timestamp):
-                    continue
-                if not self.signatures.verify(
-                    variable, stored.value, stored.timestamp, stored.signature
-                ):
-                    continue
-            votes[(repr(stored.value), stored.timestamp)] += 1
-        locked = any(count >= self.read_threshold for count in votes.values())
+        locked = bool(self.rule.enumerate(self.rule.credible(variable, replies)))
         return locked, quorum
 
     def _write_lock(self, voter_id: str, station_id: int) -> Quorum:
@@ -154,11 +146,7 @@ class VotingService:
         quorum = self.system.sample_quorum(self.rng)
         timestamp = self._next_timestamp(station_id)
         value = {"station": station_id, "voter": voter_id}
-        signature = (
-            self.signatures.sign(variable, value, timestamp)
-            if self.signatures is not None
-            else None
-        )
+        signature = self.rule.sign(variable, value, timestamp)
         self.cluster.write_quorum(quorum, variable, value, timestamp, signature=signature)
         return quorum
 

@@ -9,6 +9,10 @@ subpackage implements all three against the
 * :mod:`repro.protocol.timestamps` — writer-local monotone timestamps;
 * :mod:`repro.protocol.signatures` — simulated self-verifying data (keyed
   hashes standing in for digital signatures);
+* :mod:`repro.protocol.selection` — the one :class:`ReadRule` (vote
+  threshold plus optional signature scheme) that every reader — these
+  registers, the async service frontends, the gossip verifiers, the lock
+  and the voting service — filters and selects replies through;
 * :mod:`repro.protocol.variable` — the ε-intersecting protocol of §3.1;
 * :mod:`repro.protocol.dissemination_variable` — the verifiable-data
   protocol of §4;
@@ -24,7 +28,12 @@ from repro.protocol.timestamps import Timestamp, TimestampGenerator
 from repro.protocol.signatures import SignatureScheme, SignedPayload
 from repro.protocol.variable import ProbabilisticRegister, ReadOutcome
 from repro.protocol.classification import OUTCOME_LABELS, classify_read_outcome
-from repro.protocol.selection import SelectedValue, select_credible_value, tiebreak_key
+from repro.protocol.selection import (
+    ReadRule,
+    SelectedValue,
+    select_credible_value,
+    tiebreak_key,
+)
 from repro.protocol.dissemination_variable import DisseminationRegister
 from repro.protocol.masking_variable import MaskingRegister
 from repro.protocol.lock import LockAttempt, QuorumLock
@@ -39,6 +48,7 @@ __all__ = [
     "ReadOutcome",
     "OUTCOME_LABELS",
     "classify_read_outcome",
+    "ReadRule",
     "SelectedValue",
     "select_credible_value",
     "tiebreak_key",

@@ -11,27 +11,29 @@ at least ``1 - ε`` (the ε of the (b,ε)-dissemination system).
 The key point the implementation makes explicit: a Byzantine server can
 *suppress* its reply or *replay* an old (correctly signed) value, but any
 fabricated value is filtered out by verification, so only staleness — not
-corruption — is possible.
+corruption — is possible.  Both halves live in the register's signed
+:class:`~repro.protocol.selection.ReadRule`.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, Optional
+from typing import Optional
 
 from repro.core.probabilistic import ProbabilisticQuorumSystem
-from repro.exceptions import ProtocolError
-from repro.protocol.selection import select_credible_value
+from repro.protocol.selection import ReadRule
 from repro.protocol.signatures import SignatureScheme
-from repro.protocol.timestamps import Timestamp
-from repro.protocol.variable import ProbabilisticRegister, ReadOutcome, WriteOutcome
+from repro.protocol.variable import ProbabilisticRegister
 from repro.simulation.cluster import Cluster
-from repro.simulation.server import StoredValue
-from repro.types import Quorum, ServerId
 
 
 class DisseminationRegister(ProbabilisticRegister):
     """Single-writer register for self-verifying data over a (b,ε)-dissemination system.
+
+    Writes are signed and unverifiable replies are discarded before
+    selection (counted in ``forged_replies_rejected``).  Verification leaves
+    only honestly signed pairs, which cannot disagree at a given timestamp
+    (the writer signs one value per timestamp).
 
     Parameters
     ----------
@@ -54,68 +56,4 @@ class DisseminationRegister(ProbabilisticRegister):
     ) -> None:
         super().__init__(system, cluster, name=name, writer_id=writer_id, rng=rng)
         self.signatures = signatures or SignatureScheme()
-        self.forged_replies_rejected = 0
-
-    # -- write ------------------------------------------------------------------
-
-    def write(self, value: Any) -> WriteOutcome:
-        """Write a signed value to a strategy-drawn quorum (Section 4, Write)."""
-        quorum = self._choose_quorum()
-        timestamp = self._timestamps.next()
-        signature = self.signatures.sign(self.name, value, timestamp)
-        acks = self.cluster.write_quorum(
-            quorum, self.name, value, timestamp, signature=signature
-        )
-        outcome = WriteOutcome(
-            quorum=quorum, timestamp=timestamp, acknowledged=frozenset(acks)
-        )
-        self._last_written = outcome
-        self.writes_performed += 1
-        return outcome
-
-    # -- read -------------------------------------------------------------------
-
-    def _verified_replies(
-        self, replies: Dict[ServerId, StoredValue]
-    ) -> Dict[ServerId, StoredValue]:
-        verified: Dict[ServerId, StoredValue] = {}
-        for server, stored in replies.items():
-            if not isinstance(stored.timestamp, Timestamp):
-                self.forged_replies_rejected += 1
-                continue
-            if self.signatures.verify(
-                self.name, stored.value, stored.timestamp, stored.signature
-            ):
-                verified[server] = stored
-            else:
-                self.forged_replies_rejected += 1
-        return verified
-
-    def read(self) -> ReadOutcome:
-        """Read with verification (Section 4, Read): only verifiable pairs compete.
-
-        Verification leaves only honestly signed pairs, which cannot disagree
-        at a given timestamp (the writer signs one value per timestamp), but
-        the selection still goes through the shared deterministic rule so all
-        read paths resolve replies identically.
-        """
-        quorum = self._choose_quorum()
-        replies = self._collect(quorum)
-        self.reads_performed += 1
-        verified = self._verified_replies(replies)
-        selected = select_credible_value(verified)
-        if selected is None:
-            return ReadOutcome(
-                value=None,
-                timestamp=None,
-                quorum=quorum,
-                reporting_servers=frozenset(),
-                replies=len(replies),
-            )
-        return ReadOutcome(
-            value=selected.value,
-            timestamp=selected.timestamp,
-            quorum=quorum,
-            reporting_servers=selected.servers,
-            replies=len(replies),
-        )
+        self.rule = ReadRule(signatures=self.signatures)

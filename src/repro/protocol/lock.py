@@ -24,12 +24,12 @@ acquisition records are self-verifying (dissemination setting).
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from repro.core.probabilistic import ProbabilisticQuorumSystem
 from repro.exceptions import ConfigurationError, ProtocolError
+from repro.protocol.selection import ReadRule, selection_order
 from repro.protocol.signatures import SignatureScheme
 from repro.protocol.timestamps import Timestamp
 from repro.rngs import fresh_rng
@@ -87,6 +87,9 @@ class QuorumLock:
         self.cluster = cluster
         self.name = str(name)
         self.signatures = signatures
+        self.rule = ReadRule(
+            threshold=int(getattr(system, "read_threshold", 1)), signatures=signatures
+        )
         self.rng = rng or fresh_rng()
         self._client_counters: Dict[int, int] = {}
         self._highest_seen_counter = 0
@@ -113,7 +116,7 @@ class QuorumLock:
     @property
     def read_threshold(self) -> int:
         """Vouching servers required to believe a lock record (1 unless masking)."""
-        return int(getattr(self.system, "read_threshold", 1))
+        return self.rule.threshold
 
     def _next_timestamp(self, client_id: int) -> Timestamp:
         # Lock records from different clients must stay totally ordered, so a
@@ -124,41 +127,39 @@ class QuorumLock:
         return Timestamp(counter, writer_id=client_id)
 
     def _observe(self) -> Tuple[Optional[Dict[str, Any]], Quorum]:
-        """Read the lock variable; return the winning record (or None) and the quorum."""
+        """Read the lock variable; return the winning record (or None) and the quorum.
+
+        The winner is the rule's choice among the credible lock records the
+        release fence leaves — timestamp, then votes, then the value's
+        tie-break key — so two records tied at one timestamp resolve the
+        same way whatever order their replies arrive in.
+        """
         quorum = self.system.sample_quorum(self.rng)
         replies = self.cluster.read_quorum(quorum, self._variable)
-        votes: Counter = Counter()
-        records: Dict[Tuple[str, Timestamp], Dict[str, Any]] = {}
-        for stored in replies.values():
-            if stored.timestamp is None or not isinstance(stored.timestamp, Timestamp):
-                continue
-            if self.signatures is not None and not self.signatures.verify(
-                self._variable, stored.value, stored.timestamp, stored.signature
-            ):
-                continue
-            if not isinstance(stored.value, dict) or "state" not in stored.value:
-                continue
+        records = {
+            server: stored
+            for server, stored in self.rule.credible(self._variable, replies).items()
+            if isinstance(stored.timestamp, Timestamp)
+            and isinstance(stored.value, dict)
+            and "state" in stored.value
+        }
+        for stored in records.values():
             if stored.timestamp.counter > self._highest_seen_counter:
                 self._highest_seen_counter = stored.timestamp.counter
-            key = (repr(stored.value), stored.timestamp)
-            votes[key] += 1
-            records[key] = stored.value
-        eligible = [
-            (key, count) for key, count in votes.items() if count >= self.read_threshold
-        ]
-        for key, _count in eligible:
-            record = records[key]
-            if record.get("state") == "released" and "holder" in record:
-                self._observe_release(int(record["holder"]), key[1])
+        eligible = self.rule.enumerate(records)
+        for record in eligible:
+            if record.value.get("state") == "released" and "holder" in record.value:
+                self._observe_release(int(record.value["holder"]), record.timestamp)
         # Drop held records that the same holder's known release outranks —
         # stale replies from lagging replicas, not live acquisitions.
         eligible = [
-            (key, count) for key, count in eligible if not self._is_fenced(records[key], key[1])
+            record
+            for record in eligible
+            if not self._is_fenced(record.value, record.timestamp)
         ]
         if not eligible:
             return None, quorum
-        best_key, _ = max(eligible, key=lambda item: item[0][1])
-        return records[best_key], quorum
+        return max(eligible, key=selection_order).value, quorum
 
     def _observe_release(self, holder: int, timestamp: Timestamp) -> None:
         current = self._release_fence.get(holder)
@@ -175,11 +176,7 @@ class QuorumLock:
         quorum = self.system.sample_quorum(self.rng)
         timestamp = self._next_timestamp(client_id)
         value = {"state": state, "holder": client_id}
-        signature = (
-            self.signatures.sign(self._variable, value, timestamp)
-            if self.signatures is not None
-            else None
-        )
+        signature = self.rule.sign(self._variable, value, timestamp)
         self.cluster.write_quorum(quorum, self._variable, value, timestamp, signature=signature)
         if state == "released":
             self._observe_release(client_id, timestamp)

@@ -25,9 +25,10 @@ from typing import Optional
 
 from repro.core.masking import ProbabilisticMaskingSystem
 from repro.exceptions import ProtocolError
-from repro.protocol.selection import select_credible_value
+from repro.protocol.selection import ReadRule, SelectedValue
 from repro.protocol.variable import ProbabilisticRegister, ReadOutcome
 from repro.simulation.cluster import Cluster
+from repro.types import Quorum
 
 
 @dataclass(frozen=True)
@@ -42,14 +43,30 @@ class MaskingReadOutcome(ReadOutcome):
         """Whether some value collected at least ``threshold`` matching votes."""
         return not self.is_empty and self.votes >= self.threshold
 
+    @classmethod
+    def from_selection(
+        cls, selected: Optional[SelectedValue], quorum: Quorum, replies: int, threshold: int
+    ) -> "MaskingReadOutcome":
+        """The outcome of a threshold read, with the winner's votes (0 for ⊥)."""
+        if selected is None:
+            return cls(None, None, quorum, frozenset(), replies, 0, threshold)
+        return cls(
+            selected.value, selected.timestamp, quorum, selected.servers, replies,
+            selected.votes, threshold,
+        )
+
 
 class MaskingRegister(ProbabilisticRegister):
     """Single-writer register for arbitrary data over a (b,ε)-masking system.
 
     The system must be a :class:`~repro.core.masking.ProbabilisticMaskingSystem`
     (or expose a compatible integer ``read_threshold``), because the read
-    protocol is parameterised by the threshold ``k``.
+    protocol is parameterised by the threshold ``k``: the register's rule
+    needs ``>= k`` matching votes per pair, and among the pairs that clear
+    it the highest timestamp wins.
     """
+
+    outcome_type = MaskingReadOutcome
 
     def __init__(
         self,
@@ -64,47 +81,14 @@ class MaskingRegister(ProbabilisticRegister):
                 "MaskingRegister requires a masking quorum system with a read_threshold"
             )
         super().__init__(system, cluster, name=name, writer_id=writer_id, rng=rng)
+        self.rule = ReadRule(threshold=int(system.read_threshold))
 
     @property
     def read_threshold(self) -> int:
         """The vote count ``⌈k⌉`` a value needs to be accepted."""
-        return int(self.system.read_threshold)
+        return self.rule.threshold
 
-    # -- read -------------------------------------------------------------------
-
-    def read(self) -> MaskingReadOutcome:
-        """Threshold read (Section 5, Read): a value needs ``>= k`` matching votes.
-
-        Among the pairs that clear the threshold the highest timestamp wins;
-        ties between distinct values resolve deterministically through
-        :func:`repro.protocol.selection.select_credible_value`.
-        """
-        quorum = self._choose_quorum()
-        replies = self._collect(quorum)
-        self.reads_performed += 1
-        threshold = self.read_threshold
-        selected = select_credible_value(replies, threshold)
-        if selected is None:
-            return MaskingReadOutcome(
-                value=None,
-                timestamp=None,
-                quorum=quorum,
-                reporting_servers=frozenset(),
-                replies=len(replies),
-                votes=0,
-                threshold=threshold,
-            )
-        return MaskingReadOutcome(
-            value=selected.value,
-            timestamp=selected.timestamp,
-            quorum=quorum,
-            reporting_servers=selected.servers,
-            replies=len(replies),
-            votes=selected.votes,
-            threshold=threshold,
-        )
-
-    # classify_read is inherited from ProbabilisticRegister: all register
-    # variants label outcomes through the shared classifier in
+    # read and classify_read are inherited from ProbabilisticRegister: all
+    # register variants label outcomes through the shared classifier in
     # repro.protocol.classification ("fabricated" here is only possible when
     # at least k Byzantine servers were hit — the Lemma 5.7 event).

@@ -1,24 +1,23 @@
-"""Deterministic reply selection shared by every read protocol.
+"""The one read rule shared by every read protocol.
 
 All three read protocols of the paper end the same way: among the candidate
 value/timestamp pairs that survive the protocol's filter (any reply for the
 Section 3.1 read, signature-verified replies for Section 4, pairs with at
-least ``k`` vouching votes for Section 5), the highest timestamp wins.  The
-paper leaves unspecified what a reader does when two *distinct* values carry
-the same highest timestamp — an event only a faulty server can cause, since
-an honest writer never reuses a timestamp.  The registers used to resolve
-such ties by reply iteration order, which made the outcome depend on dict
-insertion order and was impossible for the batched engine to model (the PR 2
-known gap).
+least ``k`` vouching votes for Section 5), the highest timestamp wins.  They
+differ only in whether a reply must verify under the writer's signature and
+in ``k``; :class:`ReadRule` is those two values, and every reader (the
+registers, the async frontends, the gossip verifiers, the lock and the
+voting service) signs, filters and selects through it.
 
-This module fixes the rule once, for the sequential registers, the batched
-engine and the async service frontends alike:
+An honest writer never reuses a timestamp, so two *distinct* values at the
+highest timestamp mean a faulty server; the selection resolves that tie
+without looking at reply order, for every reader and the batched engine:
 
 1. only pairs with at least ``threshold`` vouching votes are candidates;
 2. among candidates, the highest timestamp wins;
 3. a timestamp tie between distinct values is broken by the larger vote
    count, and a remaining tie by the larger :func:`tiebreak_key` — a pure
-   function of the value, so the winner is independent of reply order.
+   function of the value (:func:`selection_order` is rules 2–3 as a key).
 
 Grouping is by ``(timestamp, tiebreak_key(value))``, so values only need a
 stable ``repr``, not hashability.
@@ -27,9 +26,11 @@ stable ``repr``, not hashability.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.exceptions import ConfigurationError
+from repro.protocol.signatures import SignatureScheme
+from repro.protocol.timestamps import Timestamp
 from repro.simulation.server import StoredValue
 from repro.types import ServerId
 
@@ -106,15 +107,11 @@ def select_credible_value(
     candidates = [key for key, servers in groups.items() if len(servers) >= threshold]
     if not candidates:
         return None
-    best_timestamp = None
-    for timestamp, _ in candidates:
-        if best_timestamp is None or timestamp > best_timestamp:
-            best_timestamp = timestamp
-    tied = [key for key in candidates if key[0] == best_timestamp]
-    winner = max(tied, key=lambda key: (len(groups[key]), key[1]))
+    # Rules 2–3 over the group keys (timestamp, tiebreak_key): selection_order.
+    winner = max(candidates, key=lambda key: (key[0], len(groups[key]), key[1]))
     return SelectedValue(
         value=values[winner],
-        timestamp=best_timestamp,
+        timestamp=winner[0],
         servers=frozenset(groups[winner]),
         votes=len(groups[winner]),
     )
@@ -160,3 +157,61 @@ def enumerate_credible_values(
         for key, servers in groups.items()
         if len(servers) >= threshold
     ]
+
+
+def selection_order(candidate: SelectedValue) -> Tuple[Any, int, str]:
+    """Rules 2–3 as a key: ``max(candidates, key=selection_order)`` is the winner."""
+    return (candidate.timestamp, candidate.votes, tiebreak_key(candidate.value))
+
+
+@dataclass(frozen=True)
+class ReadRule:
+    """A read protocol as two values: the vote threshold and the signature scheme.
+
+    ``ReadRule()`` is the Section 3.1 read, ``ReadRule(signatures=s)`` the
+    Section 4 read and ``ReadRule(threshold=k)`` the Section 5 read.  Unlike
+    :class:`~repro.core.probabilistic.ReadSemantics`, a rule may be signed
+    *and* thresholded (the voting service and the quorum lock allow it).
+    Readers pass :meth:`credible`'s result to :meth:`select` or
+    :meth:`enumerate`.
+    """
+
+    threshold: int = 1
+    signatures: Optional[SignatureScheme] = None
+
+    def __post_init__(self) -> None:
+        if self.threshold < 1:
+            raise ConfigurationError(f"vote threshold must be positive, got {self.threshold}")
+
+    def sign(self, variable: str, value: Any, timestamp: Timestamp) -> Optional[bytes]:
+        """The writer's signature on a pair, or ``None`` when the rule is unsigned."""
+        if self.signatures is None:
+            return None
+        return self.signatures.sign(variable, value, timestamp)
+
+    def verifies(self, variable: str, stored: StoredValue) -> bool:
+        """Whether a record's timestamp is a :class:`Timestamp` and its signature verifies."""
+        return isinstance(stored.timestamp, Timestamp) and self.signatures.verify(
+            variable, stored.value, stored.timestamp, stored.signature
+        )
+
+    @property
+    def verifier(self) -> Optional[Callable[[str, StoredValue], bool]]:
+        """The gossip payload verifier: :meth:`verifies`, or ``None`` when unsigned."""
+        return None if self.signatures is None else self.verifies
+
+    def credible(
+        self, variable: str, replies: Mapping[ServerId, StoredValue]
+    ) -> Mapping[ServerId, StoredValue]:
+        """The replies that may compete: all of them (the very mapping) unless signed."""
+        if self.signatures is None:
+            return replies
+        return {s: stored for s, stored in replies.items() if self.verifies(variable, stored)}
+
+    def select(self, credible: Mapping[ServerId, StoredValue]) -> Optional[SelectedValue]:
+        """The winning pair among credible replies, or ``None`` (the read is ⊥)."""
+        return select_credible_value(credible, self.threshold)
+
+    def enumerate(self, credible: Mapping[ServerId, StoredValue]) -> List[SelectedValue]:
+        """Every credible pair clearing the threshold, winner included."""
+        return enumerate_credible_values(credible, self.threshold)

@@ -22,7 +22,7 @@ from typing import Any, Dict, Optional, Set
 
 from repro.core.probabilistic import ProbabilisticQuorumSystem
 from repro.exceptions import ProtocolError, QuorumUnavailableError
-from repro.protocol.selection import select_credible_value
+from repro.protocol.selection import ReadRule, SelectedValue
 from repro.protocol.timestamps import Timestamp, TimestampGenerator
 from repro.rngs import fresh_rng
 from repro.simulation.cluster import Cluster
@@ -64,9 +64,26 @@ class ReadOutcome:
         """Whether the read obtained no value at all."""
         return self.timestamp is None
 
+    @classmethod
+    def from_selection(
+        cls, selected: Optional[SelectedValue], quorum: Quorum, replies: int, threshold: int
+    ) -> "ReadOutcome":
+        """The outcome of a read whose rule chose ``selected`` (``None`` is ⊥).
+
+        ``threshold`` is the rule's; outcome types that report it record it.
+        """
+        if selected is None:
+            return cls(None, None, quorum, frozenset(), replies)
+        return cls(selected.value, selected.timestamp, quorum, selected.servers, replies)
+
 
 class ProbabilisticRegister:
     """Single-writer multi-reader register over an ε-intersecting system.
+
+    Every variant reads through its :class:`~repro.protocol.selection.ReadRule`
+    (the class attribute :attr:`rule`, the benign Section 3.1 rule here) and
+    reports an :attr:`outcome_type`; the Section 4 and 5 registers only set
+    those two.
 
     Parameters
     ----------
@@ -85,6 +102,9 @@ class ProbabilisticRegister:
     rng:
         Random source for quorum sampling; seed it for reproducible runs.
     """
+
+    rule: ReadRule = ReadRule()
+    outcome_type = ReadOutcome
 
     def __init__(
         self,
@@ -106,6 +126,8 @@ class ProbabilisticRegister:
         self._last_written: Optional[WriteOutcome] = None
         self.writes_performed = 0
         self.reads_performed = 0
+        #: Replies the rule's filter discarded (always 0 for unsigned rules).
+        self.forged_replies_rejected = 0
 
     # -- write ------------------------------------------------------------------
 
@@ -118,15 +140,17 @@ class ProbabilisticRegister:
         return self.system.sample_quorum(self.rng)
 
     def write(self, value: Any) -> WriteOutcome:
-        """Write ``value`` to a strategy-drawn quorum (Section 3.1, Write).
+        """Write ``value`` to a strategy-drawn quorum (Sections 3.1 and 4, Write).
 
         The write is considered complete once the chosen quorum has been
         contacted; crashed servers simply miss the update, which is exactly
-        the behaviour the ε analysis accounts for.
+        the behaviour the ε analysis accounts for.  A signed rule signs the
+        pair first (Section 4).
         """
         quorum = self._choose_quorum()
         timestamp = self._timestamps.next()
-        acks = self.cluster.write_quorum(quorum, self.name, value, timestamp)
+        signature = self.rule.sign(self.name, value, timestamp)
+        acks = self.cluster.write_quorum(quorum, self.name, value, timestamp, signature=signature)
         outcome = WriteOutcome(
             quorum=quorum, timestamp=timestamp, acknowledged=frozenset(acks)
         )
@@ -140,31 +164,22 @@ class ProbabilisticRegister:
         return self.cluster.read_quorum(quorum, self.name)
 
     def read(self) -> ReadOutcome:
-        """Read the register (Section 3.1, Read): highest timestamp wins.
+        """Read the register: filter the replies, then highest timestamp wins.
 
-        Ties between distinct values at the winning timestamp — possible only
-        under Byzantine failures — are resolved by the deterministic rule of
-        :func:`repro.protocol.selection.select_credible_value`, so the outcome
-        never depends on reply iteration order.
+        The register's :attr:`rule` decides which replies are credible
+        (Section 4 discards unverifiable ones) and how many votes a pair
+        needs (Section 5).  Ties between distinct values at the winning
+        timestamp — possible only under Byzantine failures — resolve by the
+        rule's deterministic order, so the outcome never depends on reply
+        iteration order.
         """
         quorum = self._choose_quorum()
         replies = self._collect(quorum)
         self.reads_performed += 1
-        selected = select_credible_value(replies)
-        if selected is None:
-            return ReadOutcome(
-                value=None,
-                timestamp=None,
-                quorum=quorum,
-                reporting_servers=frozenset(),
-                replies=len(replies),
-            )
-        return ReadOutcome(
-            value=selected.value,
-            timestamp=selected.timestamp,
-            quorum=quorum,
-            reporting_servers=selected.servers,
-            replies=len(replies),
+        credible = self.rule.credible(self.name, replies)
+        self.forged_replies_rejected += len(replies) - len(credible)
+        return self.outcome_type.from_selection(
+            self.rule.select(credible), quorum, len(replies), self.rule.threshold
         )
 
     def read_is_fresh(self, outcome: ReadOutcome) -> bool:

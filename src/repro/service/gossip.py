@@ -14,10 +14,10 @@ load is in flight:
   diffusion engine gossips over the very replicas the deployment serves
   (crashed nodes stay silent, Byzantine pushes are rejected exactly as in
   the simulation);
-* :func:`scenario_verifier` — the verifiability rule a scenario's register
-  kind implies: dissemination scenarios re-verify every gossip payload
-  under the scenario's signature scheme, so a Byzantine replica cannot
-  poison the diffusion;
+* :func:`scenario_verifier` — the scenario's read rule as a gossip
+  verifier: dissemination scenarios re-verify every gossip payload with
+  the same check their readers apply to replies, so a Byzantine replica
+  cannot poison the diffusion;
 * :class:`GossipService` — the background task: every ``interval``
   event-loop seconds it runs ``rounds`` gossip rounds at the configured
   fanout, counting rounds and adoptions for the metrics registry.
@@ -34,8 +34,6 @@ import random
 from typing import Any, List, Optional, Sequence, Set
 
 from repro.obs.metrics import MetricsRegistry
-from repro.protocol.signatures import SignatureScheme
-from repro.protocol.timestamps import Timestamp
 from repro.service.node import ServiceNode
 from repro.simulation.diffusion import DiffusionEngine, Verifier
 from repro.types import ServerId
@@ -79,26 +77,18 @@ class NodeClusterView:
 
 
 def scenario_verifier(scenario: Any) -> Optional[Verifier]:
-    """The gossip payload verifier a scenario's register kind implies.
+    """The gossip payload verifier of a scenario's read rule.
 
     Dissemination scenarios (self-verifying data) re-verify every pushed
-    record under the scenario's signature scheme before adoption — the same
-    rule the read path applies to replies — so Byzantine pushes are never
-    adopted.  Benign and masking kinds return ``None``: the former has no
-    signatures, and the latter's defence is vote counting at *read* time
-    (gossip adoption of a forged record is exactly the storage state the
-    masking threshold is sized to out-vote).
+    record with :meth:`~repro.protocol.selection.ReadRule.verifies` before
+    adoption — the very check the read path applies to replies — so
+    Byzantine pushes are never adopted.  Benign and masking rules are
+    unsigned and give ``None``: the former has no signatures, and the
+    latter's defence is vote counting at *read* time (gossip adoption of a
+    forged record is exactly the storage state the masking threshold is
+    sized to out-vote).
     """
-    if scenario.resolved_register_kind() != "dissemination":
-        return None
-    scheme = SignatureScheme(scenario.signing_key)
-
-    def verify(variable: str, stored: Any) -> bool:
-        return isinstance(stored.timestamp, Timestamp) and scheme.verify(
-            variable, stored.value, stored.timestamp, stored.signature
-        )
-
-    return verify
+    return scenario.read_rule().verifier
 
 
 class GossipService:

@@ -1,11 +1,10 @@
 """Async register frontends: the three read protocols over the RPC client.
 
 Each frontend pairs an :class:`~repro.service.client.AsyncQuorumClient`
-with one of the paper's read rules and produces the *same*
+with one :class:`~repro.protocol.selection.ReadRule` — the rule the
+synchronous registers read through — and produces the *same*
 :class:`~repro.protocol.variable.ReadOutcome` /
-:class:`~repro.protocol.variable.WriteOutcome` objects as the synchronous
-registers, selected through the shared deterministic rule of
-:mod:`repro.protocol.selection` and labelled through
+:class:`~repro.protocol.variable.WriteOutcome` objects, labelled through
 :mod:`repro.protocol.classification` — so an outcome observed by the live
 service means exactly what it means to both Monte-Carlo engines.
 
@@ -15,6 +14,8 @@ service means exactly what it means to both Monte-Carlo engines.
 * :class:`AsyncMaskingRegister` — Section 5: a value/timestamp pair needs at
   least ``k`` vouching votes from the read quorum.
 
+The three classes differ only in the rule (and outcome type) they set;
+writing, reading, enumerating and tracing are :class:`AsyncRegister`'s.
 :func:`async_register_for` resolves the frontend from a declarative
 :class:`~repro.simulation.scenario.ScenarioSpec`, mirroring the spec's
 sequential ``register_factory`` lowering.
@@ -27,7 +28,7 @@ from typing import Any, Callable, Optional
 from repro.exceptions import ProtocolError
 from repro.protocol.classification import classify_read_outcome
 from repro.protocol.masking_variable import MaskingReadOutcome
-from repro.protocol.selection import enumerate_credible_values, select_credible_value
+from repro.protocol.selection import ReadRule, SelectedValue
 from repro.protocol.signatures import SignatureScheme
 from repro.protocol.timestamps import Timestamp, TimestampGenerator
 from repro.protocol.variable import ReadOutcome, WriteOutcome
@@ -37,6 +38,9 @@ from repro.simulation.scenario import ScenarioSpec
 
 class AsyncRegister:
     """Single-writer multi-reader register frontend (Section 3.1, async)."""
+
+    rule: ReadRule = ReadRule()
+    outcome_type = ReadOutcome
 
     def __init__(
         self,
@@ -50,6 +54,8 @@ class AsyncRegister:
         self._last_written: Optional[WriteOutcome] = None
         self.writes_performed = 0
         self.reads_performed = 0
+        #: Replies the rule's filter discarded (always 0 for unsigned rules).
+        self.forged_replies_rejected = 0
         #: The :class:`~repro.obs.trace.QuorumTrace` of the most recent
         #: operation, when the client samples traces (``None`` otherwise).
         #: Callers annotate it in place — the load harness stamps the read's
@@ -60,20 +66,6 @@ class AsyncRegister:
         #: harness's safety accounting, a write-ahead log) need the pair the
         #: moment it can first reach a server, not when the write completes.
         self.on_issued: Optional[Callable[[Timestamp, Any], None]] = None
-
-    # -- protocol hooks (overridden by the Byzantine variants) --------------------
-
-    def _sign(self, value: Any, timestamp: Timestamp) -> Optional[bytes]:
-        return None
-
-    def _filter(self, result: ReadRpcResult) -> dict:
-        """Which replies compete in selection (the protocol's read filter)."""
-        return result.replies
-
-    def _threshold(self) -> int:
-        return 1
-
-    # -- operations ---------------------------------------------------------------
 
     @property
     def last_write(self) -> Optional[WriteOutcome]:
@@ -86,7 +78,7 @@ class AsyncRegister:
         if self.on_issued is not None:
             self.on_issued(timestamp, value)
         result = await self.client.write(
-            self.name, value, timestamp, self._sign(value, timestamp)
+            self.name, value, timestamp, self.rule.sign(self.name, value, timestamp)
         )
         self.last_trace = result.trace
         outcome = WriteOutcome(
@@ -98,8 +90,21 @@ class AsyncRegister:
         self.writes_performed += 1
         return outcome
 
+    async def _read_credible_replies(self) -> tuple:
+        """One quorum read: the RPC result and the replies the rule believes."""
+        result = await self.client.read(self.name)
+        self.reads_performed += 1
+        self.last_trace = result.trace
+        credible = self.rule.credible(self.name, result.replies)
+        self.forged_replies_rejected += len(result.replies) - len(credible)
+        return result, credible
+
     def _annotate_selection(
-        self, result: ReadRpcResult, competing: int, selected: Any
+        self,
+        result: ReadRpcResult,
+        competing: int,
+        verdict: str,
+        selected: Optional[SelectedValue] = None,
     ) -> None:
         """Record the read rule's inputs and verdict on the sampled trace."""
         trace = result.trace
@@ -108,34 +113,14 @@ class AsyncRegister:
         selection = trace.selection or {}
         selection.update(
             rule=type(self).__name__,
-            threshold=self._threshold(),
+            threshold=self.rule.threshold,
             replies=len(result.replies),
             competing=competing,
-            verdict="selected" if selected is not None else "empty",
+            verdict=verdict,
         )
         if selected is not None:
             selection["votes"] = selected.votes
         trace.selection = selection
-
-    def _build_outcome(self, result: ReadRpcResult) -> ReadOutcome:
-        competing = self._filter(result)
-        selected = select_credible_value(competing, self._threshold())
-        self._annotate_selection(result, len(competing), selected)
-        if selected is None:
-            return ReadOutcome(
-                value=None,
-                timestamp=None,
-                quorum=result.quorum,
-                reporting_servers=frozenset(),
-                replies=len(result.replies),
-            )
-        return ReadOutcome(
-            value=selected.value,
-            timestamp=selected.timestamp,
-            quorum=result.quorum,
-            reporting_servers=selected.servers,
-            replies=len(result.replies),
-        )
 
     def _lagging_servers(self, result: ReadRpcResult, outcome: ReadOutcome) -> list:
         """Contacted servers that demonstrably (or plausibly) lack the value.
@@ -187,11 +172,14 @@ class AsyncRegister:
         )
 
     async def read(self) -> ReadOutcome:
-        """Read the register: filter, then deterministic highest-timestamp-wins."""
-        result = await self.client.read(self.name)
-        self.reads_performed += 1
-        self.last_trace = result.trace
-        outcome = self._build_outcome(result)
+        """Read the register: the rule's filter, then highest timestamp wins."""
+        result, credible = await self._read_credible_replies()
+        selected = self.rule.select(credible)
+        verdict = "empty" if selected is None else "selected"
+        self._annotate_selection(result, len(credible), verdict, selected)
+        outcome = self.outcome_type.from_selection(
+            selected, result.quorum, len(result.replies), self.rule.threshold
+        )
         if self.client.repair_budget > 0:
             self._piggyback_repair(result, outcome)
         return outcome
@@ -199,24 +187,15 @@ class AsyncRegister:
     async def read_credible(self) -> list:
         """Read the register but return *every* credible record, winner included.
 
-        Applies the protocol's reply filter and vote threshold exactly as
+        Applies the rule's reply filter and vote threshold exactly as
         :meth:`read`, without collapsing to the highest timestamp.  The lock
         service needs the losing records: a competing holder's older record
         never wins selection against the reader's own newer write, yet it
         still means the lock is contested.
         """
-        result = await self.client.read(self.name)
-        self.reads_performed += 1
-        self.last_trace = result.trace
-        records = enumerate_credible_values(self._filter(result), self._threshold())
-        if result.trace is not None:
-            result.trace.selection = {
-                "rule": type(self).__name__,
-                "threshold": self._threshold(),
-                "replies": len(result.replies),
-                "competing": len(records),
-                "verdict": "enumerated",
-            }
+        result, credible = await self._read_credible_replies()
+        records = self.rule.enumerate(credible)
+        self._annotate_selection(result, len(records), "enumerated")
         return records
 
     def observe_timestamp(self, timestamp: Timestamp) -> None:
@@ -248,25 +227,13 @@ class AsyncDisseminationRegister(AsyncRegister):
     ) -> None:
         super().__init__(client, name=name, writer_id=writer_id)
         self.signatures = signatures or SignatureScheme()
-        self.forged_replies_rejected = 0
-
-    def _sign(self, value: Any, timestamp: Timestamp) -> Optional[bytes]:
-        return self.signatures.sign(self.name, value, timestamp)
-
-    def _filter(self, result: ReadRpcResult) -> dict:
-        verified = {}
-        for server, stored in result.replies.items():
-            if isinstance(stored.timestamp, Timestamp) and self.signatures.verify(
-                self.name, stored.value, stored.timestamp, stored.signature
-            ):
-                verified[server] = stored
-            else:
-                self.forged_replies_rejected += 1
-        return verified
+        self.rule = ReadRule(signatures=self.signatures)
 
 
 class AsyncMaskingRegister(AsyncRegister):
     """Arbitrary data (Section 5): ``>= k`` vouching votes per pair."""
+
+    outcome_type = MaskingReadOutcome
 
     def __init__(
         self,
@@ -280,42 +247,12 @@ class AsyncMaskingRegister(AsyncRegister):
                 "with a read_threshold"
             )
         super().__init__(client, name=name, writer_id=writer_id)
-        # Cached once: ⌈k⌉ is a derived property on the system and this is
-        # consulted on every read of the hot path.
-        self._read_threshold = int(client.system.read_threshold)
+        self.rule = ReadRule(threshold=int(client.system.read_threshold))
 
     @property
     def read_threshold(self) -> int:
         """The vote count ``⌈k⌉`` a value needs to be accepted."""
-        return self._read_threshold
-
-    def _threshold(self) -> int:
-        return self._read_threshold
-
-    def _build_outcome(self, result: ReadRpcResult) -> MaskingReadOutcome:
-        threshold = self._read_threshold
-        competing = self._filter(result)
-        selected = select_credible_value(competing, threshold)
-        self._annotate_selection(result, len(competing), selected)
-        if selected is None:
-            return MaskingReadOutcome(
-                value=None,
-                timestamp=None,
-                quorum=result.quorum,
-                reporting_servers=frozenset(),
-                replies=len(result.replies),
-                votes=0,
-                threshold=threshold,
-            )
-        return MaskingReadOutcome(
-            value=selected.value,
-            timestamp=selected.timestamp,
-            quorum=result.quorum,
-            reporting_servers=selected.servers,
-            replies=len(result.replies),
-            votes=selected.votes,
-            threshold=threshold,
-        )
+        return self.rule.threshold
 
 
 def async_register_for(

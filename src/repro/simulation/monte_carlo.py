@@ -137,34 +137,30 @@ def _require_declarative(register_spec, plan_spec) -> None:
 def _diffusion_for(spec: Optional[ScenarioSpec], cluster: Cluster, trial_rng):
     """The trial's anti-entropy engine, or ``None`` when the spec has none.
 
-    Dissemination scenarios gossip with the spec's signature scheme as the
-    verifier, so a Byzantine payload that would not survive the read filter
-    does not survive diffusion either (crashed and Byzantine pushers are
-    already silent in :class:`DiffusionEngine`).
+    Gossip payloads pass the scenario read rule's verifier (dissemination
+    scenarios only), so a Byzantine payload that would not survive the read
+    filter does not survive diffusion either (crashed and Byzantine pushers
+    are already silent in :class:`DiffusionEngine`).
     """
     if spec is None or spec.anti_entropy is None or not spec.anti_entropy.gossips:
         return None
-    verify = None
-    if spec.resolved_register_kind() == "dissemination":
-        from repro.protocol.signatures import SignatureScheme
-        from repro.protocol.timestamps import Timestamp
-
-        scheme = SignatureScheme(spec.signing_key)
-
-        def verify(variable, stored):
-            return isinstance(stored.timestamp, Timestamp) and scheme.verify(
-                variable, stored.value, stored.timestamp, stored.signature
-            )
-
     return DiffusionEngine(
-        cluster, fanout=spec.anti_entropy.fanout, verify=verify, rng=trial_rng
+        cluster,
+        fanout=spec.anti_entropy.fanout,
+        verify=spec.read_rule().verifier,
+        rng=trial_rng,
     )
 
 
 def _sequential_specs(spec: Optional[ScenarioSpec], register_spec, plan_spec, n: int):
-    """Lower the scenario (or legacy specs) to the oracle loop's factories."""
+    """Lower the scenario (or legacy specs) to the oracle loop's factories.
+
+    Returns one register factory per writer (a legacy factory is the one
+    writer) and the plan factory.
+    """
     if spec is not None:
-        return spec.register_factory(), spec.failure_model.bind(n)
+        factories = [spec.register_factory(index) for index in range(spec.writers)]
+        return factories, spec.failure_model.bind(n)
     if isinstance(register_spec, ProbabilisticQuorumSystem):
         # A bare system paired with an arbitrary plan *factory*: no spec was
         # promoted, but the register side still lowers declaratively.
@@ -172,7 +168,7 @@ def _sequential_specs(spec: Optional[ScenarioSpec], register_spec, plan_spec, n:
     else:
         register_factory = register_spec
     plan_factory = plan_spec.bind(n) if isinstance(plan_spec, FailureModel) else plan_spec
-    return register_factory, plan_factory
+    return [register_factory], plan_factory
 
 
 @dataclass
@@ -232,6 +228,17 @@ def estimate_read_consistency(
     system, auto-promoted to one) to run the same description on either
     engine; the two agree in distribution, not trial for trial.
     ``written_value`` defaults to the scenario workload's value (``"v"``).
+
+    Under contention (``spec.writers > 1``) every writer writes once per
+    trial, each with per-trial counter 1, so writer-id order *is* timestamp
+    order and the highest-id writer is the deterministic winner.  Writes are
+    applied in that canonical order — concurrent rounds are unordered in
+    real time, and every order-sensitive observer the simulation models
+    (``ByzantineReplayBehavior``'s first-accepted record) must agree with
+    the batch engine's canonical interleaving for the equivalence tests to
+    mean anything.  The last writer reads, and the read is classified
+    against the winner, so a read observing a lower-id concurrent write
+    counts as stale.  One writer is the same loop with a one-element list.
     """
     _check_engine(engine)
     if trials <= 0:
@@ -249,27 +256,24 @@ def estimate_read_consistency(
         return batch_engine.estimate_read_consistency(trials)
     if written_value is None:
         written_value = spec.workload.written_value if spec is not None else "v"
-    if spec is not None and spec.writers > 1:
-        return _sequential_multiwriter_consistency(spec, trials, seed, written_value)
-    register_factory, plan_factory = _sequential_specs(
-        spec, register_factory, plan_factory, n
-    )
+    factories, plan_factory = _sequential_specs(spec, register_factory, plan_factory, n)
     from repro.protocol.classification import classify_read_outcome
 
+    values = multiwriter_values(written_value, len(factories))
     rng = random.Random(seed)
     counts = {"fresh": 0, "stale": 0, "empty": 0, "fabricated": 0}
     for _ in range(trials):
         trial_rng = random.Random(rng.randrange(2**63))
         plan = plan_factory(trial_rng) if plan_factory is not None else FailurePlan.none()
         cluster = Cluster(n, failure_plan=plan, seed=trial_rng.randrange(2**63))
-        register = register_factory(cluster, trial_rng)
-        write = register.write(written_value)
+        registers = [factory(cluster, trial_rng) for factory in factories]
+        writes = [register.write(value) for register, value in zip(registers, values)]
         diffusion = _diffusion_for(spec, cluster, trial_rng)
         if diffusion is not None:
-            diffusion.run_rounds(spec.anti_entropy.rounds, [register.name])
-        outcome = register.read()
+            diffusion.run_rounds(spec.anti_entropy.rounds, [registers[-1].name])
+        outcome = registers[-1].read()
         label = classify_read_outcome(
-            outcome, write, expected_value=written_value, check_value=True
+            outcome, writes[-1], expected_value=values[-1], check_value=True
         )
         counts[label] += 1
     return ConsistencyReport(trials=trials, **counts)
@@ -285,46 +289,6 @@ def multiwriter_values(written_value: object, writers: int) -> List[object]:
     if writers == 1:
         return [written_value]
     return [(written_value, index) for index in range(writers)]
-
-
-def _sequential_multiwriter_consistency(
-    spec: ScenarioSpec, trials: int, seed: int, written_value: object
-) -> ConsistencyReport:
-    """The oracle loop under contention: ``spec.writers`` concurrent writes.
-
-    Every writer's per-trial counter is 1, so writer-id order *is* timestamp
-    order and the highest-id writer is the deterministic winner.  Writes are
-    applied in that canonical order — concurrent rounds are unordered in
-    real time, and every order-sensitive observer the simulation models
-    (``ByzantineReplayBehavior``'s first-accepted record) must agree with
-    the batch engine's canonical interleaving for the equivalence tests to
-    mean anything.  Reads are classified against the winner with the shared
-    rule, so a read observing a lower-id concurrent write counts as stale.
-    """
-    from repro.protocol.classification import classify_read_outcome
-
-    factories = [spec.register_factory(index) for index in range(spec.writers)]
-    plan_factory = spec.failure_model.bind(spec.n)
-    values = multiwriter_values(written_value, spec.writers)
-    rng = random.Random(seed)
-    counts = {"fresh": 0, "stale": 0, "empty": 0, "fabricated": 0}
-    for _ in range(trials):
-        trial_rng = random.Random(rng.randrange(2**63))
-        plan = plan_factory(trial_rng)
-        cluster = Cluster(spec.n, failure_plan=plan, seed=trial_rng.randrange(2**63))
-        registers = [factory(cluster, trial_rng) for factory in factories]
-        writes = [
-            register.write(value) for register, value in zip(registers, values)
-        ]
-        diffusion = _diffusion_for(spec, cluster, trial_rng)
-        if diffusion is not None:
-            diffusion.run_rounds(spec.anti_entropy.rounds, [registers[-1].name])
-        outcome = registers[-1].read()
-        label = classify_read_outcome(
-            outcome, writes[-1], expected_value=values[-1], check_value=True
-        )
-        counts[label] += 1
-    return ConsistencyReport(trials=trials, **counts)
 
 
 @dataclass
@@ -418,7 +382,7 @@ def estimate_staleness_distribution(
             gossip_rounds_between_writes=gossip_rounds_between_writes,
             gossip_fanout=gossip_fanout,
         )
-    register_factory, plan_factory = _sequential_specs(
+    (register_factory,), plan_factory = _sequential_specs(
         spec, register_factory, plan_factory, n
     )
     rng = random.Random(seed)

@@ -32,6 +32,7 @@ from repro.exceptions import ConfigurationError
 from repro.simulation.failures import FailureModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids circular imports
+    from repro.protocol.selection import ReadRule
     from repro.protocol.variable import ProbabilisticRegister
     from repro.simulation.cluster import Cluster
 
@@ -273,6 +274,25 @@ class ScenarioSpec:
         if kind == "dissemination":
             return ReadSemantics(self_verifying=True, byzantine_tolerance=tolerance)
         return ReadSemantics()
+
+    def read_rule(self) -> "ReadRule":
+        """The :class:`~repro.protocol.selection.ReadRule` of this scenario's readers.
+
+        :meth:`read_semantics` made executable: its threshold, and a
+        signature scheme under the scenario's ``signing_key`` when the data
+        is self-verifying.  The gossip verifiers of both the sequential
+        engine and the live services are this rule's ``verifier``.
+        """
+        from repro.protocol.selection import ReadRule
+        from repro.protocol.signatures import SignatureScheme
+
+        semantics = self.read_semantics()
+        return ReadRule(
+            threshold=semantics.threshold,
+            signatures=(
+                SignatureScheme(self.signing_key) if semantics.self_verifying else None
+            ),
+        )
 
     def writer_ids(self) -> tuple:
         """The identities of the scenario's concurrent writers, ascending.

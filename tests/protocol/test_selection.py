@@ -4,9 +4,20 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.dissemination import ProbabilisticDisseminationSystem
+from repro.core.epsilon_intersecting import UniformEpsilonIntersectingSystem
+from repro.core.masking import ProbabilisticMaskingSystem
 from repro.exceptions import ConfigurationError
-from repro.protocol.selection import select_credible_value, tiebreak_key
+from repro.protocol.selection import (
+    ReadRule,
+    select_credible_value,
+    selection_order,
+    tiebreak_key,
+)
+from repro.protocol.signatures import SignatureScheme
 from repro.protocol.timestamps import Timestamp
+from repro.service.gossip import scenario_verifier
+from repro.simulation.scenario import ScenarioSpec
 from repro.simulation.server import StoredValue
 
 
@@ -76,3 +87,82 @@ class TestSelectCredibleValue:
         selected = select_credible_value(replies, threshold=2)
         assert selected.value == [1, 2]
         assert selected.votes == 2
+
+
+class TestReadRule:
+    SCHEME = SignatureScheme(b"rule")
+    MASKING = ProbabilisticMaskingSystem(25, 10, 3)
+
+    def signed(self, value, timestamp, signed_value=None):
+        signature = self.SCHEME.sign(
+            "x", value if signed_value is None else signed_value, Timestamp(1)
+        )
+        return StoredValue(value=value, timestamp=timestamp, signature=signature)
+
+    def test_unsigned_credible_is_the_mapping_it_was_given(self):
+        replies = _replies((0, "a", 1), (1, "b", 2))
+        replies[2] = StoredValue(value=None, timestamp=None)
+        for rule in (ReadRule(), ReadRule(threshold=2)):
+            assert rule.credible("x", replies) is replies
+            assert rule.sign("x", "a", Timestamp(1)) is None
+
+    def test_signed_credible_drops_forged_unsigned_and_untyped_replies(self):
+        rule = ReadRule(signatures=self.SCHEME)
+        replies = {
+            0: self.signed("v", Timestamp(1)),
+            1: self.signed("forged", Timestamp(1), signed_value="v"),  # bad signature
+            2: StoredValue(value="v", timestamp=Timestamp(1)),  # no signature
+            3: self.signed("v", 1),  # timestamp is not a Timestamp
+            4: StoredValue(value=None, timestamp=None),  # empty copy
+        }
+        assert set(rule.credible("x", replies)) == {0}
+        assert rule.verifies("x", replies[0])
+        assert not any(rule.verifies("x", replies[server]) for server in (1, 2, 3, 4))
+        assert rule.sign("x", "v", Timestamp(1)) == replies[0].signature
+
+    def test_select_and_enumerate_apply_the_rule_threshold(self):
+        replies = _replies((0, "old", 1), (1, "old", 1), (2, "new", 2))
+        assert ReadRule().select(replies).value == "new"
+        assert ReadRule(threshold=2).select(replies).value == "old"
+        assert ReadRule(threshold=3).select(replies) is None
+        assert [r.value for r in ReadRule(threshold=2).enumerate(replies)] == ["old"]
+        assert len(ReadRule().enumerate(replies)) == 2
+        with pytest.raises(ConfigurationError):
+            ReadRule(threshold=0)
+
+    def test_selection_order_picks_the_select_winner(self):
+        replies = _replies((0, "a", 5), (1, "b", 5), (2, "b", 5), (3, "z", 4), (4, "c", 5))
+        winner = max(ReadRule().enumerate(replies), key=selection_order)
+        assert winner == ReadRule().select(replies)
+
+    def test_unsigned_rules_have_no_gossip_verifier(self):
+        assert ReadRule().verifier is None
+        assert ReadRule(threshold=2).verifier is None
+        rule = ReadRule(signatures=self.SCHEME)
+        assert rule.verifier == rule.verifies
+        plain = UniformEpsilonIntersectingSystem(25, 8)
+        assert scenario_verifier(ScenarioSpec(system=plain)) is None
+        assert scenario_verifier(ScenarioSpec(system=self.MASKING)) is None
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ScenarioSpec(system=UniformEpsilonIntersectingSystem(25, 8)),
+            ScenarioSpec(system=ProbabilisticDisseminationSystem(25, 7, 3)),
+            ScenarioSpec(system=MASKING),
+            ScenarioSpec(system=MASKING, register_kind="plain"),
+        ],
+        ids=["plain", "dissemination", "masking", "forced-plain"],
+    )
+    def test_scenario_rule_matches_its_read_semantics(self, spec):
+        rule, semantics = spec.read_rule(), spec.read_semantics()
+        assert rule.threshold == semantics.threshold
+        assert (rule.signatures is not None) == semantics.self_verifying
+        if semantics.self_verifying:
+            value, timestamp = "v", Timestamp(1)
+            stored = StoredValue(
+                value=value,
+                timestamp=timestamp,
+                signature=SignatureScheme(spec.signing_key).sign("x", value, timestamp),
+            )
+            assert rule.verifies("x", stored)
