@@ -49,6 +49,18 @@ temporaries re-created for every block, so the engine keeps one workspace
 boundaries — every array is fully overwritten before it is read — so the
 estimates are bit-identical to the allocating path.
 
+The multi-version kernels (write histories, concurrent writers, gossiped
+reads) keep per-server ``latest`` / ``first_seen`` version matrices and
+write to them with no masked write (a masked ``np.copyto`` or an
+``np.where`` on a random mask costs several times a plain pass).  Versions
+are written in ascending order, so every stored version is below the one
+being written, and :func:`_record_write` applies a write branch-free: a
+maximum for ``latest`` and an unsigned minimum that moves ``first_seen``
+only off ``-1``, with its one scratch matrix from the workspace.  Votes
+select versions the same way (``v * e - ~e`` rather than ``np.where``).
+The results are the masked writes' bit for bit
+(``tests/simulation/test_version_update_differential.py``).
+
 The classification mirrors the sequential reads: with one write of
 timestamp ``ts₁``, a trial is *fresh* when at least ``k`` responsive
 storers of the read quorum saw the write and no accepted forgery outranks
@@ -102,6 +114,35 @@ class _Workspace:
             array = np.empty(shape, dtype=dtype)
             self._arrays[key] = array
         return array
+
+
+def _record_write(
+    latest: np.ndarray,
+    first_seen: np.ndarray,
+    touched: np.ndarray,
+    version: int,
+    scratch: np.ndarray,
+) -> None:
+    """Store honest write ``version`` at the ``touched`` servers, in place.
+
+    ``latest`` holds each server's newest version and ``first_seen`` the
+    first it accepted (``-1`` = none); ``scratch`` is a buffer of their
+    shape and dtype.  The histories write versions in ascending order, so
+    every version already stored is below ``version``.  That makes the
+    update branch-free, with no masked write: the candidate
+    ``touched * (version + 1) - 1`` is ``version`` where touched and ``-1``
+    elsewhere, ``latest`` takes its maximum with it, and ``first_seen``
+    takes the unsigned minimum — ``-1`` read unsigned is the largest value,
+    so only entries still at ``-1`` move, and only where touched.
+    """
+    # A scalar of the buffer's own type keeps the product in its dtype's loop.
+    np.multiply(touched, scratch.dtype.type(version + 1), out=scratch)
+    np.subtract(scratch, 1, out=scratch)
+    np.maximum(latest, scratch, out=latest)
+    unsigned = np.dtype(f"u{first_seen.itemsize}")
+    np.minimum(
+        first_seen.view(unsigned), scratch.view(unsigned), out=first_seen.view(unsigned)
+    )
 
 
 def _timestamp_rank(fabricated_timestamp, writer_id: int, writes: int) -> int:
@@ -523,8 +564,9 @@ class BatchTrialEngine:
             touched = workspace.array("touched", (size, n), bool)
             member_w = self._draw_membership(size, generator, "member_w")
             np.logical_and(member_w, masks.responsive_storers, out=touched)
-            np.copyto(latest, 0, where=touched)
-            np.copyto(first_seen, 0, where=touched)
+            _record_write(
+                latest, first_seen, touched, 0, workspace.array("write", (size, n), np.int32)
+            )
             latest = gossip_rounds_batch(
                 latest, correct, diffusion.fanout, diffusion.rounds, generator
             )
@@ -577,11 +619,11 @@ class BatchTrialEngine:
             latest = np.full((size, n), -1, dtype=np.int32)
             first_seen = np.full((size, n), -1, dtype=np.int32)
             touched = workspace.array("touched", (size, n), bool)
+            scratch = workspace.array("write", (size, n), np.int32)
             for index in range(writers):
                 member_w = self._draw_membership(size, generator, "member_w")
                 np.logical_and(member_w, storers, out=touched)
-                np.copyto(first_seen, index, where=touched & (first_seen < 0))
-                np.copyto(latest, index, where=touched)
+                _record_write(latest, first_seen, touched, index, scratch)
             if self.anti_entropy is not None and self.anti_entropy.gossips:
                 correct = ~(masks.crashed | masks.byzantine)
                 latest = gossip_rounds_batch(
@@ -626,10 +668,17 @@ class BatchTrialEngine:
         value attached to a version is the same at every honest holder, so
         per-version vote counting over the membership masks reproduces the
         sequential register's ``Counter`` over value/timestamp pairs.
+        A server that does not vote counts as version ``-1``, selected
+        branch-free as ``v * e - ~e`` (every stored version is at least
+        ``-1``).
         """
         correct = ~(masks.crashed | masks.byzantine)
-        honest = np.where(member_r & correct, latest, -1)
-        replayed = np.where(member_r & masks.replay, first_seen, -1)
+        vouching = member_r & correct
+        honest = latest * vouching
+        honest -= ~vouching
+        replaying = member_r & masks.replay
+        replayed = first_seen * replaying
+        replayed -= ~replaying
         threshold = self.semantics.threshold
         if threshold <= 1:
             return np.maximum(honest, replayed).max(axis=1)
@@ -675,11 +724,11 @@ class BatchTrialEngine:
             latest = np.full((size, n), -1, dtype=np.int32)
             first_seen = np.full((size, n), -1, dtype=np.int32)
             touched = workspace.array("touched", (size, n), bool)
+            scratch = workspace.array("write", (size, n), np.int32)
             for version in range(writes):
                 member_w = self._draw_membership(size, generator, "member_w")
                 np.logical_and(member_w, storers, out=touched)
-                np.copyto(first_seen, version, where=touched & (first_seen < 0))
-                np.copyto(latest, version, where=touched)
+                _record_write(latest, first_seen, touched, version, scratch)
                 if gossip_rounds_between_writes > 0:
                     latest = gossip_rounds_batch(
                         latest, correct, gossip_fanout, gossip_rounds_between_writes, generator

@@ -226,11 +226,13 @@ def gossip_rounds_batch(
     """Run push anti-entropy over a whole batch of independent trials at once.
 
     ``versions`` is an integer ``(trials, n)`` matrix holding, per trial,
-    the newest version each server stores (``-1`` = nothing); versions are
-    totally ordered, so "adopt if newer" is an elementwise maximum.
-    ``eligible`` marks the servers that participate — correct, non-crashed
+    the newest version each server stores (``-1`` = nothing, so every entry
+    is at least ``-1``); versions are totally ordered, so "adopt if newer"
+    is an elementwise maximum.  ``eligible`` is a boolean mask of the same
+    shape marking the servers that participate — correct, non-crashed
     replicas; crashed servers neither push nor receive and Byzantine
     servers ignore gossip, exactly as in :meth:`DiffusionEngine.run_round`.
+    A mask of any other shape is refused rather than broadcast.
 
     Each eligible server pushes to ``fanout`` uniformly chosen peers
     (excluding itself).  Unlike the object engine, peers are drawn *with*
@@ -240,8 +242,16 @@ def gossip_rounds_batch(
     order and only slow measured convergence by a fraction of a round,
     which is inside Monte-Carlo noise for the staleness estimators.
 
-    Returns the updated version matrix (a new array; the input is not
-    mutated).
+    A round is one ``(trials, n * fanout)`` integer draw (the C-order
+    stream of a ``(trials, n, fanout)`` draw), shifted past each sender and
+    offset to its trial's row in place, and one ``np.maximum.at`` scatter
+    per fanout column.  Ineligible senders push ``-1`` and
+    ineligible receivers take ``-1``, both written branch-free as
+    ``v * e - ~e`` rather than as masked writes, so the adopt step is one
+    unmasked ``np.maximum``.
+
+    Returns the updated version matrix (a new array of the input's dtype;
+    the input is not mutated).
     """
     trials, n = versions.shape
     if fanout < 0:
@@ -252,21 +262,36 @@ def gossip_rounds_batch(
         )
     if rounds < 0:
         raise ConfigurationError(f"round count must be non-negative, got {rounds}")
+    eligible = np.asarray(eligible, dtype=bool)
+    if eligible.shape != versions.shape:
+        raise ConfigurationError(
+            f"eligibility mask shape {eligible.shape} does not match the "
+            f"version matrix shape {versions.shape}"
+        )
     current = versions.copy()
     if trials == 0 or rounds == 0 or fanout == 0:
         return current
-    row_offset = (np.arange(trials, dtype=np.int64) * n)[:, None, None]
+    ineligible = ~eligible
+    # Sender of each drawn column, and each trial's first flat index.
+    senders = np.repeat(np.arange(n), fanout)
+    row_offset = np.arange(0, trials * n, n)[:, None]
+    pushed = np.empty_like(current)
+    incoming = np.empty_like(current)
+    flat_pushed = pushed.reshape(-1)
+    flat_incoming = incoming.reshape(-1)
     for _ in range(rounds):
-        pushed = np.where(eligible, current, -1)
         # Uniform peer != self: draw from n-1 and shift past the sender.
-        raw = generator.integers(0, n - 1, size=(trials, n, fanout))
-        peers = raw + (raw >= np.arange(n)[None, :, None])
-        incoming = np.full(trials * n, -1, dtype=current.dtype)
-        np.maximum.at(
-            incoming,
-            (peers + row_offset).ravel(),
-            np.broadcast_to(pushed[:, :, None], peers.shape).ravel(),
-        )
-        incoming = incoming.reshape(trials, n)
-        current = np.where(eligible, np.maximum(current, incoming), current)
+        peers = generator.integers(0, n - 1, size=(trials, n * fanout))
+        peers += peers >= senders
+        peers += row_offset
+        np.multiply(current, eligible, out=pushed)
+        np.subtract(pushed, ineligible, out=pushed)
+        incoming.fill(-1)
+        # Draw column f of every sender lines up with the pushed matrix, so
+        # each scatter reads it as it is: no fanout-fold copy of the values.
+        for column in range(fanout):
+            np.maximum.at(flat_incoming, peers[:, column::fanout].reshape(-1), flat_pushed)
+        np.multiply(incoming, eligible, out=incoming)
+        np.subtract(incoming, ineligible, out=incoming)
+        np.maximum(current, incoming, out=current)
     return current
