@@ -291,6 +291,16 @@ def multiwriter_values(written_value: object, writers: int) -> List[object]:
     return [(written_value, index) for index in range(writers)]
 
 
+def history_values(writes: int) -> List[object]:
+    """The values of a staleness history: write ``v`` (0-based) carries ``("value", v)``.
+
+    Every version gets its own value, so a read names the version it
+    returned by its (timestamp, value) pair; a forgery that ties a
+    version's timestamp with another value is not that version.
+    """
+    return [("value", version) for version in range(writes)]
+
+
 @dataclass
 class StalenessReport:
     """Distribution of read staleness over a write history."""
@@ -397,10 +407,10 @@ def estimate_staleness_distribution(
             if gossip_rounds_between_writes > 0
             else None
         )
-        timestamps = []
-        for version in range(writes):
-            outcome = register.write(("value", version))
-            timestamps.append(outcome.timestamp)
+        history = []
+        for value in history_values(writes):
+            outcome = register.write(value)
+            history.append((outcome.timestamp, value))
             if diffusion is not None:
                 diffusion.run_rounds(gossip_rounds_between_writes, [register.name])
         read = register.read()
@@ -408,9 +418,9 @@ def estimate_staleness_distribution(
             lags.append(writes)  # behind every version
             continue
         try:
-            version_read = timestamps.index(read.timestamp)
+            version_read = history.index((read.timestamp, read.value))
         except ValueError:
-            lags.append(writes)  # a value outside the history (should not happen benignly)
+            lags.append(writes)  # a forged pair, even one tying a version's timestamp
             continue
         lags.append(writes - 1 - version_read)
     return StalenessReport(trials=trials, versions_behind=lags)

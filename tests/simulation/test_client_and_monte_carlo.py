@@ -9,9 +9,10 @@ import pytest
 from repro.core.epsilon_intersecting import UniformEpsilonIntersectingSystem
 from repro.core.strategy import ExplicitStrategy
 from repro.exceptions import ConfigurationError
+from repro.protocol.timestamps import Timestamp
 from repro.protocol.variable import ProbabilisticRegister
 from repro.simulation.client import LoadMeasurement, WorkloadClient, measure_system_load
-from repro.simulation.failures import FailurePlan
+from repro.simulation.failures import FailureModel, FailurePlan
 from repro.simulation.monte_carlo import (
     estimate_read_consistency,
     estimate_staleness_distribution,
@@ -134,6 +135,22 @@ class TestStalenessEstimator:
             seed=4,
         )
         assert with_gossip.fresh_fraction >= without.fresh_fraction
+
+    def test_a_forgery_tying_a_version_is_not_that_version(self):
+        # Every quorum is the whole universe, so on every read the three
+        # forgers outvote the one honest replica at the last version's
+        # timestamp: the read returns the forged value, which lags the whole
+        # history, unless the forged value is the version's own.
+        system = UniformEpsilonIntersectingSystem(4, 4)
+
+        def lags(fabricated_value):
+            model = FailureModel.colluding_forgers(3, fabricated_value, Timestamp(3, 0))
+            return estimate_staleness_distribution(
+                system, writes=3, plan_factory=model, trials=20, seed=1
+            ).lag_histogram()
+
+        assert lags("forged") == {3: 20}
+        assert lags(("value", 2)) == {0: 20}
 
     def test_validation(self):
         system = UniformEpsilonIntersectingSystem(25, 10)
