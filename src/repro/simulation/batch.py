@@ -49,32 +49,51 @@ temporaries re-created for every block, so the engine keeps one workspace
 boundaries — every array is fully overwritten before it is read — so the
 estimates are bit-identical to the allocating path.
 
-The multi-version kernels (write histories, concurrent writers, gossiped
-reads) keep per-server ``latest`` / ``first_seen`` version matrices and
-write to them with no masked write (a masked ``np.copyto`` or an
-``np.where`` on a random mask costs several times a plain pass).  Versions
-are written in ascending order, so every stored version is below the one
-being written, and :func:`_record_write` applies a write branch-free: a
-maximum for ``latest`` and an unsigned minimum that moves ``first_seen``
-only off ``-1``, with its one scratch matrix from the workspace.  Votes
-select versions the same way (``v * e - ~e`` rather than ``np.where``).
-The results are the masked writes' bit for bit
-(``tests/simulation/test_version_update_differential.py``).
+Two kernels classify reads.  One write followed by one read (the
+consistency estimate of Theorems 3.2, 4.2 and 5.2) needs no version
+matrix: a trial's honest votes are the read quorum's responsive storers
+that the write quorum touched.  With one write of timestamp ``ts₁``, a
+trial is *fresh* when at least ``k`` of them vouch and no accepted forgery
+outranks ``ts₁``; *fabricated* when a forgery clears the filter (``k``
+forger votes, valid only where data is not self-verifying) and outranks
+the write; *stale* when only an out-ranked forgery cleared it; *empty*
+when nothing did (:func:`classify_threshold_votes`).  A forgery whose
+timestamp equals ``ts₁`` is resolved by the read rule's tie order
+(:func:`classify_tying_votes`).
 
-The classification mirrors the sequential reads: with one write of
-timestamp ``ts₁``, a trial is *fresh* when at least ``k`` responsive
-storers of the read quorum saw the write and no accepted forgery outranks
-``ts₁``; *fabricated* when a forgery clears the filter (``k`` forger votes,
-valid only where data is not self-verifying) and outranks the write;
-*stale* when only an out-ranked forgery cleared it; *empty* when nothing
-did.  Equivalence with the sequential engine (same scenario) is asserted by
+Everything else — a write history read once (staleness), concurrent
+writers, and a write followed by gossip rounds — runs through the one
+version-history kernel (:meth:`BatchTrialEngine._history_reads`).
+Version ``v`` carries the ``v``-th of an ascending list of honest
+timestamps and values; the kernel writes each to its own write quorum,
+gossips either after every write or once after the last, and reads once.
+Per-server ``latest`` / ``first_seen`` version matrices take the writes
+with no masked write (a masked ``np.copyto`` or an ``np.where`` on a random
+mask costs several times a plain pass): versions ascend, so every stored
+version is below the one being written, and :func:`_record_write` applies
+a write branch-free, a maximum for ``latest`` and an unsigned minimum that
+moves ``first_seen`` only off ``-1``.  Votes select versions the same way
+(``v * e - ~e`` rather than ``np.where``); the results are the masked
+writes' bit for bit (``tests/simulation/test_version_update_differential.py``).
+The read (:meth:`BatchTrialEngine._read_versions`) returns the best
+credible version and where a forgery beats it: by outranking it, or by
+tying its timestamp and winning the tie as the read rule would, while a
+forged value equal to the tied version's merges with it.  The estimators
+only label the result: a lag for a history, and fresh / stale / empty /
+fabricated for a contention round, where a read of a losing writer is
+stale.
+
+Equivalence with the sequential engine (same scenario) is asserted by
 ``tests/simulation/test_batch_engine.py`` at 10k trials within
-Chernoff-derived tolerances for all three protocols.
+Chernoff-derived tolerances for all three protocols, tying forgeries
+included, and ``tests/simulation/test_read_rule_oracle.py`` checks every
+kernel's verdict against :class:`~repro.protocol.selection.ReadRule` on
+the replies the same vote counts describe.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple, TYPE_CHECKING
+from typing import Iterator, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -145,20 +164,20 @@ def _record_write(
     )
 
 
-def _timestamp_rank(fabricated_timestamp, writer_id: int, writes: int) -> int:
-    """How many of the honest timestamps ``1..writes`` a forgery outranks.
+def _timestamp_rank(fabricated_timestamp, honest: Sequence[Timestamp]) -> int:
+    """How many of the ascending ``honest`` timestamps a forgery outranks.
 
-    Honest write ``v`` (0-based) carries ``Timestamp(v + 1, writer_id)``;
-    the returned rank ``r`` means the forgery beats exactly the first ``r``
-    honest versions, so it wins a read iff the best honest reply is older
-    than version ``r`` (0-based index ``< r``).  Timestamps that do not
-    compare against :class:`Timestamp` are treated as outranking everything
-    (the strongest fabrication, matching ``Timestamp.forged_maximum``).
+    Honest version ``v`` carries ``honest[v]``; the returned rank ``r``
+    means the forgery beats exactly versions ``0..r-1``, so it wins a read
+    iff the best credible honest version is below ``r`` (or, when it ties
+    version ``r``, wins the tie there).  Timestamps that do not compare
+    against :class:`Timestamp` are treated as outranking everything (the
+    strongest fabrication, matching ``Timestamp.forged_maximum``).
     """
     rank = 0
-    for counter in range(1, writes + 1):
+    for timestamp in honest:
         try:
-            below = Timestamp(counter, writer_id) < fabricated_timestamp
+            below = timestamp < fabricated_timestamp
         except TypeError:
             below = True
         if below:
@@ -166,26 +185,21 @@ def _timestamp_rank(fabricated_timestamp, writer_id: int, writes: int) -> int:
     return rank
 
 
-def _concurrent_timestamp_rank(
-    fabricated_timestamp, writer_id: int, writers: int
-) -> int:
-    """How many of ``writers`` concurrent honest timestamps a forgery outranks.
+def _forgery_preferred(
+    honest_votes: np.ndarray, forged_votes: np.ndarray, forged_key_wins: bool
+) -> np.ndarray:
+    """Where the tie rule picks a forgery over the honest pair whose timestamp it ties.
 
-    Concurrent writer ``w`` carries ``Timestamp(1, writer_id + w)``, so the
-    honest timestamps ascend with the writer index; rank ``r`` means the
-    forgery beats exactly writers ``0..r-1`` and wins a read iff the best
-    credible honest version is below ``r``.  Incomparable timestamps count
-    as outranking everything (matching :func:`_timestamp_rank`).
+    The larger vote count wins; an exhausted tie goes to the larger
+    tiebreak key (``forged_key_wins`` says whether that is the forgery's),
+    as in :func:`repro.protocol.selection.selection_order`.
     """
-    rank = 0
-    for index in range(writers):
-        try:
-            below = Timestamp(1, writer_id + index) < fabricated_timestamp
-        except TypeError:
-            below = True
-        if below:
-            rank += 1
-    return rank
+    return (forged_votes > honest_votes) | ((forged_votes == honest_votes) & forged_key_wins)
+
+
+def _votes_for(honest: np.ndarray, replayed: np.ndarray, version: int) -> np.ndarray:
+    """Per-trial votes for ``version`` from :meth:`BatchTrialEngine._vouched_versions`."""
+    return ((honest == version) | (replayed == version)).sum(axis=1)
 
 
 def classify_threshold_votes(
@@ -250,9 +264,7 @@ def classify_tying_votes(
         return fresh, zeros, ~fresh, zeros.copy()
     honest_ok = honest_votes >= threshold
     forged_ok = forged_votes >= threshold
-    forged_prefers = (forged_votes > honest_votes) | (
-        (forged_votes == honest_votes) & forged_key_wins
-    )
+    forged_prefers = _forgery_preferred(honest_votes, forged_votes, forged_key_wins)
     fresh = honest_ok & ~(forged_ok & forged_prefers)
     fabricated = forged_ok & (~honest_ok | forged_prefers)
     empty = ~honest_ok & ~forged_ok
@@ -373,66 +385,35 @@ class BatchTrialEngine:
         """Yield ``(generator, chunk_trials)`` pairs with spawned substreams."""
         return chunked_substreams(self.seed, trials, self.chunk_size)
 
-    def _forgery_ties_write(self, version_counter: int) -> bool:
-        """Whether the forged timestamp equals honest write ``version_counter``.
+    def _forgery(
+        self, timestamps: Sequence[Timestamp], values: Sequence[object]
+    ) -> Tuple[int, Optional[int], bool, bool]:
+        """Where the forged pair falls among the honest versions' pairs.
 
-        Since the registers resolve such ties with the deterministic rule of
-        :mod:`repro.protocol.selection`, the single-write consistency
-        estimator models them exactly (see :func:`classify_tying_votes`);
-        only multi-write staleness histories remain fenced
-        (:meth:`_reject_tying_forgery`).
+        Returns ``(rank, tie, forged_key_wins, values_collide)``: the
+        :func:`_timestamp_rank` of the forged timestamp among the ascending
+        honest ``timestamps``; the version whose timestamp it equals
+        (``None`` when it ties none, or when no forgery survives the read's
+        filter); and, at a tie, whether the forged value's tiebreak key is
+        the larger, or equal to that version's value (the pairs merge).
         """
-        if not self.model.forges_values or self.semantics.self_verifying:
-            return False
-        return self.model.fabricated_timestamp == Timestamp(version_counter, self.writer_id)
+        fabricated = self.model.fabricated_timestamp
+        rank = _timestamp_rank(fabricated, timestamps)
+        if (
+            not self.model.forges_values
+            or self.semantics.self_verifying
+            or rank == len(timestamps)
+            or timestamps[rank] != fabricated
+        ):
+            return rank, None, False, False
+        from repro.protocol.selection import tiebreak_key
 
-    def _reject_tying_forgery(self, writes: int) -> None:
-        """Refuse multi-write histories whose forged timestamp ties a write.
+        forged_key = tiebreak_key(self.model.fabricated_value)
+        honest_key = tiebreak_key(values[rank])
+        return rank, rank, forged_key > honest_key, forged_key == honest_key
 
-        The staleness estimators identify the version a read returned by its
-        timestamp alone (the sequential path looks the timestamp up in the
-        write history), so a forgery that ties an intermediate version is
-        indistinguishable from that version in the lag accounting.  The
-        single-write consistency estimator models ties exactly via the
-        deterministic tie rule; histories keep the explicit fence.
-        ``Timestamp.forged_maximum()`` and any other non-tying timestamp are
-        unaffected, and self-verifying scenarios are exempt (the forgery is
-        discarded before any comparison, tie or not).
-        """
-        if not self.model.forges_values or self.semantics.self_verifying:
-            return
-        for counter in range(1, writes + 1):
-            if self.model.fabricated_timestamp == Timestamp(counter, self.writer_id):
-                raise ConfigurationError(
-                    f"fabricated timestamp {self.model.fabricated_timestamp!r} ties a "
-                    f"timestamp of the {writes}-write history; version lags are "
-                    f"identified by timestamp, so tying forgeries are only modelled "
-                    f"by the single-write estimator or engine='sequential'"
-                )
-
-    def _reject_tying_multiwriter(self) -> None:
-        """Refuse contention rounds whose forged timestamp ties a writer's.
-
-        The multi-writer kernel attributes a read to a writer by timestamp
-        alone (the per-server latest/first-seen version index), so a forgery
-        that ties one of the concurrent honest timestamps is
-        indistinguishable from that writer in the vote accounting; such
-        configurations need ``engine='sequential'`` (where values break the
-        tie through the deterministic rule).
-        """
-        if not self.model.forges_values or self.semantics.self_verifying:
-            return
-        for index in range(self.writers):
-            if self.model.fabricated_timestamp == Timestamp(1, self.writer_id + index):
-                raise ConfigurationError(
-                    f"fabricated timestamp {self.model.fabricated_timestamp!r} ties "
-                    f"concurrent writer {self.writer_id + index}'s timestamp; the "
-                    f"multi-writer kernel identifies writers by timestamp, so tying "
-                    f"forgeries under contention need engine='sequential'"
-                )
-
-    def _reject_gray(self, kernel: str) -> None:
-        """Refuse gray nodes on kernels where the per-trial fold is inexact.
+    def _reject_gray(self) -> None:
+        """Refuse gray nodes on the version-history kernel, where the per-trial fold is inexact.
 
         :meth:`FailureModel.sample_masks` folds a gray server's independent
         per-request drops into one per-trial crash draw — exact for a single
@@ -444,7 +425,7 @@ class BatchTrialEngine:
         """
         if self.model.kind == "gray_nodes":
             raise ConfigurationError(
-                f"gray nodes draw drops per request, which the {kernel} kernel "
+                "gray nodes draw drops per request, which the version-history kernel "
                 "cannot fold into per-trial masks; use engine='sequential'"
             )
 
@@ -488,23 +469,18 @@ class BatchTrialEngine:
         write quorum, the read quorum and the failure plan independently
         per trial from the same distributions and apply the same read rule
         (benign, signature-checked or threshold-vote, per the semantics).
+        Concurrent writers and gossip rounds run through the
+        version-history kernel (:meth:`_history_reads`).
         """
-        from repro.protocol.selection import tiebreak_key
         from repro.simulation.monte_carlo import ConsistencyReport
 
         if trials <= 0:
             raise ConfigurationError(f"trial count must be positive, got {trials}")
-        if self.writers > 1:
-            return self._estimate_multiwriter_consistency(trials)
-        if self.anti_entropy is not None and self.anti_entropy.gossips:
-            return self._estimate_gossiped_consistency(trials)
-        fab_beats = _timestamp_rank(self.model.fabricated_timestamp, self.writer_id, 1) >= 1
-        ties = self._forgery_ties_write(1)
-        if ties:
-            forged_key = tiebreak_key(self.model.fabricated_value)
-            honest_key = tiebreak_key(self.written_value)
-            forged_key_wins = forged_key > honest_key
-            values_collide = forged_key == honest_key
+        if self.writers > 1 or (self.anti_entropy is not None and self.anti_entropy.gossips):
+            return self._estimate_contention(trials)
+        rank, tie, forged_key_wins, values_collide = self._forgery(
+            [Timestamp(1, self.writer_id)], [self.written_value]
+        )
         threshold = self.semantics.threshold
         fresh = stale = empty = fabricated = 0
         for generator, size in self._chunks(trials):
@@ -514,13 +490,13 @@ class BatchTrialEngine:
             np.logical_and(vouchers, masks.responsive_storers, out=vouchers)
             honest_votes = vouchers.sum(axis=1)
             forged_votes = self._forged_votes(member_r, masks)
-            if ties:
+            if tie is not None:
                 fresh_mask, stale_mask, empty_mask, fab_mask = classify_tying_votes(
                     honest_votes, forged_votes, threshold, forged_key_wins, values_collide
                 )
             else:
                 fresh_mask, stale_mask, empty_mask, fab_mask = classify_threshold_votes(
-                    honest_votes, forged_votes, threshold, fab_beats
+                    honest_votes, forged_votes, threshold, rank >= 1
                 )
             fresh += int(fresh_mask.sum())
             fabricated += int(fab_mask.sum())
@@ -530,128 +506,144 @@ class BatchTrialEngine:
             trials=trials, fresh=fresh, stale=stale, empty=empty, fabricated=fabricated
         )
 
-    def _estimate_gossiped_consistency(self, trials: int) -> "ConsistencyReport":
-        """One write, anti-entropy gossip rounds, one read per trial.
+    def _estimate_contention(self, trials: int) -> "ConsistencyReport":
+        """Concurrent writers (one, when only gossip is declared), gossip, one read.
 
-        The non-gossip kernel counts votes directly from the write/read
-        quorum intersection; with diffusion the holder set grows beyond the
-        write quorum, so this kernel tracks per-server version matrices the
-        way the staleness estimator does (``writes=1``), runs the spec's
-        gossip rounds through :func:`gossip_rounds_batch` over the correct
-        servers (crashed neither push nor receive, Byzantine ignore gossip
-        and their pushes are never trusted — exactly
-        :class:`~repro.simulation.diffusion.DiffusionEngine`'s rules), and
-        classifies with the same best-credible-version accounting.
+        Writer ``w`` writes ``Timestamp(1, writer_id + w)`` and the value
+        :func:`~repro.simulation.monte_carlo.multiwriter_values` gives it,
+        in ascending writer order — the canonical interleaving the
+        sequential oracle also uses — so a version is a writer index; the
+        spec's gossip rounds run once after the writes.  The read is
+        *fresh* only when the deterministic winner (the highest writer id)
+        wins it; a read of a lower writer is *stale*, exactly how the shared
+        classifier labels a concurrent-but-losing honest value.  A winning
+        forgery is stale when its timestamp is below the winner's and
+        fabricated when it outranks or ties it.
         """
-        from repro.simulation.monte_carlo import ConsistencyReport
+        from repro.simulation.monte_carlo import ConsistencyReport, multiwriter_values
 
-        # Versions are identified by timestamp here (as in the staleness
-        # kernel), so a forgery tying the write's timestamp stays fenced.
-        self._reject_tying_forgery(1)
-        self._reject_gray("anti-entropy")
-        n = self.system.n
-        diffusion = self.anti_entropy
-        fab_rank = _timestamp_rank(self.model.fabricated_timestamp, self.writer_id, 1)
-        fab_outranks = fab_rank >= 1
-        threshold = self.semantics.threshold
-        workspace = self._workspace
+        writers = self.writers
+        timestamps = [Timestamp(1, self.writer_id + index) for index in range(writers)]
+        forgery = self._forgery(timestamps, multiwriter_values(self.written_value, writers))
+        rank, tie, _, _ = forgery
+        last = writers - 1
+        forgery_fabricates = rank == writers or tie == last
+        gossip = None
+        if self.anti_entropy is not None and self.anti_entropy.gossips:
+            gossip = (self.anti_entropy.fanout, self.anti_entropy.rounds)
         fresh = stale = empty = fabricated = 0
-        for generator, size in self._chunks(trials):
-            masks = self.model.sample_masks(n, size, generator)
-            correct = ~(masks.crashed | masks.byzantine)
-            latest = np.full((size, n), -1, dtype=np.int32)
-            first_seen = np.full((size, n), -1, dtype=np.int32)
-            touched = workspace.array("touched", (size, n), bool)
-            member_w = self._draw_membership(size, generator, "member_w")
-            np.logical_and(member_w, masks.responsive_storers, out=touched)
-            _record_write(
-                latest, first_seen, touched, 0, workspace.array("write", (size, n), np.int32)
-            )
-            latest = gossip_rounds_batch(
-                latest, correct, diffusion.fanout, diffusion.rounds, generator
-            )
-            member_r = self._draw_membership(size, generator, "member_r")
-            best = self._best_credible_version(member_r, masks, latest, first_seen, 1)
-            forged_votes = self._forged_votes(member_r, masks)
-            forged_wins = (forged_votes >= threshold) & (best < fab_rank)
-            fresh_mask = (best == 0) & ~forged_wins
-            stale_mask = forged_wins & ~fab_outranks
-            empty_mask = (best < 0) & ~forged_wins
-            fabricated_mask = forged_wins & fab_outranks
-            fresh += int(fresh_mask.sum())
-            stale += int(stale_mask.sum())
-            empty += int(empty_mask.sum())
-            fabricated += int(fabricated_mask.sum())
+        for best, forged_wins in self._history_reads(trials, writers, forgery, gossip):
+            honest_read = ~forged_wins
+            fresh += int(((best == last) & honest_read).sum())
+            stale += int(((best >= 0) & (best < last) & honest_read).sum())
+            empty += int(((best < 0) & honest_read).sum())
+            if forgery_fabricates:
+                fabricated += int(forged_wins.sum())
+            else:
+                stale += int(forged_wins.sum())
         return ConsistencyReport(
             trials=trials, fresh=fresh, stale=stale, empty=empty, fabricated=fabricated
         )
 
-    def _estimate_multiwriter_consistency(self, trials: int) -> "ConsistencyReport":
-        """Concurrent writers, one read per trial (the contention kernel).
+    def _history_reads(
+        self,
+        trials: int,
+        versions: int,
+        forgery: Tuple[int, Optional[int], bool, bool],
+        gossip: Optional[Tuple[int, int]],
+        gossip_every_write: bool = False,
+    ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """The version-history kernel: per chunk, write every version, gossip, read.
 
-        Writer ``w`` writes ``Timestamp(1, writer_id + w)`` to its own
-        strategy-drawn quorum; membership batches are applied in ascending
-        writer order — the canonical interleaving the sequential oracle also
-        uses — so the per-server ``latest``/``first_seen`` version indices
-        mean exactly what they mean in the staleness kernel, with "version"
-        reinterpreted as "writer index".  The read is *fresh* only when the
-        deterministic winner (the highest writer id) clears the vote
-        threshold and no accepted forgery outranks it; a read attributed to
-        a lower writer is *stale*, exactly how the shared classifier labels
-        a concurrent-but-losing honest value.
+        Versions ``0..versions-1`` are written in ascending order, each to
+        its own strategy-drawn write quorum through :func:`_record_write`;
+        ``forgery`` is :meth:`_forgery` of their timestamps and values.
+        ``gossip = (fanout, rounds)`` runs :func:`gossip_rounds_batch` over
+        the correct servers (crashed neither push nor receive, Byzantine
+        ignore gossip and their pushes are never trusted —
+        :class:`~repro.simulation.diffusion.DiffusionEngine`'s rules) after
+        every write, or once after the last.  Then one read
+        quorum is drawn, and :meth:`_read_versions` yields, per chunk, the
+        version each trial read and where a forgery won instead.
         """
-        from repro.simulation.monte_carlo import ConsistencyReport
-
-        self._reject_tying_multiwriter()
-        self._reject_gray("multi-writer")
-        writers = self.writers
+        self._reject_gray()
         n = self.system.n
-        threshold = self.semantics.threshold
-        fab_rank = _concurrent_timestamp_rank(
-            self.model.fabricated_timestamp, self.writer_id, writers
-        )
-        fab_outranks_winner = fab_rank >= writers
         workspace = self._workspace
-        fresh = stale = empty = fabricated = 0
         for generator, size in self._chunks(trials):
             masks = self.model.sample_masks(n, size, generator)
+            correct = ~(masks.crashed | masks.byzantine)
             storers = masks.responsive_storers
             latest = np.full((size, n), -1, dtype=np.int32)
             first_seen = np.full((size, n), -1, dtype=np.int32)
             touched = workspace.array("touched", (size, n), bool)
             scratch = workspace.array("write", (size, n), np.int32)
-            for index in range(writers):
+            for version in range(versions):
                 member_w = self._draw_membership(size, generator, "member_w")
                 np.logical_and(member_w, storers, out=touched)
-                _record_write(latest, first_seen, touched, index, scratch)
-            if self.anti_entropy is not None and self.anti_entropy.gossips:
-                correct = ~(masks.crashed | masks.byzantine)
-                latest = gossip_rounds_batch(
-                    latest,
-                    correct,
-                    self.anti_entropy.fanout,
-                    self.anti_entropy.rounds,
-                    generator,
-                )
+                _record_write(latest, first_seen, touched, version, scratch)
+                if gossip is not None and (gossip_every_write or version == versions - 1):
+                    latest = gossip_rounds_batch(latest, correct, *gossip, generator)
             member_r = self._draw_membership(size, generator, "member_r")
-            best = self._best_credible_version(
-                member_r, masks, latest, first_seen, writers
-            )
-            forged_votes = self._forged_votes(member_r, masks)
-            forged_wins = (forged_votes >= threshold) & (best < fab_rank)
-            fresh_mask = (best == writers - 1) & ~forged_wins
-            stale_mask = ((best >= 0) & (best < writers - 1) & ~forged_wins) | (
-                forged_wins & ~fab_outranks_winner
-            )
-            empty_mask = (best < 0) & ~forged_wins
-            fabricated_mask = forged_wins & fab_outranks_winner
-            fresh += int(fresh_mask.sum())
-            stale += int(stale_mask.sum())
-            empty += int(empty_mask.sum())
-            fabricated += int(fabricated_mask.sum())
-        return ConsistencyReport(
-            trials=trials, fresh=fresh, stale=stale, empty=empty, fabricated=fabricated
-        )
+            yield self._read_versions(member_r, masks, latest, first_seen, versions, forgery)
+
+    def _read_versions(
+        self,
+        member_r: np.ndarray,
+        masks: BatchFailureMasks,
+        latest: np.ndarray,
+        first_seen: np.ndarray,
+        versions: int,
+        forgery: Tuple[int, Optional[int], bool, bool],
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """One read of the version matrices: ``(version read, forgery wins)`` per trial.
+
+        The version read is the best credible one (``-1`` for none).  With
+        ``forgery = (rank, tie, forged_key_wins, values_collide)`` from
+        :meth:`_forgery`, a forgery with threshold votes wins where that
+        version is below ``rank``.  When it ties version ``tie`` (then
+        ``rank``), the two pairs compete as in :func:`classify_tying_votes`,
+        and only then are the tied version's votes counted: where the best
+        version is ``tie`` the forgery must be preferred over it, and where
+        the values are equal the forged votes merge into the version's, so
+        the read returns ``tie`` wherever the merged votes clear the
+        threshold above a lower best version, and the forgery never wins.
+        """
+        rank, tie, forged_key_wins, values_collide = forgery
+        threshold = self.semantics.threshold
+        best = self._best_credible_version(member_r, masks, latest, first_seen, versions)
+        forged_votes = self._forged_votes(member_r, masks)
+        if tie is None:
+            return best, (forged_votes >= threshold) & (best < rank)
+        tie_votes = _votes_for(*self._vouched_versions(member_r, masks, latest, first_seen), tie)
+        if values_collide:
+            merged = (best < tie) & (tie_votes + forged_votes >= threshold)
+            return np.where(merged, tie, best), np.zeros(best.shape, dtype=bool)
+        preferred = (best == tie) & _forgery_preferred(tie_votes, forged_votes, forged_key_wins)
+        return best, (forged_votes >= threshold) & ((best < tie) | preferred)
+
+    def _vouched_versions(
+        self,
+        member_r: np.ndarray,
+        masks: BatchFailureMasks,
+        latest: np.ndarray,
+        first_seen: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The version each read-quorum server vouches for: ``(correct, replaying)``.
+
+        Correct servers vouch for their (possibly gossip-updated) latest
+        version, replay servers for the first version they accepted; a
+        server that does not vote counts as version ``-1``, selected
+        branch-free as ``v * e - ~e`` (every stored version is at least
+        ``-1``).
+        """
+        correct = ~(masks.crashed | masks.byzantine)
+        vouching = member_r & correct
+        honest = latest * vouching
+        honest -= ~vouching
+        replaying = member_r & masks.replay
+        replayed = first_seen * replaying
+        replayed -= ~replaying
+        return honest, replayed
 
     def _best_credible_version(
         self,
@@ -663,29 +655,17 @@ class BatchTrialEngine:
     ) -> np.ndarray:
         """Highest write version that clears the vote threshold (-1 if none).
 
-        Correct servers vouch for their (possibly gossip-updated) latest
-        version, replay servers for the first version they accepted; the
-        value attached to a version is the same at every honest holder, so
-        per-version vote counting over the membership masks reproduces the
-        sequential register's ``Counter`` over value/timestamp pairs.
-        A server that does not vote counts as version ``-1``, selected
-        branch-free as ``v * e - ~e`` (every stored version is at least
-        ``-1``).
+        The value attached to a version is the same at every honest holder,
+        so per-version vote counting over the membership masks reproduces
+        the sequential register's ``Counter`` over value/timestamp pairs.
         """
-        correct = ~(masks.crashed | masks.byzantine)
-        vouching = member_r & correct
-        honest = latest * vouching
-        honest -= ~vouching
-        replaying = member_r & masks.replay
-        replayed = first_seen * replaying
-        replayed -= ~replaying
+        honest, replayed = self._vouched_versions(member_r, masks, latest, first_seen)
         threshold = self.semantics.threshold
         if threshold <= 1:
             return np.maximum(honest, replayed).max(axis=1)
         best = np.full(member_r.shape[0], -1, dtype=np.int64)
         for version in range(writes):
-            votes = ((honest == version) | (replayed == version)).sum(axis=1)
-            best = np.where(votes >= threshold, version, best)
+            best = np.where(_votes_for(honest, replayed, version) >= threshold, version, best)
         return best
 
     def estimate_staleness_distribution(
@@ -695,8 +675,14 @@ class BatchTrialEngine:
         gossip_rounds_between_writes: int = 0,
         gossip_fanout: int = 2,
     ) -> "StalenessReport":
-        """A write history followed by one read; measure the version lag."""
-        from repro.simulation.monte_carlo import StalenessReport
+        """A write history followed by one read; measure the version lag.
+
+        Write ``v`` carries ``Timestamp(v + 1, writer_id)`` and the value
+        :func:`~repro.simulation.monte_carlo.history_values` gives it; a
+        read of version ``v`` lags ``writes - 1 - v``, and ⊥ or a winning
+        forgery lags ``writes``.
+        """
+        from repro.simulation.monte_carlo import StalenessReport, history_values
 
         if self.writers > 1:
             raise ConfigurationError(
@@ -710,36 +696,16 @@ class BatchTrialEngine:
             )
         if trials <= 0:
             raise ConfigurationError(f"trial count must be positive, got {trials}")
-        self._reject_tying_forgery(writes)
-        self._reject_gray("staleness-history")
-        n = self.system.n
-        fab_rank = _timestamp_rank(self.model.fabricated_timestamp, self.writer_id, writes)
-        threshold = self.semantics.threshold
+        timestamps = [Timestamp(version + 1, self.writer_id) for version in range(writes)]
+        forgery = self._forgery(timestamps, history_values(writes))
+        gossip = None
+        if gossip_rounds_between_writes > 0:
+            gossip = (gossip_fanout, gossip_rounds_between_writes)
         lags: List[np.ndarray] = []
-        workspace = self._workspace
-        for generator, size in self._chunks(trials):
-            masks = self.model.sample_masks(n, size, generator)
-            correct = ~(masks.crashed | masks.byzantine)
-            storers = masks.responsive_storers
-            latest = np.full((size, n), -1, dtype=np.int32)
-            first_seen = np.full((size, n), -1, dtype=np.int32)
-            touched = workspace.array("touched", (size, n), bool)
-            scratch = workspace.array("write", (size, n), np.int32)
-            for version in range(writes):
-                member_w = self._draw_membership(size, generator, "member_w")
-                np.logical_and(member_w, storers, out=touched)
-                _record_write(latest, first_seen, touched, version, scratch)
-                if gossip_rounds_between_writes > 0:
-                    latest = gossip_rounds_batch(
-                        latest, correct, gossip_fanout, gossip_rounds_between_writes, generator
-                    )
-            member_r = self._draw_membership(size, generator, "member_r")
-            best_version = self._best_credible_version(
-                member_r, masks, latest, first_seen, writes
-            )
-            forged_votes = self._forged_votes(member_r, masks)
-            forged_wins = (forged_votes >= threshold) & (best_version < fab_rank)
-            lag = np.where(best_version >= 0, writes - 1 - best_version, writes)
+        for best, forged_wins in self._history_reads(
+            trials, writes, forgery, gossip, gossip_every_write=True
+        ):
+            lag = np.where(best >= 0, writes - 1 - best, writes)
             lag = np.where(forged_wins, writes, lag)
             lags.append(lag.astype(np.int64))
         versions_behind = np.concatenate(lags).tolist()

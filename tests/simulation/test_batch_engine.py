@@ -42,8 +42,10 @@ from repro.simulation.failures import FailureModel
 from repro.simulation.monte_carlo import (
     estimate_read_consistency,
     estimate_staleness_distribution,
+    history_values,
+    multiwriter_values,
 )
-from repro.simulation.scenario import ScenarioSpec
+from repro.simulation.scenario import AntiEntropySpec, ScenarioSpec
 
 EQUIVALENCE_TRIALS = 10_000
 
@@ -167,6 +169,75 @@ class TestEngineEquivalence:
         )
         assert with_gossip.fresh_fraction > without.fresh_fraction
         assert with_gossip.mean_lag < without.mean_lag
+
+
+class TestTyingForgeryEquivalence:
+    """Forgeries tying an honest timestamp agree across engines at 10k trials.
+
+    The version-history kernel resolves a forged timestamp equal to honest
+    version ``t``'s as the read rule does: more votes win, an exhausted tie
+    goes to the larger tiebreak key, and a forged value equal to version
+    ``t``'s merges with it.  Each case runs the forged values ``"FORGED"``
+    and ``"zFORGED"``, whose reprs open with a quote and so lose exhausted
+    ties to the tuple values of histories and contention rounds (``"zFORGED"``
+    beats the single write's ``"v"``), ``("zFORGED",)``, which beats those
+    tuples, and the tied version's own value.  Twelve servers, quorums of
+    four and four forgers make every outcome class frequent.
+    """
+
+    SYSTEM = UniformEpsilonIntersectingSystem(12, 4)
+    TOLERANCE = two_sided_tolerance(EQUIVALENCE_TRIALS, EQUIVALENCE_TRIALS)
+
+    def _spec(self, value, timestamp, **kwargs):
+        model = FailureModel.colluding_forgers(4, value, timestamp)
+        return ScenarioSpec(system=self.SYSTEM, failure_model=model, **kwargs)
+
+    def _consistency_agrees(self, spec, label):
+        sequential, batch = (
+            estimate_read_consistency(spec, trials=EQUIVALENCE_TRIALS, seed=11, engine=engine)
+            for engine in ("sequential", "batch")
+        )
+        for outcome in ("fresh", "stale", "empty", "fabricated"):
+            assert getattr(batch, outcome) / EQUIVALENCE_TRIALS == pytest.approx(
+                getattr(sequential, outcome) / EQUIVALENCE_TRIALS, abs=self.TOLERANCE
+            ), (label, outcome)
+        return batch
+
+    @pytest.mark.parametrize("tied_version", [0, 1, 2])
+    def test_staleness_history(self, tied_version):
+        writes = 3
+        own_value = history_values(writes)[tied_version]
+        for value in ("FORGED", "zFORGED", ("zFORGED",), own_value):
+            spec = self._spec(value, Timestamp(tied_version + 1, 0))
+            sequential, batch = (
+                estimate_staleness_distribution(
+                    spec, writes=writes, trials=EQUIVALENCE_TRIALS, seed=3, engine=engine
+                ).lag_histogram()
+                for engine in ("sequential", "batch")
+            )
+            for lag in range(writes + 1):
+                assert batch.get(lag, 0) / EQUIVALENCE_TRIALS == pytest.approx(
+                    sequential.get(lag, 0) / EQUIVALENCE_TRIALS, abs=self.TOLERANCE
+                ), (value, lag)
+
+    @pytest.mark.parametrize("tied_writer", [0, 2])
+    def test_contention(self, tied_writer):
+        # Tying the winner (writer 2) fabricates; tying a lower writer is stale.
+        own_value = multiwriter_values("v", 3)[tied_writer]
+        for value in ("FORGED", "zFORGED", ("zFORGED",), own_value):
+            spec = self._spec(value, Timestamp(1, tied_writer), writers=3)
+            batch = self._consistency_agrees(spec, value)
+            if tied_writer < 2 or value == own_value:
+                assert batch.fabricated == 0, value
+
+    def test_gossiped_write(self):
+        # The conformance grid's gossip shape (see ROADMAP on the gossip
+        # round model, which one-push rounds expose).
+        gossip = AntiEntropySpec(fanout=3, rounds=2)
+        for value in ("FORGED", "zFORGED", "v"):
+            spec = self._spec(value, Timestamp(1, 0), anti_entropy=gossip)
+            batch = self._consistency_agrees(spec, value)
+            assert batch.stale == 0, value
 
 
 class TestByzantineEngineEquivalence:
@@ -548,15 +619,8 @@ class TestEngineDispatchAndDeterminism:
         assert report.trials == 100
 
     def test_tying_forgery_is_still_fenced_for_write_histories(self):
-        # Staleness lags are identified by timestamp, so a forgery tying an
-        # intermediate version stays rejected rather than silently miscounted.
-        with pytest.raises(ConfigurationError, match="ties a"):
-            estimate_staleness_distribution(
-                self.SYSTEM, n=25, writes=4, plan_factory=FailureModel.colluding_forgers(
-                    3, "FORGED", Timestamp(3, 0)
-                ), trials=100, engine="batch",
-            )
-        # Non-tying forgeries (the paper's forged_maximum) still run.
+        # Non-tying forgeries (the paper's forged_maximum) run; tying ones,
+        # histories included, are TestTyingForgeryEquivalence's.
         report = estimate_read_consistency(
             self.SYSTEM,
             n=25,
