@@ -354,8 +354,8 @@ def estimate_staleness_distribution(
     (and to ``writes=5``, no gossip, fanout 2 otherwise); explicit arguments
     override the spec.  ``engine="batch"`` vectorises the write history and
     the gossip rounds (synchronous-round gossip with with-replacement
-    fanout — statistically equivalent, see
-    :func:`repro.simulation.diffusion.gossip_rounds_batch`).
+    fanout, which spreads a write more slowly than the object engine's
+    rounds; see :func:`repro.simulation.diffusion.gossip_rounds_batch`).
     """
     _check_engine(engine)
     if trials <= 0:
