@@ -229,6 +229,8 @@ class TestTyingForgeryEquivalence:
             batch = self._consistency_agrees(spec, value)
             if tied_writer < 2 or value == own_value:
                 assert batch.fabricated == 0, value
+            else:
+                assert batch.fabricated > 0, value
 
     def test_gossiped_write(self):
         # The conformance grid's gossip shape (see ROADMAP on the gossip
