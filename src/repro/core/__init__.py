@@ -23,7 +23,7 @@ from repro.core.strategy import (
     ExplicitStrategy,
     UniformSubsetStrategy,
 )
-from repro.core.probabilistic import ProbabilisticQuorumSystem, ReadSemantics
+from repro.core.probabilistic import ProbabilisticQuorumSystem
 from repro.core.epsilon_intersecting import (
     EpsilonIntersectingSystem,
     UniformEpsilonIntersectingSystem,
@@ -56,7 +56,6 @@ __all__ = [
     "UniformSubsetStrategy",
     "ExplicitStrategy",
     "ProbabilisticQuorumSystem",
-    "ReadSemantics",
     "EpsilonIntersectingSystem",
     "UniformEpsilonIntersectingSystem",
     "ProbabilisticDisseminationSystem",

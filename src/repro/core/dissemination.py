@@ -39,7 +39,7 @@ from repro.core.calibration import (
     minimal_quorum_size_for_dissemination,
     quorum_size_for_ell,
 )
-from repro.core.probabilistic import ProbabilisticQuorumSystem, ReadSemantics
+from repro.core.probabilistic import ProbabilisticQuorumSystem
 from repro.core.strategy import UniformSubsetStrategy
 from repro.exceptions import ConfigurationError
 from repro.types import Quorum, ServerId
@@ -60,6 +60,9 @@ class ProbabilisticDisseminationSystem(ProbabilisticQuorumSystem):
         dissemination systems, ``b`` may be any constant fraction of ``n``
         (Theorem 4.6).
     """
+
+    #: Section 4 reads verify the writer's signature and discard forgeries.
+    signed_reads = True
 
     def __init__(self, n: int, quorum_size: int, b: int) -> None:
         strategy = UniformSubsetStrategy(n, quorum_size)
@@ -119,10 +122,6 @@ class ProbabilisticDisseminationSystem(ProbabilisticQuorumSystem):
     def byzantine_fraction(self) -> float:
         """``α = b / n`` — the fraction of servers that may be Byzantine."""
         return self._b / self.n
-
-    def read_semantics(self) -> ReadSemantics:
-        """Section 4 reads: signatures are verified, forgeries discarded."""
-        return ReadSemantics(self_verifying=True, byzantine_tolerance=self._b)
 
     def find_live_quorum(self, alive: Set[ServerId]) -> Optional[Quorum]:
         live = sorted(s for s in alive if 0 <= s < self.n)

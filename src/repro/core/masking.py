@@ -44,7 +44,7 @@ from repro.core.calibration import (
     minimal_quorum_size_for_masking,
     quorum_size_for_ell,
 )
-from repro.core.probabilistic import ProbabilisticQuorumSystem, ReadSemantics
+from repro.core.probabilistic import ProbabilisticQuorumSystem
 from repro.core.strategy import UniformSubsetStrategy
 from repro.exceptions import ConfigurationError
 from repro.types import Quorum, ServerId
@@ -138,10 +138,6 @@ class ProbabilisticMaskingSystem(ProbabilisticQuorumSystem):
     def read_threshold(self) -> int:
         """The integer vote count a reader requires: ``⌈k⌉``."""
         return math.ceil(self._k)
-
-    def read_semantics(self) -> ReadSemantics:
-        """Section 5 reads: ``⌈k⌉`` vouching votes per value/timestamp pair."""
-        return ReadSemantics(threshold=self.read_threshold, byzantine_tolerance=self._b)
 
     @property
     def ell_over_b(self) -> float:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import abc
 import random
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -25,65 +24,6 @@ from repro.exceptions import ConfigurationError
 from repro.types import Quorum, ServerId, SystemProfile
 
 
-@dataclass(frozen=True)
-class ReadSemantics:
-    """Declarative read-side semantics of the protocol a system is meant for.
-
-    The three access protocols of the paper differ only in how a reader
-    filters replies before the highest timestamp wins:
-
-    * the benign Section 3.1 read believes any single reply
-      (``threshold=1``, ``self_verifying=False``);
-    * the Section 4 dissemination read verifies signatures and discards
-      forgeries (``self_verifying=True``);
-    * the Section 5 masking read requires each value/timestamp pair to be
-      vouched for by at least ``threshold`` servers of the quorum.
-
-    Exposing these two knobs declaratively (via
-    :meth:`ProbabilisticQuorumSystem.read_semantics`) is what lets the
-    batched Monte-Carlo engine classify Byzantine reads without driving
-    register objects, while the sequential engine builds the matching
-    register class from the same description.
-
-    ``byzantine_tolerance`` is the ``b`` the protocol's guarantee is stated
-    for (Theorems 4.2 and 5.2 assume *at most* ``b`` Byzantine failures);
-    ``None`` means the protocol makes no Byzantine claim at all (the benign
-    Section 3.1 read).  The field is informational for equality purposes
-    (``compare=False``) but :class:`~repro.simulation.scenario.ScenarioSpec`
-    enforces it: a failure model injecting more Byzantine servers than the
-    declared tolerance voids the theorem the scenario is meant to measure
-    and used to silently produce all-stale runs.
-    """
-
-    threshold: int = 1
-    self_verifying: bool = False
-    byzantine_tolerance: Optional[int] = field(default=None, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.threshold < 1:
-            raise ConfigurationError(
-                f"a read needs at least one vouching server, got threshold={self.threshold}"
-            )
-        if self.self_verifying and self.threshold != 1:
-            raise ConfigurationError(
-                "self-verifying data needs no vote threshold (Section 4 reads "
-                f"believe any verified reply); got threshold={self.threshold}"
-            )
-        if self.byzantine_tolerance is not None and self.byzantine_tolerance < 0:
-            raise ConfigurationError(
-                f"a Byzantine tolerance must be non-negative, "
-                f"got {self.byzantine_tolerance}"
-            )
-
-    def describe(self) -> str:
-        """One-line summary used in experiment logs."""
-        if self.self_verifying:
-            return "ReadSemantics(self-verifying)"
-        if self.threshold > 1:
-            return f"ReadSemantics(threshold k={self.threshold})"
-        return "ReadSemantics(benign)"
-
-
 class ProbabilisticQuorumSystem(abc.ABC):
     """Base class for ``⟨Q, w⟩`` pairs with a probabilistic guarantee.
 
@@ -92,6 +32,12 @@ class ProbabilisticQuorumSystem(abc.ABC):
     provide its probability of failure ε, both exactly and via the paper's
     closed-form bounds.
     """
+
+    #: Whether the protocol this system is built for reads self-verifying
+    #: (signed) data — the Section 4 read.  Only the dissemination
+    #: construction says so; the vote threshold lives on the masking
+    #: system's ``read_threshold``.
+    signed_reads = False
 
     def __init__(self, n: int, strategy: AccessStrategy) -> None:
         if n < 1:
@@ -139,16 +85,6 @@ class ProbabilisticQuorumSystem(abc.ABC):
         bit-generator construction the ``rng``-seeded path pays.
         """
         return self._strategy.sample_block(count, rng, generator=generator)
-
-    def read_semantics(self) -> ReadSemantics:
-        """The read-side semantics of the protocol this system was built for.
-
-        The base class describes the benign Section 3.1 read (any single
-        reply is believed); the dissemination and masking constructions
-        override this to declare signature verification and the vote
-        threshold ``k`` respectively.
-        """
-        return ReadSemantics()
 
     @abc.abstractmethod
     def find_live_quorum(self, alive: Set[ServerId]) -> Optional[Quorum]:

@@ -5,9 +5,10 @@ value/timestamp pairs that survive the protocol's filter (any reply for the
 Section 3.1 read, signature-verified replies for Section 4, pairs with at
 least ``k`` vouching votes for Section 5), the highest timestamp wins.  They
 differ only in whether a reply must verify under the writer's signature and
-in ``k``; :class:`ReadRule` is those two values, and every reader (the
-registers, the async frontends, the gossip verifiers, the lock and the
-voting service) signs, filters and selects through it.
+in ``k``; :class:`ReadRule` is those two values.  Every object reader (the
+registers, the async frontends, the gossip verifiers, the lock, the voting
+service and the interleaving explorer) signs, filters and selects through
+it, and the batch engine's vectorised kernels read its two values.
 
 An honest writer never reuses a timestamp, so two *distinct* values at the
 highest timestamp mean a faulty server; the selection resolves that tie
@@ -169,10 +170,10 @@ class ReadRule:
     """A read protocol as two values: the vote threshold and the signature scheme.
 
     ``ReadRule()`` is the Section 3.1 read, ``ReadRule(signatures=s)`` the
-    Section 4 read and ``ReadRule(threshold=k)`` the Section 5 read.  Unlike
-    :class:`~repro.core.probabilistic.ReadSemantics`, a rule may be signed
-    *and* thresholded (the voting service and the quorum lock allow it).
-    Readers pass :meth:`credible`'s result to :meth:`select` or
+    Section 4 read and ``ReadRule(threshold=k)`` the Section 5 read; a
+    scenario's is :meth:`~repro.simulation.scenario.ScenarioSpec.read_rule`.
+    A rule may be signed *and* thresholded (the voting service and the
+    quorum lock allow it).  Readers pass :meth:`credible`'s result to :meth:`select` or
     :meth:`enumerate`.
     """
 

@@ -277,7 +277,7 @@ def async_register_for(
     if kind == "dissemination":
         return AsyncDisseminationRegister(
             client,
-            signatures=SignatureScheme(spec.signing_key),
+            signatures=spec.read_rule().signatures,
             name=name,
             writer_id=resolved_writer,
         )

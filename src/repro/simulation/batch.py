@@ -18,14 +18,15 @@ through the vectorised kernel in
 :func:`repro.simulation.diffusion.gossip_rounds_batch`.
 
 All three of the paper's read protocols are modelled, driven by the
-:class:`~repro.core.probabilistic.ReadSemantics` the quorum system (or an
-explicit :class:`~repro.simulation.scenario.ScenarioSpec`) declares:
+:class:`~repro.protocol.selection.ReadRule` a
+:class:`~repro.simulation.scenario.ScenarioSpec` resolves (for a bare
+system, the rule of the scenario that wraps it):
 
 * **benign** (Section 3.1) — any single reply is believed; the highest
   timestamp wins (``threshold=1``);
 * **dissemination** (Section 4) — replies are signature-checked, so forged
-  values are discarded before the comparison (``self_verifying=True``;
-  Byzantine servers can only suppress or replay);
+  values are discarded before the comparison (the rule carries a signature
+  scheme; Byzantine servers can only suppress or replay);
 * **masking** (Section 5) — a value/timestamp pair needs at least ``k``
   vouching votes from the read quorum, computed here as vectorised
   per-trial vote counts over the boolean membership masks
@@ -97,7 +98,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.probabilistic import ProbabilisticQuorumSystem, ReadSemantics
+from repro.core.probabilistic import ProbabilisticQuorumSystem
 from repro.exceptions import ConfigurationError
 from repro.protocol.timestamps import Timestamp
 from repro.rngs import chunked_substreams
@@ -105,6 +106,7 @@ from repro.simulation.diffusion import gossip_rounds_batch
 from repro.simulation.failures import BatchFailureMasks, FailureModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.protocol.selection import ReadRule
     from repro.simulation.scenario import ScenarioSpec
 
 #: Default number of trials processed per vectorised chunk.  4096 trials over
@@ -290,12 +292,13 @@ class BatchTrialEngine:
     writer_id:
         Writer identity baked into honest timestamps, matching the default
         register configuration of the sequential engine.
-    semantics:
-        Read-protocol semantics (threshold ``k``, signature verifiability).
-        Defaults to ``system.read_semantics()``, so a masking system gets
-        the threshold read and a dissemination system the signature-checked
-        read — the same resolution the sequential engine applies through
-        :class:`~repro.simulation.scenario.ScenarioSpec`.
+    rule:
+        The :class:`~repro.protocol.selection.ReadRule` the reads apply; the
+        kernels read its threshold ``k`` and whether it is signed.  Defaults
+        to ``ScenarioSpec(system=system).read_rule()``, so a masking system
+        gets the threshold read and a dissemination system the
+        signature-checked read — the rule the sequential engine's registers
+        carry.
     written_value:
         The value honest writes carry (the scenario workload's value).  Only
         consulted when a forged timestamp *ties* an honest one, where the
@@ -309,8 +312,10 @@ class BatchTrialEngine:
         Optional :class:`~repro.simulation.scenario.AntiEntropySpec`: run
         its gossip rounds (vectorised, via
         :func:`~repro.simulation.diffusion.gossip_rounds_batch`) between the
-        write settling and the read, mirroring the sequential engine's
-        :class:`~repro.simulation.diffusion.DiffusionEngine` pass.
+        write settling and the read — synchronous rounds that approximate
+        the sequential engine's
+        :class:`~repro.simulation.diffusion.DiffusionEngine` pass (see
+        :class:`~repro.simulation.scenario.AntiEntropySpec`).
     """
 
     def __init__(
@@ -320,7 +325,7 @@ class BatchTrialEngine:
         seed: int = 0,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         writer_id: int = 0,
-        semantics: Optional[ReadSemantics] = None,
+        rule: Optional["ReadRule"] = None,
         written_value: object = "v",
         writers: int = 1,
         anti_entropy=None,
@@ -355,7 +360,11 @@ class BatchTrialEngine:
                     f"got {type(anti_entropy).__name__}"
                 )
         self.anti_entropy = anti_entropy
-        self.semantics = semantics if semantics is not None else system.read_semantics()
+        if rule is None:
+            from repro.simulation.scenario import ScenarioSpec
+
+            rule = ScenarioSpec(system=system).read_rule()
+        self.rule = rule
         self.written_value = written_value
         self._workspace = _Workspace()
 
@@ -373,7 +382,7 @@ class BatchTrialEngine:
             seed=seed,
             chunk_size=chunk_size,
             writer_id=spec.writer_id,
-            semantics=spec.read_semantics(),
+            rule=spec.read_rule(),
             written_value=spec.workload.written_value,
             writers=spec.writers,
             anti_entropy=spec.anti_entropy,
@@ -401,7 +410,7 @@ class BatchTrialEngine:
         rank = _timestamp_rank(fabricated, timestamps)
         if (
             not self.model.forges_values
-            or self.semantics.self_verifying
+            or self.rule.signatures is not None
             or rank == len(timestamps)
             or timestamps[rank] != fabricated
         ):
@@ -454,7 +463,7 @@ class BatchTrialEngine:
 
     def _forged_votes(self, member_r: np.ndarray, masks: BatchFailureMasks) -> np.ndarray:
         """Per-trial forger vote counts; zero where signatures filter them out."""
-        if self.semantics.self_verifying:
+        if self.rule.signatures is not None:
             return np.zeros(member_r.shape[0], dtype=np.int64)
         forged = self._workspace.array("forged", member_r.shape, bool)
         np.logical_and(member_r, masks.forgers, out=forged)
@@ -468,7 +477,7 @@ class BatchTrialEngine:
         Matches the sequential estimator in distribution: both sample the
         write quorum, the read quorum and the failure plan independently
         per trial from the same distributions and apply the same read rule
-        (benign, signature-checked or threshold-vote, per the semantics).
+        (benign, signature-checked or threshold-vote, per the rule).
         Concurrent writers and gossip rounds run through the
         version-history kernel (:meth:`_history_reads`).
         """
@@ -481,7 +490,7 @@ class BatchTrialEngine:
         rank, tie, forged_key_wins, values_collide = self._forgery(
             [Timestamp(1, self.writer_id)], [self.written_value]
         )
-        threshold = self.semantics.threshold
+        threshold = self.rule.threshold
         fresh = stale = empty = fabricated = 0
         for generator, size in self._chunks(trials):
             member_w, member_r, masks = self._sample_round(generator, size)
@@ -609,7 +618,7 @@ class BatchTrialEngine:
         threshold above a lower best version, and the forgery never wins.
         """
         rank, tie, forged_key_wins, values_collide = forgery
-        threshold = self.semantics.threshold
+        threshold = self.rule.threshold
         best = self._best_credible_version(member_r, masks, latest, first_seen, versions)
         forged_votes = self._forged_votes(member_r, masks)
         if tie is None:
@@ -660,7 +669,7 @@ class BatchTrialEngine:
         the sequential register's ``Counter`` over value/timestamp pairs.
         """
         honest, replayed = self._vouched_versions(member_r, masks, latest, first_seen)
-        threshold = self.semantics.threshold
+        threshold = self.rule.threshold
         if threshold <= 1:
             return np.maximum(honest, replayed).max(axis=1)
         best = np.full(member_r.shape[0], -1, dtype=np.int64)

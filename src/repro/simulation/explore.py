@@ -32,11 +32,14 @@ violation the offending script is greedily minimised (every surviving
 non-default decision is necessary) and reported as a readable trace.
 
 Execution reuses the *real* protocol substrate: :class:`ReplicaServer`
-with the production behaviours, the production
-:class:`~repro.protocol.signatures.SignatureScheme`, and (by default) the
-production :func:`~repro.protocol.selection.select_credible_value` — the
-``selection_rule`` hook exists so the test suite can inject a seeded
-mutant and prove the explorer catches it.  Message delivery runs through
+with the production behaviours and the production
+:class:`~repro.protocol.selection.ReadRule` — writes are signed with its
+:meth:`~repro.protocol.selection.ReadRule.sign`, replies filtered with its
+:meth:`~repro.protocol.selection.ReadRule.credible` and (by default) the
+winner picked with its :meth:`~repro.protocol.selection.ReadRule.select`.
+The ``selection_rule`` hook, called as ``selection_rule(replies,
+threshold)`` in place of ``select``, exists so the test suite can inject a
+seeded mutant and prove the explorer catches it.  Message delivery runs through
 :class:`ControlledScheduler`, the model checker's implementation of the
 shared :class:`~repro.simulation.events.Scheduler` interface.
 """
@@ -48,7 +51,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import ConfigurationError, SimulationError
-from repro.protocol.selection import SelectedValue, select_credible_value, tiebreak_key
+from repro.protocol.selection import ReadRule, SelectedValue, tiebreak_key
 from repro.protocol.signatures import SignatureScheme
 from repro.protocol.timestamps import Timestamp
 from repro.simulation.events import EventHandle, Scheduler, _ScheduledEvent
@@ -197,11 +200,6 @@ class ExploreSpec:
         if self.max_crashes < 0 or self.max_drops < 0:
             raise ConfigurationError("adversary budgets must be non-negative")
 
-    @property
-    def verify_signatures(self) -> bool:
-        """Whether replies are signature-checked (the Section 4 read)."""
-        return self.register_kind == "dissemination"
-
     def forged_timestamp(self) -> Any:
         """The timestamp forgers attach (default: the maximal forgery)."""
         if self.fabricated_timestamp is not None:
@@ -300,14 +298,20 @@ class _Run:
     def __init__(
         self,
         spec: ExploreSpec,
-        selection_rule: SelectionRule,
+        selection_rule: Optional[SelectionRule],
         choose: Callable[[List[_Option], Optional[tuple]], _Option],
     ) -> None:
         self.spec = spec
-        self.rule = selection_rule
+        self.rule = ReadRule(
+            threshold=spec.threshold,
+            signatures=SignatureScheme() if spec.register_kind == "dissemination" else None,
+        )
+        if selection_rule is None:
+            self.select = self.rule.select
+        else:
+            self.select = lambda credible: selection_rule(credible, spec.threshold)
         self.choose = choose
         self.scheduler = ControlledScheduler()
-        self.signer = SignatureScheme()
         self.trace: List[str] = []
         self.drops_left = spec.max_drops
         self.crashes_left = spec.max_crashes
@@ -346,11 +350,7 @@ class _Run:
     def _execute_write(self, op_index: int, op: WriteOp) -> None:
         spec = self.spec
         timestamp = Timestamp(op_index + 1, op.writer)
-        signature = (
-            self.signer.sign(spec.variable, op.value, timestamp)
-            if spec.verify_signatures
-            else None
-        )
+        signature = self.rule.sign(spec.variable, op.value, timestamp)
         quorum = self._choose_quorum(op_index, "write")
 
         def deliver(server_id: int) -> None:
@@ -374,16 +374,8 @@ class _Run:
 
         self._scatter(quorum, deliver)
         self._drain(op_index, "read", replies)
-        if spec.verify_signatures:
-            replies = {
-                server_id: stored
-                for server_id, stored in replies.items()
-                if self.signer.verify(
-                    spec.variable, stored.value, stored.timestamp, stored.signature
-                )
-            }
-        selected = self.rule(replies, spec.threshold)
-        self._check_read(selected, replies)
+        credible = self.rule.credible(spec.variable, replies)
+        self._check_read(self.select(credible), credible)
 
     # -- decision points ---------------------------------------------------------
 
@@ -562,7 +554,6 @@ def run_schedule(
     Returns the violation (if the schedule triggers one) and the readable
     trace.  Used by the minimiser and by tests replaying counterexamples.
     """
-    rule = selection_rule or select_credible_value
     cursor = 0
 
     def choose(options: List[_Option], _state_key: Optional[tuple]) -> _Option:
@@ -573,7 +564,7 @@ def run_schedule(
             raise _InvalidScript(f"decision {cursor - 1} out of range")
         return options[index]
 
-    run = _Run(spec, rule, choose)
+    run = _Run(spec, selection_rule, choose)
     try:
         run.execute()
     except _RunViolation as caught:
@@ -630,7 +621,6 @@ def explore(
     The returned result carries the number of distinct canonical states and
     complete schedules; on a violation, a minimised counterexample.
     """
-    rule = selection_rule or select_credible_value
     visited: set = set()
     stack: List[List[int]] = []
     schedules = 0
@@ -651,7 +641,7 @@ def explore(
             stack.append([0, len(options)])
             return options[0]
 
-        run = _Run(spec, rule, choose)
+        run = _Run(spec, selection_rule, choose)
         try:
             run.execute()
             schedules += 1

@@ -26,9 +26,10 @@ The preferred experiment description is a declarative
 model and workload in one object — passed as the first argument.  Both
 engines consume the same spec: the sequential oracle lowers it to the
 matching register class (plain, signed-dissemination or threshold-masking)
-over per-trial clusters, while the batch engine reads its declared
-:class:`~repro.core.probabilistic.ReadSemantics` and classifies trials with
-vectorised kernels.  A bare ``ProbabilisticQuorumSystem`` (optionally with a
+over per-trial clusters, while the batch engine reads the same spec's
+:class:`~repro.protocol.selection.ReadRule` (its threshold and whether it is
+signed) and classifies trials with vectorised kernels.  A bare
+``ProbabilisticQuorumSystem`` (optionally with a
 :class:`~repro.simulation.failures.FailureModel`) is promoted to an
 ``auto``-resolved spec, so a masking system automatically gets the Section 5
 threshold read on both engines.  Arbitrary register/plan *factories* remain
@@ -210,7 +211,6 @@ def estimate_read_consistency(
     plan_factory: Optional[PlanSpec] = None,
     trials: int = 500,
     seed: int = 0,
-    written_value: Optional[object] = None,
     engine: str = "sequential",
     chunk_size: int = 4096,
 ) -> ConsistencyReport:
@@ -226,8 +226,9 @@ def estimate_read_consistency(
 
     Pass a :class:`~repro.simulation.scenario.ScenarioSpec` (or a bare
     system, auto-promoted to one) to run the same description on either
-    engine; the two agree in distribution, not trial for trial.
-    ``written_value`` defaults to the scenario workload's value (``"v"``).
+    engine; the two agree in distribution, not trial for trial.  Honest
+    writes carry the scenario workload's ``written_value`` (``"v"`` for a
+    register factory).
 
     Under contention (``spec.writers > 1``) every writer writes once per
     trial, each with per-trial counter 1, so writer-id order *is* timestamp
@@ -251,11 +252,8 @@ def estimate_read_consistency(
         if spec is None:
             _require_declarative(register_factory, plan_factory)
         batch_engine = BatchTrialEngine.from_spec(spec, seed=seed, chunk_size=chunk_size)
-        if written_value is not None:
-            batch_engine.written_value = written_value
         return batch_engine.estimate_read_consistency(trials)
-    if written_value is None:
-        written_value = spec.workload.written_value if spec is not None else "v"
+    written_value = spec.workload.written_value if spec is not None else "v"
     factories, plan_factory = _sequential_specs(spec, register_factory, plan_factory, n)
     from repro.protocol.classification import classify_read_outcome
 

@@ -4,21 +4,22 @@ A :class:`ScenarioSpec` is the single description of one consistency
 experiment: which quorum system (and therefore which of the paper's three
 access protocols), which :class:`~repro.simulation.failures.FailureModel`,
 and which workload (write history, gossip schedule, written value).  The
-sequential engine lowers a spec to register/cluster objects via
-:meth:`ScenarioSpec.register_factory`; the batched engine reads the same
-spec's :meth:`read_semantics` — threshold ``k`` and signature verifiability,
-exposed declaratively by the core systems — and classifies trials with
-vectorised kernels.  One spec, two independent execution semantics, which is
-what keeps the engines' equivalence testable as new workloads are added.
+spec's :meth:`ScenarioSpec.read_rule` is the one place a scenario's read is
+resolved — its vote threshold ``k`` and, for self-verifying data, its
+signature scheme.  The sequential engine lowers a spec to register/cluster
+objects via :meth:`ScenarioSpec.register_factory`, whose registers carry
+that rule; the batched engine reads the same rule's threshold and
+signedness and classifies trials with vectorised kernels.  One spec, two
+independent execution semantics, which is what keeps the engines'
+equivalence testable as new workloads are added.
 
 The register kind defaults to ``"auto"``: a system exposing a masking
-``read_threshold`` gets the Section 5 threshold read, a system whose
-:meth:`~repro.core.probabilistic.ProbabilisticQuorumSystem.read_semantics`
-declares self-verifying data gets the signed Section 4 protocol, and
-everything else gets the benign Section 3.1 register.  Forcing
-``register_kind="plain"`` on a Byzantine system is allowed (it models a
-reader that ignores the protocol's filter), but ``"masking"`` requires a
-system that actually carries a threshold.
+``read_threshold`` gets the Section 5 threshold read, a system declaring
+:attr:`~repro.core.probabilistic.ProbabilisticQuorumSystem.signed_reads`
+gets the signed Section 4 protocol, and everything else gets the benign
+Section 3.1 register.  Forcing ``register_kind="plain"`` on a Byzantine
+system is allowed (it models a reader that ignores the protocol's filter),
+but ``"masking"`` requires a system that actually carries a threshold.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, TYPE_CHECKING
 
-from repro.core.probabilistic import ProbabilisticQuorumSystem, ReadSemantics
+from repro.core.probabilistic import ProbabilisticQuorumSystem
 from repro.exceptions import ConfigurationError
 from repro.simulation.failures import FailureModel
 
@@ -51,8 +52,13 @@ class AntiEntropySpec:
     * the **sequential engine** runs ``rounds`` push-gossip rounds of a
       :class:`~repro.simulation.diffusion.DiffusionEngine` with ``fanout``
       between the write settling and the read;
-    * the **batch engine** applies the same rounds through the vectorised
-      :func:`~repro.simulation.diffusion.gossip_rounds_batch` kernel;
+    * the **batch engine** runs ``rounds`` rounds of the vectorised
+      :func:`~repro.simulation.diffusion.gossip_rounds_batch` kernel, an
+      approximation of the sequential round: its rounds are synchronous (a
+      server that adopts a version pushes it only in the next round, where
+      the object engine's server-order round lets it push in the same one),
+      so a round spreads a write more slowly and the two engines' gossiped
+      estimates agree only once gossip nearly saturates;
     * the **service layers** run a background gossip task every
       ``interval`` event-loop seconds with the same fanout, and readers
       piggyback up to ``repair_budget`` write-back repairs per coalesced
@@ -139,8 +145,8 @@ class ScenarioSpec:
     ----------
     system:
         The probabilistic quorum system; its access strategy draws every
-        quorum and its :meth:`read_semantics` supplies the default read
-        protocol.
+        quorum and its ``read_threshold`` / ``signed_reads`` declaration
+        supplies the default read protocol.
     failure_model:
         Distribution over per-trial failures (default: none).
     workload:
@@ -219,23 +225,23 @@ class ScenarioSpec:
         """Reject failure models that void the read protocol's ``b`` guarantee.
 
         Theorems 4.2 and 5.2 assume at most ``b`` Byzantine servers — the
-        tolerance the system declares through its
-        :class:`~repro.core.probabilistic.ReadSemantics`.  A model injecting
-        more does not make the experiment "more Byzantine": it silently
-        measures a regime the construction was never calibrated for
-        (typically all-stale runs), so it is a configuration error.  Forcing
-        ``register_kind="plain"`` stays exempt — that explicitly models a
-        reader that ignores the protocol's filter, where no tolerance is
-        claimed.
+        system's ``byzantine_threshold``.  A model injecting more does not
+        make the experiment "more Byzantine": it silently measures a regime
+        the construction was never calibrated for (typically all-stale
+        runs), so it is a configuration error.  The benign kinds (``plain``,
+        ``write-back``, and a forced ``register_kind="plain"``) stay exempt —
+        they model a reader that ignores the protocol's filter, where no
+        tolerance is claimed.
         """
-        semantics = self.read_semantics()
+        kind = self.resolved_register_kind()
         injected = self.failure_model.byzantine_count
-        if semantics.byzantine_tolerance is None or injected <= semantics.byzantine_tolerance:
+        tolerance = self.system.byzantine_threshold
+        if kind not in ("masking", "dissemination") or injected <= tolerance:
             return
         raise ConfigurationError(
             f"the failure model injects {injected} Byzantine servers but the "
-            f"{self.resolved_register_kind()} protocol of {self.system.describe()} "
-            f"only tolerates b={semantics.byzantine_tolerance}; such runs silently "
+            f"{kind} protocol of {self.system.describe()} "
+            f"only tolerates b={tolerance}; such runs silently "
             f"degrade to stale/⊥ reads instead of measuring the theorem's regime. "
             f"Use a system calibrated for b>={injected}, or force "
             f"register_kind='plain' to model an unprotected reader."
@@ -254,45 +260,30 @@ class ScenarioSpec:
             return self.register_kind
         if hasattr(self.system, "read_threshold"):
             return "masking"
-        if self.system.read_semantics().self_verifying:
+        if self.system.signed_reads:
             return "dissemination"
         return "plain"
-
-    def read_semantics(self) -> ReadSemantics:
-        """Threshold/verifiability of this scenario's read protocol.
-
-        For ``auto`` scenarios this is exactly the system's declared
-        semantics; forcing a register kind overrides them (e.g. a plain
-        register over a masking system reads with ``threshold=1``).
-        """
-        kind = self.resolved_register_kind()
-        tolerance = getattr(self.system, "byzantine_threshold", None)
-        if kind == "masking":
-            return ReadSemantics(
-                threshold=int(self.system.read_threshold), byzantine_tolerance=tolerance
-            )
-        if kind == "dissemination":
-            return ReadSemantics(self_verifying=True, byzantine_tolerance=tolerance)
-        return ReadSemantics()
 
     def read_rule(self) -> "ReadRule":
         """The :class:`~repro.protocol.selection.ReadRule` of this scenario's readers.
 
-        :meth:`read_semantics` made executable: its threshold, and a
-        signature scheme under the scenario's ``signing_key`` when the data
-        is self-verifying.  The gossip verifiers of both the sequential
-        engine and the live services are this rule's ``verifier``.
+        The one place a scenario's read is resolved: threshold
+        ``read_threshold`` for the masking kind, a signature scheme under
+        the scenario's ``signing_key`` for the dissemination kind, and the
+        benign rule otherwise — so forcing a register kind overrides the
+        system's declaration (a plain register over a masking system reads
+        with ``threshold=1``).  The sequential registers, the async
+        frontends, both gossip verifiers and the batch engine all read it.
         """
         from repro.protocol.selection import ReadRule
         from repro.protocol.signatures import SignatureScheme
 
-        semantics = self.read_semantics()
-        return ReadRule(
-            threshold=semantics.threshold,
-            signatures=(
-                SignatureScheme(self.signing_key) if semantics.self_verifying else None
-            ),
-        )
+        kind = self.resolved_register_kind()
+        if kind == "masking":
+            return ReadRule(threshold=int(self.system.read_threshold))
+        if kind == "dissemination":
+            return ReadRule(signatures=SignatureScheme(self.signing_key))
+        return ReadRule()
 
     def writer_ids(self) -> tuple:
         """The identities of the scenario's concurrent writers, ascending.
@@ -317,7 +308,6 @@ class ScenarioSpec:
         """
         from repro.protocol.dissemination_variable import DisseminationRegister
         from repro.protocol.masking_variable import MaskingRegister
-        from repro.protocol.signatures import SignatureScheme
         from repro.protocol.variable import ProbabilisticRegister
         from repro.protocol.write_back import WriteBackRegister
 
@@ -332,7 +322,7 @@ class ScenarioSpec:
                 self.system, cluster, writer_id=writer_id, rng=rng
             )
         if kind == "dissemination":
-            scheme = SignatureScheme(self.signing_key)
+            scheme = self.read_rule().signatures
             return lambda cluster, rng: DisseminationRegister(
                 self.system, cluster, signatures=scheme, writer_id=writer_id, rng=rng
             )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.dissemination import ProbabilisticDisseminationSystem
@@ -16,7 +18,13 @@ from repro.protocol.selection import (
 )
 from repro.protocol.signatures import SignatureScheme
 from repro.protocol.timestamps import Timestamp
+from repro.service.client import AsyncQuorumClient
 from repro.service.gossip import scenario_verifier
+from repro.service.node import ServiceNode
+from repro.service.register import async_register_for
+from repro.service.transport import AsyncTransport
+from repro.simulation.batch import BatchTrialEngine
+from repro.simulation.cluster import Cluster
 from repro.simulation.scenario import ScenarioSpec
 from repro.simulation.server import StoredValue
 
@@ -151,18 +159,38 @@ class TestReadRule:
             ScenarioSpec(system=ProbabilisticDisseminationSystem(25, 7, 3)),
             ScenarioSpec(system=MASKING),
             ScenarioSpec(system=MASKING, register_kind="plain"),
+            ScenarioSpec(
+                system=UniformEpsilonIntersectingSystem(25, 8), register_kind="write-back"
+            ),
         ],
-        ids=["plain", "dissemination", "masking", "forced-plain"],
+        ids=["plain", "dissemination", "masking", "forced-plain", "write-back"],
     )
-    def test_scenario_rule_matches_its_read_semantics(self, spec):
-        rule, semantics = spec.read_rule(), spec.read_semantics()
-        assert rule.threshold == semantics.threshold
-        assert (rule.signatures is not None) == semantics.self_verifying
-        if semantics.self_verifying:
-            value, timestamp = "v", Timestamp(1)
-            stored = StoredValue(
+    def test_the_scenario_rule_reaches_every_layer(self, spec):
+        # The batch engine, the sequential register and the async frontend
+        # each carry the rule the scenario resolves.  A SignatureScheme
+        # compares by identity, so the check is behavioural: the threshold,
+        # the signature a write carries, and which replies stay credible.
+        expected = spec.read_rule()
+        signed = expected.signatures is not None
+        client = AsyncQuorumClient(
+            spec.system, [ServiceNode(server) for server in range(spec.n)], AsyncTransport()
+        )
+        layers = {
+            "batch": BatchTrialEngine.from_spec(spec).rule,
+            "register": spec.register_factory()(Cluster(spec.n), random.Random(0)).rule,
+            "frontend": async_register_for(spec, client).rule,
+        }
+        value, timestamp = "v", Timestamp(1)
+        genuine = SignatureScheme(spec.signing_key).sign("x", value, timestamp)
+        replies = {
+            0: StoredValue(value=value, timestamp=timestamp, signature=genuine),
+            1: StoredValue(
                 value=value,
                 timestamp=timestamp,
-                signature=SignatureScheme(spec.signing_key).sign("x", value, timestamp),
-            )
-            assert rule.verifies("x", stored)
+                signature=SignatureScheme(b"forger").sign("x", value, timestamp),
+            ),
+        }
+        for layer, rule in layers.items():
+            assert rule.threshold == expected.threshold, layer
+            assert rule.sign("x", value, timestamp) == (genuine if signed else None), layer
+            assert set(rule.credible("x", replies)) == ({0} if signed else {0, 1}), layer

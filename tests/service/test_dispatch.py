@@ -6,6 +6,8 @@ import asyncio
 import math
 import random
 
+import pytest
+
 from repro.core.masking import ProbabilisticMaskingSystem
 from repro.obs.trace import Tracer
 from repro.protocol.timestamps import Timestamp
@@ -17,6 +19,7 @@ from repro.service.transport import AsyncTransport
 from repro.simulation.scenario import ScenarioSpec
 from repro.simulation.server import ByzantineForgeBehavior, ByzantineSilentBehavior
 from tests.service.per_rpc import PerRpcDriver
+from tests.service.test_load import VirtualTimeLoop
 
 MASKING = ProbabilisticMaskingSystem(25, 10, 3)
 
@@ -73,8 +76,9 @@ class TestBatchedDispatcher:
         assert read_flushes <= 2 * MASKING.n
         assert transport.calls == 10 + 500
 
-    def test_silent_nodes_cost_the_operation_deadline_once(self):
-        nodes, transport, dispatcher, client = deploy(MASKING, deadline=0.005)
+    @pytest.mark.parametrize("deadline", [0.005, 0.01])
+    def test_silent_nodes_cost_the_operation_deadline_once(self, deadline):
+        nodes, transport, dispatcher, client = deploy(MASKING, deadline=deadline)
         for node in nodes:
             node.crash()
 
@@ -84,13 +88,18 @@ class TestBatchedDispatcher:
             read = await client.read("x")
             return read, loop.time() - started
 
-        read, elapsed = asyncio.run(scenario())
+        loop = VirtualTimeLoop()
+        try:
+            read, elapsed = loop.run_until_complete(scenario())
+        finally:
+            loop.close()
         assert read.responders == 0
         assert read.replies == {}
-        # The op resolved at its shared deadline (plus the repair sweep),
-        # not after a per-RPC cascade of deadlines.
-        assert elapsed < 0.1
-        assert transport.timed_out > 0
+        # Three rounds — the quorum, then top-ups until all 25 servers were
+        # asked — each resolved at the shared operation deadline, not after
+        # a per-RPC cascade of q deadlines.
+        assert elapsed == 3 * deadline
+        assert transport.timed_out == MASKING.n
 
     def test_drops_are_counted_and_resolve_at_the_deadline(self):
         nodes, transport, dispatcher, client = deploy(

@@ -266,7 +266,7 @@ class TestByzantineEngineEquivalence:
                 5, "FORGED", Timestamp.forged_maximum()
             ),
         )
-        assert spec.read_semantics().threshold == 2
+        assert spec.read_rule().threshold == 2
         sequential, batch = self._both(spec)
         tol = two_sided_tolerance(EQUIVALENCE_TRIALS, EQUIVALENCE_TRIALS)
         assert batch.fresh_fraction == pytest.approx(sequential.fresh_fraction, abs=tol)
@@ -306,7 +306,7 @@ class TestByzantineEngineEquivalence:
                 4, "FORGED", Timestamp.forged_maximum()
             ),
         )
-        assert spec.read_semantics().self_verifying
+        assert spec.read_rule().signatures is not None
         sequential, batch = self._both(spec)
         tol = two_sided_tolerance(EQUIVALENCE_TRIALS, EQUIVALENCE_TRIALS)
         assert batch.fresh_fraction == pytest.approx(sequential.fresh_fraction, abs=tol)

@@ -25,7 +25,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.epsilon_intersecting import UniformEpsilonIntersectingSystem
-from repro.core.probabilistic import ReadSemantics
 from repro.protocol.classification import OUTCOME_LABELS, classify_read_outcome
 from repro.protocol.selection import ReadRule, tiebreak_key
 from repro.protocol.timestamps import Timestamp
@@ -167,7 +166,7 @@ def test_history_read_names_the_rule_winner(history):
     engine = BatchTrialEngine(
         SYSTEM,
         failure_model=FailureModel.colluding_forgers(1, *forged_pair),
-        semantics=ReadSemantics(threshold=threshold),
+        rule=ReadRule(threshold=threshold),
     )
     read, forged_wins = engine._read_versions(
         np.ones(shape, dtype=bool),

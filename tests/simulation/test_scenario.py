@@ -2,7 +2,7 @@
 
 The spec is the single experiment description both engines consume, so the
 things pinned down here are (a) validation and auto-resolution of the
-register kind from the system's declared read semantics, (b) the sequential
+register kind from the system's declared read, (b) the sequential
 lowering to the matching register class, and (c) the estimator dispatch —
 spec in, identical experiment out, on either engine.
 """
@@ -16,10 +16,10 @@ import pytest
 from repro.core.dissemination import ProbabilisticDisseminationSystem
 from repro.core.epsilon_intersecting import UniformEpsilonIntersectingSystem
 from repro.core.masking import ProbabilisticMaskingSystem
-from repro.core.probabilistic import ReadSemantics
 from repro.exceptions import ConfigurationError
 from repro.protocol.dissemination_variable import DisseminationRegister
 from repro.protocol.masking_variable import MaskingRegister
+from repro.protocol.selection import ReadRule
 from repro.protocol.variable import ProbabilisticRegister
 from repro.simulation.batch import BatchTrialEngine
 from repro.simulation.cluster import Cluster
@@ -35,22 +35,11 @@ DISSEMINATION = ProbabilisticDisseminationSystem(25, 8, 5)
 MASKING = ProbabilisticMaskingSystem(25, 10, 5)
 
 
-class TestReadSemantics:
+class TestSystemDeclarations:
     def test_system_declarations(self):
-        assert PLAIN.read_semantics() == ReadSemantics()
-        assert DISSEMINATION.read_semantics() == ReadSemantics(self_verifying=True)
-        assert MASKING.read_semantics() == ReadSemantics(threshold=MASKING.read_threshold)
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            ReadSemantics(threshold=0)
-        with pytest.raises(ConfigurationError):
-            ReadSemantics(threshold=2, self_verifying=True)
-
-    def test_describe(self):
-        assert "benign" in ReadSemantics().describe()
-        assert "self-verifying" in ReadSemantics(self_verifying=True).describe()
-        assert "k=3" in ReadSemantics(threshold=3).describe()
+        assert not PLAIN.signed_reads and not hasattr(PLAIN, "read_threshold")
+        assert DISSEMINATION.signed_reads and not hasattr(DISSEMINATION, "read_threshold")
+        assert not MASKING.signed_reads and MASKING.read_threshold == 2
 
 
 class TestScenarioResolution:
@@ -62,12 +51,14 @@ class TestScenarioResolution:
         )
         assert ScenarioSpec(system=MASKING).resolved_register_kind() == "masking"
 
-    def test_read_semantics_follow_the_resolved_kind(self):
-        assert ScenarioSpec(system=MASKING).read_semantics().threshold == 2
-        assert ScenarioSpec(system=DISSEMINATION).read_semantics().self_verifying
-        # Forcing a plain register overrides the system's own semantics.
+    def test_read_rule_follows_the_resolved_kind(self):
+        assert ScenarioSpec(system=MASKING).read_rule() == ReadRule(threshold=2)
+        dissemination = ScenarioSpec(system=DISSEMINATION).read_rule()
+        assert dissemination.threshold == 1 and dissemination.signatures is not None
+        assert ScenarioSpec(system=PLAIN).read_rule() == ReadRule()
+        # Forcing a plain register overrides the system's own declaration.
         forced = ScenarioSpec(system=MASKING, register_kind="plain")
-        assert forced.read_semantics() == ReadSemantics()
+        assert forced.read_rule() == ReadRule()
 
     def test_register_factory_builds_the_matching_register(self):
         cluster = Cluster(25)
@@ -86,8 +77,8 @@ class TestScenarioResolution:
 
         spec = ScenarioSpec(system=PLAIN, register_kind="write-back")
         assert spec.resolved_register_kind() == "write-back"
-        # The repair read claims no b tolerance: plain semantics.
-        assert spec.read_semantics() == ReadSemantics()
+        # The repair read claims no b tolerance: the plain rule.
+        assert spec.read_rule() == ReadRule()
         register = spec.register_factory()(Cluster(25), random.Random(0))
         assert isinstance(register, WriteBackRegister)
         # Driven declaratively, a settled read repairs the lagging quorum
@@ -139,19 +130,17 @@ class TestScenarioResolution:
         )
         ScenarioSpec(system=PLAIN, failure_model=FailureModel.random_byzantine(12))
 
-    def test_declared_tolerances_surface_in_read_semantics(self):
-        assert ScenarioSpec(system=MASKING).read_semantics().byzantine_tolerance == 5
-        assert (
-            ScenarioSpec(system=DISSEMINATION).read_semantics().byzantine_tolerance == 5
-        )
-        assert ScenarioSpec(system=PLAIN).read_semantics().byzantine_tolerance is None
-        # The tolerance is informational for equality (compare=False), so the
-        # PR 2 declarations still compare equal without it.
-        assert ReadSemantics(self_verifying=True, byzantine_tolerance=5) == ReadSemantics(
-            self_verifying=True
-        )
-        with pytest.raises(ConfigurationError):
-            ReadSemantics(byzantine_tolerance=-1)
+    def test_declared_tolerance_is_the_systems_byzantine_threshold(self):
+        assert MASKING.byzantine_threshold == DISSEMINATION.byzantine_threshold == 5
+        assert PLAIN.byzantine_threshold == 0
+        # Forcing the signed read onto a system that declares no b claims
+        # the dissemination theorem with b=0, so any Byzantine server voids it.
+        with pytest.raises(ConfigurationError, match="only tolerates b=0"):
+            ScenarioSpec(
+                system=PLAIN,
+                register_kind="dissemination",
+                failure_model=FailureModel.random_byzantine(1),
+            )
 
     def test_describe_names_the_parts(self):
         spec = ScenarioSpec(
@@ -254,7 +243,7 @@ class TestEstimatorDispatch:
             second.empty,
             second.fabricated,
         )
-        assert BatchTrialEngine.from_spec(spec).semantics.threshold == 2
+        assert BatchTrialEngine.from_spec(spec).rule.threshold == 2
 
     def test_spec_written_value_is_used_by_the_sequential_engine(self):
         spec = ScenarioSpec(system=PLAIN, workload=WorkloadSpec(written_value="payload"))

@@ -45,7 +45,7 @@ def reference_best_credible_version(self, member_r, masks, latest, first_seen, w
     correct = ~(masks.crashed | masks.byzantine)
     honest = np.where(member_r & correct, latest, -1)
     replayed = np.where(member_r & masks.replay, first_seen, -1)
-    threshold = self.semantics.threshold
+    threshold = self.rule.threshold
     if threshold <= 1:
         return np.maximum(honest, replayed).max(axis=1)
     best = np.full(member_r.shape[0], -1, dtype=np.int64)
