@@ -28,7 +28,7 @@ from repro import (
     strict_resilience_bound,
 )
 from repro.exceptions import ConfigurationError
-from repro.protocol import DisseminationRegister
+from repro.protocol import ProbabilisticRegister, ReadRule
 from repro.protocol.signatures import SignatureScheme
 from repro.protocol.timestamps import Timestamp
 from repro.simulation import Cluster, FailurePlan
@@ -49,7 +49,7 @@ def strict_row(b: int) -> str:
 
 def measure_protocol(system: ProbabilisticDisseminationSystem, b: int) -> float:
     """Empirical fraction of fresh reads under b colluding Byzantine servers."""
-    scheme = SignatureScheme(b"sweep-key")
+    rule = ReadRule(signatures=SignatureScheme(b"sweep-key"))
     fresh = 0
     for seed in range(TRIALS):
         rng = random.Random(seed)
@@ -57,7 +57,7 @@ def measure_protocol(system: ProbabilisticDisseminationSystem, b: int) -> float:
             N, b, "FORGED", Timestamp.forged_maximum(), rng=rng
         )
         cluster = Cluster(N, failure_plan=plan, seed=seed)
-        register = DisseminationRegister(system, cluster, signatures=scheme, rng=rng)
+        register = ProbabilisticRegister(system, cluster, rng=rng, rule=rule)
         write = register.write("honest")
         outcome = register.read()
         if outcome.timestamp == write.timestamp and outcome.value == "honest":

@@ -10,7 +10,8 @@ introduces them:
    cluster and watch the consistency guarantee hold (and degrade gracefully
    when the construction is made deliberately loose);
 4. repeat in a Byzantine environment with the dissemination and masking
-   constructions.
+   constructions: the same register, reading through a signed or a
+   vote-threshold ``ReadRule``.
 
 Run with::
 
@@ -28,7 +29,7 @@ from repro import (
     ProbabilisticMaskingSystem,
     UniformEpsilonIntersectingSystem,
 )
-from repro.protocol import DisseminationRegister, MaskingRegister, ProbabilisticRegister
+from repro.protocol import ProbabilisticRegister, ReadRule
 from repro.protocol.signatures import SignatureScheme
 from repro.protocol.timestamps import Timestamp
 from repro.simulation import Cluster, FailurePlan
@@ -114,8 +115,8 @@ def step_4_byzantine_environments() -> None:
     )
     plan = FailurePlan.colluding_forgers(n, b, "FORGED", Timestamp.forged_maximum(), rng=rng)
     cluster = Cluster(n, failure_plan=plan, seed=3)
-    signed = DisseminationRegister(
-        dissemination, cluster, signatures=SignatureScheme(b"writer-key"), rng=rng
+    signed = ProbabilisticRegister(
+        dissemination, cluster, rng=rng, rule=ReadRule(signatures=SignatureScheme(b"writer-key"))
     )
     signed.write("signed-payment-record")
     outcome = signed.read()
@@ -128,7 +129,9 @@ def step_4_byzantine_environments() -> None:
     )
     plan = FailurePlan.colluding_forgers(n, 10, "FORGED", Timestamp.forged_maximum(), rng=rng)
     cluster = Cluster(n, failure_plan=plan, seed=4)
-    voted = MaskingRegister(masking, cluster, rng=rng)
+    voted = ProbabilisticRegister(
+        masking, cluster, rng=rng, rule=ReadRule(threshold=masking.read_threshold)
+    )
     voted.write("unsigned-sensor-reading")
     outcome = voted.read()
     print(

@@ -11,8 +11,8 @@ dissemination, or masking-threshold) carrying the lock records.
 The lock variable is an ordinary replicated register holding
 ``{"state": "held" | "released", "holder": client_id}`` records; highest
 timestamp wins through the shared selection rule, with client ids breaking
-ties exactly as concurrent register writers do.  Two refinements make the
-advisory lock strong enough for the blocking safety gate:
+ties exactly as concurrent register writers do.  Two refinements guard
+the advisory lock:
 
 * **Release-staleness fencing** (shared with the simulation lock): a held
   record older than a release this client *knows* about — from its own
@@ -20,16 +20,22 @@ advisory lock strong enough for the blocking safety gate:
   never reported as a live holder, however lagging the read quorum.
 * **Verify-after-write**: after writing its held record, an acquirer
   re-reads with a *fresh* quorum and backs off if a competing newer held
-  record is visible.  A double grant then needs two independent missed
-  intersections (the competitor's REQUEST read *and* this verify read),
-  pushing its probability from ε to ~ε² — small enough that the CI
-  coordination-safety job can assert **zero** simultaneous grants outright.
+  record is visible.
+
+These do not make the lock exclusive.  A replica keeps one record per
+variable, so other clients' newer records (a back-off "released" record,
+the next acquirer's "held" write) overwrite a holder's record while it
+holds, until fewer than ``k`` replicas vouch for it and a second client is
+granted.  ``tests/apps/test_lock_double_grant.py`` reproduces this as a
+seeded run on the ε = 0 example shape (a strict xfail).
 
 :func:`run_lock_load` is the matching load harness: ``clients`` contenders
 acquire/hold/release over shared lock names under live crash churn, and the
 report carries throughput, wait-time percentiles, a Jain fairness index over
 per-client grants and a starvation count — plus the ``double_grants``
-safety counter the conformance and CI gates pin at zero.
+safety counter.  A holder counts only while it holds across an ``await``:
+with ``hold_time=0`` it is added and discarded in one step, so the counter
+cannot be nonzero.
 """
 
 from __future__ import annotations
@@ -278,11 +284,9 @@ class AsyncQuorumMutex:
             if competitors:
                 # Any competing held record — newer (it outranks ours) or
                 # older (its writer may not have seen ours and may believe
-                # it holds) — means concede rather than risk a double hold.
-                # A double grant therefore needs both contenders' reads to
-                # miss the other's record: two independent ε-events, so the
-                # double-grant probability drops from ε to ~ε².  Conceding
-                # annuls our own record with a released write (fencing only
+                # it holds) — means concede rather than risk a double hold
+                # (this does not exclude one: see the module docstring).
+                # Conceding annuls our own record with a released write (fencing only
                 # *our* grants, never the competitor's), so a backed-off
                 # record cannot linger as a phantom holder blocking others.
                 self.back_offs += 1
@@ -478,11 +482,11 @@ class LockLoadReport:
     rpc_failures: int
     #: Simultaneous grants on one lock name — the harness's safety counter,
     #: incremented whenever a grant lands while another client's grant on
-    #: the same lock is still unreleased.  The CI coordination-safety gate
-    #: pins this at zero.
+    #: the same lock is still unreleased (never, with ``hold_time=0``).
     double_grants: int
     #: Credible records that were not lock records (fabricated values the
-    #: register frontend accepted).  The same gate pins this at zero too.
+    #: register frontend accepted).  The CI coordination-safety gate pins
+    #: this at zero.
     fabricated_records: int
     wait_times: List[float]
     grants_per_client: List[int]

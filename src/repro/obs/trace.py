@@ -130,7 +130,7 @@ class QuorumTrace:
         self.quorum: Tuple[int, ...] = ()
         self.spans: List[RpcSpan] = []
         #: Selection-rule inputs and verdict, stamped by the register
-        #: frontend: ``{"rule", "threshold", "replies", "timestamp", ...}``.
+        #: frontend: ``{"signed", "threshold", "replies", "verdict", ...}``.
         self.selection: Optional[Dict[str, Any]] = None
         #: The harness's final outcome label (``fresh``/``stale``/...).
         self.classification: Optional[str] = None

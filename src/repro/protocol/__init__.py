@@ -2,8 +2,9 @@
 
 Section 3.1 of the paper gives a single-writer, multi-reader access protocol
 that approximates a *safe* variable; Sections 4 and 5 adapt the read side
-for Byzantine environments with and without self-verifying data.  This
-subpackage implements all three against the
+for Byzantine environments with and without self-verifying data.  The three
+differ only in the read rule, so this subpackage implements them as one
+register with three rules, against the
 :class:`~repro.simulation.cluster.Cluster` facade:
 
 * :mod:`repro.protocol.timestamps` — writer-local monotone timestamps;
@@ -13,11 +14,9 @@ subpackage implements all three against the
   threshold plus optional signature scheme) that every reader — these
   registers, the async service frontends, the gossip verifiers, the lock
   and the voting service — filters and selects replies through;
-* :mod:`repro.protocol.variable` — the ε-intersecting protocol of §3.1;
-* :mod:`repro.protocol.dissemination_variable` — the verifiable-data
-  protocol of §4;
-* :mod:`repro.protocol.masking_variable` — the threshold-read protocol of
-  §5;
+* :mod:`repro.protocol.variable` — the register: the access protocol of
+  §3.1, reading through ``ReadRule()`` (§3.1), a signed rule (§4,
+  verifiable data) or a thresholded rule (§5, arbitrary data);
 * :mod:`repro.protocol.lock` — quorum-based advisory locks (the Phalanx-style
   building block behind the §1.1 voting application);
 * :mod:`repro.protocol.write_back` — a read-repair register, the building
@@ -34,8 +33,6 @@ from repro.protocol.selection import (
     select_credible_value,
     tiebreak_key,
 )
-from repro.protocol.dissemination_variable import DisseminationRegister
-from repro.protocol.masking_variable import MaskingRegister
 from repro.protocol.lock import LockAttempt, QuorumLock
 from repro.protocol.write_back import WriteBackRegister
 
@@ -52,8 +49,6 @@ __all__ = [
     "SelectedValue",
     "select_credible_value",
     "tiebreak_key",
-    "DisseminationRegister",
-    "MaskingRegister",
     "QuorumLock",
     "LockAttempt",
     "WriteBackRegister",

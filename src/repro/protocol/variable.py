@@ -1,12 +1,40 @@
-"""The ε-intersecting access protocol of Section 3.1.
+"""The register of Sections 3.1, 4 and 5: one access protocol, three read rules.
 
 A single writer and multiple readers share a replicated variable ``x``.  To
 write, the client draws a quorum from the access strategy, picks a timestamp
 larger than any it used before, and updates every server of the quorum.  To
-read, the client draws a quorum, queries it, and returns the value carrying
-the highest timestamp.  Theorem 3.2: if a read is not concurrent with any
-write and only crash failures occur, the read returns the last written value
-with probability at least ``1 - ε``.
+read, the client draws a quorum, queries it, keeps the replies its
+:class:`~repro.protocol.selection.ReadRule` believes, and returns the value
+carrying the highest timestamp.  The paper's three protocols differ only in
+that rule (a scenario's is
+:meth:`~repro.simulation.scenario.ScenarioSpec.read_rule`):
+
+* **Section 3.1** (``ReadRule()``): every reply competes.  Theorem 3.2: if
+  a read is not concurrent with any write and only crash failures occur,
+  the read returns the last written value with probability at least
+  ``1 - ε``.
+* **Section 4, self-verifying data** (``ReadRule(signatures=s)``): the
+  writer signs each value/timestamp pair and readers discard replies whose
+  signature does not verify (counted in ``forged_replies_rejected``).
+  Theorem 4.2: with at most ``b`` Byzantine servers, a read not concurrent
+  with any write returns the last written value with probability at least
+  ``1 - ε``, the ε of the (b,ε)-dissemination system.  A Byzantine server
+  can *suppress* its reply or *replay* an old, correctly signed value, but
+  verification filters out any fabricated one, so only staleness — not
+  corruption — is possible.  Readers hold the writer's scheme (in a real
+  deployment, its public key); servers never see it.
+* **Section 5, arbitrary data** (``ReadRule(threshold=k)``): a reader
+  cannot tell a fabricated reply from a genuine one, so each candidate pair
+  needs at least ``k`` vouching votes from the read quorum (step 3 of the
+  Section 5 Read; ``k = ⌈q²/2n⌉`` for the paper's ``Rk(n, q)``), and the
+  read returns ⊥ when no pair clears it.  Theorem 5.2: with at most ``b``
+  Byzantine servers, a read not concurrent with any write returns the last
+  written value with probability at least ``1 - ε``.  When it does not, the
+  result is either stale/⊥ (too few up-to-date correct servers were hit)
+  or — only if at least ``k`` faulty servers were hit — a fabricated value.
+  These are the two terms of Lemma 5.7/5.9, and :class:`ReadOutcome`
+  records the winner's ``votes`` and the rule's ``threshold`` so the
+  Monte-Carlo harness can track them separately.
 
 The register purposely does *not* hide the probabilistic nature of the
 guarantee: :class:`ReadOutcome` reports which servers contributed the chosen
@@ -46,11 +74,12 @@ class WriteOutcome:
 
 @dataclass(frozen=True)
 class ReadOutcome:
-    """Result of a read: the chosen value and where it came from.
+    """Result of a read: the chosen value, where it came from, and its votes.
 
     ``value is None`` together with ``is_empty`` means the read returned ⊥
-    (no server replied with any value) — the "safe variable" analogue of an
-    uninitialised register.
+    (no pair cleared the rule) — the "safe variable" analogue of an
+    uninitialised register.  ``votes`` is how many servers vouched for the
+    chosen pair (0 for ⊥) and ``threshold`` the rule's vote threshold.
     """
 
     value: Any
@@ -58,32 +87,38 @@ class ReadOutcome:
     quorum: Quorum
     reporting_servers: frozenset
     replies: int
+    votes: int = 0
+    threshold: int = 1
 
     @property
     def is_empty(self) -> bool:
         """Whether the read obtained no value at all."""
         return self.timestamp is None
 
+    @property
+    def passed_threshold(self) -> bool:
+        """Whether some value collected at least ``threshold`` matching votes."""
+        return not self.is_empty and self.votes >= self.threshold
+
     @classmethod
     def from_selection(
         cls, selected: Optional[SelectedValue], quorum: Quorum, replies: int, threshold: int
     ) -> "ReadOutcome":
-        """The outcome of a read whose rule chose ``selected`` (``None`` is ⊥).
-
-        ``threshold`` is the rule's; outcome types that report it record it.
-        """
+        """The outcome of a read whose rule chose ``selected`` (``None`` is ⊥)."""
         if selected is None:
-            return cls(None, None, quorum, frozenset(), replies)
-        return cls(selected.value, selected.timestamp, quorum, selected.servers, replies)
+            return cls(None, None, quorum, frozenset(), replies, 0, threshold)
+        return cls(
+            selected.value, selected.timestamp, quorum, selected.servers, replies,
+            selected.votes, threshold,
+        )
 
 
 class ProbabilisticRegister:
-    """Single-writer multi-reader register over an ε-intersecting system.
+    """Single-writer multi-reader register over a probabilistic quorum system.
 
-    Every variant reads through its :class:`~repro.protocol.selection.ReadRule`
-    (the class attribute :attr:`rule`, the benign Section 3.1 rule here) and
-    reports an :attr:`outcome_type`; the Section 4 and 5 registers only set
-    those two.
+    One class serves the three protocols of the module docstring: the
+    :class:`~repro.protocol.selection.ReadRule` passed as ``rule`` is the
+    only difference between them.
 
     Parameters
     ----------
@@ -101,10 +136,11 @@ class ProbabilisticRegister:
         Theorem 3.2), which this class enforces.
     rng:
         Random source for quorum sampling; seed it for reproducible runs.
+    rule:
+        The read rule: ``ReadRule()`` (Section 3.1, the default),
+        ``ReadRule(signatures=s)`` (Section 4) or ``ReadRule(threshold=k)``
+        (Section 5).
     """
-
-    rule: ReadRule = ReadRule()
-    outcome_type = ReadOutcome
 
     def __init__(
         self,
@@ -113,6 +149,7 @@ class ProbabilisticRegister:
         name: str = "x",
         writer_id: int = 0,
         rng: Optional[random.Random] = None,
+        rule: ReadRule = ReadRule(),
     ) -> None:
         if system.n != cluster.n:
             raise ProtocolError(
@@ -122,6 +159,7 @@ class ProbabilisticRegister:
         self.cluster = cluster
         self.name = str(name)
         self.rng = rng or fresh_rng()
+        self.rule = rule
         self._timestamps = TimestampGenerator(writer_id)
         self._last_written: Optional[WriteOutcome] = None
         self.writes_performed = 0
@@ -166,7 +204,7 @@ class ProbabilisticRegister:
     def read(self) -> ReadOutcome:
         """Read the register: filter the replies, then highest timestamp wins.
 
-        The register's :attr:`rule` decides which replies are credible
+        The register's ``rule`` decides which replies are credible
         (Section 4 discards unverifiable ones) and how many votes a pair
         needs (Section 5).  Ties between distinct values at the winning
         timestamp — possible only under Byzantine failures — resolve by the
@@ -178,7 +216,7 @@ class ProbabilisticRegister:
         self.reads_performed += 1
         credible = self.rule.credible(self.name, replies)
         self.forged_replies_rejected += len(replies) - len(credible)
-        return self.outcome_type.from_selection(
+        return ReadOutcome.from_selection(
             self.rule.select(credible), quorum, len(replies), self.rule.threshold
         )
 
@@ -201,8 +239,8 @@ class ProbabilisticRegister:
 
         Returns one of :data:`repro.protocol.classification.OUTCOME_LABELS`
         (``"fresh"``, ``"stale"``, ``"empty"`` or ``"fabricated"``) via the
-        shared classifier, so every register variant — and the batched
-        engine — labels outcomes identically.
+        shared classifier, so every read rule — and the batched engine —
+        labels outcomes identically.
         """
         from repro.protocol.classification import classify_read_outcome
 

@@ -26,6 +26,7 @@ import random
 from typing import Any, Optional
 
 from repro.core.probabilistic import ProbabilisticQuorumSystem
+from repro.protocol.selection import ReadRule
 from repro.protocol.variable import ProbabilisticRegister, ReadOutcome
 from repro.simulation.cluster import Cluster
 
@@ -37,7 +38,9 @@ class WriteBackRegister(ProbabilisticRegister):
     :class:`~repro.protocol.variable.ProbabilisticRegister`; the read
     protocol adds step 5: write the chosen value/timestamp back to a freshly
     drawn quorum (keeping the *writer's* timestamp, so the single-writer
-    ordering is preserved).
+    ordering is preserved).  ``rule`` is the read rule, as for
+    :class:`~repro.protocol.variable.ProbabilisticRegister`; a signed rule
+    signs the written-back pair as the writer did.
     """
 
     def __init__(
@@ -47,8 +50,9 @@ class WriteBackRegister(ProbabilisticRegister):
         name: str = "x",
         writer_id: int = 0,
         rng: Optional[random.Random] = None,
+        rule: ReadRule = ReadRule(),
     ) -> None:
-        super().__init__(system, cluster, name=name, writer_id=writer_id, rng=rng)
+        super().__init__(system, cluster, name=name, writer_id=writer_id, rng=rng, rule=rule)
         self.write_backs_performed = 0
 
     def read(self) -> ReadOutcome:
@@ -57,7 +61,8 @@ class WriteBackRegister(ProbabilisticRegister):
         if not outcome.is_empty:
             repair_quorum = self._choose_quorum()
             self.cluster.write_quorum(
-                repair_quorum, self.name, outcome.value, outcome.timestamp
+                repair_quorum, self.name, outcome.value, outcome.timestamp,
+                signature=self.rule.sign(self.name, outcome.value, outcome.timestamp),
             )
             self.write_backs_performed += 1
         return outcome

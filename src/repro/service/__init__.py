@@ -21,9 +21,10 @@ safety under live fault injection.
 * :mod:`repro.service.dispatch` — the driver loop and the in-process
   driver: one coalesced delivery event per (node, tick) and one shared
   deadline per round, instead of a coroutine + timer per RPC;
-* :mod:`repro.service.register` — async frontends for the plain (§3.1),
-  dissemination (§4) and masking (§5) read protocols, labelled through the
-  same classifier as both Monte-Carlo engines;
+* :mod:`repro.service.register` — the async register frontend, reading
+  through the plain (§3.1), signed (§4) or thresholded (§5)
+  :class:`~repro.protocol.selection.ReadRule` and labelled through the same
+  classifier as both Monte-Carlo engines;
 * :mod:`repro.service.wire` — the socket transport's length-prefixed,
   type-tagged JSON frame codec (round-trip safe for every protocol payload,
   resilient to arbitrary chunk boundaries);
@@ -70,12 +71,7 @@ from repro.service.sharding import (
 from repro.service.wire import FrameDecoder, encode_frame, pack_value, unpack_value
 from repro.service.node import NO_REPLY, ServiceNode
 from repro.service.quorum_op import QuorumOp
-from repro.service.register import (
-    AsyncDisseminationRegister,
-    AsyncMaskingRegister,
-    AsyncRegister,
-    async_register_for,
-)
+from repro.service.register import AsyncRegister, async_register_for
 from repro.service.transport import AsyncTransport
 
 __all__ = [
@@ -103,8 +99,6 @@ __all__ = [
     "ReadRpcResult",
     "WriteRpcResult",
     "AsyncRegister",
-    "AsyncDisseminationRegister",
-    "AsyncMaskingRegister",
     "async_register_for",
     "ServiceLoadSpec",
     "FaultInjectionSpec",

@@ -249,7 +249,7 @@ class AsyncQuorumClient:
     # -- protocol operations ------------------------------------------------------
 
     async def _run(
-        self, method: str, variable: str, args: tuple, lazy: bool = False
+        self, method: str, variable: str, args: tuple, lazy: Optional[int] = None
     ) -> Tuple[QuorumOp, Optional[QuorumTrace]]:
         """Draw a quorum, have the dispatcher run the op, account for it."""
         trace = (
@@ -305,14 +305,17 @@ class AsyncQuorumClient:
             trace=trace,
         )
 
-    async def read(self, variable: str) -> ReadRpcResult:
+    async def read(self, variable: str, threshold: int = 1) -> ReadRpcResult:
         """Fan a read out to a strategy-drawn quorum, topping up on failure.
 
-        Never raises: with every reply missing the register layer returns ⊥,
-        which is the protocol's own account of an unreachable quorum.
+        ``threshold`` is the reader's vote threshold: with
+        :attr:`lazy_fallback` on, a degraded first round holding that many
+        value-bearing replies settles without a top-up.  Never raises: with
+        every reply missing the register layer returns ⊥, which is the
+        protocol's own account of an unreachable quorum.
         """
         op, trace = await self._run(
-            "read", variable, (variable,), lazy=self.lazy_fallback
+            "read", variable, (variable,), lazy=threshold if self.lazy_fallback else None
         )
         if trace is not None:
             self.tracer.finish(trace)

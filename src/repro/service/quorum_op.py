@@ -70,9 +70,9 @@ class QuorumOp:
         Whether a round that left silent members is followed by top-up
         rounds.  Without it the op is exactly one round.
     lazy:
-        Skip the top-up when the first round can already settle a read:
-        at least ``read_threshold`` value-bearing replies (see
-        :meth:`settleable`).
+        The vote count that settles a read: when the first round holds at
+        least that many value-bearing replies the top-up is skipped (see
+        :meth:`settleable`).  ``None`` (the default) always tops up.
     """
 
     __slots__ = (
@@ -86,7 +86,7 @@ class QuorumOp:
         system: Any = None,
         rng: Optional[random.Random] = None,
         repair: bool = False,
-        lazy: bool = False,
+        lazy: Optional[int] = None,
     ) -> None:
         self.quorum = tuple(quorum)
         self.system = system
@@ -135,14 +135,14 @@ class QuorumOp:
 
         Members that have not answered are written off (a later answer is
         not counted).  The first round is topped up only when it came back
-        short, ``repair`` is on and — for a ``lazy`` op — the replies in
-        hand cannot already settle the read.
+        short, ``repair`` is on and — for a lazy op — the replies in hand
+        cannot already settle the read.
         """
         self.pending = {}
         if self.rounds == 1 and not (
             len(self.replies) < len(self.quorum)
             and self.repair
-            and not (self.lazy and self.settleable())
+            and not self.settleable()
         ):
             return ()
         self.fell_back = True
@@ -173,17 +173,18 @@ class QuorumOp:
     # -- the verdict --------------------------------------------------------------
 
     def settleable(self) -> bool:
-        """Whether the replies in hand can already settle a read.
+        """Whether a lazy op's replies in hand can already settle its read.
 
-        At least ``read_threshold`` value-bearing replies (one for the
-        benign and dissemination protocols, ``⌈k⌉`` for masking) means the
-        selection rule has enough votes to pick a winner; chasing the
-        missing servers into a top-up round buys nothing anti-entropy is
-        not already providing in the background.
+        At least ``lazy`` value-bearing replies — the read rule's threshold:
+        one for the benign and dissemination rules, ``k`` for masking —
+        means the selection rule has enough votes to pick a winner; chasing
+        the missing servers into a top-up round buys nothing anti-entropy
+        is not already providing in the background.
         """
-        threshold = int(getattr(self.system, "read_threshold", 1))
+        if self.lazy is None:
+            return False
         value_bearing = sum(1 for stored in self.replies.values() if stored is not None)
-        return value_bearing >= threshold
+        return value_bearing >= self.lazy
 
     @property
     def final_quorum(self) -> Quorum:

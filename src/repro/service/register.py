@@ -1,24 +1,22 @@
-"""Async register frontends: the three read protocols over the RPC client.
+"""The async register frontend: the three read protocols over the RPC client.
 
-Each frontend pairs an :class:`~repro.service.client.AsyncQuorumClient`
-with one :class:`~repro.protocol.selection.ReadRule` — the rule the
-synchronous registers read through — and produces the *same*
-:class:`~repro.protocol.variable.ReadOutcome` /
+:class:`AsyncRegister` pairs an
+:class:`~repro.service.client.AsyncQuorumClient` with one
+:class:`~repro.protocol.selection.ReadRule` — the rule the synchronous
+:class:`~repro.protocol.variable.ProbabilisticRegister` reads through — and
+produces the *same* :class:`~repro.protocol.variable.ReadOutcome` /
 :class:`~repro.protocol.variable.WriteOutcome` objects, labelled through
-:mod:`repro.protocol.classification` — so an outcome observed by the live
-service means exactly what it means to both Monte-Carlo engines.
-
-* :class:`AsyncRegister` — the benign Section 3.1 read (any reply competes);
-* :class:`AsyncDisseminationRegister` — Section 4: writes are signed and
-  unverifiable replies are discarded before selection;
-* :class:`AsyncMaskingRegister` — Section 5: a value/timestamp pair needs at
-  least ``k`` vouching votes from the read quorum.
-
-The three classes differ only in the rule (and outcome type) they set;
-writing, reading, enumerating and tracing are :class:`AsyncRegister`'s.
-:func:`async_register_for` resolves the frontend from a declarative
-:class:`~repro.simulation.scenario.ScenarioSpec`, mirroring the spec's
-sequential ``register_factory`` lowering.
+:mod:`repro.protocol.classification`, so an outcome observed by the live
+service means exactly what it means to both Monte-Carlo engines.  The rule
+is the protocol: ``ReadRule()`` is the benign Section 3.1 read,
+``ReadRule(signatures=s)`` the Section 4 read (writes are signed and
+unverifiable replies are discarded before selection) and
+``ReadRule(threshold=k)`` the Section 5 read (a value/timestamp pair needs
+at least ``k`` vouching votes from the read quorum).
+:func:`async_register_for` builds the frontend of a declarative
+:class:`~repro.simulation.scenario.ScenarioSpec` with the spec's
+:meth:`~repro.simulation.scenario.ScenarioSpec.read_rule`, as the spec's
+sequential ``register_factory`` does.
 """
 
 from __future__ import annotations
@@ -27,9 +25,7 @@ from typing import Any, Callable, Optional
 
 from repro.exceptions import ProtocolError
 from repro.protocol.classification import classify_read_outcome
-from repro.protocol.masking_variable import MaskingReadOutcome
 from repro.protocol.selection import ReadRule, SelectedValue
-from repro.protocol.signatures import SignatureScheme
 from repro.protocol.timestamps import Timestamp, TimestampGenerator
 from repro.protocol.variable import ReadOutcome, WriteOutcome
 from repro.service.client import AsyncQuorumClient, ReadRpcResult
@@ -37,19 +33,18 @@ from repro.simulation.scenario import ScenarioSpec
 
 
 class AsyncRegister:
-    """Single-writer multi-reader register frontend (Section 3.1, async)."""
-
-    rule: ReadRule = ReadRule()
-    outcome_type = ReadOutcome
+    """Single-writer multi-reader register frontend reading through ``rule``."""
 
     def __init__(
         self,
         client: AsyncQuorumClient,
         name: str = "x",
         writer_id: int = 0,
+        rule: ReadRule = ReadRule(),
     ) -> None:
         self.client = client
         self.name = str(name)
+        self.rule = rule
         self._timestamps = TimestampGenerator(writer_id)
         self._last_written: Optional[WriteOutcome] = None
         self.writes_performed = 0
@@ -92,7 +87,7 @@ class AsyncRegister:
 
     async def _read_credible_replies(self) -> tuple:
         """One quorum read: the RPC result and the replies the rule believes."""
-        result = await self.client.read(self.name)
+        result = await self.client.read(self.name, self.rule.threshold)
         self.reads_performed += 1
         self.last_trace = result.trace
         credible = self.rule.credible(self.name, result.replies)
@@ -112,7 +107,7 @@ class AsyncRegister:
             return
         selection = trace.selection or {}
         selection.update(
-            rule=type(self).__name__,
+            signed=self.rule.signatures is not None,
             threshold=self.rule.threshold,
             replies=len(result.replies),
             competing=competing,
@@ -177,7 +172,7 @@ class AsyncRegister:
         selected = self.rule.select(credible)
         verdict = "empty" if selected is None else "selected"
         self._annotate_selection(result, len(credible), verdict, selected)
-        outcome = self.outcome_type.from_selection(
+        outcome = ReadOutcome.from_selection(
             selected, result.quorum, len(result.replies), self.rule.threshold
         )
         if self.client.repair_budget > 0:
@@ -215,70 +210,21 @@ class AsyncRegister:
         return classify_read_outcome(outcome, self._last_written)
 
 
-class AsyncDisseminationRegister(AsyncRegister):
-    """Self-verifying data (Section 4): sign writes, discard forgeries."""
-
-    def __init__(
-        self,
-        client: AsyncQuorumClient,
-        signatures: Optional[SignatureScheme] = None,
-        name: str = "x",
-        writer_id: int = 0,
-    ) -> None:
-        super().__init__(client, name=name, writer_id=writer_id)
-        self.signatures = signatures or SignatureScheme()
-        self.rule = ReadRule(signatures=self.signatures)
-
-
-class AsyncMaskingRegister(AsyncRegister):
-    """Arbitrary data (Section 5): ``>= k`` vouching votes per pair."""
-
-    outcome_type = MaskingReadOutcome
-
-    def __init__(
-        self,
-        client: AsyncQuorumClient,
-        name: str = "x",
-        writer_id: int = 0,
-    ) -> None:
-        if not hasattr(client.system, "read_threshold"):
-            raise ProtocolError(
-                "AsyncMaskingRegister requires a masking quorum system "
-                "with a read_threshold"
-            )
-        super().__init__(client, name=name, writer_id=writer_id)
-        self.rule = ReadRule(threshold=int(client.system.read_threshold))
-
-    @property
-    def read_threshold(self) -> int:
-        """The vote count ``⌈k⌉`` a value needs to be accepted."""
-        return self.rule.threshold
-
-
 def async_register_for(
     spec: ScenarioSpec,
     client: AsyncQuorumClient,
     name: str = "x",
     writer_id: Optional[int] = None,
 ) -> AsyncRegister:
-    """Build the frontend a scenario's resolved register kind calls for.
+    """Build the frontend of a scenario: its read rule, its writer identity.
 
-    Mirrors :meth:`repro.simulation.scenario.ScenarioSpec.register_factory`,
-    so one declarative spec describes a Monte-Carlo experiment *and* a live
+    The async half of
+    :meth:`repro.simulation.scenario.ScenarioSpec.register_factory`, so one
+    declarative spec describes a Monte-Carlo experiment *and* a live
     service deployment with identical read semantics.  ``writer_id``
     overrides the spec's writer identity (contending writers of one
-    scenario each bind their own); all writers share the spec's signing
-    key, so every writer's records verify under one dissemination scheme.
+    scenario each bind their own); all writers share the spec's rule, so
+    every writer's records verify under one dissemination scheme.
     """
     resolved_writer = spec.writer_id if writer_id is None else int(writer_id)
-    kind = spec.resolved_register_kind()
-    if kind == "masking":
-        return AsyncMaskingRegister(client, name=name, writer_id=resolved_writer)
-    if kind == "dissemination":
-        return AsyncDisseminationRegister(
-            client,
-            signatures=spec.read_rule().signatures,
-            name=name,
-            writer_id=resolved_writer,
-        )
-    return AsyncRegister(client, name=name, writer_id=resolved_writer)
+    return AsyncRegister(client, name=name, writer_id=resolved_writer, rule=spec.read_rule())

@@ -301,13 +301,13 @@ class ScenarioSpec:
     ) -> Callable[["Cluster", random.Random], "ProbabilisticRegister"]:
         """A per-trial register factory for the sequential oracle engine.
 
-        ``writer_index`` selects which of the scenario's concurrent writers
-        the register writes as (identity ``writer_id + writer_index``); all
-        indices share the scenario's signing key, so every writer's records
-        verify under the same dissemination scheme.
+        Every register reads through :meth:`read_rule`; the write-back kind
+        is the one that needs its own class.  ``writer_index`` selects which
+        of the scenario's concurrent writers the register writes as
+        (identity ``writer_id + writer_index``); all indices share the
+        scenario's rule, so every writer's records verify under the same
+        dissemination scheme.
         """
-        from repro.protocol.dissemination_variable import DisseminationRegister
-        from repro.protocol.masking_variable import MaskingRegister
         from repro.protocol.variable import ProbabilisticRegister
         from repro.protocol.write_back import WriteBackRegister
 
@@ -316,22 +316,14 @@ class ScenarioSpec:
                 f"writer index {writer_index} out of range for {self.writers} writer(s)"
             )
         writer_id = self.writer_id + writer_index
-        kind = self.resolved_register_kind()
-        if kind == "masking":
-            return lambda cluster, rng: MaskingRegister(
-                self.system, cluster, writer_id=writer_id, rng=rng
-            )
-        if kind == "dissemination":
-            scheme = self.read_rule().signatures
-            return lambda cluster, rng: DisseminationRegister(
-                self.system, cluster, signatures=scheme, writer_id=writer_id, rng=rng
-            )
-        if kind == "write-back":
-            return lambda cluster, rng: WriteBackRegister(
-                self.system, cluster, writer_id=writer_id, rng=rng
-            )
-        return lambda cluster, rng: ProbabilisticRegister(
-            self.system, cluster, writer_id=writer_id, rng=rng
+        rule = self.read_rule()
+        register = (
+            WriteBackRegister
+            if self.resolved_register_kind() == "write-back"
+            else ProbabilisticRegister
+        )
+        return lambda cluster, rng: register(
+            self.system, cluster, writer_id=writer_id, rng=rng, rule=rule
         )
 
     def describe(self) -> str:

@@ -93,7 +93,7 @@ def run_traced(spec: LockLoadSpec, monkeypatch):
 
 
 def test_the_example_shape_allows_no_epsilon():
-    q, n = 24, EXAMPLE_SYSTEM.n
+    q, n = EXAMPLE_SYSTEM.quorum_size, EXAMPLE_SYSTEM.n
     overlap_correct = (2 * q - n) - EXAMPLE_SYSTEM.byzantine_threshold
     assert overlap_correct > EXAMPLE_SYSTEM.read_threshold == 8
 

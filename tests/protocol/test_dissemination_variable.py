@@ -7,9 +7,10 @@ import random
 import pytest
 
 from repro.core.dissemination import ProbabilisticDisseminationSystem
-from repro.protocol.dissemination_variable import DisseminationRegister
+from repro.protocol.selection import ReadRule
 from repro.protocol.signatures import SignatureScheme
 from repro.protocol.timestamps import Timestamp
+from repro.protocol.variable import ProbabilisticRegister
 from repro.simulation.cluster import Cluster
 from repro.simulation.failures import FailurePlan
 from repro.simulation.server import (
@@ -22,11 +23,11 @@ from repro.simulation.server import (
 def make_register(n=50, b=10, plan=None, seed=0, epsilon=1e-2):
     system = ProbabilisticDisseminationSystem.for_epsilon(n, b, epsilon)
     cluster = Cluster(n, failure_plan=plan or FailurePlan.none(), seed=seed)
-    register = DisseminationRegister(
+    register = ProbabilisticRegister(
         system,
         cluster,
-        signatures=SignatureScheme(b"election-key"),
         rng=random.Random(seed),
+        rule=ReadRule(signatures=SignatureScheme(b"election-key")),
     )
     return system, cluster, register
 
@@ -38,7 +39,7 @@ class TestSignedWrites:
         for server_id in outcome.quorum:
             stored = cluster.server(server_id).storage.get("x")
             assert stored is not None
-            assert register.signatures.verify("x", stored.value, stored.timestamp, stored.signature)
+            assert register.rule.signatures.verify("x", stored.value, stored.timestamp, stored.signature)
 
     def test_timestamps_increase(self):
         _, _, register = make_register()
@@ -107,7 +108,9 @@ class TestByzantineReads:
                 rng=rng,
             )
             cluster = Cluster(n, failure_plan=plan, seed=seed)
-            register = DisseminationRegister(system, cluster, signatures=scheme, rng=rng)
+            register = ProbabilisticRegister(
+                system, cluster, rng=rng, rule=ReadRule(signatures=scheme)
+            )
             write = register.write("honest")
             outcome = register.read()
             if outcome.timestamp != write.timestamp or outcome.value != "honest":

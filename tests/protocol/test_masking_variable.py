@@ -6,11 +6,11 @@ import random
 
 import pytest
 
-from repro.core.epsilon_intersecting import UniformEpsilonIntersectingSystem
 from repro.core.masking import ProbabilisticMaskingSystem
 from repro.exceptions import ProtocolError
-from repro.protocol.masking_variable import MaskingRegister
+from repro.protocol.selection import ReadRule
 from repro.protocol.timestamps import Timestamp
+from repro.protocol.variable import ProbabilisticRegister
 from repro.simulation.cluster import Cluster
 from repro.simulation.failures import FailurePlan
 
@@ -18,20 +18,16 @@ from repro.simulation.failures import FailurePlan
 def make_register(n=100, b=10, epsilon=1e-2, plan=None, seed=0):
     system = ProbabilisticMaskingSystem.for_epsilon(n, b, epsilon)
     cluster = Cluster(n, failure_plan=plan or FailurePlan.none(), seed=seed)
-    register = MaskingRegister(system, cluster, rng=random.Random(seed))
+    register = ProbabilisticRegister(
+        system, cluster, rng=random.Random(seed), rule=ReadRule(threshold=system.read_threshold)
+    )
     return system, cluster, register
 
 
 class TestThresholdRead:
-    def test_requires_masking_system(self):
-        plain = UniformEpsilonIntersectingSystem(25, 10)
-        cluster = Cluster(25)
-        with pytest.raises(ProtocolError):
-            MaskingRegister(plain, cluster)
-
     def test_read_threshold_exposed(self):
         system, _, register = make_register()
-        assert register.read_threshold == system.read_threshold
+        assert register.rule.threshold == system.read_threshold
 
     def test_fresh_read_without_failures(self):
         _, _, register = make_register()
@@ -39,7 +35,7 @@ class TestThresholdRead:
         outcome = register.read()
         assert outcome.value == "value"
         assert outcome.timestamp == write.timestamp
-        assert outcome.votes >= register.read_threshold
+        assert outcome.votes >= register.rule.threshold
         assert outcome.passed_threshold
         assert register.classify_read(outcome) == "fresh"
 
@@ -58,7 +54,7 @@ class TestThresholdRead:
         system, cluster, register = make_register(n=100, b=10)
         write = register.write("value")
         holders = sorted(write.quorum)
-        for server in holders[: len(holders) - (register.read_threshold - 1)]:
+        for server in holders[: len(holders) - (register.rule.threshold - 1)]:
             cluster.crash(server)
         outcome = register.read()
         assert outcome.value in (None, "value")
@@ -82,7 +78,9 @@ class TestByzantineMasking:
                 n, b, "FORGED", Timestamp.forged_maximum(), rng=rng
             )
             cluster = Cluster(n, failure_plan=plan, seed=seed)
-            register = MaskingRegister(system, cluster, rng=rng)
+            register = ProbabilisticRegister(
+                system, cluster, rng=rng, rule=ReadRule(threshold=system.read_threshold)
+            )
             register.write("honest")
             outcome = register.read()
             if outcome.value == "FORGED":
@@ -100,7 +98,9 @@ class TestByzantineMasking:
                 n, b, "FORGED", Timestamp.forged_maximum(), rng=rng
             )
             cluster = Cluster(n, failure_plan=plan, seed=seed)
-            register = MaskingRegister(system, cluster, rng=rng)
+            register = ProbabilisticRegister(
+                system, cluster, rng=rng, rule=ReadRule(threshold=system.read_threshold)
+            )
             write = register.write("honest")
             outcome = register.read()
             if outcome.timestamp != write.timestamp:
@@ -115,7 +115,9 @@ class TestByzantineMasking:
             n, n, "FORGED", Timestamp.forged_maximum(), rng=random.Random(0)
         )
         cluster = Cluster(n, failure_plan=plan, seed=0)
-        register = MaskingRegister(system, cluster, rng=random.Random(0))
+        register = ProbabilisticRegister(
+            system, cluster, rng=random.Random(0), rule=ReadRule(threshold=system.read_threshold)
+        )
         register.write("honest")
         outcome = register.read()
         assert outcome.value == "FORGED"

@@ -30,9 +30,10 @@ from repro.apps.voting import VotingService
 from repro.core.dissemination import ProbabilisticDisseminationSystem
 from repro.core.epsilon_intersecting import UniformEpsilonIntersectingSystem
 from repro.core.masking import ProbabilisticMaskingSystem
-from repro.protocol.dissemination_variable import DisseminationRegister
+from repro.protocol.selection import ReadRule
 from repro.protocol.signatures import SignatureScheme
 from repro.protocol.timestamps import Timestamp
+from repro.protocol.variable import ProbabilisticRegister
 from repro.service.load import ServiceLoadSpec
 from repro.simulation.cluster import Cluster
 from repro.simulation.failures import FailureModel, FailurePlan
@@ -117,8 +118,8 @@ def staleness_case(system: str, failure: str, gossip: int, seed: int) -> Callabl
 def legacy_factory_case() -> str:
     scheme = SignatureScheme(b"legacy")
     report = estimate_read_consistency(
-        lambda cluster, rng: DisseminationRegister(
-            DISSEMINATION, cluster, signatures=scheme, rng=rng
+        lambda cluster, rng: ProbabilisticRegister(
+            DISSEMINATION, cluster, rng=rng, rule=ReadRule(signatures=scheme)
         ),
         n=25,
         plan_factory=lambda rng: FailurePlan.colluding_forgers(

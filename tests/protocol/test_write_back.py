@@ -7,6 +7,8 @@ import random
 import pytest
 
 from repro.core.epsilon_intersecting import UniformEpsilonIntersectingSystem
+from repro.protocol.selection import ReadRule
+from repro.protocol.signatures import SignatureScheme
 from repro.protocol.variable import ProbabilisticRegister
 from repro.protocol.write_back import WriteBackRegister
 from repro.simulation.cluster import Cluster
@@ -53,6 +55,17 @@ class TestWriteBack:
             stored = server.storage.get("x")
             if stored is not None:
                 assert stored.timestamp == write.timestamp
+
+    def test_a_signed_rule_signs_the_written_back_pair(self):
+        rule = ReadRule(signatures=SignatureScheme(b"writer"))
+        system = UniformEpsilonIntersectingSystem(36, 8)
+        cluster = Cluster(36, seed=0)
+        register = WriteBackRegister(system, cluster, rng=random.Random(0), rule=rule)
+        register.write("value")
+        register.read()
+        stored = [server.storage["x"] for server in cluster.servers if "x" in server.storage]
+        assert len(stored) > 8  # the write quorum plus the repaired replicas
+        assert all(rule.verifies("x", record) for record in stored)
 
     def test_read_repair_reduces_future_misses(self):
         # With a loose construction, repeated plain reads keep the same miss

@@ -17,18 +17,15 @@ from repro.core.epsilon_intersecting import (
 from repro.core.masking import ProbabilisticMaskingSystem
 from repro.exceptions import ConfigurationError, QuorumUnavailableError
 from repro.obs.trace import Tracer
+from repro.protocol.selection import ReadRule
+from repro.protocol.signatures import SignatureScheme
 from repro.protocol.timestamps import Timestamp
 from repro.quorum.grid import GridQuorumSystem
 from repro.quorum.probe import UniformProbeStrategy, oracle_from_alive_set
 from repro.service.client import AsyncQuorumClient
 from repro.service.node import ServiceNode
 from repro.service.quorum_op import MAX_TOP_UP_ROUNDS
-from repro.service.register import (
-    AsyncDisseminationRegister,
-    AsyncMaskingRegister,
-    AsyncRegister,
-    async_register_for,
-)
+from repro.service.register import AsyncRegister, async_register_for
 from repro.service.transport import AsyncTransport
 from repro.simulation.scenario import ScenarioSpec
 from repro.simulation.server import ByzantineForgeBehavior, ByzantineSilentBehavior
@@ -308,12 +305,12 @@ class TestAsyncRegisters:
     def test_plain_register_accepts_forgeries_masking_filters_them(self):
         # The same attack, two read rules: a forged maximal timestamp wins a
         # benign read but cannot collect k=2 vouching votes with one forger.
-        async def scenario(register_cls, system):
+        async def scenario(rule, system):
             nodes, client = deploy(system, seed=9)
             nodes[0].set_behavior(
                 ByzantineForgeBehavior("FORGED", Timestamp.forged_maximum())
             )
-            register = register_cls(client)
+            register = AsyncRegister(client, rule=rule)
             await register.write("honest")
             labels = set()
             for _ in range(40):
@@ -321,8 +318,8 @@ class TestAsyncRegisters:
                 labels.add(register.classify_read(outcome))
             return labels
 
-        plain_labels = run(scenario(AsyncRegister, PLAIN))
-        masking_labels = run(scenario(AsyncMaskingRegister, MASKING))
+        plain_labels = run(scenario(ReadRule(), PLAIN))
+        masking_labels = run(scenario(ReadRule(threshold=MASKING.read_threshold), MASKING))
         assert "fabricated" in plain_labels
         assert "fabricated" not in masking_labels
         assert "fresh" in masking_labels
@@ -335,7 +332,7 @@ class TestAsyncRegisters:
             )
 
         async def scenario():
-            register = AsyncDisseminationRegister(client)
+            register = AsyncRegister(client, rule=ReadRule(signatures=SignatureScheme()))
             await register.write("signed")
             for _ in range(20):
                 outcome = await register.read()
@@ -345,28 +342,22 @@ class TestAsyncRegisters:
         rejected = run(scenario())
         assert rejected > 0
 
-    def test_masking_register_requires_a_threshold_system(self):
-        _, client = deploy(PLAIN)
-        from repro.exceptions import ProtocolError
-
-        with pytest.raises(ProtocolError):
-            AsyncMaskingRegister(client)
-
     def test_async_register_for_resolves_the_scenario_kind(self):
-        for system, expected in (
-            (PLAIN, AsyncRegister),
-            (DISSEMINATION, AsyncDisseminationRegister),
-            (MASKING, AsyncMaskingRegister),
+        for system, threshold, signed in (
+            (PLAIN, 1, False),
+            (DISSEMINATION, 1, True),
+            (MASKING, MASKING.read_threshold, False),
         ):
             _, client = deploy(system)
             register = async_register_for(ScenarioSpec(system=system), client)
-            assert type(register) is expected
+            assert register.rule.threshold == threshold
+            assert (register.rule.signatures is not None) == signed
         # Forcing plain over a masking system mirrors the spec's escape hatch.
         _, client = deploy(MASKING)
         forced = async_register_for(
             ScenarioSpec(system=MASKING, register_kind="plain"), client
         )
-        assert type(forced) is AsyncRegister
+        assert forced.rule == ReadRule()
 
     def test_service_outcomes_match_the_sequential_register_semantics(self):
         # One deterministic state: 3 servers store the old version, the rest
@@ -375,7 +366,7 @@ class TestAsyncRegisters:
         nodes, client = deploy(MASKING, seed=2)
 
         async def scenario():
-            register = AsyncMaskingRegister(client)
+            register = AsyncRegister(client, rule=ReadRule(threshold=MASKING.read_threshold))
             await register.write("v1")
             await register.write("v2")
             outcome = await register.read()

@@ -37,7 +37,7 @@ from repro.service.client import AsyncQuorumClient, ReadRpcResult
 from repro.service.gossip import GossipService, NodeClusterView, scenario_verifier
 from repro.service.load import ServiceLoadReport, ServiceLoadSpec
 from repro.service.node import ServiceNode
-from repro.service.register import AsyncRegister
+from repro.service.register import AsyncRegister, async_register_for
 from repro.service.transport import AsyncTransport
 from repro.simulation.scenario import AntiEntropySpec, ScenarioSpec
 from repro.simulation.server import ByzantineForgeBehavior, StoredValue
@@ -244,6 +244,30 @@ class TestLazyFallback:
 
         run(scenario())
         assert client.probe_fallbacks >= 1
+
+    def test_a_forced_plain_read_settles_on_its_own_threshold(self):
+        # One first round over a masking system (k = 2): a single
+        # value-bearing reply and one crashed member.  The count that
+        # settles a lazy read is the reader's rule's threshold, so a plain
+        # reader forced onto the system settles it and a masking reader
+        # tops up.
+        def degraded_read(register_kind):
+            nodes, client = deploy_client(MASKING, seed=5, lazy_fallback=True)
+            quorum = client._next_quorum()
+            client._pool.append(quorum)  # the read's first round asks this quorum
+            seed_value(nodes[quorum[0]])
+            nodes[quorum[1]].crash()
+            spec = ScenarioSpec(
+                system=MASKING, register_kind=register_kind, anti_entropy=AE
+            )
+            outcome = run(async_register_for(spec, client).read())
+            return outcome, client.probe_fallbacks
+
+        outcome, fallbacks = degraded_read("plain")
+        assert outcome.value == "v" and fallbacks == 0
+        assert len(outcome.quorum) == 10  # no spares were asked
+        _, fallbacks = degraded_read("masking")
+        assert fallbacks == 1
 
     def test_degraded_writes_always_top_up(self):
         # Lazy fallback is a read-path optimisation only: a write that

@@ -10,6 +10,7 @@ import pytest
 from repro.core.masking import ProbabilisticMaskingSystem
 from repro.exceptions import RpcTimeoutError, ServiceError, WireFormatError
 from repro.obs.trace import Tracer
+from repro.protocol.selection import ReadRule
 from repro.protocol.timestamps import Timestamp
 from repro.service import net, wire
 from repro.service.client import AsyncQuorumClient
@@ -21,7 +22,7 @@ from repro.service.net import (
     remote_nodes,
 )
 from repro.service.node import ServiceNode
-from repro.service.register import AsyncMaskingRegister
+from repro.service.register import AsyncRegister
 from repro.service.wire import FrameDecoder, encode_frame
 from repro.simulation.server import ByzantineForgeBehavior, ByzantineSilentBehavior
 from tests.service.per_rpc import PerRpcDriver
@@ -538,7 +539,7 @@ class TestQuorumClientOverTcp:
                 rng=random.Random(3),
                 dispatcher=TcpDispatcher(transport),
             )
-            register = AsyncMaskingRegister(client)
+            register = AsyncRegister(client, rule=ReadRule(threshold=MASKING.read_threshold))
             write = await register.write("over-the-wire")
             assert len(write.acknowledged) == 10
             outcome = await register.read()
@@ -565,7 +566,7 @@ class TestQuorumClientOverTcp:
                 rng=random.Random(5),
                 dispatcher=TcpDispatcher(transport),
             )
-            register = AsyncMaskingRegister(client)
+            register = AsyncRegister(client, rule=ReadRule(threshold=system.read_threshold))
             await register.write("honest")
             for _ in range(10):
                 outcome = await register.read()
@@ -585,7 +586,7 @@ class TestQuorumClientOverTcp:
                 rng=random.Random(11),
                 dispatcher=TcpDispatcher(transport),
             )
-            register = AsyncMaskingRegister(client)
+            register = AsyncRegister(client, rule=ReadRule(threshold=MASKING.read_threshold))
             await register.write("durable")
             for victim in random.Random(2).sample(range(25), 10):
                 nodes[victim].crash()

@@ -17,8 +17,6 @@ from repro.core.dissemination import ProbabilisticDisseminationSystem
 from repro.core.epsilon_intersecting import UniformEpsilonIntersectingSystem
 from repro.core.masking import ProbabilisticMaskingSystem
 from repro.exceptions import ConfigurationError
-from repro.protocol.dissemination_variable import DisseminationRegister
-from repro.protocol.masking_variable import MaskingRegister
 from repro.protocol.selection import ReadRule
 from repro.protocol.variable import ProbabilisticRegister
 from repro.simulation.batch import BatchTrialEngine
@@ -66,11 +64,13 @@ class TestScenarioResolution:
         plain = ScenarioSpec(system=PLAIN).register_factory()(cluster, rng)
         assert type(plain) is ProbabilisticRegister
         masking = ScenarioSpec(system=MASKING).register_factory()(Cluster(25), rng)
-        assert isinstance(masking, MaskingRegister)
+        assert type(masking) is ProbabilisticRegister
+        assert masking.rule == ReadRule(threshold=2)
         dissemination = ScenarioSpec(system=DISSEMINATION).register_factory()(
             Cluster(25), rng
         )
-        assert isinstance(dissemination, DisseminationRegister)
+        assert type(dissemination) is ProbabilisticRegister
+        assert dissemination.rule.signatures is not None
 
     def test_write_back_kind_lowers_to_the_read_repair_oracle(self):
         from repro.protocol.write_back import WriteBackRegister

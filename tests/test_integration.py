@@ -21,10 +21,9 @@ from repro.analysis.repeated_access import union_bound_over_operations
 from repro.apps import LocationService, VotingService
 from repro.core.calibration import minimal_quorum_size_for_epsilon
 from repro.protocol import (
-    DisseminationRegister,
-    MaskingRegister,
     ProbabilisticRegister,
     QuorumLock,
+    ReadRule,
     SignatureScheme,
     WriteBackRegister,
 )
@@ -85,7 +84,9 @@ class TestByzantineScenario:
             n, b, "FORGED", Timestamp.forged_maximum(), rng=random.Random(4)
         )
         cluster = Cluster(n, failure_plan=plan, seed=4)
-        register = DisseminationRegister(system, cluster, signatures=scheme, rng=random.Random(4))
+        register = ProbabilisticRegister(
+            system, cluster, rng=random.Random(4), rule=ReadRule(signatures=scheme)
+        )
         write = register.write("genuine")
 
         def verify(variable, stored):
@@ -114,7 +115,13 @@ class TestByzantineScenario:
         )
         cluster = Cluster(n, failure_plan=plan, seed=5)
         lock = QuorumLock(system, cluster, name="writer-election", rng=random.Random(5))
-        register = MaskingRegister(system, cluster, name="ledger", rng=random.Random(6))
+        register = ProbabilisticRegister(
+            system,
+            cluster,
+            name="ledger",
+            rng=random.Random(6),
+            rule=ReadRule(threshold=system.read_threshold),
+        )
 
         assert lock.acquire(client_id=1).acquired
         register.write("entry-1")
