@@ -12,8 +12,8 @@ Four acts (in-process transport, the default):
    inspect where the value landed;
 2. a crash-heavy deployment — watch the client top its quorum up from
    servers it has not asked yet, routing around dead ones;
-3. two clients contending for a quorum-backed distributed lock —
-   REQUEST / GRANT / RELEASE over the same replicated register;
+3. two clients contending for a quorum-backed distributed lock — every
+   replica arbitrates, granting one request at a time;
 4. the full soak of the ``serve`` experiment — colluding Byzantine forgers
    at the system's declared tolerance, dropped messages, live crash churn —
    with the safety verdict that no fabricated value was ever accepted.
@@ -106,13 +106,13 @@ async def act_three_lock() -> None:
         print(f"client 1 acquired 'leader' at {grant.timestamp!r} "
               f"after {alice.requests} request round(s)")
         attempt = await bob.request()
-        print(f"client 2's request was refused: quorum read surfaced "
+        print(f"client 2's request was refused: its arbiters named "
               f"holder {attempt.holder_seen}")
         await alice.release()
         grant = await bob.acquire()
         print(f"client 1 released; client 2 then acquired at {grant.timestamp!r}")
         await bob.release()
-        print("every grant rode the same replicated register — mutual "
+        print("each replica grants one request at a time — mutual "
               "exclusion holds up to the quorums' intersection probability\n")
 
 

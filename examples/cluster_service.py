@@ -17,8 +17,9 @@ The smoke itself is the operational contract of the PODC '97 protocols:
   with a live count of simultaneous holders: more than one at any instant
   would be a double grant.  The smoke deliberately runs a quorum size
   with **ε = 0 exactly** (24-of-36: any two quorums share ≥ 12 servers,
-  ≥ ``k`` of them correct), so mutual exclusion is structural here too —
-  a CI gate must not flake on the paper's ε allowance;
+  more than the 3 Byzantine ones, and every replica's arbiter grants one
+  client at a time), so mutual exclusion is structural here too — a CI
+  gate must not flake on the paper's ε allowance;
 * **teardown** — after the ``async with`` block, every shard server
   process must be gone (asserted), whether the run succeeded or threw.
 

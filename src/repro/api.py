@@ -338,19 +338,11 @@ class Deployment:
     ):
         """A distributed-lock handle on lock ``name`` for ``client_id``.
 
-        Returns an :class:`~repro.apps.mutex.AsyncQuorumMutex` speaking
-        REQUEST / GRANT / RELEASE through a quorum client bound to the
-        shard that owns the lock's register key.  Contending clients must
-        each use a distinct ``client_id`` (it is both the holder identity
-        and the timestamp tie-break).
-
-        The pause before each verify read follows from the deployment: 0 (a
-        bare event-loop yield) when every replica shares this process's
-        event loop — any ``await`` fully applies a competitor's in-flight
-        write there — and 20ms on a multi-process
-        :class:`~repro.service.cluster.ClusterDeployment`, where a racing
-        write genuinely in flight to another process needs wall-clock time
-        to land before the verify read can be trusted to see it.
+        Returns an :class:`~repro.apps.mutex.AsyncQuorumMutex` talking to
+        the lock arbiters through a quorum client bound to the shard that
+        owns the lock's key.  Contending clients must each use a distinct
+        ``client_id`` (it is both the holder identity and the timestamp
+        tie-break).
         """
         # Imported here: repro.api is importable without pulling the apps
         # package (and its load-harness dependencies) along.
@@ -370,7 +362,6 @@ class Deployment:
             client,
             name=name,
             client_id=client_id,
-            verify_delay=0.02 if self.processes > 0 else 0.0,
             rng=rng,
         )
 

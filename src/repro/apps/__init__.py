@@ -11,10 +11,10 @@ paper motivates it:
   locations are replicated across location stores with an ε-intersecting
   system; readers tolerate (and recover from) occasionally stale answers via
   forwarding pointers, and a gossip diffusion layer keeps staleness rare;
-* :mod:`repro.apps.mutex` — the §1.1 lock as a *service*: REQUEST / GRANT /
-  RELEASE over the async quorum client (in-process or TCP), with
-  verify-after-write pushing the double-grant probability to ~ε², plus a
-  contention load harness measuring throughput, fairness and starvation.
+* :mod:`repro.apps.mutex` — the §1.1 lock as a *service*: requests queued
+  and granted by an arbiter on every replica, sent through the async quorum
+  client (in-process or TCP), plus a contention load harness measuring
+  throughput, fairness, starvation and the two safety counters.
 """
 
 from repro.apps.voting import VoteOutcome, VotingService

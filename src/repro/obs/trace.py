@@ -1,9 +1,8 @@
 """Per-operation quorum traces and the sampling collector that gathers them.
 
 A :class:`QuorumTrace` is the record of **one quorum operation** — a register
-read or write (or the lock protocol's read/write rounds riding on them) —
-from the moment the client samples a quorum to the moment the operation's
-result is classified:
+read or write, or a lock-arbiter round — from the moment the client samples
+a quorum to the moment the operation's result is classified:
 
 * which servers the quorum contained (after a degraded operation's top-up
   rounds: the answering servers it finally rests on; ``retried`` says a

@@ -17,8 +17,10 @@ register with three rules, against the
 * :mod:`repro.protocol.variable` — the register: the access protocol of
   §3.1, reading through ``ReadRule()`` (§3.1), a signed rule (§4,
   verifiable data) or a thresholded rule (§5, arbitrary data);
-* :mod:`repro.protocol.lock` — quorum-based advisory locks (the Phalanx-style
-  building block behind the §1.1 voting application);
+* :mod:`repro.protocol.arbiter` — the quorum lock's pure halves: the
+  replica's :class:`LockArbiter` and the client's :class:`LockOp`;
+* :mod:`repro.protocol.lock` — :class:`QuorumLock`, that lock on the
+  simulated cluster (the Phalanx-style building block of §1.1);
 * :mod:`repro.protocol.write_back` — a read-repair register, the building
   block the paper points at for constructing atomic variables.
 """
@@ -33,7 +35,8 @@ from repro.protocol.selection import (
     select_credible_value,
     tiebreak_key,
 )
-from repro.protocol.lock import LockAttempt, QuorumLock
+from repro.protocol.arbiter import LockArbiter, LockAttempt, LockOp
+from repro.protocol.lock import QuorumLock
 from repro.protocol.write_back import WriteBackRegister
 
 __all__ = [
@@ -49,6 +52,8 @@ __all__ = [
     "SelectedValue",
     "select_credible_value",
     "tiebreak_key",
+    "LockArbiter",
+    "LockOp",
     "QuorumLock",
     "LockAttempt",
     "WriteBackRegister",

@@ -125,13 +125,11 @@ def enumerate_credible_values(
     """Every value/timestamp pair clearing the vote threshold, not just the winner.
 
     The register protocols only ever need :func:`select_credible_value` —
-    highest timestamp wins, the rest is garbage.  Coordination protocols
-    built *on* the register (the lock service in :mod:`repro.apps.mutex`)
-    also need the losers: an older held-lock record outranked by the
-    reader's own write never wins selection, yet it still evidences a
-    competing holder that must be conceded to.  Grouping and thresholding
-    are identical to :func:`select_credible_value`; the returned order is
-    unspecified (pairs with incomparable timestamps cannot be sorted).
+    highest timestamp wins, the rest is garbage.  A reader that asks
+    whether *any* credible record exists (the voting service's lock check)
+    needs the losers too.  Grouping and thresholding are identical to
+    :func:`select_credible_value`; the returned order is unspecified (pairs
+    with incomparable timestamps cannot be sorted).
     """
     if threshold < 1:
         raise ConfigurationError(f"vote threshold must be positive, got {threshold}")

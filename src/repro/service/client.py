@@ -249,9 +249,9 @@ class AsyncQuorumClient:
     # -- protocol operations ------------------------------------------------------
 
     async def _run(
-        self, method: str, variable: str, args: tuple, lazy: Optional[int] = None
-    ) -> Tuple[QuorumOp, Optional[QuorumTrace]]:
-        """Draw a quorum, have the dispatcher run the op, account for it."""
+        self, method: str, variable: str, args: tuple, op: QuorumOp
+    ) -> Optional[QuorumTrace]:
+        """Have the dispatcher run ``op``, account for it."""
         trace = (
             self.tracer.begin(
                 method, client_id=self.client_id, variable=variable, shard=self.shard
@@ -259,7 +259,6 @@ class AsyncQuorumClient:
             if self.tracer is not None
             else None
         )
-        op = QuorumOp(self._next_quorum(), self.system, self.rng, repair=True, lazy=lazy)
         if trace is not None:
             trace.quorum = list(op.quorum)
         await self.dispatcher.run(op, method, args, self.deadline, trace)
@@ -270,7 +269,7 @@ class AsyncQuorumClient:
                 trace.quorum = sorted(op.replies)
             trace.retried = op.spares > 0
             trace.probes_used = op.spares
-        return op, trace
+        return trace
 
     async def write(
         self,
@@ -286,8 +285,9 @@ class AsyncQuorumClient:
         exactly the crash-misses the ε analysis accounts for, and
         ``acknowledged`` (always a subset of ``quorum``) says how many.
         """
-        op, trace = await self._run(
-            "write", variable, (variable, value, timestamp, signature)
+        op = QuorumOp(self._next_quorum(), self.system, self.rng, repair=True)
+        trace = await self._run(
+            "write", variable, (variable, value, timestamp, signature), op
         )
         if trace is not None:
             self.tracer.finish(trace, status="ok" if op.replies else "unavailable")
@@ -314,9 +314,9 @@ class AsyncQuorumClient:
         every reply missing the register layer returns ⊥, which is the
         protocol's own account of an unreachable quorum.
         """
-        op, trace = await self._run(
-            "read", variable, (variable,), lazy=threshold if self.lazy_fallback else None
-        )
+        lazy = threshold if self.lazy_fallback else None
+        op = QuorumOp(self._next_quorum(), self.system, self.rng, repair=True, lazy=lazy)
+        trace = await self._run("read", variable, (variable,), op)
         if trace is not None:
             self.tracer.finish(trace)
         return ReadRpcResult(
@@ -331,3 +331,11 @@ class AsyncQuorumClient:
             probes_used=op.spares,
             trace=trace,
         )
+
+    async def lock(self, op: QuorumOp, message: tuple) -> Optional[QuorumTrace]:
+        """Run ``op`` with one lock-arbiter ``message`` (see
+        :mod:`repro.protocol.arbiter`); return its trace."""
+        trace = await self._run("lock", message[1], message, op)
+        if trace is not None:
+            self.tracer.finish(trace)
+        return trace

@@ -1,10 +1,10 @@
 """Asyncio-facing replica nodes wrapping the simulation server behaviours.
 
 A :class:`ServiceNode` owns one
-:class:`~repro.simulation.server.ReplicaServer` and exposes the three RPCs
-the service protocol needs — ``ping``, ``read`` and ``write`` — as plain
-method dispatch; all asynchrony (latency, drops, deadlines) lives in the
-transport.  The node reuses the exact behaviour classes of the Monte-Carlo
+:class:`~repro.simulation.server.ReplicaServer` and exposes the RPCs the
+service protocol needs — ``read``, ``ping``, ``write``, ``repair`` and the
+lock arbiter's ``lock`` — as plain method dispatch; all asynchrony
+(latency, drops, deadlines) lives in the transport.  The node reuses the exact behaviour classes of the Monte-Carlo
 stack (correct / crashed / silent / replay / forge), so a scenario's
 :class:`~repro.simulation.failures.FailurePlan` applies to a service
 deployment unchanged, and *live* fault injection is just swapping a node's
@@ -115,6 +115,10 @@ class ServiceNode:
             if not self.answers_pings:
                 return NO_REPLY
             return ("ok", adopted)
+        if method == "lock":
+            # Every lock-arbiter reply is a tuple, so None is silence.
+            reply = self.server.handle_lock(args)
+            return NO_REPLY if reply is None else ("ok", reply)
         raise ServiceError(f"unknown rpc method {method!r}")
 
     def stored(self, variable: str) -> Optional[StoredValue]:

@@ -173,8 +173,9 @@ class QuorumOp:
     # -- the verdict --------------------------------------------------------------
 
     def settleable(self) -> bool:
-        """Whether a lazy op's replies in hand can already settle its read.
+        """Whether the replies in hand settle the op, so no top-up follows.
 
+        For a lazy read:
         At least ``lazy`` value-bearing replies — the read rule's threshold:
         one for the benign and dissemination rules, ``k`` for masking —
         means the selection rule has enough votes to pick a winner; chasing
@@ -185,6 +186,14 @@ class QuorumOp:
             return False
         value_bearing = sum(1 for stored in self.replies.values() if stored is not None)
         return value_bearing >= self.lazy
+
+    @property
+    def complete(self) -> bool:
+        """Whether the replies cover a whole quorum (the replacement's, after
+        a general top-up)."""
+        if self.replacement is not None:
+            return self.replacement <= self.replies.keys()
+        return len(self.replies) >= len(self.quorum)
 
     @property
     def final_quorum(self) -> Quorum:

@@ -25,7 +25,7 @@ from typing import Any, Callable, Optional
 
 from repro.exceptions import ProtocolError
 from repro.protocol.classification import classify_read_outcome
-from repro.protocol.selection import ReadRule, SelectedValue
+from repro.protocol.selection import ReadRule
 from repro.protocol.timestamps import Timestamp, TimestampGenerator
 from repro.protocol.variable import ReadOutcome, WriteOutcome
 from repro.service.client import AsyncQuorumClient, ReadRpcResult
@@ -53,8 +53,8 @@ class AsyncRegister:
         self.forged_replies_rejected = 0
         #: The :class:`~repro.obs.trace.QuorumTrace` of the most recent
         #: operation, when the client samples traces (``None`` otherwise).
-        #: Callers annotate it in place — the load harness stamps the read's
-        #: classification, the lock service its protocol step.
+        #: Callers annotate it in place: the load harness stamps the read's
+        #: classification.
         self.last_trace: Optional[Any] = None
         #: Optional ``(timestamp, value)`` callback fired when a write is
         #: *issued*, before its RPCs fan out.  Concurrent observers (the load
@@ -84,38 +84,6 @@ class AsyncRegister:
         self._last_written = outcome
         self.writes_performed += 1
         return outcome
-
-    async def _read_credible_replies(self) -> tuple:
-        """One quorum read: the RPC result and the replies the rule believes."""
-        result = await self.client.read(self.name, self.rule.threshold)
-        self.reads_performed += 1
-        self.last_trace = result.trace
-        credible = self.rule.credible(self.name, result.replies)
-        self.forged_replies_rejected += len(result.replies) - len(credible)
-        return result, credible
-
-    def _annotate_selection(
-        self,
-        result: ReadRpcResult,
-        competing: int,
-        verdict: str,
-        selected: Optional[SelectedValue] = None,
-    ) -> None:
-        """Record the read rule's inputs and verdict on the sampled trace."""
-        trace = result.trace
-        if trace is None:
-            return
-        selection = trace.selection or {}
-        selection.update(
-            signed=self.rule.signatures is not None,
-            threshold=self.rule.threshold,
-            replies=len(result.replies),
-            competing=competing,
-            verdict=verdict,
-        )
-        if selected is not None:
-            selection["votes"] = selected.votes
-        trace.selection = selection
 
     def _lagging_servers(self, result: ReadRpcResult, outcome: ReadOutcome) -> list:
         """Contacted servers that demonstrably (or plausibly) lack the value.
@@ -168,40 +136,31 @@ class AsyncRegister:
 
     async def read(self) -> ReadOutcome:
         """Read the register: the rule's filter, then highest timestamp wins."""
-        result, credible = await self._read_credible_replies()
+        result = await self.client.read(self.name, self.rule.threshold)
+        self.reads_performed += 1
+        self.last_trace = result.trace
+        credible = self.rule.credible(self.name, result.replies)
+        self.forged_replies_rejected += len(result.replies) - len(credible)
         selected = self.rule.select(credible)
-        verdict = "empty" if selected is None else "selected"
-        self._annotate_selection(result, len(credible), verdict, selected)
+        trace = result.trace
+        if trace is not None:  # the read rule's inputs and verdict
+            selection = trace.selection or {}
+            selection.update(
+                signed=self.rule.signatures is not None,
+                threshold=self.rule.threshold,
+                replies=len(result.replies),
+                competing=len(credible),
+                verdict="empty" if selected is None else "selected",
+            )
+            if selected is not None:
+                selection["votes"] = selected.votes
+            trace.selection = selection
         outcome = ReadOutcome.from_selection(
             selected, result.quorum, len(result.replies), self.rule.threshold
         )
         if self.client.repair_budget > 0:
             self._piggyback_repair(result, outcome)
         return outcome
-
-    async def read_credible(self) -> list:
-        """Read the register but return *every* credible record, winner included.
-
-        Applies the rule's reply filter and vote threshold exactly as
-        :meth:`read`, without collapsing to the highest timestamp.  The lock
-        service needs the losing records: a competing holder's older record
-        never wins selection against the reader's own newer write, yet it
-        still means the lock is contested.
-        """
-        result, credible = await self._read_credible_replies()
-        records = self.rule.enumerate(credible)
-        self._annotate_selection(result, len(records), "enumerated")
-        return records
-
-    def observe_timestamp(self, timestamp: Timestamp) -> None:
-        """Fast-forward this writer's clock past an observed timestamp.
-
-        Multi-writer coordination protocols (the lock service) must write
-        records that outrank whatever they just read, Lamport-style; the
-        single-writer register protocol itself never needs this.
-        """
-        if isinstance(timestamp, Timestamp):
-            self._timestamps.observe(timestamp)
 
     def classify_read(self, outcome: ReadOutcome) -> str:
         """Label a read against the last local write (shared classifier)."""

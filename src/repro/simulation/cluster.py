@@ -2,12 +2,14 @@
 
 A :class:`Cluster` owns the ``n`` replica servers, the network, the event
 scheduler and the failure plan, and exposes the two operations the paper's
-access protocols need:
+access protocols need, plus the lock protocol's one:
 
 * :meth:`Cluster.write_quorum` — send a timestamped (optionally signed)
   value to every server of a quorum and collect acknowledgements;
 * :meth:`Cluster.read_quorum` — query every server of a quorum and collect
-  value/timestamp replies.
+  value/timestamp replies;
+* :meth:`Cluster.lock_quorum` — send a lock-arbiter message to every server
+  of a quorum and collect the replies.
 
 The facade is synchronous (a quorum RPC returns the full reply map), which
 keeps the protocol implementations readable while the network model still
@@ -202,6 +204,22 @@ class Cluster:
             if not self.network.send_sync(reply):
                 continue
             replies[server_id] = stored
+        return replies
+
+    def lock_quorum(self, quorum: Iterable[ServerId], message: tuple) -> Dict[ServerId, tuple]:
+        """Send a lock message to every server of ``quorum``; return the
+        replies that arrive (see :mod:`repro.protocol.arbiter`)."""
+        replies: Dict[ServerId, tuple] = {}
+        client = CLIENT_NODE_ID
+        for server_id in self._delivery_order(quorum):
+            self._check_server(server_id)
+            if not self.network.send_sync(Message(client, server_id, "lock", message[:2])):
+                continue
+            reply = self.servers[server_id].handle_lock(message)
+            if reply is not None and self.network.send_sync(
+                Message(server_id, client, "lock-reply", reply[0])
+            ):
+                replies[server_id] = reply
         return replies
 
     # -- inspection helpers ---------------------------------------------------------

@@ -16,7 +16,8 @@ answers read and write requests according to its *behaviour*:
   they have the best possible chance of defeating a masking threshold.
 
 Timestamps are treated as opaque, totally ordered objects, so the same
-server code serves the plain, dissemination and masking protocols.
+server code serves the plain, dissemination and masking protocols.  Every
+server also hosts a lock :class:`~repro.protocol.arbiter.LockArbiter`.
 """
 
 from __future__ import annotations
@@ -24,10 +25,13 @@ from __future__ import annotations
 import abc
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.exceptions import SimulationError
 from repro.types import ServerId
+
+if TYPE_CHECKING:
+    from repro.protocol.arbiter import LockArbiter
 
 
 @dataclass(frozen=True)
@@ -56,6 +60,13 @@ class ServerBehavior(abc.ABC):
         self, server: "ReplicaServer", variable: str
     ) -> Optional[StoredValue]:
         """Handle a read request; return a reply or ``None`` for silence."""
+
+    def on_lock(self, server: "ReplicaServer", message: tuple) -> Any:
+        """Handle a lock message (``None`` = silence).  A Byzantine server
+        grants every request and names as holder what it serves on a read."""
+        if self.byzantine:
+            return server.arbiter.forged(self.on_read(server, message[1]))
+        return server.arbiter.handle(*message)
 
     def for_trial(self) -> "ServerBehavior":
         """A behaviour instance safe to install for one independent trial.
@@ -90,6 +101,9 @@ class CrashedBehavior(ServerBehavior):
     def on_read(self, server: "ReplicaServer", variable: str) -> Optional[StoredValue]:
         return None
 
+    def on_lock(self, server: "ReplicaServer", message: tuple) -> Any:
+        return None
+
 
 class ByzantineSilentBehavior(ServerBehavior):
     """Accepts nothing and says nothing: suppression of self-verifying data."""
@@ -100,6 +114,9 @@ class ByzantineSilentBehavior(ServerBehavior):
         return False
 
     def on_read(self, server: "ReplicaServer", variable: str) -> Optional[StoredValue]:
+        return None
+
+    def on_lock(self, server: "ReplicaServer", message: tuple) -> Any:
         return None
 
 
@@ -198,6 +215,9 @@ class GrayBehavior(ServerBehavior):
             return None
         return server.storage.get(variable)
 
+    def on_lock(self, server: "ReplicaServer", message: tuple) -> Any:
+        return super().on_lock(server, message) if self._delivered() else None
+
 
 class ReplicaServer:
     """A single replica server: storage plus a behaviour.
@@ -218,6 +238,7 @@ class ReplicaServer:
         self.storage: Dict[str, StoredValue] = {}
         self._behavior: ServerBehavior = behavior or CorrectBehavior()
         self._saved_behavior: Optional[ServerBehavior] = None
+        self._arbiter: Optional["LockArbiter"] = None
         self.writes_handled = 0
         self.reads_handled = 0
 
@@ -242,11 +263,21 @@ class ReplicaServer:
         """Whether the server's behaviour is Byzantine."""
         return self._behavior.byzantine
 
+    @property
+    def arbiter(self) -> "LockArbiter":
+        """The server's lock grant table, built on first use."""
+        if self._arbiter is None:
+            from repro.protocol.arbiter import LockArbiter  # it imports this module
+
+            self._arbiter = LockArbiter()
+        return self._arbiter
+
     def crash(self) -> None:
-        """Crash the server (its storage survives for a later recovery)."""
+        """Crash the server (its storage survives; its grant table does not)."""
         if not self.is_crashed:
             self._saved_behavior = self._behavior
             self._behavior = CrashedBehavior()
+            self._arbiter = None
 
     def recover(self) -> None:
         """Recover from a crash, restoring the pre-crash behaviour."""
@@ -272,6 +303,10 @@ class ReplicaServer:
         """Answer a read request through the behaviour (``None`` = no reply)."""
         self.reads_handled += 1
         return self._behavior.on_read(self, variable)
+
+    def handle_lock(self, message: tuple) -> Any:
+        """Answer a lock message through the behaviour (``None`` = no reply)."""
+        return self._behavior.on_lock(self, message)
 
     # -- gossip support -----------------------------------------------------------
 

@@ -1,34 +1,20 @@
-"""The lock example's double grant, reproduced as a seeded run.
+"""Regression test: the lock example's shape never double-grants.
 
 ``examples/cluster_service.py`` contends three clients for one lock on
 ``ProbabilisticMaskingSystem(36, 24, 3)``.  Any two quorums of 24 out of 36
-servers share at least 12, so a read quorum always meets at least 9
-correct holders of a completed write, more than the threshold ``k = 8``:
-the construction allows no ε, and a double grant there is a bug of the lock
-protocol, not the paper's allowance.
+servers share at least 12, more than the ``b = 3`` Byzantine servers, so two
+grant quorums always share a correct arbiter, which grants one client at a
+time: the lock's ε (:class:`repro.protocol.arbiter.LockArbiter`) is 0 here,
+and a double grant would be a bug of the lock protocol.
 
-Under :class:`tests.service.test_load.VirtualTimeLoop`,
-:func:`repro.apps.mutex.lock_load` on the example's shape (3 clients × 3
-acquisitions, 1 lock, ``deadline=2.0``) double-grants for 18 of the seeds
-0–19 once a holder keeps the lock for any event-loop time
-(``hold_time=0.002``).  The mechanism is the shared register, not timing:
-
-* a replica keeps one record per variable, and every lock record — held or
-  released, by any client — is written under a newer timestamp than the
-  ones its writer read;
-* while client A holds, a contender that conceded writes a "released"
-  back-off record, and the next acquirer writes its own "held" record;
-  each overwrites A's held record on its write quorum;
-* at the second grant only 0–3 of the 36 replicas still store A's held
-  record, fewer than ``k = 8`` votes, so the next request-scan and both
-  verify reads see no live holder and grant.
-
-With ``hold_time=0`` ``lock_load`` adds and discards a holder with no
-``await`` in between, so it cannot count a double grant at all; every soak
-in ``tests/apps/test_lock_soaks.py`` runs that way.  The run here is traced,
-and the failure message lists the lock step (``request-scan``,
-``hold-write``, ``verify``, ``back-off``, ``release``) each quorum
-operation served.
+The lock used to spin over a shared register.  A replica keeps one record
+per variable, so other clients' newer records overwrote the holder's until
+fewer than ``k = 8`` replicas vouched for it, and :func:`repro.apps.mutex.lock_load`
+on this shape (3 clients × 3 acquisitions, 1 lock, ``deadline=2.0``,
+``hold_time=0.002``) double-granted for 18 of the seeds 0–19.  Each seed
+here runs that load under :class:`tests.service.test_load.VirtualTimeLoop`
+with every quorum operation traced, and a failure lists the lock step
+(``request``, ``yield``, ``release``, ``holder``) each operation served.
 """
 
 from __future__ import annotations
@@ -98,18 +84,9 @@ def test_the_example_shape_allows_no_epsilon():
     assert overlap_correct > EXAMPLE_SYSTEM.read_threshold == 8
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason=(
-        "ROADMAP item 0: a replica keeps one record per variable, so a "
-        "contender's newer back-off 'released' record and the next "
-        "acquirer's 'held' write overwrite the holder's record until fewer "
-        "than k replicas vouch for it, and a second client is granted"
-    ),
-)
-def test_the_example_shape_never_double_grants(monkeypatch):
-    report, steps = run_traced(example_spec(seed=0, hold_time=0.002), monkeypatch)
+@pytest.mark.parametrize("seed", range(20))
+def test_the_example_shape_never_double_grants(seed, monkeypatch):
+    report, steps = run_traced(example_spec(seed=seed, hold_time=0.002), monkeypatch)
     assert report.grants == 9
     assert report.double_grants == 0, (
         f"{report.double_grants} double grants under {report.spec.describe()}; "

@@ -8,7 +8,6 @@ import random
 import pytest
 
 from repro.apps.mutex import (
-    VERIFY_ROUNDS,
     AsyncQuorumMutex,
     LockLoadSpec,
     jain_fairness,
@@ -111,35 +110,16 @@ class TestMutexBasics:
         async def scenario():
             deployment, (mutex,) = deploy_mutexes(SCENARIO, 1)
             with pytest.raises(ProtocolError):
-                AsyncQuorumMutex(mutex.register, "L", client_id=-1)
+                AsyncQuorumMutex(mutex.client, "L", client_id=-1)
             with pytest.raises(ConfigurationError):
-                AsyncQuorumMutex(mutex.register, "", client_id=0)
+                AsyncQuorumMutex(mutex.client, "", client_id=0)
 
         run(scenario())
-
-    def test_an_uncontended_request_runs_every_verify_round(self):
-        async def scenario():
-            _, (mutex,) = deploy_mutexes(SCENARIO, 1)
-            scans = 0
-            read_credible = mutex.register.read_credible
-
-            async def counted():
-                nonlocal scans
-                scans += 1
-                return await read_credible()
-
-            mutex.register.read_credible = counted
-            assert (await mutex.request()).granted
-            return scans
-
-        # One scan for live holders, then the verify reads.
-        assert run(scenario()) == 1 + VERIFY_ROUNDS
-        assert VERIFY_ROUNDS == 2
 
     def test_lock_variable_namespacing(self):
         assert lock_variable("a") == "quorum-lock:a"
         _, (mutex,) = deploy_mutexes(SCENARIO, 1)
-        assert mutex.register.name == "quorum-lock:L"
+        assert mutex.variable == "quorum-lock:L"
 
 
 class TestReleaseFencing:

@@ -172,30 +172,6 @@ class TestReleaseStaleness:
         assert attempt.acquired
         assert attempt.holder_seen is None
 
-    def test_tied_held_records_resolve_to_one_holder_in_every_delivery_order(self):
-        # Two credible held records at one timestamp (an honest-shaped forged
-        # clique can plant such a tie): the holder must be the read rule's
-        # choice, not whichever reply the shuffled delivery brought first.
-        holders = set()
-        for seed in range(16):
-            cluster = Cluster(6, failure_plan=FailurePlan(shuffle_delivery=True), seed=seed)
-            for server, holder in ((0, 1), (1, 2)):
-                cluster.write_quorum(
-                    {server},
-                    "quorum-lock:shared",
-                    {"state": "held", "holder": holder},
-                    Timestamp(5, 0),
-                )
-            lock = QuorumLock(
-                ScriptedQuorumSystem(6, [(0, 1)]),
-                cluster,
-                name="shared",
-                rng=random.Random(seed),
-            )
-            holders.add(lock.holder())
-        # Equal votes, so the larger tie-break key wins, as in every register.
-        assert holders == {2}
-
     def test_unreleased_holder_is_still_reported(self):
         lock, _ = self.scripted_lock(
             [

@@ -207,10 +207,6 @@ class TestClusterFacade:
                 outcome = await registers.read("x")
                 assert outcome.value == "hello"
                 lock = deployment.lock_client("leader", client_id=1)
-                # Cross-process deployments must default to a wall-clock
-                # verify delay: a racing write in flight to another process
-                # needs real time to land before a verify read can see it.
-                assert lock.verify_delay == pytest.approx(0.02)
                 grant = await lock.acquire()
                 assert grant is not None
                 await lock.release()
@@ -223,11 +219,6 @@ class TestClusterFacade:
             Deployment.builder(scenario()).codec("msgpack")
         with pytest.raises(ConfigurationError):
             Deployment.builder(scenario()).processes(-1)
-
-    def test_in_loop_deployments_keep_the_bare_yield(self):
-        deployment = Deployment.builder(scenario()).seed(5).build()
-        lock = deployment.lock_client("leader", client_id=1)
-        assert lock.verify_delay == 0.0
 
     def test_deploy_picks_the_shape_from_the_process_count(self):
         in_loop = deploy(scenario(), shards=2, rng=random.Random(1))

@@ -158,7 +158,7 @@ class TestLockClients:
                 mutex = deployment.lock_client("leader", client_id=0)
                 expected = deployment.sharded.shard_for(lock_variable("leader"))
                 shard = deployment.sharded.shards[expected]
-                assert mutex.register.client.nodes[0] is shard.client_nodes[0]
+                assert mutex.client.nodes[0] is shard.client_nodes[0]
 
         run(scenario())
 
