@@ -11,8 +11,8 @@ Each case runs one seeded call end to end and hashes its output:
   ``threshold`` for the masking kind;
 * the counters of a seeded lock load (:func:`repro.apps.mutex.lock_load`)
   under rolling crash injection, for the plain, dissemination and masking
-  scenarios — the lock reads through the async frontend's
-  ``read_credible``;
+  scenarios — the lock's arbiters and its holder reads through the
+  scenario's rule;
 * the outcome and RPC counters of an in-process service run of a plain
   reader forced onto a masking system.
 
@@ -145,7 +145,6 @@ def lock_load_case(kind: str, seed: int) -> Callable[[], str]:
             report.grants,
             report.releases,
             report.refused_requests,
-            report.back_offs,
             report.give_ups,
             report.rpc_failures,
             report.double_grants,
@@ -200,9 +199,9 @@ PINS: Dict[str, str] = {
     "async-write-back-clique": "6155c9babf0a05d9",
     "async-write-back-crashes": "23295f93b502e265",
     "async-write-back-forgers": "db10bffa504c0837",
-    "lock-load-dissemination": "3719421e684dcfb2",
-    "lock-load-masking": "9910babe77f4fd35",
-    "lock-load-plain": "11cf35c3eb51de4f",
+    "lock-load-dissemination": "b7356d71587be706",
+    "lock-load-masking": "ae06f86ee21d2994",
+    "lock-load-plain": "7a6f83283548b151",
     "service-forced-plain": "874a25c9f44528e1",
     "sync-dissemination-clique": "19590a006132bc96",
     "sync-dissemination-crashes": "2b8d5acf88b71e0b",
