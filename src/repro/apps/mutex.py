@@ -223,9 +223,7 @@ class LockLoadSpec:
         if self.locks < 1:
             raise ConfigurationError(f"need at least one lock, got {self.locks}")
         if self.hold_time < 0.0:
-            raise ConfigurationError(
-                f"the hold time must be non-negative, got {self.hold_time}"
-            )
+            raise ConfigurationError(f"the hold time must be non-negative, got {self.hold_time}")
         if self.retry_interval <= 0.0:
             raise ConfigurationError(
                 f"the retry interval must be positive, got {self.retry_interval}"
@@ -253,8 +251,6 @@ class LockLoadSpec:
 
 def jain_fairness(counts: List[int]) -> float:
     """Jain's fairness index over per-client grant counts (1.0 = perfectly fair)."""
-    if not counts:
-        return 1.0
     total = sum(counts)
     if total == 0:
         return 1.0

@@ -5,7 +5,7 @@ The paper builds locks directly on probabilistic quorums ("e.g., locks
 :class:`~repro.simulation.cluster.Cluster`, a thin driver over the pure
 protocol of :mod:`repro.protocol.arbiter`.  :meth:`QuorumLock.acquire` is
 one try: a request to a strategy-drawn quorum, topped up past silent
-members and confirmed over the repaired quorum, granted when every member
+members and confirmed over each repaired quorum, granted when every member
 grants; a refused try releases what it was granted.
 :meth:`QuorumLock.holder` reads the arbiters' grants through the read
 rule.  Two clients both win only when their quorums share no correct
@@ -31,7 +31,7 @@ from repro.protocol.arbiter import (
 from repro.protocol.selection import ReadRule
 from repro.protocol.signatures import SignatureScheme
 from repro.rngs import fresh_rng
-from repro.service.quorum_op import QuorumOp
+from repro.service.quorum_op import MAX_TOP_UP_ROUNDS, QuorumOp
 from repro.simulation.cluster import Cluster
 
 
@@ -52,7 +52,8 @@ class QuorumLock(LockClient):
         Optional signature scheme making grant records self-verifying
         (Byzantine servers can then suppress but not fabricate holders).
     rng:
-        Random source for quorum sampling.
+        Random source of :meth:`holder`'s quorums and the seed of each
+        client's own source, which draws that client's quorums.
     """
 
     def __init__(
@@ -75,6 +76,7 @@ class QuorumLock(LockClient):
         self.cluster = cluster
         self.rng = rng or fresh_rng()
         self._held: Dict[int, LockOp] = {}
+        self._rngs: Dict[int, random.Random] = {}
         self.acquisitions = 0
 
     def _send(self, op: QuorumOp, message: tuple) -> QuorumOp:
@@ -106,12 +108,15 @@ class QuorumLock(LockClient):
             raise ProtocolError("client ids must be non-negative")
         if client_id in self._held:
             raise ProtocolError(f"client {client_id} already holds lock {self.name!r}")
-        lock = self.begin(client_id, self.system.sample_quorum(self.rng))
-        op = self._send(lock.round(self.system, self.rng), self.message(lock, REQUEST))
-        lock.on_requests(op)
-        if op.fell_back:  # confirm over the repaired quorum
-            op = self._send(lock.round(self.system, self.rng), self.message(lock, REQUEST))
+        if client_id not in self._rngs:
+            self._rngs[client_id] = random.Random(self.rng.getrandbits(64))
+        rng = self._rngs[client_id]
+        lock = self.begin(client_id, self.system.sample_quorum(rng))
+        for _ in range(1 + MAX_TOP_UP_ROUNDS):  # confirm over each repaired quorum
+            op = self._send(lock.round(self.system, rng), self.message(lock, REQUEST))
             lock.on_requests(op)
+            if not op.fell_back:
+                break
         if lock.held:
             self._held[client_id] = lock
             self.acquisitions += 1
