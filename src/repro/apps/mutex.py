@@ -25,19 +25,11 @@ import random
 import time
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.exceptions import ConfigurationError, ProtocolError, QuorumUnavailableError
 from repro.protocol.arbiter import (  # noqa: F401 - lock_variable is re-exported
-    HOLDER,
-    RELEASE,
-    REQUEST,
-    YIELD,
-    LockAttempt,
-    LockClient,
-    LockOp,
-    LockRound,
-    lock_variable,
+    HOLDER, REQUEST, YIELD, LockAttempt, LockClient, LockOp, lock_variable,
 )
 from repro.protocol.selection import ReadRule
 from repro.rngs import fresh_rng
@@ -83,22 +75,20 @@ class AsyncQuorumMutex(LockClient):
         """Whether this client currently holds the lock."""
         return self._held is not None
 
-    async def _send(self, step: str, op: QuorumOp, message: tuple) -> QuorumOp:
-        """Run one lock op; a sampled trace is tagged with its ``step``."""
-        trace = await self.client.lock(op, message)
-        if trace is not None:
-            trace.context = {"lock": self.name, "step": step}
-        return op
-
-    async def _tell(self, servers: Sequence[ServerId], kind: str, lock: LockOp) -> QuorumOp:
-        """Send ``kind`` once to each of ``servers``."""
-        return await self._send(kind, LockRound(sorted(servers)), self.message(lock, kind))
+    async def _run(self, rounds: Iterable[Tuple[QuorumOp, tuple]]) -> None:
+        """Run each ``(op, message)`` in turn; a sampled trace is tagged
+        with the message kind."""
+        for op, message in rounds:
+            self.requests += message[0] == REQUEST
+            trace = await self.client.lock(op, message)
+            if trace is not None:
+                trace.context = {"lock": self.name, "step": message[0]}
 
     async def holder(self) -> Any:
         """The client a fresh quorum of arbiters reports as holding the lock."""
         system = self.client.system
         op = QuorumOp(system.sample_quorum(self.rng), system, self.client.rng, repair=True)
-        await self._send(HOLDER, op, (HOLDER, self.variable))
+        await self._run([(op, (HOLDER, self.variable))])
         return self.holder_of(op.replies)
 
     def _begin(self) -> LockOp:
@@ -106,22 +96,24 @@ class AsyncQuorumMutex(LockClient):
             raise ProtocolError(f"client {self.client_id} already holds lock {self.name!r}")
         return self.begin(self.client_id, self.client.system.sample_quorum(self.rng))
 
-    async def _round(self, lock: LockOp) -> bool:
-        """One request round; whether it ended in the lock."""
-        self.requests += 1
-        op = lock.round(self.client.system, self.client.rng)
-        lock.on_requests(await self._send(REQUEST, op, self.message(lock, REQUEST)))
+    async def _try(self, lock: LockOp) -> bool:
+        """One try; whether it ended in the lock."""
+        await self._run(self.try_rounds(lock, self.client.system, self.client.rng))
         if lock.held:
             self._held = lock
             self.grants += 1
         return lock.held
 
+    async def _release(self, lock: LockOp) -> FrozenSet[ServerId]:
+        await self._run(self.release_rounds(lock))
+        return frozenset(lock.unreleased)
+
     async def request(self) -> LockAttempt:
         """One try: granted when the whole quorum grants at once.  A refused
         try releases whatever it was granted, leaving no state behind."""
         lock = self._begin()
-        if not await self._round(lock):
-            await self._tell(lock.contacted, RELEASE, lock)
+        if not await self._try(lock):
+            await self._release(lock)
         return lock.attempt(self.name)
 
     async def acquire(
@@ -129,34 +121,35 @@ class AsyncQuorumMutex(LockClient):
     ) -> LockAttempt:
         """Wait in the arbiters' queues until a whole quorum grants.
 
-        Re-sends the request every ``retry_interval`` seconds, yielding the
-        grants its replies flag.  After ``max_requests`` refused rounds
+        Tries again every ``retry_interval`` seconds, yielding the grants
+        its replies flag.  After ``max_requests`` refused request rounds
         (``None`` waits forever) it releases everything and raises
         :class:`ProtocolError`.
         """
         lock = self._begin()
-        rounds = 0
-        while not await self._round(lock):
-            rounds += 1
-            if max_requests is not None and rounds >= max_requests:
-                await self._tell(lock.contacted, RELEASE, lock)
+        first = self.requests
+        while not await self._try(lock):
+            if max_requests is not None and self.requests - first >= max_requests:
+                await self._release(lock)
                 raise ProtocolError(
                     f"client {self.client_id} gave up on lock {self.name!r} "
-                    f"after {rounds} refused requests"
+                    f"after {self.requests - first} refused requests"
                 )
             if lock.inquired:
-                await self._tell(lock.inquired, YIELD, lock)
+                await self._run([(QuorumOp(sorted(lock.inquired)), self.message(lock, YIELD))])
             await asyncio.sleep(retry_interval)
         return lock.attempt(self.name)
 
-    async def release(self) -> None:
-        """Release the held lock; :class:`QuorumUnavailableError` when no
-        arbiter acknowledged."""
+    async def release(self) -> FrozenSet[ServerId]:
+        """Release the held lock; return the arbiters that never acknowledged.
+        :class:`QuorumUnavailableError` when none did."""
         lock, self._held = self._held, None
         if lock is None:
             raise ProtocolError(f"client {self.client_id} does not hold lock {self.name!r}")
-        if not (await self._tell(lock.contacted, RELEASE, lock)).replies:
+        unreleased = await self._release(lock)
+        if unreleased == lock.contacted:
             raise QuorumUnavailableError(f"release of lock {self.name!r}: no arbiter answered")
+        return unreleased
 
 
 def mutex_for(
@@ -194,8 +187,9 @@ class LockLoadSpec:
     locks: int = 1
     hold_time: float = 0.0
     retry_interval: float = 0.001
-    #: Rounds before giving up: a waiting round costs one ``retry_interval``,
-    #: a fifth of the register lock's jittered pause, which had 400.
+    #: Rounds before giving up.  A waiting round costs one ``retry_interval``,
+    #: a fifth of the register lock's jittered pause, which had 400; under
+    #: fast churn 400 rounds give up (see ROADMAP item 1's liveness note).
     max_requests: int = 2000
     latency: float = 0.0
     jitter: float = 0.0
@@ -213,25 +207,19 @@ class LockLoadSpec:
             self.latency, self.jitter, self.drop_probability,
         )
         check_deadline(self.transport, self.deadline)
-        if self.clients < 1:
-            raise ConfigurationError(f"need at least one client, got {self.clients}")
-        if self.acquisitions_per_client < 1:
-            raise ConfigurationError(
-                f"each client needs at least one acquisition, "
-                f"got {self.acquisitions_per_client}"
-            )
-        if self.locks < 1:
-            raise ConfigurationError(f"need at least one lock, got {self.locks}")
-        if self.hold_time < 0.0:
-            raise ConfigurationError(f"the hold time must be non-negative, got {self.hold_time}")
-        if self.retry_interval <= 0.0:
-            raise ConfigurationError(
-                f"the retry interval must be positive, got {self.retry_interval}"
-            )
-        if self.max_requests < 1:
-            raise ConfigurationError(
-                f"need at least one request per acquisition, got {self.max_requests}"
-            )
+        for valid, problem in (
+            (self.clients >= 1, f"need at least one client, got {self.clients}"),
+            (self.acquisitions_per_client >= 1, "each client needs at least one "
+             f"acquisition, got {self.acquisitions_per_client}"),
+            (self.locks >= 1, f"need at least one lock, got {self.locks}"),
+            (self.hold_time >= 0.0, f"the hold time must be non-negative, got {self.hold_time}"),
+            (self.retry_interval > 0.0,
+             f"the retry interval must be positive, got {self.retry_interval}"),
+            (self.max_requests >= 1,
+             f"need at least one request per acquisition, got {self.max_requests}"),
+        ):
+            if not valid:
+                raise ConfigurationError(problem)
 
     def lock_names(self) -> List[str]:
         """The shared lock names the contenders cycle over."""
@@ -325,13 +313,8 @@ async def lock_load(spec: LockLoadSpec) -> LockLoadReport:
     rng = random.Random(spec.seed)
     scenario = spec.scenario
     deployment = deploy(
-        scenario,
-        transport=spec.transport,
-        shards=1,
-        latency=spec.latency,
-        jitter=spec.jitter,
-        drop_probability=spec.drop_probability,
-        rng=rng,
+        scenario, transport=spec.transport, shards=1, latency=spec.latency,
+        jitter=spec.jitter, drop_probability=spec.drop_probability, rng=rng,
     )
     try:
         await deployment.start()
@@ -351,15 +334,11 @@ async def lock_load(spec: LockLoadSpec) -> LockLoadReport:
 
         # -- shared safety accounting: who holds what, right now ------------------
         holders: Dict[str, set] = {name: set() for name in names}
-        counters = {
-            "grants": 0,
-            "releases": 0,
-            "give_ups": 0,
-            "rpc_failures": 0,
-            "double_grants": 0,
-            "fabricated": 0,
-            "injected": 0,
-        }
+        counters = dict.fromkeys(
+            ("grants", "releases", "give_ups", "rpc_failures", "double_grants", "fabricated",
+             "injected"),
+            0,
+        )
         wait_times: List[float] = []
         grants_per_client = [0] * spec.clients
 

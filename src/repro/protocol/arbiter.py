@@ -15,12 +15,12 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
 from repro.exceptions import ConfigurationError
 from repro.protocol.selection import ReadRule
 from repro.protocol.timestamps import Timestamp
-from repro.service.quorum_op import QuorumOp
+from repro.service.quorum_op import MAX_TOP_UP_ROUNDS, QuorumOp
 from repro.simulation.server import StoredValue
 from repro.types import Quorum, ServerId
 
@@ -177,13 +177,10 @@ class LockAttempt:
 
 
 class LockRound(QuorumOp):
-    """One round of lock messages: a :class:`QuorumOp` that ends once decided.
+    """One request round: a :class:`QuorumOp` that ends once decided.
 
-    A ``yield`` or ``release`` round (no ``rank``) is decided by its first
-    reply: the messages are out, and nothing in the other replies changes
-    what the client does next.  A request round (the request's ``rank``)
-    tops silent members up like any op, but a refused round cannot end in
-    a grant, so it stops waiting as soon as its replies give the client
+    It tops silent members up like any op, but a refused round cannot end
+    in a grant, so it stops waiting as soon as its replies give the client
     something to do: a grant to yield, or only arbiters whose grantee it
     outranks (they will hand their grants over).  A request queued behind a
     better-ranked grantee waits the round out.
@@ -191,10 +188,8 @@ class LockRound(QuorumOp):
 
     __slots__ = ("rank", "decided")
 
-    def __init__(
-        self, quorum: Quorum, system: Any = None, rng: Any = None, rank: Optional[tuple] = None
-    ) -> None:
-        super().__init__(quorum, system, rng, repair=rank is not None)
+    def __init__(self, quorum: Quorum, system: Any, rng: Any, rank: tuple) -> None:
+        super().__init__(quorum, system, rng, repair=True)
         self.rank = rank
         self.decided = False
 
@@ -202,9 +197,7 @@ class LockRound(QuorumOp):
         if not super().on_reply(server, payload):
             return False
         replies = self.replies.values()
-        if self.rank is None:
-            self.decided = True
-        elif not self.decided and any(reply[0] not in GRANTS for reply in replies):
+        if not self.decided and any(reply[0] not in GRANTS for reply in replies):
             self.decided = any(reply[0] == INQUIRED for reply in replies) or not any(
                 reply[0] == QUEUED and _rank(reply[1]) < self.rank for reply in replies
             )
@@ -224,8 +217,8 @@ class LockOp:
     grants.  A round that had to top up only repairs the quorum: its first
     grants are a deadline old, and a crash in between may have handed them
     to someone else.  A silent member the top-up replaced stays in
-    :attr:`contacted`, which the final release reaches: a crash wiped its
-    entry, but a reply that came back after the deadline may have left one.
+    :attr:`contacted` until a release reaches it: a crash wiped its entry,
+    but a lost or late reply may have left one.
     """
 
     def __init__(
@@ -244,6 +237,8 @@ class LockOp:
         self.holder_seen: Optional[int] = None
         #: The largest arbiter clock seen in a reply.
         self.clock = 0
+        #: Contacted servers that have not acknowledged a release.
+        self.unreleased: Set[ServerId] = set()
 
     def round(self, system: Any, rng: Any) -> LockRound:
         """The next request round, over the members."""
@@ -273,12 +268,8 @@ class LockOp:
         """This op's outcome as a :class:`LockAttempt`."""
         held = self.held
         return LockAttempt(
-            lock_name=lock_name,
-            client_id=self.client,
-            granted=held,
-            holder_seen=None if held else self.holder_seen,
-            timestamp=self.timestamp if held else None,
-            quorum=frozenset(self.members) if held else None,
+            lock_name, self.client, held, None if held else self.holder_seen,
+            self.timestamp if held else None, frozenset(self.members) if held else None,
         )
 
 
@@ -308,6 +299,46 @@ class LockClient:
         """The next ``kind`` message of ``lock``."""
         self._clock = max(self._clock, lock.clock) + 1
         return (kind, self.variable, lock.client, lock.timestamp, self._clock, lock.signature)
+
+    def try_rounds(self, lock: LockOp, system: Any, rng: Any) -> Iterator[Tuple[QuorumOp, tuple]]:
+        """One try: the rounds to send, each ``(op, message)``.
+
+        The driver runs each op before asking for the next.  A request round
+        that had to top up is confirmed by another over the repaired quorum,
+        up to ``1 + MAX_TOP_UP_ROUNDS`` rounds; afterwards ``lock.held``
+        says whether the try ended in the lock.  A refused try releases the
+        members a top-up replaced (and stops counting them as contacted): an
+        earlier round may have left them an entry that no later request
+        reaches, and a grant there that a better-ranked waiter wants would
+        never be yielded.
+        """
+        for _ in range(1 + MAX_TOP_UP_ROUNDS):
+            op = lock.round(system, rng)
+            yield op, self.message(lock, REQUEST)
+            lock.on_requests(op)
+            if not op.fell_back:
+                break
+        replaced = lock.contacted.difference(lock.members)
+        if replaced and not lock.held:
+            yield from self.release_rounds(lock, replaced)
+            lock.contacted -= replaced
+
+    def release_rounds(
+        self, lock: LockOp, servers: Optional[Set[ServerId]] = None
+    ) -> Iterator[Tuple[QuorumOp, tuple]]:
+        """A release: ``release`` to ``servers`` (every contacted server by
+        default), re-sent to the ones that have not acknowledged, up to
+        ``1 + MAX_TOP_UP_ROUNDS`` sends.  A lost release would leave an
+        entry nobody releases, so the release waits for every
+        acknowledgement; ``lock.unreleased`` names the servers that never
+        answered."""
+        lock.unreleased = set(lock.contacted if servers is None else servers)
+        for _ in range(1 + MAX_TOP_UP_ROUNDS):
+            if not lock.unreleased:
+                return
+            op = QuorumOp(sorted(lock.unreleased))
+            yield op, self.message(lock, RELEASE)
+            lock.unreleased.difference_update(op.replies)
 
     def holder_of(self, replies: Mapping[ServerId, tuple]) -> Any:
         """The holder the rule selects among holder-query replies.

@@ -6,7 +6,8 @@ The paper builds locks directly on probabilistic quorums ("e.g., locks
 protocol of :mod:`repro.protocol.arbiter`.  :meth:`QuorumLock.acquire` is
 one try: a request to a strategy-drawn quorum, topped up past silent
 members and confirmed over each repaired quorum, granted when every member
-grants; a refused try releases what it was granted.
+grants; a refused try releases what it was granted.  A release is re-sent
+to every arbiter that has not acknowledged it.
 :meth:`QuorumLock.holder` reads the arbiters' grants through the read
 rule.  Two clients both win only when their quorums share no correct
 arbiter: the ε of :class:`~repro.protocol.arbiter.LockArbiter`.
@@ -15,24 +16,17 @@ arbiter: the ε of :class:`~repro.protocol.arbiter.LockArbiter`.
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional
+from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 
 from repro.core.probabilistic import ProbabilisticQuorumSystem
 from repro.exceptions import ConfigurationError, ProtocolError
-from repro.protocol.arbiter import (
-    HOLDER,
-    RELEASE,
-    REQUEST,
-    LockAttempt,
-    LockClient,
-    LockOp,
-    LockRound,
-)
+from repro.protocol.arbiter import HOLDER, LockAttempt, LockClient, LockOp
 from repro.protocol.selection import ReadRule
 from repro.protocol.signatures import SignatureScheme
 from repro.rngs import fresh_rng
-from repro.service.quorum_op import MAX_TOP_UP_ROUNDS, QuorumOp
+from repro.service.quorum_op import QuorumOp
 from repro.simulation.cluster import Cluster
+from repro.types import ServerId
 
 
 class QuorumLock(LockClient):
@@ -52,8 +46,7 @@ class QuorumLock(LockClient):
         Optional signature scheme making grant records self-verifying
         (Byzantine servers can then suppress but not fabricate holders).
     rng:
-        Random source of :meth:`holder`'s quorums and the seed of each
-        client's own source, which draws that client's quorums.
+        Random source of the quorums and top-up spares.
     """
 
     def __init__(
@@ -76,26 +69,26 @@ class QuorumLock(LockClient):
         self.cluster = cluster
         self.rng = rng or fresh_rng()
         self._held: Dict[int, LockOp] = {}
-        self._rngs: Dict[int, random.Random] = {}
         self.acquisitions = 0
 
-    def _send(self, op: QuorumOp, message: tuple) -> QuorumOp:
-        """Run ``op`` with ``message`` on the cluster."""
-        servers = op.start()
-        while servers:
-            replies = self.cluster.lock_quorum(servers, message)
-            for server in servers:
-                if server in replies:
-                    op.on_reply(server, replies[server])
-                else:
-                    op.on_miss(server)
-            servers = op.round_end()
-        return op
+    def _run(self, rounds: Iterable[Tuple[QuorumOp, tuple]]) -> None:
+        """Run each ``(op, message)`` on the cluster, in turn."""
+        for op, message in rounds:
+            servers = op.start()
+            while servers:
+                replies = self.cluster.lock_quorum(servers, message)
+                for server in servers:
+                    if server in replies:
+                        op.on_reply(server, replies[server])
+                    else:
+                        op.on_miss(server)
+                servers = op.round_end()
 
     def holder(self) -> Optional[int]:
         """The client a fresh quorum of arbiters reports as holding the lock."""
         quorum = QuorumOp(self.system.sample_quorum(self.rng), self.system, self.rng, repair=True)
-        return self.holder_of(self._send(quorum, (HOLDER, self.variable)).replies)
+        self._run([(quorum, (HOLDER, self.variable))])
+        return self.holder_of(quorum.replies)
 
     def acquire(self, client_id: int) -> LockAttempt:
         """Try once to acquire the lock for ``client_id``.
@@ -108,15 +101,8 @@ class QuorumLock(LockClient):
             raise ProtocolError("client ids must be non-negative")
         if client_id in self._held:
             raise ProtocolError(f"client {client_id} already holds lock {self.name!r}")
-        if client_id not in self._rngs:
-            self._rngs[client_id] = random.Random(self.rng.getrandbits(64))
-        rng = self._rngs[client_id]
-        lock = self.begin(client_id, self.system.sample_quorum(rng))
-        for _ in range(1 + MAX_TOP_UP_ROUNDS):  # confirm over each repaired quorum
-            op = self._send(lock.round(self.system, rng), self.message(lock, REQUEST))
-            lock.on_requests(op)
-            if not op.fell_back:
-                break
+        lock = self.begin(client_id, self.system.sample_quorum(self.rng))
+        self._run(self.try_rounds(lock, self.system, self.rng))
         if lock.held:
             self._held[client_id] = lock
             self.acquisitions += 1
@@ -124,12 +110,14 @@ class QuorumLock(LockClient):
             self._release(lock)
         return lock.attempt(self.name)
 
-    def _release(self, lock: LockOp) -> None:
-        self._send(LockRound(sorted(lock.contacted)), self.message(lock, RELEASE))
+    def _release(self, lock: LockOp) -> FrozenSet[ServerId]:
+        self._run(self.release_rounds(lock))
+        return frozenset(lock.unreleased)
 
-    def release(self, client_id: int) -> None:
-        """Release the lock held by ``client_id``; :class:`ProtocolError` if it does not."""
+    def release(self, client_id: int) -> FrozenSet[ServerId]:
+        """Release the lock held by ``client_id``; return the arbiters that
+        never acknowledged.  :class:`ProtocolError` if it does not hold it."""
         lock = self._held.pop(client_id, None)
         if lock is None:
             raise ProtocolError(f"client {client_id} does not hold lock {self.name!r}")
-        self._release(lock)
+        return self._release(lock)

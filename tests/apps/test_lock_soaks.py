@@ -20,7 +20,9 @@ Three workloads exercise the quorum-backed lock service
 Every shape also runs with ``hold_time=0.002``, so holders keep the lock
 across event-loop time, and two runs show that each counter can fire: an
 arbiter that grants twice double-grants, and a plain threshold-1 read over
-colluding forgers accepts their fabricated holder.
+colluding forgers accepts their fabricated holder.  A lossy run with no
+churn shows that lost releases do not strand the lock: without crashes
+nothing else would ever clear a grant its client abandoned.
 
 This file is the blocking ``coordination-safety`` CI job.  Nothing here
 prints or times anything: throughput is the repo benchmark's (``bench/``).
@@ -131,6 +133,16 @@ def test_coordination_soak_tcp_with_holds():
     report = run_soak("tcp", hold_time=0.002)
     check_coordination_safety(report)
     assert report.injected_crashes > 0
+    assert report.starved_clients == 0
+
+
+def test_lost_messages_without_churn_strand_no_grant():
+    # About 30 % of releases to 18 arbiters lose a message at this rate.
+    report = run_lock_load(contended_spec(drop_probability=0.02))
+    check_coordination_safety(report)
+    assert report.injected_crashes == 0
+    assert report.grants == 24
+    assert report.give_ups == 0
     assert report.starved_clients == 0
 
 

@@ -4,7 +4,9 @@ Four layers:
 
 * every :class:`LockArbiter` transition, message by message;
 * the replica behaviours that host it (crash, silence, Byzantine grants);
-* the synchronous driver past crashed servers;
+* the client's shared rounds: a try, and a release re-sent until every
+  arbiter acknowledged it;
+* the synchronous driver past crashed and gray servers;
 * an exhaustive check: every delivery order of the in-flight messages of two
   contenders over three arbiters, each acquiring once, for every choice of
   their quorums.  No reachable state has two holders, every terminal state
@@ -35,11 +37,11 @@ from repro.protocol.arbiter import (
     YIELD,
     LockArbiter,
     LockClient,
-    LockRound,
 )
 from repro.protocol.lock import QuorumLock
 from repro.protocol.selection import ReadRule
 from repro.protocol.timestamps import Timestamp
+from repro.service.quorum_op import QuorumOp
 from repro.simulation.cluster import Cluster
 from repro.simulation.failures import FailurePlan
 from repro.simulation.server import (
@@ -200,6 +202,79 @@ class TestReplicaBehaviours:
         assert (record.value, record.timestamp) == ("F", forged)
 
 
+class Lossy:
+    """Runs a client's rounds on hand-held arbiters, losing the messages
+    ``lose(server, kind)`` picks (lost before the arbiter sees them)."""
+
+    def __init__(self, servers, lose):
+        self.arbiters = [LockArbiter() for _ in range(servers)]
+        self.lose = lose
+        self.sent = []
+
+    def run(self, rounds):
+        for op, message in rounds:
+            servers = op.start()
+            while servers:
+                self.sent.append((message[0], servers))
+                for server in servers:
+                    if self.lose(server, message[0]):
+                        op.on_miss(server)
+                    else:
+                        op.on_reply(server, self.arbiters[server].handle(*message))
+                servers = op.round_end()
+
+    def entries(self, client):
+        return {
+            index
+            for index, arbiter in enumerate(self.arbiters)
+            if LockArbiter._entry(arbiter.locks[VAR], client) is not None
+        }
+
+
+class TestClientRounds:
+    def test_a_release_is_re_sent_until_acknowledged_and_reports_who_never_did(self):
+        losses = {(1, 0), (2, 0), (2, 1), (2, 2)}  # (server, send): 1 loses once, 2 always
+        sends = {}
+
+        def lose(server, kind):
+            if kind != RELEASE:
+                return False
+            sends[server] = sends.get(server, -1) + 1
+            return (server, sends[server]) in losses
+
+        world, client = Lossy(3, lose), LockClient("L", ReadRule())
+        lock = client.begin(1, (0, 1, 2))
+        world.run(client.try_rounds(lock, None, None))
+        assert lock.held
+        world.run(client.release_rounds(lock))
+        assert world.sent[1:] == [(RELEASE, (0, 1, 2)), (RELEASE, (1, 2)), (RELEASE, (2,))]
+        assert lock.unreleased == {2}
+        assert world.entries(1) == {2}  # left only where it was reported
+
+    def test_a_refused_try_releases_the_members_a_top_up_replaced(self):
+        system = UniformEpsilonIntersectingSystem(4, 3)
+        rounds = []
+
+        def lose(server, kind):  # server 1 drops the second request only
+            rounds.append((server, kind))
+            return server == 1 and kind == REQUEST and rounds.count((1, REQUEST)) == 2
+
+        world, rival, client = Lossy(4, lose), LockClient("L", ReadRule()), LockClient("L", ReadRule())
+        lock = client.begin(2, (0, 1, 2))
+        world.run(client.try_rounds(lock, system, random.Random(0)))
+        assert lock.held
+        world.run(client.release_rounds(lock))
+        # A better-ranked rival takes server 3 before the second request's
+        # top-up reaches it; server 1 keeps an entry from the first round.
+        world.arbiters[3].handle(REQUEST, VAR, 1, Timestamp(0, 1), 1, None)
+        again = client.begin(2, (0, 1, 2))
+        world.arbiters[1].handle(*client.message(again, REQUEST))
+        world.run(client.try_rounds(again, system, random.Random(0)))
+        assert not again.held and 1 not in again.members
+        assert world.entries(2) == set(again.members)  # server 1's entry is released
+        assert again.contacted == set(again.members)
+
+
 class TestSyncDriver:
     def test_a_try_tops_up_past_crashed_servers_and_a_refused_try_leaves_nothing(self):
         system = UniformEpsilonIntersectingSystem.for_epsilon(64, 1e-3)
@@ -216,6 +291,23 @@ class TestSyncDriver:
             for server in cluster.servers:
                 table = server.arbiter.locks.get(lock.variable)
                 assert table is None or all(entry.value != 2 for entry in table.queue)
+
+
+    def test_releases_reach_gray_arbiters_so_every_client_is_granted_in_turn(self):
+        # Quorums of 9 of 10 servers: one stranded grant refuses nearly
+        # every later try, so a release lost at a gray server shows.
+        system = UniformEpsilonIntersectingSystem(10, 9)
+        for seed in range(10):
+            plan = FailurePlan.gray_nodes(10, 3, 0.1, rng=random.Random(seed))
+            cluster = Cluster(10, failure_plan=plan, seed=seed)
+            lock = QuorumLock(system, cluster, rng=random.Random(seed))
+            for client in range(1, 9):
+                assert any(lock.acquire(client).acquired for _ in range(20)), (seed, client)
+                unreleased = lock.release(client)
+                for server in cluster.servers:
+                    table = server.arbiter.locks.get(lock.variable)
+                    if table is not None and server.server_id not in unreleased:
+                        assert LockArbiter._entry(table, client) is None
 
 
 def test_the_example_shapes_lock_epsilon_is_zero():
@@ -256,7 +348,7 @@ class Contender:
                 self.phase, self.inflight = "hold", ()
             elif self.lock.inquired:
                 self.phase = "yield"
-                self._send(LockRound(self.lock.inquired), YIELD)
+                self._send(QuorumOp(sorted(self.lock.inquired)), YIELD)
             else:
                 self._send(self.lock.round(None, None), REQUEST)
         else:  # a yield round is over
@@ -265,7 +357,7 @@ class Contender:
 
     def let_go(self) -> None:
         self.phase = "release"
-        self._send(LockRound(sorted(self.lock.contacted)), RELEASE)
+        self._send(QuorumOp(sorted(self.lock.contacted)), RELEASE)
 
     def key(self) -> tuple:
         replies = tuple(sorted((s, r[0], holder(r)) for s, r in self.op.replies.items()))
