@@ -199,9 +199,9 @@ PINS: Dict[str, str] = {
     "async-write-back-clique": "6155c9babf0a05d9",
     "async-write-back-crashes": "23295f93b502e265",
     "async-write-back-forgers": "db10bffa504c0837",
-    "lock-load-dissemination": "b7356d71587be706",
-    "lock-load-masking": "ae06f86ee21d2994",
-    "lock-load-plain": "7a6f83283548b151",
+    "lock-load-dissemination": "93464b890f53b5ce",
+    "lock-load-masking": "bd5e240d66c6435a",
+    "lock-load-plain": "5d101a502daef6f9",
     "service-forced-plain": "874a25c9f44528e1",
     "sync-dissemination-clique": "19590a006132bc96",
     "sync-dissemination-crashes": "2b8d5acf88b71e0b",
