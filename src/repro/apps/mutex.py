@@ -29,7 +29,13 @@ from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.exceptions import ConfigurationError, ProtocolError, QuorumUnavailableError
 from repro.protocol.arbiter import (  # noqa: F401 - lock_variable is re-exported
-    HOLDER, REQUEST, YIELD, LockAttempt, LockClient, LockOp, lock_variable,
+    HOLDER,
+    REQUEST,
+    YIELD,
+    LockAttempt,
+    LockClient,
+    LockOp,
+    lock_variable,
 )
 from repro.protocol.selection import ReadRule
 from repro.rngs import fresh_rng
@@ -189,7 +195,7 @@ class LockLoadSpec:
     retry_interval: float = 0.001
     #: Rounds before giving up.  A waiting round costs one ``retry_interval``,
     #: a fifth of the register lock's jittered pause, which had 400; under
-    #: fast churn 400 rounds give up (see ROADMAP item 1's liveness note).
+    #: fast crash churn 400 rounds run out before the lock comes free.
     max_requests: int = 2000
     latency: float = 0.0
     jitter: float = 0.0
@@ -207,19 +213,25 @@ class LockLoadSpec:
             self.latency, self.jitter, self.drop_probability,
         )
         check_deadline(self.transport, self.deadline)
-        for valid, problem in (
-            (self.clients >= 1, f"need at least one client, got {self.clients}"),
-            (self.acquisitions_per_client >= 1, "each client needs at least one "
-             f"acquisition, got {self.acquisitions_per_client}"),
-            (self.locks >= 1, f"need at least one lock, got {self.locks}"),
-            (self.hold_time >= 0.0, f"the hold time must be non-negative, got {self.hold_time}"),
-            (self.retry_interval > 0.0,
-             f"the retry interval must be positive, got {self.retry_interval}"),
-            (self.max_requests >= 1,
-             f"need at least one request per acquisition, got {self.max_requests}"),
-        ):
-            if not valid:
-                raise ConfigurationError(problem)
+        if self.clients < 1:
+            raise ConfigurationError(f"need at least one client, got {self.clients}")
+        if self.acquisitions_per_client < 1:
+            raise ConfigurationError(
+                f"each client needs at least one acquisition, "
+                f"got {self.acquisitions_per_client}"
+            )
+        if self.locks < 1:
+            raise ConfigurationError(f"need at least one lock, got {self.locks}")
+        if self.hold_time < 0.0:
+            raise ConfigurationError(f"the hold time must be non-negative, got {self.hold_time}")
+        if self.retry_interval <= 0.0:
+            raise ConfigurationError(
+                f"the retry interval must be positive, got {self.retry_interval}"
+            )
+        if self.max_requests < 1:
+            raise ConfigurationError(
+                f"need at least one request per acquisition, got {self.max_requests}"
+            )
 
     def lock_names(self) -> List[str]:
         """The shared lock names the contenders cycle over."""
@@ -313,8 +325,13 @@ async def lock_load(spec: LockLoadSpec) -> LockLoadReport:
     rng = random.Random(spec.seed)
     scenario = spec.scenario
     deployment = deploy(
-        scenario, transport=spec.transport, shards=1, latency=spec.latency,
-        jitter=spec.jitter, drop_probability=spec.drop_probability, rng=rng,
+        scenario,
+        transport=spec.transport,
+        shards=1,
+        latency=spec.latency,
+        jitter=spec.jitter,
+        drop_probability=spec.drop_probability,
+        rng=rng,
     )
     try:
         await deployment.start()
@@ -334,11 +351,15 @@ async def lock_load(spec: LockLoadSpec) -> LockLoadReport:
 
         # -- shared safety accounting: who holds what, right now ------------------
         holders: Dict[str, set] = {name: set() for name in names}
-        counters = dict.fromkeys(
-            ("grants", "releases", "give_ups", "rpc_failures", "double_grants", "fabricated",
-             "injected"),
-            0,
-        )
+        counters = {
+            "grants": 0,
+            "releases": 0,
+            "give_ups": 0,
+            "rpc_failures": 0,
+            "double_grants": 0,
+            "fabricated": 0,
+            "injected": 0,
+        }
         wait_times: List[float] = []
         grants_per_client = [0] * spec.clients
 

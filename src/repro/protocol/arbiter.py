@@ -268,8 +268,12 @@ class LockOp:
         """This op's outcome as a :class:`LockAttempt`."""
         held = self.held
         return LockAttempt(
-            lock_name, self.client, held, None if held else self.holder_seen,
-            self.timestamp if held else None, frozenset(self.members) if held else None,
+            lock_name=lock_name,
+            client_id=self.client,
+            granted=held,
+            holder_seen=None if held else self.holder_seen,
+            timestamp=self.timestamp if held else None,
+            quorum=frozenset(self.members) if held else None,
         )
 
 
