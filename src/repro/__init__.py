@@ -64,11 +64,9 @@ from repro.quorum import (
     GridQuorumSystem,
     MajorityQuorumSystem,
     QuorumSystem,
-    SingletonQuorumSystem,
     ThresholdDisseminationQuorumSystem,
     ThresholdMaskingQuorumSystem,
     ThresholdQuorumSystem,
-    WeightedVotingQuorumSystem,
 )
 from repro.types import FailureCurvePoint, Quorum, ServerId, SystemProfile
 
@@ -103,8 +101,6 @@ __all__ = [
     "GridQuorumSystem",
     "GridDisseminationQuorumSystem",
     "GridMaskingQuorumSystem",
-    "SingletonQuorumSystem",
-    "WeightedVotingQuorumSystem",
     "ThresholdDisseminationQuorumSystem",
     "ThresholdMaskingQuorumSystem",
     # shared types

@@ -21,7 +21,6 @@ from functools import lru_cache
 from typing import Iterable, List
 
 import numpy as np
-from scipy.special import gammaln
 
 #: Cache bound for the distribution tails.  The calibration scans evaluate
 #: the same (n, marked, draws) tails for many thresholds, and the estimator
@@ -82,6 +81,8 @@ def log_factorial_table(n: int) -> np.ndarray:
     """
     if n < 0:
         raise ValueError(f"log_factorial_table requires n >= 0, got {n}")
+    from scipy.special import gammaln
+
     table = gammaln(np.arange(n + 1, dtype=np.float64) + 1.0)
     table.setflags(write=False)
     return table
@@ -94,6 +95,8 @@ def log_binomial_grid(n_values, k_values) -> np.ndarray:
     mirroring :func:`log_binomial`, so hypergeometric grids can be summed
     without masking out the boundary of the support first.
     """
+    from scipy.special import gammaln
+
     n_arr = np.asarray(n_values, dtype=np.float64)
     k_arr = np.asarray(k_values, dtype=np.float64)
     n_arr, k_arr = np.broadcast_arrays(n_arr, k_arr)

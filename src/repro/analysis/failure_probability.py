@@ -165,7 +165,7 @@ def monte_carlo_failure_probability(
 
     Each trial crashes every server independently with probability ``p`` and
     checks whether any quorum survives intact.  Intended for explicit systems
-    whose structure admits no closed form (e.g. weighted-voting systems);
+    whose structure admits no closed form (e.g. an ``ExplicitQuorumSystem``);
     threshold and grid systems should use the exact functions above.
 
     ``engine="batch"`` draws crash masks for a whole chunk of trials at once

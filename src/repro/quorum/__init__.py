@@ -12,9 +12,6 @@ Contents:
 * :mod:`repro.quorum.threshold` — majority and threshold systems;
 * :mod:`repro.quorum.grid` — Maekawa grid systems and their Byzantine
   (dissemination / masking) variants;
-* :mod:`repro.quorum.singleton` — the single-server system (the best strict
-  system for crash probability ``p >= 1/2``);
-* :mod:`repro.quorum.weighted_voting` — Gifford-style weighted voting;
 * :mod:`repro.quorum.byzantine` — strict b-dissemination and b-masking
   threshold systems of Malkhi and Reiter;
 * :mod:`repro.quorum.measures` — load (LP-optimal), fault tolerance (exact
@@ -39,10 +36,6 @@ from repro.quorum.measures import (
     minimum_hitting_set,
     optimal_load,
 )
-from repro.quorum.crumbling_walls import (
-    CrumblingWallQuorumSystem,
-    near_square_row_widths,
-)
 from repro.quorum.probe import (
     GreedyProbeStrategy,
     ProbeResult,
@@ -50,14 +43,12 @@ from repro.quorum.probe import (
     expected_probes_uniform,
     oracle_from_alive_set,
 )
-from repro.quorum.singleton import SingletonQuorumSystem
 from repro.quorum.threshold import MajorityQuorumSystem, ThresholdQuorumSystem
 from repro.quorum.verification import (
     verify_dissemination_property,
     verify_intersection_property,
     verify_masking_property,
 )
-from repro.quorum.weighted_voting import WeightedVotingQuorumSystem
 
 __all__ = [
     "QuorumSystem",
@@ -68,8 +59,6 @@ __all__ = [
     "ByzantineGridQuorumSystem",
     "GridDisseminationQuorumSystem",
     "GridMaskingQuorumSystem",
-    "SingletonQuorumSystem",
-    "WeightedVotingQuorumSystem",
     "ThresholdDisseminationQuorumSystem",
     "ThresholdMaskingQuorumSystem",
     "optimal_load",
@@ -79,8 +68,6 @@ __all__ = [
     "verify_intersection_property",
     "verify_dissemination_property",
     "verify_masking_property",
-    "CrumblingWallQuorumSystem",
-    "near_square_row_widths",
     "UniformProbeStrategy",
     "GreedyProbeStrategy",
     "ProbeResult",

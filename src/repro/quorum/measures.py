@@ -7,7 +7,8 @@ the three traditional measures of Section 2 exactly:
   maximum per-server access probability.  Finding the optimal strategy is a
   linear program: minimise ``z`` subject to ``Σ_Q w(Q) = 1``, ``w >= 0`` and
   ``Σ_{Q ∋ u} w(Q) <= z`` for every server ``u``.  We solve it with
-  :func:`scipy.optimize.linprog`.
+  :func:`scipy.optimize.linprog`, imported on first use so that importing
+  the library does not load SciPy.
 * **fault tolerance** (Definition 2.5) — the size of a minimum hitting set
   (transversal) of the quorums, computed exactly by branch and bound with a
   greedy upper bound and an LP-free lower bound; exponential in the worst
@@ -24,7 +25,6 @@ import random
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.exceptions import ConfigurationError, StrategyError
 from repro.quorum.base import membership_matrix
@@ -111,16 +111,18 @@ def _empirical_load(
     return float(per_server.max()) / trials
 
 
-def optimal_load(quorums: Sequence[Quorum], n: int) -> float:
-    """LP-optimal load ``L(Q) = min_w L_w(Q)`` (Definition 2.4).
+def _solve_load_lp(quorums: Sequence[Quorum], n: int, what: str):
+    """Solve the load LP of Definition 2.4 and return SciPy's result.
 
     Variables are the quorum weights ``w_1 .. w_m`` plus the bound ``z``; the
     objective minimises ``z`` subject to each server's induced load being at
     most ``z`` and the weights forming a distribution.
     """
+    from scipy.optimize import linprog
+
     quorum_list = [frozenset(q) for q in quorums]
     if not quorum_list:
-        raise ConfigurationError("cannot compute the load of an empty system")
+        raise ConfigurationError(f"cannot compute {what} of an empty system")
     m = len(quorum_list)
     # Objective: minimise z (the last variable).
     c = np.zeros(m + 1)
@@ -145,17 +147,16 @@ def optimal_load(quorums: Sequence[Quorum], n: int) -> float:
     b_eq = np.array([1.0])
     bounds = [(0.0, None)] * m + [(0.0, 1.0)]
     result = linprog(
-        c,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=bounds,
-        method="highs",
+        c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs"
     )
     if not result.success:  # pragma: no cover - linprog is reliable on these LPs
         raise ConfigurationError(f"load LP failed to solve: {result.message}")
-    return float(result.fun)
+    return result
+
+
+def optimal_load(quorums: Sequence[Quorum], n: int) -> float:
+    """LP-optimal load ``L(Q) = min_w L_w(Q)`` (Definition 2.4)."""
+    return float(_solve_load_lp(quorums, n, "the load").fun)
 
 
 def optimal_strategy(quorums: Sequence[Quorum], n: int) -> Tuple[List[float], float]:
@@ -165,35 +166,8 @@ def optimal_strategy(quorums: Sequence[Quorum], n: int) -> Tuple[List[float], fl
     protocol layer can enforce the load-optimal strategy (the paper stresses
     that the advertised ε is only achieved under the specified strategy).
     """
-    quorum_list = [frozenset(q) for q in quorums]
-    if not quorum_list:
-        raise ConfigurationError("cannot compute a strategy for an empty system")
-    m = len(quorum_list)
-    c = np.zeros(m + 1)
-    c[m] = 1.0
-    rows: List[np.ndarray] = []
-    for server in range(n):
-        row = np.zeros(m + 1)
-        involved = False
-        for idx, quorum in enumerate(quorum_list):
-            if server in quorum:
-                row[idx] = 1.0
-                involved = True
-        if involved:
-            row[m] = -1.0
-            rows.append(row)
-    a_ub = np.vstack(rows) if rows else None
-    b_ub = np.zeros(len(rows)) if rows else None
-    a_eq = np.zeros((1, m + 1))
-    a_eq[0, :m] = 1.0
-    b_eq = np.array([1.0])
-    bounds = [(0.0, None)] * m + [(0.0, 1.0)]
-    result = linprog(
-        c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs"
-    )
-    if not result.success:  # pragma: no cover
-        raise ConfigurationError(f"load LP failed to solve: {result.message}")
-    weights = [max(0.0, float(w)) for w in result.x[:m]]
+    result = _solve_load_lp(quorums, n, "a strategy")
+    weights = [max(0.0, float(w)) for w in result.x[:-1]]
     total = sum(weights)
     weights = [w / total for w in weights]
     return weights, float(result.fun)
