@@ -96,13 +96,12 @@ class TestProbabilisticSemantics:
                 violations += 1
         assert violations / trials == pytest.approx(system.epsilon, abs=0.08)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="an ε event, not a protocol fault: at seed 40 the two clients draw "
-        "disjoint quorums (ε = 7.8e-4 per trial, so zero in 100 fixed seeds fails "
-        "for 7.5% of draw orders); the test wants a statistical bound",
-    )
     def test_tight_epsilon_gives_practically_exclusive_lock(self):
+        # A double grant here is an ε event, not a protocol fault: the two
+        # clients drew disjoint quorums (ε = 7.8e-4 per seed; seed 40 does).
+        # Demanding zero in 100 seeds would fail a correct lock for 7.5 % of
+        # draw orders.  It fails "at most 2" only if Bin(100, ε) >= 3, which
+        # has probability ≈ 7.3e-5.
         system = UniformEpsilonIntersectingSystem.for_epsilon(64, 1e-3)
         double_grants = 0
         for seed in range(100):
@@ -111,7 +110,7 @@ class TestProbabilisticSemantics:
             lock.acquire(1)
             if lock.acquire(2).acquired:
                 double_grants += 1
-        assert double_grants == 0
+        assert double_grants <= 2
 
 
 class ScriptedQuorumSystem:
