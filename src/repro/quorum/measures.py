@@ -111,7 +111,7 @@ def _empirical_load(
     return float(per_server.max()) / trials
 
 
-def _solve_load_lp(quorums: Sequence[Quorum], n: int, what: str):
+def _solve_load_lp(quorums: Sequence[Quorum], n: int):
     """Solve the load LP of Definition 2.4 and return SciPy's result.
 
     Variables are the quorum weights ``w_1 .. w_m`` plus the bound ``z``; the
@@ -122,7 +122,7 @@ def _solve_load_lp(quorums: Sequence[Quorum], n: int, what: str):
 
     quorum_list = [frozenset(q) for q in quorums]
     if not quorum_list:
-        raise ConfigurationError(f"cannot compute {what} of an empty system")
+        raise ConfigurationError("cannot compute the load of an empty system")
     m = len(quorum_list)
     # Objective: minimise z (the last variable).
     c = np.zeros(m + 1)
@@ -156,7 +156,7 @@ def _solve_load_lp(quorums: Sequence[Quorum], n: int, what: str):
 
 def optimal_load(quorums: Sequence[Quorum], n: int) -> float:
     """LP-optimal load ``L(Q) = min_w L_w(Q)`` (Definition 2.4)."""
-    return float(_solve_load_lp(quorums, n, "the load").fun)
+    return float(_solve_load_lp(quorums, n).fun)
 
 
 def optimal_strategy(quorums: Sequence[Quorum], n: int) -> Tuple[List[float], float]:
@@ -166,7 +166,7 @@ def optimal_strategy(quorums: Sequence[Quorum], n: int) -> Tuple[List[float], fl
     protocol layer can enforce the load-optimal strategy (the paper stresses
     that the advertised ε is only achieved under the specified strategy).
     """
-    result = _solve_load_lp(quorums, n, "a strategy")
+    result = _solve_load_lp(quorums, n)
     weights = [max(0.0, float(w)) for w in result.x[:-1]]
     total = sum(weights)
     weights = [w / total for w in weights]
