@@ -23,6 +23,7 @@ from __future__ import annotations
 import abc
 import math
 import random
+import threading
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -35,6 +36,10 @@ from repro.quorum.base import (
     sample_subset_mask,
 )
 from repro.types import Quorum, make_quorum
+
+#: Serialises building an explicit support's membership matrix, so threads
+#: drawing chunks at once build it once.
+_MEMBERSHIP_LOCK = threading.Lock()
 
 
 class AccessStrategy(abc.ABC):
@@ -233,6 +238,10 @@ class ExplicitStrategy(AccessStrategy):
         self._weights: Tuple[float, ...] = tuple(w / total for w in weight_list)
         # Sorted-tuple view of the support, built lazily by sample_block.
         self._ordered_support: Optional[List[Tuple[int, ...]]] = None
+        # (n, read-only membership matrix of the support), built lazily by
+        # sample_batch_membership: its Python loop would otherwise run, and
+        # hold the interpreter lock, on every chunk.
+        self._membership: Optional[Tuple[int, np.ndarray]] = None
 
     @property
     def quorums(self) -> Tuple[Quorum, ...]:
@@ -283,7 +292,12 @@ class ExplicitStrategy(AccessStrategy):
         """Vectorised draw: pick support indices, then gather membership rows."""
         if trials < 0:
             raise ConfigurationError(f"trial count must be non-negative, got {trials}")
-        support = membership_matrix(self._quorums, n)
+        with _MEMBERSHIP_LOCK:
+            if self._membership is None or self._membership[0] != n:
+                support = membership_matrix(self._quorums, n)
+                support.flags.writeable = False
+                self._membership = (n, support)
+            support = self._membership[1]
         chosen = generator.choice(len(self._quorums), size=trials, p=np.asarray(self._weights))
         if out is not None and out.shape == (trials, n) and out.dtype == np.bool_:
             np.take(support, chosen, axis=0, out=out)

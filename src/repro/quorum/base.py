@@ -31,6 +31,10 @@ from repro.types import Quorum, QuorumCollection, ServerId, SystemProfile, make_
 #: Enumerating more quorums than this raises instead of exhausting memory.
 ENUMERATION_LIMIT = 2_000_000
 
+#: Uniforms :func:`sample_subset_mask` ranks per row block (256 KB of
+#: doubles), so a block's draw, partition and comparison stay in cache.
+MASK_BLOCK_RANKS = 32768
+
 
 class QuorumSystem(abc.ABC):
     """Abstract base class for strict quorum systems.
@@ -324,6 +328,11 @@ def sample_subset_mask(
     ``size``-th smallest uniform, one partition and one comparison in place
     of an index matrix and a scatter.  Rows tied at that threshold mark too
     many servers; the count catches them and ``argpartition`` re-picks.
+
+    The rows run in blocks of about :data:`MASK_BLOCK_RANKS` uniforms (at
+    least one row).  The generator fills its stream in order, so drawing
+    block after block yields the numbers one whole-matrix draw would, and
+    every row's pick depends on its own uniforms only.
     """
     import numpy as np
 
@@ -336,10 +345,14 @@ def sample_subset_mask(
     if size == 0 or size == n:
         out.fill(size == n)
         return out
-    ranks = generator.random((trials, n))
-    kth = np.partition(ranks, size - 1, axis=1)[:, size - 1 : size]
-    np.less_equal(ranks, kth, out=out)
-    if np.count_nonzero(out) != trials * size:
-        out.fill(False)
-        np.put_along_axis(out, np.argpartition(ranks, size - 1, axis=1)[:, :size], True, axis=1)
+    rows = max(1, MASK_BLOCK_RANKS // n)
+    for start in range(0, trials, rows):
+        block = out[start : start + rows]
+        ranks = generator.random(block.shape)
+        kth = np.partition(ranks, size - 1, axis=1)[:, size - 1 : size]
+        np.less_equal(ranks, kth, out=block)
+        if np.count_nonzero(block) != block.shape[0] * size:
+            block.fill(False)
+            picks = np.argpartition(ranks, size - 1, axis=1)[:, :size]
+            np.put_along_axis(block, picks, True, axis=1)
     return out

@@ -38,17 +38,30 @@ Reproducibility and memory
 Trials are processed in fixed-size chunks.  Each chunk gets its own RNG
 substream via ``numpy.random.SeedSequence(seed).spawn(...)``, so a run is
 fully determined by ``(seed, chunk_size)`` and peak memory stays bounded at
-``O(chunk_size * n)`` regardless of the trial count.
+``O(chunk_size * n)`` per thread regardless of the trial count.
 
-Within one estimator run the engine also *reuses* its per-chunk buffers:
+The one-write loop (:meth:`BatchTrialEngine.estimate_read_consistency`
+without writers or gossip) runs its chunks at the same time on the calling
+thread and one helper thread per further usable CPU (:func:`_sum_chunks`).
+A chunk's outcome is four integer counts drawn from its own substream, so
+the report is the same bit for bit at every CPU count, and NumPy releases
+the interpreter lock inside the kernels, so the chunks really overlap.
+That path's memory is ``O(threads * chunk_size * n)``.  The
+version-history kernel stays on the calling thread: a staleness chunk's
+working set is ~20 MB, and a helper's malloc arena keeps it.  On 2 vCPUs,
+running its chunks concurrently too raised the ``mc-batch`` benchmark's
+peak RSS from ~79 MB to 110–114 MB (≥ 1.39×); the one-write path alone
+reads ~83 MB (1.05×).
+
+Within one estimator run each thread also *reuses* its per-chunk buffers:
 profiling the hot loop showed the top repeated allocations were the two
 ``(chunk, n)`` quorum-membership matrices and the boolean vote-mask
-temporaries re-created for every block, so the engine keeps one workspace
-(:class:`_Workspace`) and fills the same arrays in place across blocks
-(membership via the strategies' ``out=`` parameter, vote intersection via
-``np.logical_and(..., out=...)``).  Buffer contents never cross chunk
-boundaries — every array is fully overwritten before it is read — so the
-estimates are bit-identical to the allocating path.
+temporaries re-created for every block, so every thread keeps one
+workspace (:class:`_Workspace`) and fills the same arrays in place across
+blocks (membership via the strategies' ``out=`` parameter, vote
+intersection via ``np.logical_and(..., out=...)``).  Buffer contents never
+cross chunk boundaries — every array is fully overwritten before it is
+read — so the estimates are bit-identical to the allocating path.
 
 Two kernels classify reads.  One write followed by one read (the
 consistency estimate of Theorems 3.2, 4.2 and 5.2) needs no version
@@ -94,7 +107,11 @@ the replies the same vote counts describe.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple, TYPE_CHECKING
+import functools
+import math
+import os
+import threading
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -115,12 +132,78 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 DEFAULT_CHUNK_SIZE = 4096
 
 
+#: Chunk outcome counts, summed over the chunks of one estimate.
+_Counts = Tuple[int, ...]
+
+
+def _helper_count() -> int:
+    """Helper threads an estimate may start: the usable CPUs beyond this one."""
+    try:
+        usable = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        usable = os.cpu_count() or 1
+    return max(0, usable - 1)
+
+
+def _sum_chunks(
+    seed: int, trials: int, chunk_size: int, work: Callable[[np.random.Generator, int], _Counts]
+) -> _Counts:
+    """Element-wise sum of ``work(generator, size)`` over the chunks, on every usable CPU.
+
+    The chunks are :func:`~repro.rngs.chunked_substreams`'s.  The calling
+    thread and up to one helper thread per further usable CPU (never more
+    helpers than further chunks) take chunks until none is left.  Each
+    chunk owns its substream and yields integer counts, so which thread ran
+    it, and in what order the counts add up, does not change the sum.  NumPy
+    releases the interpreter lock inside its kernels, so the chunks really
+    run at once.  Every helper is joined before this returns or re-raises;
+    after a chunk raises, no thread starts another.
+    """
+    chunks = chunked_substreams(seed, trials, chunk_size)
+    lock = threading.Lock()
+    failed = threading.Event()
+    sums: List[_Counts] = []
+    errors: List[BaseException] = []
+
+    def drain() -> None:
+        try:
+            while not failed.is_set():
+                with lock:
+                    chunk = next(chunks, None)
+                if chunk is None:
+                    return
+                counts = work(*chunk)
+                with lock:
+                    sums.append(counts)
+        except BaseException as error:
+            failed.set()
+            with lock:
+                errors.append(error)
+
+    helpers: List[threading.Thread] = []
+    try:
+        for _ in range(min(_helper_count(), math.ceil(trials / chunk_size) - 1)):
+            helper = threading.Thread(target=drain, name="repro-batch-helper", daemon=True)
+            helper.start()
+            helpers.append(helper)
+        drain()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[0]
+    return tuple(map(sum, zip(*sums)))
+
+
 class _Workspace:
     """Named reusable scratch arrays, keyed by (name, shape, dtype).
 
     ``array(...)`` hands back the same buffer on every chunk of the same
     size and allocates only when the shape changes (i.e. the final short
-    chunk).  Callers must fully overwrite a buffer before reading it.
+    chunk).  Callers must fully overwrite a buffer before reading it.  An
+    engine keeps one per thread (:attr:`BatchTrialEngine._workspace`), so
+    chunks running at once never share a buffer; the one-write path's
+    buffers therefore take ``threads * chunk * n`` bytes per name.
     """
 
     __slots__ = ("_arrays",)
@@ -366,7 +449,7 @@ class BatchTrialEngine:
             rule = ScenarioSpec(system=system).read_rule()
         self.rule = rule
         self.written_value = written_value
-        self._workspace = _Workspace()
+        self._local = threading.local()
 
     @classmethod
     def from_spec(
@@ -387,6 +470,14 @@ class BatchTrialEngine:
             writers=spec.writers,
             anti_entropy=spec.anti_entropy,
         )
+
+    @property
+    def _workspace(self) -> _Workspace:
+        """The calling thread's scratch buffers (chunks run on several threads)."""
+        workspace = getattr(self._local, "workspace", None)
+        if workspace is None:
+            workspace = self._local.workspace = _Workspace()
+        return workspace
 
     # -- chunked substreams -------------------------------------------------------
 
@@ -487,33 +578,37 @@ class BatchTrialEngine:
             raise ConfigurationError(f"trial count must be positive, got {trials}")
         if self.writers > 1 or (self.anti_entropy is not None and self.anti_entropy.gossips):
             return self._estimate_contention(trials)
-        rank, tie, forged_key_wins, values_collide = self._forgery(
-            [Timestamp(1, self.writer_id)], [self.written_value]
+        forgery = self._forgery([Timestamp(1, self.writer_id)], [self.written_value])
+        fresh, stale, empty, fabricated = _sum_chunks(
+            self.seed, trials, self.chunk_size, functools.partial(self._one_write, forgery=forgery)
         )
-        threshold = self.rule.threshold
-        fresh = stale = empty = fabricated = 0
-        for generator, size in self._chunks(trials):
-            member_w, member_r, masks = self._sample_round(generator, size)
-            vouchers = self._workspace.array("vouchers", (size, self.system.n), bool)
-            np.logical_and(member_r, member_w, out=vouchers)
-            np.logical_and(vouchers, masks.responsive_storers, out=vouchers)
-            honest_votes = vouchers.sum(axis=1)
-            forged_votes = self._forged_votes(member_r, masks)
-            if tie is not None:
-                fresh_mask, stale_mask, empty_mask, fab_mask = classify_tying_votes(
-                    honest_votes, forged_votes, threshold, forged_key_wins, values_collide
-                )
-            else:
-                fresh_mask, stale_mask, empty_mask, fab_mask = classify_threshold_votes(
-                    honest_votes, forged_votes, threshold, rank >= 1
-                )
-            fresh += int(fresh_mask.sum())
-            fabricated += int(fab_mask.sum())
-            stale += int(stale_mask.sum())
-            empty += int(empty_mask.sum())
         return ConsistencyReport(
             trials=trials, fresh=fresh, stale=stale, empty=empty, fabricated=fabricated
         )
+
+    def _one_write(
+        self,
+        generator: np.random.Generator,
+        size: int,
+        forgery: Tuple[int, Optional[int], bool, bool],
+    ) -> Tuple[int, int, int, int]:
+        """One chunk of one-write trials: its ``(fresh, stale, empty, fabricated)`` counts."""
+        rank, tie, forged_key_wins, values_collide = forgery
+        threshold = self.rule.threshold
+        member_w, member_r, masks = self._sample_round(generator, size)
+        vouchers = self._workspace.array("vouchers", (size, self.system.n), bool)
+        np.logical_and(member_r, member_w, out=vouchers)
+        np.logical_and(vouchers, masks.responsive_storers, out=vouchers)
+        honest_votes = vouchers.sum(axis=1)
+        forged_votes = self._forged_votes(member_r, masks)
+        if tie is not None:
+            outcomes = classify_tying_votes(
+                honest_votes, forged_votes, threshold, forged_key_wins, values_collide
+            )
+        else:
+            outcomes = classify_threshold_votes(honest_votes, forged_votes, threshold, rank >= 1)
+        fresh, stale, empty, fabricated = (int(np.count_nonzero(mask)) for mask in outcomes)
+        return fresh, stale, empty, fabricated
 
     def _estimate_contention(self, trials: int) -> "ConsistencyReport":
         """Concurrent writers (one, when only gossip is declared), gossip, one read.

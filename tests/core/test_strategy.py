@@ -6,12 +6,17 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import strategy as strategy_module
+from repro.core.epsilon_intersecting import EpsilonIntersectingSystem
 from repro.core.strategy import ExplicitStrategy, UniformSubsetStrategy
 from repro.exceptions import ConfigurationError, StrategyError
+from repro.quorum.base import membership_matrix
+from repro.simulation.batch import BatchTrialEngine
 
 
 class TestUniformSubsetStrategy:
@@ -110,6 +115,33 @@ class TestExplicitStrategy:
             ExplicitStrategy([{0}], weights=[-1.0])
         with pytest.raises(StrategyError):
             ExplicitStrategy([{0}, {1}], weights=[0.0, 0.0])
+
+    def test_batch_membership_draws_are_unchanged_across_chunks(self):
+        quorums = [{0, 1, 2}, {2, 3}, {4}, {1, 4, 5}]
+        weights = [0.4, 0.3, 0.2, 0.1]
+        strategy = ExplicitStrategy(quorums, weights=weights)
+        generator, oracle = np.random.default_rng(11), np.random.default_rng(11)
+        for n, trials, buffered in [(6, 50, False), (6, 50, True), (8, 7, True), (6, 3, False)]:
+            out = np.empty((trials, n), dtype=bool) if buffered else None
+            drawn = strategy.sample_batch_membership(n, trials, generator, out=out)
+            chosen = oracle.choice(len(quorums), size=trials, p=np.asarray(weights))
+            assert np.array_equal(drawn, membership_matrix(quorums, n)[chosen])
+            assert drawn.flags.writeable
+        assert generator.random() == oracle.random()
+
+    def test_batch_membership_builds_the_support_matrix_once(self, monkeypatch):
+        built = []
+
+        def counting(quorums, n):
+            built.append(n)
+            return membership_matrix(quorums, n)
+
+        monkeypatch.setattr(strategy_module, "membership_matrix", counting)
+        system = EpsilonIntersectingSystem(6, [{0, 1, 2}, {2, 3, 4}, {4, 5, 0}])
+        engine = BatchTrialEngine(system, seed=2, chunk_size=100)
+        report = engine.estimate_read_consistency(450)  # five chunks, two draws each
+        assert report.trials == 450
+        assert built == [6]
 
     @given(
         st.lists(

@@ -20,7 +20,10 @@ Two kinds of guarantees are pinned down here:
 from __future__ import annotations
 
 import math
+import multiprocessing
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -34,8 +37,9 @@ from repro.core.strategy import ExplicitStrategy, UniformSubsetStrategy
 from repro.exceptions import ConfigurationError
 from repro.protocol.timestamps import Timestamp
 from repro.protocol.variable import ProbabilisticRegister
-from repro.quorum.base import sample_subset_batch, sample_subset_mask
+from repro.quorum.base import MASK_BLOCK_RANKS, sample_subset_batch, sample_subset_mask
 from repro.quorum.measures import load_of_strategy
+from repro.simulation import batch
 from repro.simulation.batch import BatchTrialEngine, classify_threshold_votes
 from repro.simulation.client import measure_system_load
 from repro.simulation.failures import FailureModel
@@ -58,6 +62,21 @@ def hoeffding_tolerance(trials: int, delta: float = 1e-9) -> float:
 def two_sided_tolerance(trials_a: int, trials_b: int) -> float:
     """Tolerance for comparing two independent empirical means."""
     return hoeffding_tolerance(trials_a) + hoeffding_tolerance(trials_b)
+
+
+#: Rows of one mask-kernel block at n = 100.
+BLOCK_ROWS_AT_100 = MASK_BLOCK_RANKS // 100
+
+
+def whole_matrix_mask(n: int, size: int, trials: int, generator) -> np.ndarray:
+    """The k-of-n mask kernel over the whole matrix at once: the row-blocked kernel's oracle."""
+    ranks = generator.random((trials, n))
+    kth = np.partition(ranks, size - 1, axis=1)[:, size - 1 : size]
+    mask = ranks <= kth
+    if np.count_nonzero(mask) != trials * size:
+        mask[:] = False
+        np.put_along_axis(mask, np.argpartition(ranks, size - 1, axis=1)[:, :size], True, axis=1)
+    return mask
 
 
 class TestEngineEquivalence:
@@ -494,6 +513,44 @@ class TestBatchSamplingInvariants:
         np.put_along_axis(expected, picks, True, axis=1)
         assert np.array_equal(mask, expected)
 
+    @pytest.mark.parametrize(
+        "n, size, trials",
+        [
+            (100, 30, BLOCK_ROWS_AT_100 - 1),
+            (100, 30, BLOCK_ROWS_AT_100),
+            (100, 30, BLOCK_ROWS_AT_100 + 1),
+            (100, 30, 4097),
+            (100, 1, 4097),
+            (100, 99, 4097),
+            # A block holds a single row once a row outgrows half a block.
+            (MASK_BLOCK_RANKS // 2 + 1, 1000, 3),
+            (MASK_BLOCK_RANKS + 5, 7, 2),
+        ],
+    )
+    def test_sample_subset_mask_blocks_match_the_whole_matrix_kernel(self, n, size, trials):
+        generator = np.random.default_rng(n * 7919 + trials)
+        oracle_generator = np.random.default_rng(n * 7919 + trials)
+        mask = sample_subset_mask(n, size, trials, generator)
+        assert np.array_equal(mask, whole_matrix_mask(n, size, trials, oracle_generator))
+        assert generator.random() == oracle_generator.random()
+
+    def test_sample_subset_mask_ties_fall_back_block_by_block(self):
+        # Uniforms rounded to tenths tie at almost every row's threshold, so
+        # every block of the run takes the argpartition fallback on its own.
+        class CoarseGenerator:
+            def __init__(self, seed):
+                self.generator = np.random.default_rng(seed)
+
+            def random(self, shape=None):
+                return np.round(self.generator.random(shape), 1)
+
+        n, size, trials = 100, 30, 2 * BLOCK_ROWS_AT_100 + 17
+        generator, oracle_generator = CoarseGenerator(5), CoarseGenerator(5)
+        mask = sample_subset_mask(n, size, trials, generator)
+        assert (mask.sum(axis=1) == size).all()
+        assert np.array_equal(mask, whole_matrix_mask(n, size, trials, oracle_generator))
+        assert generator.random() == oracle_generator.random()
+
     @given(
         n=st.integers(min_value=1, max_value=64),
         data=st.data(),
@@ -631,6 +688,149 @@ class TestEngineDispatchAndDeterminism:
             engine="batch",
         )
         assert report.trials == 100
+
+
+#: One-write scenarios whose chunks run concurrently: threshold votes, a
+#: signature-checked read, and a forgery tying the honest timestamp.
+CONCURRENT_SPECS = {
+    "masking": ScenarioSpec(
+        system=ProbabilisticMaskingSystem(60, 25, 3),
+        failure_model=FailureModel.colluding_forgers(3, "forged", Timestamp.forged_maximum()),
+    ),
+    "dissemination": ScenarioSpec(
+        system=ProbabilisticDisseminationSystem(60, 20, 4),
+        failure_model=FailureModel.random_crashes(4),
+    ),
+    "tying": ScenarioSpec(
+        system=ProbabilisticMaskingSystem(60, 25, 3),
+        failure_model=FailureModel.colluding_forgers(3, "zz-forged", Timestamp(1, 0)),
+    ),
+}
+
+
+def _counts(report) -> tuple:
+    return (report.fresh, report.stale, report.empty, report.fabricated)
+
+
+def _estimate_in_child(spec, trials, chunk_size, connection) -> None:
+    engine = BatchTrialEngine.from_spec(spec, seed=3, chunk_size=chunk_size)
+    connection.send(_counts(engine.estimate_read_consistency(trials)))
+    connection.close()
+
+
+def _helper_threads() -> list:
+    return [t for t in threading.enumerate() if t.name == "repro-batch-helper"]
+
+
+class TestConcurrentChunks:
+    """One-write chunks run on the calling thread and helpers, with unchanged results."""
+
+    CHUNK = 500
+    TRIALS = 2_300  # five chunks, the last one short
+
+    def _engine(self, name: str) -> BatchTrialEngine:
+        return BatchTrialEngine.from_spec(CONCURRENT_SPECS[name], seed=3, chunk_size=self.CHUNK)
+
+    @pytest.mark.parametrize("name", sorted(CONCURRENT_SPECS))
+    def test_reports_do_not_depend_on_the_helper_count(self, name, monkeypatch):
+        monkeypatch.setattr(batch, "_helper_count", lambda: 0)
+        alone = _counts(self._engine(name).estimate_read_consistency(self.TRIALS))
+        # Two chunks must be in flight at once: the first two wait for each other.
+        meet = threading.Barrier(2, timeout=30)
+        started = []
+        run_chunk = BatchTrialEngine._one_write
+
+        def rendezvous(engine, generator, size, forgery):
+            started.append(threading.current_thread().name)
+            if len(started) <= 2:
+                meet.wait()
+            return run_chunk(engine, generator, size, forgery)
+
+        monkeypatch.setattr(BatchTrialEngine, "_one_write", rendezvous)
+        for helpers in (1, 3):
+            monkeypatch.setattr(batch, "_helper_count", lambda helpers=helpers: helpers)
+            started.clear()
+            meet.reset()
+            assert _counts(self._engine(name).estimate_read_consistency(self.TRIALS)) == alone
+            assert len(started) == 5
+            assert "repro-batch-helper" in started[:2]
+        assert not _helper_threads()
+
+    def test_concurrent_callers_each_get_their_solo_result(self, monkeypatch):
+        monkeypatch.setattr(batch, "_helper_count", lambda: 3)
+        shared = self._engine("masking")
+        engines = [shared, shared, self._engine("dissemination"), self._engine("tying")]
+        solo = [_counts(engine.estimate_read_consistency(self.TRIALS)) for engine in engines]
+        results = [[] for _ in engines]
+        start = threading.Barrier(len(engines), timeout=30)
+
+        def call(index):
+            start.wait()
+            for _ in range(3):
+                results[index].append(
+                    _counts(engines[index].estimate_read_consistency(self.TRIALS))
+                )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=call, args=(i,)) for i in range(len(engines))]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert results == [[expected] * 3 for expected in solo]
+        assert not _helper_threads()
+
+    def test_a_failing_helper_chunk_propagates_and_no_helper_survives(self, monkeypatch):
+        monkeypatch.setattr(batch, "_helper_count", lambda: 1)
+        helper_failed = threading.Event()
+        started = []
+        run_chunk = BatchTrialEngine._one_write
+
+        def failing_on_helpers(engine, generator, size, forgery):
+            started.append(threading.current_thread().name)
+            if threading.current_thread().name == "repro-batch-helper":
+                helper_failed.set()
+                raise RuntimeError("helper chunk failed")
+            assert helper_failed.wait(timeout=30)
+            return run_chunk(engine, generator, size, forgery)
+
+        monkeypatch.setattr(BatchTrialEngine, "_one_write", failing_on_helpers)
+        with pytest.raises(RuntimeError, match="helper chunk failed"):
+            self._engine("masking").estimate_read_consistency(self.TRIALS)
+        # After the failure no thread starts another chunk: at most the
+        # calling thread's one in flight ran besides the failed one.
+        assert started.count("repro-batch-helper") == 1
+        assert len(started) <= 2
+        assert not _helper_threads()
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
+    )
+    def test_a_forked_child_repeats_the_estimate(self, monkeypatch):
+        monkeypatch.setattr(batch, "_helper_count", lambda: 2)
+        spec = CONCURRENT_SPECS["masking"]
+        expected = _counts(self._engine("masking").estimate_read_consistency(self.TRIALS))
+        context = multiprocessing.get_context("fork")
+        receiver, sender = context.Pipe(duplex=False)
+        child = context.Process(
+            target=_estimate_in_child, args=(spec, self.TRIALS, self.CHUNK, sender)
+        )
+        child.start()
+        try:
+            assert receiver.poll(timeout=60), "the forked child hung"
+            assert receiver.recv() == expected
+            child.join(timeout=30)
+            assert not child.is_alive()
+            assert child.exitcode == 0
+        finally:
+            if child.is_alive():
+                child.kill()
+                child.join()
 
 
 class TestBatchLoadMeasurement:
