@@ -543,7 +543,7 @@ class BatchTrialEngine:
     ) -> Tuple[np.ndarray, np.ndarray, BatchFailureMasks]:
         """Failure masks plus one write- and one read-quorum batch.
 
-        The two membership matrices are drawn into per-engine reusable
+        The two membership matrices are drawn into per-thread reusable
         buffers (the hot loop's top repeated allocation), so consecutive
         equal-size chunks touch the same memory.
         """
@@ -570,7 +570,9 @@ class BatchTrialEngine:
         per trial from the same distributions and apply the same read rule
         (benign, signature-checked or threshold-vote, per the rule).
         Concurrent writers and gossip rounds run through the
-        version-history kernel (:meth:`_history_reads`).
+        version-history kernel (:meth:`_history_reads`); otherwise the
+        chunks run on every usable CPU at once (:func:`_sum_chunks`), with
+        the same report at every CPU count.
         """
         from repro.simulation.monte_carlo import ConsistencyReport
 
