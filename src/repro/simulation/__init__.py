@@ -6,14 +6,14 @@ arbitrarily (Byzantine).  The original work ran on the Phalanx replication
 toolkit; this subpackage provides an in-process substitute that exercises the
 same code path:
 
-* :mod:`repro.simulation.events` — a small discrete-event scheduler;
-* :mod:`repro.simulation.network` — message passing with latency and drops;
 * :mod:`repro.simulation.server` — replica servers with pluggable behaviour
-  (correct, crashed, and several Byzantine strategies);
-* :mod:`repro.simulation.failures` — crash schedules and Byzantine set
+  (correct, crashed, gray, and several Byzantine strategies);
+* :mod:`repro.simulation.failures` — crash sets and Byzantine set
   selection;
 * :mod:`repro.simulation.cluster` — the synchronous quorum-RPC facade the
-  protocol layer talks to;
+  protocol layer talks to; it delivers each RPC directly to the server, so
+  message loss is a gray server's, a partition is a crash set and
+  reordering is the plan's ``shuffle_delivery``;
 * :mod:`repro.simulation.diffusion` — the gossip/anti-entropy update
   propagation sketched in Section 1.1;
 * :mod:`repro.simulation.scenario` — declarative scenario descriptions
@@ -21,7 +21,9 @@ same code path:
 * :mod:`repro.simulation.monte_carlo` — empirical consistency estimation
   used to validate Theorems 3.2, 4.2 and 5.2 against the analytical ε;
 * :mod:`repro.simulation.batch` — the vectorised (NumPy) trial engine
-  behind the estimators' ``engine="batch"`` switch.
+  behind the estimators' ``engine="batch"`` switch;
+* :mod:`repro.simulation.explore` — the exhaustive small-config
+  interleaving explorer and its :class:`~repro.simulation.explore.ControlledScheduler`.
 """
 
 from repro.simulation.batch import (
@@ -32,9 +34,7 @@ from repro.simulation.batch import (
 from repro.simulation.scenario import AntiEntropySpec, ScenarioSpec, WorkloadSpec
 from repro.simulation.cluster import Cluster
 from repro.simulation.diffusion import DiffusionEngine, gossip_rounds_batch
-from repro.simulation.events import EventScheduler
 from repro.simulation.failures import BatchFailureMasks, FailureModel, FailurePlan
-from repro.simulation.network import ConstantLatency, Network, UniformLatency
 from repro.simulation.server import (
     ByzantineForgeBehavior,
     ByzantineReplayBehavior,
@@ -53,10 +53,6 @@ from repro.simulation.monte_carlo import (
 from repro.simulation.client import LoadMeasurement, WorkloadClient, measure_system_load
 
 __all__ = [
-    "EventScheduler",
-    "Network",
-    "ConstantLatency",
-    "UniformLatency",
     "ReplicaServer",
     "ServerBehavior",
     "CorrectBehavior",

@@ -121,10 +121,10 @@ from repro.protocol.timestamps import Timestamp
 from repro.rngs import chunked_substreams
 from repro.simulation.diffusion import gossip_rounds_batch
 from repro.simulation.failures import BatchFailureMasks, FailureModel
+from repro.simulation.scenario import AntiEntropySpec, ScenarioSpec, WorkloadSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.protocol.selection import ReadRule
-    from repro.simulation.scenario import ScenarioSpec
 
 #: Default number of trials processed per vectorised chunk.  4096 trials over
 #: a 1000-server universe is ~4 MB of boolean masks — large enough to
@@ -434,18 +434,13 @@ class BatchTrialEngine:
         self.chunk_size = int(chunk_size)
         self.writer_id = int(writer_id)
         self.writers = int(writers)
-        if anti_entropy is not None:
-            from repro.simulation.scenario import AntiEntropySpec
-
-            if not isinstance(anti_entropy, AntiEntropySpec):
-                raise ConfigurationError(
-                    "anti_entropy must be an AntiEntropySpec (or None), "
-                    f"got {type(anti_entropy).__name__}"
-                )
+        if anti_entropy is not None and not isinstance(anti_entropy, AntiEntropySpec):
+            raise ConfigurationError(
+                "anti_entropy must be an AntiEntropySpec (or None), "
+                f"got {type(anti_entropy).__name__}"
+            )
         self.anti_entropy = anti_entropy
         if rule is None:
-            from repro.simulation.scenario import ScenarioSpec
-
             rule = ScenarioSpec(system=system).read_rule()
         self.rule = rule
         self.written_value = written_value
@@ -796,10 +791,12 @@ class BatchTrialEngine:
                 "measured by estimate_read_consistency "
                 f"(engine declares writers={self.writers})"
             )
-        if writes < 1:
-            raise ConfigurationError(
-                f"the write history needs at least one write, got {writes}"
-            )
+        # WorkloadSpec's own checks vet the history shape.
+        WorkloadSpec(
+            writes=writes,
+            gossip_rounds_between_writes=gossip_rounds_between_writes,
+            gossip_fanout=gossip_fanout,
+        )
         if trials <= 0:
             raise ConfigurationError(f"trial count must be positive, got {trials}")
         timestamps = [Timestamp(version + 1, self.writer_id) for version in range(writes)]

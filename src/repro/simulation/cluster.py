@@ -1,8 +1,8 @@
 """Cluster orchestration: the quorum-RPC facade the protocol layer uses.
 
-A :class:`Cluster` owns the ``n`` replica servers, the network, the event
-scheduler and the failure plan, and exposes the two operations the paper's
-access protocols need, plus the lock protocol's one:
+A :class:`Cluster` owns the ``n`` replica servers and the failure plan, and
+exposes the two operations the paper's access protocols need, plus the lock
+protocol's one:
 
 * :meth:`Cluster.write_quorum` — send a timestamped (optionally signed)
   value to every server of a quorum and collect acknowledgements;
@@ -11,10 +11,13 @@ access protocols need, plus the lock protocol's one:
 * :meth:`Cluster.lock_quorum` — send a lock-arbiter message to every server
   of a quorum and collect the replies.
 
-The facade is synchronous (a quorum RPC returns the full reply map), which
-keeps the protocol implementations readable while the network model still
-accounts for message drops and partitions; latency-sensitive behaviour
-(gossip rounds, crash schedules) runs through the event scheduler.
+The facade is synchronous and delivers each RPC directly to the server, so
+a quorum RPC returns the full reply map.  Faults live in the servers, not in
+a message layer: a crashed server never answers, a gray server
+(:class:`~repro.simulation.server.GrayBehavior`) drops messages at its own
+seeded rate, a partition away from the clients is a crash set
+(:meth:`FailurePlan.targeted_partition`), and reordering is the plan's
+``shuffle_delivery`` flag — the only use of the cluster's random source.
 """
 
 from __future__ import annotations
@@ -22,19 +25,14 @@ from __future__ import annotations
 import random
 from typing import Dict, Iterable, List, Optional, Set
 
-from repro.exceptions import ConfigurationError, SimulationError
-from repro.simulation.events import EventScheduler
+from repro.exceptions import ConfigurationError
 from repro.simulation.failures import FailurePlan
-from repro.simulation.network import Message, Network
-from repro.simulation.server import CorrectBehavior, ReplicaServer, StoredValue
-from repro.types import Quorum, ServerId
-
-#: Client node ids are negative so they never collide with server ids.
-CLIENT_NODE_ID = -1
+from repro.simulation.server import ReplicaServer, StoredValue
+from repro.types import ServerId
 
 
 class Cluster:
-    """``n`` replica servers plus the network connecting clients to them.
+    """``n`` replica servers that clients contact in quorums.
 
     Parameters
     ----------
@@ -42,29 +40,21 @@ class Cluster:
         Number of servers.
     failure_plan:
         Which servers are crashed or Byzantine (default: none).
-    network:
-        The network model; defaults to a reliable, constant-latency network.
     seed:
-        Seed for the cluster's private random source (used when a failure
-        schedule or the network needs randomness but none was supplied).
+        Seed for the cluster's private random source, which only the
+        plan's ``shuffle_delivery`` draws from.
     """
 
     def __init__(
         self,
         n: int,
         failure_plan: Optional[FailurePlan] = None,
-        network: Optional[Network] = None,
         seed: int = 0,
     ) -> None:
         if n < 1:
             raise ConfigurationError(f"a cluster needs at least one server, got n={n}")
         self._n = int(n)
         self.rng = random.Random(seed)
-        self.scheduler = EventScheduler()
-        self.network = network or Network(scheduler=self.scheduler, rng=self.rng)
-        if network is not None and network.scheduler is not self.scheduler:
-            # Keep a single notion of simulated time.
-            self.scheduler = network.scheduler
         self.servers: List[ReplicaServer] = [ReplicaServer(i) for i in range(n)]
         self._plan = failure_plan or FailurePlan.none()
         self._apply_failure_plan(self._plan)
@@ -80,12 +70,6 @@ class Cluster:
             # Stateful behaviours (replay, gray) hand out a fresh instance so
             # trials sharing one frozen plan stay independent.
             self.servers[server_id].behavior = behavior.for_trial()
-        for event in plan.schedule:
-            server = self.servers[self._check_server(event.server)]
-            if event.recover:
-                self.scheduler.schedule_at(event.time, server.recover)
-            else:
-                self.scheduler.schedule_at(event.time, server.crash)
 
     def _check_server(self, server_id: ServerId) -> ServerId:
         if not 0 <= server_id < self._n:
@@ -136,10 +120,6 @@ class Cluster:
         """Recover a crashed server immediately."""
         self.servers[self._check_server(server_id)].recover()
 
-    def advance_time(self, duration: float) -> None:
-        """Run the event scheduler forward (crash schedules, gossip rounds...)."""
-        self.scheduler.run_until(self.scheduler.now + duration)
-
     # -- quorum RPCs --------------------------------------------------------------
 
     def _delivery_order(self, quorum: Iterable[ServerId]) -> List[ServerId]:
@@ -162,63 +142,39 @@ class Cluster:
         value,
         timestamp,
         signature: Optional[bytes] = None,
-        client_id: int = CLIENT_NODE_ID,
     ) -> Dict[ServerId, bool]:
         """Send a write to every server of ``quorum``; return per-server acks.
 
-        A missing key means the request or its acknowledgement was lost
-        (dropped message or crashed server); ``False`` means the server
-        explicitly refused (only Byzantine behaviours do that).
+        Only servers that acknowledged appear: a crashed server, a gray
+        server's dropped message and a Byzantine refusal all leave the key
+        out.
         """
         acks: Dict[ServerId, bool] = {}
         for server_id in self._delivery_order(quorum):
             self._check_server(server_id)
-            request = Message(client_id, server_id, "write", (variable, timestamp))
-            if not self.network.send_sync(request):
-                continue
             ack = self.servers[server_id].handle_write(variable, value, timestamp, signature)
-            reply = Message(server_id, client_id, "write-ack", ack)
-            if not self.network.send_sync(reply):
-                continue
             if ack:
                 acks[server_id] = ack
         return acks
 
-    def read_quorum(
-        self,
-        quorum: Iterable[ServerId],
-        variable: str,
-        client_id: int = CLIENT_NODE_ID,
-    ) -> Dict[ServerId, StoredValue]:
+    def read_quorum(self, quorum: Iterable[ServerId], variable: str) -> Dict[ServerId, StoredValue]:
         """Query every server of ``quorum``; return the replies that arrive."""
         replies: Dict[ServerId, StoredValue] = {}
         for server_id in self._delivery_order(quorum):
             self._check_server(server_id)
-            request = Message(client_id, server_id, "read", variable)
-            if not self.network.send_sync(request):
-                continue
             stored = self.servers[server_id].handle_read(variable)
-            if stored is None:
-                continue
-            reply = Message(server_id, client_id, "read-reply", (variable, stored.timestamp))
-            if not self.network.send_sync(reply):
-                continue
-            replies[server_id] = stored
+            if stored is not None:
+                replies[server_id] = stored
         return replies
 
     def lock_quorum(self, quorum: Iterable[ServerId], message: tuple) -> Dict[ServerId, tuple]:
         """Send a lock message to every server of ``quorum``; return the
         replies that arrive (see :mod:`repro.protocol.arbiter`)."""
         replies: Dict[ServerId, tuple] = {}
-        client = CLIENT_NODE_ID
         for server_id in self._delivery_order(quorum):
             self._check_server(server_id)
-            if not self.network.send_sync(Message(client, server_id, "lock", message[:2])):
-                continue
             reply = self.servers[server_id].handle_lock(message)
-            if reply is not None and self.network.send_sync(
-                Message(server_id, client, "lock-reply", reply[0])
-            ):
+            if reply is not None:
                 replies[server_id] = reply
         return replies
 

@@ -40,13 +40,14 @@ winner picked with its :meth:`~repro.protocol.selection.ReadRule.select`.
 The ``selection_rule`` hook, called as ``selection_rule(replies,
 threshold)`` in place of ``select``, exists so the test suite can inject a
 seeded mutant and prove the explorer catches it.  Message delivery runs through
-:class:`ControlledScheduler`, the model checker's implementation of the
-shared :class:`~repro.simulation.events.Scheduler` interface.
+:class:`ControlledScheduler`, a pending-event store that exposes every
+enabled message as a branching choice.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -54,7 +55,6 @@ from repro.exceptions import ConfigurationError, SimulationError
 from repro.protocol.selection import ReadRule, SelectedValue, tiebreak_key
 from repro.protocol.signatures import SignatureScheme
 from repro.protocol.timestamps import Timestamp
-from repro.simulation.events import EventHandle, Scheduler, _ScheduledEvent
 from repro.simulation.server import (
     ByzantineForgeBehavior,
     ByzantineReplayBehavior,
@@ -66,41 +66,80 @@ from repro.simulation.server import (
 SelectionRule = Callable[..., Optional[SelectedValue]]
 
 
-class ControlledScheduler(Scheduler):
-    """A :class:`Scheduler` that exposes *every* enabled event as a choice.
+@dataclass(eq=False)
+class _ScheduledEvent:
+    """One pending callback; compared by identity, ordered by ``(time, sequence)``."""
 
-    Where :class:`~repro.simulation.events.EventScheduler` always fires the
-    earliest pending event, this scheduler lets its caller fire any enabled
-    (non-cancelled) event via :meth:`step_event` — the primitive the
-    explorer's schedule enumeration is built on.  With no explicit choice,
-    :meth:`step` fires the ``(time, sequence)``-minimal event, making the
-    default behaviour observationally identical to the event scheduler
-    (pinned by the scheduler-determinism tests).
+    time: float
+    sequence: int
+    callback: Callable[[], None]
+    cancelled: bool = False
+
+
+class EventHandle:
+    """Handle returned by :meth:`ControlledScheduler.schedule`; allows cancellation."""
+
+    def __init__(self, event: _ScheduledEvent) -> None:
+        self._event = event
+
+    @property
+    def time(self) -> float:
+        """Simulated time at which the event fires."""
+        return self._event.time
+
+    @property
+    def cancelled(self) -> bool:
+        """Whether the event has been cancelled."""
+        return self._event.cancelled
+
+    def cancel(self) -> None:
+        """Prevent the event from firing (no-op if it already fired)."""
+        self._event.cancelled = True
+
+
+class ControlledScheduler:
+    """A discrete-event scheduler that exposes *every* enabled event as a choice.
+
+    Its caller may fire any enabled (non-cancelled) event via
+    :meth:`step_event` — the primitive the explorer's schedule enumeration
+    is built on.  With no explicit choice, :meth:`step` fires the
+    ``(time, sequence)``-minimal event: earliest first, insertion order on
+    ties, so a seedless schedule replays identically.  Non-finite delays
+    are rejected up front: NaN compares false against everything, so a
+    poisoned entry would silently corrupt that order.
     """
 
     def __init__(self) -> None:
-        super().__init__()
+        self._counter = itertools.count()
+        self._now = 0.0
         self._pending: List[_ScheduledEvent] = []
 
+    @property
+    def now(self) -> float:
+        """Current simulated time."""
+        return self._now
+
     def __len__(self) -> int:
+        """Number of pending (non-cancelled) events."""
         return sum(1 for event in self._pending if not event.cancelled)
 
-    def schedule(self, delay: float, callback) -> EventHandle:
-        self._validate_delay(delay)
-        event = self._new_event(self._now + delay, callback)
-        self._pending.append(event)
-        return EventHandle(event)
-
-    def schedule_at(self, time: float, callback) -> EventHandle:
-        self._validate_time(time)
-        event = self._new_event(time, callback)
+    def schedule(self, delay: float, callback: Callable[[], None]) -> EventHandle:
+        """Schedule ``callback`` to run ``delay`` time units from now."""
+        if not math.isfinite(delay):
+            raise SimulationError(
+                f"event delay must be finite, got {delay} (NaN/inf would corrupt "
+                f"the event ordering)"
+            )
+        if delay < 0:
+            raise SimulationError(f"cannot schedule an event in the past (delay={delay})")
+        event = _ScheduledEvent(self._now + delay, next(self._counter), callback)
         self._pending.append(event)
         return EventHandle(event)
 
     def enabled(self) -> List[_ScheduledEvent]:
         """The non-cancelled pending events in ``(time, sequence)`` order."""
         self._pending = [event for event in self._pending if not event.cancelled]
-        return sorted(self._pending)
+        return sorted(self._pending, key=lambda event: (event.time, event.sequence))
 
     def step_event(self, event: _ScheduledEvent) -> None:
         """Fire one specific enabled event (time never runs backwards)."""
@@ -108,10 +147,10 @@ class ControlledScheduler(Scheduler):
             raise SimulationError("cannot fire a cancelled or unknown event")
         self._pending.remove(event)
         self._now = max(self._now, event.time)
-        self._processed += 1
         event.callback()
 
     def step(self) -> bool:
+        """Fire the ``(time, sequence)``-minimal enabled event; ``False`` if none."""
         enabled = self.enabled()
         if not enabled:
             return False

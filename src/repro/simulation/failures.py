@@ -1,11 +1,13 @@
-"""Failure injection: crash schedules and Byzantine set selection.
+"""Failure injection: crash sets and Byzantine set selection.
 
 A :class:`FailurePlan` describes, declaratively, which servers misbehave and
-how.  The cluster applies the plan when it is constructed (for static plans)
-and at simulated times (for crash/recover schedules).  Plans are the single
-knob the Monte-Carlo harness, the examples and the benchmark workloads use
-to stress the protocols, so keeping them declarative keeps the experiment
-configurations readable.
+how.  The cluster applies the plan once, when it is constructed; a run that
+needs a server to fail or come back mid-history calls
+:meth:`~repro.simulation.cluster.Cluster.crash` /
+:meth:`~repro.simulation.cluster.Cluster.recover` between operations.
+Plans are the single knob the Monte-Carlo harness, the examples and the
+benchmark workloads use to stress the protocols, so keeping them
+declarative keeps the experiment configurations readable.
 
 A :class:`FailureModel` sits one level up: it is a *distribution* over
 failure plans.  The sequential Monte-Carlo engine draws one
@@ -43,15 +45,6 @@ from repro.simulation.server import (
     ServerBehavior,
 )
 from repro.types import ServerId
-
-
-@dataclass(frozen=True)
-class CrashEvent:
-    """A scheduled crash (or recovery) of one server at a simulated time."""
-
-    time: float
-    server: ServerId
-    recover: bool = False
 
 
 class _FrozenBehaviorMap(Mapping):
@@ -96,8 +89,8 @@ class _FrozenBehaviorMap(Mapping):
 class FailurePlan:
     """A declarative, immutable description of which servers fail and how.
 
-    The plan is frozen end to end — ``crashed`` is a frozenset, ``schedule``
-    a tuple and ``byzantine`` an immutable mapping — because plan factories
+    The plan is frozen end to end — ``crashed`` is a frozenset and
+    ``byzantine`` an immutable mapping — because plan factories
     and static scenarios share one plan object across many trials; with a
     mutable plan, a trial that (even accidentally) edited the behaviour
     table would corrupt every subsequent trial.  Per-trial *state* isolation
@@ -116,9 +109,6 @@ class FailurePlan:
         :class:`~repro.simulation.server.GrayBehavior`; the
         :attr:`byzantine_servers` property filters by each behaviour's
         ``byzantine`` flag.
-    schedule:
-        Time-ordered crash / recovery events applied by the cluster's
-        scheduler (used by availability experiments).
     shuffle_delivery:
         When set, quorum RPCs contact servers in a randomly shuffled order
         instead of the quorum's canonical order (the message-reordering
@@ -128,14 +118,12 @@ class FailurePlan:
 
     crashed: FrozenSet[ServerId] = frozenset()
     byzantine: Mapping[ServerId, ServerBehavior] = field(default_factory=dict)
-    schedule: Tuple[CrashEvent, ...] = ()
     shuffle_delivery: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "crashed", frozenset(self.crashed))
         if not isinstance(self.byzantine, _FrozenBehaviorMap):
             object.__setattr__(self, "byzantine", _FrozenBehaviorMap(self.byzantine))
-        object.__setattr__(self, "schedule", tuple(self.schedule))
         overlap = set(self.crashed) & set(self.byzantine)
         if overlap:
             raise ConfigurationError(
@@ -162,8 +150,7 @@ class FailurePlan:
     def describe(self) -> str:
         """One-line summary used in experiment logs."""
         return (
-            f"FailurePlan(crashed={len(self.crashed)}, byzantine={len(self.byzantine)}, "
-            f"scheduled={len(self.schedule)}"
+            f"FailurePlan(crashed={len(self.crashed)}, byzantine={len(self.byzantine)}"
             + (", shuffled" if self.shuffle_delivery else "")
             + ")"
         )
@@ -281,16 +268,6 @@ class FailurePlan:
                     f"partition target {server} outside the universe of size {n}"
                 )
         return cls(crashed=target_set)
-
-    def with_schedule(self, events: Iterable[CrashEvent]) -> "FailurePlan":
-        """Return a copy of the plan with an added crash/recovery schedule."""
-        ordered = tuple(sorted(events, key=lambda e: e.time))
-        return FailurePlan(
-            crashed=self.crashed,
-            byzantine=self.byzantine,
-            schedule=ordered,
-            shuffle_delivery=self.shuffle_delivery,
-        )
 
 
 def _validate_counts(n: int, count: int) -> None:

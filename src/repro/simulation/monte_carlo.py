@@ -51,7 +51,7 @@ pins the agreement down for all three protocols.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Union
 
 from typing import TYPE_CHECKING
@@ -61,7 +61,7 @@ from repro.exceptions import ConfigurationError
 from repro.simulation.cluster import Cluster
 from repro.simulation.diffusion import DiffusionEngine
 from repro.simulation.failures import FailureModel, FailurePlan
-from repro.simulation.scenario import ScenarioSpec
+from repro.simulation.scenario import ScenarioSpec, WorkloadSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
     from repro.protocol.variable import ProbabilisticRegister
@@ -365,17 +365,19 @@ def estimate_staleness_distribution(
             "of one writer's counters); use estimate_read_consistency for the "
             f"contention experiment (scenario declares writers={spec.writers})"
         )
-    workload = spec.workload if spec is not None else None
-    if writes is None:
-        writes = workload.writes if workload is not None else 5
-    if gossip_rounds_between_writes is None:
-        gossip_rounds_between_writes = (
-            workload.gossip_rounds_between_writes if workload is not None else 0
-        )
-    if gossip_fanout is None:
-        gossip_fanout = workload.gossip_fanout if workload is not None else 2
-    if writes < 1:
-        raise ConfigurationError(f"the write history needs at least one write, got {writes}")
+    overrides = {
+        "writes": writes,
+        "gossip_rounds_between_writes": gossip_rounds_between_writes,
+        "gossip_fanout": gossip_fanout,
+    }
+    # WorkloadSpec's own checks vet the overrides.
+    workload = replace(
+        spec.workload if spec is not None else WorkloadSpec(writes=5),
+        **{name: value for name, value in overrides.items() if value is not None},
+    )
+    writes = workload.writes
+    gossip_rounds_between_writes = workload.gossip_rounds_between_writes
+    gossip_fanout = workload.gossip_fanout
     n = _resolve_n(spec, n)
     if engine == "batch":
         from repro.simulation.batch import BatchTrialEngine

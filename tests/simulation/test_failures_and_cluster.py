@@ -11,15 +11,19 @@ import pytest
 
 from repro.core.masking import ProbabilisticMaskingSystem
 from repro.exceptions import ConfigurationError, SimulationError
+from repro.protocol.arbiter import HOLDER, REQUEST
 from repro.protocol.timestamps import Timestamp
 from repro.simulation.batch import BatchTrialEngine
 from repro.simulation.cluster import Cluster
-from repro.simulation.failures import CrashEvent, FailureModel, FailurePlan
-from repro.simulation.network import Network
+from repro.simulation.failures import FailureModel, FailurePlan
 from repro.simulation.server import (
+    ByzantineForgeBehavior,
     ByzantineReplayBehavior,
     ByzantineSilentBehavior,
+    CorrectBehavior,
+    CrashedBehavior,
     GrayBehavior,
+    ReplicaServer,
 )
 
 
@@ -71,12 +75,9 @@ class TestFailurePlan:
         with pytest.raises(ConfigurationError):
             FailurePlan.random_crashes(0, 0)
 
-    def test_with_schedule_sorts_events(self):
-        plan = FailurePlan.none().with_schedule(
-            [CrashEvent(5.0, 1), CrashEvent(2.0, 0), CrashEvent(7.0, 0, recover=True)]
-        )
-        assert [event.time for event in plan.schedule] == [2.0, 5.0, 7.0]
-        assert "FailurePlan" in plan.describe()
+    def test_describe_counts_failures(self):
+        plan = FailurePlan(crashed={1, 2}, byzantine={0: ByzantineSilentBehavior()})
+        assert plan.describe() == "FailurePlan(crashed=2, byzantine=1)"
 
 
 class TestFailurePlanImmutability:
@@ -97,9 +98,8 @@ class TestFailurePlanImmutability:
             plan.byzantine.clear()
 
     def test_collections_are_coerced_immutable(self):
-        plan = FailurePlan(crashed={1, 2}, schedule=[CrashEvent(1.0, 0)])
+        plan = FailurePlan(crashed={1, 2})
         assert isinstance(plan.crashed, frozenset)
-        assert isinstance(plan.schedule, tuple)
 
     def test_plans_pickle_across_process_boundaries(self):
         plan = FailurePlan.colluding_forgers(
@@ -285,29 +285,11 @@ class TestCluster:
         replies = cluster.read_quorum(quorum, "x")
         assert set(replies) == {3, 4, 5}
 
-    def test_lossy_network_loses_some_messages(self):
-        network = Network(drop_probability=0.4, rng=random.Random(9))
-        cluster = Cluster(20, network=network, seed=9)
-        quorum = frozenset(range(20))
-        acks = cluster.write_quorum(quorum, "x", "v", Timestamp(1, 0))
-        assert 0 < len(acks) < 20
-
     def test_crash_and_recover_api(self, healthy_cluster):
         healthy_cluster.crash(3)
         assert 3 in healthy_cluster.crashed_servers
         healthy_cluster.recover(3)
         assert 3 not in healthy_cluster.crashed_servers
-
-    def test_scheduled_crashes_apply_with_time(self):
-        plan = FailurePlan.none().with_schedule(
-            [CrashEvent(5.0, 0), CrashEvent(10.0, 0, recover=True)]
-        )
-        cluster = Cluster(5, failure_plan=plan)
-        assert 0 not in cluster.crashed_servers
-        cluster.advance_time(6.0)
-        assert 0 in cluster.crashed_servers
-        cluster.advance_time(6.0)
-        assert 0 not in cluster.crashed_servers
 
     def test_server_id_validation(self, healthy_cluster):
         with pytest.raises(ConfigurationError):
@@ -321,3 +303,86 @@ class TestCluster:
         plan = FailurePlan(crashed=frozenset({10}))
         with pytest.raises(ConfigurationError):
             Cluster(5, failure_plan=plan)
+
+
+class TestClusterRandomness:
+    """The cluster's random source feeds the reordering adversary and nothing
+    else, so a trial's other draws cannot shift with the RPC count."""
+
+    QUORUM = (5, 0, 3, 7, 1)
+    RPCS = {
+        "write": lambda cluster, quorum: cluster.write_quorum(quorum, "x", "v", Timestamp(1, 0)),
+        "read": lambda cluster, quorum: cluster.read_quorum(quorum, "x"),
+        "lock": lambda cluster, quorum: cluster.lock_quorum(quorum, (HOLDER, "x")),
+    }
+
+    @pytest.mark.parametrize("rpc", sorted(RPCS))
+    def test_rpc_draws_nothing_without_shuffle_delivery(self, rpc):
+        cluster = Cluster(8, seed=21)
+        before = cluster.rng.getstate()
+        for _ in range(3):
+            self.RPCS[rpc](cluster, self.QUORUM)
+        assert cluster.rng.getstate() == before
+
+    @pytest.mark.parametrize("rpc", sorted(RPCS))
+    def test_rpc_draws_exactly_one_shuffle_of_its_quorum(self, rpc):
+        cluster = Cluster(8, failure_plan=FailurePlan(shuffle_delivery=True), seed=21)
+        twin = random.Random(21)
+        for _ in range(3):
+            self.RPCS[rpc](cluster, self.QUORUM)
+            twin.shuffle(list(self.QUORUM))
+            assert cluster.rng.getstate() == twin.getstate()
+
+
+_BEHAVIORS = {
+    "correct": CorrectBehavior,
+    "crashed": CrashedBehavior,
+    "silent": ByzantineSilentBehavior,
+    "forger": lambda: ByzantineForgeBehavior("FORGED", Timestamp.forged_maximum()),
+    "replay": ByzantineReplayBehavior,
+    "gray": lambda: GrayBehavior(0.5, seed=3),
+}
+
+
+class TestDirectDelivery:
+    """A quorum RPC is the servers' own answers, nothing added or lost: the
+    cluster's reply map and the servers' storage match a twin set of servers
+    whose handlers are called by hand."""
+
+    QUORUM = (3, 0, 2)
+    LOCK = (REQUEST, "x", 1, Timestamp(1, 1), 1)
+
+    def _via_cluster(self, cluster, rpc):
+        acks = cluster.write_quorum(self.QUORUM, "x", "v", Timestamp(1, 0))
+        if rpc == "write":
+            return acks
+        if rpc == "read":
+            return cluster.read_quorum(self.QUORUM, "x")
+        return cluster.lock_quorum(self.QUORUM, self.LOCK)
+
+    def _by_hand(self, servers, rpc):
+        replies = {s: servers[s].handle_write("x", "v", Timestamp(1, 0)) for s in self.QUORUM}
+        if rpc == "read":
+            replies = {s: servers[s].handle_read("x") for s in self.QUORUM}
+        elif rpc == "lock":
+            replies = {s: servers[s].handle_lock(self.LOCK) for s in self.QUORUM}
+        # A refused write (False) and a silent read or lock (None) leave no key.
+        return {s: reply for s, reply in replies.items() if reply}
+
+    @pytest.mark.parametrize("rpc", ["write", "read", "lock"])
+    @pytest.mark.parametrize("kind", sorted(_BEHAVIORS))
+    def test_rpc_returns_exactly_what_the_servers_answer(self, kind, rpc):
+        cluster = Cluster(4, seed=5)
+        twins = [ReplicaServer(i, _BEHAVIORS[kind]()) for i in range(4)]
+        for server in cluster.servers:
+            server.behavior = _BEHAVIORS[kind]()
+        assert self._via_cluster(cluster, rpc) == self._by_hand(twins, rpc)
+        assert [server.storage for server in cluster.servers] == [
+            twin.storage for twin in twins
+        ]
+
+    def test_gray_servers_lose_some_messages(self):
+        plan = FailurePlan.gray_nodes(20, 20, 0.4, rng=random.Random(9))
+        cluster = Cluster(20, failure_plan=plan, seed=9)
+        acks = cluster.write_quorum(frozenset(range(20)), "x", "v", Timestamp(1, 0))
+        assert 0 < len(acks) < 20

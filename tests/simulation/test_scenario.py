@@ -231,6 +231,35 @@ class TestEstimatorDispatch:
         )
         assert max(report.versions_behind) <= 2
 
+    # Each override goes through WorkloadSpec's own checks.  Regression: a
+    # negative gossip count used to run silently with no gossip.
+    BAD_OVERRIDES = [
+        ({"writes": 0}, "at least one write"),
+        ({"gossip_rounds_between_writes": -1}, "gossip round count"),
+        ({"gossip_fanout": 0}, "gossip fanout"),
+    ]
+
+    @pytest.mark.parametrize("engine", ["sequential", "batch"])
+    @pytest.mark.parametrize("override, message", BAD_OVERRIDES)
+    def test_bad_workload_override_is_rejected(self, engine, override, message):
+        with pytest.raises(ConfigurationError, match=message):
+            estimate_staleness_distribution(
+                ScenarioSpec(system=PLAIN), trials=10, engine=engine, **override
+            )
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"writes": 0}, "at least one write"),
+            ({"gossip_rounds_between_writes": -4}, "gossip round count"),
+            ({"gossip_fanout": 0}, "gossip fanout"),
+        ],
+    )
+    def test_bad_history_is_rejected_by_the_batch_engine(self, override, message):
+        engine = BatchTrialEngine.from_spec(ScenarioSpec(system=PLAIN))
+        with pytest.raises(ConfigurationError, match=message):
+            engine.estimate_staleness_distribution(10, **override)
+
     def test_batch_engine_from_spec_is_reproducible(self):
         spec = ScenarioSpec(
             system=MASKING, failure_model=FailureModel.random_byzantine(5)

@@ -30,7 +30,6 @@ from repro.protocol import (
 from repro.protocol.timestamps import Timestamp
 from repro.quorum.probe import GreedyProbeStrategy, UniformProbeStrategy, oracle_from_alive_set
 from repro.simulation import Cluster, DiffusionEngine, FailurePlan
-from repro.simulation.failures import CrashEvent
 
 
 class TestCrashRecoveryScenario:
@@ -38,20 +37,22 @@ class TestCrashRecoveryScenario:
         """Write, crash a wave of servers, read, recover, read again."""
         n = 60
         system = UniformEpsilonIntersectingSystem.for_epsilon(n, 1e-3)
-        schedule = [CrashEvent(time=10.0, server=s) for s in range(20)] + [
-            CrashEvent(time=50.0, server=s, recover=True) for s in range(20)
-        ]
-        cluster = Cluster(n, failure_plan=FailurePlan.none().with_schedule(schedule), seed=1)
+        cluster = Cluster(n, seed=1)
         register = ProbabilisticRegister(system, cluster, rng=random.Random(1))
 
         write = register.write("before-outage")
-        cluster.advance_time(20.0)          # the outage hits
-        assert len(cluster.crashed_servers) == 20
+        holders = cluster.servers_holding(register.name, "before-outage")
+        for server in range(20):            # the outage hits
+            cluster.crash(server)
+        assert cluster.crashed_servers == frozenset(range(20))
         during = register.read()
         assert during.value in ("before-outage", None)
 
-        cluster.advance_time(40.0)          # servers recover (state intact)
+        for server in range(20):            # servers recover (state intact)
+            cluster.recover(server)
         assert not cluster.crashed_servers
+        assert cluster.servers_holding(register.name, "before-outage") == holders
+        assert holders & set(range(20))     # the outage did hit some holders
         after = register.read()
         assert after.value == "before-outage"
         assert after.timestamp == write.timestamp
