@@ -142,9 +142,8 @@ class DeploymentBuilder:
         readiness handshake, health probes and clean teardown.  Implies
         ``transport("tcp")`` (real sockets are the only way across a
         process boundary).  The server side always runs one process per
-        shard, so every positive ``count`` builds the same deployment (load
-        worker processes are a :class:`~repro.service.load.ServiceLoadSpec`
-        setting).
+        shard, so every positive ``count`` builds the same deployment; the
+        clients, and whatever load drives them, stay in this process.
         """
         if count < 0:
             raise ConfigurationError(

@@ -226,7 +226,7 @@ def run_experiment(
     writers: int = None,
     contention: float = 0.0,
     codec: str = "json",
-    processes: int = None,
+    processes: bool = False,
     trace_sample: float = 0.0,
     trace_out: str = None,
     metrics_out: str = None,
@@ -431,14 +431,10 @@ def main(argv: List[str] = None) -> int:
     )
     parser.add_argument(
         "--processes",
-        type=int,
-        nargs="?",
-        const=0,
-        default=None,
-        help="serve multi-process mode: one server process per shard plus "
-        "N load-worker processes (bare --processes auto-scales N to the "
-        "machine's cores; implies --transport tcp and disables live "
-        "churn; default: classic in-loop harness)",
+        action="store_true",
+        help="serve multi-process mode: one server process per shard, the "
+        "load still driven from this process (implies --transport tcp and "
+        "disables live churn; default: the in-loop harness)",
     )
     parser.add_argument(
         "--trace-sample",

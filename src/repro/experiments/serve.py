@@ -18,8 +18,6 @@ client); the benchmark suite reuses the same builders.
 
 from __future__ import annotations
 
-import os
-
 from repro.core.masking import ProbabilisticMaskingSystem
 from repro.exceptions import ExperimentError, ReproError
 from repro.protocol.timestamps import Timestamp
@@ -99,8 +97,8 @@ def serve_load_spec(
     ``codec`` picks the TCP wire codec (``"json"`` or the struct-packed
     ``"binary"``; the servers answer in it).  ``processes > 0`` moves the
     soak onto a :class:`~repro.service.cluster.ClusterDeployment` — one
-    server process per shard plus that many load-worker processes; both
-    imply ``transport="tcp"``.  Live crash/recovery churn is in-loop
+    server process per shard, the load still driven from this process;
+    both imply ``transport="tcp"``.  Live crash/recovery churn is in-loop
     surgery on the server objects, which a process boundary makes
     unreachable, so a multi-process soak runs without churn (the
     crashed-shard path is covered by the cluster tests instead).
@@ -166,7 +164,7 @@ def run_serve(
     writers: int = None,
     contention: float = 0.0,
     codec: str = "json",
-    processes: int = None,
+    processes: bool = False,
     trace_sample: float = 0.0,
     trace_out: str = None,
     metrics_out: str = None,
@@ -178,10 +176,8 @@ def run_serve(
 ) -> str:
     """Run the service soak and render its report (the CLI entry point).
 
-    ``processes=None`` keeps the classic in-loop harness; ``processes=0``
-    (the bare ``--processes`` flag) auto-scales load workers to the
-    machine's cores; a positive value pins the worker count.  Either
-    spelling deploys one server process per shard and implies the TCP
+    ``processes`` (the ``--processes`` switch) deploys one server process
+    per shard instead of the in-loop replica groups; it implies the TCP
     transport and no live churn.
 
     ``trace_sample`` samples that fraction of quorum operations into
@@ -201,12 +197,6 @@ def run_serve(
         # A sharded run needs keys to hash; default to a key per shard and
         # enough writes that every register is written at least once.
         keys = shards
-    if processes is not None and processes == 0:
-        processes = os.cpu_count() or 1
-    if processes is not None:
-        # The load partitioner hands each worker a disjoint key/client
-        # slice, so workers can never outnumber either.
-        processes = max(1, min(processes, keys, clients))
     try:
         spec = serve_load_spec(
             clients=clients,
@@ -220,7 +210,7 @@ def run_serve(
             writers=writers,
             contention=contention,
             codec=codec,
-            processes=processes or 0,
+            processes=int(processes),
             trace_sample=trace_sample,
             monitor_epsilon=monitor_epsilon,
             anti_entropy=(

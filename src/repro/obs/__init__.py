@@ -8,7 +8,7 @@ Three dependency-free pieces, threaded through every deployment mode:
   sampling :class:`~repro.obs.trace.Tracer`;
 * :mod:`repro.obs.metrics` — counter / gauge / fixed-bucket histogram
   primitives and a :class:`~repro.obs.metrics.MetricsRegistry` whose JSON
-  snapshots merge across shards, workers and server processes;
+  snapshots merge across shards and shard-server processes;
 * :mod:`repro.obs.monitor` — an online sliding-window
   :class:`~repro.obs.monitor.EpsilonMonitor` comparing the observed
   stale/fabricated-accepted fraction against the scenario's predicted ε.

@@ -2,9 +2,9 @@
 
 Deliberately minimal and dependency-free: the service layers need exactly
 three instrument kinds, JSON snapshots, and a merge operation that works
-across shards, load-worker processes and shard-server processes (snapshots
-cross process boundaries as plain dicts over the cluster's existing
-readiness/result pipes — no collector daemon, no sockets of its own).
+across shards and shard-server processes (snapshots cross process
+boundaries as plain dicts over the cluster's existing readiness pipe — no
+collector daemon, no sockets of its own).
 
 * :class:`Counter` — monotonically increasing integer.
 * :class:`Gauge` — a point-in-time value; merges by **summing** (the

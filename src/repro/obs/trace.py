@@ -217,9 +217,6 @@ class Tracer:
         stream differs from harness RNGs seeded with the same root, and it
         is never shared: turning sampling on cannot perturb the workload's
         own randomness.
-    id_base:
-        Added to every allocated trace id.  Cluster load workers pass
-        disjoint bases so ids stay unique across processes.
     max_traces:
         Retention cap; beyond it traces are still *recorded by callers*
         (spans, status) but not kept, and ``overflowed`` counts them.
@@ -229,7 +226,6 @@ class Tracer:
         self,
         sample_rate: float = 1.0,
         seed: int = 0,
-        id_base: int = 0,
         max_traces: int = 1_000_000,
     ) -> None:
         if not 0.0 <= sample_rate <= 1.0:
@@ -241,7 +237,6 @@ class Tracer:
         self.sample_rate = float(sample_rate)
         self._rng = random.Random(int(seed) ^ _TRACER_SEED_SALT)
         self._next_id = 0
-        self.id_base = int(id_base)
         self.max_traces = int(max_traces)
         self.traces: List[QuorumTrace] = []
         self.started = 0
@@ -262,7 +257,7 @@ class Tracer:
         if rate < 1.0 and self._rng.random() >= rate:
             self.sampled_out += 1
             return None
-        trace_id = self.id_base + self._next_id
+        trace_id = self._next_id
         self._next_id += 1
         self.started += 1
         return QuorumTrace(

@@ -38,9 +38,9 @@ safety under live fault injection.
   (``ShardedClientAPI``) under :class:`ShardedDeployment` (servers on this
   loop) and ``ClusterDeployment`` (a server process per shard);
 * :mod:`repro.service.load` — :class:`ServiceLoadSpec` and the one load
-  driver behind the ``serve`` experiment: :func:`serve_load` slices a
-  workload by key, ``drive_load`` runs each slice (in process or in worker
-  processes) and ``merge_reports`` folds the per-slice reports.
+  driver behind the ``serve`` experiment: :func:`serve_load` deploys a
+  scenario and ``drive_load`` runs the whole workload against it from this
+  process, whichever shape the deployment has.
 """
 
 from repro.service.client import AsyncQuorumClient, ReadRpcResult, WriteRpcResult

@@ -20,16 +20,17 @@ spine, unchanged:
   queue), connect the spine to those addresses, probe shard health, and
   tear everything down without orphans (terminate → join → kill) —
   including when :meth:`~ClusterDeployment.start` itself fails half way.
-* :class:`ClusterClientPool` — the spine alone: a client-side view of a
-  cluster that is already serving (addresses known), which load worker
-  processes attach before driving their slice of a workload.
+* :func:`deploy` — the one factory that picks the shape from a process
+  count: ``0`` keeps the replica groups on this loop, any positive count
+  builds the cluster.
 
-The multi-process load generator that uses these lives with the one load
-driver in :mod:`repro.service.load` (slice → drive → merge).  Live fault
-injection aside (it needs in-process node objects), the cluster path runs
-the same scenario semantics as every other layer — the conformance suite
-holds its classification rates against the Monte-Carlo engines and the
-in-loop services.
+The load itself is always driven from the caller's process, by the one
+load driver in :mod:`repro.service.load`, against the cluster's own client
+surface: the server processes are a lifecycle and isolation feature, not a
+throughput one.  Live fault injection aside (it needs in-process node
+objects), the cluster path runs the same scenario semantics as every other
+layer — the conformance suite holds its classification rates against the
+Monte-Carlo engines and the in-loop services.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import random
 import signal
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.exceptions import ServiceError
 from repro.service.net import TcpServiceServer
@@ -52,9 +53,6 @@ from repro.service.sharding import (
 )
 from repro.simulation.failures import FailurePlan
 from repro.simulation.scenario import AntiEntropySpec, ScenarioSpec
-
-if TYPE_CHECKING:  # the load module imports this one
-    from repro.service.load import ServiceLoadReport, ServiceLoadSpec
 
 #: How long :meth:`ClusterDeployment.start` waits for every shard process
 #: to report readiness before tearing the partial cluster down.
@@ -324,30 +322,6 @@ class ClusterDeployment(ShardedClientAPI):
         )
 
 
-class ClusterClientPool(ShardedClientAPI):
-    """Client-side view of a cluster that is already serving.
-
-    Load worker processes construct one of these from the parent's shard
-    addresses: same routing, same client API, same wiring, no server
-    ownership — ``start()`` is *connect to these addresses* and closing the
-    pool closes sockets, never processes.  ``options`` are the spine's
-    (``rng`` seeds this pool's own transport and quorum-pool streams).
-    """
-
-    def __init__(
-        self,
-        scenario: ScenarioSpec,
-        addresses: Sequence[Tuple[str, int]],
-        **options: Any,
-    ) -> None:
-        super().__init__(scenario, len(addresses), "tcp", **options)
-        self.addresses = list(addresses)
-        for shard in self.shards:
-            # The failure plans live with the servers; the one the spine
-            # drew here describes nothing this pool can see.
-            shard.plan = None
-
-
 def deploy(
     scenario: ScenarioSpec,
     processes: int = 0,
@@ -367,99 +341,3 @@ def deploy(
     if processes > 0:
         return ClusterDeployment(scenario, **options)
     return ShardedDeployment(scenario, transport=transport, **options)
-
-
-# -- the multi-process half of the load generator ----------------------------------
-
-
-@dataclass(frozen=True)
-class LoadSlice:
-    """One worker's share of a load spec (picklable; the spec travels beside it).
-
-    The partition is by key: ``key_ranks`` are the *global* ranks of the
-    register keys the worker owns (so its reads keep their global zipf
-    weights), ``versions`` the global write version numbers that land on
-    those keys, ``readers`` how many reader clients it runs, and
-    ``writer_id_base`` the first of its ``spec.resolved_writers`` globally
-    unique writer identities.
-    """
-
-    worker: int
-    key_ranks: Tuple[int, ...]
-    versions: Tuple[int, ...]
-    readers: int
-    writer_id_base: int
-
-
-def partition_load(spec: "ServiceLoadSpec") -> List[LoadSlice]:
-    """Split one load spec by key into ``max(1, spec.processes)`` slices.
-
-    Worker ``w`` owns the keys whose rank satisfies ``rank % workers == w``
-    and runs both the writers and the readers of those keys; the single
-    slice of an unpartitioned run is the whole workload.
-    """
-    workers = max(1, spec.processes)
-    base_clients, extra_clients = divmod(spec.clients, workers)
-    return [
-        LoadSlice(
-            worker=worker,
-            key_ranks=tuple(range(worker, spec.keys, workers)),
-            versions=tuple(
-                version
-                for version in range(spec.writes)
-                if (version % spec.keys) % workers == worker
-            ),
-            readers=base_clients + (1 if worker < extra_clients else 0),
-            writer_id_base=spec.scenario.writer_id + worker * spec.resolved_writers,
-        )
-        for worker in range(workers)
-    ]
-
-
-def _load_worker_main(*job: Any) -> "ServiceLoadReport":
-    """Worker-process entry point: attach to the cluster, drive one slice."""
-    # Imported at call time: the load module imports this one.
-    from repro.service.load import drive_slice
-
-    return asyncio.run(drive_slice(*job))
-
-
-def _warm_worker() -> None:
-    """Pre-import the harness in a pool worker (keeps spawn cost untimed)."""
-    import repro.service.load  # noqa: F401  (the heavy transitive imports)
-
-
-async def drive_in_workers(
-    spec: "ServiceLoadSpec",
-    addresses: Sequence[Tuple[str, int]],
-    slices: Sequence[LoadSlice],
-    rng: random.Random,
-) -> Tuple[List["ServiceLoadReport"], float]:
-    """Drive each slice in its own spawned worker process.
-
-    Returns the per-slice reports in worker order and the parent's wall
-    clock from dispatch to the last result (what the caller waited).
-    """
-    # One seed per worker, drawn from the run's root: worker streams are
-    # distinct from each other and reproducible from ``spec.seed``.
-    jobs = [
-        (spec, tuple(addresses), load_slice, rng.randrange(2**63))
-        for load_slice in slices
-    ]
-    import concurrent.futures
-    import multiprocessing  # at use, like ClusterDeployment.start()
-
-    loop = asyncio.get_running_loop()
-    with concurrent.futures.ProcessPoolExecutor(
-        max_workers=len(jobs), mp_context=multiprocessing.get_context("spawn")
-    ) as executor:
-        # Spawn + import every pool worker before the clock starts:
-        # interpreter startup is deployment cost, not workload cost.
-        await asyncio.gather(
-            *(loop.run_in_executor(executor, _warm_worker) for _ in jobs)
-        )
-        started = time.perf_counter()
-        reports = await asyncio.gather(
-            *(loop.run_in_executor(executor, _load_worker_main, *job) for job in jobs)
-        )
-        return list(reports), time.perf_counter() - started

@@ -10,34 +10,24 @@ independent shards the deployment runs and how many register keys the
 workload spreads over (optionally zipf-skewed), and a rolling
 crash/recovery schedule injected while requests are in flight.
 
-:func:`serve_load` is *deploy → slice → drive → merge*.  It deploys the
-scenario through the one factory (:func:`~repro.service.cluster.deploy`:
-replica groups on this loop, or one server process per shard when
-``processes > 0``), partitions the workload by register key
-(:func:`partition_load` — the unpartitioned run is the 1-way partition),
-and hands each :class:`LoadSlice` to :func:`drive_load`, the **only**
-workload loop: ``writers`` concurrent writers (each under its own writer
-identity, so contending timestamps tie-break by writer id exactly as in the
-Monte-Carlo engines) and the slice's concurrent readers, driven through the
-ordinary client surface of whatever
-:class:`~repro.service.sharding.ShardedClientAPI` it is given.  With
-``processes <= 1`` that is the deployment itself; with more, each spawned
-worker attaches a :class:`~repro.service.cluster.ClusterClientPool` to the
-shared cluster, runs the same :func:`drive_load` on its slice and returns
-its :class:`ServiceLoadReport`, and :func:`merge_reports` folds them.  A
-report carries throughput (aggregate and per shard), latency percentiles
-and — via the shared classifier of :mod:`repro.protocol.classification` —
-the same fresh/stale/empty/fabricated outcome counts the Monte-Carlo
-engines produce.  ``fabricated`` outcomes are the report's *safety
-violations*: values that were never written being accepted by a reader.
-
-The partition is by *key* because readers classify against per-key issued
-histories and settled-write snapshots, which are only sound when observed
-in the process that tracks them: co-locating each key's readers and
-writers keeps the zero-fabrication accounting exact with no cross-process
-coordination.  (It is also why live fault injection and write
-``contention`` are refused with ``processes > 0``: the first needs
-in-process node objects, the second would collide writers across slices.)
+:func:`serve_load` is *deploy → drive*.  It deploys the scenario through
+the one factory (:func:`~repro.service.cluster.deploy`: replica groups on
+this loop, or one server process per shard when ``processes > 0``) and
+hands it to :func:`drive_load`, the **only** workload loop: ``writers``
+concurrent writers (each under its own writer identity, so contending
+timestamps tie-break by writer id exactly as in the Monte-Carlo engines)
+and ``clients`` concurrent readers, driven through the ordinary client
+surface of whatever :class:`~repro.service.sharding.ShardedClientAPI` it is
+given.  The load always runs in this process, whatever the deployment
+shape, so readers classify against the same per-key issued histories and
+settled-write snapshots the writers update.  A report carries throughput
+(aggregate and per shard), latency percentiles and — via the shared
+classifier of :mod:`repro.protocol.classification` — the same
+fresh/stale/empty/fabricated outcome counts the Monte-Carlo engines
+produce.  ``fabricated`` outcomes are the report's *safety violations*:
+values that were never written being accepted by a reader.  Live fault
+injection is refused with ``processes > 0``: it needs the replica node
+objects in this process.
 
 Unlike the trial engines, reads here genuinely overlap writes, and the
 theorems say nothing about a read concurrent with a write.  The harness
@@ -64,7 +54,7 @@ import time
 from collections import deque
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional
 
 from repro.exceptions import ConfigurationError, QuorumUnavailableError
 from repro.obs.metrics import MetricsRegistry
@@ -72,13 +62,7 @@ from repro.obs.monitor import EpsilonMonitor
 from repro.obs.trace import Tracer
 from repro.protocol.classification import OUTCOME_LABELS, classify_read_outcome
 from repro.protocol.variable import ReadOutcome, WriteOutcome
-from repro.service.cluster import (
-    ClusterClientPool,
-    LoadSlice,
-    deploy,
-    drive_in_workers,
-    partition_load,
-)
+from repro.service.cluster import deploy
 from repro.service.sharding import (
     ShardedClientAPI,
     ShardedDeployment,
@@ -125,18 +109,14 @@ def key_names(keys: int) -> List[str]:
     return [f"x{index}" for index in range(keys)]
 
 
-def key_weight_cdf(keys: Union[int, Sequence[int]], skew: float) -> List[float]:
-    """Cumulative selection weights over ``keys`` ranks.
+def key_weight_cdf(keys: int, skew: float) -> List[float]:
+    """Cumulative selection weights over the ranks ``0..keys-1``.
 
     ``skew=0`` is uniform; ``skew>0`` is zipf-like (rank ``i`` drawn with
     probability proportional to ``1/(i+1)**skew``), modelling the hot-key
-    traffic real multi-register deployments see.  ``keys`` is a count (the
-    ranks ``0..keys-1``) or an explicit subset of *global* ranks — a load
-    slice's keys keep their global weights, so the slices' draws reassemble
-    the unpartitioned key distribution.
+    traffic real multi-register deployments see.
     """
-    ranks = range(keys) if isinstance(keys, int) else keys
-    weights = [1.0 / float(rank + 1) ** skew for rank in ranks]
+    weights = [1.0 / float(rank + 1) ** skew for rank in range(keys)]
     total = sum(weights)
     cdf: List[float] = []
     running = 0.0
@@ -217,10 +197,10 @@ class ServiceLoadSpec:
     contention: float = 0.0
     #: Wire codec the TCP transports send (``"json"`` or ``"binary"``).
     codec: str = "json"
-    #: ``0`` (default) keeps everything on the caller's event loop; ``> 0``
-    #: deploys via :class:`~repro.service.cluster.ClusterDeployment` (one
-    #: server process per shard) and splits the load over this many worker
-    #: processes (``1`` = cluster servers, load driven in the parent).
+    #: ``0`` (default) keeps the replica groups on the caller's event loop;
+    #: any positive value deploys the same
+    #: :class:`~repro.service.cluster.ClusterDeployment` (one server process
+    #: per shard).  The load is driven from the caller's loop either way.
     processes: int = 0
     #: Fraction of quorum operations that assemble a full
     #: :class:`~repro.obs.trace.QuorumTrace` (``0.0``, the default, keeps
@@ -300,22 +280,6 @@ class ServiceLoadSpec:
                     "live fault injection needs in-process node objects; with "
                     "processes > 0 the servers live in their own processes, so "
                     "use the scenario's static failure model instead"
-                )
-            if self.contention > 0.0:
-                raise ConfigurationError(
-                    "contention redirects writes to the hottest key, but the "
-                    "multi-process load partitions writers by key; contention "
-                    "requires processes=0"
-                )
-            if self.processes > self.keys:
-                raise ConfigurationError(
-                    f"{self.processes} load processes over {self.keys} register "
-                    f"keys leaves workers provably idle; use processes <= keys"
-                )
-            if self.processes > self.clients:
-                raise ConfigurationError(
-                    f"{self.processes} load processes need at least that many "
-                    f"reader clients, got {self.clients}"
                 )
 
     @property
@@ -631,15 +595,14 @@ async def inject_faults(
 async def drive_load(
     deployment: ShardedClientAPI,
     spec: ServiceLoadSpec,
-    load_slice: LoadSlice,
     rng: random.Random,
 ) -> ServiceLoadReport:
-    """Drive one slice of ``spec``'s workload through a started deployment.
+    """Drive ``spec``'s workload through a started deployment.
 
-    The only workload loop there is: every deployment shape and every load
-    worker runs it against the client surface it is handed.  ``rng`` seeds
-    every client (and, in-loop, the fault injector); the deployment's
-    ``tracer``, if any, was installed by the caller before ``start()``.
+    The only workload loop there is: every deployment shape runs it against
+    the client surface it is handed.  ``rng`` seeds every client (and,
+    in-loop, the fault injector); the deployment's ``tracer``, if any, was
+    installed by the caller before ``start()``.
     """
     scenario = spec.scenario
     tracer = deployment.tracer
@@ -654,23 +617,22 @@ async def drive_load(
 
     writer_count = spec.resolved_writers
     writers = [
-        make_client(writer_id=load_slice.writer_id_base + index)
+        make_client(writer_id=scenario.writer_id + index)
         for index in range(writer_count)
     ]
-    readers = [make_client() for _ in range(load_slice.readers)]
+    readers = [make_client() for _ in range(spec.clients)]
 
-    # -- workload: the slice's keys and their read distribution -------------------
-    all_names = key_names(spec.keys)
-    names = [all_names[rank] for rank in load_slice.key_ranks]
+    # -- workload: the keys and their read distribution ---------------------------
+    names = key_names(spec.keys)
     # Routing is stable, so hash each key once instead of per operation.
     shard_of = {name: shard_for_key(name, spec.shards) for name in names}
     # Reader / writer streams are drawn only when something will use them,
     # so single-key and uncontended runs keep their per-seed randomness
     # byte for byte.
     if len(names) > 1:
-        cdf = key_weight_cdf(load_slice.key_ranks, spec.key_skew)
+        cdf = key_weight_cdf(spec.keys, spec.key_skew)
         reader_rngs = [
-            random.Random(rng.randrange(2**63)) for _ in range(load_slice.readers)
+            random.Random(rng.randrange(2**63)) for _ in range(spec.clients)
         ]
     if spec.contention > 0.0:
         writer_rngs = [
@@ -706,10 +668,8 @@ async def drive_load(
 
     async def run_writer(writer_index: int) -> None:
         writer = writers[writer_index]
-        for version in load_slice.versions:
-            if version % writer_count != writer_index:
-                continue
-            key = all_names[version % spec.keys]
+        for version in range(writer_index, spec.writes, writer_count):
+            key = names[version % spec.keys]
             if spec.contention > 0.0:
                 if writer_rngs[writer_index].random() < spec.contention:
                     key = names[0]
@@ -777,8 +737,7 @@ async def drive_load(
     # snapshot: the read-path cost (probe fallbacks) next to the
     # background cost that absorbs it (repairs, gossip rounds), plus
     # the freshness the trade bought.
-    labels = {"worker": load_slice.worker}
-    harness = MetricsRegistry(labels={"component": "load-harness", **labels})
+    harness = MetricsRegistry(labels={"component": "load-harness"})
     harness.counter("probe_fallback_ops").inc(probe_fallbacks)
     harness.counter("repairs_piggybacked").inc(deployment.repairs_piggybacked)
     harness.counter("gossip_rounds").inc(deployment.gossip_rounds)
@@ -805,122 +764,18 @@ async def drive_load(
         gossip_rounds=deployment.gossip_rounds,
         shard_ops=shard_ops,
         traces=tracer.to_dicts() if tracer is not None else [],
-        metrics=deployment.metrics_snapshots(labels) + [harness.to_dict()],
+        metrics=deployment.metrics_snapshots() + [harness.to_dict()],
         epsilon_alerts=list(monitor.alerts) if monitor is not None else [],
         epsilon_monitor=monitor.to_dict() if monitor is not None else None,
     )
 
 
-_SUMMED_FIELDS = (
-    "reads_completed",
-    "writes_completed",
-    "write_failures",
-    "rpc_calls",
-    "rpc_dropped",
-    "rpc_timeouts",
-    "probe_fallbacks",
-    "injected_crashes",
-    "dispatch_flushes",
-    "repairs_piggybacked",
-    "gossip_rounds",
-)
-_CONCATENATED_FIELDS = (
-    "read_latencies",
-    "write_latencies",
-    "traces",
-    "metrics",
-    "epsilon_alerts",
-)
-
-
-def merge_reports(reports: Sequence[ServiceLoadReport]) -> ServiceLoadReport:
-    """Fold the reports of concurrently driven slices into the run's report.
-
-    Counters and outcome counts sum, ``shard_ops`` sums per shard index,
-    latencies / traces / metric snapshots / alerts concatenate in worker
-    order, and ``elapsed`` is the slowest slice.  Merging one report
-    returns an equal report.
-    """
-    merged: Dict[str, Any] = {
-        name: sum(getattr(report, name) for report in reports)
-        for name in _SUMMED_FIELDS
-    }
-    for name in _CONCATENATED_FIELDS:
-        merged[name] = [item for report in reports for item in getattr(report, name)]
-    monitors = [
-        report.epsilon_monitor
-        for report in reports
-        if report.epsilon_monitor is not None
-    ]
-    epsilon_monitor = None
-    if monitors:
-        observed = sum(monitor["observed"] for monitor in monitors)
-        errors = sum(monitor["errors"] for monitor in monitors)
-        epsilon_monitor = {
-            **monitors[0],
-            "observed": observed,
-            "errors": errors,
-            # The most alarming worker window: windows do not compose
-            # across processes, so report the worst one seen.
-            "window_rate": max(monitor["window_rate"] for monitor in monitors),
-            "total_rate": errors / observed if observed else 0.0,
-            "alerts": merged["epsilon_alerts"],
-        }
-    return ServiceLoadReport(
-        spec=reports[0].spec,
-        elapsed=max(report.elapsed for report in reports),
-        outcomes={
-            label: sum(report.outcomes.get(label, 0) for report in reports)
-            for label in OUTCOME_LABELS
-        },
-        shard_ops=[sum(ops) for ops in zip(*(report.shard_ops for report in reports))],
-        epsilon_monitor=epsilon_monitor,
-        **merged,
-    )
-
-
-def _client_options(spec: ServiceLoadSpec, rng: random.Random) -> Dict[str, Any]:
-    """The spine parameters a spec fixes, for a deployment or a worker's pool."""
-    return {
-        "codec": spec.codec,
-        "latency": spec.latency,
-        "jitter": spec.jitter,
-        "drop_probability": spec.drop_probability,
-        "rng": rng,
-        "anti_entropy": spec.resolved_anti_entropy,
-    }
-
-
-def _load_tracer(spec: ServiceLoadSpec, seed: int, worker: int = 0) -> Optional[Tracer]:
-    """The run's tracer, to install *before* ``start()``: every client the
-    deployment hands out samples from it.  Disjoint id bases keep trace ids
-    unique across workers."""
-    if spec.trace_sample <= 0.0:
-        return None
-    return Tracer(sample_rate=spec.trace_sample, seed=seed, id_base=worker << 40)
-
-
-async def drive_slice(
-    spec: ServiceLoadSpec,
-    addresses: Sequence[Tuple[str, int]],
-    load_slice: LoadSlice,
-    seed: int,
-) -> ServiceLoadReport:
-    """What a load worker process runs: attach a client pool to the shard
-    servers at ``addresses`` and drive one slice through it."""
-    rng = random.Random(seed)
-    pool = ClusterClientPool(spec.scenario, addresses, **_client_options(spec, rng))
-    pool.tracer = _load_tracer(spec, seed, load_slice.worker)
-    async with pool:
-        return await drive_load(pool, spec, load_slice, rng)
-
-
 async def serve_load(spec: ServiceLoadSpec) -> ServiceLoadReport:
     """Run one service load experiment on the current event loop.
 
-    Deploy, slice, drive, merge: with at most one load process the single
-    slice is driven on the deployment itself; with more, each slice goes to
-    a worker process that attaches its own client pool to the cluster.
+    Deploy, then drive the whole workload on the deployment itself —
+    whether its replica groups live on this loop or in shard server
+    processes.
     """
     rng = random.Random(spec.seed)
     deployment = deploy(
@@ -928,20 +783,20 @@ async def serve_load(spec: ServiceLoadSpec) -> ServiceLoadReport:
         processes=spec.processes,
         shards=spec.shards,
         transport=spec.transport,
-        **_client_options(spec, rng),
+        codec=spec.codec,
+        latency=spec.latency,
+        jitter=spec.jitter,
+        drop_probability=spec.drop_probability,
+        rng=rng,
+        anti_entropy=spec.resolved_anti_entropy,
     )
-    deployment.tracer = _load_tracer(spec, spec.seed)
-    slices = partition_load(spec)
+    if spec.trace_sample > 0.0:
+        # Installed before start(): every client the deployment hands out
+        # samples from it.
+        deployment.tracer = Tracer(sample_rate=spec.trace_sample, seed=spec.seed)
     try:
         await deployment.start()
-        if len(slices) == 1:
-            report = await drive_load(deployment, spec, slices[0], rng)
-        else:
-            reports, elapsed = await drive_in_workers(
-                spec, deployment.addresses, slices, rng
-            )
-            report = merge_reports(reports)
-            report.elapsed = elapsed
+        report = await drive_load(deployment, spec, rng)
     finally:
         await deployment.aclose()
     # Shard server processes report their metric snapshots on the readiness

@@ -283,16 +283,6 @@ class ShardedClientAPI:
             shard.dispatcher = TcpDispatcher(shard.transport)
         self._started = True
 
-    async def start(self) -> None:
-        """Connect to :attr:`addresses`; a failure closes what was opened."""
-        if self._started:
-            return
-        try:
-            await self._connect(self.addresses)
-        except BaseException:
-            await self.aclose()
-            raise
-
     async def aclose(self) -> None:
         """Close the client-side sockets (idempotent; never stops servers)."""
         for shard in self.shards:
@@ -464,8 +454,9 @@ class ShardedDeployment(ShardedClientAPI):
         Root randomness: per-shard failure plans, transport seeds and pool
         generators derive from it in shard order, so a deployment is
         reproducible from one seed.
-    tcp_host:
-        Bind address for the per-shard socket servers.
+    host:
+        Bind address for the per-shard socket servers (the same option
+        :class:`~repro.service.cluster.ClusterDeployment` takes).
     codec:
         The wire codec the TCP transports send (``"json"`` or
         ``"binary"``; the servers answer in the same codec).
@@ -490,7 +481,7 @@ class ShardedDeployment(ShardedClientAPI):
         jitter: float = 0.0,
         drop_probability: float = 0.0,
         rng: Optional[random.Random] = None,
-        tcp_host: str = "127.0.0.1",
+        host: str = "127.0.0.1",
         codec: str = "json",
         anti_entropy: Optional[AntiEntropySpec] = None,
     ) -> None:
@@ -510,7 +501,7 @@ class ShardedDeployment(ShardedClientAPI):
             if transport == "tcp":
                 # The client side needs the server's ephemeral port, known
                 # only after start().
-                shard.server = TcpServiceServer(shard.nodes, host=tcp_host)
+                shard.server = TcpServiceServer(shard.nodes, host=host)
                 continue
             shard.transport = AsyncTransport(seed=shard.transport_seed, **self._conditions)
             shard.dispatcher = BatchedDispatcher(shard.nodes, shard.transport)

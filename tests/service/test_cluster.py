@@ -4,11 +4,9 @@ The contract under test is operational, not statistical: a
 :class:`~repro.service.cluster.ClusterDeployment` must leave **zero orphan
 processes** however it ends — a normal ``aclose``, Ctrl-C (SIGINT reaching
 the children), or a shard server dying mid-flight — and must keep serving
-the shards that remain.  The multi-process load partitioner is checked as
-a pure function: the per-worker slices must reassemble exactly into the
-single-process workload (keys, write versions, reader clients, writer
-identities), or the merged report would quietly measure a different
-experiment.
+the shards that remain.  The load that drives a cluster runs in the
+caller's process, so a cluster load spec accepts everything an in-loop one
+does except live fault injection (the nodes live in other processes).
 """
 
 from __future__ import annotations
@@ -24,8 +22,13 @@ import pytest
 from repro.api import Deployment
 from repro.core.masking import ProbabilisticMaskingSystem
 from repro.exceptions import ConfigurationError
-from repro.service.cluster import ClusterDeployment, deploy, partition_load
-from repro.service.load import ServiceLoadSpec
+from repro.service.cluster import ClusterDeployment, deploy
+from repro.service.load import (
+    FaultInjectionSpec,
+    ServiceLoadSpec,
+    key_names,
+    run_service_load,
+)
 from repro.service.net import TcpTransport
 from repro.service.sharding import ShardedDeployment
 from repro.simulation.scenario import ScenarioSpec
@@ -229,6 +232,18 @@ class TestClusterFacade:
         assert cluster.transport_mode == "tcp"
         assert cluster.pids == []  # nothing spawns before start()
 
+    def test_both_shapes_take_the_same_bind_address_option(self):
+        for processes in (0, 1):
+            deployment = deploy(
+                scenario(),
+                processes=processes,
+                transport="tcp",
+                host="127.0.0.1",
+                shards=2,
+                rng=random.Random(1),
+            )
+            assert deployment.transport_mode == "tcp"
+
     def test_bad_conditions_are_refused_before_any_process_spawns(self):
         for conditions in (
             dict(latency=-1.0),
@@ -241,65 +256,42 @@ class TestClusterFacade:
                 deploy(scenario(), processes=1, **conditions)
 
 
-class TestPartitionLoad:
-    def spec(self, processes: int, clients: int = 10, keys: int = 7, writes: int = 23):
-        return ServiceLoadSpec(
+class TestClusterLoadSpec:
+    def spec(self, **overrides):
+        fields = dict(
             scenario=scenario(),
-            clients=clients,
+            clients=10,
             reads_per_client=2,
-            writes=writes,
+            writes=8,
+            deadline=2.0,
             transport="tcp",
             shards=2,
-            keys=keys,
+            keys=4,
             codec="binary",
-            processes=processes,
+            processes=1,
             seed=3,
         )
+        fields.update(overrides)
+        return ServiceLoadSpec(**fields)
 
-    def test_partition_reassembles_the_global_workload(self):
-        spec = self.spec(processes=3)
-        configs = partition_load(spec)
-        assert len(configs) == 3
-        # Keys: disjoint cover of the global key list, global ranks intact.
-        all_ranks = sorted(rank for c in configs for rank in c.key_ranks)
-        assert all_ranks == list(range(spec.keys))
-        for config in configs:
-            assert list(config.key_ranks) == sorted(set(config.key_ranks))
-        # Write versions: disjoint cover of the global version sequence,
-        # and every version lands with the worker that owns its key.
-        all_versions = sorted(v for c in configs for c_v in [c.versions] for v in c_v)
-        assert all_versions == list(range(spec.writes))
-        for config in configs:
-            for version in config.versions:
-                assert (version % spec.keys) in config.key_ranks
-        # Readers: every client accounted for exactly once.
-        assert sum(c.readers for c in configs) == spec.clients
-        # Writer identities: globally disjoint blocks.
-        bases = [c.writer_id_base for c in configs]
-        assert len(set(bases)) == len(bases)
-        for first, second in zip(sorted(bases), sorted(bases)[1:]):
-            assert second - first >= spec.resolved_writers
+    def test_spec_refuses_what_a_cluster_cannot_run(self):
+        with pytest.raises(ConfigurationError):
+            self.spec(transport="inproc", processes=2)  # processes need sockets
+        with pytest.raises(ConfigurationError):
+            # Live churn needs the node objects in this process.
+            self.spec(fault_injection=FaultInjectionSpec(crash_count=1))
 
-    def test_single_worker_owns_everything(self):
-        spec = self.spec(processes=1)
-        (config,) = partition_load(spec)
-        assert list(config.key_ranks) == list(range(spec.keys))
-        assert list(config.versions) == list(range(spec.writes))
-        assert config.readers == spec.clients
-
-    def test_spec_validation_refuses_unpartitionable_loads(self):
-        with pytest.raises(ConfigurationError):
-            self.spec(processes=9, keys=7, clients=10)  # workers > keys
-        with pytest.raises(ConfigurationError):
-            self.spec(processes=5, keys=7, clients=4)  # workers > clients
-        with pytest.raises(ConfigurationError):
-            ServiceLoadSpec(
-                scenario=scenario(),
-                clients=4,
-                reads_per_client=1,
-                writes=4,
-                transport="inproc",  # processes need real sockets
-                processes=2,
-                keys=4,
-                seed=1,
-            )
+    def test_contended_writes_run_on_a_cluster(self):
+        spec = self.spec(writers=2, contention=0.5, trace_sample=1.0)
+        report = run_service_load(spec)
+        assert report.operations == spec.total_ops
+        assert report.write_failures == 0
+        assert report.violations == 0
+        names = key_names(spec.keys)
+        round_robin = sum(1 for version in range(spec.writes) if version % spec.keys == 0)
+        hot_writes = sum(
+            1
+            for trace in report.traces
+            if trace["op"] == "write" and trace["variable"] == names[0]
+        )
+        assert hot_writes > round_robin

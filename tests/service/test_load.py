@@ -19,9 +19,6 @@ from repro.service.load import (
     ServiceLoadSpec,
     classify_service_read,
     key_names,
-    key_weight_cdf,
-    merge_reports,
-    partition_load,
     run_service_load,
     serve_load,
 )
@@ -292,133 +289,6 @@ class TestSeededParity:
         assert observed == PARITY_PINS[name]
 
 
-def slice_report(spec, worker: int, **overrides) -> ServiceLoadReport:
-    """A hand-made per-slice report (what one load worker sends home)."""
-    fields = dict(
-        spec=spec,
-        elapsed=0.5 + worker,
-        reads_completed=10 + worker,
-        writes_completed=2 + worker,
-        write_failures=worker,
-        outcomes={"fresh": 8 + worker, "stale": 1, "empty": 1, "fabricated": 0},
-        read_latencies=[0.001 * (worker + 1)] * (10 + worker),
-        write_latencies=[0.002 * (worker + 1)] * (2 + worker),
-        rpc_calls=100 + worker,
-        rpc_dropped=3 + worker,
-        rpc_timeouts=4 + worker,
-        probe_fallbacks=5 + worker,
-        injected_crashes=worker,
-        dispatch_flushes=6 + worker,
-        repairs_piggybacked=7 + worker,
-        gossip_rounds=8 + worker,
-        shard_ops=[7 + worker, 5 + worker],
-        traces=[{"trace_id": (worker << 40) + 1}],
-        metrics=[{"labels": {"component": "load-harness", "worker": worker}}],
-        epsilon_alerts=[{"kind": "epsilon-exceeded", "worker": worker}],
-        epsilon_monitor={
-            "epsilon": 0.0,
-            "slack": 0.05,
-            "window": 200,
-            "min_samples": 50,
-            "observed": 10 + worker,
-            "errors": 1 + worker,
-            "window_rate": 0.1 * (worker + 1),
-            "total_rate": (1 + worker) / (10 + worker),
-            "alerts": [{"kind": "epsilon-exceeded", "worker": worker}],
-        },
-    )
-    fields.update(overrides)
-    return ServiceLoadReport(**fields)
-
-
-class TestMergeReports:
-    SPEC = small_spec(transport="tcp", shards=2, keys=4, processes=3, codec="binary")
-
-    def test_merging_one_report_is_the_identity(self):
-        report = slice_report(self.SPEC, 1)
-        assert merge_reports([report]) == report
-
-    def test_counters_sum_and_streams_concatenate_in_worker_order(self):
-        reports = [slice_report(self.SPEC, worker) for worker in range(3)]
-        merged = merge_reports(reports)
-        for name in (
-            "reads_completed",
-            "writes_completed",
-            "write_failures",
-            "rpc_calls",
-            "rpc_dropped",
-            "rpc_timeouts",
-            "probe_fallbacks",
-            "injected_crashes",
-            "dispatch_flushes",
-            "repairs_piggybacked",
-            "gossip_rounds",
-        ):
-            assert getattr(merged, name) == sum(getattr(r, name) for r in reports), name
-        assert merged.outcomes == {"fresh": 27, "stale": 3, "empty": 3, "fabricated": 0}
-        for name in ("read_latencies", "write_latencies", "traces", "metrics", "epsilon_alerts"):
-            assert getattr(merged, name) == [
-                item for report in reports for item in getattr(report, name)
-            ], name
-        # Per shard index, never flattened.
-        assert merged.shard_ops == [7 + 8 + 9, 5 + 6 + 7]
-        assert sum(merged.shard_ops) == sum(sum(r.shard_ops) for r in reports)
-        # Slices run concurrently: the run took as long as its slowest one.
-        assert merged.elapsed == 2.5
-        assert merged.spec is self.SPEC and merged.transport == "tcp"
-
-    def test_epsilon_monitor_sums_counts_and_keeps_the_worst_window(self):
-        merged = merge_reports([slice_report(self.SPEC, worker) for worker in range(3)])
-        monitor = merged.epsilon_monitor
-        assert monitor["observed"] == 10 + 11 + 12
-        assert monitor["errors"] == 1 + 2 + 3
-        assert monitor["window_rate"] == pytest.approx(0.3)
-        assert monitor["total_rate"] == pytest.approx(6 / 33)
-        assert monitor["alerts"] == merged.epsilon_alerts
-        assert (monitor["epsilon"], monitor["slack"], monitor["window"]) == (0.0, 0.05, 200)
-        unmonitored = [
-            slice_report(self.SPEC, worker, epsilon_monitor=None, epsilon_alerts=[])
-            for worker in range(2)
-        ]
-        assert merge_reports(unmonitored).epsilon_monitor is None
-
-
-class TestKeyWeightsOverRankSubsets:
-    @staticmethod
-    def weights(cdf):
-        return [b - a for a, b in zip([0.0] + cdf, cdf)]
-
-    @pytest.mark.parametrize("skew", [0.0, 0.8, 1.3])
-    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
-    def test_slices_reassemble_the_global_zipf_weights(self, skew, workers):
-        keys = 11
-        zipf = [1.0 / (rank + 1) ** skew for rank in range(keys)]
-        reassembled = {}
-        for worker in range(workers):
-            ranks = tuple(range(worker, keys, workers))
-            share = sum(zipf[rank] for rank in ranks)
-            # A slice's cdf is normalised over the slice; scaling by the
-            # slice's share of the global mass recovers the global weights.
-            for rank, weight in zip(ranks, self.weights(key_weight_cdf(ranks, skew))):
-                reassembled[rank] = weight * share
-        assert sorted(reassembled) == list(range(keys))
-        for rank in range(keys):
-            assert reassembled[rank] == pytest.approx(zipf[rank])
-
-    def test_the_count_spelling_is_the_full_rank_range(self):
-        for skew in (0.0, 1.1):
-            assert key_weight_cdf(9, skew) == key_weight_cdf(range(9), skew)
-            assert key_weight_cdf(9, skew)[-1] == 1.0
-
-    def test_partition_slices_carry_the_ranks_the_cdf_needs(self):
-        spec = small_spec(transport="tcp", shards=2, keys=7, processes=3)
-        names = key_names(spec.keys)
-        slices = partition_load(spec)
-        assert sorted(names[rank] for s in slices for rank in s.key_ranks) == sorted(names)
-        for load_slice in slices:
-            assert len(key_weight_cdf(load_slice.key_ranks, 1.0)) == len(load_slice.key_ranks)
-
-
 class TestProcessCountDifferential:
     def spec(self, processes: int) -> ServiceLoadSpec:
         return small_spec(
@@ -435,15 +305,13 @@ class TestProcessCountDifferential:
             seed=17,
         )
 
-    def test_in_loop_and_two_worker_runs_complete_the_same_workload(self):
+    def test_in_loop_and_cluster_runs_complete_the_same_workload(self):
         from collections import Counter
 
         names = key_names(4)
         expected_writes = Counter(names[version % 4] for version in range(10))
         for processes in (0, 2):
             spec = self.spec(processes)
-            issued = sorted(v for s in partition_load(spec) for v in s.versions)
-            assert issued == list(range(spec.writes))
             report = run_service_load(spec)
             assert report.reads_completed == 24
             assert report.writes_completed == 10

@@ -13,11 +13,11 @@ on any machine:
   (`repro.service.net`: length-prefixed frames, per-connection writer tasks,
   the op-level `TcpDispatcher`).
 * **sharded TCP** — the wire path spread over 4 shards × 16 zipf-skewed
-  register keys on the *binary* codec; on a multi-core machine
-  through the full multi-process harness (`repro.service.cluster`: one
-  server process per shard + worker processes).
-* **cluster TCP** — a fixed `ClusterDeployment` configuration (4 server
-  processes, 1 load worker, binary codec).
+  register keys on the *binary* codec, every shard's server on the
+  caller's event loop.
+* **cluster TCP** — the same workload on a `ClusterDeployment`
+  (`repro.service.cluster`: 4 shard server processes, the load driven
+  from the test process).
 * **anti-entropy churn** — the same churn-heavy TCP workload run twice,
   anti-entropy off and on: piggybacked read-repair + background gossip
   must cut the probe-fallback rounds by at least **5×** at equal workload,
@@ -38,19 +38,12 @@ allowance, not a defect.
 
 from __future__ import annotations
 
-import os
-
 from repro.core.epsilon_intersecting import UniformEpsilonIntersectingSystem
 from repro.core.masking import ProbabilisticMaskingSystem
 from repro.experiments.serve import serve_load_spec
 from repro.service.load import FaultInjectionSpec, ServiceLoadSpec, run_service_load
 from repro.simulation.failures import FailureModel
 from repro.simulation.scenario import AntiEntropySpec, ScenarioSpec
-
-#: Worker processes for the sharded soak: scale to the machine, cap at
-#: the shard count; 0 (single core) keeps the load in-loop.
-CPU_COUNT = os.cpu_count() or 1
-SHARDED_PROCESSES = min(4, CPU_COUNT) if CPU_COUNT > 1 else 0
 
 #: Stale reads tolerated across 3k healthy reads (the ε allowance; the
 #: measured count at the pinned seed is ≤ 2, so 5 keeps flake margin while
@@ -139,18 +132,14 @@ def check_sharded_run(report) -> None:
 
 
 def test_sharded_tcp_deployment():
-    """Sharded deployment on the binary codec: the multi-process harness
-    where there are cores for it, the in-loop wire path otherwise."""
-    spec = tcp_spec(
-        shards=4, keys=16, key_skew=0.8, codec="binary", processes=SHARDED_PROCESSES
-    )
+    """Sharded deployment on the binary codec: the in-loop wire path."""
+    spec = tcp_spec(shards=4, keys=16, key_skew=0.8, codec="binary", processes=0)
     report = run_service_load(spec)
     check_sharded_run(report)
 
 
 def test_cluster_deployment():
-    """The fixed multi-process configuration: 4 server processes + 1
-    load-worker process + binary codec."""
+    """The same workload on 4 shard server processes + binary codec."""
     spec = tcp_spec(shards=4, keys=16, key_skew=0.8, codec="binary", processes=1)
     report = run_service_load(spec)
     check_sharded_run(report)
