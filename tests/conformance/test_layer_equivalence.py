@@ -31,8 +31,8 @@ analytical ε plus sampling slack.
 Beyond the 4×8 grid, standalone cells weld in the variants: the **binary
 codec** (the struct-packed frames negotiated per connection must classify
 reads exactly like the JSON ones), a **ClusterDeployment** (one server
-process per shard plus worker processes: real process boundaries must not
-change the semantics either), and two **anti-entropy** cells (piggybacked
+process per shard, the load driven from the test process: real process
+boundaries must not change the semantics either), and two **anti-entropy** cells (piggybacked
 read-repair + background gossip armed on every path: moving freshness off
 the read path must not move the rates, and gossip must never become a
 fabrication vector).  All are held to the same zero-fabrication and
@@ -257,7 +257,7 @@ def test_binary_codec_tcp_cell():
 
 def cluster_counts(spec: ScenarioSpec) -> dict:
     """The TCP workload on a ClusterDeployment: 2 shard server processes,
-    2 load-worker processes, binary codec."""
+    the load driven from this process, binary codec."""
     load = ServiceLoadSpec(
         scenario=spec,
         clients=20,
@@ -285,8 +285,8 @@ def cluster_counts(spec: ScenarioSpec) -> dict:
 def test_cluster_deployment_cell():
     """Real process boundaries must not change the read semantics.
 
-    The multi-process path (spawned shard servers, partitioned worker
-    load, merged report) is held to the same agreement and
+    The multi-process path (spawned shard servers driven over real
+    sockets from this process) is held to the same agreement and
     zero-fabrication bars as the in-loop paths — against the Byzantine
     forger model, so forged replies cross genuine process boundaries.
     """
