@@ -336,7 +336,7 @@ def deploy(
     always over TCP — ``transport`` describes the in-loop shape only).
     ``options`` are what the two shapes share: ``shards``, ``codec``,
     ``latency``, ``jitter``, ``drop_probability``, ``rng``,
-    ``anti_entropy``.
+    ``anti_entropy`` and the bind address ``host``.
     """
     if processes > 0:
         return ClusterDeployment(scenario, **options)

@@ -6,13 +6,13 @@ Three contracts pin the subsystem to the load harness:
   classifies every read identically to the untraced run (the tracer's RNG
   is private, the hot path branch-free when off);
 * **reconciliation** — with 100% sampling, the per-operation trace
-  classifications reconcile *exactly* with the merged report's outcome
+  classifications reconcile *exactly* with the report's outcome
   counters — no lost, double-counted or mislabelled operation, in-process
   and across a 2-shard multi-process cluster;
 * **report parity** — the one load driver produces the same *kind* of
-  report whatever the process count: same metric components, the
-  spec's codec, and no second set of client connections at
-  ``processes=1``;
+  report whatever the process count: same metric components, one
+  load-harness snapshot, the spec's codec, and no second set of client
+  connections at ``processes=1``;
 * **ε-monitor** — zero alerts under the benign conformance scenario
   (ε = 0 exactly for the 24-of-36 system), and provable firing when an
   injected forger regime pushes the observed error rate past ε + slack.
