@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import asyncio
+import random
 import selectors
+from collections import Counter
 
 import pytest
 
@@ -18,10 +20,13 @@ from repro.service.load import (
     ServiceLoadReport,
     ServiceLoadSpec,
     classify_service_read,
+    drive_load,
     key_names,
+    key_weight_cdf,
     run_service_load,
     serve_load,
 )
+from repro.service.sharding import ShardedDeployment
 from repro.simulation.failures import FailureModel
 from repro.simulation.scenario import AntiEntropySpec, ScenarioSpec
 
@@ -289,6 +294,135 @@ class TestSeededParity:
         assert observed == PARITY_PINS[name]
 
 
+class TestKeyWeightCdf:
+    @staticmethod
+    def weights(cdf):
+        return [b - a for a, b in zip([0.0] + cdf, cdf)]
+
+    @pytest.mark.parametrize("skew", [0.0, 0.8, 1.3])
+    @pytest.mark.parametrize("keys", [1, 2, 3, 11])
+    def test_weights_are_the_normalised_zipf_weights(self, skew, keys):
+        zipf = [1.0 / (rank + 1) ** skew for rank in range(keys)]
+        cdf = key_weight_cdf(keys, skew)
+        assert cdf[-1] == 1.0
+        for weight, expected in zip(self.weights(cdf), zipf):
+            assert weight == pytest.approx(expected / sum(zipf))
+
+    def test_the_cdf_has_one_entry_per_key_name(self):
+        # The driver draws with choices(names, cum_weights=cdf), which
+        # needs the two lists to line up.
+        for keys in (1, 2, 7, 64):
+            for skew in (0.0, 1.1):
+                assert len(key_weight_cdf(keys, skew)) == len(key_names(keys))
+
+
+def record_client_calls(deployment, calls):
+    """Log every read and write of the clients ``deployment`` hands out.
+
+    Each entry is ``(op, client, writer_id, key, value)``, where ``client``
+    numbers the clients in the order the driver asked for them.
+    """
+    make_client = deployment.new_register_client
+
+    def new_register_client(rng, deadline=0.05, writer_id=None):
+        client = make_client(rng, deadline=deadline, writer_id=writer_id)
+        number = new_register_client.made
+        new_register_client.made += 1
+        write, read = client.write, client.read
+
+        async def recorded_write(key, value):
+            calls.append(("write", number, writer_id, key, value))
+            return await write(key, value)
+
+        async def recorded_read(key):
+            calls.append(("read", number, writer_id, key, None))
+            return await read(key)
+
+        client.write, client.read = recorded_write, recorded_read
+        return client
+
+    new_register_client.made = 0
+    deployment.new_register_client = new_register_client
+
+
+class TestSingleDriverWorkload:
+    """What one ``drive_load`` call issues for the whole spec."""
+
+    def drive(self, spec):
+        calls = []
+
+        async def run():
+            rng = random.Random(spec.seed)
+            deployment = ShardedDeployment(spec.scenario, shards=spec.shards, rng=rng)
+            record_client_calls(deployment, calls)
+            await deployment.start()
+            try:
+                return await drive_load(deployment, spec, rng)
+            finally:
+                await deployment.aclose()
+
+        report = asyncio.run(run())
+        return report, calls
+
+    def spec(self, **overrides):
+        fields = dict(writers=3, writes=10, keys=4, shards=2, clients=6)
+        fields.update(overrides)
+        return small_spec(**fields)
+
+    def test_writers_split_the_version_sequence(self):
+        spec = self.spec()
+        report, calls = self.drive(spec)
+        writes = [call for call in calls if call[0] == "write"]
+        names = key_names(spec.keys)
+        versions = sorted(value[-1] for *_, value in writes)
+        assert versions == list(range(spec.writes))
+        for _, _, writer_id, key, value in writes:
+            written, writer_index, version = value
+            assert written == spec.scenario.workload.written_value
+            assert version % spec.resolved_writers == writer_index
+            assert key == names[version % spec.keys]
+        assert report.writes_completed == spec.writes
+
+    def test_writer_ids_start_at_the_scenario_writer_id(self):
+        spec = self.spec(scenario=ScenarioSpec(system=MASKING, writer_id=40))
+        _, calls = self.drive(spec)
+        ids = {value[1]: writer_id for op, _, writer_id, _, value in calls if op == "write"}
+        assert ids == {index: 40 + index for index in range(spec.resolved_writers)}
+
+    def test_one_writer_writes_values_without_a_writer_index(self):
+        spec = self.spec(writers=1)
+        _, calls = self.drive(spec)
+        values = [value for op, *_, value in calls if op == "write"]
+        written = spec.scenario.workload.written_value
+        assert values == [(written, version) for version in range(spec.writes)]
+
+    def test_every_reader_client_reads_its_share(self):
+        spec = self.spec()
+        report, calls = self.drive(spec)
+        reads = Counter(client for op, client, *_ in calls if op == "read")
+        assert len(reads) == spec.clients
+        assert set(reads.values()) == {spec.reads_per_client}
+        # Readers never write and writers never read.
+        writers = {client for op, client, *_ in calls if op == "write"}
+        assert not writers & set(reads)
+        assert report.reads_completed == spec.clients * spec.reads_per_client
+
+    def test_report_counters_reconcile_with_the_issued_operations(self):
+        spec = self.spec(key_skew=1.0)
+        report, calls = self.drive(spec)
+        assert sum(report.outcomes.values()) == report.reads_completed
+        assert len(report.read_latencies) == report.reads_completed
+        assert len(report.write_latencies) == report.writes_completed
+        assert sum(report.shard_ops) == report.operations == len(calls)
+        # Exactly one harness snapshot, from the one driver.
+        harness = [
+            snapshot
+            for snapshot in report.metrics
+            if snapshot.get("labels", {}).get("component") == "load-harness"
+        ]
+        assert len(harness) == 1
+
+
 class TestProcessCountDifferential:
     def spec(self, processes: int) -> ServiceLoadSpec:
         return small_spec(
@@ -306,8 +440,6 @@ class TestProcessCountDifferential:
         )
 
     def test_in_loop_and_cluster_runs_complete_the_same_workload(self):
-        from collections import Counter
-
         names = key_names(4)
         expected_writes = Counter(names[version % 4] for version in range(10))
         for processes in (0, 2):
