@@ -27,146 +27,90 @@ suite pins down: registers route through
 :class:`~repro.service.sharding.ShardedAsyncRegisterClient` (the scenario's
 protocol per key, shared deterministic selection), and lock handles are
 :class:`~repro.apps.mutex.AsyncQuorumMutex` over the same quorum clients.
-The builder's knob names (``deadline``, ``seed``, ``codec``,
-``processes``, ``anti_entropy``) are the canonical spellings used across
-:class:`~repro.service.client.AsyncQuorumClient`,
-:class:`~repro.service.sharding.ShardedDeployment` and
-:class:`~repro.service.load.ServiceLoadSpec`.
+A deployment is described by one
+:class:`~repro.service.sharding.DeploymentSpec`:
+``Deployment(DeploymentSpec(scenario, shards=2, seed=7))`` builds the
+deployment of the chain above.  The builder's setters are
+``dataclasses.replace`` calls on that spec, named after its fields, and
+both load specs (:class:`~repro.service.load.ServiceLoadSpec`,
+:class:`~repro.apps.mutex.LockLoadSpec`) are subclasses of it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from typing import Any, Optional
 
 from repro.exceptions import ConfigurationError
 from repro.service.cluster import deploy
-from repro.service.sharding import (
-    TRANSPORT_MODES,
-    ShardedAsyncRegisterClient,
-    check_deadline,
-)
-from repro.service.wire import WIRE_CODECS
+from repro.service.sharding import DeploymentSpec, ShardedAsyncRegisterClient
 from repro.simulation.scenario import AntiEntropySpec, ScenarioSpec
 
-__all__ = ["Deployment", "DeploymentBuilder"]
+__all__ = ["Deployment", "DeploymentBuilder", "DeploymentSpec"]
 
 
 class DeploymentBuilder:
     """Fluent configuration for a :class:`Deployment`.
 
-    Every setter returns the builder; :meth:`build` materialises the
+    Holds one :class:`~repro.service.sharding.DeploymentSpec` (``spec``);
+    every setter replaces one of its fields and returns the builder, so a
+    bad value raises at the setter.  :meth:`build` materialises the
     deployment (servers are not started until ``await deployment.start()``
     or ``async with deployment:``).
     """
 
     def __init__(self, scenario: ScenarioSpec) -> None:
-        if not isinstance(scenario, ScenarioSpec):
-            raise ConfigurationError(
-                f"a deployment is described over a ScenarioSpec, "
-                f"got {type(scenario).__name__}"
-            )
-        self._scenario = scenario
-        self._transport = "inproc"
-        self._shards = 1
-        self._deadline: Optional[float] = 0.05
-        self._seed: Optional[int] = None
-        self._latency = 0.0
-        self._jitter = 0.0
-        self._drop_probability = 0.0
-        self._codec = "json"
-        self._processes = 0
-        self._trace_sample = 0.0
-        self._anti_entropy: Optional[AntiEntropySpec] = None
+        self.spec = DeploymentSpec(scenario=scenario)
+
+    def _set(self, **fields: Any) -> "DeploymentBuilder":
+        self.spec = dataclasses.replace(self.spec, **fields)
+        return self
 
     def transport(self, mode: str) -> "DeploymentBuilder":
         """``"inproc"`` (simulated message passing) or ``"tcp"`` (localhost sockets)."""
-        if mode not in TRANSPORT_MODES:
-            raise ConfigurationError(
-                f"unknown transport {mode!r}; choose from {TRANSPORT_MODES}"
-            )
-        self._transport = mode
-        return self
+        return self._set(transport=mode)
 
     def shards(self, count: int) -> "DeploymentBuilder":
         """Independent replica groups register keys are hashed across."""
-        if count < 1:
-            raise ConfigurationError(f"need at least one shard, got {count}")
-        self._shards = int(count)
-        return self
+        return self._set(shards=int(count))
 
     def deadline(self, seconds: Optional[float]) -> "DeploymentBuilder":
         """Per-RPC deadline for every client built by this deployment."""
-        if seconds is not None and seconds <= 0:
-            raise ConfigurationError(f"the deadline must be positive, got {seconds}")
-        self._deadline = seconds
-        return self
+        return self._set(deadline=seconds)
 
     def seed(self, seed: int) -> "DeploymentBuilder":
         """Root seed: failure sampling, transport noise and client RNGs."""
-        self._seed = int(seed)
-        return self
+        return self._set(seed=int(seed))
 
     def conditions(
-        self,
-        latency: float = 0.0,
-        jitter: float = 0.0,
-        drop_probability: float = 0.0,
+        self, latency: float = 0.0, jitter: float = 0.0, drop_probability: float = 0.0
     ) -> "DeploymentBuilder":
         """Transport conditions (added to the real socket cost over TCP)."""
-        self._latency = latency
-        self._jitter = jitter
-        self._drop_probability = drop_probability
-        return self
+        return self._set(latency=latency, jitter=jitter, drop_probability=drop_probability)
 
     def codec(self, name: str) -> "DeploymentBuilder":
-        """Wire codec the TCP clients send: ``"json"`` or ``"binary"``.
-
-        The servers answer in whichever codec a request arrives in.  Only
-        meaningful over ``transport("tcp")`` — the in-process transport
-        passes payloads by reference.
-        """
-        if name not in WIRE_CODECS:
-            raise ConfigurationError(
-                f"unknown wire codec {name!r}; choose from {WIRE_CODECS}"
-            )
-        self._codec = name
-        return self
+        """Wire codec the TCP clients send: ``"json"`` or ``"binary"``."""
+        return self._set(codec=name)
 
     def processes(self, count: int) -> "DeploymentBuilder":
         """Process-backed serving: one server process per shard.
 
         ``count > 0`` turns the deployment into a
-        :class:`~repro.service.cluster.ClusterDeployment` — every shard's
-        ``TcpServiceServer`` runs in its own spawned process with a
-        readiness handshake, health probes and clean teardown.  Implies
-        ``transport("tcp")`` (real sockets are the only way across a
-        process boundary).  The server side always runs one process per
-        shard, so every positive ``count`` builds the same deployment; the
-        clients, and whatever load drives them, stay in this process.
+        :class:`~repro.service.cluster.ClusterDeployment` and implies
+        ``transport("tcp")`` (real sockets are the only way across a process
+        boundary); every positive ``count`` builds the same deployment.
         """
-        if count < 0:
-            raise ConfigurationError(
-                f"the process count must be non-negative, got {count}"
-            )
-        self._processes = int(count)
-        return self
+        implied = {"transport": "tcp"} if count > 0 else {}
+        return self._set(processes=int(count), **implied)
 
     def trace_sample(self, rate: float) -> "DeploymentBuilder":
         """Fraction of quorum operations traced end to end, in ``[0, 1]``.
 
-        0 (the default) keeps the hot path entirely instrumentation-free;
-        above 0 a :class:`~repro.obs.trace.Tracer` is shared by every client
-        the deployment hands out, and over TCP a traced request carries the
-        trace id in its wire envelope so server processes can attribute it.
-        Collected traces come back from :meth:`Deployment.traces`.
+        Traces come back from :meth:`Deployment.traces`; over TCP a traced
+        request carries its trace id so server processes can attribute it.
         """
-        if not 0.0 <= rate <= 1.0:
-            raise ConfigurationError(
-                f"the trace sample rate must lie in [0, 1], got {rate}"
-            )
-        self._trace_sample = float(rate)
-        return self
+        return self._set(trace_sample=float(rate))
 
     def anti_entropy(
         self,
@@ -179,85 +123,59 @@ class DeploymentBuilder:
     ) -> "DeploymentBuilder":
         """Arm background freshness (§1.1 diffusion) for the deployment.
 
-        Pass an explicit :class:`~repro.simulation.scenario.AntiEntropySpec`
-        or use the keyword knobs to build one.  Clients the deployment
-        hands out then piggyback up to ``repair_budget`` read-repairs onto
-        their coalesced deliveries and skip the top-up round when a
-        partial reply set can already settle a value; a gossiping spec
-        (``fanout > 0``) additionally runs one background push-gossip task
-        per shard.  Without this call the deployment inherits the
-        scenario's own ``anti_entropy`` axis (off by default).
+        Pass an :class:`~repro.simulation.scenario.AntiEntropySpec` or use
+        the keyword knobs to build one.  Without this call the deployment
+        inherits the scenario's own ``anti_entropy`` axis (off by default).
         """
         if spec is None:
             spec = AntiEntropySpec(
-                fanout=fanout,
-                rounds=rounds,
-                interval=interval,
-                repair_budget=repair_budget,
+                fanout=fanout, rounds=rounds, interval=interval, repair_budget=repair_budget
             )
-        elif not isinstance(spec, AntiEntropySpec):
-            raise ConfigurationError(
-                f"anti_entropy is described by an AntiEntropySpec, "
-                f"got {type(spec).__name__}"
-            )
-        self._anti_entropy = spec
-        return self
+        return self._set(anti_entropy=spec)
 
     def build(self) -> "Deployment":
         """Materialise the deployment (servers start on ``start()``)."""
-        if self._processes > 0:
-            self._transport = "tcp"  # process boundaries need real sockets
-        check_deadline(self._transport, self._deadline)
-        return Deployment(self)
+        return Deployment(self.spec)
 
 
 class Deployment:
     """A deployed scenario handing out register and lock clients.
 
-    Build with :meth:`builder`; bring up with ``async with`` (or explicit
+    Build from a :class:`~repro.service.sharding.DeploymentSpec` or with
+    :meth:`builder`; bring up with ``async with`` (or explicit
     :meth:`start` / :meth:`aclose` — in-process deployments are usable
     immediately, TCP ones bind their sockets on start).
     """
 
-    def __init__(self, builder: DeploymentBuilder) -> None:
-        if not isinstance(builder, DeploymentBuilder):
+    def __init__(self, spec: DeploymentSpec) -> None:
+        if not isinstance(spec, DeploymentSpec):
             raise ConfigurationError(
-                "construct deployments through Deployment.builder(scenario)"
+                f"a Deployment is built from a DeploymentSpec, got {type(spec).__name__}"
             )
-        self._rng = random.Random(builder._seed)
-        self.scenario = builder._scenario
-        self.deadline = builder._deadline
-        self.processes = builder._processes
-        self.trace_sample = builder._trace_sample
+        self.spec = spec
+        self._rng = random.Random(spec.seed)
         # In-loop servers, or one server process per shard when processes > 0.
-        self.sharded = deploy(
-            builder._scenario,
-            processes=builder._processes,
-            shards=builder._shards,
-            transport=builder._transport,
-            codec=builder._codec,
-            latency=builder._latency,
-            jitter=builder._jitter,
-            drop_probability=builder._drop_probability,
-            rng=self._rng,
-            anti_entropy=builder._anti_entropy,
-        )
-        self.tracer = None
-        if builder._trace_sample > 0.0:
-            # Imported lazily so untraced deployments never touch repro.obs.
-            from repro.obs.trace import Tracer
-
-            self.tracer = Tracer(
-                sample_rate=builder._trace_sample,
-                seed=0 if builder._seed is None else builder._seed,
-            )
-            # Must be set before any client is created: each samples from it.
-            self.sharded.tracer = self.tracer
+        self.sharded = deploy(spec, self._rng)
 
     @classmethod
     def builder(cls, scenario: ScenarioSpec) -> DeploymentBuilder:
         """Start configuring a deployment of ``scenario``."""
         return DeploymentBuilder(scenario)
+
+    @property
+    def scenario(self) -> ScenarioSpec:
+        """What is deployed: system, failure model, register kind."""
+        return self.spec.scenario
+
+    @property
+    def deadline(self) -> Optional[float]:
+        """The per-RPC deadline of every client the deployment hands out."""
+        return self.spec.deadline
+
+    @property
+    def tracer(self):
+        """The shared :class:`~repro.obs.trace.Tracer` (``None``: untraced)."""
+        return self.sharded.tracer
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -303,8 +221,7 @@ class Deployment:
     def traces(self) -> list:
         """Every quorum trace collected so far, in JSON-ready dict form.
 
-        Empty unless the deployment was built with a positive
-        :meth:`DeploymentBuilder.trace_sample` rate.
+        Empty unless the deployment's spec has a positive ``trace_sample``.
         """
         return [] if self.tracer is None else self.tracer.to_dicts()
 

@@ -9,7 +9,9 @@ arbiters' queues; exclusion is the arbiter's ε, 0 on the example shape that
 ``tests/apps/test_lock_double_grant.py`` replays.
 
 :func:`run_lock_load` is the matching load harness: ``clients`` contenders
-acquire/hold/release over shared lock names under live crash churn, and the
+acquire/hold/release over shared lock names under live crash churn, on
+whatever deployment its :class:`LockLoadSpec` (a
+:class:`~repro.service.sharding.DeploymentSpec`) describes, and the
 report carries throughput, wait-time percentiles, a Jain fairness index,
 a starvation count and two safety counters: ``double_grants`` (a grant
 while another client holds the same lock; every holder reads
@@ -41,9 +43,14 @@ from repro.protocol.selection import ReadRule
 from repro.rngs import fresh_rng
 from repro.service.client import AsyncQuorumClient
 from repro.service.cluster import deploy
-from repro.service.load import FaultInjectionSpec, _percentile, inject_faults
+from repro.service.load import (
+    FaultInjectionSpec,
+    _percentile,
+    inject_faults,
+    refuse_remote_churn,
+)
 from repro.service.quorum_op import QuorumOp
-from repro.service.sharding import check_deadline, validate_deployment
+from repro.service.sharding import DeploymentSpec
 from repro.simulation.scenario import ScenarioSpec
 from repro.types import ServerId
 
@@ -175,19 +182,20 @@ def mutex_for(
 
 
 @dataclass(frozen=True)
-class LockLoadSpec:
-    """One lock-service load experiment, described declaratively.
+class LockLoadSpec(DeploymentSpec):
+    """One lock-service load experiment: a deployment plus its contenders.
 
     ``clients`` contenders each perform ``acquisitions_per_client``
     acquire → hold → release cycles over ``locks`` shared lock names
     (round-robin per attempt), with live crash churn from
     ``fault_injection`` on top of the scenario's static failures — the
-    lock-service analogue of
-    :class:`~repro.service.load.ServiceLoadSpec`, sharing its kwarg
-    spellings (``deadline``, ``seed``) and its deployment checks.
+    lock-service analogue of :class:`~repro.service.load.ServiceLoadSpec`.
+    Every deployment field is :class:`~repro.service.sharding.DeploymentSpec`'s
+    and is honoured (``seed`` defaults to 0 here): each lock lives on the
+    shard owning its variable, and live churn is refused with
+    ``processes > 0``.
     """
 
-    scenario: ScenarioSpec
     clients: int = 8
     acquisitions_per_client: int = 3
     locks: int = 1
@@ -197,22 +205,11 @@ class LockLoadSpec:
     #: a fifth of the register lock's jittered pause, which had 400; under
     #: fast crash churn 400 rounds run out before the lock comes free.
     max_requests: int = 2000
-    latency: float = 0.0
-    jitter: float = 0.0
-    drop_probability: float = 0.0
-    deadline: Optional[float] = 0.05
     fault_injection: FaultInjectionSpec = field(default_factory=FaultInjectionSpec)
-    transport: str = "inproc"
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # One shard, the default codec, the scenario's own anti-entropy:
-        # what lock_load deploys.
-        validate_deployment(
-            self.scenario, 1, self.transport, "json", None,
-            self.latency, self.jitter, self.drop_probability,
-        )
-        check_deadline(self.transport, self.deadline)
+        super().__post_init__()
         if self.clients < 1:
             raise ConfigurationError(f"need at least one client, got {self.clients}")
         if self.acquisitions_per_client < 1:
@@ -232,6 +229,7 @@ class LockLoadSpec:
             raise ConfigurationError(
                 f"need at least one request per acquisition, got {self.max_requests}"
             )
+        refuse_remote_churn(self)
 
     def lock_names(self) -> List[str]:
         """The shared lock names the contenders cycle over."""
@@ -245,7 +243,9 @@ class LockLoadSpec:
             f"LockLoadSpec({self.scenario.describe()}, clients={self.clients}, "
             f"acquisitions/client={self.acquisitions_per_client}, "
             f"locks={self.locks}, transport={self.transport}, "
-            f"injected_crashes={self.fault_injection.crash_count})"
+            + (f"shards={self.shards}, " if self.shards > 1 else "")
+            + (f"processes={self.processes}, " if self.processes else "")
+            + f"injected_crashes={self.fault_injection.crash_count})"
         )
 
 
@@ -278,6 +278,8 @@ class LockLoadReport:
     wait_times: List[float]
     grants_per_client: List[int]
     injected_crashes: int
+    #: Sampled lock-step traces (empty unless ``spec.trace_sample > 0``).
+    traces: List[dict] = field(default_factory=list)
 
     @property
     def throughput(self) -> float:
@@ -324,27 +326,28 @@ async def lock_load(spec: LockLoadSpec) -> LockLoadReport:
     """Run one lock-service load experiment on the current event loop."""
     rng = random.Random(spec.seed)
     scenario = spec.scenario
-    deployment = deploy(
-        scenario,
-        transport=spec.transport,
-        shards=1,
-        latency=spec.latency,
-        jitter=spec.jitter,
-        drop_probability=spec.drop_probability,
-        rng=rng,
-    )
+    deployment = deploy(spec, rng)
     try:
         await deployment.start()
         names = spec.lock_names()
+        # A lock lives where its variable routes, as with Deployment.lock_client.
+        shard_of = {name: deployment.shard_for(lock_variable(name)) for name in names}
         client_ids = [scenario.writer_id + index for index in range(spec.clients)]
         mutexes: List[Dict[str, AsyncQuorumMutex]] = []
         for client_id in client_ids:
-            client = deployment.client_for_shard(
-                0, rng=random.Random(rng.randrange(2**63)), deadline=spec.deadline
-            )
+            clients = [
+                deployment.client_for_shard(
+                    shard, rng=random.Random(rng.randrange(2**63)), deadline=spec.deadline
+                )
+                for shard in range(deployment.shard_count)
+            ]
             mutexes.append({
                 name: mutex_for(
-                    scenario, client, name, client_id, random.Random(rng.randrange(2**63))
+                    scenario,
+                    clients[shard_of[name]],
+                    name,
+                    client_id,
+                    random.Random(rng.randrange(2**63)),
                 )
                 for name in names
             })
@@ -429,6 +432,7 @@ async def lock_load(spec: LockLoadSpec) -> LockLoadReport:
             wait_times=wait_times,
             grants_per_client=grants_per_client,
             injected_crashes=counters["injected"],
+            traces=[] if deployment.tracer is None else deployment.tracer.to_dicts(),
         )
     finally:
         await deployment.aclose()

@@ -34,6 +34,7 @@ safety under live fault injection.
   wall-clock deadlines, per-connection writer tasks and reconnect-on-drop,
   and the op-level :class:`TcpDispatcher` driver;
 * :mod:`repro.service.sharding` / :mod:`repro.service.cluster` — scale-out:
+  :class:`DeploymentSpec` (the one checked description of a deployment),
   :func:`shard_for_key` routing and the one deployment spine
   (``ShardedClientAPI``) under :class:`ShardedDeployment` (servers on this
   loop) and ``ClusterDeployment`` (a server process per shard);
@@ -64,6 +65,7 @@ from repro.service.net import (
 )
 from repro.service.sharding import (
     TRANSPORT_MODES,
+    DeploymentSpec,
     ShardedAsyncRegisterClient,
     ShardedDeployment,
     shard_for_key,
@@ -85,6 +87,7 @@ __all__ = [
     "encode_frame",
     "pack_value",
     "unpack_value",
+    "DeploymentSpec",
     "ShardedDeployment",
     "ShardedAsyncRegisterClient",
     "shard_for_key",

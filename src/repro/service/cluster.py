@@ -20,9 +20,10 @@ spine, unchanged:
   queue), connect the spine to those addresses, probe shard health, and
   tear everything down without orphans (terminate → join → kill) —
   including when :meth:`~ClusterDeployment.start` itself fails half way.
-* :func:`deploy` — the one factory that picks the shape from a process
-  count: ``0`` keeps the replica groups on this loop, any positive count
-  builds the cluster.
+* :func:`deploy` — the one factory: it builds the shape a
+  :class:`~repro.service.sharding.DeploymentSpec` describes (``processes``
+  ``0`` keeps the replica groups on this loop, any positive count builds
+  the cluster).
 
 The load itself is always driven from the caller's process, by the one
 load driver in :mod:`repro.service.load`, against the cluster's own client
@@ -43,9 +44,10 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.exceptions import ServiceError
+from repro.exceptions import ConfigurationError, ServiceError
 from repro.service.net import TcpServiceServer
 from repro.service.sharding import (
+    DeploymentSpec,
     ShardedClientAPI,
     ShardedDeployment,
     arm_gossip,
@@ -116,7 +118,7 @@ def _shard_server_main(config: ShardServerConfig, ready) -> None:
 
 
 class ClusterDeployment(ShardedClientAPI):
-    """``shards`` independent replica-group *processes*, routed by key.
+    """``spec.shards`` independent replica-group *processes*, routed by key.
 
     Everything client-facing — per-shard failure plans, transport seeds and
     pool generators sampled from ``rng`` in shard order (so one seed
@@ -124,40 +126,27 @@ class ClusterDeployment(ShardedClientAPI):
     wiring, ``client_for_shard`` / ``new_register_client``, the counters —
     is the shared :class:`~repro.service.sharding.ShardedClientAPI`; what
     differs from :class:`~repro.service.sharding.ShardedDeployment` is only
-    where the servers live.
-
-    Parameters mirror ``ShardedDeployment`` (transport is always TCP here)
-    plus ``codec`` — the wire codec client transports send (the shard
-    servers answer in whichever codec a request arrives in).  A gossiping
-    ``anti_entropy`` spec (explicit, or inherited from the scenario) arms a
-    background gossip task *inside each shard server process*; its counters
-    ride the readiness pipe home at shutdown as extra metric snapshots.
+    where the servers live, so ``spec.transport`` must be ``"tcp"``.  The
+    shard servers bind ``host`` and must report readiness within
+    ``start_timeout`` seconds.  A gossiping anti-entropy spec (explicit, or
+    inherited from the scenario) arms a background gossip task *inside each
+    shard server process*; its counters ride the readiness pipe home at
+    shutdown as extra metric snapshots.
     """
 
     def __init__(
         self,
-        scenario: ScenarioSpec,
-        shards: int = 1,
-        codec: str = "json",
-        latency: float = 0.0,
-        jitter: float = 0.0,
-        drop_probability: float = 0.0,
+        spec: DeploymentSpec,
         rng: Optional[random.Random] = None,
         host: str = "127.0.0.1",
         start_timeout: float = DEFAULT_START_TIMEOUT,
-        anti_entropy: Optional[AntiEntropySpec] = None,
     ) -> None:
-        super().__init__(
-            scenario,
-            shards,
-            "tcp",
-            codec=codec,
-            latency=latency,
-            jitter=jitter,
-            drop_probability=drop_probability,
-            rng=rng,
-            anti_entropy=anti_entropy,
-        )
+        if spec.transport != "tcp":
+            raise ConfigurationError(
+                "a cluster's shard servers live in other processes, reachable "
+                "only over transport='tcp'"
+            )
+        super().__init__(spec, rng)
         self._host = host
         self._start_timeout = float(start_timeout)
         self._processes: List[Any] = []
@@ -323,21 +312,18 @@ class ClusterDeployment(ShardedClientAPI):
 
 
 def deploy(
-    scenario: ScenarioSpec,
-    processes: int = 0,
-    transport: str = "inproc",
-    **options: Any,
+    spec: DeploymentSpec,
+    rng: Optional[random.Random] = None,
+    host: str = "127.0.0.1",
 ) -> ShardedClientAPI:
-    """Where the replica groups run, decided once for every caller.
+    """Build the deployment ``spec`` describes, its shape decided once here.
 
-    ``processes == 0`` hosts them on the caller's event loop
-    (:class:`~repro.service.sharding.ShardedDeployment`); ``processes > 0``
-    gives every shard its own server process (:class:`ClusterDeployment`,
-    always over TCP — ``transport`` describes the in-loop shape only).
-    ``options`` are what the two shapes share: ``shards``, ``codec``,
-    ``latency``, ``jitter``, ``drop_probability``, ``rng``,
-    ``anti_entropy`` and the bind address ``host``.
+    ``spec.processes == 0`` hosts the replica groups on the caller's event
+    loop (:class:`~repro.service.sharding.ShardedDeployment`); a positive
+    count gives every shard its own server process (:class:`ClusterDeployment`,
+    over TCP).  ``rng`` is the root randomness (default: seeded with
+    ``spec.seed``) and ``host`` the bind address of the shard servers.
+    The spine installs the tracer ``spec.trace_sample`` asks for.
     """
-    if processes > 0:
-        return ClusterDeployment(scenario, **options)
-    return ShardedDeployment(scenario, transport=transport, **options)
+    shape = ClusterDeployment if spec.processes > 0 else ShardedDeployment
+    return shape(spec, rng, host=host)

@@ -1,19 +1,18 @@
 """The service load harness: N concurrent clients under live fault injection.
 
 :class:`ServiceLoadSpec` mirrors the declarative
-:class:`~repro.simulation.scenario.ScenarioSpec` one level up: it pairs a
-scenario (quorum system + failure model + register kind) with a *service*
-workload — how many concurrent reader clients, how many writes, which
-transport (``"inproc"`` shared-memory or ``"tcp"`` localhost sockets) and
-conditions (latency / jitter / drops), the per-RPC deadline, how many
-independent shards the deployment runs and how many register keys the
+:class:`~repro.simulation.scenario.ScenarioSpec` one level up: it is a
+:class:`~repro.service.sharding.DeploymentSpec` (scenario, transport,
+conditions, deadline, shards, codec, processes, tracing, anti-entropy —
+described and checked once there) plus a *service* workload: how many
+concurrent reader clients, how many writes, how many register keys the
 workload spreads over (optionally zipf-skewed), and a rolling
 crash/recovery schedule injected while requests are in flight.
 
-:func:`serve_load` is *deploy → drive*.  It deploys the scenario through
-the one factory (:func:`~repro.service.cluster.deploy`: replica groups on
-this loop, or one server process per shard when ``processes > 0``) and
-hands it to :func:`drive_load`, the **only** workload loop: ``writers``
+:func:`serve_load` is *deploy → drive*.  It hands the spec to the one
+factory (:func:`~repro.service.cluster.deploy`: replica groups on this
+loop, or one server process per shard when ``processes > 0``) and the
+deployment to :func:`drive_load`, the **only** workload loop: ``writers``
 concurrent writers (each under its own writer identity, so contending
 timestamps tie-break by writer id exactly as in the Monte-Carlo engines)
 and ``clients`` concurrent readers, driven through the ordinary client
@@ -59,18 +58,15 @@ from typing import Any, Dict, List, Optional
 from repro.exceptions import ConfigurationError, QuorumUnavailableError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.monitor import EpsilonMonitor
-from repro.obs.trace import Tracer
 from repro.protocol.classification import OUTCOME_LABELS, classify_read_outcome
 from repro.protocol.variable import ReadOutcome, WriteOutcome
 from repro.service.cluster import deploy
 from repro.service.sharding import (
+    DeploymentSpec,
     ShardedClientAPI,
     ShardedDeployment,
-    check_deadline,
     shard_for_key,
-    validate_deployment,
 )
-from repro.simulation.scenario import AntiEntropySpec, ScenarioSpec
 
 
 @dataclass(frozen=True)
@@ -127,14 +123,32 @@ def key_weight_cdf(keys: int, skew: float) -> List[float]:
     return cdf
 
 
+def refuse_remote_churn(spec: Any) -> None:
+    """Refuse live churn on a cluster, for both load specs.
+
+    :func:`inject_faults` crashes node objects in this process; with
+    ``processes > 0`` the replicas live in shard server processes, so it
+    would find nothing to crash and the run would silently go unchurned.
+    """
+    if spec.processes > 0 and spec.fault_injection.crash_count > 0:
+        raise ConfigurationError(
+            "live fault injection needs in-process node objects; with "
+            "processes > 0 the servers live in their own processes, so "
+            "use the scenario's static failure model instead"
+        )
+
+
 @dataclass(frozen=True)
-class ServiceLoadSpec:
-    """One service load experiment, described declaratively.
+class ServiceLoadSpec(DeploymentSpec):
+    """One service load experiment: a deployment plus its workload.
+
+    The deployment fields (scenario, transport, shards, codec, processes,
+    conditions, deadline, seed, trace sampling, anti-entropy) and their
+    checks are :class:`~repro.service.sharding.DeploymentSpec`'s; ``seed``
+    defaults to 0 here.  The workload fields are:
 
     Attributes
     ----------
-    scenario:
-        What is deployed: system, static failure model, register kind.
     clients:
         Number of concurrent reader clients.
     reads_per_client:
@@ -144,29 +158,13 @@ class ServiceLoadSpec:
         writers and keys (write ``v`` belongs to writer ``v % writers``).
     write_interval:
         Event-loop seconds between writes (0 = as fast as possible).
-    latency, jitter, drop_probability:
-        Transport conditions (see
-        :class:`~repro.service.transport.AsyncTransport`; over TCP they are
-        added to the real socket cost).
-    deadline:
-        Per-RPC deadline for every client (``None`` disables it; never
-        disable it on a lossy or TCP transport).
     fault_injection:
-        Live crash/recovery churn on top of the scenario's failures.
-    transport:
-        ``"inproc"`` (default; simulated message passing on the current
-        event loop) or ``"tcp"`` (localhost socket servers, one per shard,
-        length-prefixed frames, wall-clock deadlines).
-    shards:
-        Independent replica groups keys are hashed across (each shard runs
-        its own quorum system deployment and failure plan).
+        Live crash/recovery churn on top of the scenario's failures
+        (refused with ``processes > 0``).
     keys:
-        Register keys the workload spreads over.
+        Register keys the workload spreads over (at least ``shards``).
     key_skew:
         Zipf exponent of the readers' key distribution (0 = uniform).
-    seed:
-        Root seed: per-shard failure sampling, transport noise and every
-        client's quorum sampling derive from it.
     writers:
         Concurrent writer clients, each with its own writer identity
         (``scenario.writer_id + w``), so contending timestamps tie-break
@@ -176,58 +174,25 @@ class ServiceLoadSpec:
         Probability each write targets the hottest key (``names[0]``)
         instead of its round-robin key — the knob that makes concurrent
         writers actually collide on one register.
+    monitor_epsilon:
+        Run the online :class:`~repro.obs.monitor.EpsilonMonitor` over the
+        classified read stream, attaching its alerts to the report.
     """
 
-    scenario: ScenarioSpec
     clients: int = 100
     reads_per_client: int = 5
     writes: int = 10
     write_interval: float = 0.0
-    latency: float = 0.0
-    jitter: float = 0.0
-    drop_probability: float = 0.0
-    deadline: Optional[float] = 0.05
     fault_injection: FaultInjectionSpec = field(default_factory=FaultInjectionSpec)
-    transport: str = "inproc"
-    shards: int = 1
     keys: int = 1
     key_skew: float = 0.0
     seed: int = 0
     writers: Optional[int] = None
     contention: float = 0.0
-    #: Wire codec the TCP transports send (``"json"`` or ``"binary"``).
-    codec: str = "json"
-    #: ``0`` (default) keeps the replica groups on the caller's event loop;
-    #: any positive value deploys the same
-    #: :class:`~repro.service.cluster.ClusterDeployment` (one server process
-    #: per shard).  The load is driven from the caller's loop either way.
-    processes: int = 0
-    #: Fraction of quorum operations that assemble a full
-    #: :class:`~repro.obs.trace.QuorumTrace` (``0.0``, the default, keeps
-    #: every tracing branch off the hot path; ``1.0`` traces everything).
-    #: The tracer draws from its own salted RNG stream, so any rate leaves
-    #: the workload's classification counters byte-identical to untraced.
-    trace_sample: float = 0.0
-    #: Run the online :class:`~repro.obs.monitor.EpsilonMonitor` over the
-    #: classified read stream, attaching its alerts to the report.
     monitor_epsilon: bool = False
-    #: Anti-entropy for the deployment: an
-    #: :class:`~repro.simulation.scenario.AntiEntropySpec` arms piggybacked
-    #: read-repair (``repair_budget``) on every client and, when the spec
-    #: gossips, a background gossip task per shard.  ``None`` (the default)
-    #: inherits the scenario's ``anti_entropy`` — so a scenario that
-    #: declares diffusion keeps it under load, and everything stays off
-    #: when neither declares it.
-    anti_entropy: Optional[AntiEntropySpec] = None
 
     def __post_init__(self) -> None:
-        # Scenario, shards, transport, codec, anti-entropy, conditions and
-        # deadline are refused by the same checks the deployments run.
-        validate_deployment(
-            self.scenario, self.shards, self.transport, self.codec, self.anti_entropy,
-            self.latency, self.jitter, self.drop_probability,
-        )
-        check_deadline(self.transport, self.deadline)
+        super().__post_init__()
         if self.clients < 1:
             raise ConfigurationError(f"need at least one client, got {self.clients}")
         if self.reads_per_client < 1:
@@ -259,28 +224,7 @@ class ServiceLoadSpec:
             raise ConfigurationError(
                 f"contention is a probability in [0, 1], got {self.contention}"
             )
-        if self.processes < 0:
-            raise ConfigurationError(
-                f"the process count must be non-negative, got {self.processes}"
-            )
-        if not 0.0 <= self.trace_sample <= 1.0:
-            raise ConfigurationError(
-                f"the trace sampling rate is a probability in [0, 1], "
-                f"got {self.trace_sample}"
-            )
-        if self.processes > 0:
-            if self.transport != "tcp":
-                raise ConfigurationError(
-                    "processes > 0 deploys one server process per shard, which "
-                    "only makes sense over transport='tcp' (in-process nodes "
-                    "cannot cross a process boundary)"
-                )
-            if self.fault_injection.crash_count > 0:
-                raise ConfigurationError(
-                    "live fault injection needs in-process node objects; with "
-                    "processes > 0 the servers live in their own processes, so "
-                    "use the scenario's static failure model instead"
-                )
+        refuse_remote_churn(self)
 
     @property
     def total_ops(self) -> int:
@@ -291,13 +235,6 @@ class ServiceLoadSpec:
     def resolved_writers(self) -> int:
         """The effective writer count (the spec's, else the scenario's)."""
         return self.scenario.writers if self.writers is None else self.writers
-
-    @property
-    def resolved_anti_entropy(self) -> Optional[AntiEntropySpec]:
-        """The effective anti-entropy spec (the spec's, else the scenario's)."""
-        if self.anti_entropy is not None:
-            return self.anti_entropy
-        return self.scenario.anti_entropy
 
     def describe(self) -> str:
         """One-line summary used in reports."""
@@ -778,22 +715,7 @@ async def serve_load(spec: ServiceLoadSpec) -> ServiceLoadReport:
     processes.
     """
     rng = random.Random(spec.seed)
-    deployment = deploy(
-        spec.scenario,
-        processes=spec.processes,
-        shards=spec.shards,
-        transport=spec.transport,
-        codec=spec.codec,
-        latency=spec.latency,
-        jitter=spec.jitter,
-        drop_probability=spec.drop_probability,
-        rng=rng,
-        anti_entropy=spec.resolved_anti_entropy,
-    )
-    if spec.trace_sample > 0.0:
-        # Installed before start(): every client the deployment hands out
-        # samples from it.
-        deployment.tracer = Tracer(sample_rate=spec.trace_sample, seed=spec.seed)
+    deployment = deploy(spec, rng)
     try:
         await deployment.start()
         report = await drive_load(deployment, spec, rng)

@@ -13,8 +13,13 @@ to it (the sharding tests pin this isolation down).
 
 * :func:`shard_for_key` — the stable routing hash (BLAKE2b, *not* Python's
   randomised ``hash``), identical across processes and runs;
+* :class:`DeploymentSpec` — the one frozen description of a deployment
+  (scenario, transport, shards, codec, processes, conditions, deadline,
+  seed, tracing, anti-entropy), checked once at construction; every shape,
+  both load specs and the :class:`~repro.api.Deployment` facade read it;
 * :class:`ShardedClientAPI` — the spine every deployment shape shares:
-  per-shard seed derivation, the one TCP client-side wiring (a
+  per-shard seed derivation, the tracer a spec asks for, the one TCP
+  client-side wiring (a
   :class:`~repro.service.net.TcpTransport` + op-level
   :class:`~repro.service.net.TcpDispatcher` per shard address) and its
   teardown, and the clients it hands out;
@@ -35,6 +40,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -78,66 +84,135 @@ def shard_for_key(key: str, shards: int) -> int:
     return int.from_bytes(digest, "big") % shards
 
 
-def validate_deployment(
-    scenario: ScenarioSpec,
-    shards: int,
-    transport: str,
-    codec: str,
-    anti_entropy: Optional[AntiEntropySpec],
-    latency: float,
-    jitter: float,
-    drop_probability: float,
-) -> Optional[AntiEntropySpec]:
-    """The checks every deployment shape and both load specs share.
+@dataclass(frozen=True)
+class DeploymentSpec:
+    """One deployment, described once and checked once at construction.
 
-    They run before anything is bound or spawned.  Returns the effective
-    anti-entropy spec: the explicit one, else the scenario's own axis
-    (``None`` keeps read-repair and gossip off).
+    The paper's object is one quorum system under one failure model and
+    access strategy (``scenario``); every other field is harness.  Every
+    deployment shape, both load specs (which subclass this and add only
+    their workload fields) and the :class:`~repro.api.Deployment` facade
+    read this one object, so a bad value is refused before anything is
+    bound or spawned.
+
+    Attributes
+    ----------
+    scenario:
+        What every shard deploys: quorum system, failure model (sampled
+        independently per shard) and register kind.
+    transport:
+        ``"inproc"`` (simulated message passing on the caller's loop) or
+        ``"tcp"`` (localhost sockets, wall-clock deadlines).
+    shards:
+        Independent replica groups register keys are hashed across.
+    codec:
+        The wire codec TCP clients send (``"json"`` or ``"binary"``; the
+        servers answer in the codec a request arrives in).  Refused with
+        ``transport="inproc"``, where payloads pass by reference.
+    processes:
+        ``0`` keeps the replica groups on the caller's loop; any positive
+        value gives every shard its own server process (a
+        :class:`~repro.service.cluster.ClusterDeployment`, TCP only).  The
+        load is driven from the caller's loop either way.
+    latency, jitter, drop_probability:
+        Transport conditions, with the same meaning on both transports
+        (over TCP they are added to the real socket cost).
+    deadline:
+        Per-RPC deadline of every client, positive; ``None`` disables it
+        and is refused over TCP, where a silent replica sends no response.
+    seed:
+        Root seed: per-shard failure plans, transport seeds, pool
+        generators and every client's quorum sampling derive from it
+        (``None``: unseeded).
+    trace_sample:
+        Fraction of quorum operations traced end to end, in ``[0, 1]``;
+        above 0 one :class:`~repro.obs.trace.Tracer` is shared by every
+        client the deployment hands out.
+    anti_entropy:
+        Optional :class:`~repro.simulation.scenario.AntiEntropySpec`;
+        ``None`` inherits the scenario's own axis (see
+        :attr:`resolved_anti_entropy`).  When resolved, readers piggyback
+        up to ``repair_budget`` repairs per read and a gossiping spec runs
+        one background gossip task per shard, wherever the replicas live.
     """
-    if not isinstance(scenario, ScenarioSpec):
-        raise ConfigurationError(
-            f"a deployment is described over a ScenarioSpec, "
-            f"got {type(scenario).__name__}"
-        )
-    if shards < 1:
-        raise ConfigurationError(f"need at least one shard, got {shards}")
-    if transport not in TRANSPORT_MODES:
-        raise ConfigurationError(
-            f"unknown transport {transport!r}; choose from {TRANSPORT_MODES}"
-        )
-    if codec not in WIRE_CODECS:
-        raise ConfigurationError(
-            f"unknown wire codec {codec!r}; choose from {WIRE_CODECS}"
-        )
-    if codec != "json" and transport == "inproc":
-        raise ConfigurationError(
-            "codec applies to the wire: transport='inproc' passes payloads "
-            "by reference, so codec='json' is the only valid spelling there"
-        )
-    if anti_entropy is None:
-        anti_entropy = scenario.anti_entropy
-    elif not isinstance(anti_entropy, AntiEntropySpec):
-        raise ConfigurationError(
-            f"anti_entropy is described by an AntiEntropySpec, "
-            f"got {type(anti_entropy).__name__}"
-        )
-    if anti_entropy is not None and anti_entropy.fanout >= scenario.n:
-        raise ConfigurationError(
-            f"anti-entropy fanout {anti_entropy.fanout} must be smaller "
-            f"than the replica group size {scenario.n}"
-        )
-    check_conditions(latency, jitter, drop_probability)
-    return anti_entropy
 
+    scenario: ScenarioSpec
+    transport: str = "inproc"
+    shards: int = 1
+    codec: str = "json"
+    processes: int = 0
+    latency: float = 0.0
+    jitter: float = 0.0
+    drop_probability: float = 0.0
+    deadline: Optional[float] = 0.05
+    seed: Optional[int] = None
+    trace_sample: float = 0.0
+    anti_entropy: Optional[AntiEntropySpec] = None
 
-def check_deadline(transport: str, deadline: Optional[float]) -> None:
-    """Refuse ``deadline=None`` over TCP, where a silent replica sends no
-    response frame (in process, the simulated transport knows every fate)."""
-    if transport == "tcp" and deadline is None:
-        raise ConfigurationError(
-            "deadline=None is refused over transport='tcp': a silent replica "
-            "sends no response frame, so the caller would block forever"
-        )
+    def __post_init__(self) -> None:
+        if not isinstance(self.scenario, ScenarioSpec):
+            raise ConfigurationError(
+                f"a deployment is described over a ScenarioSpec, "
+                f"got {type(self.scenario).__name__}"
+            )
+        if self.transport not in TRANSPORT_MODES:
+            raise ConfigurationError(
+                f"unknown transport {self.transport!r}; choose from {TRANSPORT_MODES}"
+            )
+        if self.shards < 1:
+            raise ConfigurationError(f"need at least one shard, got {self.shards}")
+        if self.codec not in WIRE_CODECS:
+            raise ConfigurationError(
+                f"unknown wire codec {self.codec!r}; choose from {WIRE_CODECS}"
+            )
+        if self.codec != "json" and self.transport == "inproc":
+            raise ConfigurationError(
+                "codec applies to the wire: transport='inproc' passes payloads "
+                "by reference, so codec='json' is the only valid spelling there"
+            )
+        if self.processes < 0:
+            raise ConfigurationError(
+                f"the process count must be non-negative, got {self.processes}"
+            )
+        if self.processes > 0 and self.transport != "tcp":
+            raise ConfigurationError(
+                "processes > 0 deploys one server process per shard, which "
+                "only makes sense over transport='tcp' (in-process nodes "
+                "cannot cross a process boundary)"
+            )
+        check_conditions(self.latency, self.jitter, self.drop_probability)
+        if self.deadline is not None and self.deadline <= 0:
+            raise ConfigurationError(f"the deadline must be positive, got {self.deadline}")
+        if self.deadline is None and self.transport == "tcp":
+            raise ConfigurationError(
+                "deadline=None is refused over transport='tcp': a silent replica "
+                "sends no response frame, so the caller would block forever"
+            )
+        if not 0.0 <= self.trace_sample <= 1.0:
+            raise ConfigurationError(
+                f"the trace sample rate must lie in [0, 1], got {self.trace_sample}"
+            )
+        if self.anti_entropy is not None and not isinstance(
+            self.anti_entropy, AntiEntropySpec
+        ):
+            raise ConfigurationError(
+                f"anti_entropy is described by an AntiEntropySpec, "
+                f"got {type(self.anti_entropy).__name__}"
+            )
+        resolved = self.resolved_anti_entropy
+        if resolved is not None and resolved.fanout >= self.scenario.n:
+            raise ConfigurationError(
+                f"anti-entropy fanout {resolved.fanout} must be smaller "
+                f"than the replica group size {self.scenario.n}"
+            )
+
+    @property
+    def resolved_anti_entropy(self) -> Optional[AntiEntropySpec]:
+        """The effective anti-entropy spec: the explicit one, else the
+        scenario's own axis (``None`` keeps read-repair and gossip off)."""
+        if self.anti_entropy is not None:
+            return self.anti_entropy
+        return self.scenario.anti_entropy
 
 
 def build_nodes(n: int, plan: FailurePlan) -> List[ServiceNode]:
@@ -216,52 +291,51 @@ class ShardedClientAPI:
     clients, the sharded register client, aggregate counters — from that.
     :class:`ShardedDeployment` (servers on this loop) and
     :class:`~repro.service.cluster.ClusterDeployment` (a server process per
-    shard) add only bringing their servers up and down.  Parameters are
-    documented on :class:`ShardedDeployment`.
+    shard) add only bringing their servers up and down.  Every setting
+    comes from one :class:`DeploymentSpec`; ``rng`` defaults to a generator
+    seeded with ``spec.seed``.
     """
 
-    #: Optional shared :class:`~repro.obs.trace.Tracer`.  Set it before
-    #: creating clients: every quorum client built through this surface
-    #: samples traces from it.  ``None`` keeps tracing off the hot path
-    #: entirely.
+    #: Optional shared :class:`~repro.obs.trace.Tracer`, installed from
+    #: ``spec.trace_sample``.  Replace it only before creating clients:
+    #: every quorum client built through this surface samples traces from
+    #: it.  ``None`` keeps tracing off the hot path entirely.
     tracer: Optional[Tracer] = None
 
     def __init__(
-        self,
-        scenario: ScenarioSpec,
-        shards: int,
-        transport: str,
-        codec: str = "json",
-        latency: float = 0.0,
-        jitter: float = 0.0,
-        drop_probability: float = 0.0,
-        rng: Optional[random.Random] = None,
-        anti_entropy: Optional[AntiEntropySpec] = None,
+        self, spec: DeploymentSpec, rng: Optional[random.Random] = None
     ) -> None:
-        self._conditions = dict(
-            latency=latency, jitter=jitter, drop_probability=drop_probability
-        )
+        self.spec = spec
+        self.scenario = spec.scenario
+        self.codec = spec.codec
+        self.transport_mode = spec.transport
         #: The effective :class:`~repro.simulation.scenario.AntiEntropySpec`
         #: (quorum clients derive their repair budget from it).
-        self.anti_entropy = validate_deployment(
-            scenario, shards, transport, codec, anti_entropy, **self._conditions
+        self.anti_entropy = spec.resolved_anti_entropy
+        self._conditions = dict(
+            latency=spec.latency,
+            jitter=spec.jitter,
+            drop_probability=spec.drop_probability,
         )
-        self.scenario = scenario
-        self.codec = codec
-        self.transport_mode = transport
+        if spec.trace_sample > 0.0:
+            # Installed before any client exists: each samples from it.
+            self.tracer = Tracer(
+                sample_rate=spec.trace_sample,
+                seed=0 if spec.seed is None else spec.seed,
+            )
         self._started = False
         #: ``(host, port)`` per shard, known once the servers are up.
         self.addresses: List[Tuple[str, int]] = []
         #: Metric snapshots reported by servers living in other processes
         #: (a cluster's :meth:`aclose` fills this in).
         self.server_metrics: List[dict] = []
-        rng = rng if rng is not None else random.Random()
-        n = scenario.n
+        rng = rng if rng is not None else random.Random(spec.seed)
+        n = spec.scenario.n
         self.shards: List[_Shard] = []
-        for index in range(shards):
+        for index in range(spec.shards):
             shard = _Shard()
             shard.index = index
-            shard.plan = scenario.failure_model.sample_plan_for(n, rng)
+            shard.plan = spec.scenario.failure_model.sample_plan_for(n, rng)
             shard.transport_seed = rng.randrange(2**63)
             shard.client_nodes = remote_nodes(n)
             shard.pool_generator = np.random.default_rng(rng.randrange(2**63))
@@ -435,70 +509,29 @@ class ShardedClientAPI:
 
 
 class ShardedDeployment(ShardedClientAPI):
-    """``shards`` independent deployments of one scenario, routed by key.
+    """``spec.shards`` replica groups of one scenario on this loop, routed by key.
 
-    Parameters
-    ----------
-    scenario:
-        The declarative scenario every shard deploys: quorum system,
-        failure model (sampled independently per shard) and register kind.
-    shards:
-        Number of independent replica groups.
-    transport:
-        ``"inproc"`` (shared-memory nodes on the current loop) or ``"tcp"``
-        (one localhost socket server per shard).
-    latency, jitter, drop_probability:
-        Transport conditions, with the same meaning in both modes (over TCP
-        they are *added* to whatever the real sockets cost).
-    rng:
-        Root randomness: per-shard failure plans, transport seeds and pool
-        generators derive from it in shard order, so a deployment is
-        reproducible from one seed.
-    host:
-        Bind address for the per-shard socket servers (the same option
-        :class:`~repro.service.cluster.ClusterDeployment` takes).
-    codec:
-        The wire codec the TCP transports send (``"json"`` or
-        ``"binary"``; the servers answer in the same codec).
-        Meaningless — and therefore refused — for ``transport="inproc"``,
-        where payloads pass by reference.
-    anti_entropy:
-        Optional :class:`~repro.simulation.scenario.AntiEntropySpec`.
-        ``None`` (the default) inherits the scenario's own ``anti_entropy``
-        axis; when resolved, readers piggyback up to ``repair_budget``
-        repairs per read onto the dispatcher's coalescing path, and a
-        gossiping spec additionally arms one background
-        :class:`~repro.service.gossip.GossipService` per shard at
-        :meth:`start`.
+    ``spec.transport="inproc"`` keeps shared-memory nodes behind the batched
+    dispatcher; ``"tcp"`` serves each shard from one localhost
+    :class:`~repro.service.net.TcpServiceServer` bound to ``host`` (the same
+    option :class:`~repro.service.cluster.ClusterDeployment` takes).
+    ``rng`` is the root randomness (default: seeded with ``spec.seed``):
+    per-shard failure plans, transport seeds and pool generators derive
+    from it in shard order, so a deployment is reproducible from one seed.
+    A gossiping anti-entropy spec arms one background
+    :class:`~repro.service.gossip.GossipService` per shard at :meth:`start`.
     """
 
     def __init__(
         self,
-        scenario: ScenarioSpec,
-        shards: int = 1,
-        transport: str = "inproc",
-        latency: float = 0.0,
-        jitter: float = 0.0,
-        drop_probability: float = 0.0,
+        spec: DeploymentSpec,
         rng: Optional[random.Random] = None,
         host: str = "127.0.0.1",
-        codec: str = "json",
-        anti_entropy: Optional[AntiEntropySpec] = None,
     ) -> None:
-        super().__init__(
-            scenario,
-            shards,
-            transport,
-            codec=codec,
-            latency=latency,
-            jitter=jitter,
-            drop_probability=drop_probability,
-            rng=rng,
-            anti_entropy=anti_entropy,
-        )
+        super().__init__(spec, rng)
         for shard in self.shards:
-            shard.nodes = build_nodes(scenario.n, shard.plan)
-            if transport == "tcp":
+            shard.nodes = build_nodes(spec.scenario.n, shard.plan)
+            if spec.transport == "tcp":
                 # The client side needs the server's ephemeral port, known
                 # only after start().
                 shard.server = TcpServiceServer(shard.nodes, host=host)
@@ -507,7 +540,7 @@ class ShardedDeployment(ShardedClientAPI):
             shard.dispatcher = BatchedDispatcher(shard.nodes, shard.transport)
             shard.client_nodes = shard.nodes
         # In-process deployments are serving from construction.
-        self._started = transport == "inproc"
+        self._started = spec.transport == "inproc"
 
     # -- lifecycle ----------------------------------------------------------------
 

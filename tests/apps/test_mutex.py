@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+import repro.apps.mutex as mutex_module
 from repro.apps.mutex import (
     AsyncQuorumMutex,
     LockLoadSpec,
@@ -18,7 +19,7 @@ from repro.apps.mutex import (
 from repro.exceptions import ConfigurationError, ProtocolError
 from repro.experiments.serve import serve_scenario
 from repro.service.load import FaultInjectionSpec
-from repro.service.sharding import ShardedDeployment
+from repro.service.sharding import DeploymentSpec, ShardedDeployment
 from repro.simulation.scenario import ScenarioSpec, WorkloadSpec
 from repro.simulation.failures import FailureModel
 from repro.core.epsilon_intersecting import UniformEpsilonIntersectingSystem
@@ -33,7 +34,7 @@ SCENARIO = ScenarioSpec(
 def deploy_mutexes(scenario, clients, seed=0):
     """An in-process deployment plus one mutex handle per client id."""
     rng = random.Random(seed)
-    deployment = ShardedDeployment(scenario, shards=1, transport="inproc", rng=rng)
+    deployment = ShardedDeployment(DeploymentSpec(scenario=scenario), rng)
     mutexes = [
         mutex_for(
             scenario,
@@ -216,6 +217,53 @@ class TestLockLoadHarness:
         assert report.grants == 18
         assert report.double_grants == 0
         assert report.fairness > 0.9
+
+    @pytest.mark.parametrize("deadline", [0.0, -1.0])
+    def test_a_non_positive_deadline_is_refused_at_construction(self, deadline):
+        with pytest.raises(ConfigurationError, match="deadline must be positive"):
+            self.base_spec(deadline=deadline)
+
+    def test_live_churn_is_refused_on_a_cluster(self):
+        # inject_faults would find no in-process node and crash nothing.
+        with pytest.raises(ConfigurationError, match="live fault injection"):
+            LockLoadSpec(
+                scenario=SCENARIO,
+                transport="tcp",
+                processes=1,
+                fault_injection=FaultInjectionSpec(crash_count=1),
+            )
+
+    def test_each_lock_lives_on_the_shard_its_variable_routes_to(self, monkeypatch):
+        # Over two shards "lock0" and "lock1" both route to shard 0 and
+        # "lock2" to shard 1, so three locks use both replica groups.
+        spec = LockLoadSpec(
+            scenario=SCENARIO, clients=4, acquisitions_per_client=3, locks=3, shards=2, seed=5
+        )
+        deployments = []
+        deploy = mutex_module.deploy
+
+        def recording_deploy(*args, **kwargs):
+            deployments.append(deploy(*args, **kwargs))
+            return deployments[-1]
+
+        monkeypatch.setattr(mutex_module, "deploy", recording_deploy)
+        report = run_lock_load(spec)
+        assert report.grants == 12
+        assert report.double_grants == 0
+        assert report.fabricated_records == 0
+        (deployment,) = deployments
+        expected = [set(), set()]
+        for name in spec.lock_names():
+            expected[deployment.shard_for(lock_variable(name))].add(lock_variable(name))
+        assert all(expected)
+        for index, shard in enumerate(deployment.shards):
+            seen = {variable for node in shard.nodes for variable in node.server.arbiter.locks}
+            assert seen == expected[index]
+
+    def test_a_trace_rate_puts_lock_steps_on_the_report(self):
+        traced = run_lock_load(LockLoadSpec(scenario=SCENARIO, clients=2, trace_sample=1.0))
+        assert {trace["context"]["step"] for trace in traced.traces} >= {"request", "release"}
+        assert run_lock_load(LockLoadSpec(scenario=SCENARIO, clients=2)).traces == []
 
     def test_jain_fairness(self):
         assert jain_fairness([]) == 1.0

@@ -30,7 +30,7 @@ from repro.service.load import (
     run_service_load,
 )
 from repro.service.net import TcpTransport
-from repro.service.sharding import ShardedDeployment
+from repro.service.sharding import DeploymentSpec, ShardedDeployment
 from repro.simulation.scenario import ScenarioSpec
 
 
@@ -40,6 +40,11 @@ def run(coroutine):
 
 def scenario() -> ScenarioSpec:
     return ScenarioSpec(system=ProbabilisticMaskingSystem(25, 10, 3))
+
+
+def cluster_spec(**fields) -> DeploymentSpec:
+    """A process-per-shard deployment of :func:`scenario` over TCP."""
+    return DeploymentSpec(scenario=scenario(), transport="tcp", processes=1, **fields)
 
 
 def assert_no_orphans(pids) -> None:
@@ -59,9 +64,7 @@ def wait_for_exit(deployment, timeout: float = 10.0) -> None:
 class TestClusterLifecycle:
     def test_normal_exit_leaves_no_orphans(self):
         async def main():
-            cluster = ClusterDeployment(
-                scenario(), shards=2, codec="binary", rng=random.Random(7)
-            )
+            cluster = ClusterDeployment(cluster_spec(shards=2, codec="binary"), random.Random(7))
             async with cluster:
                 pids = list(cluster.pids)
                 assert len(pids) == 2
@@ -78,7 +81,7 @@ class TestClusterLifecycle:
 
     def test_aclose_is_idempotent(self):
         async def main():
-            cluster = ClusterDeployment(scenario(), shards=1, rng=random.Random(11))
+            cluster = ClusterDeployment(cluster_spec(shards=1), random.Random(11))
             await cluster.start()
             pids = list(cluster.pids)
             await cluster.aclose()
@@ -93,7 +96,7 @@ class TestClusterLifecycle:
         parent's ``aclose`` then has nothing left to kill."""
 
         async def main():
-            cluster = ClusterDeployment(scenario(), shards=2, rng=random.Random(13))
+            cluster = ClusterDeployment(cluster_spec(shards=2), random.Random(13))
             await cluster.start()
             pids = list(cluster.pids)
             for pid in pids:
@@ -113,9 +116,7 @@ class TestClusterLifecycle:
         serving, and teardown still leaves nothing behind."""
 
         async def main():
-            cluster = ClusterDeployment(
-                scenario(), shards=2, codec="binary", rng=random.Random(17)
-            )
+            cluster = ClusterDeployment(cluster_spec(shards=2, codec="binary"), random.Random(17))
             await cluster.start()
             pids = list(cluster.pids)
             os.kill(pids[0], signal.SIGKILL)
@@ -144,7 +145,7 @@ class TestClusterLifecycle:
 
         async def main():
             cluster = ClusterDeployment(
-                scenario(), shards=1, rng=random.Random(19), start_timeout=0.0
+                cluster_spec(shards=1), random.Random(19), start_timeout=0.0
             )
             with pytest.raises(Exception):
                 await cluster.start()
@@ -224,10 +225,10 @@ class TestClusterFacade:
             Deployment.builder(scenario()).processes(-1)
 
     def test_deploy_picks_the_shape_from_the_process_count(self):
-        in_loop = deploy(scenario(), shards=2, rng=random.Random(1))
+        in_loop = deploy(DeploymentSpec(scenario=scenario(), shards=2), random.Random(1))
         assert isinstance(in_loop, ShardedDeployment)
         assert in_loop.transport_mode == "inproc"
-        cluster = deploy(scenario(), processes=1, shards=2, rng=random.Random(1))
+        cluster = deploy(cluster_spec(shards=2), random.Random(1))
         assert isinstance(cluster, ClusterDeployment)
         assert cluster.transport_mode == "tcp"
         assert cluster.pids == []  # nothing spawns before start()
@@ -235,12 +236,11 @@ class TestClusterFacade:
     def test_both_shapes_take_the_same_bind_address_option(self):
         for processes in (0, 1):
             deployment = deploy(
-                scenario(),
-                processes=processes,
-                transport="tcp",
+                DeploymentSpec(
+                    scenario=scenario(), processes=processes, transport="tcp", shards=2
+                ),
+                random.Random(1),
                 host="127.0.0.1",
-                shards=2,
-                rng=random.Random(1),
             )
             assert deployment.transport_mode == "tcp"
 
@@ -251,9 +251,9 @@ class TestClusterFacade:
             dict(drop_probability=1.0),
         ):
             with pytest.raises(ConfigurationError):
-                ClusterDeployment(scenario(), shards=2, **conditions)
+                ClusterDeployment(cluster_spec(shards=2, **conditions))
             with pytest.raises(ConfigurationError):
-                deploy(scenario(), processes=1, **conditions)
+                deploy(cluster_spec(**conditions))
 
 
 class TestClusterLoadSpec:

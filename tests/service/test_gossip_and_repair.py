@@ -480,13 +480,13 @@ class TestDeploymentBuilderAntiEntropy:
         builder = Deployment.builder(ScenarioSpec(system=PLAIN)).anti_entropy(
             fanout=1, rounds=3, interval=0.5, repair_budget=9
         )
-        assert builder._anti_entropy == AntiEntropySpec(
+        assert builder.spec.anti_entropy == AntiEntropySpec(
             fanout=1, rounds=3, interval=0.5, repair_budget=9
         )
 
     def test_explicit_spec_passes_through(self):
         builder = Deployment.builder(ScenarioSpec(system=PLAIN)).anti_entropy(AE)
-        assert builder._anti_entropy is AE
+        assert builder.spec.anti_entropy is AE
 
     def test_non_spec_argument_is_refused(self):
         with pytest.raises(ConfigurationError):

@@ -67,6 +67,12 @@ class TestServiceLoadSpec:
         with pytest.raises(ConfigurationError):
             FaultInjectionSpec(interval=0.0)
 
+    @pytest.mark.parametrize("deadline", [0.0, -1.0])
+    def test_a_non_positive_deadline_is_refused_at_construction(self, deadline):
+        # Not later, inside the driver's first client, after deploying.
+        with pytest.raises(ConfigurationError, match="deadline must be positive"):
+            small_spec(deadline=deadline)
+
     def test_totals_and_description(self):
         spec = small_spec()
         assert spec.total_ops == 20 * 3 + 5
@@ -353,7 +359,7 @@ class TestSingleDriverWorkload:
 
         async def run():
             rng = random.Random(spec.seed)
-            deployment = ShardedDeployment(spec.scenario, shards=spec.shards, rng=rng)
+            deployment = ShardedDeployment(spec, rng)
             record_client_calls(deployment, calls)
             await deployment.start()
             try:

@@ -13,9 +13,9 @@ from repro.exceptions import ConfigurationError, QuorumUnavailableError
 from repro.service.load import ServiceLoadSpec, key_names, key_weight_cdf, run_service_load
 from repro.service.sharding import (
     TRANSPORT_MODES,
+    DeploymentSpec,
     ShardedAsyncRegisterClient,
     ShardedDeployment,
-    check_deadline,
     shard_for_key,
 )
 from repro.simulation.scenario import ScenarioSpec
@@ -97,32 +97,38 @@ class TestLoadBands:
 class TestShardedDeployment:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            ShardedDeployment("not a scenario")
+            ShardedDeployment(DeploymentSpec(scenario="not a scenario"))
         with pytest.raises(ConfigurationError):
-            ShardedDeployment(SCENARIO, shards=0)
+            ShardedDeployment(DeploymentSpec(scenario=SCENARIO, shards=0))
         with pytest.raises(ConfigurationError):
-            ShardedDeployment(SCENARIO, transport="carrier-pigeon")
+            ShardedDeployment(DeploymentSpec(scenario=SCENARIO, transport="carrier-pigeon"))
         assert TRANSPORT_MODES == ("inproc", "tcp")
 
     def test_bad_conditions_are_refused_at_construction_on_both_transports(self):
         # Over TCP the refusal comes before start() binds a socket.
         for transport in TRANSPORT_MODES:
             with pytest.raises(ConfigurationError, match="latency"):
-                ShardedDeployment(SCENARIO, transport=transport, latency=-1.0)
+                ShardedDeployment(DeploymentSpec(scenario=SCENARIO, transport=transport, latency=-1.0))
             with pytest.raises(ConfigurationError, match="jitter"):
-                ShardedDeployment(SCENARIO, transport=transport, latency=0.001, jitter=0.01)
+                ShardedDeployment(
+                    DeploymentSpec(
+                        scenario=SCENARIO, transport=transport, latency=0.001, jitter=0.01
+                    )
+                )
             with pytest.raises(ConfigurationError, match="drop probability"):
-                ShardedDeployment(SCENARIO, transport=transport, drop_probability=1.0)
+                ShardedDeployment(
+                    DeploymentSpec(scenario=SCENARIO, transport=transport, drop_probability=1.0)
+                )
 
-    def test_check_deadline_refuses_none_only_over_tcp(self):
+    def test_deployment_spec_refuses_none_deadline_only_over_tcp(self):
         with pytest.raises(ConfigurationError, match="deadline=None"):
-            check_deadline("tcp", None)
-        check_deadline("tcp", 0.05)
-        check_deadline("inproc", None)
-        check_deadline("inproc", 0.05)
+            DeploymentSpec(scenario=SCENARIO, transport="tcp", deadline=None)
+        DeploymentSpec(scenario=SCENARIO, transport="tcp", deadline=0.05)
+        DeploymentSpec(scenario=SCENARIO, transport="inproc", deadline=None)
+        DeploymentSpec(scenario=SCENARIO, transport="inproc", deadline=0.05)
 
     def test_shards_are_independent_replica_groups(self):
-        deployment = ShardedDeployment(SCENARIO, shards=3, rng=random.Random(1))
+        deployment = ShardedDeployment(DeploymentSpec(scenario=SCENARIO, shards=3), random.Random(1))
         assert deployment.shard_count == 3
         all_nodes = [node for shard in deployment.shards for node in shard.nodes]
         assert len(all_nodes) == 3 * 25
@@ -131,14 +137,14 @@ class TestShardedDeployment:
         assert len(transports) == 3
 
     def test_client_count_must_match_shards(self):
-        deployment = ShardedDeployment(SCENARIO, shards=2, rng=random.Random(1))
+        deployment = ShardedDeployment(DeploymentSpec(scenario=SCENARIO, shards=2), random.Random(1))
         client = deployment.client_for_shard(0, rng=random.Random(2))
         with pytest.raises(ConfigurationError):
             ShardedAsyncRegisterClient(deployment, [client])
 
     def test_writes_land_only_on_the_keys_shard(self):
         async def scenario():
-            deployment = ShardedDeployment(SCENARIO, shards=2, rng=random.Random(3))
+            deployment = ShardedDeployment(DeploymentSpec(scenario=SCENARIO, shards=2), random.Random(3))
             client = deployment.new_register_client(random.Random(4), deadline=1.0)
             keys = [f"x{i}" for i in range(6)]
             for key in keys:
@@ -164,7 +170,7 @@ class TestShardedDeployment:
 
     def test_crashed_shard_only_affects_its_own_keys(self):
         async def scenario():
-            deployment = ShardedDeployment(SCENARIO, shards=2, rng=random.Random(5))
+            deployment = ShardedDeployment(DeploymentSpec(scenario=SCENARIO, shards=2), random.Random(5))
             client = deployment.new_register_client(random.Random(6), deadline=0.01)
             keys = [f"x{i}" for i in range(8)]
             for key in keys:
@@ -191,7 +197,7 @@ class TestShardedDeployment:
     def test_tcp_deployment_starts_and_serves(self):
         async def scenario():
             deployment = ShardedDeployment(
-                SCENARIO, shards=2, transport="tcp", rng=random.Random(7)
+                DeploymentSpec(scenario=SCENARIO, shards=2, transport="tcp"), random.Random(7)
             )
             async with deployment:
                 ports = {shard.server.port for shard in deployment.shards}
@@ -238,7 +244,9 @@ class TestShardedDeployment:
         run(scenario())
 
     def test_clients_require_a_started_tcp_deployment(self):
-        deployment = ShardedDeployment(SCENARIO, transport="tcp", rng=random.Random(9))
+        deployment = ShardedDeployment(
+            DeploymentSpec(scenario=SCENARIO, transport="tcp"), random.Random(9)
+        )
         with pytest.raises(ConfigurationError, match="start"):
             deployment.client_for_shard(0)
 
