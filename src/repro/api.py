@@ -240,11 +240,7 @@ class Deployment:
         """
         if rng is None:
             rng = random.Random(self._rng.randrange(2**63))
-        return self.sharded.new_register_client(
-            rng,
-            deadline=self.deadline,
-            writer_id=writer_id,
-        )
+        return self.sharded.new_register_client(rng, writer_id=writer_id)
 
     def lock_client(
         self,
@@ -270,7 +266,6 @@ class Deployment:
         client = self.sharded.client_for_shard(
             shard,
             rng=random.Random(rng.randrange(2**63)),
-            deadline=self.deadline,
             client_id=f"lock:{name}:{client_id}",
         )
         return mutex_for(

@@ -336,9 +336,7 @@ async def lock_load(spec: LockLoadSpec) -> LockLoadReport:
         mutexes: List[Dict[str, AsyncQuorumMutex]] = []
         for client_id in client_ids:
             clients = [
-                deployment.client_for_shard(
-                    shard, rng=random.Random(rng.randrange(2**63)), deadline=spec.deadline
-                )
+                deployment.client_for_shard(shard, rng=random.Random(rng.randrange(2**63)))
                 for shard in range(deployment.shard_count)
             ]
             mutexes.append({

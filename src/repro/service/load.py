@@ -37,11 +37,14 @@ appears in that key's issued history).  What remains fabricated is a true
 violation on any interleaving.
 
 Simulated time vs wall clock: with ``transport="inproc"`` every delay and
-deadline is event-loop time over simulated message passing, so a run is
-deterministic for a fixed seed; with ``transport="tcp"`` the frames cross
-real localhost sockets and deadlines bound wall-clock time, so scheduling
-noise is part of the measurement (the conformance suite checks the
-*classification rates* still agree between the two).
+deadline is event-loop time over simulated message passing.  A stock
+asyncio loop's time is the wall clock, so a seeded run is *not*
+reproducible there (its timeout and crash counters move between runs);
+only a virtual-time loop such as the tests' ``VirtualTimeLoop`` makes it
+deterministic.  With ``transport="tcp"`` the frames cross real localhost
+sockets and deadlines bound wall-clock time, so scheduling noise is part
+of the measurement (the conformance suite checks the *classification
+rates* still agree between the two).
 """
 
 from __future__ import annotations
@@ -546,11 +549,7 @@ async def drive_load(
     monitor = EpsilonMonitor.for_scenario(scenario) if spec.monitor_epsilon else None
 
     def make_client(writer_id: Optional[int] = None):
-        return deployment.new_register_client(
-            rng,
-            deadline=spec.deadline,
-            writer_id=writer_id,
-        )
+        return deployment.new_register_client(rng, writer_id=writer_id)
 
     writer_count = spec.resolved_writers
     writers = [

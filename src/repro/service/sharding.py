@@ -386,10 +386,10 @@ class ShardedClientAPI:
         self,
         shard_index: int,
         rng: Optional[random.Random] = None,
-        deadline: Optional[float] = 0.05,
+        deadline: Optional[float] = None,
         client_id: Optional[str] = None,
     ) -> AsyncQuorumClient:
-        """One quorum client bound to a single shard's replica group."""
+        """One quorum client bound to a single shard's replica group (the spec's ``deadline``)."""
         if not self._started:
             raise ConfigurationError(
                 "start() the deployment before creating clients (TCP ports "
@@ -401,7 +401,7 @@ class ShardedClientAPI:
             self.scenario.system,
             shard.client_nodes,
             shard.transport,
-            deadline=deadline,
+            deadline=self.spec.deadline if deadline is None else deadline,
             rng=rng,
             dispatcher=shard.dispatcher,
             pool_generator=shard.pool_generator,
@@ -419,7 +419,7 @@ class ShardedClientAPI:
     def new_register_client(
         self,
         rng: random.Random,
-        deadline: Optional[float] = 0.05,
+        deadline: Optional[float] = None,
         writer_id: Optional[int] = None,
     ) -> "ShardedAsyncRegisterClient":
         """One logical sharded client (one quorum client per shard).

@@ -40,18 +40,17 @@ substream via ``numpy.random.SeedSequence(seed).spawn(...)``, so a run is
 fully determined by ``(seed, chunk_size)`` and peak memory stays bounded at
 ``O(chunk_size * n)`` per thread regardless of the trial count.
 
-The one-write loop (:meth:`BatchTrialEngine.estimate_read_consistency`
-without writers or gossip) runs its chunks at the same time on the calling
-thread and one helper thread per further usable CPU (:func:`_sum_chunks`).
-A chunk's outcome is four integer counts drawn from its own substream, so
-the report is the same bit for bit at every CPU count, and NumPy releases
-the interpreter lock inside the kernels, so the chunks really overlap.
-That path's memory is ``O(threads * chunk_size * n)``.  The
-version-history kernel stays on the calling thread: a staleness chunk's
-working set is ~20 MB, and a helper's malloc arena keeps it.  On 2 vCPUs,
-running its chunks concurrently too raised the ``mc-batch`` benchmark's
-peak RSS from ~79 MB to 110–114 MB (≥ 1.39×); the one-write path alone
-reads ~83 MB (1.05×).
+Every estimate runs its chunks at the same time on the calling thread and
+one helper thread per further usable CPU (:func:`_run_chunks`).  A chunk's
+result is drawn from its own substream only, and the estimators combine
+the results in chunk order, so a report is the same bit for bit at every
+CPU count; NumPy releases the interpreter lock inside the kernels, so the
+chunks really overlap.  Memory is ``O(threads * chunk_size * n)``, and a
+helper's malloc arena keeps its thread's working set, so that set is kept
+small: at the default chunk and ``n = 100`` a thread holds a few boolean
+``(chunk, n)`` masks (400 KB each) and, in the version-history kernel,
+byte-wide version matrices (400 KB each up to 127 versions) and one gossip
+block of :data:`~repro.quorum.base.MASK_BLOCK_RANKS` peer draws (256 KB).
 
 Within one estimator run each thread also *reuses* its per-chunk buffers:
 profiling the hot loop showed the top repeated allocations were the two
@@ -111,7 +110,7 @@ import functools
 import math
 import os
 import threading
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Callable, List, Optional, Sequence, Tuple, TypeVar, TYPE_CHECKING
 
 import numpy as np
 
@@ -132,8 +131,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 DEFAULT_CHUNK_SIZE = 4096
 
 
-#: Chunk outcome counts, summed over the chunks of one estimate.
-_Counts = Tuple[int, ...]
+#: One chunk's result.
+_Result = TypeVar("_Result")
 
 
 def _helper_count() -> int:
@@ -145,36 +144,35 @@ def _helper_count() -> int:
     return max(0, usable - 1)
 
 
-def _sum_chunks(
-    seed: int, trials: int, chunk_size: int, work: Callable[[np.random.Generator, int], _Counts]
-) -> _Counts:
-    """Element-wise sum of ``work(generator, size)`` over the chunks, on every usable CPU.
+def _run_chunks(
+    seed: int, trials: int, chunk_size: int, work: Callable[[np.random.Generator, int], _Result]
+) -> List[_Result]:
+    """``work(generator, size)`` of every chunk, in chunk order, on every usable CPU.
 
     The chunks are :func:`~repro.rngs.chunked_substreams`'s.  The calling
     thread and up to one helper thread per further usable CPU (never more
     helpers than further chunks) take chunks until none is left.  Each
-    chunk owns its substream and yields integer counts, so which thread ran
-    it, and in what order the counts add up, does not change the sum.  NumPy
-    releases the interpreter lock inside its kernels, so the chunks really
-    run at once.  Every helper is joined before this returns or re-raises;
-    after a chunk raises, no thread starts another.
+    chunk owns its substream and its result keeps its chunk's place, so
+    which thread ran it does not change what is returned.  NumPy releases
+    the interpreter lock inside its kernels, so the chunks really run at
+    once.  Every helper is joined before this returns or re-raises; after a
+    chunk raises, no thread starts another.
     """
-    chunks = chunked_substreams(seed, trials, chunk_size)
+    count = math.ceil(trials / chunk_size)
+    chunks = enumerate(chunked_substreams(seed, trials, chunk_size))
     lock = threading.Lock()
     failed = threading.Event()
-    sums: List[_Counts] = []
+    results: List[_Result] = [None] * count  # type: ignore[list-item]
     errors: List[BaseException] = []
 
     def drain() -> None:
         try:
             while not failed.is_set():
                 with lock:
-                    chunk = next(chunks, None)
+                    index, chunk = next(chunks, (None, None))
                 if chunk is None:
                     return
-                counts = work(*chunk)
-                with lock:
-                    sums.append(counts)
+                results[index] = work(*chunk)
         except BaseException as error:
             failed.set()
             with lock:
@@ -182,7 +180,7 @@ def _sum_chunks(
 
     helpers: List[threading.Thread] = []
     try:
-        for _ in range(min(_helper_count(), math.ceil(trials / chunk_size) - 1)):
+        for _ in range(min(_helper_count(), count - 1)):
             helper = threading.Thread(target=drain, name="repro-batch-helper", daemon=True)
             helper.start()
             helpers.append(helper)
@@ -192,7 +190,7 @@ def _sum_chunks(
             helper.join()
     if errors:
         raise errors[0]
-    return tuple(map(sum, zip(*sums)))
+    return results
 
 
 class _Workspace:
@@ -202,8 +200,8 @@ class _Workspace:
     size and allocates only when the shape changes (i.e. the final short
     chunk).  Callers must fully overwrite a buffer before reading it.  An
     engine keeps one per thread (:attr:`BatchTrialEngine._workspace`), so
-    chunks running at once never share a buffer; the one-write path's
-    buffers therefore take ``threads * chunk * n`` bytes per name.
+    chunks running at once never share a buffer; the buffers therefore
+    take ``threads * chunk * n`` elements per name.
     """
 
     __slots__ = ("_arrays",)
@@ -474,12 +472,6 @@ class BatchTrialEngine:
             workspace = self._local.workspace = _Workspace()
         return workspace
 
-    # -- chunked substreams -------------------------------------------------------
-
-    def _chunks(self, trials: int) -> Iterator[Tuple[np.random.Generator, int]]:
-        """Yield ``(generator, chunk_trials)`` pairs with spawned substreams."""
-        return chunked_substreams(self.seed, trials, self.chunk_size)
-
     def _forgery(
         self, timestamps: Sequence[Timestamp], values: Sequence[object]
     ) -> Tuple[int, Optional[int], bool, bool]:
@@ -565,8 +557,8 @@ class BatchTrialEngine:
         per trial from the same distributions and apply the same read rule
         (benign, signature-checked or threshold-vote, per the rule).
         Concurrent writers and gossip rounds run through the
-        version-history kernel (:meth:`_history_reads`); otherwise the
-        chunks run on every usable CPU at once (:func:`_sum_chunks`), with
+        version-history kernel (:meth:`_history_reads`).  Either way the
+        chunks run on every usable CPU at once (:func:`_run_chunks`), with
         the same report at every CPU count.
         """
         from repro.simulation.monte_carlo import ConsistencyReport
@@ -576,9 +568,10 @@ class BatchTrialEngine:
         if self.writers > 1 or (self.anti_entropy is not None and self.anti_entropy.gossips):
             return self._estimate_contention(trials)
         forgery = self._forgery([Timestamp(1, self.writer_id)], [self.written_value])
-        fresh, stale, empty, fabricated = _sum_chunks(
+        counts = _run_chunks(
             self.seed, trials, self.chunk_size, functools.partial(self._one_write, forgery=forgery)
         )
+        fresh, stale, empty, fabricated = map(sum, zip(*counts))
         return ConsistencyReport(
             trials=trials, fresh=fresh, stale=stale, empty=empty, fabricated=fabricated
         )
@@ -653,7 +646,7 @@ class BatchTrialEngine:
         forgery: Tuple[int, Optional[int], bool, bool],
         gossip: Optional[Tuple[int, int]],
         gossip_every_write: bool = False,
-    ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    ) -> List[Tuple[np.ndarray, np.ndarray]]:
         """The version-history kernel: per chunk, write every version, gossip, read.
 
         Versions ``0..versions-1`` are written in ascending order, each to
@@ -664,20 +657,24 @@ class BatchTrialEngine:
         ignore gossip and their pushes are never trusted —
         :class:`~repro.simulation.diffusion.DiffusionEngine`'s rules) after
         every write, or once after the last.  Then one read
-        quorum is drawn, and :meth:`_read_versions` yields, per chunk, the
-        version each trial read and where a forgery won instead.
+        quorum is drawn, and :meth:`_read_versions` gives, per chunk in
+        chunk order (:func:`_run_chunks`), the version each trial read and
+        where a forgery won instead.  The version matrices take the narrowest
+        signed type holding ``-1 .. versions`` (a byte up to 127 versions).
         """
         self._reject_gray()
         n = self.system.n
-        workspace = self._workspace
-        for generator, size in self._chunks(trials):
+        dtype = np.min_scalar_type(-versions - 1)
+
+        def chunk(generator: np.random.Generator, size: int) -> Tuple[np.ndarray, np.ndarray]:
+            workspace = self._workspace
             masks = self.model.sample_masks(n, size, generator)
             correct = ~(masks.crashed | masks.byzantine)
             storers = masks.responsive_storers
-            latest = np.full((size, n), -1, dtype=np.int32)
-            first_seen = np.full((size, n), -1, dtype=np.int32)
+            latest = np.full((size, n), -1, dtype=dtype)
+            first_seen = np.full((size, n), -1, dtype=dtype)
             touched = workspace.array("touched", (size, n), bool)
-            scratch = workspace.array("write", (size, n), np.int32)
+            scratch = workspace.array("write", (size, n), dtype)
             for version in range(versions):
                 member_w = self._draw_membership(size, generator, "member_w")
                 np.logical_and(member_w, storers, out=touched)
@@ -685,7 +682,9 @@ class BatchTrialEngine:
                 if gossip is not None and (gossip_every_write or version == versions - 1):
                     latest = gossip_rounds_batch(latest, correct, *gossip, generator)
             member_r = self._draw_membership(size, generator, "member_r")
-            yield self._read_versions(member_r, masks, latest, first_seen, versions, forgery)
+            return self._read_versions(member_r, masks, latest, first_seen, versions, forgery)
+
+        return _run_chunks(self.seed, trials, self.chunk_size, chunk)
 
     def _read_versions(
         self,
@@ -698,7 +697,8 @@ class BatchTrialEngine:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """One read of the version matrices: ``(version read, forgery wins)`` per trial.
 
-        The version read is the best credible one (``-1`` for none).  With
+        The version read is the best credible one (``-1`` for none, as
+        ``int64`` whatever the matrices' dtype).  With
         ``forgery = (rank, tie, forged_key_wins, values_collide)`` from
         :meth:`_forgery`, a forgery with threshold votes wins where that
         version is below ``rank``.  When it ties version ``tie`` (then
@@ -712,6 +712,7 @@ class BatchTrialEngine:
         rank, tie, forged_key_wins, values_collide = forgery
         threshold = self.rule.threshold
         best = self._best_credible_version(member_r, masks, latest, first_seen, versions)
+        best = best.astype(np.int64, copy=False)
         forged_votes = self._forged_votes(member_r, masks)
         if tie is None:
             return best, (forged_votes >= threshold) & (best < rank)
@@ -809,7 +810,6 @@ class BatchTrialEngine:
             trials, writes, forgery, gossip, gossip_every_write=True
         ):
             lag = np.where(best >= 0, writes - 1 - best, writes)
-            lag = np.where(forged_wins, writes, lag)
-            lags.append(lag.astype(np.int64))
+            lags.append(np.where(forged_wins, writes, lag))
         versions_behind = np.concatenate(lags).tolist()
         return StalenessReport(trials=trials, versions_behind=versions_behind)

@@ -30,6 +30,7 @@ from typing import Callable, Dict, Iterable, List, Optional
 import numpy as np
 
 from repro.exceptions import ConfigurationError
+from repro.quorum.base import MASK_BLOCK_RANKS
 from repro.simulation.cluster import Cluster
 from repro.simulation.server import StoredValue
 from repro.types import ServerId
@@ -244,13 +245,16 @@ def gossip_rounds_batch(
     gossiped estimates of the two engines agree only once gossip nearly
     saturates.
 
-    A round is one ``(trials, n * fanout)`` integer draw (the C-order
-    stream of a ``(trials, n, fanout)`` draw), shifted past each sender and
-    offset to its trial's row in place, and one ``np.maximum.at`` scatter
-    per fanout column.  Ineligible senders push ``-1`` and
-    ineligible receivers take ``-1``, both written branch-free as
-    ``v * e - ~e`` rather than as masked writes, so the adopt step is one
-    unmasked ``np.maximum``.
+    A round draws its peers in row blocks of about
+    :data:`~repro.quorum.base.MASK_BLOCK_RANKS` integers (at least one row):
+    the C-order stream of a ``(rows, n, fanout)`` draw, shifted past each
+    sender and offset to its trial's row in place, then one
+    ``np.maximum.at`` scatter per fanout column, and the block's rows adopt.
+    Rows are independent trials and the generator keeps a half-used word in
+    its state, so the blocks draw exactly what one whole-round draw would.
+    Ineligible senders push ``-1`` and ineligible receivers take ``-1``,
+    both written branch-free as ``v * e - ~e`` rather than as masked writes,
+    so the adopt step is one unmasked ``np.maximum``.
 
     Returns the updated version matrix (a new array of the input's dtype;
     the input is not mutated).
@@ -274,26 +278,26 @@ def gossip_rounds_batch(
     if trials == 0 or rounds == 0 or fanout == 0:
         return current
     ineligible = ~eligible
-    # Sender of each drawn column, and each trial's first flat index.
+    rows = max(1, MASK_BLOCK_RANKS // (n * fanout))
+    # Sender of each drawn column, and each block row's first flat index.
     senders = np.repeat(np.arange(n), fanout)
-    row_offset = np.arange(0, trials * n, n)[:, None]
-    pushed = np.empty_like(current)
-    incoming = np.empty_like(current)
-    flat_pushed = pushed.reshape(-1)
-    flat_incoming = incoming.reshape(-1)
+    row_offset = np.arange(0, min(rows, trials) * n, n)[:, None]
     for _ in range(rounds):
-        # Uniform peer != self: draw from n-1 and shift past the sender.
-        peers = generator.integers(0, n - 1, size=(trials, n * fanout))
-        peers += peers >= senders
-        peers += row_offset
-        np.multiply(current, eligible, out=pushed)
-        np.subtract(pushed, ineligible, out=pushed)
-        incoming.fill(-1)
-        # Draw column f of every sender lines up with the pushed matrix, so
-        # each scatter reads it as it is: no fanout-fold copy of the values.
-        for column in range(fanout):
-            np.maximum.at(flat_incoming, peers[:, column::fanout].reshape(-1), flat_pushed)
-        np.multiply(incoming, eligible, out=incoming)
-        np.subtract(incoming, ineligible, out=incoming)
-        np.maximum(current, incoming, out=current)
+        for start in range(0, trials, rows):
+            block = current[start : start + rows]
+            held, lacking = eligible[start : start + rows], ineligible[start : start + rows]
+            # Uniform peer != self: draw from n-1 and shift past the sender.
+            peers = generator.integers(0, n - 1, size=(len(block), n * fanout))
+            peers += peers >= senders
+            peers += row_offset[: len(block)]
+            pushed = block * held
+            pushed -= lacking
+            incoming = np.full_like(block, -1)
+            # Draw column f of every sender lines up with the pushed rows, so
+            # each scatter reads them as they are: no fanout-fold copy.
+            for column in range(fanout):
+                np.maximum.at(incoming.ravel(), peers[:, column::fanout].ravel(), pushed.ravel())
+            incoming *= held
+            incoming -= lacking
+            np.maximum(block, incoming, out=block)
     return current

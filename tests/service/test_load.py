@@ -330,7 +330,7 @@ def record_client_calls(deployment, calls):
     """
     make_client = deployment.new_register_client
 
-    def new_register_client(rng, deadline=0.05, writer_id=None):
+    def new_register_client(rng, deadline=None, writer_id=None):
         client = make_client(rng, deadline=deadline, writer_id=writer_id)
         number = new_register_client.made
         new_register_client.made += 1

@@ -142,6 +142,19 @@ class TestShardedDeployment:
         with pytest.raises(ConfigurationError):
             ShardedAsyncRegisterClient(deployment, [client])
 
+    def test_clients_take_the_spec_deadline_unless_given_one(self):
+        deployment = ShardedDeployment(
+            DeploymentSpec(scenario=SCENARIO, shards=2, deadline=1.0), random.Random(1)
+        )
+        assert deployment.client_for_shard(0).deadline == 1.0
+        assert deployment.client_for_shard(1, deadline=0.2).deadline == 0.2
+        register_client = deployment.new_register_client(random.Random(2))
+        assert [client.deadline for client in register_client.clients] == [1.0, 1.0]
+        unbounded = ShardedDeployment(
+            DeploymentSpec(scenario=SCENARIO, deadline=None), random.Random(1)
+        )
+        assert unbounded.client_for_shard(0).deadline is None
+
     def test_writes_land_only_on_the_keys_shard(self):
         async def scenario():
             deployment = ShardedDeployment(DeploymentSpec(scenario=SCENARIO, shards=2), random.Random(3))

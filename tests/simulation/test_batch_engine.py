@@ -19,6 +19,7 @@ Two kinds of guarantees are pinned down here:
 
 from __future__ import annotations
 
+import functools
 import math
 import multiprocessing
 import random
@@ -759,7 +760,10 @@ class TestConcurrentChunks:
     def test_concurrent_callers_each_get_their_solo_result(self, monkeypatch):
         monkeypatch.setattr(batch, "_helper_count", lambda: 3)
         shared = self._engine("masking")
-        engines = [shared, shared, self._engine("dissemination"), self._engine("tying")]
+        gossiped = BatchTrialEngine.from_spec(
+            HISTORY_SPECS["gossiped"], seed=3, chunk_size=self.CHUNK
+        )
+        engines = [shared, shared, self._engine("dissemination"), self._engine("tying"), gossiped]
         solo = [_counts(engine.estimate_read_consistency(self.TRIALS)) for engine in engines]
         results = [[] for _ in engines]
         start = threading.Barrier(len(engines), timeout=30)
@@ -831,6 +835,131 @@ class TestConcurrentChunks:
             if child.is_alive():
                 child.kill()
                 child.join()
+
+
+#: Version-history estimates whose chunks run concurrently: a staleness
+#: history with gossip between writes, three concurrent writers and a write
+#: followed by anti-entropy rounds, over replaying and forging servers.
+HISTORY_SYSTEM = ProbabilisticMaskingSystem(60, 25, 3)
+HISTORY_SPECS = {
+    "staleness": ScenarioSpec(
+        system=UniformEpsilonIntersectingSystem(60, 8),
+        failure_model=FailureModel.random_crashes(4),
+    ),
+    "multiwriter": ScenarioSpec(
+        system=HISTORY_SYSTEM, failure_model=FailureModel.replay_attack(3), writers=3
+    ),
+    "gossiped": ScenarioSpec(
+        system=HISTORY_SYSTEM,
+        failure_model=FailureModel.colluding_forgers(3, "forged", Timestamp.forged_maximum()),
+        anti_entropy=AntiEntropySpec(fanout=2, rounds=1),
+    ),
+}
+
+
+def _history_outcome(name: str, chunk_size: int, trials: int) -> tuple:
+    """The report of one history estimate: lags in trial order, or outcome counts."""
+    engine = BatchTrialEngine.from_spec(HISTORY_SPECS[name], seed=5, chunk_size=chunk_size)
+    if name == "staleness":
+        report = engine.estimate_staleness_distribution(
+            trials, writes=4, gossip_rounds_between_writes=1
+        )
+        return tuple(report.versions_behind)
+    return _counts(engine.estimate_read_consistency(trials))
+
+
+def _wrap_chunks(monkeypatch, wrapper) -> None:
+    """Run every chunk of the chunk runner as ``wrapper(work, generator, size)``."""
+    run_chunks = batch._run_chunks
+
+    def wrapped(seed, trials, chunk_size, work):
+        return run_chunks(seed, trials, chunk_size, functools.partial(wrapper, work))
+
+    monkeypatch.setattr(batch, "_run_chunks", wrapped)
+
+
+class TestConcurrentHistories:
+    """Version-history chunks run on the calling thread and helpers, with unchanged results."""
+
+    CHUNK = 500
+    TRIALS = 2_300  # five chunks, the last one short
+
+    @pytest.mark.parametrize("name", sorted(HISTORY_SPECS))
+    def test_reports_do_not_depend_on_the_helper_count(self, name, monkeypatch):
+        monkeypatch.setattr(batch, "_helper_count", lambda: 0)
+        alone = _history_outcome(name, self.CHUNK, self.TRIALS)
+        # Two chunks must be in flight at once: the first two wait for each other.
+        meet = threading.Barrier(2, timeout=30)
+        started = []
+
+        def rendezvous(work, generator, size):
+            started.append(threading.current_thread().name)
+            if len(started) <= 2:
+                meet.wait()
+            return work(generator, size)
+
+        _wrap_chunks(monkeypatch, rendezvous)
+        for helpers in (1, 3):
+            monkeypatch.setattr(batch, "_helper_count", lambda helpers=helpers: helpers)
+            started.clear()
+            meet.reset()
+            assert _history_outcome(name, self.CHUNK, self.TRIALS) == alone
+            assert len(started) == 5
+            assert "repro-batch-helper" in started[:2]
+        assert not _helper_threads()
+
+    def test_versions_behind_keep_trial_order_when_chunks_finish_out_of_order(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(batch, "_helper_count", lambda: 0)
+        alone = _history_outcome("staleness", self.CHUNK, self.TRIALS)
+        # The lags differ between chunks, so a reordering would show.
+        chunk_lags = [alone[at : at + self.CHUNK] for at in range(0, self.TRIALS, self.CHUNK)]
+        assert len(set(chunk_lags)) == len(chunk_lags)
+        # The first chunk taken finishes only after every other chunk has.
+        others_done = threading.Event()
+        started, finished = [], []
+        lock = threading.Lock()
+
+        def first_finishes_last(work, generator, size):
+            with lock:
+                index = len(started)
+                started.append(index)
+            if index == 0:
+                assert others_done.wait(timeout=30)
+            result = work(generator, size)
+            with lock:
+                finished.append(index)
+                if len(finished) == len(chunk_lags) - 1:
+                    others_done.set()
+            return result
+
+        _wrap_chunks(monkeypatch, first_finishes_last)
+        monkeypatch.setattr(batch, "_helper_count", lambda: 1)
+        assert _history_outcome("staleness", self.CHUNK, self.TRIALS) == alone
+        assert finished[-1] == 0
+        assert not _helper_threads()
+
+    def test_a_failing_helper_chunk_propagates_and_no_helper_survives(self, monkeypatch):
+        monkeypatch.setattr(batch, "_helper_count", lambda: 1)
+        helper_failed = threading.Event()
+        started = []
+
+        def failing_on_helpers(work, generator, size):
+            started.append(threading.current_thread().name)
+            if threading.current_thread().name == "repro-batch-helper":
+                helper_failed.set()
+                raise RuntimeError("helper chunk failed")
+            assert helper_failed.wait(timeout=30)
+            return work(generator, size)
+
+        _wrap_chunks(monkeypatch, failing_on_helpers)
+        with pytest.raises(RuntimeError, match="helper chunk failed"):
+            _history_outcome("staleness", self.CHUNK, self.TRIALS)
+        # After the failure no thread starts another chunk.
+        assert started.count("repro-batch-helper") == 1
+        assert len(started) <= 2
+        assert not _helper_threads()
 
 
 class TestBatchLoadMeasurement:

@@ -1,17 +1,18 @@
 """Differential test: the batched gossip kernel against its allocating form.
 
 :func:`~repro.simulation.diffusion.gossip_rounds_batch` draws each round's
-peers as one ``(trials, n * fanout)`` matrix, shifts and offsets it in
-place, and selects pushed and adopted versions branch-free instead of
-with ``np.where``.  :func:`reference_gossip_rounds_batch` below is the
-body it replaced — a ``(trials, n, fanout)`` draw, a broadcast self-skip,
-a broadcast value ravel and two ``np.where`` selects — kept here as the
-oracle.
+peers in row blocks of ``(rows, n * fanout)`` matrices, shifts and offsets
+them in place, and selects pushed and adopted versions branch-free instead
+of with ``np.where``.  :func:`reference_gossip_rounds_batch` below is the
+body it replaced — one whole ``(trials, n, fanout)`` draw per round, a
+broadcast self-skip, a broadcast value ravel and two ``np.where`` selects —
+kept here as the oracle.
 
 Both consume the same C-order stream of integers, so on every input the
 kernel must return the reference's matrix bit for bit, in the input's
 dtype, leave its input unmutated, and leave the generator in the same
-state (the draws consumed are identical).
+state (the draws consumed are identical) — whatever the block size,
+down to one row per block.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
+from repro.quorum.base import MASK_BLOCK_RANKS
+from repro.simulation import diffusion
 from repro.simulation.diffusion import gossip_rounds_batch
 
 #: A version strictly above anything an eligible server legitimately holds.
@@ -115,6 +118,55 @@ class TestKernelMatchesReference:
         # One row past the engine's default chunk of 4096 trials.
         versions, eligible = random_state(4097, n, 31, dtype, forged_servers=2)
         assert_kernels_agree(versions, eligible, fanout, rounds, 32)
+
+
+class TestRowBlocks:
+    """Rounds split into row blocks still draw and adopt as one whole-matrix round."""
+
+    @given(
+        trials=st.integers(min_value=1, max_value=9),
+        n=st.integers(min_value=2, max_value=16),
+        fanout_share=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        rounds=st.integers(min_value=1, max_value=3),
+        block_rows=st.sampled_from([1, 3]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_batches_in_small_blocks(
+        self, trials, n, fanout_share, rounds, block_rows, seed
+    ):
+        fanout = max(1, int(fanout_share * n))  # 1 .. n-1
+        versions, eligible = random_state(trials, n, seed, np.int64, forged_servers=1)
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(diffusion, "MASK_BLOCK_RANKS", block_rows * n * fanout)
+            assert_kernels_agree(versions, eligible, fanout, rounds, seed + 1)
+
+    @pytest.mark.parametrize("block_rows", [1, 3, None])
+    @pytest.mark.parametrize("n,fanout", [(25, 2), (100, 2), (1000, 3)])
+    def test_engine_sized_clusters(self, monkeypatch, n, fanout, block_rows):
+        if block_rows is None:  # the shipped block size
+            block_rows = MASK_BLOCK_RANKS // (n * fanout)
+        else:
+            monkeypatch.setattr(diffusion, "MASK_BLOCK_RANKS", block_rows * n * fanout)
+        # Two whole blocks and one row more.  Byte-wide versions, as the
+        # engine's histories hold them; the forged holders keep a version a
+        # byte can carry.
+        versions, eligible = random_state(2 * block_rows + 1, n, 41, np.int8, forged_servers=0)
+        versions[:, -3:] = 100
+        eligible[:, -3:] = False
+        assert_kernels_agree(versions, eligible, fanout, 2, 42)
+
+    def test_draws_after_the_round_continue_the_stream(self, monkeypatch):
+        # Odd-sized blocks leave half a 32-bit word in the generator state;
+        # the next draw must pick up where one whole-matrix draw would.
+        monkeypatch.setattr(diffusion, "MASK_BLOCK_RANKS", 3 * 7 * 1)
+        versions, eligible = random_state(5, 7, 3, np.int32, forged_servers=0)
+        expected_rng, actual_rng = np.random.default_rng(9), np.random.default_rng(9)
+        reference_gossip_rounds_batch(versions, eligible, 1, 1, expected_rng)
+        gossip_rounds_batch(versions, eligible, 1, 1, actual_rng)
+        after = actual_rng.integers(0, 6, size=11)
+        assert np.array_equal(after, expected_rng.integers(0, 6, size=11))
+        assert actual_rng.random() == expected_rng.random()
 
 
 class TestEligibilityShape:

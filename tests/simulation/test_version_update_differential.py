@@ -61,7 +61,7 @@ class TestHelperMatchesMaskedWrites:
         n=st.integers(min_value=2, max_value=16),
         writes=st.integers(min_value=1, max_value=6),
         gossip_rounds=st.integers(min_value=0, max_value=2),
-        dtype=st.sampled_from([np.int32, np.int64]),
+        dtype=st.sampled_from([np.int8, np.int16, np.int32, np.int64]),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     @settings(max_examples=150, deadline=None)
