@@ -47,7 +47,8 @@ class Timestamp:
 
     # Spelled out rather than derived by ``functools.total_ordering``: gossip,
     # selection and read-repair compare timestamps on every hot path, and the
-    # derived methods cost an extra call plus an ``__eq__`` per comparison.
+    # derived methods cost an extra call plus an ``__eq__`` per comparison
+    # (``object.__ne__`` would likewise call back into ``__eq__``).
     def __gt__(self, other: "Timestamp") -> bool:
         if not isinstance(other, Timestamp):
             return NotImplemented
@@ -67,6 +68,11 @@ class Timestamp:
         if not isinstance(other, Timestamp):
             return NotImplemented
         return self.counter == other.counter and self.writer_id == other.writer_id
+
+    def __ne__(self, other: object) -> bool:
+        if not isinstance(other, Timestamp):
+            return NotImplemented
+        return self.counter != other.counter or self.writer_id != other.writer_id
 
     def __hash__(self) -> int:
         # Memoised: timestamps are dict keys on every hot path (reply

@@ -13,9 +13,9 @@ peers, which adopt it when the timestamp is newer.  Crashed servers neither
 push nor receive; Byzantine servers ignore gossip (the most adversarial
 choice for freshness) but their own pushes are also ignored by correct
 servers when ``verify`` rejects their payloads (self-verifying data).
-A round skips only pushes that cannot adopt (see
-:meth:`DiffusionEngine.run_round`), so its peers, adoptions and message
-count are those of the plain merge-every-push loop.
+A round delivers only pushes that can adopt (see
+:meth:`DiffusionEngine.run_round`), so its peers, adoptions, verifier calls
+and message count are those of the plain merge-every-push loop.
 
 The ablation benchmark ``benchmarks/test_ablation_diffusion.py`` measures
 how quickly the fraction of up-to-date servers approaches one as rounds
@@ -25,7 +25,9 @@ accumulate, which is the mechanism behind the paper's claim.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Iterable, List, Optional
+from itertools import repeat
+from operator import is_not
+from typing import Callable, Dict, Iterable, List, Optional, Set
 
 import numpy as np
 
@@ -90,11 +92,15 @@ class DiffusionEngine:
 
         Every correct server, in server order, draws ``fanout`` distinct
         peers and pushes each of its (verified) copies to all of them; a
-        correct peer adopts a copy iff its own is missing or older.  The
-        loop skips only work that provably moves nothing — a peer that
-        already holds the identical record, and a variable every correct
-        replica already holds at one timestamp — so peers, adoptions,
-        ``messages_pushed`` and the RNG stream are those of the plain loop.
+        correct peer adopts a copy iff its own is missing or older.  One
+        pass at round start finds the variables not :func:`_settled`; that
+        is exactly what a lazy check at each variable's first push would
+        find, since no variable adopts anything before its own first push.
+        Only those are delivered, skipping peers that hold the very record.
+        Without a verifier, pushes are counted in bulk; with one, every
+        held copy is still verified in the plain loop's order.  So peers,
+        adoptions, ``verify`` calls, ``messages_pushed`` and the RNG stream
+        are those of the plain merge-every-push loop.
         """
         adopted = 0
         if self.fanout == 0:
@@ -108,27 +114,32 @@ class DiffusionEngine:
         ]
         open_storages = [storage for storage in receivers if storage is not None]
         fixed_names = list(variables) if variables is not None else None
-        settled: Dict[str, bool] = {}
+        moving: Set[str] = set()
+        if open_storages:
+            known = set(fixed_names) if fixed_names is not None else set().union(*open_storages)
+            moving = {name for name in known if not _settled(open_storages, name)}
         sample, fanout, verify = self.rng.sample, self.fanout, self.verify
         for storage, candidates in zip(receivers, self._candidates):
             if storage is None:
                 continue
-            names = fixed_names if fixed_names is not None else list(storage)
+            names = fixed_names if fixed_names is not None else storage
             if not names:
                 continue
             targets = [receivers[peer] for peer in sample(candidates, fanout)]
+            if verify is None:
+                held = storage.values() if fixed_names is None else map(storage.get, fixed_names)
+                self.messages_pushed += fanout * sum(map(is_not, held, repeat(None)))
+                names = moving
             for variable in names:
                 stored = storage.get(variable)
                 if stored is None:
                     continue
-                if verify is not None and not verify(variable, stored):
-                    continue
-                self.messages_pushed += fanout
-                quiet = settled.get(variable)
-                if quiet is None:
-                    quiet = settled[variable] = _settled(open_storages, variable)
-                if quiet:
-                    continue
+                if verify is not None:
+                    if not verify(variable, stored):
+                        continue
+                    self.messages_pushed += fanout
+                    if variable not in moving:
+                        continue
                 timestamp = stored.timestamp
                 for target in targets:
                     if target is None:
@@ -197,7 +208,10 @@ def _settled(storages: List[Dict[str, StoredValue]], variable: str) -> bool:
 
     A push of a settled variable between these replicas can never adopt
     (adoption needs a strictly newer timestamp), and since nothing adopts
-    it the variable stays settled for the rest of the round.
+    it the variable stays settled for the rest of the round.  Identity is
+    checked first: replicas of one write share its timestamp object (one
+    args tuple reaches every node), and a pushed copy is the sender's very
+    record.  Only a distinct timestamp object is compared by value.
     """
     first = storages[0].get(variable)
     if first is None:
@@ -205,9 +219,12 @@ def _settled(storages: List[Dict[str, StoredValue]], variable: str) -> bool:
     timestamp = first.timestamp
     for storage in storages:
         current = storage.get(variable)
+        if current is first:
+            continue
         if current is None:
             return False
-        if current is not first and current.timestamp != timestamp:
+        other = current.timestamp
+        if other is not timestamp and other != timestamp:
             return False
     return True
 

@@ -48,6 +48,8 @@ class ServerBehavior(abc.ABC):
 
     #: Whether the behaviour models a Byzantine (arbitrary) failure.
     byzantine: bool = False
+    #: Whether the behaviour models a crash (fail-stop: never replies).
+    crashed: bool = False
 
     @abc.abstractmethod
     def on_write(
@@ -94,6 +96,8 @@ class CorrectBehavior(ServerBehavior):
 
 class CrashedBehavior(ServerBehavior):
     """A crashed server: never replies."""
+
+    crashed = True
 
     def on_write(self, server: "ReplicaServer", variable: str, stored: StoredValue) -> bool:
         return False
@@ -255,8 +259,8 @@ class ReplicaServer:
 
     @property
     def is_crashed(self) -> bool:
-        """Whether the server currently runs the crashed behaviour."""
-        return isinstance(self._behavior, CrashedBehavior)
+        """Whether the server currently runs a crashed behaviour."""
+        return self._behavior.crashed
 
     @property
     def is_byzantine(self) -> bool:

@@ -38,7 +38,22 @@ class TestTimestamp:
 
     def test_comparison_with_other_types(self):
         assert Timestamp(1, 0).__eq__("x") is NotImplemented
+        assert Timestamp(1, 0).__ne__("x") is NotImplemented
         assert Timestamp(1, 0).__lt__("x") is NotImplemented
+        assert Timestamp(1, 0) != "x"
+        assert not Timestamp(1, 0) == "x"
+
+    @given(
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=3),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_not_equal_is_the_negation_of_equal(self, c1, w1, c2, w2):
+        a, b = Timestamp(c1, w1), Timestamp(c2, w2)
+        assert (a != b) == (not a == b)
+        assert (b != a) == (not b == a)
 
     @given(
         st.integers(min_value=0, max_value=10**6),

@@ -61,6 +61,20 @@ class TestCrashAndRecovery:
         assert not server.is_crashed
         assert server.handle_read("x").value == "v"
 
+    def test_installing_a_crashed_behavior_crashes_the_server(self):
+        server = ReplicaServer(0)
+        server.behavior = CrashedBehavior()
+        assert server.is_crashed
+        server.recover()
+        assert not server.is_crashed
+
+    def test_a_crashed_behavior_subclass_is_crashed(self):
+        class Halted(CrashedBehavior):
+            pass
+
+        assert ReplicaServer(0, behavior=Halted()).is_crashed
+        assert not ReplicaServer(0, behavior=ByzantineSilentBehavior()).is_crashed
+
     def test_double_crash_then_recover_keeps_original_behavior(self):
         server = ReplicaServer(0, behavior=ByzantineSilentBehavior())
         server.crash()
