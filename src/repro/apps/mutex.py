@@ -39,6 +39,7 @@ from repro.protocol.arbiter import (  # noqa: F401 - lock_variable is re-exporte
     LockOp,
     lock_variable,
 )
+from repro.protocol.quorum_op import QuorumOp
 from repro.protocol.selection import ReadRule
 from repro.rngs import fresh_rng
 from repro.service.client import AsyncQuorumClient
@@ -49,7 +50,6 @@ from repro.service.load import (
     inject_faults,
     refuse_remote_churn,
 )
-from repro.service.quorum_op import QuorumOp
 from repro.service.sharding import DeploymentSpec
 from repro.simulation.scenario import ScenarioSpec
 from repro.types import ServerId

@@ -34,6 +34,7 @@ from typing import Dict, List, Optional, Set
 
 from repro.core.probabilistic import ProbabilisticQuorumSystem
 from repro.exceptions import ConfigurationError, ProtocolError
+from repro.protocol.quorum_op import QuorumOp
 from repro.protocol.selection import ReadRule
 from repro.protocol.signatures import SignatureScheme
 from repro.protocol.timestamps import Timestamp
@@ -137,8 +138,9 @@ class VotingService:
         """Return ``(locked, quorum)``: locked when some credible record clears the threshold."""
         variable = self._lock_variable(voter_id)
         quorum = self.system.sample_quorum(self.rng)
-        replies = self.cluster.read_quorum(quorum, variable)
-        locked = bool(self.rule.enumerate(self.rule.credible(variable, replies)))
+        replies = self.cluster.run(QuorumOp(quorum), "read", (variable,)).replies
+        records = {server: stored for server, stored in replies.items() if stored is not None}
+        locked = bool(self.rule.enumerate(self.rule.credible(variable, records)))
         return locked, quorum
 
     def _write_lock(self, voter_id: str, station_id: int) -> Quorum:
@@ -147,7 +149,7 @@ class VotingService:
         timestamp = self._next_timestamp(station_id)
         value = {"station": station_id, "voter": voter_id}
         signature = self.rule.sign(variable, value, timestamp)
-        self.cluster.write_quorum(quorum, variable, value, timestamp, signature=signature)
+        self.cluster.run(QuorumOp(quorum), "write", (variable, value, timestamp, signature))
         return quorum
 
     # -- public operations ----------------------------------------------------------

@@ -7,6 +7,12 @@ differ only in the read rule, so this subpackage implements them as one
 register with three rules, against the
 :class:`~repro.simulation.cluster.Cluster` facade:
 
+* :mod:`repro.protocol.quorum_op` — one quorum operation as a pure state
+  machine (no event loop, no clock, no IO): who is asked, which replies
+  count, and the top-up rule that sends the operation itself to as many
+  not-yet-contacted servers as stayed silent.  The cluster's synchronous
+  :meth:`~repro.simulation.cluster.Cluster.run` and the service's drivers
+  all run it;
 * :mod:`repro.protocol.timestamps` — writer-local monotone timestamps;
 * :mod:`repro.protocol.signatures` — simulated self-verifying data (keyed
   hashes standing in for digital signatures);
@@ -26,6 +32,7 @@ register with three rules, against the
 """
 
 from repro.protocol.timestamps import Timestamp, TimestampGenerator
+from repro.protocol.quorum_op import MAX_TOP_UP_ROUNDS, QuorumOp
 from repro.protocol.signatures import SignatureScheme, SignedPayload
 from repro.protocol.variable import ProbabilisticRegister, ReadOutcome
 from repro.protocol.classification import OUTCOME_LABELS, classify_read_outcome
@@ -40,6 +47,8 @@ from repro.protocol.lock import QuorumLock
 from repro.protocol.write_back import WriteBackRegister
 
 __all__ = [
+    "QuorumOp",
+    "MAX_TOP_UP_ROUNDS",
     "Timestamp",
     "TimestampGenerator",
     "SignatureScheme",

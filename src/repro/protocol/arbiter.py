@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
 from repro.exceptions import ConfigurationError
+from repro.protocol.quorum_op import MAX_TOP_UP_ROUNDS, QuorumOp
 from repro.protocol.selection import ReadRule
 from repro.protocol.timestamps import Timestamp
-from repro.service.quorum_op import MAX_TOP_UP_ROUNDS, QuorumOp
 from repro.simulation.server import StoredValue
 from repro.types import Quorum, ServerId
 
@@ -169,11 +169,6 @@ class LockAttempt:
     def acquired(self) -> bool:
         """``granted``, as the synchronous lock spells it."""
         return self.granted
-
-    @property
-    def write_quorum(self) -> Optional[Quorum]:
-        """``quorum``, as the synchronous lock spells it."""
-        return self.quorum
 
 
 class LockRound(QuorumOp):

@@ -16,15 +16,15 @@ arbiter: the ε of :class:`~repro.protocol.arbiter.LockArbiter`.
 from __future__ import annotations
 
 import random
-from typing import Dict, FrozenSet, Iterable, Optional, Tuple
+from typing import Dict, FrozenSet, Optional
 
 from repro.core.probabilistic import ProbabilisticQuorumSystem
 from repro.exceptions import ConfigurationError, ProtocolError
 from repro.protocol.arbiter import HOLDER, LockAttempt, LockClient, LockOp
+from repro.protocol.quorum_op import QuorumOp
 from repro.protocol.selection import ReadRule
 from repro.protocol.signatures import SignatureScheme
 from repro.rngs import fresh_rng
-from repro.service.quorum_op import QuorumOp
 from repro.simulation.cluster import Cluster
 from repro.types import ServerId
 
@@ -71,24 +71,10 @@ class QuorumLock(LockClient):
         self._held: Dict[int, LockOp] = {}
         self.acquisitions = 0
 
-    def _run(self, rounds: Iterable[Tuple[QuorumOp, tuple]]) -> None:
-        """Run each ``(op, message)`` on the cluster, in turn."""
-        for op, message in rounds:
-            servers = op.start()
-            while servers:
-                replies = self.cluster.lock_quorum(servers, message)
-                for server in servers:
-                    if server in replies:
-                        op.on_reply(server, replies[server])
-                    else:
-                        op.on_miss(server)
-                servers = op.round_end()
-
     def holder(self) -> Optional[int]:
         """The client a fresh quorum of arbiters reports as holding the lock."""
         quorum = QuorumOp(self.system.sample_quorum(self.rng), self.system, self.rng, repair=True)
-        self._run([(quorum, (HOLDER, self.variable))])
-        return self.holder_of(quorum.replies)
+        return self.holder_of(self.cluster.run(quorum, "lock", (HOLDER, self.variable)).replies)
 
     def acquire(self, client_id: int) -> LockAttempt:
         """Try once to acquire the lock for ``client_id``.
@@ -102,7 +88,8 @@ class QuorumLock(LockClient):
         if client_id in self._held:
             raise ProtocolError(f"client {client_id} already holds lock {self.name!r}")
         lock = self.begin(client_id, self.system.sample_quorum(self.rng))
-        self._run(self.try_rounds(lock, self.system, self.rng))
+        for op, message in self.try_rounds(lock, self.system, self.rng):
+            self.cluster.run(op, "lock", message)
         if lock.held:
             self._held[client_id] = lock
             self.acquisitions += 1
@@ -111,7 +98,8 @@ class QuorumLock(LockClient):
         return lock.attempt(self.name)
 
     def _release(self, lock: LockOp) -> FrozenSet[ServerId]:
-        self._run(self.release_rounds(lock))
+        for op, message in self.release_rounds(lock):
+            self.cluster.run(op, "lock", message)
         return frozenset(lock.unreleased)
 
     def release(self, client_id: int) -> FrozenSet[ServerId]:

@@ -3,10 +3,12 @@
 An operation samples a quorum from the access strategy, collects the
 replies and hands them to the selection rule; the paper states ε for
 exactly that operation.  :class:`QuorumOp` is the operation between the
-draw and the selection rule.  A driver (the in-process
-:class:`~repro.service.dispatch.BatchedDispatcher` or the wire-level
-:class:`~repro.service.net.TcpDispatcher`) moves its messages and owns
-its deadline; the op decides who is asked and which answers count:
+draw and the selection rule, and every layer runs the same one.  A driver
+moves its messages — the sequential oracle's synchronous
+:meth:`~repro.simulation.cluster.Cluster.run`, the service's in-process
+``BatchedDispatcher`` or its wire-level ``TcpDispatcher`` (the last two
+also own a per-round deadline); the op decides who is asked and which
+answers count:
 
 * :meth:`QuorumOp.start` names the first round's servers;
 * :meth:`QuorumOp.on_reply` / :meth:`QuorumOp.on_miss` record each fate,

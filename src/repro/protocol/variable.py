@@ -50,6 +50,7 @@ from typing import Any, Dict, Optional, Set
 
 from repro.core.probabilistic import ProbabilisticQuorumSystem
 from repro.exceptions import ProtocolError, QuorumUnavailableError
+from repro.protocol.quorum_op import QuorumOp
 from repro.protocol.selection import ReadRule, SelectedValue
 from repro.protocol.timestamps import Timestamp, TimestampGenerator
 from repro.rngs import fresh_rng
@@ -180,26 +181,35 @@ class ProbabilisticRegister:
     def write(self, value: Any) -> WriteOutcome:
         """Write ``value`` to a strategy-drawn quorum (Sections 3.1 and 4, Write).
 
-        The write is considered complete once the chosen quorum has been
-        contacted; crashed servers simply miss the update, which is exactly
-        the behaviour the ε analysis accounts for.  A signed rule signs the
-        pair first (Section 4).
+        The write is one round of a :class:`~repro.protocol.quorum_op.QuorumOp`
+        over the drawn quorum, with no top-up: crashed members simply miss
+        the update.  So the oracle runs the closed form of the *drawn*
+        quorum, which under crashes is not the ε the analysis states for a
+        write that reaches a whole quorum.  A signed rule signs the pair
+        first (Section 4).
         """
         quorum = self._choose_quorum()
         timestamp = self._timestamps.next()
         signature = self.rule.sign(self.name, value, timestamp)
-        acks = self.cluster.write_quorum(quorum, self.name, value, timestamp, signature=signature)
-        outcome = WriteOutcome(
-            quorum=quorum, timestamp=timestamp, acknowledged=frozenset(acks)
-        )
+        acks = self._send(quorum, value, timestamp, signature)
+        outcome = WriteOutcome(quorum=quorum, timestamp=timestamp, acknowledged=acks)
         self._last_written = outcome
         self.writes_performed += 1
         return outcome
 
     # -- read -------------------------------------------------------------------
 
+    def _send(
+        self, quorum: Quorum, value: Any, timestamp: Timestamp, signature: Optional[bytes]
+    ) -> frozenset:
+        """Write the pair to ``quorum``; return the servers that acknowledged."""
+        args = (self.name, value, timestamp, signature)
+        return frozenset(self.cluster.run(QuorumOp(quorum), "write", args).replies)
+
     def _collect(self, quorum: Quorum) -> Dict[ServerId, StoredValue]:
-        return self.cluster.read_quorum(quorum, self.name)
+        """Query ``quorum``; return the value-bearing replies, in arrival order."""
+        replies = self.cluster.run(QuorumOp(quorum), "read", (self.name,)).replies
+        return {server: stored for server, stored in replies.items() if stored is not None}
 
     def read(self) -> ReadOutcome:
         """Read the register: filter the replies, then highest timestamp wins.

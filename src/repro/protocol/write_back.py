@@ -59,10 +59,9 @@ class WriteBackRegister(ProbabilisticRegister):
         """Read, then propagate the chosen value to another quorum (read repair)."""
         outcome = super().read()
         if not outcome.is_empty:
-            repair_quorum = self._choose_quorum()
-            self.cluster.write_quorum(
-                repair_quorum, self.name, outcome.value, outcome.timestamp,
-                signature=self.rule.sign(self.name, outcome.value, outcome.timestamp),
+            self._send(
+                self._choose_quorum(), outcome.value, outcome.timestamp,
+                self.rule.sign(self.name, outcome.value, outcome.timestamp),
             )
             self.write_backs_performed += 1
         return outcome

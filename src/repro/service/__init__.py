@@ -7,17 +7,16 @@ asyncio event loop, clients that fan RPCs out in parallel under per-RPC
 deadlines, and a load harness measuring throughput, latency percentiles and
 safety under live fault injection.
 
-* :mod:`repro.service.node` — replica nodes wrapping the simulation's
-  server behaviours (correct / crashed / silent / replay / forge), with
-  live behaviour swapping for fault injection;
+* :mod:`repro.service.node` — replica nodes: the simulation's
+  :class:`~repro.simulation.server.ReplicaServer` (every RPC and every
+  silence rule) in the ``("ok", payload)`` envelope, with live behaviour
+  swapping for fault injection;
 * :mod:`repro.service.transport` — message passing with latency, jitter,
   drops and deadline enforcement;
-* :mod:`repro.service.quorum_op` — one quorum operation as a pure state
-  machine: who is asked, which replies count, and the top-up rule that
-  sends the operation itself to as many not-yet-contacted servers as
-  stayed silent;
 * :mod:`repro.service.client` — the concurrent quorum client: draws a
-  quorum, has a driver run the op, wraps the result;
+  quorum, has a driver run the op (the pure
+  :class:`~repro.protocol.quorum_op.QuorumOp` the sequential oracle runs
+  too), wraps the result;
 * :mod:`repro.service.dispatch` — the driver loop and the in-process
   driver: one coalesced delivery event per (node, tick) and one shared
   deadline per round, instead of a coroutine + timer per RPC;
@@ -71,8 +70,8 @@ from repro.service.sharding import (
     shard_for_key,
 )
 from repro.service.wire import FrameDecoder, encode_frame, pack_value, unpack_value
-from repro.service.node import NO_REPLY, ServiceNode
-from repro.service.quorum_op import QuorumOp
+from repro.service.node import ServiceNode
+from repro.simulation.server import NO_REPLY
 from repro.service.register import AsyncRegister, async_register_for
 from repro.service.transport import AsyncTransport
 
@@ -98,7 +97,6 @@ __all__ = [
     "NO_REPLY",
     "AsyncQuorumClient",
     "BatchedDispatcher",
-    "QuorumOp",
     "ReadRpcResult",
     "WriteRpcResult",
     "AsyncRegister",

@@ -3,7 +3,7 @@
 A client performs one protocol operation (read or write) by sampling a
 quorum through the system's access strategy — the paper stresses the
 strategy must be followed for the ε guarantee to hold — and handing it to a
-:class:`~repro.service.quorum_op.QuorumOp`, which a driver runs under a
+:class:`~repro.protocol.quorum_op.QuorumOp`, which a driver runs under a
 per-round deadline.  The op owns the rule for partial failure (**the
 operation is the probe**: answers in hand are kept, each server is asked at
 most once, and only the deficit is re-drawn from servers not yet
@@ -34,10 +34,10 @@ import numpy as np
 from repro.core.probabilistic import ProbabilisticQuorumSystem
 from repro.exceptions import ConfigurationError, QuorumUnavailableError
 from repro.obs.trace import QuorumTrace, Tracer
+from repro.protocol.quorum_op import QuorumOp
 from repro.rngs import fresh_rng
 from repro.service.dispatch import BatchedDispatcher, QuorumDriver
 from repro.service.node import ServiceNode
-from repro.service.quorum_op import QuorumOp
 from repro.service.transport import AsyncTransport
 from repro.simulation.server import StoredValue
 from repro.types import Quorum, ServerId
@@ -135,7 +135,7 @@ class AsyncQuorumClient:
     lazy_fallback:
         Skip the read path's top-up round when the partial reply set can
         already settle a value (see
-        :meth:`~repro.service.quorum_op.QuorumOp.settleable`).  The top-up
+        :meth:`~repro.protocol.quorum_op.QuorumOp.settleable`).  The top-up
         exists to chase freshness into a full quorum; with anti-entropy
         running that freshness is maintained in the background, so
         deployments arm this together with gossip/read-repair and the extra

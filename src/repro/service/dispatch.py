@@ -1,6 +1,6 @@
 """Quorum-operation drivers and the in-process one, the batched dispatcher.
 
-A :class:`~repro.service.quorum_op.QuorumOp` decides who is asked and
+A :class:`~repro.protocol.quorum_op.QuorumOp` decides who is asked and
 which answers count; a *driver* moves its messages and owns its deadline.
 :class:`QuorumDriver` is the loop every driver shares — run a round, let
 the op close it, run the spares it names — and ``fan_out`` is its
@@ -40,9 +40,10 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.service.node import NO_REPLY, ServiceNode
-from repro.service.quorum_op import QuorumOp
+from repro.protocol.quorum_op import QuorumOp
+from repro.service.node import ServiceNode
 from repro.service.transport import AsyncTransport
+from repro.simulation.server import NO_REPLY
 from repro.types import ServerId
 
 

@@ -10,7 +10,7 @@ wire-level implementation of that same interface:
   :class:`~repro.service.node.ServiceNode`) behind one listening socket;
   requests carry their destination server ids and are dispatched to each
   node's ordinary ``handle`` method.  A node that answers
-  :data:`~repro.service.node.NO_REPLY` (crashed, silent-Byzantine) gets **no
+  :data:`~repro.simulation.server.NO_REPLY` (crashed, silent-Byzantine) gets **no
   response** — the caller's deadline expires exactly as it would in
   process, so live fault injection works unchanged over the wire.
 * :class:`TcpTransport` is a drop-in :class:`~repro.service.transport.
@@ -65,11 +65,11 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.exceptions import RpcTimeoutError, ServiceError, WireFormatError
+from repro.exceptions import ProtocolError, RpcTimeoutError, ServiceError, WireFormatError
 from repro.obs.metrics import MetricsRegistry
+from repro.protocol.quorum_op import QuorumOp
 from repro.service.dispatch import QuorumDriver
-from repro.service.node import NO_REPLY, ServiceNode
-from repro.service.quorum_op import QuorumOp
+from repro.service.node import ServiceNode
 from repro.service.transport import AsyncTransport
 from repro.service.wire import (
     WIRE_CODECS,
@@ -83,6 +83,7 @@ from repro.service.wire import (
     encode_vectored_request_frame,
     request_tail,
 )
+from repro.simulation.server import NO_REPLY
 
 #: Socket read size for both the server's and the client's reader loops.
 _READ_CHUNK = 64 * 1024
@@ -292,7 +293,7 @@ class TcpServiceServer:
                 # on the in-process paths.
                 if reply is not NO_REPLY:
                     replies.append((server_id, reply))
-        except (ServiceError, TypeError, ValueError) as error:
+        except (ProtocolError, TypeError, ValueError) as error:
             # Method-level garbage (unknown method, wrong argument shape)
             # gets the same containment as frame-level garbage: this peer
             # loses its connection, nothing more.
@@ -609,7 +610,7 @@ class TcpTransport(AsyncTransport):
 
 
 class _WireOp:
-    """One round of a :class:`~repro.service.quorum_op.QuorumOp` on the wire.
+    """One round of a :class:`~repro.protocol.quorum_op.QuorumOp` on the wire.
 
     The replies live in the op; this is the driver's state: the round's
     future, its ``mreq`` id once sent, its start and its deadline timer.  A

@@ -28,7 +28,8 @@ import random
 from typing import Any, Optional
 
 from repro.exceptions import ConfigurationError, RpcTimeoutError
-from repro.service.node import NO_REPLY, ServiceNode
+from repro.service.node import ServiceNode
+from repro.simulation.server import NO_REPLY
 
 
 def check_conditions(latency: float, jitter: float, drop_probability: float) -> None:

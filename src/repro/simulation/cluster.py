@@ -1,33 +1,33 @@
-"""Cluster orchestration: the quorum-RPC facade the protocol layer uses.
+"""Cluster orchestration: the synchronous driver of one quorum operation.
 
 A :class:`Cluster` owns the ``n`` replica servers and the failure plan, and
-exposes the two operations the paper's access protocols need, plus the lock
-protocol's one:
+runs a :class:`~repro.protocol.quorum_op.QuorumOp` — the same pure
+operation the asyncio service's drivers run — with :meth:`Cluster.run`:
+each round's servers are asked through
+:meth:`~repro.simulation.server.ReplicaServer.handle` (``"write"``,
+``"read"`` or ``"lock"``), every answer is fed to the op as a reply and
+every silence as a miss, until the op names no further round.  The
+register, the write-back register, the voting service, the quorum lock and
+the exhaustive explorer all ask the replicas this way, so the RPC
+vocabulary and what counts as silence live in one place, the server.
 
-* :meth:`Cluster.write_quorum` — send a timestamped (optionally signed)
-  value to every server of a quorum and collect acknowledgements;
-* :meth:`Cluster.read_quorum` — query every server of a quorum and collect
-  value/timestamp replies;
-* :meth:`Cluster.lock_quorum` — send a lock-arbiter message to every server
-  of a quorum and collect the replies.
-
-The facade is synchronous and delivers each RPC directly to the server, so
-a quorum RPC returns the full reply map.  Faults live in the servers, not in
-a message layer: a crashed server never answers, a gray server
+Delivery is synchronous and direct.  Faults live in the servers, not in a
+message layer: a crashed server never answers, a gray server
 (:class:`~repro.simulation.server.GrayBehavior`) drops messages at its own
-seeded rate, a partition away from the clients is a crash set
-(:meth:`FailurePlan.targeted_partition`), and reordering is the plan's
+seeded rate, a partition away from the clients is a crash set (the
+``targeted_partition`` failure model), and reordering is the plan's
 ``shuffle_delivery`` flag — the only use of the cluster's random source.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Iterable, List, Optional, Set
 
 from repro.exceptions import ConfigurationError
 from repro.simulation.failures import FailurePlan
-from repro.simulation.server import ReplicaServer, StoredValue
+from repro.protocol.quorum_op import QuorumOp
+from repro.simulation.server import NO_REPLY, ReplicaServer
 from repro.types import ServerId
 
 
@@ -56,7 +56,7 @@ class Cluster:
         self._n = int(n)
         self.rng = random.Random(seed)
         self.servers: List[ReplicaServer] = [ReplicaServer(i) for i in range(n)]
-        self._plan = failure_plan or FailurePlan.none()
+        self._plan = failure_plan or FailurePlan()
         self._apply_failure_plan(self._plan)
 
     # -- failure plan -----------------------------------------------------------
@@ -135,48 +135,24 @@ class Cluster:
             self.rng.shuffle(order)
         return order
 
-    def write_quorum(
-        self,
-        quorum: Iterable[ServerId],
-        variable: str,
-        value,
-        timestamp,
-        signature: Optional[bytes] = None,
-    ) -> Dict[ServerId, bool]:
-        """Send a write to every server of ``quorum``; return per-server acks.
+    def run(self, op: QuorumOp, method: str, args: tuple) -> QuorumOp:
+        """Run ``op`` to completion, asking each round's servers ``method(*args)``.
 
-        Only servers that acknowledged appear: a crashed server, a gray
-        server's dropped message and a Byzantine refusal all leave the key
-        out.
+        Each round is delivered in :meth:`_delivery_order`; an answer is
+        the op's reply and :data:`~repro.simulation.server.NO_REPLY` its
+        miss.  Returns ``op``, whose ``replies`` hold every counted answer
+        in arrival order.
         """
-        acks: Dict[ServerId, bool] = {}
-        for server_id in self._delivery_order(quorum):
-            self._check_server(server_id)
-            ack = self.servers[server_id].handle_write(variable, value, timestamp, signature)
-            if ack:
-                acks[server_id] = ack
-        return acks
-
-    def read_quorum(self, quorum: Iterable[ServerId], variable: str) -> Dict[ServerId, StoredValue]:
-        """Query every server of ``quorum``; return the replies that arrive."""
-        replies: Dict[ServerId, StoredValue] = {}
-        for server_id in self._delivery_order(quorum):
-            self._check_server(server_id)
-            stored = self.servers[server_id].handle_read(variable)
-            if stored is not None:
-                replies[server_id] = stored
-        return replies
-
-    def lock_quorum(self, quorum: Iterable[ServerId], message: tuple) -> Dict[ServerId, tuple]:
-        """Send a lock message to every server of ``quorum``; return the
-        replies that arrive (see :mod:`repro.protocol.arbiter`)."""
-        replies: Dict[ServerId, tuple] = {}
-        for server_id in self._delivery_order(quorum):
-            self._check_server(server_id)
-            reply = self.servers[server_id].handle_lock(message)
-            if reply is not None:
-                replies[server_id] = reply
-        return replies
+        servers = op.start()
+        while servers:
+            for server_id in self._delivery_order(servers):
+                reply = self.servers[self._check_server(server_id)].handle(method, *args)
+                if reply is NO_REPLY:
+                    op.on_miss(server_id)
+                else:
+                    op.on_reply(server_id, reply)
+            servers = op.round_end()
+        return op
 
     # -- inspection helpers ---------------------------------------------------------
 

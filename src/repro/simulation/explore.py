@@ -59,6 +59,7 @@ from repro.simulation.server import (
     ByzantineForgeBehavior,
     ByzantineReplayBehavior,
     ByzantineSilentBehavior,
+    NO_REPLY,
     ReplicaServer,
     StoredValue,
 )
@@ -392,10 +393,10 @@ class _Run:
         signature = self.rule.sign(spec.variable, op.value, timestamp)
         quorum = self._choose_quorum(op_index, "write")
 
+        args = (spec.variable, op.value, timestamp, signature)
+
         def deliver(server_id: int) -> None:
-            self.servers[server_id].handle_write(
-                spec.variable, op.value, timestamp, signature
-            )
+            self.servers[server_id].handle("write", *args)
 
         self._scatter(quorum, deliver)
         self._drain(op_index, "write")
@@ -407,8 +408,8 @@ class _Run:
         replies: Dict[int, StoredValue] = {}
 
         def deliver(server_id: int) -> None:
-            stored = self.servers[server_id].handle_read(spec.variable)
-            if stored is not None:
+            stored = self.servers[server_id].handle("read", spec.variable)
+            if stored is not None and stored is not NO_REPLY:
                 replies[server_id] = stored
 
         self._scatter(quorum, deliver)

@@ -27,11 +27,16 @@ import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
-from repro.exceptions import SimulationError
+from repro.exceptions import ProtocolError, SimulationError
 from repro.types import ServerId
 
 if TYPE_CHECKING:
     from repro.protocol.arbiter import LockArbiter
+
+
+#: What :meth:`ReplicaServer.handle` returns for silence: no reply at all,
+#: which a driver turns into a miss (the service, into the caller's timeout).
+NO_REPLY = object()
 
 
 @dataclass(frozen=True)
@@ -289,28 +294,54 @@ class ReplicaServer:
             self._behavior = self._saved_behavior or CorrectBehavior()
             self._saved_behavior = None
 
-    # -- protocol entry points ----------------------------------------------------
+    @property
+    def answers_pings(self) -> bool:
+        """Whether a liveness probe (or a repair) gets an answer.
 
-    def handle_write(
-        self,
-        variable: str,
-        value: Any,
-        timestamp: Any,
-        signature: Optional[bytes] = None,
-    ) -> bool:
-        """Apply a write request through the behaviour; return the ack flag."""
-        self.writes_handled += 1
-        stored = StoredValue(value=value, timestamp=timestamp, signature=signature)
-        return self._behavior.on_write(self, variable, stored)
+        Crashed servers cannot answer; a silent-Byzantine server *chooses*
+        not to (total suppression is its defining attack).
+        """
+        return not (self.is_crashed or isinstance(self._behavior, ByzantineSilentBehavior))
 
-    def handle_read(self, variable: str) -> Optional[StoredValue]:
-        """Answer a read request through the behaviour (``None`` = no reply)."""
-        self.reads_handled += 1
-        return self._behavior.on_read(self, variable)
+    # -- the protocol entry point -------------------------------------------------
 
-    def handle_lock(self, message: tuple) -> Any:
-        """Answer a lock message through the behaviour (``None`` = no reply)."""
-        return self._behavior.on_lock(self, message)
+    def handle(self, method: str, *args: Any) -> Any:
+        """Answer one RPC through the behaviour; :data:`NO_REPLY` is silence.
+
+        ``read(variable)`` returns the stored copy (``None``: "I store
+        nothing"), ``write`` / ``repair(variable, value, timestamp,
+        signature)`` the ack / whether the merge adopted, ``lock(*message)``
+        the arbiter's reply and ``ping()`` ``True``.  Every driver — the
+        synchronous :class:`~repro.simulation.cluster.Cluster`, the explorer
+        and the service's nodes — asks through here.
+        """
+        if method == "read":
+            # First: reads dominate every workload.
+            self.reads_handled += 1
+            stored = self._behavior.on_read(self, *args)
+            if stored is None and not self.answers_pings:
+                return NO_REPLY
+            return stored
+        if method == "write":
+            self.writes_handled += 1
+            variable, value, timestamp, signature = args
+            stored = StoredValue(value, timestamp, signature)
+            # Only silence withholds an ack (crashed, silent, a gray drop).
+            return True if self._behavior.on_write(self, variable, stored) else NO_REPLY
+        if method == "repair":
+            # Anti-entropy delivery (read-repair or a gossip push): adopt if
+            # newer through the merge rule, which refuses on crashed and
+            # Byzantine servers.  Senders are fire-and-forget.
+            variable, value, timestamp, signature = args
+            adopted = self.merge(variable, StoredValue(value, timestamp, signature))
+            return adopted if self.answers_pings else NO_REPLY
+        if method == "lock":
+            # Every lock-arbiter reply is a tuple, so None is silence.
+            reply = self._behavior.on_lock(self, args)
+            return NO_REPLY if reply is None else reply
+        if method == "ping":
+            return True if self.answers_pings else NO_REPLY
+        raise ProtocolError(f"unknown rpc method {method!r}")
 
     # -- gossip support -----------------------------------------------------------
 

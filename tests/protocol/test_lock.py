@@ -39,7 +39,7 @@ class TestBasicLocking:
         attempt = lock.acquire(client_id=2)
         assert not attempt.acquired
         assert attempt.holder_seen == 1
-        assert attempt.write_quorum is None
+        assert attempt.quorum is None
 
     def test_release_then_reacquire(self):
         lock = make_lock()

@@ -1,4 +1,4 @@
-"""Contract tests for :class:`~repro.service.quorum_op.QuorumOp`, with no event loop.
+"""Contract tests for :class:`~repro.protocol.quorum_op.QuorumOp`, with no event loop.
 
 The op is driven by hand: each round's servers either answer or miss, and
 ``round_end`` names the next round.  What a driver cannot break, the op
@@ -18,9 +18,9 @@ from repro.core.epsilon_intersecting import (
     UniformEpsilonIntersectingSystem,
 )
 from repro.core.masking import ProbabilisticMaskingSystem
+from repro.protocol.quorum_op import MAX_TOP_UP_ROUNDS, QuorumOp
 from repro.protocol.timestamps import Timestamp
 from repro.quorum.grid import GridQuorumSystem
-from repro.service.quorum_op import MAX_TOP_UP_ROUNDS, QuorumOp
 from repro.simulation.server import StoredValue
 
 PLAIN = UniformEpsilonIntersectingSystem(25, 8)

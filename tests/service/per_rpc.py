@@ -2,7 +2,7 @@
 
 Every RPC is its own coroutine with its own deadline, exactly what the
 batched and wire drivers exist to avoid.  It is kept only as the oracle the
-driver tests compare against: same :class:`~repro.service.quorum_op.QuorumOp`,
+driver tests compare against: same :class:`~repro.protocol.quorum_op.QuorumOp`,
 same transport counters, the simplest possible delivery.
 """
 

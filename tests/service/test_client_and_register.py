@@ -17,6 +17,7 @@ from repro.core.epsilon_intersecting import (
 from repro.core.masking import ProbabilisticMaskingSystem
 from repro.exceptions import ConfigurationError, QuorumUnavailableError
 from repro.obs.trace import Tracer
+from repro.protocol.quorum_op import MAX_TOP_UP_ROUNDS
 from repro.protocol.selection import ReadRule
 from repro.protocol.signatures import SignatureScheme
 from repro.protocol.timestamps import Timestamp
@@ -24,7 +25,6 @@ from repro.quorum.grid import GridQuorumSystem
 from repro.quorum.probe import UniformProbeStrategy, oracle_from_alive_set
 from repro.service.client import AsyncQuorumClient
 from repro.service.node import ServiceNode
-from repro.service.quorum_op import MAX_TOP_UP_ROUNDS
 from repro.service.register import AsyncRegister, async_register_for
 from repro.service.transport import AsyncTransport
 from repro.simulation.scenario import ScenarioSpec

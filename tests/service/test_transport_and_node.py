@@ -6,11 +6,12 @@ import asyncio
 
 import pytest
 
-from repro.exceptions import ConfigurationError, RpcTimeoutError, ServiceError
+from repro.exceptions import ConfigurationError, ProtocolError, RpcTimeoutError
 from repro.protocol.timestamps import Timestamp
-from repro.service.node import NO_REPLY, ServiceNode
+from repro.service.node import ServiceNode
 from repro.service.transport import AsyncTransport, check_conditions
 from repro.simulation.server import (
+    NO_REPLY,
     ByzantineForgeBehavior,
     ByzantineSilentBehavior,
 )
@@ -117,7 +118,7 @@ class TestServiceNode:
         node.crash()
         assert node.handle("read", "x") is NO_REPLY
         assert node.handle("write", "x", "w", Timestamp(2), None) is NO_REPLY
-        assert not node.answers_pings
+        assert not node.server.answers_pings
         node.recover()
         tag, stored = node.handle("read", "x")
         assert stored.value == "v"
@@ -140,8 +141,8 @@ class TestServiceNode:
         node.set_behavior(ByzantineForgeBehavior("FORGED", Timestamp.forged_maximum()))
         tag, stored = node.handle("read", "x")
         assert stored.value == "FORGED"
-        assert node.answers_pings  # a forger looks perfectly alive
+        assert node.server.answers_pings  # a forger looks perfectly alive
 
-    def test_unknown_method_is_a_service_error(self):
-        with pytest.raises(ServiceError):
+    def test_unknown_method_is_a_protocol_error(self):
+        with pytest.raises(ProtocolError):
             ServiceNode(0).handle("warp")

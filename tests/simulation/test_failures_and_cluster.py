@@ -12,6 +12,7 @@ import pytest
 from repro.core.masking import ProbabilisticMaskingSystem
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.protocol.arbiter import HOLDER, REQUEST
+from repro.protocol.quorum_op import QuorumOp
 from repro.protocol.timestamps import Timestamp
 from repro.simulation.batch import BatchTrialEngine
 from repro.simulation.cluster import Cluster
@@ -23,8 +24,18 @@ from repro.simulation.server import (
     CorrectBehavior,
     CrashedBehavior,
     GrayBehavior,
+    NO_REPLY,
     ReplicaServer,
 )
+
+
+def ask(cluster, quorum, method, *args):
+    """The replies one single-round op over ``quorum`` collects."""
+    return cluster.run(QuorumOp(quorum), method, args).replies
+
+
+def write(cluster, quorum, value="v", timestamp=Timestamp(1, 0)):
+    return ask(cluster, quorum, "write", "x", value, timestamp, None)
 
 
 class TestFailurePlan:
@@ -119,9 +130,9 @@ class TestFailurePlanImmutability:
         def trial(first_value):
             cluster = Cluster(4, failure_plan=plan)
             quorum = frozenset(range(4))
-            cluster.write_quorum(quorum, "x", first_value, Timestamp(1, 0))
-            cluster.write_quorum(quorum, "x", "newer", Timestamp(2, 0))
-            return cluster.read_quorum(quorum, "x")[0].value
+            write(cluster, quorum, first_value, Timestamp(1, 0))
+            write(cluster, quorum, "newer", Timestamp(2, 0))
+            return ask(cluster, quorum, "read", "x")[0].value
 
         assert trial("first-a") == "first-a"
         # A fresh trial's replay server latches the *new* first write — not
@@ -136,7 +147,7 @@ class TestFailurePlanImmutability:
         def outcome():
             cluster = Cluster(6, failure_plan=plan)
             quorum = frozenset(range(6))
-            acks = cluster.write_quorum(quorum, "x", "v", Timestamp(1, 0))
+            acks = write(cluster, quorum, "v", Timestamp(1, 0))
             return frozenset(acks)
 
         # Same plan, fresh per-trial behaviour clones: identical draws, and
@@ -171,12 +182,10 @@ class TestAdversaryFleetPlans:
         plain = Cluster(8, seed=11)
         quorum = tuple(range(8))
         for cluster in (shuffled, plain):
-            cluster.write_quorum(quorum, "x", "v", Timestamp(1, 0))
+            write(cluster, quorum, "v", Timestamp(1, 0))
         assert shuffled._delivery_order(quorum) != list(quorum)
         assert plain._delivery_order(quorum) == list(quorum)
-        assert shuffled.read_quorum(quorum, "x").keys() == plain.read_quorum(
-            quorum, "x"
-        ).keys()
+        assert ask(shuffled, quorum, "read", "x").keys() == ask(plain, quorum, "read", "x").keys()
         assert "shuffled" in FailurePlan(shuffle_delivery=True).describe()
 
 
@@ -270,9 +279,9 @@ class TestCluster:
 
     def test_write_and_read_quorum(self, healthy_cluster):
         quorum = frozenset(range(5))
-        acks = healthy_cluster.write_quorum(quorum, "x", "v", Timestamp(1, 0))
+        acks = write(healthy_cluster, quorum, "v", Timestamp(1, 0))
         assert set(acks) == set(quorum)
-        replies = healthy_cluster.read_quorum(quorum, "x")
+        replies = ask(healthy_cluster, quorum, "read", "x")
         assert set(replies) == set(quorum)
         assert all(reply.value == "v" for reply in replies.values())
         assert healthy_cluster.servers_holding("x", "v") == quorum
@@ -280,9 +289,9 @@ class TestCluster:
     def test_crashed_servers_do_not_reply(self):
         cluster = Cluster(10, failure_plan=FailurePlan(crashed=frozenset({0, 1, 2})))
         quorum = frozenset(range(6))
-        acks = cluster.write_quorum(quorum, "x", "v", Timestamp(1, 0))
+        acks = write(cluster, quorum, "v", Timestamp(1, 0))
         assert set(acks) == {3, 4, 5}
-        replies = cluster.read_quorum(quorum, "x")
+        replies = ask(cluster, quorum, "read", "x")
         assert set(replies) == {3, 4, 5}
 
     def test_crash_and_recover_api(self, healthy_cluster):
@@ -295,7 +304,7 @@ class TestCluster:
         with pytest.raises(ConfigurationError):
             healthy_cluster.crash(99)
         with pytest.raises(ConfigurationError):
-            healthy_cluster.write_quorum({99}, "x", "v", Timestamp(1, 0))
+            write(healthy_cluster, {99}, "v", Timestamp(1, 0))
         with pytest.raises(ConfigurationError):
             Cluster(0)
 
@@ -311,9 +320,9 @@ class TestClusterRandomness:
 
     QUORUM = (5, 0, 3, 7, 1)
     RPCS = {
-        "write": lambda cluster, quorum: cluster.write_quorum(quorum, "x", "v", Timestamp(1, 0)),
-        "read": lambda cluster, quorum: cluster.read_quorum(quorum, "x"),
-        "lock": lambda cluster, quorum: cluster.lock_quorum(quorum, (HOLDER, "x")),
+        "write": lambda cluster, quorum: write(cluster, quorum, "v", Timestamp(1, 0)),
+        "read": lambda cluster, quorum: ask(cluster, quorum, "read", "x"),
+        "lock": lambda cluster, quorum: ask(cluster, quorum, "lock", HOLDER, "x"),
     }
 
     @pytest.mark.parametrize("rpc", sorted(RPCS))
@@ -353,21 +362,22 @@ class TestDirectDelivery:
     LOCK = (REQUEST, "x", 1, Timestamp(1, 1), 1)
 
     def _via_cluster(self, cluster, rpc):
-        acks = cluster.write_quorum(self.QUORUM, "x", "v", Timestamp(1, 0))
+        acks = write(cluster, self.QUORUM, "v", Timestamp(1, 0))
         if rpc == "write":
             return acks
         if rpc == "read":
-            return cluster.read_quorum(self.QUORUM, "x")
-        return cluster.lock_quorum(self.QUORUM, self.LOCK)
+            return ask(cluster, self.QUORUM, "read", "x")
+        return ask(cluster, self.QUORUM, "lock", *self.LOCK)
 
     def _by_hand(self, servers, rpc):
-        replies = {s: servers[s].handle_write("x", "v", Timestamp(1, 0)) for s in self.QUORUM}
+        write = ("x", "v", Timestamp(1, 0), None)
+        replies = {s: servers[s].handle("write", *write) for s in self.QUORUM}
         if rpc == "read":
-            replies = {s: servers[s].handle_read("x") for s in self.QUORUM}
+            replies = {s: servers[s].handle("read", "x") for s in self.QUORUM}
         elif rpc == "lock":
-            replies = {s: servers[s].handle_lock(self.LOCK) for s in self.QUORUM}
-        # A refused write (False) and a silent read or lock (None) leave no key.
-        return {s: reply for s, reply in replies.items() if reply}
+            replies = {s: servers[s].handle("lock", *self.LOCK) for s in self.QUORUM}
+        # Silence leaves no key; every answer, even "I store nothing", does.
+        return {s: reply for s, reply in replies.items() if reply is not NO_REPLY}
 
     @pytest.mark.parametrize("rpc", ["write", "read", "lock"])
     @pytest.mark.parametrize("kind", sorted(_BEHAVIORS))
@@ -384,5 +394,5 @@ class TestDirectDelivery:
     def test_gray_servers_lose_some_messages(self):
         plan = FailurePlan.gray_nodes(20, 20, 0.4, rng=random.Random(9))
         cluster = Cluster(20, failure_plan=plan, seed=9)
-        acks = cluster.write_quorum(frozenset(range(20)), "x", "v", Timestamp(1, 0))
+        acks = write(cluster, frozenset(range(20)), "v", Timestamp(1, 0))
         assert 0 < len(acks) < 20

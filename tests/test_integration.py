@@ -27,6 +27,7 @@ from repro.protocol import (
     SignatureScheme,
     WriteBackRegister,
 )
+from repro.protocol.quorum_op import QuorumOp
 from repro.protocol.timestamps import Timestamp
 from repro.quorum.probe import GreedyProbeStrategy, UniformProbeStrategy, oracle_from_alive_set
 from repro.simulation import Cluster, DiffusionEngine, FailurePlan
@@ -69,7 +70,7 @@ class TestCrashRecoveryScenario:
         prober = UniformProbeStrategy(n, system.quorum_size)
         result = prober.probe(oracle_from_alive_set(cluster.alive_servers()), random.Random(3))
         assert result.found
-        replies = cluster.read_quorum(result.quorum, "x")
+        replies = cluster.run(QuorumOp(result.quorum), "read", ("x",)).replies
         assert len(replies) <= len(result.quorum)
         # Every probed-live server actually answers.
         assert set(replies) <= set(result.quorum)
