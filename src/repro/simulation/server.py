@@ -55,6 +55,8 @@ class ServerBehavior(abc.ABC):
     byzantine: bool = False
     #: Whether the behaviour models a crash (fail-stop: never replies).
     crashed: bool = False
+    #: Whether the behaviour chooses silence: no ping or repair answers.
+    silent: bool = False
 
     @abc.abstractmethod
     def on_write(
@@ -65,11 +67,12 @@ class ServerBehavior(abc.ABC):
     @abc.abstractmethod
     def on_read(
         self, server: "ReplicaServer", variable: str
-    ) -> Optional[StoredValue]:
-        """Handle a read request; return a reply or ``None`` for silence."""
+    ) -> Any:
+        """Handle a read request: the stored copy, ``None`` ("I store
+        nothing") or :data:`NO_REPLY` for silence."""
 
     def on_lock(self, server: "ReplicaServer", message: tuple) -> Any:
-        """Handle a lock message (``None`` = silence).  A Byzantine server
+        """Handle a lock message (:data:`NO_REPLY` = silence).  A Byzantine server
         grants every request and names as holder what it serves on a read."""
         if self.byzantine:
             return server.arbiter.forged(self.on_read(server, message[1]))
@@ -107,26 +110,27 @@ class CrashedBehavior(ServerBehavior):
     def on_write(self, server: "ReplicaServer", variable: str, stored: StoredValue) -> bool:
         return False
 
-    def on_read(self, server: "ReplicaServer", variable: str) -> Optional[StoredValue]:
-        return None
+    def on_read(self, server: "ReplicaServer", variable: str) -> Any:
+        return NO_REPLY
 
     def on_lock(self, server: "ReplicaServer", message: tuple) -> Any:
-        return None
+        return NO_REPLY
 
 
 class ByzantineSilentBehavior(ServerBehavior):
     """Accepts nothing and says nothing: suppression of self-verifying data."""
 
     byzantine = True
+    silent = True
 
     def on_write(self, server: "ReplicaServer", variable: str, stored: StoredValue) -> bool:
         return False
 
-    def on_read(self, server: "ReplicaServer", variable: str) -> Optional[StoredValue]:
-        return None
+    def on_read(self, server: "ReplicaServer", variable: str) -> Any:
+        return NO_REPLY
 
     def on_lock(self, server: "ReplicaServer", message: tuple) -> Any:
-        return None
+        return NO_REPLY
 
 
 class ByzantineReplayBehavior(ServerBehavior):
@@ -219,13 +223,13 @@ class GrayBehavior(ServerBehavior):
             server.storage[variable] = stored
         return True
 
-    def on_read(self, server: "ReplicaServer", variable: str) -> Optional[StoredValue]:
+    def on_read(self, server: "ReplicaServer", variable: str) -> Any:
         if not self._delivered():
-            return None
+            return NO_REPLY
         return server.storage.get(variable)
 
     def on_lock(self, server: "ReplicaServer", message: tuple) -> Any:
-        return super().on_lock(server, message) if self._delivered() else None
+        return super().on_lock(server, message) if self._delivered() else NO_REPLY
 
 
 class ReplicaServer:
@@ -301,7 +305,7 @@ class ReplicaServer:
         Crashed servers cannot answer; a silent-Byzantine server *chooses*
         not to (total suppression is its defining attack).
         """
-        return not (self.is_crashed or isinstance(self._behavior, ByzantineSilentBehavior))
+        return not (self._behavior.crashed or self._behavior.silent)
 
     # -- the protocol entry point -------------------------------------------------
 
@@ -318,10 +322,7 @@ class ReplicaServer:
         if method == "read":
             # First: reads dominate every workload.
             self.reads_handled += 1
-            stored = self._behavior.on_read(self, *args)
-            if stored is None and not self.answers_pings:
-                return NO_REPLY
-            return stored
+            return self._behavior.on_read(self, *args)
         if method == "write":
             self.writes_handled += 1
             variable, value, timestamp, signature = args
@@ -336,9 +337,7 @@ class ReplicaServer:
             adopted = self.merge(variable, StoredValue(value, timestamp, signature))
             return adopted if self.answers_pings else NO_REPLY
         if method == "lock":
-            # Every lock-arbiter reply is a tuple, so None is silence.
-            reply = self._behavior.on_lock(self, args)
-            return NO_REPLY if reply is None else reply
+            return self._behavior.on_lock(self, args)
         if method == "ping":
             return True if self.answers_pings else NO_REPLY
         raise ProtocolError(f"unknown rpc method {method!r}")

@@ -28,7 +28,7 @@ from repro.service.node import ServiceNode
 from repro.service.register import AsyncRegister, async_register_for
 from repro.service.transport import AsyncTransport
 from repro.simulation.scenario import ScenarioSpec
-from repro.simulation.server import ByzantineForgeBehavior, ByzantineSilentBehavior
+from repro.simulation.server import ByzantineForgeBehavior, ByzantineSilentBehavior, GrayBehavior
 
 PLAIN = UniformEpsilonIntersectingSystem(25, 8)
 MASKING = ProbabilisticMaskingSystem(25, 10, 3)
@@ -107,6 +107,19 @@ class TestAsyncQuorumClient:
 
 
 class TestDegradedQuorumTopUp:
+    def test_a_read_whose_quorum_holds_a_dropping_gray_node_tops_up(self):
+        nodes, client = deploy(PLAIN, seed=5)
+        gray = set(range(12))
+        for server in gray:
+            nodes[server].set_behavior(GrayBehavior(1.0))
+
+        read = run(client.read("x"))
+        # A lost read is silence, so the gray members are topped up past
+        # like crashed ones rather than counted as "I store nothing".
+        assert read.retried and read.probes_used
+        assert 0 < read.responders == len(read.quorum) <= 8
+        assert not gray & read.quorum
+
     def test_degraded_write_tops_up_in_place(self, record_fan_outs):
         nodes, client = deploy(PLAIN, seed=5)
         for server in range(10):

@@ -14,6 +14,7 @@ from repro.simulation.server import (
     NO_REPLY,
     ByzantineForgeBehavior,
     ByzantineSilentBehavior,
+    GrayBehavior,
 )
 
 
@@ -134,6 +135,14 @@ class TestServiceNode:
         assert node.handle("ping") is NO_REPLY
         assert node.handle("read", "x") is NO_REPLY
         assert node.handle("write", "x", "v", Timestamp(1), None) is NO_REPLY
+
+    def test_a_dropped_gray_read_is_silence(self):
+        # Like a dropped write: the caller times out, it is not told
+        # "I store nothing".
+        node = ServiceNode(0, GrayBehavior(1.0))
+        assert node.handle("read", "x") is NO_REPLY
+        assert node.handle("write", "x", "v", Timestamp(1), None) is NO_REPLY
+        assert node.handle("ping") == ("ok", True)  # only its messages are lost
 
     def test_live_behavior_swap(self):
         node = ServiceNode(0)
