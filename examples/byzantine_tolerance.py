@@ -31,7 +31,7 @@ from repro.exceptions import ConfigurationError
 from repro.protocol import ProbabilisticRegister, ReadRule
 from repro.protocol.signatures import SignatureScheme
 from repro.protocol.timestamps import Timestamp
-from repro.simulation import Cluster, FailurePlan
+from repro.simulation import Cluster, FailureModel
 
 N = 120
 EPSILON_TARGET = 1e-3
@@ -53,9 +53,9 @@ def measure_protocol(system: ProbabilisticDisseminationSystem, b: int) -> float:
     fresh = 0
     for seed in range(TRIALS):
         rng = random.Random(seed)
-        plan = FailurePlan.colluding_forgers(
-            N, b, "FORGED", Timestamp.forged_maximum(), rng=rng
-        )
+        plan = FailureModel.colluding_forgers(
+            b, "FORGED", Timestamp.forged_maximum()
+        ).sample_plan_for(N, rng)
         cluster = Cluster(N, failure_plan=plan, seed=seed)
         register = ProbabilisticRegister(system, cluster, rng=rng, rule=rule)
         write = register.write("honest")

@@ -39,7 +39,7 @@ def run_day(gossip_rounds: int, crash_midday: bool, seed: int) -> dict:
     """Simulate one day of movement and lookups; return summary statistics."""
     rng = random.Random(seed)
     system = UniformEpsilonIntersectingSystem.for_epsilon(N_STORES, EPSILON_TARGET)
-    cluster = Cluster(N_STORES, failure_plan=FailurePlan.none(), seed=seed)
+    cluster = Cluster(N_STORES, failure_plan=FailurePlan(), seed=seed)
     service = LocationService(
         system, cluster, gossip_fanout=3 if gossip_rounds else 0, rng=rng
     )

@@ -32,7 +32,7 @@ from repro import (
 from repro.protocol import ProbabilisticRegister, ReadRule
 from repro.protocol.signatures import SignatureScheme
 from repro.protocol.timestamps import Timestamp
-from repro.simulation import Cluster, FailurePlan
+from repro.simulation import Cluster, FailureModel
 
 
 def section(title: str) -> None:
@@ -78,7 +78,8 @@ def step_3_replicate_a_variable() -> None:
     section("3. The Section 3.1 access protocol on a simulated cluster")
     n = 100
     system = UniformEpsilonIntersectingSystem.for_epsilon(n, 1e-3)
-    cluster = Cluster(n, failure_plan=FailurePlan.random_crashes(n, 15, rng=random.Random(1)))
+    plan = FailureModel.random_crashes(15).sample_plan_for(n, random.Random(1))
+    cluster = Cluster(n, failure_plan=plan)
     register = ProbabilisticRegister(system, cluster, name="config", rng=random.Random(2))
 
     register.write({"version": 1, "leader": "server-7"})
@@ -113,7 +114,9 @@ def step_4_byzantine_environments() -> None:
         f"dissemination system: q={dissemination.quorum_size}, b={b}, "
         f"epsilon={dissemination.epsilon:.2e} (strict systems max out at b={(n - 1) // 3})"
     )
-    plan = FailurePlan.colluding_forgers(n, b, "FORGED", Timestamp.forged_maximum(), rng=rng)
+    plan = FailureModel.colluding_forgers(
+        b, "FORGED", Timestamp.forged_maximum()
+    ).sample_plan_for(n, rng)
     cluster = Cluster(n, failure_plan=plan, seed=3)
     signed = ProbabilisticRegister(
         dissemination, cluster, rng=rng, rule=ReadRule(signatures=SignatureScheme(b"writer-key"))
@@ -127,7 +130,9 @@ def step_4_byzantine_environments() -> None:
         f"\nmasking system: q={masking.quorum_size}, k={masking.read_threshold}, "
         f"b=10, epsilon={masking.epsilon:.2e}"
     )
-    plan = FailurePlan.colluding_forgers(n, 10, "FORGED", Timestamp.forged_maximum(), rng=rng)
+    plan = FailureModel.colluding_forgers(
+        10, "FORGED", Timestamp.forged_maximum()
+    ).sample_plan_for(n, rng)
     cluster = Cluster(n, failure_plan=plan, seed=4)
     voted = ProbabilisticRegister(
         masking, cluster, rng=rng, rule=ReadRule(threshold=masking.read_threshold)

@@ -30,7 +30,7 @@ import random
 from repro import ProbabilisticMaskingSystem
 from repro.apps import VotingService
 from repro.protocol.timestamps import Timestamp
-from repro.simulation import Cluster, FailurePlan
+from repro.simulation import Cluster, FailureModel, FailurePlan
 
 N_SERVERS = 120
 N_STATIONS = 40
@@ -52,13 +52,9 @@ def build_service(rng: random.Random) -> VotingService:
     least ``k`` of them.
     """
     system = ProbabilisticMaskingSystem.for_epsilon(N_SERVERS, BYZANTINE_SERVERS, EPSILON_TARGET)
-    byzantine_plan = FailurePlan.colluding_forgers(
-        N_SERVERS,
-        BYZANTINE_SERVERS,
-        {"station": -1, "voter": "fabricated-lock"},
-        Timestamp.forged_maximum(),
-        rng=rng,
-    )
+    byzantine_plan = FailureModel.colluding_forgers(
+        BYZANTINE_SERVERS, {"station": -1, "voter": "fabricated-lock"}, Timestamp.forged_maximum()
+    ).sample_plan_for(N_SERVERS, rng)
     # Crash a further batch of servers, disjoint from the Byzantine ones.
     crashable = sorted(set(range(N_SERVERS)) - byzantine_plan.byzantine_servers)
     crashed = frozenset(rng.sample(crashable, CRASHED_SERVERS))

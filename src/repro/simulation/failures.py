@@ -10,7 +10,7 @@ benchmark workloads use to stress the protocols, so keeping them
 declarative keeps the experiment configurations readable.
 
 A :class:`FailureModel` sits one level up: it is a *distribution* over
-failure plans.  The sequential Monte-Carlo engine draws one
+failure plans, and the only place plans are sampled.  The sequential Monte-Carlo engine draws one
 :class:`FailurePlan` from it per trial (``model.bind(n)`` yields an
 ordinary plan factory), while the batched engine draws the whole batch at
 once as boolean server masks (:class:`BatchFailureMasks`) without
@@ -29,7 +29,6 @@ from typing import (
     Iterable,
     Iterator,
     Mapping,
-    Optional,
     Tuple,
 )
 
@@ -155,127 +154,6 @@ class FailurePlan:
             + ")"
         )
 
-    # -- constructors -------------------------------------------------------------
-
-    @classmethod
-    def none(cls) -> "FailurePlan":
-        """No failures at all."""
-        return cls()
-
-    @classmethod
-    def random_crashes(
-        cls, n: int, count: int, rng: Optional[random.Random] = None
-    ) -> "FailurePlan":
-        """Crash ``count`` servers chosen uniformly at random."""
-        _validate_counts(n, count)
-        rng = rng or random.Random()
-        return cls(crashed=frozenset(rng.sample(range(n), count)))
-
-    @classmethod
-    def independent_crashes(
-        cls, n: int, p: float, rng: Optional[random.Random] = None
-    ) -> "FailurePlan":
-        """Crash each server independently with probability ``p``.
-
-        This is exactly the failure model of Definition 2.6 / 3.8 and is what
-        the Monte-Carlo availability experiments use.
-        """
-        if not 0.0 <= p <= 1.0:
-            raise ConfigurationError(f"crash probability must lie in [0, 1], got {p}")
-        rng = rng or random.Random()
-        crashed = frozenset(s for s in range(n) if rng.random() < p)
-        return cls(crashed=crashed)
-
-    @classmethod
-    def random_byzantine(
-        cls,
-        n: int,
-        count: int,
-        behavior_factory: Callable[[], ServerBehavior] = ByzantineSilentBehavior,
-        rng: Optional[random.Random] = None,
-    ) -> "FailurePlan":
-        """Make ``count`` uniformly random servers Byzantine.
-
-        ``behavior_factory`` is called once per faulty server, so stateful
-        behaviours (e.g. replay) are not accidentally shared.
-        """
-        _validate_counts(n, count)
-        rng = rng or random.Random()
-        chosen = rng.sample(range(n), count)
-        return cls(byzantine={server: behavior_factory() for server in chosen})
-
-    @classmethod
-    def colluding_forgers(
-        cls,
-        n: int,
-        count: int,
-        fabricated_value,
-        fabricated_timestamp,
-        rng: Optional[random.Random] = None,
-    ) -> "FailurePlan":
-        """``count`` Byzantine servers that all forge the *same* value.
-
-        This is the strongest adversary against a masking threshold: the
-        forged value is reported by every faulty server the read quorum
-        touches, so it passes the threshold ``k`` exactly when
-        ``|Q ∩ B| >= k`` — the event bounded by Lemma 5.7.
-        """
-        _validate_counts(n, count)
-        rng = rng or random.Random()
-        chosen = rng.sample(range(n), count)
-        return cls(
-            byzantine={
-                server: ByzantineForgeBehavior(fabricated_value, fabricated_timestamp)
-                for server in chosen
-            }
-        )
-
-    @classmethod
-    def replay_attack(
-        cls, n: int, count: int, rng: Optional[random.Random] = None
-    ) -> "FailurePlan":
-        """``count`` Byzantine servers that serve stale (but once valid) data."""
-        return cls.random_byzantine(n, count, ByzantineReplayBehavior, rng)
-
-    @classmethod
-    def gray_nodes(
-        cls, n: int, count: int, drop_p: float, rng: Optional[random.Random] = None
-    ) -> "FailurePlan":
-        """``count`` gray servers, each dropping every message w.p. ``drop_p``."""
-        _validate_counts(n, count)
-        rng = rng or random.Random()
-        chosen = rng.sample(range(n), count)
-        return cls(
-            byzantine={
-                server: GrayBehavior(drop_p, seed=rng.getrandbits(32))
-                for server in chosen
-            }
-        )
-
-    @classmethod
-    def targeted_partition(cls, n: int, targets: Iterable[ServerId]) -> "FailurePlan":
-        """A fixed set of servers made unreachable from every client.
-
-        Partitioning a server away from the clients is observationally a
-        crash for the access protocols (requests and replies are both
-        lost), so the plan lowers to the crash machinery — which every
-        execution layer already implements identically.
-        """
-        target_set = frozenset(targets)
-        for server in target_set:
-            if not 0 <= server < n:
-                raise ConfigurationError(
-                    f"partition target {server} outside the universe of size {n}"
-                )
-        return cls(crashed=target_set)
-
-
-def _validate_counts(n: int, count: int) -> None:
-    if n < 1:
-        raise ConfigurationError(f"universe size must be positive, got {n}")
-    if not 0 <= count <= n:
-        raise ConfigurationError(f"failure count must lie in [0, {n}], got {count}")
-
 
 # ---------------------------------------------------------------------------
 # Failure models: distributions over failure plans
@@ -320,13 +198,14 @@ class BatchFailureMasks:
 class FailureModel:
     """A declarative distribution over :class:`FailurePlan` draws.
 
-    The constructors mirror the :class:`FailurePlan` ones, but describe the
-    *randomised* experiment instead of one sampled outcome, which is what
-    lets the batched Monte-Carlo engine sample thousands of trials' failures
-    as boolean masks in a single vectorised call.  :meth:`bind` turns a
-    model into an ordinary sequential plan factory, so one model drives both
-    engines — that is what the batch-vs-sequential equivalence tests rely
-    on.
+    The model is the one failure vocabulary: it describes the *randomised*
+    experiment, :meth:`sample_plan_for` draws one :class:`FailurePlan` from
+    it (``FailureModel.random_crashes(5).sample_plan_for(n, rng)``), and
+    :meth:`sample_masks` draws thousands of trials' failures as boolean
+    masks in a single vectorised call for the batched Monte-Carlo engine.
+    :meth:`bind` turns a model into an ordinary sequential plan factory, so
+    one model drives both engines — that is what the batch-vs-sequential
+    equivalence tests rely on.
     """
 
     kind: str = "none"
@@ -486,28 +365,50 @@ class FailureModel:
 
     # -- sequential bridge --------------------------------------------------------
 
+    def _check_universe(self, n: int) -> None:
+        """Refuse a universe of ``n`` servers this model cannot be drawn over."""
+        if n < 1:
+            raise ConfigurationError(f"universe size must be positive, got {n}")
+        if self.kind in self._COUNT_KINDS and self.count > n:
+            raise ConfigurationError(f"failure count must lie in [0, {n}], got {self.count}")
+        for server in self.targets:
+            if server >= n:
+                raise ConfigurationError(
+                    f"partition target {server} outside the universe of size {n}"
+                )
+
     def sample_plan_for(self, n: int, rng: random.Random) -> FailurePlan:
-        """Draw one concrete plan over a universe of ``n`` servers."""
-        if self.kind == "none":
-            return FailurePlan.none()
-        if self.kind == "independent_crashes":
-            return FailurePlan.independent_crashes(n, self.p, rng=rng)
-        if self.kind == "random_crashes":
-            return FailurePlan.random_crashes(n, self.count, rng=rng)
-        if self.kind == "random_byzantine":
-            return FailurePlan.random_byzantine(n, self.count, rng=rng)
-        if self.kind in ("colluding_forgers", "timestamp_forging_clique"):
-            return FailurePlan.colluding_forgers(
-                n, self.count, self.fabricated_value, self.fabricated_timestamp, rng=rng
-            )
-        if self.kind == "targeted_partition":
-            return FailurePlan.targeted_partition(n, self.targets)
-        if self.kind == "gray_nodes":
-            return FailurePlan.gray_nodes(n, self.count, self.p, rng=rng)
-        if self.kind == "message_reordering":
+        """Draw one concrete plan over a universe of ``n`` servers.
+
+        A partition of the clients away from some servers lowers to a crash
+        set: it is observationally a crash for the access protocols, and
+        every execution layer implements crashes identically.
+        """
+        self._check_universe(n)
+        kind = self.kind
+        if kind == "none":
+            return FailurePlan()
+        if kind == "message_reordering":
             return FailurePlan(shuffle_delivery=True)
-        assert self.kind == "replay_attack"
-        return FailurePlan.replay_attack(n, self.count, rng=rng)
+        if kind == "targeted_partition":
+            return FailurePlan(crashed=frozenset(self.targets))
+        if kind == "independent_crashes":
+            return FailurePlan(crashed=frozenset(s for s in range(n) if rng.random() < self.p))
+        chosen = rng.sample(range(n), self.count)
+        if kind == "random_crashes":
+            return FailurePlan(crashed=frozenset(chosen))
+        if kind == "gray_nodes":
+            return FailurePlan(
+                byzantine={s: GrayBehavior(self.p, seed=rng.getrandbits(32)) for s in chosen}
+            )
+        # One behaviour per server, so stateful ones (replay) share nothing.
+        if kind == "random_byzantine":
+            return FailurePlan(byzantine={s: ByzantineSilentBehavior() for s in chosen})
+        if kind == "replay_attack":
+            return FailurePlan(byzantine={s: ByzantineReplayBehavior() for s in chosen})
+        # Colluding forgers, honest-shaped or not, all tell the same story.
+        value, timestamp = self.fabricated_value, self.fabricated_timestamp
+        return FailurePlan(byzantine={s: ByzantineForgeBehavior(value, timestamp) for s in chosen})
 
     def bind(self, n: int) -> Callable[[random.Random], FailurePlan]:
         """A plan factory over a fixed universe (usable as ``plan_factory=``)."""
@@ -517,8 +418,7 @@ class FailureModel:
 
     def sample_masks(self, n: int, trials: int, generator: np.random.Generator) -> BatchFailureMasks:
         """Draw a whole batch of failures as boolean ``(trials, n)`` masks."""
-        if n < 1:
-            raise ConfigurationError(f"universe size must be positive, got {n}")
+        self._check_universe(n)
         if trials < 0:
             raise ConfigurationError(f"trial count must be non-negative, got {trials}")
         empty = np.zeros((trials, n), dtype=bool)
@@ -526,16 +426,10 @@ class FailureModel:
         if self.kind == "independent_crashes":
             crashed = generator.random((trials, n)) < self.p
         elif self.kind == "targeted_partition":
-            for server in self.targets:
-                if not 0 <= server < n:
-                    raise ConfigurationError(
-                        f"partition target {server} outside the universe of size {n}"
-                    )
             crashed = np.zeros((trials, n), dtype=bool)
             if self.targets:
                 crashed[:, list(self.targets)] = True
         elif self.kind not in ("none", "message_reordering"):
-            _validate_counts(n, self.count)
             chosen = sample_subset_mask(n, self.count, trials, generator)
             if self.count == n:
                 # Failure masks draw a rank matrix for any count > 0; seeded runs rely on it.

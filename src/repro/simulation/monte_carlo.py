@@ -262,7 +262,7 @@ def estimate_read_consistency(
     counts = {"fresh": 0, "stale": 0, "empty": 0, "fabricated": 0}
     for _ in range(trials):
         trial_rng = random.Random(rng.randrange(2**63))
-        plan = plan_factory(trial_rng) if plan_factory is not None else FailurePlan.none()
+        plan = plan_factory(trial_rng) if plan_factory is not None else FailurePlan()
         cluster = Cluster(n, failure_plan=plan, seed=trial_rng.randrange(2**63))
         registers = [factory(cluster, trial_rng) for factory in factories]
         writes = [register.write(value) for register, value in zip(registers, values)]
@@ -399,7 +399,7 @@ def estimate_staleness_distribution(
     lags: List[int] = []
     for _ in range(trials):
         trial_rng = random.Random(rng.randrange(2**63))
-        plan = plan_factory(trial_rng) if plan_factory is not None else FailurePlan.none()
+        plan = plan_factory(trial_rng) if plan_factory is not None else FailurePlan()
         cluster = Cluster(n, failure_plan=plan, seed=trial_rng.randrange(2**63))
         register = register_factory(cluster, trial_rng)
         diffusion = (

@@ -18,7 +18,7 @@ def make_service(n=50, quorum_size=None, epsilon=1e-3, gossip_fanout=0, plan=Non
         system = UniformEpsilonIntersectingSystem.for_epsilon(n, epsilon)
     else:
         system = UniformEpsilonIntersectingSystem(n, quorum_size)
-    cluster = Cluster(n, failure_plan=plan or FailurePlan.none(), seed=seed)
+    cluster = Cluster(n, failure_plan=plan or FailurePlan(), seed=seed)
     return LocationService(system, cluster, gossip_fanout=gossip_fanout, rng=random.Random(seed))
 
 

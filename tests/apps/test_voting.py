@@ -14,12 +14,12 @@ from repro.exceptions import ConfigurationError, ProtocolError
 from repro.protocol.signatures import SignatureScheme
 from repro.protocol.timestamps import Timestamp
 from repro.simulation.cluster import Cluster
-from repro.simulation.failures import FailurePlan
+from repro.simulation.failures import FailureModel, FailurePlan
 
 
 def plain_service(n=50, epsilon=1e-3, seed=0, plan=None):
     system = UniformEpsilonIntersectingSystem.for_epsilon(n, epsilon)
-    cluster = Cluster(n, failure_plan=plan or FailurePlan.none(), seed=seed)
+    cluster = Cluster(n, failure_plan=plan or FailurePlan(), seed=seed)
     return VotingService(system, cluster, rng=random.Random(seed))
 
 
@@ -92,10 +92,9 @@ class TestByzantineVoting:
         n, b = 60, 12
         system = ProbabilisticDisseminationSystem.for_epsilon(n, b, 1e-2)
         scheme = SignatureScheme(b"election-authority")
-        plan = FailurePlan.colluding_forgers(
-            n, b, {"station": 999, "voter": "nobody"}, Timestamp.forged_maximum(),
-            rng=random.Random(2),
-        )
+        plan = FailureModel.colluding_forgers(
+            b, {"station": 999, "voter": "nobody"}, Timestamp.forged_maximum()
+        ).sample_plan_for(n, random.Random(2))
         cluster = Cluster(n, failure_plan=plan, seed=2)
         service = VotingService(system, cluster, signatures=scheme, rng=random.Random(2))
         # Forged lock records are unverifiable, so they cannot block honest voters.
@@ -107,10 +106,9 @@ class TestByzantineVoting:
     def test_masking_mode_uses_vote_threshold(self):
         n, b = 60, 6
         system = ProbabilisticMaskingSystem.for_epsilon(n, b, 1e-2)
-        plan = FailurePlan.colluding_forgers(
-            n, b, {"station": 999, "voter": "nobody"}, Timestamp.forged_maximum(),
-            rng=random.Random(3),
-        )
+        plan = FailureModel.colluding_forgers(
+            b, {"station": 999, "voter": "nobody"}, Timestamp.forged_maximum()
+        ).sample_plan_for(n, random.Random(3))
         cluster = Cluster(n, failure_plan=plan, seed=3)
         service = VotingService(system, cluster, rng=random.Random(3))
         assert service.read_threshold == system.read_threshold

@@ -43,7 +43,7 @@ from repro.protocol.selection import ReadRule
 from repro.protocol.quorum_op import QuorumOp
 from repro.protocol.timestamps import Timestamp
 from repro.simulation.cluster import Cluster
-from repro.simulation.failures import FailurePlan
+from repro.simulation.failures import FailureModel, FailurePlan
 from repro.simulation.server import (
     ByzantineForgeBehavior,
     ByzantineSilentBehavior,
@@ -299,7 +299,7 @@ class TestSyncDriver:
         # every later try, so a release lost at a gray server shows.
         system = UniformEpsilonIntersectingSystem(10, 9)
         for seed in range(10):
-            plan = FailurePlan.gray_nodes(10, 3, 0.1, rng=random.Random(seed))
+            plan = FailureModel.gray_nodes(3, 0.1).sample_plan_for(10, random.Random(seed))
             cluster = Cluster(10, failure_plan=plan, seed=seed)
             lock = QuorumLock(system, cluster, rng=random.Random(seed))
             for client in range(1, 9):

@@ -12,7 +12,7 @@ from repro.protocol.signatures import SignatureScheme
 from repro.protocol.timestamps import Timestamp
 from repro.protocol.variable import ProbabilisticRegister
 from repro.simulation.cluster import Cluster
-from repro.simulation.failures import FailurePlan
+from repro.simulation.failures import FailureModel, FailurePlan
 from repro.simulation.server import (
     ByzantineForgeBehavior,
     ByzantineReplayBehavior,
@@ -22,7 +22,7 @@ from repro.simulation.server import (
 
 def make_register(n=50, b=10, plan=None, seed=0, epsilon=1e-2):
     system = ProbabilisticDisseminationSystem.for_epsilon(n, b, epsilon)
-    cluster = Cluster(n, failure_plan=plan or FailurePlan.none(), seed=seed)
+    cluster = Cluster(n, failure_plan=plan or FailurePlan(), seed=seed)
     register = ProbabilisticRegister(
         system,
         cluster,
@@ -99,14 +99,9 @@ class TestByzantineReads:
         trials = 300
         for seed in range(trials):
             rng = random.Random(seed)
-            plan = FailurePlan.random_byzantine(
-                n,
-                b,
-                behavior_factory=lambda: ByzantineForgeBehavior(
-                    "FORGED", Timestamp.forged_maximum()
-                ),
-                rng=rng,
-            )
+            plan = FailureModel.colluding_forgers(
+                b, "FORGED", Timestamp.forged_maximum()
+            ).sample_plan_for(n, rng)
             cluster = Cluster(n, failure_plan=plan, seed=seed)
             register = ProbabilisticRegister(
                 system, cluster, rng=rng, rule=ReadRule(signatures=scheme)

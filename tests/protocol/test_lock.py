@@ -13,12 +13,12 @@ from repro.protocol.lock import QuorumLock
 from repro.protocol.signatures import SignatureScheme
 from repro.protocol.timestamps import Timestamp
 from repro.simulation.cluster import Cluster
-from repro.simulation.failures import FailurePlan
+from repro.simulation.failures import FailureModel, FailurePlan
 
 
 def make_lock(n=50, epsilon=1e-3, seed=0, plan=None, signatures=None, system=None):
     system = system or UniformEpsilonIntersectingSystem.for_epsilon(n, epsilon)
-    cluster = Cluster(n, failure_plan=plan or FailurePlan.none(), seed=seed)
+    cluster = Cluster(n, failure_plan=plan or FailurePlan(), seed=seed)
     return QuorumLock(
         system, cluster, name="shared", signatures=signatures, rng=random.Random(seed)
     )
@@ -196,13 +196,9 @@ class TestByzantineLocking:
         # quorum hits at least k of them.
         n, b = 64, 6
         system = ProbabilisticMaskingSystem.for_epsilon(n, b, 1e-2)
-        plan = FailurePlan.colluding_forgers(
-            n,
-            b,
-            {"state": "held", "holder": 666},
-            Timestamp.forged_maximum(),
-            rng=random.Random(5),
-        )
+        plan = FailureModel.colluding_forgers(
+            b, {"state": "held", "holder": 666}, Timestamp.forged_maximum()
+        ).sample_plan_for(n, random.Random(5))
         cluster = Cluster(n, failure_plan=plan, seed=5)
         lock = QuorumLock(system, cluster, rng=random.Random(5))
         # An honest client is not blocked by the phantom holder.
@@ -212,13 +208,9 @@ class TestByzantineLocking:
         n, b = 64, 12
         system = UniformEpsilonIntersectingSystem.for_epsilon(n, 1e-3)
         scheme = SignatureScheme(b"lock-authority")
-        plan = FailurePlan.colluding_forgers(
-            n,
-            b,
-            {"state": "held", "holder": 666},
-            Timestamp.forged_maximum(),
-            rng=random.Random(6),
-        )
+        plan = FailureModel.colluding_forgers(
+            b, {"state": "held", "holder": 666}, Timestamp.forged_maximum()
+        ).sample_plan_for(n, random.Random(6))
         cluster = Cluster(n, failure_plan=plan, seed=6)
         lock = QuorumLock(system, cluster, signatures=scheme, rng=random.Random(6))
         assert lock.acquire(client_id=1).acquired

@@ -12,12 +12,12 @@ from repro.protocol.selection import ReadRule
 from repro.protocol.timestamps import Timestamp
 from repro.protocol.variable import ProbabilisticRegister
 from repro.simulation.cluster import Cluster
-from repro.simulation.failures import FailurePlan
+from repro.simulation.failures import FailureModel, FailurePlan
 
 
 def make_register(n=100, b=10, epsilon=1e-2, plan=None, seed=0):
     system = ProbabilisticMaskingSystem.for_epsilon(n, b, epsilon)
-    cluster = Cluster(n, failure_plan=plan or FailurePlan.none(), seed=seed)
+    cluster = Cluster(n, failure_plan=plan or FailurePlan(), seed=seed)
     register = ProbabilisticRegister(
         system, cluster, rng=random.Random(seed), rule=ReadRule(threshold=system.read_threshold)
     )
@@ -74,9 +74,9 @@ class TestByzantineMasking:
         trials = 300
         for seed in range(trials):
             rng = random.Random(seed)
-            plan = FailurePlan.colluding_forgers(
-                n, b, "FORGED", Timestamp.forged_maximum(), rng=rng
-            )
+            plan = FailureModel.colluding_forgers(
+                b, "FORGED", Timestamp.forged_maximum()
+            ).sample_plan_for(n, rng)
             cluster = Cluster(n, failure_plan=plan, seed=seed)
             register = ProbabilisticRegister(
                 system, cluster, rng=rng, rule=ReadRule(threshold=system.read_threshold)
@@ -94,9 +94,9 @@ class TestByzantineMasking:
         trials = 300
         for seed in range(trials):
             rng = random.Random(seed)
-            plan = FailurePlan.colluding_forgers(
-                n, b, "FORGED", Timestamp.forged_maximum(), rng=rng
-            )
+            plan = FailureModel.colluding_forgers(
+                b, "FORGED", Timestamp.forged_maximum()
+            ).sample_plan_for(n, rng)
             cluster = Cluster(n, failure_plan=plan, seed=seed)
             register = ProbabilisticRegister(
                 system, cluster, rng=rng, rule=ReadRule(threshold=system.read_threshold)
@@ -111,9 +111,9 @@ class TestByzantineMasking:
         # Force fabrication by making *every* server a colluding forger.
         n, b = 25, 25
         system = ProbabilisticMaskingSystem(25, 10, 5)
-        plan = FailurePlan.colluding_forgers(
-            n, n, "FORGED", Timestamp.forged_maximum(), rng=random.Random(0)
-        )
+        plan = FailureModel.colluding_forgers(
+            n, "FORGED", Timestamp.forged_maximum()
+        ).sample_plan_for(n, random.Random(0))
         cluster = Cluster(n, failure_plan=plan, seed=0)
         register = ProbabilisticRegister(
             system, cluster, rng=random.Random(0), rule=ReadRule(threshold=system.read_threshold)

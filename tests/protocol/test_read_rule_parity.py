@@ -36,7 +36,7 @@ from repro.protocol.timestamps import Timestamp
 from repro.protocol.variable import ProbabilisticRegister
 from repro.service.load import ServiceLoadSpec
 from repro.simulation.cluster import Cluster
-from repro.simulation.failures import FailureModel, FailurePlan
+from repro.simulation.failures import FailureModel
 from repro.simulation.monte_carlo import (
     estimate_read_consistency,
     estimate_staleness_distribution,
@@ -122,9 +122,9 @@ def legacy_factory_case() -> str:
             DISSEMINATION, cluster, rng=rng, rule=ReadRule(signatures=scheme)
         ),
         n=25,
-        plan_factory=lambda rng: FailurePlan.colluding_forgers(
-            25, 3, "F", Timestamp(1, 0), rng=rng
-        ),
+        plan_factory=lambda rng: FailureModel.colluding_forgers(
+            3, "F", Timestamp(1, 0)
+        ).sample_plan_for(25, rng),
         trials=TRIALS,
         seed=5,
     )
@@ -162,9 +162,9 @@ def service_case(system: str, seed: int) -> Callable[[], str]:
 def voting_case(mode: str) -> Callable[[], str]:
     def run() -> str:
         system = MASKING if mode == "masking" else PLAIN
-        plan = FailurePlan.colluding_forgers(
-            25, 3, {"station": 9, "voter": "?"}, Timestamp(1, 9), rng=random.Random(3)
-        )
+        plan = FailureModel.colluding_forgers(
+            3, {"station": 9, "voter": "?"}, Timestamp(1, 9)
+        ).sample_plan_for(25, random.Random(3))
         service = VotingService(
             system,
             Cluster(25, failure_plan=plan, seed=3),

@@ -15,7 +15,7 @@ from repro.simulation.failures import FailurePlan
 
 def make_register(n=25, q=10, plan=None, seed=0):
     system = UniformEpsilonIntersectingSystem(n, q)
-    cluster = Cluster(n, failure_plan=plan or FailurePlan.none(), seed=seed)
+    cluster = Cluster(n, failure_plan=plan or FailurePlan(), seed=seed)
     register = ProbabilisticRegister(system, cluster, rng=random.Random(seed))
     return system, cluster, register
 

@@ -12,7 +12,7 @@ from repro.exceptions import ConfigurationError
 from repro.protocol.timestamps import Timestamp
 from repro.protocol.variable import ProbabilisticRegister
 from repro.simulation.client import LoadMeasurement, WorkloadClient, measure_system_load
-from repro.simulation.failures import FailureModel, FailurePlan
+from repro.simulation.failures import FailureModel
 from repro.simulation.monte_carlo import (
     estimate_read_consistency,
     estimate_staleness_distribution,
@@ -90,7 +90,7 @@ class TestConsistencyEstimator:
         crashing = estimate_read_consistency(
             lambda cluster, rng: ProbabilisticRegister(system, cluster, rng=rng),
             n=25,
-            plan_factory=lambda rng: FailurePlan.independent_crashes(25, 0.3, rng=rng),
+            plan_factory=lambda rng: FailureModel.independent_crashes(0.3).sample_plan_for(25, rng),
             trials=200,
             seed=2,
         )

@@ -40,38 +40,37 @@ def write(cluster, quorum, value="v", timestamp=Timestamp(1, 0)):
 
 class TestFailurePlan:
     def test_none_plan(self):
-        plan = FailurePlan.none()
+        plan = FailurePlan()
         assert not plan.crashed
         assert not plan.byzantine
         assert plan.faulty_servers == frozenset()
 
     def test_random_crashes(self):
-        plan = FailurePlan.random_crashes(20, 5, rng=random.Random(0))
+        plan = FailureModel.random_crashes(5).sample_plan_for(20, random.Random(0))
         assert len(plan.crashed) == 5
         assert plan.crashed <= frozenset(range(20))
 
     def test_independent_crashes_rate(self):
         rng = random.Random(1)
-        sizes = [len(FailurePlan.independent_crashes(100, 0.3, rng=rng).crashed) for _ in range(200)]
+        model = FailureModel.independent_crashes(0.3)
+        sizes = [len(model.sample_plan_for(100, rng).crashed) for _ in range(200)]
         assert sum(sizes) / len(sizes) == pytest.approx(30, rel=0.1)
 
     def test_random_byzantine_uses_fresh_behaviors(self):
-        plan = FailurePlan.random_byzantine(
-            10, 3, behavior_factory=ByzantineReplayBehavior, rng=random.Random(2)
-        )
+        plan = FailureModel.replay_attack(3).sample_plan_for(10, random.Random(2))
         behaviors = list(plan.byzantine.values())
         assert len(behaviors) == 3
         assert len({id(b) for b in behaviors}) == 3  # not shared state
 
     def test_colluding_forgers_share_the_story(self):
-        plan = FailurePlan.colluding_forgers(
-            10, 3, "FORGED", Timestamp.forged_maximum(), rng=random.Random(3)
-        )
+        plan = FailureModel.colluding_forgers(
+            3, "FORGED", Timestamp.forged_maximum()
+        ).sample_plan_for(10, random.Random(3))
         values = {b.fabricated_value for b in plan.byzantine.values()}
         assert values == {"FORGED"}
 
     def test_replay_attack_constructor(self):
-        plan = FailurePlan.replay_attack(10, 2, rng=random.Random(4))
+        plan = FailureModel.replay_attack(2).sample_plan_for(10, random.Random(4))
         assert len(plan.byzantine) == 2
 
     def test_crashed_and_byzantine_must_be_disjoint(self):
@@ -80,11 +79,31 @@ class TestFailurePlan:
 
     def test_count_validation(self):
         with pytest.raises(ConfigurationError):
-            FailurePlan.random_crashes(5, 6)
+            FailureModel.random_crashes(6).sample_plan_for(5, random.Random(0))
         with pytest.raises(ConfigurationError):
-            FailurePlan.independent_crashes(5, 1.5)
+            FailureModel.independent_crashes(1.5).sample_plan_for(5, random.Random(0))
         with pytest.raises(ConfigurationError):
-            FailurePlan.random_crashes(0, 0)
+            FailureModel.random_crashes(0).sample_plan_for(0, random.Random(0))
+
+    def test_both_samplers_refuse_the_same_universes(self):
+        for model, n in [
+            (FailureModel.random_crashes(6), 5),
+            (FailureModel.gray_nodes(6, 0.5), 5),
+            (FailureModel.targeted_partition([5]), 5),
+            (FailureModel.none(), 0),
+        ]:
+            with pytest.raises(ConfigurationError):
+                model.sample_plan_for(n, random.Random(0))
+            with pytest.raises(ConfigurationError):
+                model.sample_masks(n, 4, np.random.default_rng(0))
+
+    def test_a_gray_plan_draws_the_servers_then_one_seed_each(self):
+        twin = random.Random(7)
+        chosen = twin.sample(range(10), 3)
+        seeds = [twin.getrandbits(32) for _ in chosen]
+        plan = FailureModel.gray_nodes(3, 0.2).sample_plan_for(10, random.Random(7))
+        assert list(plan.byzantine) == chosen
+        assert [behavior.seed for behavior in plan.byzantine.values()] == seeds
 
     def test_describe_counts_failures(self):
         plan = FailurePlan(crashed={1, 2}, byzantine={0: ByzantineSilentBehavior()})
@@ -95,14 +114,14 @@ class TestFailurePlanImmutability:
     """Regression: plans are shared across trials, so they must be frozen."""
 
     def test_fields_cannot_be_reassigned(self):
-        plan = FailurePlan.random_crashes(10, 3, rng=random.Random(0))
+        plan = FailureModel.random_crashes(3).sample_plan_for(10, random.Random(0))
         with pytest.raises(dataclasses.FrozenInstanceError):
             plan.crashed = frozenset()
         with pytest.raises(dataclasses.FrozenInstanceError):
             plan.shuffle_delivery = True
 
     def test_behavior_map_has_no_mutation_surface(self):
-        plan = FailurePlan.replay_attack(10, 2, rng=random.Random(1))
+        plan = FailureModel.replay_attack(2).sample_plan_for(10, random.Random(1))
         with pytest.raises(TypeError):
             plan.byzantine[0] = ByzantineSilentBehavior()
         with pytest.raises(AttributeError):
@@ -113,9 +132,9 @@ class TestFailurePlanImmutability:
         assert isinstance(plan.crashed, frozenset)
 
     def test_plans_pickle_across_process_boundaries(self):
-        plan = FailurePlan.colluding_forgers(
-            10, 2, "FORGED", Timestamp.forged_maximum(), rng=random.Random(2)
-        )
+        plan = FailureModel.colluding_forgers(
+            2, "FORGED", Timestamp.forged_maximum()
+        ).sample_plan_for(10, random.Random(2))
         clone = pickle.loads(pickle.dumps(plan))
         assert clone.crashed == plan.crashed
         assert set(clone.byzantine) == set(plan.byzantine)
@@ -142,7 +161,7 @@ class TestFailurePlanImmutability:
         assert plan.byzantine[0]._first_seen == {}
 
     def test_shared_gray_plan_draws_identically_per_trial(self):
-        plan = FailurePlan.gray_nodes(6, 3, 0.5, rng=random.Random(3))
+        plan = FailureModel.gray_nodes(3, 0.5).sample_plan_for(6, random.Random(3))
 
         def outcome():
             cluster = Cluster(6, failure_plan=plan)
@@ -157,7 +176,7 @@ class TestFailurePlanImmutability:
 
 class TestAdversaryFleetPlans:
     def test_gray_nodes_constructor(self):
-        plan = FailurePlan.gray_nodes(10, 3, 0.25, rng=random.Random(4))
+        plan = FailureModel.gray_nodes(3, 0.25).sample_plan_for(10, random.Random(4))
         assert len(plan.byzantine) == 3
         assert all(isinstance(b, GrayBehavior) for b in plan.byzantine.values())
         # Gray servers are degraded but not Byzantine.
@@ -169,13 +188,13 @@ class TestAdversaryFleetPlans:
             GrayBehavior(1.5)
 
     def test_targeted_partition_lowers_to_crashes(self):
-        plan = FailurePlan.targeted_partition(10, [7, 2, 2])
+        plan = FailureModel.targeted_partition([7, 2, 2]).sample_plan_for(10, random.Random(0))
         assert plan.crashed == frozenset({2, 7})
         assert not plan.byzantine
 
     def test_targeted_partition_validates_targets(self):
         with pytest.raises(ConfigurationError):
-            FailurePlan.targeted_partition(5, [5])
+            FailureModel.targeted_partition([5]).sample_plan_for(5, random.Random(0))
 
     def test_shuffle_delivery_changes_order_not_outcome(self):
         shuffled = Cluster(8, failure_plan=FailurePlan(shuffle_delivery=True), seed=11)
@@ -392,7 +411,7 @@ class TestDirectDelivery:
         ]
 
     def test_gray_servers_lose_some_messages(self):
-        plan = FailurePlan.gray_nodes(20, 20, 0.4, rng=random.Random(9))
+        plan = FailureModel.gray_nodes(20, 0.4).sample_plan_for(20, random.Random(9))
         cluster = Cluster(20, failure_plan=plan, seed=9)
         acks = write(cluster, frozenset(range(20)), "v", Timestamp(1, 0))
         assert 0 < len(acks) < 20

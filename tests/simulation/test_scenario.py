@@ -180,7 +180,7 @@ class TestEstimatorDispatch:
 
         report = estimate_read_consistency(
             PLAIN,
-            plan_factory=lambda rng: FailurePlan.independent_crashes(25, 0.1, rng=rng),
+            plan_factory=lambda rng: FailureModel.independent_crashes(0.1).sample_plan_for(25, rng),
             n=25,
             trials=40,
             seed=6,
@@ -188,7 +188,7 @@ class TestEstimatorDispatch:
         assert report.trials == 40
         staleness = estimate_staleness_distribution(
             PLAIN,
-            plan_factory=lambda rng: FailurePlan.none(),
+            plan_factory=lambda rng: FailurePlan(),
             n=25,
             writes=2,
             trials=20,

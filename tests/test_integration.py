@@ -30,7 +30,7 @@ from repro.protocol import (
 from repro.protocol.quorum_op import QuorumOp
 from repro.protocol.timestamps import Timestamp
 from repro.quorum.probe import GreedyProbeStrategy, UniformProbeStrategy, oracle_from_alive_set
-from repro.simulation import Cluster, DiffusionEngine, FailurePlan
+from repro.simulation import Cluster, DiffusionEngine, FailureModel
 
 
 class TestCrashRecoveryScenario:
@@ -62,7 +62,7 @@ class TestCrashRecoveryScenario:
         """Use the prober to discover a live quorum, then read from exactly it."""
         n = 49
         system = UniformEpsilonIntersectingSystem.for_epsilon(n, 1e-3)
-        plan = FailurePlan.random_crashes(n, 15, rng=random.Random(3))
+        plan = FailureModel.random_crashes(15).sample_plan_for(n, random.Random(3))
         cluster = Cluster(n, failure_plan=plan, seed=3)
         register = ProbabilisticRegister(system, cluster, rng=random.Random(3))
         register.write("payload")
@@ -82,9 +82,9 @@ class TestByzantineScenario:
         n, b = 50, 10
         system = ProbabilisticDisseminationSystem.for_epsilon(n, b, 1e-2)
         scheme = SignatureScheme(b"integration")
-        plan = FailurePlan.colluding_forgers(
-            n, b, "FORGED", Timestamp.forged_maximum(), rng=random.Random(4)
-        )
+        plan = FailureModel.colluding_forgers(
+            b, "FORGED", Timestamp.forged_maximum()
+        ).sample_plan_for(n, random.Random(4))
         cluster = Cluster(n, failure_plan=plan, seed=4)
         register = ProbabilisticRegister(
             system, cluster, rng=random.Random(4), rule=ReadRule(signatures=scheme)
@@ -112,9 +112,9 @@ class TestByzantineScenario:
         """A lock and a register sharing one cluster and one quorum system."""
         n, b = 64, 6
         system = ProbabilisticMaskingSystem.for_epsilon(n, b, 1e-2)
-        plan = FailurePlan.colluding_forgers(
-            n, b, "FORGED", Timestamp.forged_maximum(), rng=random.Random(5)
-        )
+        plan = FailureModel.colluding_forgers(
+            b, "FORGED", Timestamp.forged_maximum()
+        ).sample_plan_for(n, random.Random(5))
         cluster = Cluster(n, failure_plan=plan, seed=5)
         lock = QuorumLock(system, cluster, name="writer-election", rng=random.Random(5))
         register = ProbabilisticRegister(
@@ -140,7 +140,8 @@ class TestApplicationScenario:
         n = 80
         rng = random.Random(7)
         plain = UniformEpsilonIntersectingSystem.for_epsilon(n, 1e-3)
-        cluster = Cluster(n, failure_plan=FailurePlan.random_crashes(n, 10, rng=rng), seed=7)
+        plan = FailureModel.random_crashes(10).sample_plan_for(n, rng)
+        cluster = Cluster(n, failure_plan=plan, seed=7)
 
         voting = VotingService(plain, cluster, rng=rng)
         location = LocationService(plain, cluster, gossip_fanout=3, rng=rng)
