@@ -278,6 +278,9 @@ class LockLoadReport:
     wait_times: List[float]
     grants_per_client: List[int]
     injected_crashes: int
+    #: Grants per shard, in shard order: a lock lives on the shard its
+    #: variable routes to, so a few lock names can leave a shard idle.
+    shard_grants: List[int] = field(default_factory=list)
     #: Sampled lock-step traces (empty unless ``spec.trace_sample > 0``).
     traces: List[dict] = field(default_factory=list)
 
@@ -299,6 +302,14 @@ class LockLoadReport:
     def render(self) -> str:
         """Plain-text report block."""
         waits = sorted(self.wait_times)
+        per_shard = []
+        if len(self.shard_grants) > 1:
+            idle = [f"s{index}" for index, grants in enumerate(self.shard_grants) if not grants]
+            per_shard.append(
+                "  per-shard grants  "
+                + "  ".join(f"s{index}={grants}" for index, grants in enumerate(self.shard_grants))
+                + (f"  (idle: {', '.join(idle)})" if idle else "")
+            )
         return "\n".join(
             [
                 "Lock service report",
@@ -306,6 +317,7 @@ class LockLoadReport:
                 f"  elapsed           {self.elapsed:.3f} s",
                 f"  grants            {self.grants} "
                 f"({self.throughput:,.0f} grants/s), {self.releases} releases",
+                *per_shard,
                 "  wait time         "
                 + "  ".join(
                     f"p{int(fraction * 100)}={_percentile(waits, fraction) * 1e3:.2f}ms"
@@ -363,6 +375,7 @@ async def lock_load(spec: LockLoadSpec) -> LockLoadReport:
         }
         wait_times: List[float] = []
         grants_per_client = [0] * spec.clients
+        shard_grants = [0] * deployment.shard_count
 
         async def run_client(client_index: int) -> None:
             for round_index in range(spec.acquisitions_per_client):
@@ -383,6 +396,7 @@ async def lock_load(spec: LockLoadSpec) -> LockLoadReport:
                 holders[name].add(client_index)
                 counters["grants"] += 1
                 grants_per_client[client_index] += 1
+                shard_grants[shard_of[name]] += 1
                 claim = await mutex.holder()
                 if claim is not None and claim not in client_ids:
                     counters["fabricated"] += 1
@@ -430,6 +444,7 @@ async def lock_load(spec: LockLoadSpec) -> LockLoadReport:
             wait_times=wait_times,
             grants_per_client=grants_per_client,
             injected_crashes=counters["injected"],
+            shard_grants=shard_grants,
             traces=[] if deployment.tracer is None else deployment.tracer.to_dicts(),
         )
     finally:

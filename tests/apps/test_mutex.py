@@ -260,6 +260,15 @@ class TestLockLoadHarness:
             seen = {variable for node in shard.nodes for variable in node.server.arbiter.locks}
             assert seen == expected[index]
 
+    def test_the_report_names_a_shard_that_served_no_lock(self):
+        # "lock0" and "lock1" both route to shard 0 over two shards.
+        report = run_lock_load(
+            LockLoadSpec(scenario=SCENARIO, clients=2, locks=2, shards=2, seed=5)
+        )
+        assert report.shard_grants == [report.grants, 0]
+        assert "per-shard grants  s0=" in report.render()
+        assert "(idle: s1)" in report.render()
+
     def test_a_trace_rate_puts_lock_steps_on_the_report(self):
         traced = run_lock_load(LockLoadSpec(scenario=SCENARIO, clients=2, trace_sample=1.0))
         assert {trace["context"]["step"] for trace in traced.traces} >= {"request", "release"}
