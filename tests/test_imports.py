@@ -1,9 +1,13 @@
-"""Import hygiene: importing the library loads no SciPy.
+"""Import hygiene: importing the library loads no SciPy, and the layers
+below the service load no service module.
 
 SciPy serves two call sites only — the load LP (``quorum/measures.py``)
 and the vectorised log-binomial grids (``analysis/combinatorics.py``) — and
-each imports it on first use.  The check runs in a fresh interpreter, since
-the test process itself has long since loaded SciPy through other tests.
+each imports it on first use.  The protocol and the Monte-Carlo oracle run
+the same quorum op as the asyncio service but sit below it, so importing
+them pulls in no server, codec or load harness.  The checks run in a fresh
+interpreter, since the test process itself has long since loaded both
+through other tests.
 """
 
 from __future__ import annotations
@@ -36,20 +40,36 @@ print(json.dumps({"after_import": after_import, "after_use": scipy_modules(),
 """
 
 
-def test_importing_the_library_loads_no_scipy():
+_LAYER_PROBE = """
+import json, sys
+import repro.protocol, repro.simulation.monte_carlo
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[:2] == ["repro", "service"])))
+"""
+
+
+def probe(source):
+    """Run ``source`` in a fresh interpreter; return its last line as JSON."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (_SOURCE_ROOT, env.get("PYTHONPATH")) if p
     )
     completed = subprocess.run(
-        [sys.executable, "-c", _PROBE],
+        [sys.executable, "-c", source],
         env=env,
         capture_output=True,
         text=True,
         check=True,
         timeout=120,
     )
-    report = json.loads(completed.stdout.strip().splitlines()[-1])
+    return json.loads(completed.stdout.strip().splitlines()[-1])
+
+
+def test_the_protocol_and_the_oracle_load_no_service_module():
+    assert probe(_LAYER_PROBE) == []
+
+
+def test_importing_the_library_loads_no_scipy():
+    report = probe(_PROBE)
     assert report["after_import"] == []
     # The two call sites still work, pulling SciPy in lazily.
     assert report["after_use"]
