@@ -197,14 +197,14 @@ class ProbabilisticRegister:
         self.writes_performed += 1
         return outcome
 
-    # -- read -------------------------------------------------------------------
-
     def _send(
         self, quorum: Quorum, value: Any, timestamp: Timestamp, signature: Optional[bytes]
     ) -> frozenset:
         """Write the pair to ``quorum``; return the servers that acknowledged."""
         args = (self.name, value, timestamp, signature)
         return frozenset(self.cluster.run(QuorumOp(quorum), "write", args).replies)
+
+    # -- read -------------------------------------------------------------------
 
     def _collect(self, quorum: Quorum) -> Dict[ServerId, StoredValue]:
         """Query ``quorum``; return the value-bearing replies, in arrival order."""

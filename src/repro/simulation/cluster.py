@@ -25,8 +25,8 @@ import random
 from typing import Iterable, List, Optional, Set
 
 from repro.exceptions import ConfigurationError
-from repro.simulation.failures import FailurePlan
 from repro.protocol.quorum_op import QuorumOp
+from repro.simulation.failures import FailurePlan
 from repro.simulation.server import NO_REPLY, ReplicaServer
 from repro.types import ServerId
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.exceptions import ProtocolError, SimulationError
+from repro.exceptions import SimulationError
 from repro.protocol.timestamps import Timestamp
 from repro.simulation.server import (
     ByzantineForgeBehavior,
@@ -105,10 +105,6 @@ class TestHandle:
             assert server.handle("ping") is NO_REPLY
             assert server.handle("repair", *args) is NO_REPLY
             assert not server.answers_pings
-
-    def test_unknown_method_is_a_protocol_error(self):
-        with pytest.raises(ProtocolError):
-            ReplicaServer(0).handle("warp")
 
 
 class TestByzantineBehaviors:
