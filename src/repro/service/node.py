@@ -66,7 +66,7 @@ class ServiceNode:
         "answered with nothing" distinct from "never answered".
         """
         self.requests += 1
-        reply = self.server.handle(method, *args)
+        reply = self.server.handle(method, args)
         return NO_REPLY if reply is NO_REPLY else ("ok", reply)
 
     def stored(self, variable: str) -> Optional[StoredValue]:

@@ -146,7 +146,7 @@ class Cluster:
         servers = op.start()
         while servers:
             for server_id in self._delivery_order(servers):
-                reply = self.servers[self._check_server(server_id)].handle(method, *args)
+                reply = self.servers[self._check_server(server_id)].handle(method, args)
                 if reply is NO_REPLY:
                     op.on_miss(server_id)
                 else:

@@ -396,7 +396,7 @@ class _Run:
         args = (spec.variable, op.value, timestamp, signature)
 
         def deliver(server_id: int) -> None:
-            self.servers[server_id].handle("write", *args)
+            self.servers[server_id].handle("write", args)
 
         self._scatter(quorum, deliver)
         self._drain(op_index, "write")
@@ -408,7 +408,7 @@ class _Run:
         replies: Dict[int, StoredValue] = {}
 
         def deliver(server_id: int) -> None:
-            stored = self.servers[server_id].handle("read", spec.variable)
+            stored = self.servers[server_id].handle("read", (spec.variable,))
             if stored is not None and stored is not NO_REPLY:
                 replies[server_id] = stored
 

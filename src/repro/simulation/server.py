@@ -309,20 +309,25 @@ class ReplicaServer:
 
     # -- the protocol entry point -------------------------------------------------
 
-    def handle(self, method: str, *args: Any) -> Any:
+    def handle(self, method: str, args: tuple = ()) -> Any:
         """Answer one RPC through the behaviour; :data:`NO_REPLY` is silence.
 
-        ``read(variable)`` returns the stored copy (``None``: "I store
-        nothing"), ``write`` / ``repair(variable, value, timestamp,
-        signature)`` the ack / whether the merge adopted, ``lock(*message)``
-        the arbiter's reply and ``ping()`` ``True``.  Every driver — the
+        ``args`` is the RPC's argument tuple: ``read`` takes ``(variable,)``
+        and returns the stored copy (``None``: "I store nothing");
+        ``write`` and ``repair`` take ``(variable, value, timestamp,
+        signature)`` and return the ack / whether the merge adopted;
+        ``lock`` takes the lock message and returns the arbiter's reply;
+        ``ping`` takes nothing and returns ``True``.  Every driver — the
         synchronous :class:`~repro.simulation.cluster.Cluster`, the explorer
-        and the service's nodes — asks through here.
+        and the service's nodes — asks through here.  The tuple is passed
+        as it is, not spread: re-spreading a forwarded ``*args`` costs the
+        service's node a ``CALL_FUNCTION_EX`` on every RPC.
         """
         if method == "read":
             # First: reads dominate every workload.
             self.reads_handled += 1
-            return self._behavior.on_read(self, *args)
+            (variable,) = args
+            return self._behavior.on_read(self, variable)
         if method == "write":
             self.writes_handled += 1
             variable, value, timestamp, signature = args

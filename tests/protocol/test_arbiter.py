@@ -183,23 +183,23 @@ class TestTransitions:
 class TestReplicaBehaviours:
     def test_a_crash_clears_the_grant_table_and_silences_the_server(self):
         server, send = ReplicaServer(0), Sender()
-        assert standing(server.handle("lock", *send(REQUEST, 1, 1))) == GRANTED
+        assert standing(server.handle("lock", send(REQUEST, 1, 1))) == GRANTED
         server.crash()
-        assert server.handle("lock", *send(REQUEST, 2, 2)) is NO_REPLY
+        assert server.handle("lock", send(REQUEST, 2, 2)) is NO_REPLY
         server.recover()
-        assert server.handle("lock", HOLDER, VAR)[1] is None
-        assert standing(server.handle("lock", *send(REQUEST, 2, 3))) == GRANTED
+        assert server.handle("lock", (HOLDER, VAR))[1] is None
+        assert standing(server.handle("lock", send(REQUEST, 2, 3))) == GRANTED
 
     def test_silent_byzantine_servers_never_answer(self):
         server = ReplicaServer(0, ByzantineSilentBehavior())
-        assert server.handle("lock", *Sender()(REQUEST, 1, 1)) is NO_REPLY
+        assert server.handle("lock", Sender()(REQUEST, 1, 1)) is NO_REPLY
 
     def test_forgers_grant_everyone_and_name_their_fabrication(self):
         forged = Timestamp.forged_maximum()
         server, send = ReplicaServer(0, ByzantineForgeBehavior("F", forged)), Sender()
-        assert standing(server.handle("lock", *send(REQUEST, 1, 1))) == GRANTED
-        assert standing(server.handle("lock", *send(REQUEST, 2, 2))) == GRANTED
-        record = server.handle("lock", HOLDER, VAR)[1]
+        assert standing(server.handle("lock", send(REQUEST, 1, 1))) == GRANTED
+        assert standing(server.handle("lock", send(REQUEST, 2, 2))) == GRANTED
+        record = server.handle("lock", (HOLDER, VAR))[1]
         assert (record.value, record.timestamp) == ("F", forged)
 
 

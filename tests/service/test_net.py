@@ -83,7 +83,7 @@ class TestTcpRoundTrip:
         async def scenario():
             nodes, server, transport = await deploy(n=10)
             for node in nodes:
-                node.server.handle("write", "x", node.server_id * 11, Timestamp(1), None)
+                node.server.handle("write", ("x", node.server_id * 11, Timestamp(1), None))
             replies = await asyncio.gather(
                 *(
                     transport.call(RemoteNode(index % 10), "read", "x", timeout=1.0)
@@ -358,7 +358,7 @@ class TestTcpDispatcher:
         async def scenario(codec):
             nodes, server, transport = await deploy(n=10, codec=codec)
             for node in nodes:
-                node.server.handle("write", "x", node.server_id % 3, Timestamp(1), None)
+                node.server.handle("write", ("x", node.server_id % 3, Timestamp(1), None))
             nodes[2].crash()
             nodes[5].set_behavior(ByzantineSilentBehavior())
             nodes[7].set_behavior(ByzantineForgeBehavior("FORGED", Timestamp.forged_maximum()))
@@ -497,7 +497,7 @@ class TestTcpDispatcher:
         async def scenario():
             nodes, server, transport = await deploy(n=6, codec=codec)
             for node in nodes:
-                node.server.handle("write", "x", bytes([node.server_id]) * 400, Timestamp(1), None)
+                node.server.handle("write", ("x", bytes([node.server_id]) * 400, Timestamp(1), None))
             frames = []
             encode = net.encode_grouped_response_frames
             monkeypatch.setattr(

@@ -19,7 +19,7 @@ from repro.simulation.server import ByzantineForgeBehavior
 
 
 def seed_one_server(cluster, variable="x", value="v", counter=1):
-    cluster.server(0).handle("write", variable, value, Timestamp(counter, 0), None)
+    cluster.server(0).handle("write", (variable, value, Timestamp(counter, 0), None))
 
 
 class TestGossipSpread:
@@ -43,8 +43,8 @@ class TestGossipSpread:
         cluster = Cluster(10, seed=3)
         # Server 0 has an old version everywhere, server 1 has the newest.
         for server in range(10):
-            cluster.server(server).handle("write", "x", "old", Timestamp(1, 0), None)
-        cluster.server(1).handle("write", "x", "new", Timestamp(2, 0), None)
+            cluster.server(server).handle("write", ("x", "old", Timestamp(1, 0), None))
+        cluster.server(1).handle("write", ("x", "new", Timestamp(2, 0), None))
         engine = DiffusionEngine(cluster, fanout=3, rng=random.Random(3))
         engine.run_until_quiescent(["x"])
         assert engine.coverage("x", "new") == 1.0
@@ -87,10 +87,10 @@ class TestGossipUnderAttack:
         # A correct server holds a signed honest value.
         honest_ts = Timestamp(1, 0)
         cluster.server(1).handle(
-            "write", "x", "honest", honest_ts, scheme.sign("x", "honest", honest_ts)
+            "write", ("x", "honest", honest_ts, scheme.sign("x", "honest", honest_ts))
         )
         # The Byzantine server's storage claims a forged value.
-        cluster.server(0).storage["x"] = cluster.server(0).handle("read", "x")
+        cluster.server(0).storage["x"] = cluster.server(0).handle("read", ("x",))
 
         def verify(variable, stored):
             return scheme.verify(variable, stored.value, stored.timestamp, stored.signature)
@@ -132,7 +132,7 @@ class TestRoundModels:
         for _ in range(trials):
             cluster = Cluster(n, seed=rng.randrange(2**32))
             for server in rng.sample(range(n), quorum):
-                cluster.server(server).handle("write", "x", "v", Timestamp(1, 0), None)
+                cluster.server(server).handle("write", ("x", "v", Timestamp(1, 0), None))
             engine = DiffusionEngine(cluster, fanout=2, rng=rng)
             engine.run_round(["x"])
             coverage += engine.coverage("x", "v")

@@ -128,7 +128,7 @@ def apply(world, event: tuple) -> None:
     if kind == "write":
         _, _, variable, value, timestamp = event
         record = signed(variable, value, timestamp)
-        server.handle("write", variable, record.value, record.timestamp, record.signature)
+        server.handle("write", (variable, record.value, record.timestamp, record.signature))
     elif kind == "plant":
         _, _, variable, value, timestamp = event
         server.storage[variable] = signed(variable, value, timestamp)

@@ -61,7 +61,7 @@ class TestEngineProperties:
     ):
         rng = random.Random(seed)
         cluster = Cluster(n, failure_plan=crashed_plan(n, crash_fraction, rng), seed=seed)
-        cluster.server(0).handle("write", "x", "v", Timestamp(1, 0), None)
+        cluster.server(0).handle("write", ("x", "v", Timestamp(1, 0), None))
         engine = DiffusionEngine(cluster, fanout=fanout, rng=random.Random(seed + 1))
         profile = engine.freshness_profile("x", "v", rounds=rounds)
         assert profile[0] > 0.0  # the seeder is correct by construction
@@ -83,7 +83,7 @@ class TestEngineProperties:
         cluster = Cluster(n, seed=seed)
         honest_ts = Timestamp(1, 0)
         cluster.server(poisoned).handle(
-            "write", "x", "honest", honest_ts, scheme.sign("x", "honest", honest_ts)
+            "write", ("x", "honest", honest_ts, scheme.sign("x", "honest", honest_ts))
         )
         for server in range(poisoned):
             cluster.server(server).storage["x"] = StoredValue(
@@ -111,7 +111,7 @@ class TestEngineProperties:
     @settings(max_examples=20, deadline=None)
     def test_fanout_zero_is_the_identity(self, n, rounds, seed):
         cluster = Cluster(n, seed=seed)
-        cluster.server(0).handle("write", "x", "v", Timestamp(1, 0), None)
+        cluster.server(0).handle("write", ("x", "v", Timestamp(1, 0), None))
         engine = DiffusionEngine(cluster, fanout=0, rng=random.Random(seed))
         before = {
             server: cluster.server(server).storage.get("x") for server in range(n)

@@ -390,11 +390,11 @@ class TestDirectDelivery:
 
     def _by_hand(self, servers, rpc):
         write = ("x", "v", Timestamp(1, 0), None)
-        replies = {s: servers[s].handle("write", *write) for s in self.QUORUM}
+        replies = {s: servers[s].handle("write", write) for s in self.QUORUM}
         if rpc == "read":
-            replies = {s: servers[s].handle("read", "x") for s in self.QUORUM}
+            replies = {s: servers[s].handle("read", ("x",)) for s in self.QUORUM}
         elif rpc == "lock":
-            replies = {s: servers[s].handle("lock", *self.LOCK) for s in self.QUORUM}
+            replies = {s: servers[s].handle("lock", self.LOCK) for s in self.QUORUM}
         # Silence leaves no key; every answer, even "I store nothing", does.
         return {s: reply for s, reply in replies.items() if reply is not NO_REPLY}
 

@@ -21,46 +21,46 @@ from repro.simulation.server import (
 class TestCorrectBehavior:
     def test_stores_and_returns_latest(self):
         server = ReplicaServer(0)
-        assert server.handle("write", "x", "v1", Timestamp(1, 0), None)
-        assert server.handle("write", "x", "v2", Timestamp(2, 0), None)
-        stored = server.handle("read", "x")
+        assert server.handle("write", ("x", "v1", Timestamp(1, 0), None))
+        assert server.handle("write", ("x", "v2", Timestamp(2, 0), None))
+        stored = server.handle("read", ("x",))
         assert stored.value == "v2"
         assert server.writes_handled == 2
         assert server.reads_handled == 1
 
     def test_ignores_stale_writes(self):
         server = ReplicaServer(0)
-        server.handle("write", "x", "new", Timestamp(5, 0), None)
-        server.handle("write", "x", "old", Timestamp(2, 0), None)
-        assert server.handle("read", "x").value == "new"
+        server.handle("write", ("x", "new", Timestamp(5, 0), None))
+        server.handle("write", ("x", "old", Timestamp(2, 0), None))
+        assert server.handle("read", ("x",)).value == "new"
 
     def test_unknown_variable_reads_none(self):
-        assert ReplicaServer(0).handle("read", "missing") is None
+        assert ReplicaServer(0).handle("read", ("missing",)) is None
 
     def test_variables_are_independent(self):
         server = ReplicaServer(0)
-        server.handle("write", "x", 1, Timestamp(1, 0), None)
-        server.handle("write", "y", 2, Timestamp(1, 0), None)
-        assert server.handle("read", "x").value == 1
-        assert server.handle("read", "y").value == 2
+        server.handle("write", ("x", 1, Timestamp(1, 0), None))
+        server.handle("write", ("y", 2, Timestamp(1, 0), None))
+        assert server.handle("read", ("x",)).value == 1
+        assert server.handle("read", ("y",)).value == 2
 
 
 class TestCrashAndRecovery:
     def test_crashed_server_is_silent(self):
         server = ReplicaServer(0)
-        server.handle("write", "x", "v", Timestamp(1, 0), None)
+        server.handle("write", ("x", "v", Timestamp(1, 0), None))
         server.crash()
         assert server.is_crashed
-        assert server.handle("write", "x", "v2", Timestamp(2, 0), None) is NO_REPLY
-        assert server.handle("read", "x") is NO_REPLY
+        assert server.handle("write", ("x", "v2", Timestamp(2, 0), None)) is NO_REPLY
+        assert server.handle("read", ("x",)) is NO_REPLY
 
     def test_recovery_restores_state_and_behavior(self):
         server = ReplicaServer(0)
-        server.handle("write", "x", "v", Timestamp(1, 0), None)
+        server.handle("write", ("x", "v", Timestamp(1, 0), None))
         server.crash()
         server.recover()
         assert not server.is_crashed
-        assert server.handle("read", "x").value == "v"
+        assert server.handle("read", ("x",)).value == "v"
 
     def test_installing_a_crashed_behavior_crashes_the_server(self):
         server = ReplicaServer(0)
@@ -95,15 +95,15 @@ class TestHandle:
         args = ("x", "v", Timestamp(1, 0), None)
         correct = ReplicaServer(0)
         assert correct.handle("ping") is True
-        assert correct.handle("repair", *args) is True
-        assert correct.handle("repair", *args) is False  # not newer
+        assert correct.handle("repair", args) is True
+        assert correct.handle("repair", args) is False  # not newer
         forger = ReplicaServer(1, ByzantineForgeBehavior("F", Timestamp.forged_maximum()))
         assert forger.handle("ping") is True
-        assert forger.handle("repair", *args) is False  # answers, adopts nothing
+        assert forger.handle("repair", args) is False  # answers, adopts nothing
         for behavior in (CrashedBehavior(), ByzantineSilentBehavior()):
             server = ReplicaServer(2, behavior)
             assert server.handle("ping") is NO_REPLY
-            assert server.handle("repair", *args) is NO_REPLY
+            assert server.handle("repair", args) is NO_REPLY
             assert not server.answers_pings
 
 
@@ -111,24 +111,24 @@ class TestByzantineBehaviors:
     def test_silent_behavior(self):
         server = ReplicaServer(0, behavior=ByzantineSilentBehavior())
         assert server.is_byzantine
-        assert server.handle("write", "x", "v", Timestamp(1, 0), None) is NO_REPLY
-        assert server.handle("read", "x") is NO_REPLY
+        assert server.handle("write", ("x", "v", Timestamp(1, 0), None)) is NO_REPLY
+        assert server.handle("read", ("x",)) is NO_REPLY
 
     def test_replay_behavior_serves_first_value(self):
         server = ReplicaServer(0, behavior=ByzantineReplayBehavior())
-        server.handle("write", "x", "v1", Timestamp(1, 0), None)
-        server.handle("write", "x", "v2", Timestamp(2, 0), None)
-        assert server.handle("read", "x").value == "v1"
+        server.handle("write", ("x", "v1", Timestamp(1, 0), None))
+        server.handle("write", ("x", "v2", Timestamp(2, 0), None))
+        assert server.handle("read", ("x",)).value == "v1"
 
     def test_replay_behavior_without_writes(self):
         server = ReplicaServer(0, behavior=ByzantineReplayBehavior())
-        assert server.handle("read", "x") is None
+        assert server.handle("read", ("x",)) is None
 
     def test_forge_behavior_fabricates(self):
         forged_ts = Timestamp.forged_maximum()
         server = ReplicaServer(0, behavior=ByzantineForgeBehavior("FORGED", forged_ts))
-        assert server.handle("write", "x", "honest", Timestamp(1, 0), None)  # pretends to ack
-        reply = server.handle("read", "x")
+        assert server.handle("write", ("x", "honest", Timestamp(1, 0), None))  # pretends to ack
+        reply = server.handle("read", ("x",))
         assert reply.value == "FORGED"
         assert reply.timestamp == forged_ts
         assert reply.signature == b"forged"
@@ -137,14 +137,14 @@ class TestByzantineBehaviors:
 class TestGossipMerge:
     def test_merge_adopts_newer_value(self):
         server = ReplicaServer(0)
-        server.handle("write", "x", "old", Timestamp(1, 0), None)
+        server.handle("write", ("x", "old", Timestamp(1, 0), None))
         changed = server.merge("x", StoredValue("new", Timestamp(2, 0)))
         assert changed
-        assert server.handle("read", "x").value == "new"
+        assert server.handle("read", ("x",)).value == "new"
 
     def test_merge_rejects_older_value(self):
         server = ReplicaServer(0)
-        server.handle("write", "x", "new", Timestamp(5, 0), None)
+        server.handle("write", ("x", "new", Timestamp(5, 0), None))
         assert not server.merge("x", StoredValue("old", Timestamp(1, 0)))
 
     def test_merge_into_empty_storage(self):
