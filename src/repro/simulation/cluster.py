@@ -143,14 +143,19 @@ class Cluster:
         miss.  Returns ``op``, whose ``replies`` hold every counted answer
         in arrival order.
         """
+        replicas, on_reply, on_miss = self.servers, op.on_reply, op.on_miss
         servers = op.start()
         while servers:
+            if min(servers) < 0 or max(servers) >= self._n:
+                raise ConfigurationError(
+                    f"servers {sorted(servers)} reach outside the universe of size {self._n}"
+                )
             for server_id in self._delivery_order(servers):
-                reply = self.servers[self._check_server(server_id)].handle(method, args)
+                reply = replicas[server_id].handle(method, args)
                 if reply is NO_REPLY:
-                    op.on_miss(server_id)
+                    on_miss(server_id)
                 else:
-                    op.on_reply(server_id, reply)
+                    on_reply(server_id, reply)
             servers = op.round_end()
         return op
 
