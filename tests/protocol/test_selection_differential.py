@@ -1,0 +1,168 @@
+"""Differential test: the one-pass read rule against the sorted reference.
+
+:func:`repro.protocol.selection.select_credible_value` groups replies by
+object identity in reply order, then ranks each distinct pair once, by the
+integer pair ``(counter, writer_id)`` when every timestamp is exactly a
+:class:`Timestamp`.  ``selection_oracle.py`` keeps the rule it replaced.
+Hypothesis draws reply maps in the shapes where the two could part:
+
+* replicas sharing one stored pair, and equal-but-distinct copies of it
+  (as after crossing the wire), and a copy sharing only one of the objects;
+* timestamp ties between distinct values, and vote ties;
+* :meth:`Timestamp.forged_maximum`;
+* unhashable list values;
+* replies without a timestamp;
+* all-int and mixed opaque timestamps (int with ``Timestamp`` or ``str``),
+  where both must raise the same exception type;
+* every threshold from 1 to the number of replies, and any reply order.
+
+Both must return the same result, with the winner's ``value`` and
+``timestamp`` the *same objects* (``is``).  CI runs this file once on a
+pinned hypothesis seed.
+"""
+
+from __future__ import annotations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.protocol.selection import enumerate_credible_values, select_credible_value
+from repro.protocol.timestamps import Timestamp
+from repro.simulation.server import StoredValue
+from tests.protocol import selection_oracle as oracle
+
+#: Timestamp families: each spec builds a *fresh* (equal-but-distinct) object.
+TIMESTAMP_SPECS = {
+    "timestamp": st.one_of(
+        st.tuples(st.just("ts"), st.integers(0, 2), st.integers(0, 1)),
+        st.just(("forged",)),
+    ),
+    "int": st.tuples(st.just("int"), st.integers(0, 2)),
+    "int+timestamp": st.one_of(
+        st.tuples(st.just("int"), st.integers(0, 2)),
+        st.tuples(st.just("ts"), st.integers(0, 2), st.integers(0, 1)),
+    ),
+    "int+str": st.one_of(
+        st.tuples(st.just("int"), st.integers(0, 2)),
+        st.tuples(st.just("str"), st.integers(0, 2)),
+    ),
+}
+VALUE_SPECS = st.one_of(
+    st.tuples(st.just("bytes"), st.integers(0, 2)),
+    st.tuples(st.just("list"), st.integers(0, 2)),
+    st.just(("none",)),
+)
+
+
+def build_timestamp(spec):
+    kind = spec[0]
+    if kind == "ts":
+        return Timestamp(spec[1], spec[2])
+    if kind == "forged":
+        return Timestamp.forged_maximum()
+    if kind == "int":
+        return 10**6 + spec[1]  # above the small-int cache: a fresh object
+    return "t" + str(spec[1])
+
+
+def build_value(spec):
+    kind = spec[0]
+    if kind == "bytes":
+        return b"v%d" % spec[1]
+    if kind == "list":
+        return [spec[1], "x"]
+    return None
+
+
+@st.composite
+def reply_maps(draw):
+    """A reply map over a few versions, shared or copied, in any server order."""
+    family = draw(st.sampled_from(sorted(TIMESTAMP_SPECS)))
+    versions = draw(
+        st.lists(st.tuples(TIMESTAMP_SPECS[family], VALUE_SPECS), min_size=1, max_size=4)
+    )
+    shared = [StoredValue(build_value(v), build_timestamp(t)) for t, v in versions]
+    servers = draw(st.lists(st.integers(0, 40), min_size=0, max_size=12, unique=True))
+    replies = {}
+    for server in servers:
+        index = draw(st.integers(-1, len(versions) - 1))
+        if index < 0:
+            replies[server] = StoredValue(value=None, timestamp=None)
+            continue
+        share = draw(st.sampled_from(["record", "both", "timestamp", "value", "neither"]))
+        (timestamp_spec, value_spec), record = versions[index], shared[index]
+        replies[server] = (
+            record
+            if share == "record"
+            else StoredValue(
+                record.value if share in ("both", "value") else build_value(value_spec),
+                record.timestamp
+                if share in ("both", "timestamp")
+                else build_timestamp(timestamp_spec),
+            )
+        )
+    threshold = draw(st.integers(1, max(1, len(replies))))
+    return replies, threshold
+
+
+def outcome(rule, replies, threshold):
+    """The rule's result, or the type of the exception it raised."""
+    try:
+        return rule(replies, threshold), None
+    except Exception as error:  # the exception *type* is part of the contract
+        return None, type(error)
+
+
+def assert_same_selection(got, expected):
+    if expected is None:
+        assert got is None
+        return
+    assert got is not None
+    assert got.value is expected.value
+    assert got.timestamp is expected.timestamp
+    assert got.servers == expected.servers
+    assert got.votes == expected.votes
+
+
+@given(reply_maps())
+@settings(max_examples=600, deadline=None)
+def test_select_matches_the_sorted_reference(case):
+    replies, threshold = case
+    got, got_error = outcome(select_credible_value, replies, threshold)
+    expected, expected_error = outcome(oracle.select_credible_value, replies, threshold)
+    assert got_error is expected_error
+    assert_same_selection(got, expected)
+
+
+@given(reply_maps())
+@settings(max_examples=400, deadline=None)
+def test_enumerate_matches_the_sorted_reference(case):
+    replies, threshold = case
+    got, got_error = outcome(enumerate_credible_values, replies, threshold)
+    expected, expected_error = outcome(oracle.enumerate_credible_values, replies, threshold)
+    assert got_error is expected_error
+    if expected is not None:
+        assert len(got) == len(expected)
+        for mine, theirs in zip(got, expected):
+            assert_same_selection(mine, theirs)
+
+
+def test_a_live_shaped_read_compares_no_timestamp_objects(monkeypatch):
+    # The shape of a live inproc-read: 10 replies over 4 versions.  Ranking
+    # by (counter, writer_id) must not call one Timestamp comparison or hash.
+    versions = [StoredValue(b"v%d" % c, Timestamp(c, 1)) for c in (7, 6, 5, 4)]
+    replies = {server: versions[min(server // 2, 3)] for server in range(10)}
+    calls = []
+    for name in ("__eq__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__", "__hash__"):
+        method = getattr(Timestamp, name)
+
+        def counted(*args, _method=method, _name=name):
+            calls.append(_name)
+            return _method(*args)
+
+        monkeypatch.setattr(Timestamp, name, counted)
+    selected = select_credible_value(replies, threshold=2)
+    assert selected.timestamp is versions[0].timestamp and selected.votes == 2
+    assert calls == []
+    monkeypatch.undo()
+    assert_same_selection(selected, oracle.select_credible_value(replies, threshold=2))
