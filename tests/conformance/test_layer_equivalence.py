@@ -32,7 +32,8 @@ Beyond the 4×8 grid, standalone cells weld in the variants: the **binary
 codec** (the struct-packed frames negotiated per connection must classify
 reads exactly like the JSON ones), a **ClusterDeployment** (one server
 process per shard, the load driven from the test process: real process
-boundaries must not change the semantics either), and two **anti-entropy** cells (piggybacked
+boundaries must not change the semantics either; a second cluster cell
+spreads four keys over both shard processes), and two **anti-entropy** cells (piggybacked
 read-repair + background gossip armed on every path: moving freshness off
 the read path must not move the rates, and gossip must never become a
 fabrication vector).  All are held to the same zero-fabrication and
@@ -159,13 +160,7 @@ def service_counts(spec: ScenarioSpec, transport: str, codec: str = "json") -> d
         )
     report = run_service_load(load)
     assert report.reads_completed == load.clients * load.reads_per_client
-    return {
-        "total": report.reads_completed,
-        "fresh": report.outcomes["fresh"],
-        "stale": report.outcomes["stale"],
-        "empty": report.outcomes["empty"],
-        "fabricated": report.outcomes["fabricated"],
-    }
+    return report_counts(report)
 
 
 def decided_fresh_rate(counts: dict) -> float:
@@ -255,7 +250,7 @@ def test_binary_codec_tcp_cell():
     assert_paths_conform("masking-forger-binary", spec, paths)
 
 
-def cluster_counts(spec: ScenarioSpec) -> dict:
+def cluster_report(spec: ScenarioSpec, keys: int):
     """The TCP workload on a ClusterDeployment: 2 shard server processes,
     the load driven from this process, binary codec."""
     load = ServiceLoadSpec(
@@ -266,13 +261,17 @@ def cluster_counts(spec: ScenarioSpec) -> dict:
         deadline=0.1,
         transport="tcp",
         shards=2,
-        keys=2,
+        keys=keys,
         codec="binary",
         processes=2,
         seed=SEED,
     )
     report = run_service_load(load)
     assert report.reads_completed == load.clients * load.reads_per_client
+    return report
+
+
+def report_counts(report) -> dict:
     return {
         "total": report.reads_completed,
         "fresh": report.outcomes["fresh"],
@@ -280,6 +279,11 @@ def cluster_counts(spec: ScenarioSpec) -> dict:
         "empty": report.outcomes["empty"],
         "fabricated": report.outcomes["fabricated"],
     }
+
+
+def cluster_counts(spec: ScenarioSpec) -> dict:
+    # Both keys, x0 and x1, route to shard 1: this path runs one shard process.
+    return report_counts(cluster_report(spec, keys=2))
 
 
 def test_cluster_deployment_cell():
@@ -297,6 +301,25 @@ def test_cluster_deployment_cell():
         "service-cluster": cluster_counts(spec),
     }
     assert_paths_conform("masking-forger-cluster", spec, paths)
+
+
+def test_cluster_deployment_cell_over_both_shards():
+    """The cluster cell with four keys, so both shard processes serve.
+
+    ``shard_for_key`` routes ``x0``/``x1`` to shard 1 and ``x2``/``x3`` to
+    shard 0; every shard must serve operations, under the same bars.
+    """
+    spec = GRID["masking-forger"]
+    report = cluster_report(spec, keys=4)
+    assert len(report.shard_ops) == 2 and all(ops > 0 for ops in report.shard_ops), (
+        report.shard_ops
+    )
+    paths = {
+        "batch": engine_counts(spec, "batch", BATCH_TRIALS),
+        "service-inproc": service_counts(spec, "inproc"),
+        "service-cluster": report_counts(report),
+    }
+    assert_paths_conform("masking-forger-cluster-both-shards", spec, paths)
 
 
 #: The anti-entropy configuration the AE cells arm: gossip after each write
