@@ -661,9 +661,9 @@ def encode_grouped_response_frames(
     ``replies`` lists ``(server_id, reply_envelope)`` for every replica
     that answered (a silent one is simply absent).  Replicas are grouped by
     their reply's *encoded bytes* — exact where ``==`` is not (``1 == True
-    == 1.0``, and the codec is a bijection) — so a benign read ships one
-    envelope however large the quorum (and, the replicas sharing the
-    writer's objects, encodes it once: see :func:`_reply_identity`).  Each
+    == 1.0``, and the codec is a bijection) — so a read ships one envelope
+    per version (a 10-reply read carries a median of 4), each encoded once
+    as the replicas share the writer's objects (:func:`_reply_identity`).  Each
     frame is byte-identical to ``encode_frame(("mrsp", op_id, groups),
     codec)``; a new frame is started whenever the next group would push the
     body past :data:`MAX_FRAME_BYTES`, so q large distinct values that each
