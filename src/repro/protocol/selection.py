@@ -117,8 +117,7 @@ def select_credible_value(
         raise ConfigurationError(f"vote threshold must be positive, got {threshold}")
     pairs = _identity_groups(replies)
     if len(pairs) == 1:
-        # One distinct pair (a converged quorum: about 7 % of byz-churn's
-        # reads, after gossip and read-repair) needs only the threshold check.
+        # One distinct pair (7 % of byz-churn's reads): a threshold check.
         stored, servers = pairs[0]
     else:
         # A live 10-reply read carries a median of 4 distinct pairs (a read

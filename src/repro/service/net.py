@@ -43,8 +43,9 @@ lives behind the same server socket, so a round names its q servers in
 one ``mreq``, the server validates the whole id list before touching any
 node, calls each node's ``handle`` in process and answers with one
 ``mrsp``.  Replicas whose replies encode to *identical bytes* share one
-envelope (a 10-reply read carries a median of 4 versions, so about 4
-groups) — bytes, never ``==``, because ``1 == True == 1.0``.  A silent replica is simply absent from the ``mrsp``; when the
+envelope (a 10-reply read carries a median of 4 versions: about 4
+groups) — bytes, never ``==``, as ``1 == True == 1.0`` and the codec is
+a bijection.  A silent replica is simply absent from the ``mrsp``; when the
 next group would push a frame past ``MAX_FRAME_BYTES`` the server starts
 another ``mrsp`` with the same ``op_id``, and the client takes any number
 of them per op.  Single RPCs (:meth:`TcpTransport.call`, cluster probes,
