@@ -160,7 +160,13 @@ def service_counts(spec: ScenarioSpec, transport: str, codec: str = "json") -> d
         )
     report = run_service_load(load)
     assert report.reads_completed == load.clients * load.reads_per_client
-    return report_counts(report)
+    return {
+        "total": report.reads_completed,
+        "fresh": report.outcomes["fresh"],
+        "stale": report.outcomes["stale"],
+        "empty": report.outcomes["empty"],
+        "fabricated": report.outcomes["fabricated"],
+    }
 
 
 def decided_fresh_rate(counts: dict) -> float:
@@ -250,7 +256,7 @@ def test_binary_codec_tcp_cell():
     assert_paths_conform("masking-forger-binary", spec, paths)
 
 
-def cluster_report(spec: ScenarioSpec, keys: int):
+def cluster_counts(spec: ScenarioSpec) -> dict:
     """The TCP workload on a ClusterDeployment: 2 shard server processes,
     the load driven from this process, binary codec."""
     load = ServiceLoadSpec(
@@ -261,17 +267,13 @@ def cluster_report(spec: ScenarioSpec, keys: int):
         deadline=0.1,
         transport="tcp",
         shards=2,
-        keys=keys,
+        keys=2,
         codec="binary",
         processes=2,
         seed=SEED,
     )
     report = run_service_load(load)
     assert report.reads_completed == load.clients * load.reads_per_client
-    return report
-
-
-def report_counts(report) -> dict:
     return {
         "total": report.reads_completed,
         "fresh": report.outcomes["fresh"],
@@ -279,11 +281,6 @@ def report_counts(report) -> dict:
         "empty": report.outcomes["empty"],
         "fabricated": report.outcomes["fabricated"],
     }
-
-
-def cluster_counts(spec: ScenarioSpec) -> dict:
-    # Both keys, x0 and x1, route to shard 1: this path runs one shard process.
-    return report_counts(cluster_report(spec, keys=2))
 
 
 def test_cluster_deployment_cell():
@@ -307,17 +304,35 @@ def test_cluster_deployment_cell_over_both_shards():
     """The cluster cell with four keys, so both shard processes serve.
 
     ``shard_for_key`` routes ``x0``/``x1`` to shard 1 and ``x2``/``x3`` to
-    shard 0; every shard must serve operations, under the same bars.
+    shard 0 (the two-key cell above drives shard 1 alone); every shard must
+    serve operations, under the same bars.
     """
     spec = GRID["masking-forger"]
-    report = cluster_report(spec, keys=4)
+    load = ServiceLoadSpec(
+        scenario=spec,
+        clients=20,
+        reads_per_client=4,
+        writes=4,
+        deadline=0.1,
+        transport="tcp",
+        shards=2,
+        keys=4,
+        codec="binary",
+        processes=2,
+        seed=SEED,
+    )
+    report = run_service_load(load)
+    assert report.reads_completed == load.clients * load.reads_per_client
     assert len(report.shard_ops) == 2 and all(ops > 0 for ops in report.shard_ops), (
         report.shard_ops
     )
     paths = {
         "batch": engine_counts(spec, "batch", BATCH_TRIALS),
         "service-inproc": service_counts(spec, "inproc"),
-        "service-cluster": report_counts(report),
+        "service-cluster": {
+            "total": report.reads_completed,
+            **{kind: report.outcomes[kind] for kind in ("fresh", "stale", "empty", "fabricated")},
+        },
     }
     assert_paths_conform("masking-forger-cluster-both-shards", spec, paths)
 
