@@ -14,7 +14,9 @@ Hypothesis draws reply maps in the shapes where the two could part:
 * replies without a timestamp;
 * all-int and mixed opaque timestamps (int with ``Timestamp`` or ``str``),
   where both must raise the same exception type;
-* every threshold from 1 to the number of replies, and any reply order.
+* every threshold from 1 to the number of replies, and any reply order;
+* hand-built tied ranks: a forged tie, and equal values held as distinct
+  objects.
 
 Both must return the same result, with the winner's ``value`` and
 ``timestamp`` the *same objects* (``is``).  CI runs this file once on a
@@ -23,9 +25,11 @@ pinned hypothesis seed.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.protocol import selection
 from repro.protocol.selection import enumerate_credible_values, select_credible_value
 from repro.protocol.timestamps import Timestamp
 from repro.simulation.server import StoredValue
@@ -166,3 +170,65 @@ def test_a_live_shaped_read_compares_no_timestamp_objects(monkeypatch):
     assert calls == []
     monkeypatch.undo()
     assert_same_selection(selected, oracle.select_credible_value(replies, threshold=2))
+
+
+def tied_rank_reads():
+    """Reads whose highest rank is held by two or more identity groups."""
+    forged = Timestamp.forged_maximum()
+    honest = StoredValue(b"v1", Timestamp(1, 0))
+    # Two forgers claim the same forged timestamp for different values, and a
+    # third repeats one of them with its own (equal but distinct) objects.
+    forged_tie = {
+        0: honest, 1: honest, 2: honest,
+        3: StoredValue(b"forged-a", forged),
+        4: StoredValue(b"forged-b", Timestamp.forged_maximum()),
+        5: StoredValue(b"forged-%s" % b"a", Timestamp.forged_maximum()),
+    }
+    # Equal values that are distinct objects at one rank, as after decoding
+    # each reply from the wire: one pair, three identity groups.
+    copies = {server: StoredValue(b"v%d" % 2, Timestamp(2, 1)) for server in (4, 1, 7)}
+    copies[0] = StoredValue(b"v1", Timestamp(1, 1))
+    # A tie whose vote counts differ, over list values (no hashing).
+    lists = {
+        0: StoredValue([1, "x"], Timestamp(3)), 1: StoredValue([1, "x"], Timestamp(3)),
+        2: StoredValue([2, "x"], Timestamp(3)),
+    }
+    return {"forged tie": forged_tie, "distinct equal copies": copies, "list tie": lists}
+
+
+@pytest.mark.parametrize("name", sorted(tied_rank_reads()))
+@pytest.mark.parametrize("threshold", [1, 2, 3])
+def test_tied_ranks_match_the_sorted_reference(name, threshold):
+    replies = tied_rank_reads()[name]
+    for rule, reference in (
+        (select_credible_value, oracle.select_credible_value),
+        (enumerate_credible_values, oracle.enumerate_credible_values),
+    ):
+        got, expected = rule(replies, threshold), reference(replies, threshold)
+        if rule is select_credible_value:
+            assert_same_selection(got, expected)
+        else:
+            assert len(got) == len(expected)
+            for mine, theirs in zip(got, expected):
+                assert_same_selection(mine, theirs)
+
+
+def test_the_tiebreak_token_is_computed_only_for_a_shared_rank(monkeypatch):
+    # A live read with no shared rank: 10 replies over 4 versions, each at
+    # its own timestamp.  No token can matter, so none is computed.
+    versions = [StoredValue(bytes([c]) * 1024, Timestamp(c, 1)) for c in (7, 6, 5, 4)]
+    replies = {server: versions[min(server // 2, 3)] for server in range(10)}
+    tokens = []
+
+    def counted(value):
+        tokens.append(value)
+        return repr(value)
+
+    monkeypatch.setattr(selection, "tiebreak_key", counted)
+    assert select_credible_value(replies, threshold=2).timestamp is versions[0].timestamp
+    assert enumerate_credible_values(replies, threshold=1)
+    assert tokens == []
+    # A shared rank needs its tokens: two values at the top timestamp.
+    replies[9] = StoredValue(b"rival", versions[0].timestamp)
+    select_credible_value(replies, threshold=1)
+    assert sorted(tokens, key=len) == [b"rival", versions[0].value]
