@@ -55,7 +55,13 @@ which is in :mod:`repro.service.net`), each with a fast encoder::
 
 (decoded by :func:`decode_binary_request_body` / :func:`decode_binary_response_body`).
 An ``mreq`` may end in its trace id; the generic decoder accepts that sixth
-element on either request.  Every fast path is byte-identical
+element on either request.  Under the binary codec two inner layouts are
+fixed too.  A server-id list is one ``!BI`` + ``Bq``-per-id struct
+(:func:`_pack_int64_tuple` / :func:`_unpack_int64_tuple`).  A live read
+reply ``("ok", StoredValue(<bytes>, Timestamp, None | <bytes>))`` is a
+constant prefix, the value's length and bytes, a ``!Bqq`` timestamp record
+and the signature (:func:`_pack_reply` / :func:`_unpack_reply`, shared by
+``rsp`` and every ``mrsp`` group).  Every fast path is byte-identical
 to (encoders) or value-identical with (decoders) the generic
 :func:`encode_frame` / :func:`decode_binary_body` on the tuple shown, and
 falls back to them on anything irregular.  An ``mrsp`` groups replicas by
@@ -188,6 +194,8 @@ _STRUCT_Q = struct.Struct("!q")
 _STRUCT_D = struct.Struct("!d")
 _STRUCT_I = struct.Struct("!I")
 _STRUCT_QQ = struct.Struct("!qq")
+_STRUCT_BI = struct.Struct("!BI")
+_STRUCT_BQQ = struct.Struct("!Bqq")
 
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
@@ -498,18 +506,87 @@ _BINARY_MRSP_PREFIX = _envelope_prefix(3, "mrsp")
 _BINARY_PAIR_HEADER = bytes((_T_TUPLE,)) + _STRUCT_I.pack(2)
 
 
+#: Fixed opening of a live read reply ``("ok", StoredValue(<bytes>, ...))``:
+#: 2-tuple header, the ``"ok"`` string, the record tag and the value's bytes
+#: tag.  The value's length, the value, a ``!Bqq`` timestamp record and the
+#: signature follow.
+_REPLY_PREFIX = _envelope_prefix(2, "ok")[1:] + bytes((_T_SV, _T_BYTES))
+_NONE_TAG = bytes((_T_NONE,))
+
+
+def _pack_reply(reply: Any) -> bytes:
+    """One reply envelope's binary encoding; byte-identical to :func:`_pack_binary`.
+
+    A live read reply — ``("ok", StoredValue(v, ts, sig))`` with ``v``
+    exactly ``bytes``, ``ts`` exactly a :class:`Timestamp` inside int64 and
+    ``sig`` ``None`` or ``bytes`` — is one join of fixed pieces; any other
+    shape takes the generic walk.
+    """
+    if type(reply) is tuple and len(reply) == 2:
+        tag, stored = reply
+        if type(stored) is StoredValue and type(tag) is str and tag == "ok":
+            value, timestamp, signature = stored.value, stored.timestamp, stored.signature
+            if type(value) is bytes and type(timestamp) is Timestamp:
+                counter, writer_id = timestamp.counter, timestamp.writer_id
+                if _INT64_MIN <= counter <= _INT64_MAX and _INT64_MIN <= writer_id <= _INT64_MAX:
+                    record = _STRUCT_BQQ.pack(_T_TS, counter, writer_id)
+                    if signature is None:
+                        return b"".join(
+                            (_REPLY_PREFIX, _STRUCT_I.pack(len(value)), value, record, _NONE_TAG)
+                        )
+                    if type(signature) is bytes:
+                        return b"".join((
+                            _REPLY_PREFIX, _STRUCT_I.pack(len(value)), value, record,
+                            _STRUCT_BI.pack(_T_BYTES, len(signature)), signature,
+                        ))
+    out = bytearray()
+    _pack_binary(reply, out)
+    return bytes(out)
+
+
+def _unpack_reply(body: bytes, offset: int) -> Tuple[Any, int]:
+    """Decode the reply envelope at ``offset``; the mirror of :func:`_pack_reply`.
+
+    A body that opens with :data:`_REPLY_PREFIX` and carries a ``!qq``
+    timestamp and a ``None`` or bytes signature decodes with one
+    ``unpack_from`` per field; anything else goes through
+    :func:`_unpack_binary`.  The :class:`Timestamp` is built through its
+    constructor, so a field it refuses raises as on the generic path.
+    """
+    start = offset + len(_REPLY_PREFIX)
+    if body[offset:start] == _REPLY_PREFIX:
+        (length,) = _STRUCT_I.unpack_from(body, start)
+        start += 4
+        end = start + length
+        if end + 18 <= len(body):  # the timestamp record and a signature tag fit
+            tag, counter, writer_id = _STRUCT_BQQ.unpack_from(body, end)
+            signature_tag = body[end + 17]
+            if tag == _T_TS and signature_tag == _T_NONE:
+                stored = StoredValue(body[start:end], Timestamp(counter, writer_id), None)
+                return ("ok", stored), end + 18
+            if tag == _T_TS and signature_tag == _T_BYTES:
+                (signature_length,) = _STRUCT_I.unpack_from(body, end + 18)
+                stop = end + 22 + signature_length
+                if stop <= len(body):
+                    signature = body[end + 22 : stop]
+                    stored = StoredValue(body[start:end], Timestamp(counter, writer_id), signature)
+                    return ("ok", stored), stop
+    return _unpack_binary(body, offset)
+
+
 def encode_response_frame(request_id: int, payload: Any, codec: str = "json") -> bytes:
     """One response frame; byte-identical to ``encode_frame(("rsp", ...))``.
 
     The response envelope is as fixed as the request one, so the binary
     path glues a precomputed prefix instead of packing the outer tuple —
-    this is the server's per-request hot path.
+    this is the server's per-request hot path.  The reply goes through
+    :func:`_pack_reply`, the codec an ``mrsp`` group uses too.
     """
     if codec != "binary":
         return encode_frame(("rsp", request_id, payload), codec)
     out = bytearray(_BINARY_RSP_PREFIX)
     _pack_int(request_id, out)
-    _pack_binary(payload, out)
+    out += _pack_reply(payload)
     return _frame(bytes(out))
 
 
@@ -562,7 +639,7 @@ def decode_binary_response_body(body: bytes) -> Any:
         try:
             if body[14] == _T_INT:
                 request_id = _STRUCT_Q.unpack_from(body, 15)[0]
-                payload, offset = _unpack_binary(body, 23)
+                payload, offset = _unpack_reply(body, 23)
                 if offset == len(body):
                     return ("rsp", request_id, payload)
         except Exception:
@@ -578,7 +655,7 @@ def decode_binary_response_body(body: bytes) -> Any:
                     if body[offset : offset + 5] != _BINARY_PAIR_HEADER:
                         break
                     servers, offset = _unpack_int64_tuple(body, offset + 5)
-                    envelope, offset = _unpack_binary(body, offset)
+                    envelope, offset = _unpack_reply(body, offset)
                     groups.append((servers, envelope))
                 else:
                     if offset == len(body):
@@ -606,6 +683,17 @@ def _unpack_int64_tuple(body: bytes, offset: int) -> Tuple[Tuple[int, ...], int]
     return fields[1::2], offset + 5 + 9 * count
 
 
+def _pack_int64_tuple(values: Sequence[int]) -> bytes:
+    """A counted tuple of ``!q`` ints in one struct pack; the mirror of :func:`_unpack_int64_tuple`.
+
+    ``values`` must be plain ints inside int64, as server ids are.
+    """
+    count = len(values)
+    fields = [_T_INT] * (2 * count)
+    fields[1::2] = values
+    return struct.pack("!BI" + "Bq" * count, _T_TUPLE, count, *fields)
+
+
 def encode_vectored_request_frame(
     op_id: int, servers: Sequence[int], tail, trace_id: Optional[int] = None
 ) -> bytes:
@@ -614,7 +702,7 @@ def encode_vectored_request_frame(
     Byte-identical to ``encode_frame(("mreq", op_id, tuple(servers), method,
     args), codec)`` for the codec the tail was built with, and to the
     6-tuple ending in ``trace_id`` when one is given.  ``servers`` must be
-    plain ints.
+    plain ints inside int64 (:func:`_pack_int64_tuple`).
     """
     if isinstance(tail, str):
         ids = ",".join(map(str, servers))
@@ -625,10 +713,7 @@ def encode_vectored_request_frame(
         return _frame(text.encode("utf-8"))
     out = bytearray(_BINARY_MREQ_PREFIXES[trace_id is not None])
     _pack_int(op_id, out)
-    out.append(_T_TUPLE)
-    out += _STRUCT_I.pack(len(servers))
-    for server in servers:
-        _pack_int(server, out)
+    out += _pack_int64_tuple(servers)
     out += tail
     if trace_id is not None:
         _pack_int(trace_id, out)
@@ -659,7 +744,8 @@ def encode_grouped_response_frames(
     """The ``mrsp`` frame(s) answering one ``mreq``; none when nobody replied.
 
     ``replies`` lists ``(server_id, reply_envelope)`` for every replica
-    that answered (a silent one is simply absent).  Replicas are grouped by
+    that answered (a silent one is simply absent); server ids must be plain
+    ints inside int64, as in an ``mreq``.  Replicas are grouped by
     their reply's *encoded bytes* — exact where ``==`` is not (``1 == True
     == 1.0``, and the codec is a bijection) — so a read ships one envelope
     per version (a 10-reply read carries a median of 4), each encoded once
@@ -679,9 +765,7 @@ def encode_grouped_response_frames(
         key = encoded.get(identity)
         if key is None:
             if binary:
-                packed = bytearray()
-                _pack_binary(reply, packed)
-                key = bytes(packed)
+                key = _pack_reply(reply)
             else:
                 key = json.dumps(pack_value(reply), separators=(",", ":")).encode("ascii")
             encoded[identity] = key
@@ -691,11 +775,10 @@ def encode_grouped_response_frames(
         _pack_int(op_id, opening)
         opening.append(_T_TUPLE)
         head, separator, tail = bytes(opening), b"", b""
-        groups = []
-        for envelope, servers in grouped.items():
-            group = bytearray(_BINARY_PAIR_HEADER)
-            _pack_tuple(tuple(servers), group)
-            groups.append(bytes(group) + envelope)
+        groups = [
+            b"".join((_BINARY_PAIR_HEADER, _pack_int64_tuple(servers), envelope))
+            for envelope, servers in grouped.items()
+        ]
     else:
         head = b'{"t":["mrsp",%d,{"t":[' % op_id
         separator, tail = b",", b"]}]}"

@@ -12,7 +12,9 @@ layout, two implementations are pinned to each other:
   fields): same object, or ``WireFormatError`` from both;
 * any chunking of a stream mixing all four shapes yields the same frames;
 * a grouped ``mrsp`` expands to exactly the ungrouped replies — grouping is
-  by encoded bytes, so ``1``/``True``/``1.0`` and ``b""``/``""`` stay apart.
+  by encoded bytes, so ``1``/``True``/``1.0`` and ``b""``/``""`` stay apart;
+* a live read reply ``("ok", StoredValue(<bytes>, Timestamp, sig))`` crosses
+  both fast paths without the generic walk, and its look-alikes take it.
 """
 
 from __future__ import annotations
@@ -71,8 +73,45 @@ server_lists = st.lists(servers, min_size=1, max_size=12, unique=True).map(tuple
 methods = st.text(max_size=12)
 arguments = st.lists(values, max_size=3).map(tuple)
 trace_ids = st.one_of(st.none(), st.integers(min_value=0, max_value=2**63 - 1))
+
+class Blob(bytes):
+    """A bytes subclass: it encodes as bytes, but only through the generic walk."""
+
+
+int64s = st.integers(-(2**63), 2**63 - 1)
+#: A live read's timestamps: any writer id, the int64 edges (2**63 is one
+#: past them: the big-timestamp record) and the forgers' maximum.
+live_timestamps = st.one_of(
+    st.builds(Timestamp, st.integers(0, 2**63 - 1), int64s),
+    st.builds(
+        Timestamp,
+        st.sampled_from((0, 2**63 - 1, 2**63)),
+        st.sampled_from((0, 1, -(2**63), 2**63 - 1, 2**63, -(2**63) - 1)),
+    ),
+    st.just(Timestamp.forged_maximum()),
+)
+signatures = st.one_of(st.none(), st.binary(max_size=24))
+live_records = st.builds(
+    StoredValue, value=st.binary(max_size=48), timestamp=live_timestamps, signature=signatures
+)
+#: The reply shape the binary codec packs as one fixed layout, and the
+#: look-alikes that must take the generic walk instead: a str or bytes
+#: subclass value, or a tag other than "ok".
+live_replies = st.one_of(
+    st.tuples(st.just("ok"), live_records),
+    st.tuples(
+        st.just("ok"),
+        st.builds(
+            StoredValue,
+            value=st.one_of(st.text(max_size=8), st.binary(max_size=8).map(Blob)),
+            timestamp=live_timestamps,
+            signature=signatures,
+        ),
+    ),
+    st.tuples(st.sampled_from(("err", "OK", "ok ", "")), live_records),
+)
 #: What replicas answer: the ("ok", payload) reply envelope.
-envelopes = st.tuples(st.just("ok"), values)
+envelopes = st.one_of(st.tuples(st.just("ok"), values), live_replies)
 #: A few distinct envelopes answered by many replicas: groups actually form.
 reply_lists = st.lists(envelopes, min_size=1, max_size=3).flatmap(
     lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=10)
@@ -292,3 +331,60 @@ class TestMutatedFrames:
         body[25:29] = (2**32 - 1).to_bytes(4, "big")  # the id tuple's count field
         with pytest.raises(WireFormatError):
             decode_binary_request_body(bytes(body))
+
+
+# -- the live read reply ----------------------------------------------------------
+
+
+def live_read(signature):
+    """A live 10-reply read over 4 versions, as the server hands it to the codec."""
+    versions = [
+        ("ok", StoredValue(bytes([c]) * 16, Timestamp(c, 3), signature)) for c in (9, 8, 7, 6)
+    ]
+    return [(server, versions[min(server // 3, 3)]) for server in range(10)]
+
+
+@pytest.mark.parametrize("signature", [None, b"sig" * 8])
+def test_a_live_read_never_takes_the_generic_walk(signature, monkeypatch):
+    replies = live_read(signature)
+    calls = []
+    for name in ("_pack_binary", "_unpack_binary"):
+        generic = getattr(wire, name)
+
+        def counted(*args, _generic=generic, _name=name):
+            calls.append(_name)
+            return _generic(*args)
+
+        monkeypatch.setattr(wire, name, counted)
+    (mrsp,) = encode_grouped_response_frames(4, replies, "binary")
+    rsp = encode_response_frame(5, replies[0][1], "binary")
+    decoded = [decode_binary_response_body(frame[4:]) for frame in (mrsp, rsp)]
+    assert calls == []
+    monkeypatch.undo()
+    assert same(expand(decoded[:1]), dict(replies))
+    assert same(decoded[1], ("rsp", 5, replies[0][1]))
+    assert mrsp == encode_frame(decode_binary_body(mrsp[4:]), "binary")
+    assert rsp == encode_frame(("rsp", 5, replies[0][1]), "binary")
+
+
+@pytest.mark.parametrize("value", [bytearray(b"v"), memoryview(b"v"), object()])
+def test_an_unserialisable_value_fails_as_on_the_generic_path(value):
+    reply = ("ok", StoredValue(value, Timestamp(1, 2), None))
+    with pytest.raises(WireFormatError, match="cannot serialise"):
+        encode_frame(("rsp", 1, reply), "binary")
+    with pytest.raises(WireFormatError, match="cannot serialise"):
+        encode_response_frame(1, reply, "binary")
+    with pytest.raises(WireFormatError, match="cannot serialise"):
+        encode_grouped_response_frames(1, [(0, reply)], "binary")
+
+
+def test_a_negative_counter_is_a_wire_error_on_the_fast_path():
+    (mrsp,) = encode_grouped_response_frames(
+        4, [(0, ("ok", StoredValue(b"v", Timestamp(5, 1), None)))], "binary"
+    )
+    body = bytearray(mrsp[4:])
+    record = body.index(bytes((0x0B,)) + (5).to_bytes(8, "big"))  # the !Bqq timestamp
+    body[record + 1 : record + 9] = (-5).to_bytes(8, "big", signed=True)
+    for decode in (decode_binary_body, decode_binary_response_body):
+        with pytest.raises(WireFormatError):
+            decode(bytes(body))
