@@ -869,7 +869,9 @@ class FrameDecoder:
                     payloads.append(unpack_value(json.loads(body.decode("utf-8"))))
                 except WireFormatError:
                     raise
-                except ValueError as error:
+                except (ValueError, RecursionError) as error:
+                    # RecursionError: a few hundred nested brackets outrun
+                    # unpack_value's recursion, as a binary body can.
                     raise WireFormatError(f"undecodable frame body: {error}") from error
             self.frames_decoded += 1
         if offset:

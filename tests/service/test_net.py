@@ -281,6 +281,29 @@ class TestHostileVectoredFrames:
 
         run(scenario())
 
+    def test_deeply_nested_json_frame_drops_only_that_connection(self):
+        async def scenario():
+            nodes, server, transport = await deploy(n=3, connections=1)
+            loop = asyncio.get_running_loop()
+            handled = []
+            loop.set_exception_handler(lambda _, context: handled.append(context))
+            assert await transport.call(RemoteNode(2), "ping", timeout=1.0) == ("ok", True)
+            # 1.2 KB of nested brackets: valid JSON, deeper than the codec
+            # recurses.  The sender loses its connection without a word.
+            body = b"[" * 600 + b"]" * 600
+            reader, writer = await asyncio.open_connection(*server.address)
+            writer.write(len(body).to_bytes(4, "big") + body)
+            await writer.drain()
+            assert await asyncio.wait_for(reader.read(65536), 1.0) == b""
+            writer.close()
+            assert server.serving and server.frames_handled == 1
+            assert await transport.call(RemoteNode(2), "ping", timeout=1.0) == ("ok", True)
+            assert transport.reconnects == 0  # the bystander kept its socket
+            assert handled == []  # no task died with an unhandled exception
+            await teardown(server, transport)
+
+        run(scenario())
+
     @pytest.mark.parametrize("codec", ["json", "binary"])
     def test_well_formed_mreq_is_served_in_one_frame(self, codec):
         async def scenario():

@@ -411,3 +411,11 @@ class TestMalformedInput:
         frame = len(body).to_bytes(4, "big") + body
         with pytest.raises(WireFormatError, match="malformed 'ts'"):
             FrameDecoder().feed(frame)
+
+    @pytest.mark.parametrize("depth", [600, 5000])
+    def test_deeply_nested_json_is_a_wire_error(self, depth):
+        # 1.2 KB of brackets nests deeper than unpack_value can recurse.
+        body = b"[" * depth + b"]" * depth
+        frame = len(body).to_bytes(4, "big") + body
+        with pytest.raises(WireFormatError, match="undecodable"):
+            FrameDecoder().feed(frame)
