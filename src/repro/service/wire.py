@@ -557,20 +557,21 @@ def _unpack_reply(body: bytes, offset: int) -> Tuple[Any, int]:
     if body[offset:start] == _REPLY_PREFIX:
         (length,) = _STRUCT_I.unpack_from(body, start)
         start += 4
-        end = start + length
-        if end + 18 <= len(body):  # the timestamp record and a signature tag fit
+        end = start + length  # the value's end: the timestamp record starts here
+        stop = end + _STRUCT_BQQ.size + 1  # past the signature's tag
+        if stop <= len(body):
             tag, counter, writer_id = _STRUCT_BQQ.unpack_from(body, end)
-            signature_tag = body[end + 17]
+            signature_tag = body[stop - 1]
             if tag == _T_TS and signature_tag == _T_NONE:
                 stored = StoredValue(body[start:end], Timestamp(counter, writer_id), None)
-                return ("ok", stored), end + 18
+                return ("ok", stored), stop
             if tag == _T_TS and signature_tag == _T_BYTES:
-                (signature_length,) = _STRUCT_I.unpack_from(body, end + 18)
-                stop = end + 22 + signature_length
-                if stop <= len(body):
-                    signature = body[end + 22 : stop]
+                (signature_length,) = _STRUCT_I.unpack_from(body, stop)
+                signature_end = stop + 4 + signature_length
+                if signature_end <= len(body):
+                    signature = body[stop + 4 : signature_end]
                     stored = StoredValue(body[start:end], Timestamp(counter, writer_id), signature)
-                    return ("ok", stored), stop
+                    return ("ok", stored), signature_end
     return _unpack_binary(body, offset)
 
 
