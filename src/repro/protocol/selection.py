@@ -71,47 +71,31 @@ def _identity_groups(replies: Mapping[ServerId, StoredValue]) -> List[Tuple[Stor
     ]
 
 
-def _distinct_pairs(pairs: List[Tuple[StoredValue, list]]) -> Dict[Tuple[Any, Any], list]:
-    """Pass 2: identity groups merged into ``{(rank, token): [record, servers]}``.
+def _distinct_pairs(pairs: List[Tuple[StoredValue, list]]) -> Dict[Tuple[Any, str], list]:
+    """Pass 2: identity groups merged into ``{(rank, tiebreak_key(value)): [record, servers]}``.
 
     ``rank`` is ``(counter, writer_id)`` when every timestamp is exactly a
     :class:`Timestamp` (the same equality, hash and order), else the
-    timestamp itself.  ``token`` is ``tiebreak_key(value)`` where two or
-    more identity groups share a rank, and ``None`` for a rank held by one:
-    nothing can merge with it, and ``max`` over ``(rank, votes, token)``
-    decides on its rank before reaching the token.  A merged group keeps the
-    record of its lowest server id, so reply order never picks the objects a
-    read returns.
+    timestamp itself.  A merged group keeps the record of its lowest server
+    id, so reply order never picks the objects a read returns.
     """
     exact = True
     for stored, _ in pairs:
         if type(stored.timestamp) is not Timestamp:
             exact = False
             break
-    ranks: Dict[Any, List[Tuple[StoredValue, list]]] = {}
-    for pair in pairs:
-        timestamp = pair[0].timestamp
+    groups: Dict[Tuple[Any, str], list] = {}
+    for stored, servers in pairs:
+        timestamp = stored.timestamp
         rank = (timestamp.counter, timestamp.writer_id) if exact else timestamp
-        members = ranks.get(rank)
-        if members is None:
-            ranks[rank] = [pair]
+        key = (rank, tiebreak_key(stored.value))
+        group = groups.get(key)
+        if group is None:
+            groups[key] = [stored, servers]
         else:
-            members.append(pair)
-    groups: Dict[Tuple[Any, Any], list] = {}
-    for rank, members in ranks.items():
-        if len(members) == 1:
-            stored, servers = members[0]
-            groups[rank, None] = [stored, servers]
-            continue
-        for stored, servers in members:
-            key = (rank, tiebreak_key(stored.value))
-            group = groups.get(key)
-            if group is None:
-                groups[key] = [stored, servers]
-            else:
-                if min(servers) < min(group[1]):
-                    group[0] = stored
-                group[1] = group[1] + servers
+            if min(servers) < min(group[1]):
+                group[0] = stored
+            group[1] = group[1] + servers
     return groups
 
 
@@ -138,8 +122,7 @@ def select_credible_value(
     else:
         # A live 10-reply read carries a median of 4 distinct pairs (a read
         # quorum meets the latest write quorum in about q²/n servers); rules
-        # 2–3 (selection_order) rank them as plain (rank, votes, token)
-        # tuples, the token computed only where a rank is shared.
+        # 2–3 (selection_order) rank them as plain (rank, votes, token) tuples.
         groups = _distinct_pairs(pairs)
         orders = [
             (rank, len(servers), token)

@@ -58,9 +58,9 @@ An ``mreq`` may end in its trace id; the generic decoder accepts that sixth
 element on either request.  Under the binary codec two inner layouts are
 fixed too.  A server-id list is one ``!BI`` + ``Bq``-per-id struct
 (:func:`_pack_int64_tuple` / :func:`_unpack_int64_tuple`).  A live read
-reply ``("ok", StoredValue(<bytes>, Timestamp, None | <bytes>))`` is a
-constant prefix, the value's length and bytes, a ``!Bqq`` timestamp record
-and the signature (:func:`_pack_reply` / :func:`_unpack_reply`, shared by
+reply ``("ok", StoredValue(<bytes>, Timestamp, None))`` is a constant
+prefix, the value's length and bytes, a ``!Bqq`` timestamp record and the
+``None`` tag (:func:`_pack_reply` / :func:`_unpack_reply`, shared by
 ``rsp`` and every ``mrsp`` group).  Every fast path is byte-identical
 to (encoders) or value-identical with (decoders) the generic
 :func:`encode_frame` / :func:`decode_binary_body` on the tuple shown, and
@@ -194,7 +194,6 @@ _STRUCT_Q = struct.Struct("!q")
 _STRUCT_D = struct.Struct("!d")
 _STRUCT_I = struct.Struct("!I")
 _STRUCT_QQ = struct.Struct("!qq")
-_STRUCT_BI = struct.Struct("!BI")
 _STRUCT_BQQ = struct.Struct("!Bqq")
 
 _INT64_MIN = -(2**63)
@@ -509,7 +508,7 @@ _BINARY_PAIR_HEADER = bytes((_T_TUPLE,)) + _STRUCT_I.pack(2)
 #: Fixed opening of a live read reply ``("ok", StoredValue(<bytes>, ...))``:
 #: 2-tuple header, the ``"ok"`` string, the record tag and the value's bytes
 #: tag.  The value's length, the value, a ``!Bqq`` timestamp record and the
-#: signature follow.
+#: ``None`` signature's tag follow.
 _REPLY_PREFIX = _envelope_prefix(2, "ok")[1:] + bytes((_T_SV, _T_BYTES))
 _NONE_TAG = bytes((_T_NONE,))
 
@@ -517,28 +516,22 @@ _NONE_TAG = bytes((_T_NONE,))
 def _pack_reply(reply: Any) -> bytes:
     """One reply envelope's binary encoding; byte-identical to :func:`_pack_binary`.
 
-    A live read reply — ``("ok", StoredValue(v, ts, sig))`` with ``v``
-    exactly ``bytes``, ``ts`` exactly a :class:`Timestamp` inside int64 and
-    ``sig`` ``None`` or ``bytes`` — is one join of fixed pieces; any other
-    shape takes the generic walk.
+    A live read reply — ``("ok", StoredValue(v, ts, None))`` with ``v``
+    exactly ``bytes`` and ``ts`` exactly a :class:`Timestamp` inside int64 —
+    is one join of fixed pieces; any other shape, a signed reply included,
+    takes the generic walk.
     """
     if type(reply) is tuple and len(reply) == 2:
         tag, stored = reply
         if type(stored) is StoredValue and type(tag) is str and tag == "ok":
-            value, timestamp, signature = stored.value, stored.timestamp, stored.signature
-            if type(value) is bytes and type(timestamp) is Timestamp:
+            value, timestamp = stored.value, stored.timestamp
+            if type(value) is bytes and type(timestamp) is Timestamp and stored.signature is None:
                 counter, writer_id = timestamp.counter, timestamp.writer_id
                 if _INT64_MIN <= counter <= _INT64_MAX and _INT64_MIN <= writer_id <= _INT64_MAX:
-                    record = _STRUCT_BQQ.pack(_T_TS, counter, writer_id)
-                    if signature is None:
-                        return b"".join(
-                            (_REPLY_PREFIX, _STRUCT_I.pack(len(value)), value, record, _NONE_TAG)
-                        )
-                    if type(signature) is bytes:
-                        return b"".join((
-                            _REPLY_PREFIX, _STRUCT_I.pack(len(value)), value, record,
-                            _STRUCT_BI.pack(_T_BYTES, len(signature)), signature,
-                        ))
+                    return b"".join((
+                        _REPLY_PREFIX, _STRUCT_I.pack(len(value)), value,
+                        _STRUCT_BQQ.pack(_T_TS, counter, writer_id), _NONE_TAG,
+                    ))
     out = bytearray()
     _pack_binary(reply, out)
     return bytes(out)
@@ -548,10 +541,10 @@ def _unpack_reply(body: bytes, offset: int) -> Tuple[Any, int]:
     """Decode the reply envelope at ``offset``; the mirror of :func:`_pack_reply`.
 
     A body that opens with :data:`_REPLY_PREFIX` and carries a ``!qq``
-    timestamp and a ``None`` or bytes signature decodes with one
-    ``unpack_from`` per field; anything else goes through
-    :func:`_unpack_binary`.  The :class:`Timestamp` is built through its
-    constructor, so a field it refuses raises as on the generic path.
+    timestamp and a ``None`` signature decodes with one ``unpack_from`` per
+    field; anything else goes through :func:`_unpack_binary`.  The
+    :class:`Timestamp` is built through its constructor, so a field it
+    refuses raises as on the generic path.
     """
     start = offset + len(_REPLY_PREFIX)
     if body[offset:start] == _REPLY_PREFIX:
@@ -561,17 +554,9 @@ def _unpack_reply(body: bytes, offset: int) -> Tuple[Any, int]:
         stop = end + _STRUCT_BQQ.size + 1  # past the signature's tag
         if stop <= len(body):
             tag, counter, writer_id = _STRUCT_BQQ.unpack_from(body, end)
-            signature_tag = body[stop - 1]
-            if tag == _T_TS and signature_tag == _T_NONE:
+            if tag == _T_TS and body[stop - 1] == _T_NONE:
                 stored = StoredValue(body[start:end], Timestamp(counter, writer_id), None)
                 return ("ok", stored), stop
-            if tag == _T_TS and signature_tag == _T_BYTES:
-                (signature_length,) = _STRUCT_I.unpack_from(body, stop)
-                signature_end = stop + 4 + signature_length
-                if signature_end <= len(body):
-                    signature = body[stop + 4 : signature_end]
-                    stored = StoredValue(body[start:end], Timestamp(counter, writer_id), signature)
-                    return ("ok", stored), signature_end
     return _unpack_binary(body, offset)
 
 
@@ -687,7 +672,10 @@ def _unpack_int64_tuple(body: bytes, offset: int) -> Tuple[Tuple[int, ...], int]
 def _pack_int64_tuple(values: Sequence[int]) -> bytes:
     """A counted tuple of ``!q`` ints in one struct pack; the mirror of :func:`_unpack_int64_tuple`.
 
-    ``values`` must be plain ints inside int64, as server ids are.
+    ``values`` must be exact ints inside int64, as the server's id check
+    makes every server id: both ``mreq`` and ``mrsp`` id lists rely on it.
+    Unchecked here, a ``bool`` would go out as an int and an id outside int64
+    would raise ``struct.error``.
     """
     count = len(values)
     fields = [_T_INT] * (2 * count)
