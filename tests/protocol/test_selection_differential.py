@@ -29,7 +29,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.protocol import selection
 from repro.protocol.selection import enumerate_credible_values, select_credible_value
 from repro.protocol.timestamps import Timestamp
 from repro.simulation.server import StoredValue
@@ -212,23 +211,3 @@ def test_tied_ranks_match_the_sorted_reference(name, threshold):
             for mine, theirs in zip(got, expected):
                 assert_same_selection(mine, theirs)
 
-
-def test_the_tiebreak_token_is_computed_only_for_a_shared_rank(monkeypatch):
-    # A live read with no shared rank: 10 replies over 4 versions, each at
-    # its own timestamp.  No token can matter, so none is computed.
-    versions = [StoredValue(bytes([c]) * 1024, Timestamp(c, 1)) for c in (7, 6, 5, 4)]
-    replies = {server: versions[min(server // 2, 3)] for server in range(10)}
-    tokens = []
-
-    def counted(value):
-        tokens.append(value)
-        return repr(value)
-
-    monkeypatch.setattr(selection, "tiebreak_key", counted)
-    assert select_credible_value(replies, threshold=2).timestamp is versions[0].timestamp
-    assert enumerate_credible_values(replies, threshold=1)
-    assert tokens == []
-    # A shared rank needs its tokens: two values at the top timestamp.
-    replies[9] = StoredValue(b"rival", versions[0].timestamp)
-    select_credible_value(replies, threshold=1)
-    assert sorted(tokens, key=len) == [b"rival", versions[0].value]
