@@ -20,8 +20,10 @@ without looking at reply order, for every reader and the batched engine:
    count, and a remaining tie by the larger :func:`tiebreak_key` — a pure
    function of the value (:func:`selection_order` is rules 2–3 as a key).
 
-Grouping is by ``(timestamp, tiebreak_key(value))``, so values only need a
-stable ``repr``, not hashability.
+Grouping is by timestamp, and by ``tiebreak_key(value)`` only where two or
+more distinct pairs share a timestamp, so values only need a stable
+``repr``, not hashability, and a read whose timestamps all differ computes
+no token at all.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ from repro.types import ServerId
 
 
 #: The order-independent token that breaks exhausted ties (rule 3): ``repr``
-#: itself, not a wrapper, since a read calls it once per distinct pair.
+#: itself, not a wrapper, since a read calls it once per distinct pair at a
+#: shared timestamp.
 tiebreak_key: Callable[[Any], str] = repr
 
 
@@ -71,23 +74,39 @@ def _identity_groups(replies: Mapping[ServerId, StoredValue]) -> List[Tuple[Stor
     ]
 
 
-def _distinct_pairs(pairs: List[Tuple[StoredValue, list]]) -> Dict[Tuple[Any, str], list]:
-    """Pass 2: identity groups merged into ``{(rank, tiebreak_key(value)): [record, servers]}``.
+def _distinct_pairs(pairs: List[Tuple[StoredValue, list]]) -> Dict[Tuple[Any, Optional[str]], list]:
+    """Pass 2: identity groups merged into ``{(rank, token): [record, servers]}``, in one pass.
 
     ``rank`` is ``(counter, writer_id)`` when every timestamp is exactly a
     :class:`Timestamp` (the same equality, hash and order), else the
-    timestamp itself.  A merged group keeps the record of its lowest server
-    id, so reply order never picks the objects a read returns.
+    timestamp itself.  A rank held by one identity group is keyed
+    ``(rank, None)``: nothing merges with it, and ``max`` over ``(rank,
+    votes, token)`` decides on its rank before reaching the token.  When a
+    second group reaches a held rank, the held group is re-keyed by
+    ``tiebreak_key(value)`` and the rank joins ``shared``; every later group
+    at a shared rank is keyed by its token too, so a rank's keys are one
+    ``None`` or all tokens.  A merged group keeps the record of its lowest
+    server id, so reply order never picks the objects a read returns.
     """
     exact = True
     for stored, _ in pairs:
         if type(stored.timestamp) is not Timestamp:
             exact = False
             break
-    groups: Dict[Tuple[Any, str], list] = {}
+    groups: Dict[Tuple[Any, Optional[str]], list] = {}
+    shared = set()
     for stored, servers in pairs:
         timestamp = stored.timestamp
         rank = (timestamp.counter, timestamp.writer_id) if exact else timestamp
+        held = groups.get((rank, None))
+        if held is None:
+            if not shared or rank not in shared:
+                groups[rank, None] = [stored, servers]
+                continue
+        else:  # a second group at a held rank: from now on it is keyed by token
+            del groups[rank, None]
+            groups[rank, tiebreak_key(held[0].value)] = held
+            shared.add(rank)
         key = (rank, tiebreak_key(stored.value))
         group = groups.get(key)
         if group is None:
@@ -122,7 +141,8 @@ def select_credible_value(
     else:
         # A live 10-reply read carries a median of 4 distinct pairs (a read
         # quorum meets the latest write quorum in about q²/n servers); rules
-        # 2–3 (selection_order) rank them as plain (rank, votes, token) tuples.
+        # 2–3 (selection_order) rank them as plain (rank, votes, token)
+        # tuples, where token is None for a rank no other pair shares.
         groups = _distinct_pairs(pairs)
         orders = [
             (rank, len(servers), token)

@@ -56,19 +56,21 @@ which is in :mod:`repro.service.net`), each with a fast encoder::
 (decoded by :func:`decode_binary_request_body` / :func:`decode_binary_response_body`).
 An ``mreq`` may end in its trace id; the generic decoder accepts that sixth
 element on either request.  Under the binary codec two inner layouts are
-fixed too.  A server-id list is one ``!BI`` + ``Bq``-per-id struct
-(:func:`_pack_int64_tuple` / :func:`_unpack_int64_tuple`).  A live read
-reply ``("ok", StoredValue(<bytes>, Timestamp, None))`` is a constant
-prefix, the value's length and bytes, a ``!Bqq`` timestamp record and the
-``None`` tag (:func:`_pack_reply` / :func:`_unpack_reply`, shared by
-``rsp`` and every ``mrsp`` group).  Every fast path is byte-identical
-to (encoders) or value-identical with (decoders) the generic
-:func:`encode_frame` / :func:`decode_binary_body` on the tuple shown, and
-falls back to them on anything irregular.  An ``mrsp`` groups replicas by
-their reply's **encoded bytes** — never ``==`` (``1 == True == 1.0``) — and
-splits into several frames, same ``op_id``, rather than exceed
-:data:`MAX_FRAME_BYTES`; ``tests/service/test_wire_vectored.py`` is the
-differential fuzz over all four shapes and both codecs.
+fixed too.  A server-id list of ints inside int64 is one ``!BI`` +
+``Bq``-per-id struct (:func:`_pack_int64_tuple` /
+:func:`_unpack_int64_tuple`); a list holding a ``bool`` or an id outside
+int64 takes the generic walk.  A live read reply ``("ok",
+StoredValue(<bytes>, Timestamp, None))`` is a constant prefix, the value's
+length and bytes, a ``!Bqq`` timestamp record and the ``None`` tag
+(:func:`_pack_reply` / :func:`_unpack_reply`, shared by ``rsp`` and every
+``mrsp`` group).  Every fast path is byte-identical to (encoders) or
+value-identical with (decoders) the generic :func:`encode_frame` /
+:func:`decode_binary_body` on the tuple shown, and falls back to them on
+anything irregular.  An ``mrsp`` groups replicas by their reply's **encoded
+bytes** — never ``==`` (``1 == True == 1.0``) — and splits into several
+frames, same ``op_id``, rather than exceed :data:`MAX_FRAME_BYTES`;
+``tests/service/test_wire_vectored.py`` is the differential fuzz over all
+four shapes and both codecs.
 
 A frame is a 4-byte big-endian length prefix followed by the body.
 :class:`FrameDecoder` is an *incremental* decoder: feed it whatever chunks
@@ -133,8 +135,17 @@ def pack_value(value: Any) -> Any:
     )
 
 
+#: The tags :func:`pack_value` writes, each with the type of its body.
+_TAG_BODIES = {"b": str, "t": list, "d": list, "ts": list, "sv": list}
+
+
 def unpack_value(packed: Any) -> Any:
-    """Invert :func:`pack_value`; raise on unknown or malformed tags."""
+    """Invert :func:`pack_value`; raise on unknown or malformed tags.
+
+    Only the shapes the encoder writes decode: a ``str`` under ``"b"``, a
+    list under every other tag, ``[key, value]`` pairs under ``"d"`` and
+    exact ints in a ``"ts"`` record.
+    """
     if packed is None or isinstance(packed, _SCALARS):
         return packed
     if isinstance(packed, list):
@@ -144,27 +155,38 @@ def unpack_value(packed: Any) -> Any:
             raise WireFormatError(f"malformed wire tag object: {sorted(packed)!r}")
         tag, body = next(iter(packed.items()))
         try:
-            if tag == "b":
+            if type(body) is list:
+                if tag == "t":
+                    return tuple([unpack_value(item) for item in body])
+                if tag == "sv":
+                    value, timestamp, signature = body
+                    return StoredValue(
+                        value=unpack_value(value),
+                        timestamp=unpack_value(timestamp),
+                        signature=unpack_value(signature),
+                    )
+                if tag == "ts":
+                    counter, writer_id = body
+                    if type(counter) is not int or type(writer_id) is not int:
+                        raise WireFormatError("malformed 'ts' wire payload: a field is not an int")
+                    return Timestamp(counter, writer_id)
+                if tag == "d":
+                    for entry in body:
+                        if type(entry) is not list or len(entry) != 2:
+                            raise WireFormatError("malformed 'd' wire payload: an entry is not a pair")
+                    return {unpack_value(key): unpack_value(item) for key, item in body}
+            elif tag == "b" and type(body) is str:
                 return base64.b64decode(body.encode("ascii"), validate=True)
-            if tag == "t":
-                return tuple(unpack_value(item) for item in body)
-            if tag == "d":
-                return {unpack_value(key): unpack_value(item) for key, item in body}
-            if tag == "ts":
-                counter, writer_id = body
-                return Timestamp(int(counter), int(writer_id))
-            if tag == "sv":
-                value, timestamp, signature = body
-                return StoredValue(
-                    value=unpack_value(value),
-                    timestamp=unpack_value(timestamp),
-                    signature=unpack_value(signature),
-                )
         except WireFormatError:
             raise
         except Exception as error:  # malformed body under a known tag
             raise WireFormatError(f"malformed {tag!r} wire payload: {error}") from error
-        raise WireFormatError(f"unknown wire tag {tag!r}")
+        expected = _TAG_BODIES.get(tag)
+        if expected is None:
+            raise WireFormatError(f"unknown wire tag {tag!r}")
+        raise WireFormatError(
+            f"malformed {tag!r} wire payload: a {type(body).__name__}, not a {expected.__name__}"
+        )
     raise WireFormatError(f"cannot deserialise wire payload of type {type(packed).__name__!r}")
 
 
@@ -672,15 +694,28 @@ def _unpack_int64_tuple(body: bytes, offset: int) -> Tuple[Tuple[int, ...], int]
 def _pack_int64_tuple(values: Sequence[int]) -> bytes:
     """A counted tuple of ``!q`` ints in one struct pack; the mirror of :func:`_unpack_int64_tuple`.
 
-    ``values`` must be exact ints inside int64, as the server's id check
-    makes every server id: both ``mreq`` and ``mrsp`` id lists rely on it.
-    Unchecked here, a ``bool`` would go out as an int and an id outside int64
-    would raise ``struct.error``.
+    Byte-identical to :func:`_pack_binary` of ``tuple(values)``: a ``bool``
+    id (which ``!q`` would write as an int), an id outside int64 or a
+    non-int takes the generic walk.
     """
-    count = len(values)
-    fields = [_T_INT] * (2 * count)
-    fields[1::2] = values
-    return struct.pack("!BI" + "Bq" * count, _T_TUPLE, count, *fields)
+    if bool not in map(type, values):
+        count = len(values)
+        fields = [_T_INT] * (2 * count)
+        fields[1::2] = values
+        try:
+            return struct.pack("!BI" + "Bq" * count, _T_TUPLE, count, *fields)
+        except struct.error:
+            pass
+    out = bytearray()
+    _pack_tuple(tuple(values), out)
+    return bytes(out)
+
+
+def _json_ids(values: Sequence[int]) -> str:
+    """A server-id list as the items of a JSON array, as :func:`pack_value` writes them."""
+    if bool in map(type, values):  # str(True) is not JSON
+        return json.dumps([pack_value(value) for value in values], separators=(",", ":"))[1:-1]
+    return ",".join(map(str, values))
 
 
 def encode_vectored_request_frame(
@@ -690,11 +725,10 @@ def encode_vectored_request_frame(
 
     Byte-identical to ``encode_frame(("mreq", op_id, tuple(servers), method,
     args), codec)`` for the codec the tail was built with, and to the
-    6-tuple ending in ``trace_id`` when one is given.  ``servers`` must be
-    plain ints inside int64 (:func:`_pack_int64_tuple`).
+    6-tuple ending in ``trace_id`` when one is given.
     """
     if isinstance(tail, str):
-        ids = ",".join(map(str, servers))
+        ids = _json_ids(servers)
         if trace_id is None:
             text = '{"t":["mreq",%d,{"t":[%s]},%s]}' % (op_id, ids, tail)
         else:
@@ -733,8 +767,7 @@ def encode_grouped_response_frames(
     """The ``mrsp`` frame(s) answering one ``mreq``; none when nobody replied.
 
     ``replies`` lists ``(server_id, reply_envelope)`` for every replica
-    that answered (a silent one is simply absent); server ids must be plain
-    ints inside int64, as in an ``mreq``.  Replicas are grouped by
+    that answered (a silent one is simply absent).  Replicas are grouped by
     their reply's *encoded bytes* — exact where ``==`` is not (``1 == True
     == 1.0``, and the codec is a bijection) — so a read ships one envelope
     per version (a 10-reply read carries a median of 4), each encoded once
@@ -772,7 +805,7 @@ def encode_grouped_response_frames(
         head = b'{"t":["mrsp",%d,{"t":[' % op_id
         separator, tail = b",", b"]}]}"
         groups = [
-            b'{"t":[{"t":[%s]},%s]}' % (",".join(map(str, servers)).encode("ascii"), envelope)
+            b'{"t":[{"t":[%s]},%s]}' % (_json_ids(servers).encode("ascii"), envelope)
             for envelope, servers in grouped.items()
         ]
 

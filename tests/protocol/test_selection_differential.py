@@ -3,7 +3,9 @@
 :func:`repro.protocol.selection.select_credible_value` groups replies by
 object identity in reply order, then ranks each distinct pair once, by the
 integer pair ``(counter, writer_id)`` when every timestamp is exactly a
-:class:`Timestamp`.  ``selection_oracle.py`` keeps the rule it replaced.
+:class:`Timestamp`, computing the tie-break token only where two or more
+identity groups share a rank.  ``selection_oracle.py`` keeps the rule it
+replaced.
 Hypothesis draws reply maps in the shapes where the two could part:
 
 * replicas sharing one stored pair, and equal-but-distinct copies of it
@@ -15,12 +17,14 @@ Hypothesis draws reply maps in the shapes where the two could part:
 * all-int and mixed opaque timestamps (int with ``Timestamp`` or ``str``),
   where both must raise the same exception type;
 * every threshold from 1 to the number of replies, and any reply order;
-* hand-built tied ranks: a forged tie, and equal values held as distinct
-  objects.
+* three to five identity groups at one rank, interleaved with other ranks,
+  with server ids drawn apart from arrival order (``tied_reply_maps``);
+* hand-built tied ranks: a forged tie, equal values held as distinct
+  objects, and a tie whose first arrival holds the higher server id.
 
 Both must return the same result, with the winner's ``value`` and
-``timestamp`` the *same objects* (``is``).  CI runs this file once on a
-pinned hypothesis seed.
+``timestamp`` the *same objects* (``is``).  CI runs this file on a pinned
+hypothesis seed and on a fresh one.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.protocol import selection
 from repro.protocol.selection import enumerate_credible_values, select_credible_value
 from repro.protocol.timestamps import Timestamp
 from repro.simulation.server import StoredValue
@@ -78,7 +83,7 @@ def build_value(spec):
 
 
 @st.composite
-def reply_maps(draw):
+def free_reply_maps(draw):
     """A reply map over a few versions, shared or copied, in any server order."""
     family = draw(st.sampled_from(sorted(TIMESTAMP_SPECS)))
     versions = draw(
@@ -106,6 +111,43 @@ def reply_maps(draw):
         )
     threshold = draw(st.integers(1, max(1, len(replies))))
     return replies, threshold
+
+
+@st.composite
+def tied_reply_maps(draw):
+    """A reply map in which three or more identity groups share one rank.
+
+    Every tied record has its own objects, so each is an identity group of
+    its own until a copy of the same record (a shared reference) joins it;
+    records at other ranks are interleaved in any order, and server ids are
+    drawn apart from arrival order, so the group that arrives first at the
+    tied rank may hold the highest id.
+    """
+    family = draw(st.sampled_from(sorted(TIMESTAMP_SPECS)))
+    tied = draw(TIMESTAMP_SPECS[family])
+    records = [
+        StoredValue(build_value(value), build_timestamp(tied))
+        for value in draw(st.lists(VALUE_SPECS, min_size=3, max_size=5))
+    ]
+    records += [
+        StoredValue(build_value(value), build_timestamp(timestamp))
+        for timestamp, value in draw(
+            st.lists(st.tuples(TIMESTAMP_SPECS[family], VALUE_SPECS), max_size=3)
+        )
+    ]
+    records += [records[i] for i in draw(st.lists(st.integers(0, len(records) - 1), max_size=4))]
+    records = draw(st.permutations(records))
+    servers = draw(
+        st.lists(st.integers(0, 40), min_size=len(records), max_size=len(records), unique=True)
+    )
+    replies = dict(zip(servers, records))
+    threshold = draw(st.integers(1, len(replies)))
+    return replies, threshold
+
+
+def reply_maps():
+    """Free reply maps, and maps with one rank shared by three or more groups."""
+    return st.one_of(free_reply_maps(), tied_reply_maps())
 
 
 def outcome(rule, replies, threshold):
@@ -192,7 +234,22 @@ def tied_rank_reads():
         0: StoredValue([1, "x"], Timestamp(3)), 1: StoredValue([1, "x"], Timestamp(3)),
         2: StoredValue([2, "x"], Timestamp(3)),
     }
-    return {"forged tie": forged_tie, "distinct equal copies": copies, "list tie": lists}
+    # The group that arrives first at the tied rank holds the highest id: it
+    # is held alone, re-keyed when server 2's rival arrives, and then merged
+    # with server 5's equal copy, whose record (the lower id) must win.
+    late_low = {
+        9: StoredValue(b"a", Timestamp(4, 1)),
+        3: StoredValue(b"old", Timestamp(2, 1)),
+        2: StoredValue(b"b", Timestamp(4, 1)),
+        5: StoredValue(b"%s" % b"a", Timestamp(4, 1)),
+        1: StoredValue(b"c", Timestamp(4, 1)),
+    }
+    return {
+        "forged tie": forged_tie,
+        "distinct equal copies": copies,
+        "list tie": lists,
+        "first arrival has the higher id": late_low,
+    }
 
 
 @pytest.mark.parametrize("name", sorted(tied_rank_reads()))
@@ -211,3 +268,26 @@ def test_tied_ranks_match_the_sorted_reference(name, threshold):
             for mine, theirs in zip(got, expected):
                 assert_same_selection(mine, theirs)
 
+
+def test_the_tiebreak_token_is_computed_only_for_a_shared_rank(monkeypatch):
+    # A live tcp-write-1k read: 10 replies over 5 versions of 1 KiB, each at
+    # its own timestamp.  No token can matter, so none is computed.
+    versions = [StoredValue(bytes([c]) * 1024, Timestamp(c, 1)) for c in (8, 7, 6, 5, 4)]
+    replies = {server: versions[server // 2] for server in range(10)}
+    tokens = []
+
+    def counted(value):
+        tokens.append(value)
+        return repr(value)
+
+    monkeypatch.setattr(selection, "tiebreak_key", counted)
+    assert select_credible_value(replies, threshold=2).timestamp is versions[0].timestamp
+    assert len(enumerate_credible_values(replies, threshold=1)) == 5
+    assert tokens == []
+    # Three identity groups at the top rank (two rivals, one of them an
+    # equal copy of the held value): one token per group, none elsewhere.
+    replies[8] = StoredValue(b"rival", Timestamp(8, 1))
+    replies[9] = StoredValue(bytes([8]) * 1024, Timestamp(8, 1))
+    selected = select_credible_value(replies, threshold=1)
+    assert selected.value is versions[0].value and selected.votes == 3
+    assert sorted(map(len, tokens)) == [5, 1024, 1024]

@@ -412,6 +412,24 @@ class TestMalformedInput:
         with pytest.raises(WireFormatError, match="malformed 'ts'"):
             FrameDecoder().feed(frame)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"ts":"12"}',  # once Timestamp(1, 2)
+            '{"ts":[true,0]}',  # once Timestamp(1, 0)
+            '{"ts":[1.9,0]}',  # once Timestamp(1, 0)
+            '{"sv":"abc"}',  # once StoredValue('a', 'b', 'c')
+            '{"t":"ab"}',  # once ('a', 'b')
+            '{"d":["ab"]}',  # once {'a': 'b'}
+            '{"b":["AA=="]}',
+        ],
+    )
+    def test_a_tag_body_the_encoder_never_writes_is_a_wire_error(self, text):
+        body = text.encode()
+        frame = len(body).to_bytes(4, "big") + body
+        with pytest.raises(WireFormatError, match="malformed"):
+            FrameDecoder().feed(frame)
+
     @pytest.mark.parametrize("depth", [600, 5000])
     def test_deeply_nested_json_is_a_wire_error(self, depth):
         # 1.2 KB of brackets nests deeper than unpack_value can recurse.

@@ -386,3 +386,28 @@ def test_a_negative_counter_is_a_wire_error_on_the_fast_path():
     for decode in (decode_binary_body, decode_binary_response_body):
         with pytest.raises(WireFormatError):
             decode(bytes(body))
+
+
+#: Server-id lists the fixed id layout cannot carry: a bool (``!q`` would
+#: write it as an int) and ids just outside int64 on either side.
+IRREGULAR_IDS = [(True, 2), (3, False), (2**63, 1), (0, -(2**63) - 1)]
+
+
+@pytest.mark.parametrize("codec", WIRE_CODECS)
+@pytest.mark.parametrize("server_ids", IRREGULAR_IDS)
+def test_an_irregular_mreq_id_list_encodes_as_the_generic_frame(server_ids, codec):
+    tail = request_tail("read", ("k",), codec)
+    frame = encode_vectored_request_frame(7, server_ids, tail)
+    assert frame == encode_frame(("mreq", 7, server_ids, "read", ("k",)), codec)
+    (decoded,) = FrameDecoder(decode_binary=decode_binary_request_body).feed(frame)
+    assert same(decoded, ("mreq", 7, server_ids, "read", ("k",)))
+
+
+@pytest.mark.parametrize("codec", WIRE_CODECS)
+@pytest.mark.parametrize("server_ids", IRREGULAR_IDS)
+def test_an_irregular_mrsp_id_list_encodes_as_the_generic_frame(server_ids, codec):
+    reply = ("ok", StoredValue(b"v", Timestamp(5, 1), None))
+    frames = encode_grouped_response_frames(7, [(server, reply) for server in server_ids], codec)
+    assert frames == [encode_frame(("mrsp", 7, ((server_ids, reply),)), codec)]
+    (decoded,) = FrameDecoder(decode_binary=decode_binary_response_body).feed(frames[0])
+    assert same(decoded, ("mrsp", 7, ((server_ids, reply),)))
