@@ -93,7 +93,7 @@ class AsyncQuorumMutex(LockClient):
         with the message kind."""
         for op, message in rounds:
             self.requests += message[0] == REQUEST
-            trace = await self.client.lock(op, message)
+            trace = await self.client.run(op, "lock", message[1], message)
             if trace is not None:
                 trace.context = {"lock": self.name, "step": message[0]}
 

@@ -20,9 +20,12 @@ register with three rules, against the
   threshold plus optional signature scheme) that every reader — these
   registers, the async service frontends, the gossip verifiers, the lock
   and the voting service — filters and selects replies through;
-* :mod:`repro.protocol.variable` — the register: the access protocol of
-  §3.1, reading through ``ReadRule()`` (§3.1), a signed rule (§4,
-  verifiable data) or a thresholded rule (§5, arbitrary data);
+* :mod:`repro.protocol.register` — the register: :class:`RegisterClient`,
+  the access protocol of §3.1 with no IO, reading through ``ReadRule()``
+  (§3.1), a signed rule (§4, verifiable data) or a thresholded rule (§5,
+  arbitrary data), and the outcomes it builds from a finished op;
+* :mod:`repro.protocol.variable` — :class:`ProbabilisticRegister`, that
+  register driven on the cluster;
 * :mod:`repro.protocol.arbiter` — the quorum lock's pure halves: the
   replica's :class:`LockArbiter` and the client's :class:`LockOp`;
 * :mod:`repro.protocol.lock` — :class:`QuorumLock`, that lock on the
@@ -34,7 +37,8 @@ register with three rules, against the
 from repro.protocol.timestamps import Timestamp, TimestampGenerator
 from repro.protocol.quorum_op import MAX_TOP_UP_ROUNDS, QuorumOp
 from repro.protocol.signatures import SignatureScheme, SignedPayload
-from repro.protocol.variable import ProbabilisticRegister, ReadOutcome
+from repro.protocol.register import ReadOutcome, RegisterClient, WriteOutcome
+from repro.protocol.variable import ProbabilisticRegister
 from repro.protocol.classification import OUTCOME_LABELS, classify_read_outcome
 from repro.protocol.selection import (
     ReadRule,
@@ -53,8 +57,10 @@ __all__ = [
     "TimestampGenerator",
     "SignatureScheme",
     "SignedPayload",
+    "RegisterClient",
     "ProbabilisticRegister",
     "ReadOutcome",
+    "WriteOutcome",
     "OUTCOME_LABELS",
     "classify_read_outcome",
     "ReadRule",

@@ -19,10 +19,12 @@ type) can only come from a forgery and is fabricated.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import TYPE_CHECKING, Tuple
 
 from repro.protocol.timestamps import Timestamp
-from repro.protocol.variable import ReadOutcome, WriteOutcome
+
+if TYPE_CHECKING:
+    from repro.protocol.register import ReadOutcome, WriteOutcome
 
 #: The four labels, in the order the reports tally them.
 OUTCOME_LABELS: Tuple[str, ...] = ("fresh", "stale", "empty", "fabricated")

@@ -16,14 +16,16 @@ original timestamp) back to a quorum before returning it.  Two benefits:
   if its quorum misses the (now much larger) replica set.
 
 The cost is the obvious one: every read also pays a write-quorum access, so
-the load doubles.  :class:`WriteBackRegister` keeps the trade-off explicit
-with a per-register counter of back-written values.
+the load doubles.  :class:`WriteBackRegister` is the sequential oracle's
+driver of :class:`~repro.protocol.register.RegisterClient` with that one
+extra step, and keeps the trade-off explicit with a per-register counter of
+back-written values.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Optional
+from typing import Optional
 
 from repro.core.probabilistic import ProbabilisticQuorumSystem
 from repro.protocol.selection import ReadRule
@@ -59,10 +61,8 @@ class WriteBackRegister(ProbabilisticRegister):
         """Read, then propagate the chosen value to another quorum (read repair)."""
         outcome = super().read()
         if not outcome.is_empty:
-            self._send(
-                self._choose_quorum(), outcome.value, outcome.timestamp,
-                self.rule.sign(self.name, outcome.value, outcome.timestamp),
-            )
+            args = self.write_args(outcome.value, outcome.timestamp)
+            self.cluster.run(self._op(), "write", args)
             self.write_backs_performed += 1
         return outcome
 

@@ -13,17 +13,17 @@ safety under live fault injection.
   swapping for fault injection;
 * :mod:`repro.service.transport` — message passing with latency, jitter,
   drops and deadline enforcement;
-* :mod:`repro.service.client` — the concurrent quorum client: draws a
-  quorum, has a driver run the op (the pure
+* :mod:`repro.service.client` — the concurrent quorum client: draws
+  quorums from its pool and has a driver run each op (the pure
   :class:`~repro.protocol.quorum_op.QuorumOp` the sequential oracle runs
-  too), wraps the result;
+  too), tracing it;
 * :mod:`repro.service.dispatch` — the driver loop and the in-process
   driver: one coalesced delivery event per (node, tick) and one shared
   deadline per round, instead of a coroutine + timer per RPC;
-* :mod:`repro.service.register` — the async register frontend, reading
-  through the plain (§3.1), signed (§4) or thresholded (§5)
-  :class:`~repro.protocol.selection.ReadRule` and labelled through the same
-  classifier as both Monte-Carlo engines;
+* :mod:`repro.service.register` — the async register frontend, the
+  service's driver of :class:`~repro.protocol.register.RegisterClient`
+  (the plain (§3.1), signed (§4) or thresholded (§5) read, labelled
+  through the same classifier as both Monte-Carlo engines);
 * :mod:`repro.service.wire` — the socket transport's length-prefixed,
   type-tagged JSON frame codec (round-trip safe for every protocol payload,
   resilient to arbitrary chunk boundaries);
@@ -43,7 +43,7 @@ safety under live fault injection.
   process, whichever shape the deployment has.
 """
 
-from repro.service.client import AsyncQuorumClient, ReadRpcResult, WriteRpcResult
+from repro.service.client import AsyncQuorumClient
 from repro.service.dispatch import BatchedDispatcher
 from repro.service.load import (
     FaultInjectionSpec,
@@ -97,8 +97,6 @@ __all__ = [
     "NO_REPLY",
     "AsyncQuorumClient",
     "BatchedDispatcher",
-    "ReadRpcResult",
-    "WriteRpcResult",
     "AsyncRegister",
     "async_register_for",
     "ServiceLoadSpec",

@@ -1,18 +1,17 @@
 """The asynchronous quorum client: one strategy-drawn quorum per operation.
 
-A client performs one protocol operation (read or write) by sampling a
-quorum through the system's access strategy — the paper stresses the
-strategy must be followed for the ε guarantee to hold — and handing it to a
-:class:`~repro.protocol.quorum_op.QuorumOp`, which a driver runs under a
-per-round deadline.  The op owns the rule for partial failure (**the
+A client runs one protocol operation — a register's read or write, a lock
+message — as a :class:`~repro.protocol.quorum_op.QuorumOp` over a quorum
+sampled through the system's access strategy (the paper stresses the
+strategy must be followed for the ε guarantee to hold); a driver runs it
+under a per-round deadline.  The op owns the rule for partial failure (**the
 operation is the probe**: answers in hand are kept, each server is asked at
 most once, and only the deficit is re-drawn from servers not yet
 contacted); the driver owns the messages: the shared in-process
 :class:`~repro.service.dispatch.BatchedDispatcher` (a client built without
 one gets its own) or the wire-level :class:`~repro.service.net.TcpDispatcher`.
-After the last top-up round the operation returns what it has —
-``acknowledged`` / ``responders`` tell the caller how thin it is, and a
-write raises only when *nobody* acknowledged.
+After the last top-up round the operation returns what it has: the op's
+``replies`` tell the caller how thin it is.
 
 A client draws its quorums from a **pool**, refilled
 :data:`DEFAULT_QUORUM_POOL` at a time through
@@ -26,65 +25,22 @@ from __future__ import annotations
 
 import asyncio
 import random
-from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.probabilistic import ProbabilisticQuorumSystem
-from repro.exceptions import ConfigurationError, QuorumUnavailableError
+from repro.exceptions import ConfigurationError
 from repro.obs.trace import QuorumTrace, Tracer
 from repro.protocol.quorum_op import QuorumOp
 from repro.rngs import fresh_rng
 from repro.service.dispatch import BatchedDispatcher, QuorumDriver
 from repro.service.node import ServiceNode
 from repro.service.transport import AsyncTransport
-from repro.simulation.server import StoredValue
 from repro.types import Quorum, ServerId
 
 #: Quorums pre-sampled per pool refill (one vectorised block draw).
 DEFAULT_QUORUM_POOL = 32
-
-
-@dataclass(frozen=True, slots=True)
-class WriteRpcResult:
-    """Outcome of one fanned-out quorum write.
-
-    ``quorum`` is the set the write finally rests on: the sampled quorum,
-    or after a top-up the answering originals plus the answering spares
-    (never more than ``q`` servers), so ``acknowledged ⊆ quorum``.
-    ``retried`` says a top-up round ran and ``probes_used`` counts the spare
-    servers it asked.  ``trace`` carries the operation's
-    :class:`~repro.obs.trace.QuorumTrace` when the client samples traces,
-    ``None`` otherwise.
-    """
-
-    quorum: Quorum
-    acknowledged: frozenset
-    retried: bool
-    probes_used: int
-    trace: Optional[QuorumTrace] = None
-
-
-@dataclass(frozen=True, slots=True)
-class ReadRpcResult:
-    """Outcome of one fanned-out quorum read.
-
-    ``replies`` holds the value-bearing answers; ``responders`` counts every
-    server that answered at all (including explicit "I store nothing"), which
-    is what distinguishes an empty register from a dead quorum.  ``quorum``,
-    ``retried`` and ``probes_used`` (spare servers asked) read as on
-    :class:`WriteRpcResult`.  ``trace`` carries the operation's
-    :class:`~repro.obs.trace.QuorumTrace` when the client samples traces,
-    ``None`` otherwise.
-    """
-
-    quorum: Quorum
-    replies: Dict[ServerId, StoredValue]
-    responders: int
-    retried: bool
-    probes_used: int
-    trace: Optional[QuorumTrace] = None
 
 
 class AsyncQuorumClient:
@@ -119,7 +75,7 @@ class AsyncQuorumClient:
     tracer:
         Optional :class:`~repro.obs.trace.Tracer`.  When set, sampled
         operations assemble a :class:`~repro.obs.trace.QuorumTrace` (quorum,
-        per-RPC spans, top-up accounting) attached to the RPC result.
+        per-RPC spans, top-up accounting) that :meth:`run` returns.
         ``None`` (the default) keeps every per-operation trace branch off
         the hot path — tracing costs nothing when unused.
     client_id:
@@ -231,7 +187,7 @@ class AsyncQuorumClient:
         """Draw a quorum from the access strategy (public, pool-free)."""
         return self.system.sample_quorum(self.rng)
 
-    def _next_quorum(self) -> Tuple[int, ...]:
+    def next_quorum(self) -> Tuple[int, ...]:
         """The quorum the next operation fans out to, as a sorted id tuple,
         popped from the block-sampled pool (refilled through the vectorised
         ``sample_quorum_block``)."""
@@ -248,15 +204,20 @@ class AsyncQuorumClient:
 
     # -- protocol operations ------------------------------------------------------
 
-    async def _run(
-        self, method: str, variable: str, args: tuple, op: QuorumOp
+    async def run(
+        self, op: QuorumOp, method: str, variable: str, args: tuple
     ) -> Optional[QuorumTrace]:
-        """Have the dispatcher run ``op``, account for it."""
+        """Have the dispatcher run ``op``, asking each round's servers
+        ``method(*args)``; return its trace (``None`` when not sampled).
+
+        ``variable`` labels the trace, which is finished ``"unavailable"``
+        when no server answered.  The caller builds the op (a register's
+        over :meth:`next_quorum`) and reads the verdict off it afterwards.
+        """
+        tracer = self.tracer
         trace = (
-            self.tracer.begin(
-                method, client_id=self.client_id, variable=variable, shard=self.shard
-            )
-            if self.tracer is not None
+            tracer.begin(method, client_id=self.client_id, variable=variable, shard=self.shard)
+            if tracer is not None
             else None
         )
         if trace is not None:
@@ -269,73 +230,5 @@ class AsyncQuorumClient:
                 trace.quorum = sorted(op.replies)
             trace.retried = op.spares > 0
             trace.probes_used = op.spares
-        return trace
-
-    async def write(
-        self,
-        variable: str,
-        value: Any,
-        timestamp: Any,
-        signature: Optional[bytes] = None,
-    ) -> WriteRpcResult:
-        """Fan a write out to a strategy-drawn quorum, topping up on failure.
-
-        Raises :class:`~repro.exceptions.QuorumUnavailableError` only when no
-        server at all acknowledged — short of that, missed servers are
-        exactly the crash-misses the ε analysis accounts for, and
-        ``acknowledged`` (always a subset of ``quorum``) says how many.
-        """
-        op = QuorumOp(self._next_quorum(), self.system, self.rng, repair=True)
-        trace = await self._run(
-            "write", variable, (variable, value, timestamp, signature), op
-        )
-        if trace is not None:
-            self.tracer.finish(trace, status="ok" if op.replies else "unavailable")
-        if not op.replies:
-            # A write nobody stored must not be reported as complete.
-            raise QuorumUnavailableError(
-                f"write of {variable!r}: none of the {len(op.quorum) + op.spares} "
-                f"servers contacted acknowledged"
-            )
-        return WriteRpcResult(
-            quorum=op.final_quorum,
-            acknowledged=frozenset(op.replies),
-            retried=op.spares > 0,
-            probes_used=op.spares,
-            trace=trace,
-        )
-
-    async def read(self, variable: str, threshold: int = 1) -> ReadRpcResult:
-        """Fan a read out to a strategy-drawn quorum, topping up on failure.
-
-        ``threshold`` is the reader's vote threshold: with
-        :attr:`lazy_fallback` on, a degraded first round holding that many
-        value-bearing replies settles without a top-up.  Never raises: with
-        every reply missing the register layer returns ⊥, which is the
-        protocol's own account of an unreachable quorum.
-        """
-        lazy = threshold if self.lazy_fallback else None
-        op = QuorumOp(self._next_quorum(), self.system, self.rng, repair=True, lazy=lazy)
-        trace = await self._run("read", variable, (variable,), op)
-        if trace is not None:
-            self.tracer.finish(trace)
-        return ReadRpcResult(
-            quorum=op.final_quorum,
-            replies={
-                server: stored
-                for server, stored in op.replies.items()
-                if stored is not None
-            },
-            responders=len(op.replies),
-            retried=op.spares > 0,
-            probes_used=op.spares,
-            trace=trace,
-        )
-
-    async def lock(self, op: QuorumOp, message: tuple) -> Optional[QuorumTrace]:
-        """Run ``op`` with one lock-arbiter ``message`` (see
-        :mod:`repro.protocol.arbiter`); return its trace."""
-        trace = await self._run("lock", message[1], message, op)
-        if trace is not None:
-            self.tracer.finish(trace)
+            tracer.finish(trace, status="ok" if op.replies else "unavailable")
         return trace

@@ -62,7 +62,7 @@ from repro.exceptions import ConfigurationError, QuorumUnavailableError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.monitor import EpsilonMonitor
 from repro.protocol.classification import OUTCOME_LABELS, classify_read_outcome
-from repro.protocol.variable import ReadOutcome, WriteOutcome
+from repro.protocol.register import ReadOutcome, WriteOutcome
 from repro.service.cluster import deploy
 from repro.service.sharding import (
     DeploymentSpec,

@@ -1,18 +1,17 @@
-"""The async register frontend: the three read protocols over the RPC client.
+"""The register on the service: :class:`AsyncRegister`.
 
-:class:`AsyncRegister` pairs an
-:class:`~repro.service.client.AsyncQuorumClient` with one
-:class:`~repro.protocol.selection.ReadRule` — the rule the synchronous
-:class:`~repro.protocol.variable.ProbabilisticRegister` reads through — and
-produces the *same* :class:`~repro.protocol.variable.ReadOutcome` /
-:class:`~repro.protocol.variable.WriteOutcome` objects, labelled through
-:mod:`repro.protocol.classification`, so an outcome observed by the live
-service means exactly what it means to both Monte-Carlo engines.  The rule
-is the protocol: ``ReadRule()`` is the benign Section 3.1 read,
-``ReadRule(signatures=s)`` the Section 4 read (writes are signed and
-unverifiable replies are discarded before selection) and
-``ReadRule(threshold=k)`` the Section 5 read (a value/timestamp pair needs
-at least ``k`` vouching votes from the read quorum).
+The protocol — timestamps, signing, the read rules of Sections 3.1, 4 and 5
+and the outcomes — lives in :class:`~repro.protocol.register.RegisterClient`;
+this module is its asyncio driver over one
+:class:`~repro.service.client.AsyncQuorumClient`.  Each write and read
+takes a quorum from the client's pool and runs a topping-up
+:class:`~repro.protocol.quorum_op.QuorumOp` on
+:meth:`~repro.service.client.AsyncQuorumClient.run` (a read with
+``lazy_fallback`` settles a degraded first round holding the rule's
+threshold of value-bearing replies), so an outcome observed by the live
+service means exactly what it means to both Monte-Carlo engines.  With a
+repair budget a settled read piggybacks read-repair to its quorum's
+:meth:`~repro.protocol.register.RegisterClient.laggards`.
 :func:`async_register_for` builds the frontend of a declarative
 :class:`~repro.simulation.scenario.ScenarioSpec` with the spec's
 :meth:`~repro.simulation.scenario.ScenarioSpec.read_rule`, as the spec's
@@ -23,16 +22,16 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from repro.exceptions import ProtocolError
-from repro.protocol.classification import classify_read_outcome
+from repro.exceptions import QuorumUnavailableError
+from repro.protocol.quorum_op import QuorumOp
+from repro.protocol.register import ReadOutcome, RegisterClient, WriteOutcome
 from repro.protocol.selection import ReadRule
-from repro.protocol.timestamps import Timestamp, TimestampGenerator
-from repro.protocol.variable import ReadOutcome, WriteOutcome
-from repro.service.client import AsyncQuorumClient, ReadRpcResult
+from repro.protocol.timestamps import Timestamp
+from repro.service.client import AsyncQuorumClient
 from repro.simulation.scenario import ScenarioSpec
 
 
-class AsyncRegister:
+class AsyncRegister(RegisterClient):
     """Single-writer multi-reader register frontend reading through ``rule``."""
 
     def __init__(
@@ -42,15 +41,8 @@ class AsyncRegister:
         writer_id: int = 0,
         rule: ReadRule = ReadRule(),
     ) -> None:
+        super().__init__(name, writer_id, rule)
         self.client = client
-        self.name = str(name)
-        self.rule = rule
-        self._timestamps = TimestampGenerator(writer_id)
-        self._last_written: Optional[WriteOutcome] = None
-        self.writes_performed = 0
-        self.reads_performed = 0
-        #: Replies the rule's filter discarded (always 0 for unsigned rules).
-        self.forged_replies_rejected = 0
         #: The :class:`~repro.obs.trace.QuorumTrace` of the most recent
         #: operation, when the client samples traces (``None`` otherwise).
         #: Callers annotate it in place: the load harness stamps the read's
@@ -62,111 +54,56 @@ class AsyncRegister:
         #: moment it can first reach a server, not when the write completes.
         self.on_issued: Optional[Callable[[Timestamp, Any], None]] = None
 
-    @property
-    def last_write(self) -> Optional[WriteOutcome]:
-        """The most recent write outcome (``None`` before the first write)."""
-        return self._last_written
-
     async def write(self, value: Any) -> WriteOutcome:
-        """Write ``value`` to a strategy-drawn quorum (repairing on failure)."""
-        timestamp = self._timestamps.next()
+        """Write ``value`` to a strategy-drawn quorum (repairing on failure).
+
+        Raises :class:`~repro.exceptions.QuorumUnavailableError` only when no
+        server at all acknowledged — short of that, missed servers are
+        exactly the crash-misses the ε analysis accounts for, and the
+        outcome's ``acknowledged`` (always a subset of its ``quorum``) says
+        how many.  :attr:`last_trace` is the write's either way.
+        """
+        args = self.write_args(value)
         if self.on_issued is not None:
-            self.on_issued(timestamp, value)
-        result = await self.client.write(
-            self.name, value, timestamp, self.rule.sign(self.name, value, timestamp)
-        )
-        self.last_trace = result.trace
-        outcome = WriteOutcome(
-            quorum=result.quorum,
-            timestamp=timestamp,
-            acknowledged=result.acknowledged,
-        )
-        self._last_written = outcome
-        self.writes_performed += 1
+            self.on_issued(args[2], value)
+        client = self.client
+        op = QuorumOp(client.next_quorum(), client.system, client.rng, repair=True)
+        self.last_trace = await client.run(op, "write", self.name, args)
+        if not op.replies:
+            # A write nobody stored must not be reported as complete.
+            raise QuorumUnavailableError(
+                f"write of {self.name!r}: none of the {len(op.quorum) + op.spares} "
+                f"servers contacted acknowledged"
+            )
+        return self.write_outcome(op, args)
+
+    async def read(self) -> ReadOutcome:
+        """Read the register: the rule's filter, then highest timestamp wins.
+
+        Never raises: with every reply missing the read returns ⊥, which is
+        the protocol's own account of an unreachable quorum.
+        """
+        client = self.client
+        lazy = self.rule.threshold if client.lazy_fallback else None
+        op = QuorumOp(client.next_quorum(), client.system, client.rng, repair=True, lazy=lazy)
+        self.last_trace = trace = await client.run(op, "read", self.name, (self.name,))
+        outcome = self.read_outcome(op, trace)
+        if client.repair_budget > 0:
+            self._piggyback_repair(op, outcome, trace)
         return outcome
 
-    def _lagging_servers(self, result: ReadRpcResult, outcome: ReadOutcome) -> list:
-        """Contacted servers that demonstrably (or plausibly) lack the value.
-
-        Definite laggards — quorum members whose reply carried an *older*
-        timestamp — come first so a small repair budget is spent where the
-        lag is proven; quorum members with no value-bearing reply (empty
-        copy, crashed, or silent) follow.  A reply whose timestamp does not
-        compare against the settled one (a forgery the filter discarded) is
-        never a repair target: anti-entropy propagates the settled value,
-        it does not argue with Byzantine servers.
-        """
-        winning = outcome.reporting_servers
-        stale: list = []
-        unknown: list = []
-        for server in sorted(result.quorum):
-            if server in winning:
-                continue
-            stored = result.replies.get(server)
-            if stored is None:
-                unknown.append(server)
-                continue
-            try:
-                behind = stored.timestamp is None or stored.timestamp < outcome.timestamp
-            except TypeError:
-                continue
-            if behind:
-                stale.append(server)
-        return stale + unknown
-
-    def _piggyback_repair(self, result: ReadRpcResult, outcome: ReadOutcome) -> None:
-        """Attach read-repair for this read's laggards to the next delivery."""
-        if outcome.value is None or not outcome.reporting_servers:
-            return
-        lagging = self._lagging_servers(result, outcome)
+    def _piggyback_repair(self, op: QuorumOp, outcome: ReadOutcome, trace: Any = None) -> None:
+        """Attach read-repair for the read ``op``'s laggards to the next delivery."""
+        lagging = self.laggards(op, outcome)
         if not lagging:
             return
         # The payload is the winning record as a reporting server vouched for
         # it — signature included, so a dissemination replica re-verifies the
         # repair exactly as it would a write.
-        donor = result.replies[next(iter(outcome.reporting_servers))]
+        donor = op.replies[next(iter(outcome.reporting_servers))]
         self.client.piggyback_repairs(
-            self.name,
-            outcome.value,
-            outcome.timestamp,
-            donor.signature,
-            lagging,
-            trace=result.trace,
+            self.name, outcome.value, outcome.timestamp, donor.signature, lagging, trace=trace
         )
-
-    async def read(self) -> ReadOutcome:
-        """Read the register: the rule's filter, then highest timestamp wins."""
-        result = await self.client.read(self.name, self.rule.threshold)
-        self.reads_performed += 1
-        self.last_trace = result.trace
-        credible = self.rule.credible(self.name, result.replies)
-        self.forged_replies_rejected += len(result.replies) - len(credible)
-        selected = self.rule.select(credible)
-        trace = result.trace
-        if trace is not None:  # the read rule's inputs and verdict
-            selection = trace.selection or {}
-            selection.update(
-                signed=self.rule.signatures is not None,
-                threshold=self.rule.threshold,
-                replies=len(result.replies),
-                competing=len(credible),
-                verdict="empty" if selected is None else "selected",
-            )
-            if selected is not None:
-                selection["votes"] = selected.votes
-            trace.selection = selection
-        outcome = ReadOutcome.from_selection(
-            selected, result.quorum, len(result.replies), self.rule.threshold
-        )
-        if self.client.repair_budget > 0:
-            self._piggyback_repair(result, outcome)
-        return outcome
-
-    def classify_read(self, outcome: ReadOutcome) -> str:
-        """Label a read against the last local write (shared classifier)."""
-        if self._last_written is None:
-            raise ProtocolError("no write has been performed yet")
-        return classify_read_outcome(outcome, self._last_written)
 
 
 def async_register_for(

@@ -48,7 +48,7 @@ import numpy as np
 from repro.exceptions import ConfigurationError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
-from repro.protocol.variable import WriteOutcome
+from repro.protocol.register import WriteOutcome
 from repro.service.client import AsyncQuorumClient
 from repro.service.dispatch import BatchedDispatcher
 from repro.service.gossip import GOSSIP_SEED_SALT, GossipService, scenario_verifier
@@ -647,16 +647,19 @@ class ShardedAsyncRegisterClient:
     async def read(self, key: str):
         """Read ``key``'s register on its shard."""
         register = self.register_for(key)
-        outcome = await register.read()
-        self.last_trace = register.last_trace
-        return outcome
+        try:
+            return await register.read()
+        finally:
+            self.last_trace = register.last_trace
 
     async def write(self, key: str, value: Any) -> WriteOutcome:
         """Write ``key``'s register on its shard."""
         register = self.register_for(key)
-        outcome = await register.write(value)
-        self.last_trace = register.last_trace
-        return outcome
+        try:
+            return await register.write(value)
+        finally:
+            # A write nobody acknowledged raises; its trace still lands here.
+            self.last_trace = register.last_trace
 
     @property
     def probe_fallbacks(self) -> int:

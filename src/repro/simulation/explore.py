@@ -32,16 +32,25 @@ violation the offending script is greedily minimised (every surviving
 non-default decision is necessary) and reported as a readable trace.
 
 Execution reuses the *real* protocol substrate: :class:`ReplicaServer`
-with the production behaviours and the production
-:class:`~repro.protocol.selection.ReadRule` — writes are signed with its
-:meth:`~repro.protocol.selection.ReadRule.sign`, replies filtered with its
-:meth:`~repro.protocol.selection.ReadRule.credible` and (by default) the
-winner picked with its :meth:`~repro.protocol.selection.ReadRule.select`.
-The ``selection_rule`` hook, called as ``selection_rule(replies,
-threshold)`` in place of ``select``, exists so the test suite can inject a
-seeded mutant and prove the explorer catches it.  Message delivery runs through
-:class:`ControlledScheduler`, a pending-event store that exposes every
-enabled message as a branching choice.
+with the production behaviours, and the register's
+:class:`~repro.protocol.register.RegisterClient` over the production
+:class:`~repro.protocol.selection.ReadRule` — writes are signed through its
+:meth:`~repro.protocol.register.RegisterClient.write_args` (under the
+explorer's own timestamps: operation ``i`` of writer ``w`` writes at
+``Timestamp(i + 1, w)``), replies filtered through its
+:meth:`~repro.protocol.register.RegisterClient.credible` and (by default)
+the winner picked by the rule.  Every operation is a
+:class:`~repro.protocol.quorum_op.QuorumOp` of one round, as on the
+sequential oracle: a delivered message is the op's
+:meth:`~repro.protocol.quorum_op.QuorumOp.on_reply` (or its
+:meth:`~repro.protocol.quorum_op.QuorumOp.on_miss` when the server stays
+silent) and a dropped one its ``on_miss``, and a read judges the op's
+counted replies.  The ``selection_rule`` hook, called as
+``selection_rule(replies, threshold)`` in place of the rule's ``select``,
+exists so the test suite can inject a seeded mutant and prove the explorer
+catches it.  Message delivery runs through :class:`ControlledScheduler`, a
+pending-event store that exposes every enabled message as a branching
+choice.
 """
 
 from __future__ import annotations
@@ -52,6 +61,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import ConfigurationError, SimulationError
+from repro.protocol.quorum_op import QuorumOp
+from repro.protocol.register import RegisterClient
 from repro.protocol.selection import ReadRule, SelectedValue, tiebreak_key
 from repro.protocol.signatures import SignatureScheme
 from repro.protocol.timestamps import Timestamp
@@ -342,14 +353,17 @@ class _Run:
         choose: Callable[[List[_Option], Optional[tuple]], _Option],
     ) -> None:
         self.spec = spec
-        self.rule = ReadRule(
-            threshold=spec.threshold,
-            signatures=SignatureScheme() if spec.register_kind == "dissemination" else None,
+        self.client = RegisterClient(
+            spec.variable,
+            rule=ReadRule(
+                threshold=spec.threshold,
+                signatures=SignatureScheme() if spec.register_kind == "dissemination" else None,
+            ),
         )
         if selection_rule is None:
-            self.select = self.rule.select
+            self.select = self.client.rule.select
         else:
-            self.select = lambda credible: selection_rule(credible, spec.threshold)
+            self.select = lambda replies: selection_rule(replies, spec.threshold)
         self.choose = choose
         self.scheduler = ControlledScheduler()
         self.trace: List[str] = []
@@ -360,7 +374,6 @@ class _Run:
         self.roles: List[str] = []
         self.servers: List[ReplicaServer] = []
         self._event_targets: Dict[int, int] = {}
-        self._event_handles: Dict[int, EventHandle] = {}
         forged_ts = spec.forged_timestamp()
         for server_id in range(spec.n):
             if server_id < spec.forgers:
@@ -388,34 +401,22 @@ class _Run:
                 self._execute_read(op_index)
 
     def _execute_write(self, op_index: int, op: WriteOp) -> None:
-        spec = self.spec
         timestamp = Timestamp(op_index + 1, op.writer)
-        signature = self.rule.sign(spec.variable, op.value, timestamp)
-        quorum = self._choose_quorum(op_index, "write")
-
-        args = (spec.variable, op.value, timestamp, signature)
-
-        def deliver(server_id: int) -> None:
-            self.servers[server_id].handle("write", args)
-
-        self._scatter(quorum, deliver)
-        self._drain(op_index, "write")
+        self._run_op(op_index, "write", self.client.write_args(op.value, timestamp))
         self.written.append((tiebreak_key(op.value), timestamp))
 
     def _execute_read(self, op_index: int) -> None:
-        spec = self.spec
-        quorum = self._choose_quorum(op_index, "read")
-        replies: Dict[int, StoredValue] = {}
-
-        def deliver(server_id: int) -> None:
-            stored = self.servers[server_id].handle("read", (spec.variable,))
-            if stored is not None and stored is not NO_REPLY:
-                replies[server_id] = stored
-
-        self._scatter(quorum, deliver)
-        self._drain(op_index, "read", replies)
-        credible = self.rule.credible(spec.variable, replies)
+        op = self._run_op(op_index, "read", (self.spec.variable,))
+        credible = self.client.credible(RegisterClient.stored_replies(op))
         self._check_read(self.select(credible), credible)
+
+    def _run_op(self, op_index: int, kind: str, args: tuple) -> QuorumOp:
+        """One round of ``kind`` over an adversary-chosen quorum."""
+        op = QuorumOp(self._choose_quorum(op_index, kind))
+        self._scatter(op, kind, args)
+        self._drain(op_index, kind, op)
+        op.round_end()
+        return op
 
     # -- decision points ---------------------------------------------------------
 
@@ -428,23 +429,26 @@ class _Run:
         self.trace.append(picked.label)
         return picked.payload
 
-    def _scatter(self, quorum: Sequence[int], deliver: Callable[[int], None]) -> None:
-        """Schedule one message per quorum member on the controlled scheduler."""
-        for server_id in quorum:
+    def _scatter(self, op: QuorumOp, kind: str, args: tuple) -> None:
+        """Schedule one message per member of ``op``'s round; its delivery
+        is the server's answer to the op (``NO_REPLY`` its miss)."""
+
+        def deliver(server_id: int) -> None:
+            reply = self.servers[server_id].handle(kind, args)
+            if reply is NO_REPLY:
+                op.on_miss(server_id)
+            else:
+                op.on_reply(server_id, reply)
+
+        for server_id in op.start():
             handle = self.scheduler.schedule(
                 0.0, lambda server_id=server_id: deliver(server_id)
             )
-            event = handle._event
-            self._event_targets[event.sequence] = server_id
-            self._event_handles[event.sequence] = handle
+            self._event_targets[handle._event.sequence] = server_id
 
-    def _drain(
-        self,
-        op_index: int,
-        kind: str,
-        replies: Optional[Mapping[int, StoredValue]] = None,
-    ) -> None:
+    def _drain(self, op_index: int, kind: str, op: QuorumOp) -> None:
         """Resolve every pending message, one adversary-chosen move at a time."""
+        replies = op.replies if kind == "read" else None
         while True:
             enabled = self.scheduler.enabled()
             if not enabled:
@@ -480,7 +484,8 @@ class _Run:
             if picked.kind == "deliver":
                 self.scheduler.step_event(picked.payload)
             elif picked.kind == "drop":
-                self._event_handles[picked.payload.sequence].cancel()
+                picked.payload.cancelled = True
+                op.on_miss(self._event_targets[picked.payload.sequence])
                 self.drops_left -= 1
             else:
                 self.servers[picked.payload].crash()
@@ -561,8 +566,8 @@ class _Run:
                 )
             )
             reply_key = None
-            if replies is not None and server_id in replies:
-                stored_reply = replies[server_id]
+            stored_reply = None if replies is None else replies.get(server_id)
+            if stored_reply is not None:
                 reply_key = (tiebreak_key(stored_reply.value), stored_reply.timestamp)
             descriptors.append(
                 (

@@ -6,6 +6,7 @@ import asyncio
 import random
 from collections import Counter
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,6 +19,7 @@ from repro.core.masking import ProbabilisticMaskingSystem
 from repro.exceptions import ConfigurationError, QuorumUnavailableError
 from repro.obs.trace import Tracer
 from repro.protocol.quorum_op import MAX_TOP_UP_ROUNDS
+from repro.protocol.register import RegisterClient
 from repro.protocol.selection import ReadRule
 from repro.protocol.signatures import SignatureScheme
 from repro.protocol.timestamps import Timestamp
@@ -26,9 +28,11 @@ from repro.quorum.probe import UniformProbeStrategy, oracle_from_alive_set
 from repro.service.client import AsyncQuorumClient
 from repro.service.node import ServiceNode
 from repro.service.register import AsyncRegister, async_register_for
+from repro.service.sharding import ShardedAsyncRegisterClient
 from repro.service.transport import AsyncTransport
 from repro.simulation.scenario import ScenarioSpec
 from repro.simulation.server import ByzantineForgeBehavior, ByzantineSilentBehavior, GrayBehavior
+from tests.service.quorum_ops import read_op, write_op
 
 PLAIN = UniformEpsilonIntersectingSystem(25, 8)
 MASKING = ProbabilisticMaskingSystem(25, 10, 3)
@@ -70,15 +74,15 @@ class TestAsyncQuorumClient:
         nodes, client = deploy(PLAIN)
 
         async def scenario():
-            write = await client.write("x", "v", Timestamp(1), None)
-            assert len(write.acknowledged) == len(write.quorum) == 8
-            assert not write.retried
-            read = await client.read("x")
-            assert len(read.quorum) == 8
-            assert read.responders == 8
+            write = await write_op(client, "x", "v", Timestamp(1))
+            assert len(write.replies) == len(write.final_quorum) == 8
+            assert not write.spares
+            read = await read_op(client, "x")
+            assert len(read.final_quorum) == 8
+            assert len(read.replies) == 8
             # The quorums are ε-intersecting, not strict: replies carry the
             # value only where the two quorums overlap.
-            for stored in read.replies.values():
+            for stored in RegisterClient.stored_replies(read).values():
                 assert stored.value == "v"
 
         run(scenario())
@@ -91,18 +95,39 @@ class TestAsyncQuorumClient:
         # Nobody answers, so every round asks a full deficit of 8 — and the
         # write gives up after the round cap, each server asked once.
         with pytest.raises(QuorumUnavailableError, match="none of the 24 servers"):
-            run(client.write("x", "v", Timestamp(1), None))
+            run(AsyncRegister(client).write("v"))
         assert client.transport.calls == 8 * (1 + MAX_TOP_UP_ROUNDS)
+
+    def test_a_write_nobody_acknowledged_leaves_its_trace(self):
+        # The failed write's trace, finished "unavailable", is the last one
+        # on the register and on the sharded client that routed it.
+        nodes, client = deploy(PLAIN, tracer=Tracer(1.0, seed=1))
+        for node in nodes:
+            node.crash()
+        register = AsyncRegister(client)
+        with pytest.raises(QuorumUnavailableError):
+            run(register.write("v"))
+        assert register.last_trace.op == "write"
+        assert register.last_trace.status == "unavailable"
+
+        deployment = SimpleNamespace(
+            shard_count=1, shard_for=lambda key: 0, scenario=ScenarioSpec(system=PLAIN)
+        )
+        sharded = ShardedAsyncRegisterClient(deployment, [client])
+        with pytest.raises(QuorumUnavailableError):
+            run(sharded.write("k", "v"))
+        assert sharded.last_trace is sharded.register_for("k").last_trace
+        assert sharded.last_trace.status == "unavailable"
 
     def test_read_with_everything_dead_returns_no_replies(self):
         nodes, client = deploy(PLAIN)
         for node in nodes:
             node.crash()
 
-        read = run(client.read("x"))
-        assert read.replies == {}
-        assert read.responders == 0
-        assert read.probes_used == 8 * MAX_TOP_UP_ROUNDS
+        read = run(read_op(client, "x"))
+        assert RegisterClient.stored_replies(read) == {}
+        assert len(read.replies) == 0
+        assert read.spares == 8 * MAX_TOP_UP_ROUNDS
         assert client.transport.calls == 8 * (1 + MAX_TOP_UP_ROUNDS)
 
 
@@ -113,12 +138,12 @@ class TestDegradedQuorumTopUp:
         for server in gray:
             nodes[server].set_behavior(GrayBehavior(1.0))
 
-        read = run(client.read("x"))
+        read = run(read_op(client, "x"))
         # A lost read is silence, so the gray members are topped up past
         # like crashed ones rather than counted as "I store nothing".
-        assert read.retried and read.probes_used
-        assert 0 < read.responders == len(read.quorum) <= 8
-        assert not gray & read.quorum
+        assert read.spares > 0
+        assert 0 < len(read.replies) == len(read.final_quorum) <= 8
+        assert not gray & read.final_quorum
 
     def test_degraded_write_tops_up_in_place(self, record_fan_outs):
         nodes, client = deploy(PLAIN, seed=5)
@@ -126,19 +151,19 @@ class TestDegradedQuorumTopUp:
             nodes[server].crash()
         rounds = record_fan_outs(client)
 
-        write = run(client.write("x", "v", Timestamp(1), None))
+        write = run(write_op(client, "x", "v", Timestamp(1)))
         # With 10 of 25 servers crashed a sampled 8-quorum almost surely hits
         # a crash; the answering members are kept and only the silent slots
         # are re-drawn from servers the write has not contacted.
         assert client.probe_fallbacks == 1
-        assert write.retried
+        assert write.spares > 0
         first_asked, first_answered = rounds[0]
         assert first_answered < frozenset(first_asked)
-        assert first_answered <= write.quorum
-        assert write.acknowledged <= write.quorum
-        assert len(write.quorum) <= 8
-        assert all(not nodes[server].server.is_crashed for server in write.quorum)
-        assert write.probes_used == sum(len(asked) for asked, _ in rounds[1:])
+        assert first_answered <= write.final_quorum
+        assert write.replies.keys() <= write.final_quorum
+        assert len(write.final_quorum) <= 8
+        assert all(not nodes[server].server.is_crashed for server in write.final_quorum)
+        assert write.spares == sum(len(asked) for asked, _ in rounds[1:])
         asked = [server for servers, _ in rounds for server in servers]
         assert len(asked) == len(set(asked))
 
@@ -165,10 +190,10 @@ class TestDegradedQuorumTopUp:
         async def drive(client):
             finals = Counter()
             for _ in range(ops // len(clients)):
-                read = await client.read("x")
-                assert len(read.quorum) <= 3 and read.quorum <= alive
-                if len(read.quorum) == 3:
-                    finals[read.quorum] += 1
+                read = await read_op(client, "x")
+                assert len(read.final_quorum) <= 3 and read.final_quorum <= alive
+                if len(read.final_quorum) == 3:
+                    finals[read.final_quorum] += 1
             return finals
 
         async def scenario():
@@ -207,24 +232,25 @@ class TestDegradedQuorumTopUp:
         rounds = record_fan_outs(client)
 
         async def scenario():
-            await client.write("x", "v", Timestamp(1), None)
+            await write_op(client, "x", "v", Timestamp(1))
             for _ in range(40):
                 del rounds[:]
-                read = await client.read("x")
-                assert len(read.quorum) <= 14
-                assert read.responders == len(read.quorum)
-                spans = [span.server_id for span in read.trace.spans]
+                read = await read_op(client, "x")
+                trace = client.tracer.traces[-1]
+                assert len(read.final_quorum) <= 14
+                assert len(read.replies) == len(read.final_quorum)
+                spans = [span.server_id for span in trace.spans]
                 assert len(spans) == len(set(spans))
-                assert {span.method for span in read.trace.spans} == {"read"}
+                assert {span.method for span in trace.spans} == {"read"}
                 first_asked, answered = rounds[0]
                 assert len(rounds) <= 1 + MAX_TOP_UP_ROUNDS
                 for spares, replies in rounds[1:]:
                     assert not set(spares) & set(first_asked)
                     assert len(spares) == 14 - len(answered)
                     answered = answered | replies
-                assert read.quorum == answered or len(rounds) == 1
-                assert read.trace.quorum == sorted(read.quorum)
-                assert read.probes_used == len(spans) - 14
+                assert read.final_quorum == answered or len(rounds) == 1
+                assert trace.quorum == sorted(read.final_quorum)
+                assert read.spares == len(spans) - 14
 
         run(scenario())
         assert client.probe_fallbacks > 0
@@ -239,18 +265,19 @@ class TestDegradedQuorumTopUp:
         async def scenario():
             for version in range(1, 200):
                 before = transport.calls
-                write = await client.write("x", "v", Timestamp(version), None)
-                if write.retried:
+                write = await write_op(client, "x", "v", Timestamp(version))
+                if write.spares > 0:
                     return write, transport.calls - before
             raise AssertionError("no sampled quorum contained the crashed server")
 
         write, calls = run(scenario())
+        trace = client.tracer.traces[-1]
         assert calls == 10 + 1
-        assert write.probes_used == 1
-        assert len(write.acknowledged) == len(write.quorum) == 10
-        assert 0 not in write.quorum
-        assert {span.method for span in write.trace.spans} == {"write"}
-        assert write.trace.span_dispositions() == {"ok": 10, "silent": 1}
+        assert write.spares == 1
+        assert len(write.replies) == len(write.final_quorum) == 10
+        assert 0 not in write.final_quorum
+        assert {span.method for span in trace.spans} == {"write"}
+        assert trace.span_dispositions() == {"ok": 10, "silent": 1}
 
     def test_top_up_on_a_structured_system_reuses_first_round_answers(self, record_fan_outs):
         # The 3x3 Maekawa grid as experiments/contention.py wraps it: one
@@ -263,19 +290,19 @@ class TestDegradedQuorumTopUp:
         async def scenario():
             for version in range(1, 100):
                 del rounds[:]
-                write = await client.write("x", "v", Timestamp(version), None)
-                if write.retried:
+                write = await write_op(client, "x", "v", Timestamp(version))
+                if write.spares > 0:
                     return write
             raise AssertionError("no sampled quorum contained the crashed server")
 
         write = run(scenario())
-        assert write.quorum in grid.quorums and 0 not in write.quorum
-        assert write.acknowledged == write.quorum
+        assert write.final_quorum in grid.quorums and 0 not in write.final_quorum
+        assert write.replies.keys() == write.final_quorum
         (first_asked, first_answered), (spares, spare_answers) = rounds
         assert first_answered == frozenset(first_asked) - {0}
         assert not set(spares) & set(first_asked)
-        assert set(spares) == write.quorum - first_answered
-        assert write.probes_used == len(spares)
+        assert set(spares) == write.final_quorum - first_answered
+        assert write.spares == len(spares)
 
     def test_degraded_structured_write_without_a_live_quorum_keeps_its_acks(self, record_fan_outs):
         grid = EpsilonIntersectingSystem(9, GridQuorumSystem(9).enumerate_quorums())
@@ -284,7 +311,7 @@ class TestDegradedQuorumTopUp:
             nodes[server].crash()
         rounds = record_fan_outs(client)
 
-        write = run(client.write("x", "v", Timestamp(1), None))
+        write = run(write_op(client, "x", "v", Timestamp(1)))
         # The client learns of each crash only by asking; once the diagonal
         # is known silent no replacement quorum exists and the write returns
         # the acks it has, each server asked once.
@@ -293,13 +320,13 @@ class TestDegradedQuorumTopUp:
         asked = [server for servers, _ in rounds for server in servers]
         assert len(asked) == len(set(asked))
         answered = frozenset().union(*(replies for _, replies in rounds))
-        assert write.acknowledged == write.quorum == answered
+        assert write.replies.keys() == write.final_quorum == answered
         assert answered and not any(quorum <= answered for quorum in grid.quorums)
 
         for node in nodes:
             node.crash()
         with pytest.raises(QuorumUnavailableError):
-            run(client.write("x", "v", Timestamp(2), None))
+            run(AsyncRegister(client).write("v"))
 
 
 class TestAsyncRegisters:

@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.masking import ProbabilisticMaskingSystem
 from repro.obs.trace import Tracer
+from repro.protocol.register import RegisterClient
 from repro.protocol.timestamps import Timestamp
 from repro.service.client import DEFAULT_QUORUM_POOL, AsyncQuorumClient
 from repro.service.dispatch import BatchedDispatcher
@@ -19,6 +20,7 @@ from repro.service.transport import AsyncTransport
 from repro.simulation.scenario import ScenarioSpec
 from repro.simulation.server import ByzantineForgeBehavior, ByzantineSilentBehavior
 from tests.service.per_rpc import PerRpcDriver
+from tests.service.quorum_ops import read_op, write_op
 from tests.service.test_load import VirtualTimeLoop
 
 MASKING = ProbabilisticMaskingSystem(25, 10, 3)
@@ -44,15 +46,15 @@ class TestBatchedDispatcher:
         nodes, transport, dispatcher, client = deploy(MASKING)
 
         async def scenario():
-            write = await client.write("x", "v", Timestamp(1), None)
-            read = await client.read("x")
+            write = await write_op(client, "x", "v", Timestamp(1))
+            read = await read_op(client, "x")
             return write, read
 
         write, read = asyncio.run(scenario())
-        assert write.acknowledged == write.quorum
-        assert read.responders == 10
-        stored = {server: s.value for server, s in read.replies.items()}
-        overlap = write.quorum & read.quorum
+        assert write.replies.keys() == write.final_quorum
+        assert len(read.replies) == 10
+        stored = {server: s.value for server, s in RegisterClient.stored_replies(read).items()}
+        overlap = write.final_quorum & read.final_quorum
         assert overlap  # 10-of-25 quorums intersect with overwhelming probability
         assert all(stored[server] == "v" for server in overlap)
         assert transport.calls == 20
@@ -62,11 +64,11 @@ class TestBatchedDispatcher:
         nodes, transport, dispatcher, client = deploy(MASKING)
 
         async def scenario():
-            await client.write("x", "v", Timestamp(1), None)
+            await write_op(client, "x", "v", Timestamp(1))
             flushes_before = dispatcher.flushes
             # 50 concurrent reads: 500 RPCs, but every node's deliveries for
             # one tick coalesce into a single flush event.
-            await asyncio.gather(*(client.read("x") for _ in range(50)))
+            await asyncio.gather(*(read_op(client, "x") for _ in range(50)))
             return flushes_before
 
         flushes_before = asyncio.run(scenario())
@@ -85,7 +87,7 @@ class TestBatchedDispatcher:
         async def scenario():
             loop = asyncio.get_running_loop()
             started = loop.time()
-            read = await client.read("x")
+            read = await read_op(client, "x")
             return read, loop.time() - started
 
         loop = VirtualTimeLoop()
@@ -93,8 +95,8 @@ class TestBatchedDispatcher:
             read, elapsed = loop.run_until_complete(scenario())
         finally:
             loop.close()
-        assert read.responders == 0
-        assert read.replies == {}
+        assert len(read.replies) == 0
+        assert RegisterClient.stored_replies(read) == {}
         # Three rounds — the quorum, then top-ups until all 25 servers were
         # asked — each resolved at the shared operation deadline, not after
         # a per-RPC cascade of q deadlines.
@@ -107,12 +109,12 @@ class TestBatchedDispatcher:
         )
 
         async def scenario():
-            await client.write("x", "v", Timestamp(1), None)
-            return await client.read("x")
+            await write_op(client, "x", "v", Timestamp(1))
+            return await read_op(client, "x")
 
         read = asyncio.run(scenario())
         assert transport.dropped > 0
-        assert read.responders <= 10
+        assert len(read.replies) <= 10
 
     def test_no_deadline_resolves_after_delivery(self):
         nodes, transport, dispatcher, client = deploy(
@@ -120,12 +122,12 @@ class TestBatchedDispatcher:
         )
 
         async def scenario():
-            return await client.read("x")
+            return await read_op(client, "x")
 
         read = asyncio.run(scenario())
         # With no deadline the op resolves once every fate is known at the
         # delivery tick; dropped RPCs are simply absent.
-        assert 0 <= read.responders <= 10
+        assert 0 <= len(read.replies) <= 10
 
     def test_degraded_read_tops_up_through_the_dispatcher(self):
         nodes, transport, dispatcher, client = deploy(MASKING, deadline=0.005)
@@ -133,15 +135,15 @@ class TestBatchedDispatcher:
             nodes[server].crash()
 
         async def scenario():
-            await client.write("x", "v", Timestamp(1), None)
-            return await client.read("x")
+            await write_op(client, "x", "v", Timestamp(1))
+            return await read_op(client, "x")
 
         read = asyncio.run(scenario())
         # Any quorum touching a crashed node forces a top-up; the quorum the
         # read finally rests on holds answering servers only.
         if client.probe_fallbacks:
-            assert read.quorum <= frozenset(range(20))
-            assert len(read.quorum) <= 10
+            assert read.final_quorum <= frozenset(range(20))
+            assert len(read.final_quorum) <= 10
 
     def test_delay_exceeding_timeout_counts_as_timeout(self):
         nodes, transport, dispatcher, client = deploy(MASKING, latency=0.01)
@@ -217,11 +219,12 @@ class TestAgainstThePerRpcReference:
             )
             history = []
             for version in range(2, 12):
-                write = await client.write("x", "w", Timestamp(version), None)
-                read = await client.read("x")
+                write = await write_op(client, "x", "w", Timestamp(version))
+                read = await read_op(client, "x")
                 history.append(
-                    (write.quorum, write.acknowledged, write.probes_used,
-                     read.quorum, sorted(read.replies), read.probes_used)
+                    (write.final_quorum, frozenset(write.replies), write.spares,
+                     read.final_quorum, sorted(RegisterClient.stored_replies(read)),
+                     read.spares)
                 )
             return history, client.probe_fallbacks, transport.calls, transport.timed_out
 
@@ -233,7 +236,7 @@ class TestAgainstThePerRpcReference:
 class TestQuorumPool:
     def test_pooled_quorums_are_strategy_sized_and_sorted(self):
         nodes, transport, dispatcher, client = deploy(MASKING)
-        drawn = [client._next_quorum() for _ in range(100)]
+        drawn = [client.next_quorum() for _ in range(100)]
         for quorum in drawn:
             assert len(quorum) == 10
             assert list(quorum) == sorted(quorum)
@@ -243,12 +246,12 @@ class TestQuorumPool:
 
     def test_pool_refills_one_block_at_a_time(self):
         nodes, transport, dispatcher, client = deploy(MASKING)
-        client._next_quorum()
+        client.next_quorum()
         assert len(client._pool) == DEFAULT_QUORUM_POOL - 1
         for _ in range(DEFAULT_QUORUM_POOL - 1):
-            client._next_quorum()
+            client.next_quorum()
         assert client._pool == []
-        client._next_quorum()  # an empty pool draws the next whole block
+        client.next_quorum()  # an empty pool draws the next whole block
         assert len(client._pool) == DEFAULT_QUORUM_POOL - 1
 
     def test_sample_quorum_block_matches_strategy_distribution(self):

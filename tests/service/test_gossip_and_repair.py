@@ -32,8 +32,8 @@ from repro.core.masking import ProbabilisticMaskingSystem
 from repro.exceptions import ConfigurationError
 from repro.protocol.signatures import SignatureScheme
 from repro.protocol.timestamps import Timestamp
-from repro.protocol.variable import ReadOutcome
-from repro.service.client import AsyncQuorumClient, ReadRpcResult
+from repro.protocol.register import ReadOutcome, RegisterClient
+from repro.service.client import AsyncQuorumClient
 from repro.service.gossip import GossipService, NodeClusterView, scenario_verifier
 from repro.service.load import ServiceLoadReport, ServiceLoadSpec
 from repro.service.node import ServiceNode
@@ -41,6 +41,8 @@ from repro.service.register import AsyncRegister, async_register_for
 from repro.service.transport import AsyncTransport
 from repro.simulation.scenario import AntiEntropySpec, ScenarioSpec
 from repro.simulation.server import ByzantineForgeBehavior, StoredValue
+from tests.protocol.test_register_client import finished_op
+from tests.service.quorum_ops import read_op, write_op
 
 PLAIN = UniformEpsilonIntersectingSystem(25, 8)
 MASKING = ProbabilisticMaskingSystem(25, 10, 3)
@@ -228,19 +230,21 @@ class TestLazyFallback:
         nodes, client = self.prepopulated(lazy_fallback=True)
 
         async def scenario():
-            return await client.read("x")
+            return await read_op(client, "x")
 
         result = run(scenario())
         assert client.probe_fallbacks == 0
-        assert not result.retried and result.probes_used == 0
-        assert result.responders < len(result.quorum) == 8
-        assert any(stored.value == "v" for stored in result.replies.values())
+        assert result.spares == 0
+        assert len(result.replies) < len(result.final_quorum) == 8
+        assert any(
+            stored.value == "v" for stored in RegisterClient.stored_replies(result).values()
+        )
 
     def test_without_lazy_fallback_the_same_degraded_read_tops_up(self):
         nodes, client = self.prepopulated(lazy_fallback=False)
 
         async def scenario():
-            return await client.read("x")
+            return await read_op(client, "x")
 
         run(scenario())
         assert client.probe_fallbacks >= 1
@@ -253,7 +257,7 @@ class TestLazyFallback:
         # tops up.
         def degraded_read(register_kind):
             nodes, client = deploy_client(MASKING, seed=5, lazy_fallback=True)
-            quorum = client._next_quorum()
+            quorum = client.next_quorum()
             client._pool.append(quorum)  # the read's first round asks this quorum
             seed_value(nodes[quorum[0]])
             nodes[quorum[1]].crash()
@@ -277,12 +281,12 @@ class TestLazyFallback:
             nodes[server].crash()
 
         async def scenario():
-            return await client.write("x", "v", Timestamp(1), None)
+            return await write_op(client, "x", "v", Timestamp(1))
 
         write = run(scenario())
         assert client.probe_fallbacks >= 1
-        assert write.retried and write.probes_used >= 1
-        assert write.acknowledged <= write.quorum and len(write.quorum) <= 8
+        assert write.spares >= 1
+        assert write.replies.keys() <= write.final_quorum and len(write.final_quorum) <= 8
 
 
 class RecordingDispatcher:
@@ -330,16 +334,6 @@ class TestRegisterRepairTargets:
         return AsyncRegister(client)
 
     @staticmethod
-    def read_result(replies, quorum):
-        return ReadRpcResult(
-            quorum=frozenset(quorum),
-            replies=replies,
-            responders=len(replies),
-            retried=False,
-            probes_used=0,
-        )
-
-    @staticmethod
     def outcome(quorum, winners, value="v", counter=5):
         return ReadOutcome(
             value=value,
@@ -349,24 +343,11 @@ class TestRegisterRepairTargets:
             replies=len(winners),
         )
 
-    def test_laggards_order_stale_before_unknown(self):
-        register = self.register()
-        quorum = [0, 1, 2, 3]
-        replies = {
-            0: StoredValue("v", Timestamp(5)),  # the winner
-            1: StoredValue("old", Timestamp(1)),  # provably stale
-            # 2 never replied with a value: plausible laggard
-            3: StoredValue("junk", object()),  # uncomparable forgery residue
-        }
-        result = self.read_result(replies, quorum)
-        outcome = self.outcome(quorum, winners=[0])
-        assert register._lagging_servers(result, outcome) == [1, 2]
-
     def test_empty_or_valueless_outcomes_queue_nothing(self):
         register = self.register()
         dispatcher = RecordingDispatcher()
         register.client.dispatcher = dispatcher
-        result = self.read_result({}, [0, 1])
+        op = finished_op([0, 1], {})
         empty = ReadOutcome(
             value=None,
             timestamp=None,
@@ -374,12 +355,11 @@ class TestRegisterRepairTargets:
             reporting_servers=frozenset(),
             replies=0,
         )
-        register._piggyback_repair(result, empty)
+        register._piggyback_repair(op, empty)
         assert dispatcher.repairs == []
         # Every quorum member already reporting the winner: nothing lags.
-        full = self.read_result(
-            {0: StoredValue("v", Timestamp(5)), 1: StoredValue("v", Timestamp(5))},
-            [0, 1],
+        full = finished_op(
+            [0, 1], {0: StoredValue("v", Timestamp(5)), 1: StoredValue("v", Timestamp(5))}
         )
         register._piggyback_repair(full, self.outcome([0, 1], winners=[0, 1]))
         assert dispatcher.repairs == []
@@ -393,8 +373,8 @@ class TestRegisterRepairTargets:
             0: StoredValue("v", Timestamp(5), b"donor-signature"),
             1: StoredValue("old", Timestamp(1)),
         }
-        result = self.read_result(replies, quorum)
-        register._piggyback_repair(result, self.outcome(quorum, winners=[0]))
+        op = finished_op(quorum, replies)
+        register._piggyback_repair(op, self.outcome(quorum, winners=[0]))
         assert [entry[0] for entry in dispatcher.repairs] == [1, 2]
         for _, variable, value, timestamp, signature in dispatcher.repairs:
             assert (variable, value, timestamp) == ("x", "v", Timestamp(5))

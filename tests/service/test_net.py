@@ -26,6 +26,7 @@ from repro.service.register import AsyncRegister
 from repro.service.wire import FrameDecoder, encode_frame
 from repro.simulation.server import ByzantineForgeBehavior, ByzantineSilentBehavior
 from tests.service.per_rpc import PerRpcDriver
+from tests.service.quorum_ops import read_op, write_op
 
 MASKING = ProbabilisticMaskingSystem(25, 10, 3)
 
@@ -635,23 +636,24 @@ class TestQuorumClientOverTcp:
                 tracer=Tracer(sample_rate=1.0),
             )
             rounds = record_fan_outs(client)
-            await client.write("x", "durable", Timestamp(1), None)
+            await write_op(client, "x", "durable", Timestamp(1))
             for victim in random.Random(2).sample(range(25), 10):
                 nodes[victim].crash()
             degraded = 0
             for _ in range(6):
                 del rounds[:]
                 frames, requests = server.frames_handled, server.requests_handled
-                read = await client.read("x")
+                read = await read_op(client, "x")
+                trace = client.tracer.traces[-1]
                 batches = [len(asked) for asked, _ in rounds]
                 # One mreq per round: the sampled quorum, then only the spares.
                 assert server.frames_handled - frames == len(batches)
                 assert server.requests_handled - requests == sum(batches)
-                assert batches[0] == 10 and sum(batches[1:]) == read.probes_used
-                assert len(read.quorum) <= 10 and read.responders == len(read.quorum)
-                assert {span.method for span in read.trace.spans} == {"read"}
-                assert len(read.trace.spans) == sum(batches)
-                if read.retried:
+                assert batches[0] == 10 and sum(batches[1:]) == read.spares
+                assert len(read.final_quorum) <= 10 and len(read.replies) == len(read.final_quorum)
+                assert {span.method for span in trace.spans} == {"read"}
+                assert len(trace.spans) == sum(batches)
+                if read.spares > 0:
                     degraded += 1
                     # A top-up batch is exactly the deficit it set out to close.
                     assert batches[1] == 10 - len(rounds[0][1])

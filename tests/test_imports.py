@@ -3,9 +3,10 @@ below the service load no service module.
 
 SciPy serves two call sites only — the load LP (``quorum/measures.py``)
 and the vectorised log-binomial grids (``analysis/combinatorics.py``) — and
-each imports it on first use.  The protocol and the Monte-Carlo oracle run
-the same quorum op as the asyncio service but sit below it, so importing
-them pulls in no server, codec or load harness.  The checks run in a fresh
+each imports it on first use.  The protocol (the register client included),
+the Monte-Carlo oracle and the interleaving explorer run the same quorum op
+and register protocol as the asyncio service but sit below it, so
+importing them pulls in no server, codec or load harness.  The checks run in a fresh
 interpreter, since the test process itself has long since loaded both
 through other tests.
 """
@@ -42,7 +43,8 @@ print(json.dumps({"after_import": after_import, "after_use": scipy_modules(),
 
 _LAYER_PROBE = """
 import json, sys
-import repro.protocol, repro.simulation.monte_carlo
+import repro.protocol, repro.protocol.register, repro.simulation.monte_carlo
+import repro.simulation.explore
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[:2] == ["repro", "service"])))
 """
 
