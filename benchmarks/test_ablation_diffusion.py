@@ -15,13 +15,11 @@ column reproduces the raw quorum-only behaviour.
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from repro.core.epsilon_intersecting import UniformEpsilonIntersectingSystem
-from repro.protocol.variable import ProbabilisticRegister
 from repro.simulation.monte_carlo import estimate_staleness_distribution
+from repro.simulation.scenario import ScenarioSpec, WorkloadSpec
 
 N = 36
 QUORUM_SIZE = 5  # deliberately loose: epsilon ~ 0.43, so staleness is visible
@@ -33,14 +31,9 @@ def sweep_gossip_rounds():
     system = UniformEpsilonIntersectingSystem(N, QUORUM_SIZE)
     results = {}
     for rounds in GOSSIP_ROUNDS:
+        workload = WorkloadSpec(writes=4, gossip_rounds_between_writes=rounds, gossip_fanout=3)
         report = estimate_staleness_distribution(
-            lambda cluster, rng: ProbabilisticRegister(system, cluster, rng=rng),
-            n=N,
-            writes=4,
-            gossip_rounds_between_writes=rounds,
-            gossip_fanout=3,
-            trials=TRIALS,
-            seed=29,
+            ScenarioSpec(system=system, workload=workload), trials=TRIALS, seed=29
         )
         results[rounds] = report
     return {"epsilon": system.epsilon, "reports": results}

@@ -230,7 +230,7 @@ class RegisterClient:
         not argue with Byzantine servers.  ⊥ has no laggards.
         """
         winning = outcome.reporting_servers
-        if outcome.value is None or not winning:
+        if outcome.is_empty or not winning:
             return []
         stale: List[ServerId] = []
         unknown: List[ServerId] = []

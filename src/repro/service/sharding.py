@@ -386,7 +386,6 @@ class ShardedClientAPI:
         self,
         shard_index: int,
         rng: Optional[random.Random] = None,
-        deadline: Optional[float] = None,
         client_id: Optional[str] = None,
     ) -> AsyncQuorumClient:
         """One quorum client bound to a single shard's replica group (the spec's ``deadline``)."""
@@ -401,7 +400,7 @@ class ShardedClientAPI:
             self.scenario.system,
             shard.client_nodes,
             shard.transport,
-            deadline=self.spec.deadline if deadline is None else deadline,
+            deadline=self.spec.deadline,
             rng=rng,
             dispatcher=shard.dispatcher,
             pool_generator=shard.pool_generator,
@@ -419,7 +418,6 @@ class ShardedClientAPI:
     def new_register_client(
         self,
         rng: random.Random,
-        deadline: Optional[float] = None,
         writer_id: Optional[int] = None,
     ) -> "ShardedAsyncRegisterClient":
         """One logical sharded client (one quorum client per shard).
@@ -435,7 +433,6 @@ class ShardedClientAPI:
             self.client_for_shard(
                 index,
                 rng=random.Random(rng.randrange(2**63)),
-                deadline=deadline,
                 client_id=None if writer_id is None else str(writer_id),
             )
             for index in range(len(self.shards))

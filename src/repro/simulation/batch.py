@@ -19,8 +19,7 @@ through the vectorised kernel in
 
 All three of the paper's read protocols are modelled, driven by the
 :class:`~repro.protocol.selection.ReadRule` a
-:class:`~repro.simulation.scenario.ScenarioSpec` resolves (for a bare
-system, the rule of the scenario that wraps it):
+:class:`~repro.simulation.scenario.ScenarioSpec` resolves:
 
 * **benign** (Section 3.1) — any single reply is believed; the highest
   timestamp wins (``threshold=1``);
@@ -110,20 +109,16 @@ import functools
 import math
 import os
 import threading
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar, TYPE_CHECKING
+from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
-from repro.core.probabilistic import ProbabilisticQuorumSystem
 from repro.exceptions import ConfigurationError
 from repro.protocol.timestamps import Timestamp
 from repro.rngs import chunked_substreams
 from repro.simulation.diffusion import gossip_rounds_batch
-from repro.simulation.failures import BatchFailureMasks, FailureModel
-from repro.simulation.scenario import AntiEntropySpec, ScenarioSpec, WorkloadSpec
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.protocol.selection import ReadRule
+from repro.simulation.failures import BatchFailureMasks
+from repro.simulation.scenario import ScenarioSpec, require_scenario
 
 #: Default number of trials processed per vectorised chunk.  4096 trials over
 #: a 1000-server universe is ~4 MB of boolean masks — large enough to
@@ -359,110 +354,46 @@ class BatchTrialEngine:
 
     Parameters
     ----------
-    system:
-        The quorum system whose access strategy draws the per-trial write
-        and read quorums.  Any strategy works (the base class has a
-        compatible fallback), but the uniform and explicit strategies are
-        fully vectorised.
-    failure_model:
-        Declarative distribution over failures (default: no failures).
+    spec:
+        The :class:`~repro.simulation.scenario.ScenarioSpec` to run.  Its
+        system's access strategy draws the per-trial write and read quorums
+        (any strategy works — the base class has a compatible fallback —
+        but the uniform and explicit strategies are fully vectorised); its
+        failure model draws the failure masks; its
+        :meth:`~repro.simulation.scenario.ScenarioSpec.read_rule` is the
+        rule the kernels apply (they read its threshold ``k`` and whether
+        it is signed).  Honest timestamps carry ``spec.writer_id``; the
+        workload's ``written_value`` is consulted only when a forged
+        timestamp *ties* an honest one, where the deterministic tie rule
+        compares the two values' tiebreak keys.  With ``spec.writers > 1``
+        writer ``w`` writes ``Timestamp(1, writer_id + w)``, so the highest
+        id is the deterministic winner; ``spec.anti_entropy`` runs its
+        gossip rounds (vectorised, via
+        :func:`~repro.simulation.diffusion.gossip_rounds_batch`) between
+        the write settling and the read — synchronous rounds that
+        approximate the sequential engine's
+        :class:`~repro.simulation.diffusion.DiffusionEngine` pass (see
+        :class:`~repro.simulation.scenario.AntiEntropySpec`).  A staleness
+        estimate writes the workload's history.
     seed:
         Root seed of the ``SeedSequence`` substream tree.
     chunk_size:
         Trials per vectorised chunk (memory/dispatch trade-off).
-    writer_id:
-        Writer identity baked into honest timestamps, matching the default
-        register configuration of the sequential engine.
-    rule:
-        The :class:`~repro.protocol.selection.ReadRule` the reads apply; the
-        kernels read its threshold ``k`` and whether it is signed.  Defaults
-        to ``ScenarioSpec(system=system).read_rule()``, so a masking system
-        gets the threshold read and a dissemination system the
-        signature-checked read — the rule the sequential engine's registers
-        carry.
-    written_value:
-        The value honest writes carry (the scenario workload's value).  Only
-        consulted when a forged timestamp *ties* an honest one, where the
-        deterministic tie rule compares the two values' tiebreak keys.
-    writers:
-        Concurrent writers per consistency trial.  Writer ``w`` writes with
-        ``Timestamp(1, writer_id + w)``, so writer-id order is timestamp
-        order and the highest id is the deterministic winner; the read is
-        fresh only when that winner clears the vote threshold.
-    anti_entropy:
-        Optional :class:`~repro.simulation.scenario.AntiEntropySpec`: run
-        its gossip rounds (vectorised, via
-        :func:`~repro.simulation.diffusion.gossip_rounds_batch`) between the
-        write settling and the read — synchronous rounds that approximate
-        the sequential engine's
-        :class:`~repro.simulation.diffusion.DiffusionEngine` pass (see
-        :class:`~repro.simulation.scenario.AntiEntropySpec`).
     """
 
     def __init__(
-        self,
-        system: ProbabilisticQuorumSystem,
-        failure_model: Optional[FailureModel] = None,
-        seed: int = 0,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        writer_id: int = 0,
-        rule: Optional["ReadRule"] = None,
-        written_value: object = "v",
-        writers: int = 1,
-        anti_entropy=None,
+        self, spec: ScenarioSpec, seed: int = 0, chunk_size: int = DEFAULT_CHUNK_SIZE
     ) -> None:
-        if not isinstance(system, ProbabilisticQuorumSystem):
-            raise ConfigurationError(
-                "the batch engine samples through the system's access strategy; "
-                f"pass a ProbabilisticQuorumSystem, got {type(system).__name__}"
-            )
-        if failure_model is not None and not isinstance(failure_model, FailureModel):
-            raise ConfigurationError(
-                "the batch engine needs a declarative FailureModel "
-                f"(got {type(failure_model).__name__}); use engine='sequential' "
-                "for arbitrary plan factories"
-            )
+        require_scenario(spec)
         if chunk_size < 1:
             raise ConfigurationError(f"chunk size must be positive, got {chunk_size}")
-        if writers < 1:
-            raise ConfigurationError(f"need at least one writer, got {writers}")
-        self.system = system
-        self.model = failure_model or FailureModel.none()
+        self.spec = spec
+        self.system = spec.system
+        self.model = spec.failure_model
+        self.rule = spec.read_rule()
         self.seed = int(seed)
         self.chunk_size = int(chunk_size)
-        self.writer_id = int(writer_id)
-        self.writers = int(writers)
-        if anti_entropy is not None and not isinstance(anti_entropy, AntiEntropySpec):
-            raise ConfigurationError(
-                "anti_entropy must be an AntiEntropySpec (or None), "
-                f"got {type(anti_entropy).__name__}"
-            )
-        self.anti_entropy = anti_entropy
-        if rule is None:
-            rule = ScenarioSpec(system=system).read_rule()
-        self.rule = rule
-        self.written_value = written_value
         self._local = threading.local()
-
-    @classmethod
-    def from_spec(
-        cls,
-        spec: "ScenarioSpec",
-        seed: int = 0,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-    ) -> "BatchTrialEngine":
-        """Build the engine for a declarative scenario description."""
-        return cls(
-            spec.system,
-            failure_model=spec.failure_model,
-            seed=seed,
-            chunk_size=chunk_size,
-            writer_id=spec.writer_id,
-            rule=spec.read_rule(),
-            written_value=spec.workload.written_value,
-            writers=spec.writers,
-            anti_entropy=spec.anti_entropy,
-        )
 
     @property
     def _workspace(self) -> _Workspace:
@@ -565,9 +496,10 @@ class BatchTrialEngine:
 
         if trials <= 0:
             raise ConfigurationError(f"trial count must be positive, got {trials}")
-        if self.writers > 1 or (self.anti_entropy is not None and self.anti_entropy.gossips):
+        spec = self.spec
+        if spec.writers > 1 or (spec.anti_entropy is not None and spec.anti_entropy.gossips):
             return self._estimate_contention(trials)
-        forgery = self._forgery([Timestamp(1, self.writer_id)], [self.written_value])
+        forgery = self._forgery([Timestamp(1, spec.writer_id)], [spec.workload.written_value])
         counts = _run_chunks(
             self.seed, trials, self.chunk_size, functools.partial(self._one_write, forgery=forgery)
         )
@@ -616,15 +548,17 @@ class BatchTrialEngine:
         """
         from repro.simulation.monte_carlo import ConsistencyReport, multiwriter_values
 
-        writers = self.writers
-        timestamps = [Timestamp(1, self.writer_id + index) for index in range(writers)]
-        forgery = self._forgery(timestamps, multiwriter_values(self.written_value, writers))
+        spec = self.spec
+        writers = spec.writers
+        timestamps = [Timestamp(1, writer_id) for writer_id in spec.writer_ids()]
+        values = multiwriter_values(spec.workload.written_value, writers)
+        forgery = self._forgery(timestamps, values)
         rank, tie, _, _ = forgery
         last = writers - 1
         forgery_fabricates = rank == writers or tie == last
         gossip = None
-        if self.anti_entropy is not None and self.anti_entropy.gossips:
-            gossip = (self.anti_entropy.fanout, self.anti_entropy.rounds)
+        if spec.anti_entropy is not None and spec.anti_entropy.gossips:
+            gossip = (spec.anti_entropy.fanout, spec.anti_entropy.rounds)
         fresh = stale = empty = fabricated = 0
         for best, forged_wins in self._history_reads(trials, writers, forgery, gossip):
             honest_read = ~forged_wins
@@ -770,41 +704,32 @@ class BatchTrialEngine:
             best = np.where(_votes_for(honest, replayed, version) >= threshold, version, best)
         return best
 
-    def estimate_staleness_distribution(
-        self,
-        trials: int,
-        writes: int = 5,
-        gossip_rounds_between_writes: int = 0,
-        gossip_fanout: int = 2,
-    ) -> "StalenessReport":
-        """A write history followed by one read; measure the version lag.
+    def estimate_staleness_distribution(self, trials: int) -> "StalenessReport":
+        """The workload's write history followed by one read; measure the version lag.
 
-        Write ``v`` carries ``Timestamp(v + 1, writer_id)`` and the value
-        :func:`~repro.simulation.monte_carlo.history_values` gives it; a
-        read of version ``v`` lags ``writes - 1 - v``, and ⊥ or a winning
-        forgery lags ``writes``.
+        Write ``v`` of ``spec.workload.writes`` carries
+        ``Timestamp(v + 1, writer_id)`` and the value
+        :func:`~repro.simulation.monte_carlo.history_values` gives it, with
+        ``gossip_rounds_between_writes`` rounds of fanout ``gossip_fanout``
+        after every write; a read of version ``v`` lags ``writes - 1 - v``,
+        and ⊥ or a winning forgery lags ``writes``.
         """
-        from repro.simulation.monte_carlo import StalenessReport, history_values
-
-        if self.writers > 1:
-            raise ConfigurationError(
-                "staleness histories are single-writer; the contention axis is "
-                "measured by estimate_read_consistency "
-                f"(engine declares writers={self.writers})"
-            )
-        # WorkloadSpec's own checks vet the history shape.
-        WorkloadSpec(
-            writes=writes,
-            gossip_rounds_between_writes=gossip_rounds_between_writes,
-            gossip_fanout=gossip_fanout,
+        from repro.simulation.monte_carlo import (
+            StalenessReport,
+            history_values,
+            require_one_writer,
         )
+
+        require_one_writer(self.spec)
         if trials <= 0:
             raise ConfigurationError(f"trial count must be positive, got {trials}")
-        timestamps = [Timestamp(version + 1, self.writer_id) for version in range(writes)]
+        workload = self.spec.workload
+        writes = workload.writes
+        timestamps = [Timestamp(version + 1, self.spec.writer_id) for version in range(writes)]
         forgery = self._forgery(timestamps, history_values(writes))
         gossip = None
-        if gossip_rounds_between_writes > 0:
-            gossip = (gossip_fanout, gossip_rounds_between_writes)
+        if workload.gossip_rounds_between_writes > 0:
+            gossip = (workload.gossip_fanout, workload.gossip_rounds_between_writes)
         lags: List[np.ndarray] = []
         for best, forged_wins in self._history_reads(
             trials, writes, forgery, gossip, gossip_every_write=True

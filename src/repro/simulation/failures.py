@@ -11,10 +11,10 @@ declarative keeps the experiment configurations readable.
 
 A :class:`FailureModel` sits one level up: it is a *distribution* over
 failure plans, and the only place plans are sampled.  The sequential Monte-Carlo engine draws one
-:class:`FailurePlan` from it per trial (``model.bind(n)`` yields an
-ordinary plan factory), while the batched engine draws the whole batch at
-once as boolean server masks (:class:`BatchFailureMasks`) without
-materialising per-trial plan objects.
+:class:`FailurePlan` from it per trial (``model.sample_plan_for(n, rng)``),
+while the batched engine draws the whole batch at once as boolean server
+masks (:class:`BatchFailureMasks`) without materialising per-trial plan
+objects.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import random
 from dataclasses import dataclass, field
 from typing import (
     Any,
-    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -203,8 +202,7 @@ class FailureModel:
     it (``FailureModel.random_crashes(5).sample_plan_for(n, rng)``), and
     :meth:`sample_masks` draws thousands of trials' failures as boolean
     masks in a single vectorised call for the batched Monte-Carlo engine.
-    :meth:`bind` turns a model into an ordinary sequential plan factory, so
-    one model drives both engines — that is what the batch-vs-sequential
+    One model drives both engines — that is what the batch-vs-sequential
     equivalence tests rely on.
     """
 
@@ -409,10 +407,6 @@ class FailureModel:
         # Colluding forgers, honest-shaped or not, all tell the same story.
         value, timestamp = self.fabricated_value, self.fabricated_timestamp
         return FailurePlan(byzantine={s: ByzantineForgeBehavior(value, timestamp) for s in chosen})
-
-    def bind(self, n: int) -> Callable[[random.Random], FailurePlan]:
-        """A plan factory over a fixed universe (usable as ``plan_factory=``)."""
-        return lambda rng: self.sample_plan_for(n, rng)
 
     # -- batched sampling ---------------------------------------------------------
 

@@ -21,20 +21,18 @@ Estimators
 Scenario dispatch
 -----------------
 
-The preferred experiment description is a declarative
-:class:`~repro.simulation.scenario.ScenarioSpec` — quorum system, failure
-model and workload in one object — passed as the first argument.  Both
-engines consume the same spec: the sequential oracle lowers it to the
-matching register class (plain, signed-dissemination or threshold-masking)
-over per-trial clusters, while the batch engine reads the same spec's
+A declarative :class:`~repro.simulation.scenario.ScenarioSpec` — quorum
+system, failure model and workload in one object — is the only experiment
+description either estimator takes, and both engines consume the same
+spec: the sequential oracle lowers it to the matching register class
+(plain, signed-dissemination or threshold-masking) over per-trial clusters
+and draws each trial's failures with
+:meth:`~repro.simulation.failures.FailureModel.sample_plan_for`, while the
+batch engine reads the same spec's
 :class:`~repro.protocol.selection.ReadRule` (its threshold and whether it is
-signed) and classifies trials with vectorised kernels.  A bare
-``ProbabilisticQuorumSystem`` (optionally with a
-:class:`~repro.simulation.failures.FailureModel`) is promoted to an
-``auto``-resolved spec, so a masking system automatically gets the Section 5
-threshold read on both engines.  Arbitrary register/plan *factories* remain
-supported on ``engine="sequential"`` only — that path is the escape hatch
-for experiments no declarative spec describes.
+signed) and classifies trials with vectorised kernels.  Anything else — a
+bare system, a register or plan factory — is refused, so every experiment
+runs on both engines.
 
 Engines
 -------
@@ -51,91 +49,43 @@ pins the agreement down for all three protocols.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Union
+from dataclasses import dataclass, field
+from typing import Dict, List
 
-from typing import TYPE_CHECKING
-
-from repro.core.probabilistic import ProbabilisticQuorumSystem
 from repro.exceptions import ConfigurationError
 from repro.simulation.cluster import Cluster
 from repro.simulation.diffusion import DiffusionEngine
-from repro.simulation.failures import FailureModel, FailurePlan
-from repro.simulation.scenario import ScenarioSpec, WorkloadSpec
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
-    from repro.protocol.variable import ProbabilisticRegister
-
-#: Builds a register bound to a fresh cluster for one trial.
-RegisterFactory = Callable[[Cluster, random.Random], "ProbabilisticRegister"]
-#: Builds the failure plan for one trial (may be randomised per trial).
-PlanFactory = Callable[[random.Random], FailurePlan]
-#: A scenario spec, a system the spec can wrap, or a raw register factory.
-RegisterSpec = Union[ScenarioSpec, RegisterFactory, ProbabilisticQuorumSystem]
-#: Either a plan factory or a declarative failure model.
-PlanSpec = Union[PlanFactory, FailureModel]
+from repro.simulation.scenario import ScenarioSpec, require_scenario
 
 _ENGINES = ("sequential", "batch")
 
 
-def _check_engine(engine: str) -> None:
+def _check_run(spec: object, trials: int, engine: str) -> None:
+    """Refuse a run of ``trials`` trials that no estimator can start."""
+    require_scenario(spec)
     if engine not in _ENGINES:
         raise ConfigurationError(f"unknown engine {engine!r}; expected one of {_ENGINES}")
+    if trials <= 0:
+        raise ConfigurationError(f"trial count must be positive, got {trials}")
 
 
-def _as_scenario(register_spec, plan_spec) -> Optional[ScenarioSpec]:
-    """Promote declarative argument forms to a :class:`ScenarioSpec`.
-
-    Returns ``None`` for the legacy factory forms, which only the sequential
-    engine can run.
-    """
-    if isinstance(register_spec, ScenarioSpec):
-        if plan_spec is not None:
-            raise ConfigurationError(
-                "a ScenarioSpec already carries its failure model; "
-                "do not pass plan_factory alongside it"
-            )
-        return register_spec
-    if isinstance(register_spec, ProbabilisticQuorumSystem) and (
-        plan_spec is None or isinstance(plan_spec, FailureModel)
-    ):
-        return ScenarioSpec(
-            system=register_spec, failure_model=plan_spec or FailureModel.none()
-        )
-    return None
-
-
-def _resolve_n(spec: Optional[ScenarioSpec], n: Optional[int]) -> int:
-    if spec is not None:
-        if n is not None and n != spec.n:
-            raise ConfigurationError(
-                f"scenario is over {spec.n} servers but the estimate asked for n={n}"
-            )
-        return spec.n
-    if n is None:
+def require_one_writer(spec: ScenarioSpec) -> None:
+    """Refuse a staleness history over a scenario with concurrent writers."""
+    if spec.writers > 1:
         raise ConfigurationError(
-            "n is required when passing register/plan factories "
-            "(a ScenarioSpec carries it implicitly)"
-        )
-    return int(n)
-
-
-def _require_declarative(register_spec, plan_spec) -> None:
-    """The batch engine's error messages for non-declarative argument forms."""
-    if not isinstance(register_spec, (ScenarioSpec, ProbabilisticQuorumSystem)):
-        raise ConfigurationError(
-            "engine='batch' needs a declarative scenario; pass a ScenarioSpec or "
-            "the ProbabilisticQuorumSystem itself instead of a register factory "
-            "(arbitrary factories need engine='sequential')"
-        )
-    if plan_spec is not None and not isinstance(plan_spec, FailureModel):
-        raise ConfigurationError(
-            "engine='batch' needs a declarative FailureModel instead of a plan "
-            "factory (arbitrary factories need engine='sequential')"
+            "staleness histories are single-writer (versions are a total order "
+            "of one writer's counters); use estimate_read_consistency for the "
+            f"contention experiment (scenario declares writers={spec.writers})"
         )
 
 
-def _diffusion_for(spec: Optional[ScenarioSpec], cluster: Cluster, trial_rng):
+def _trial_cluster(spec: ScenarioSpec, trial_rng: random.Random) -> Cluster:
+    """One trial's cluster, under a failure plan drawn from the spec's model."""
+    plan = spec.failure_model.sample_plan_for(spec.n, trial_rng)
+    return Cluster(spec.n, failure_plan=plan, seed=trial_rng.randrange(2**63))
+
+
+def _diffusion_for(spec: ScenarioSpec, cluster: Cluster, trial_rng):
     """The trial's anti-entropy engine, or ``None`` when the spec has none.
 
     Gossip payloads pass the scenario read rule's verifier (dissemination
@@ -143,7 +93,7 @@ def _diffusion_for(spec: Optional[ScenarioSpec], cluster: Cluster, trial_rng):
     filter does not survive diffusion either (crashed and Byzantine pushers
     are already silent in :class:`DiffusionEngine`).
     """
-    if spec is None or spec.anti_entropy is None or not spec.anti_entropy.gossips:
+    if spec.anti_entropy is None or not spec.anti_entropy.gossips:
         return None
     return DiffusionEngine(
         cluster,
@@ -151,25 +101,6 @@ def _diffusion_for(spec: Optional[ScenarioSpec], cluster: Cluster, trial_rng):
         verify=spec.read_rule().verifier,
         rng=trial_rng,
     )
-
-
-def _sequential_specs(spec: Optional[ScenarioSpec], register_spec, plan_spec, n: int):
-    """Lower the scenario (or legacy specs) to the oracle loop's factories.
-
-    Returns one register factory per writer (a legacy factory is the one
-    writer) and the plan factory.
-    """
-    if spec is not None:
-        factories = [spec.register_factory(index) for index in range(spec.writers)]
-        return factories, spec.failure_model.bind(n)
-    if isinstance(register_spec, ProbabilisticQuorumSystem):
-        # A bare system paired with an arbitrary plan *factory*: no spec was
-        # promoted, but the register side still lowers declaratively.
-        register_factory = ScenarioSpec(system=register_spec).register_factory()
-    else:
-        register_factory = register_spec
-    plan_factory = plan_spec.bind(n) if isinstance(plan_spec, FailureModel) else plan_spec
-    return [register_factory], plan_factory
 
 
 @dataclass
@@ -206,9 +137,7 @@ class ConsistencyReport:
 
 
 def estimate_read_consistency(
-    register_factory: RegisterSpec,
-    n: Optional[int] = None,
-    plan_factory: Optional[PlanSpec] = None,
+    spec: ScenarioSpec,
     trials: int = 500,
     seed: int = 0,
     engine: str = "sequential",
@@ -224,11 +153,9 @@ def estimate_read_consistency(
     experiments can check that fabrication in particular is (essentially)
     never observed.
 
-    Pass a :class:`~repro.simulation.scenario.ScenarioSpec` (or a bare
-    system, auto-promoted to one) to run the same description on either
-    engine; the two agree in distribution, not trial for trial.  Honest
-    writes carry the scenario workload's ``written_value`` (``"v"`` for a
-    register factory).
+    The same :class:`~repro.simulation.scenario.ScenarioSpec` runs on
+    either engine; the two agree in distribution, not trial for trial.
+    Honest writes carry the scenario workload's ``written_value``.
 
     Under contention (``spec.writers > 1``) every writer writes once per
     trial, each with per-trial counter 1, so writer-id order *is* timestamp
@@ -241,29 +168,21 @@ def estimate_read_consistency(
     against the winner, so a read observing a lower-id concurrent write
     counts as stale.  One writer is the same loop with a one-element list.
     """
-    _check_engine(engine)
-    if trials <= 0:
-        raise ConfigurationError(f"trial count must be positive, got {trials}")
-    spec = _as_scenario(register_factory, plan_factory)
-    n = _resolve_n(spec, n)
+    _check_run(spec, trials, engine)
     if engine == "batch":
         from repro.simulation.batch import BatchTrialEngine
 
-        if spec is None:
-            _require_declarative(register_factory, plan_factory)
-        batch_engine = BatchTrialEngine.from_spec(spec, seed=seed, chunk_size=chunk_size)
+        batch_engine = BatchTrialEngine(spec, seed=seed, chunk_size=chunk_size)
         return batch_engine.estimate_read_consistency(trials)
-    written_value = spec.workload.written_value if spec is not None else "v"
-    factories, plan_factory = _sequential_specs(spec, register_factory, plan_factory, n)
     from repro.protocol.classification import classify_read_outcome
 
-    values = multiwriter_values(written_value, len(factories))
+    factories = [spec.register_factory(index) for index in range(spec.writers)]
+    values = multiwriter_values(spec.workload.written_value, spec.writers)
     rng = random.Random(seed)
     counts = {"fresh": 0, "stale": 0, "empty": 0, "fabricated": 0}
     for _ in range(trials):
         trial_rng = random.Random(rng.randrange(2**63))
-        plan = plan_factory(trial_rng) if plan_factory is not None else FailurePlan()
-        cluster = Cluster(n, failure_plan=plan, seed=trial_rng.randrange(2**63))
+        cluster = _trial_cluster(spec, trial_rng)
         registers = [factory(cluster, trial_rng) for factory in factories]
         writes = [register.write(value) for register, value in zip(registers, values)]
         diffusion = _diffusion_for(spec, cluster, trial_rng)
@@ -329,12 +248,7 @@ class StalenessReport:
 
 
 def estimate_staleness_distribution(
-    register_factory: RegisterSpec,
-    n: Optional[int] = None,
-    writes: Optional[int] = None,
-    gossip_rounds_between_writes: Optional[int] = None,
-    gossip_fanout: Optional[int] = None,
-    plan_factory: Optional[PlanSpec] = None,
+    spec: ScenarioSpec,
     trials: int = 200,
     seed: int = 0,
     engine: str = "sequential",
@@ -342,69 +256,37 @@ def estimate_staleness_distribution(
 ) -> StalenessReport:
     """Measure how many versions behind a read lands after a write history.
 
-    With ``gossip_rounds_between_writes > 0`` a
-    :class:`~repro.simulation.diffusion.DiffusionEngine` propagates each
-    write before the next one, which is the paper's Section 1.1 recipe for
-    driving staleness toward zero when updates are dispersed in time.
-
-    The workload parameters default to the scenario's
-    :class:`~repro.simulation.scenario.WorkloadSpec` when a spec is passed
-    (and to ``writes=5``, no gossip, fanout 2 otherwise); explicit arguments
-    override the spec.  ``engine="batch"`` vectorises the write history and
-    the gossip rounds (synchronous-round gossip with with-replacement
-    fanout, which spreads a write more slowly than the object engine's
-    rounds; see :func:`repro.simulation.diffusion.gossip_rounds_batch`).
+    The history is the scenario's
+    :class:`~repro.simulation.scenario.WorkloadSpec`: ``writes`` versions
+    by the scenario's one writer.  With ``gossip_rounds_between_writes > 0``
+    a :class:`~repro.simulation.diffusion.DiffusionEngine` with
+    ``gossip_fanout`` propagates each write before the next one, which is
+    the paper's Section 1.1 recipe for driving staleness toward zero when
+    updates are dispersed in time.  ``engine="batch"`` vectorises the write
+    history and the gossip rounds (synchronous-round gossip with
+    with-replacement fanout, which spreads a write more slowly than the
+    object engine's rounds; see
+    :func:`repro.simulation.diffusion.gossip_rounds_batch`).
     """
-    _check_engine(engine)
-    if trials <= 0:
-        raise ConfigurationError(f"trial count must be positive, got {trials}")
-    spec = _as_scenario(register_factory, plan_factory)
-    if spec is not None and spec.writers > 1:
-        raise ConfigurationError(
-            "staleness histories are single-writer (versions are a total order "
-            "of one writer's counters); use estimate_read_consistency for the "
-            f"contention experiment (scenario declares writers={spec.writers})"
-        )
-    overrides = {
-        "writes": writes,
-        "gossip_rounds_between_writes": gossip_rounds_between_writes,
-        "gossip_fanout": gossip_fanout,
-    }
-    # WorkloadSpec's own checks vet the overrides.
-    workload = replace(
-        spec.workload if spec is not None else WorkloadSpec(writes=5),
-        **{name: value for name, value in overrides.items() if value is not None},
-    )
-    writes = workload.writes
-    gossip_rounds_between_writes = workload.gossip_rounds_between_writes
-    gossip_fanout = workload.gossip_fanout
-    n = _resolve_n(spec, n)
+    _check_run(spec, trials, engine)
+    require_one_writer(spec)
     if engine == "batch":
         from repro.simulation.batch import BatchTrialEngine
 
-        if spec is None:
-            _require_declarative(register_factory, plan_factory)
-        return BatchTrialEngine.from_spec(
-            spec, seed=seed, chunk_size=chunk_size
-        ).estimate_staleness_distribution(
-            trials,
-            writes=writes,
-            gossip_rounds_between_writes=gossip_rounds_between_writes,
-            gossip_fanout=gossip_fanout,
-        )
-    (register_factory,), plan_factory = _sequential_specs(
-        spec, register_factory, plan_factory, n
-    )
+        batch_engine = BatchTrialEngine(spec, seed=seed, chunk_size=chunk_size)
+        return batch_engine.estimate_staleness_distribution(trials)
+    workload = spec.workload
+    writes = workload.writes
+    register_factory = spec.register_factory()
     rng = random.Random(seed)
     lags: List[int] = []
     for _ in range(trials):
         trial_rng = random.Random(rng.randrange(2**63))
-        plan = plan_factory(trial_rng) if plan_factory is not None else FailurePlan()
-        cluster = Cluster(n, failure_plan=plan, seed=trial_rng.randrange(2**63))
+        cluster = _trial_cluster(spec, trial_rng)
         register = register_factory(cluster, trial_rng)
         diffusion = (
-            DiffusionEngine(cluster, fanout=gossip_fanout, rng=trial_rng)
-            if gossip_rounds_between_writes > 0
+            DiffusionEngine(cluster, fanout=workload.gossip_fanout, rng=trial_rng)
+            if workload.gossip_rounds_between_writes > 0
             else None
         )
         history = []
@@ -412,7 +294,7 @@ def estimate_staleness_distribution(
             outcome = register.write(value)
             history.append((outcome.timestamp, value))
             if diffusion is not None:
-                diffusion.run_rounds(gossip_rounds_between_writes, [register.name])
+                diffusion.run_rounds(workload.gossip_rounds_between_writes, [register.name])
         read = register.read()
         if read.is_empty:
             lags.append(writes)  # behind every version

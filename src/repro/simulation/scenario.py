@@ -337,3 +337,16 @@ class ScenarioSpec:
             f"register={self.resolved_register_kind()}, "
             f"writes={self.workload.writes}{contention}{diffusion})"
         )
+
+
+def require_scenario(spec: object) -> None:
+    """Refuse anything but a :class:`ScenarioSpec`: the engines take nothing else.
+
+    A bare system, a register factory or a plan factory is refused: a
+    scenario the spec cannot describe would run on one engine only.
+    """
+    if not isinstance(spec, ScenarioSpec):
+        raise ConfigurationError(
+            "the Monte-Carlo engines take a ScenarioSpec (system, failure model "
+            f"and workload in one description), got {type(spec).__name__}"
+        )

@@ -34,13 +34,11 @@ SCENARIO = ScenarioSpec(
 def deploy_mutexes(scenario, clients, seed=0):
     """An in-process deployment plus one mutex handle per client id."""
     rng = random.Random(seed)
-    deployment = ShardedDeployment(DeploymentSpec(scenario=scenario), rng)
+    deployment = ShardedDeployment(DeploymentSpec(scenario=scenario, deadline=0.05), rng)
     mutexes = [
         mutex_for(
             scenario,
-            deployment.client_for_shard(
-                0, rng=random.Random(rng.randrange(2**63)), deadline=0.05
-            ),
+            deployment.client_for_shard(0, rng=random.Random(rng.randrange(2**63))),
             name="L",
             client_id=client_id,
             rng=random.Random(rng.randrange(2**63)),

@@ -17,6 +17,7 @@ from repro.core.strategy import ExplicitStrategy, UniformSubsetStrategy
 from repro.exceptions import ConfigurationError, StrategyError
 from repro.quorum.base import membership_matrix
 from repro.simulation.batch import BatchTrialEngine
+from repro.simulation.scenario import ScenarioSpec
 
 
 class TestUniformSubsetStrategy:
@@ -138,7 +139,7 @@ class TestExplicitStrategy:
 
         monkeypatch.setattr(strategy_module, "membership_matrix", counting)
         system = EpsilonIntersectingSystem(6, [{0, 1, 2}, {2, 3, 4}, {4, 5, 0}])
-        engine = BatchTrialEngine(system, seed=2, chunk_size=100)
+        engine = BatchTrialEngine(ScenarioSpec(system=system), seed=2, chunk_size=100)
         report = engine.estimate_read_consistency(450)  # five chunks, two draws each
         assert report.trials == 450
         assert built == [6]

@@ -30,10 +30,8 @@ from repro.apps.voting import VotingService
 from repro.core.dissemination import ProbabilisticDisseminationSystem
 from repro.core.epsilon_intersecting import UniformEpsilonIntersectingSystem
 from repro.core.masking import ProbabilisticMaskingSystem
-from repro.protocol.selection import ReadRule
 from repro.protocol.signatures import SignatureScheme
 from repro.protocol.timestamps import Timestamp
-from repro.protocol.variable import ProbabilisticRegister
 from repro.service.load import ServiceLoadSpec
 from repro.simulation.cluster import Cluster
 from repro.simulation.failures import FailureModel
@@ -116,18 +114,12 @@ def staleness_case(system: str, failure: str, gossip: int, seed: int) -> Callabl
 
 
 def legacy_factory_case() -> str:
-    scheme = SignatureScheme(b"legacy")
-    report = estimate_read_consistency(
-        lambda cluster, rng: ProbabilisticRegister(
-            DISSEMINATION, cluster, rng=rng, rule=ReadRule(signatures=scheme)
-        ),
-        n=25,
-        plan_factory=lambda rng: FailureModel.colluding_forgers(
-            3, "F", Timestamp(1, 0)
-        ).sample_plan_for(25, rng),
-        trials=TRIALS,
-        seed=5,
+    spec = ScenarioSpec(
+        system=DISSEMINATION,
+        failure_model=FailureModel.colluding_forgers(3, "F", Timestamp(1, 0)),
+        signing_key=b"legacy",
     )
+    report = estimate_read_consistency(spec, trials=TRIALS, seed=5)
     return consistency_digest(report)
 
 

@@ -171,6 +171,19 @@ class TestLaggards:
         )
         assert client.laggards(op, self.outcome([0, 1], winners=[0])) == []
 
+    def test_a_stored_none_is_a_value_and_is_repaired(self):
+        # None is a value a register can hold; only a read without a
+        # timestamp is ⊥.
+        client = RegisterClient("x")
+        op = finished_op(
+            [0, 1, 2],
+            {0: StoredValue(None, Timestamp(2)), 1: StoredValue(None, Timestamp(1))},
+        )
+        outcome = client.read_outcome(op)
+        assert (outcome.value, outcome.timestamp) == (None, Timestamp(2))
+        assert not outcome.is_empty
+        assert client.laggards(op, outcome) == [1, 2]
+
     def test_bottom_has_no_laggards(self):
         client = RegisterClient("x")
         op = finished_op([0, 1], {})

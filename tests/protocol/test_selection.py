@@ -176,7 +176,7 @@ class TestReadRule:
             spec.system, [ServiceNode(server) for server in range(spec.n)], AsyncTransport()
         )
         layers = {
-            "batch": BatchTrialEngine.from_spec(spec).rule,
+            "batch": BatchTrialEngine(spec).rule,
             "register": spec.register_factory()(Cluster(spec.n), random.Random(0)).rule,
             "frontend": async_register_for(spec, client).rule,
         }

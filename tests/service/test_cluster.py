@@ -64,13 +64,15 @@ def wait_for_exit(deployment, timeout: float = 10.0) -> None:
 class TestClusterLifecycle:
     def test_normal_exit_leaves_no_orphans(self):
         async def main():
-            cluster = ClusterDeployment(cluster_spec(shards=2, codec="binary"), random.Random(7))
+            cluster = ClusterDeployment(
+                cluster_spec(shards=2, codec="binary", deadline=2.0), random.Random(7)
+            )
             async with cluster:
                 pids = list(cluster.pids)
                 assert len(pids) == 2
                 assert cluster.processes_alive == 2
                 assert await cluster.probe() == [True, True]
-                client = cluster.new_register_client(random.Random(3), deadline=2.0)
+                client = cluster.new_register_client(random.Random(3))
                 await client.write("x", ("hello", 1))
                 outcome = await client.read("x")
                 assert outcome.value == ("hello", 1)
@@ -116,7 +118,9 @@ class TestClusterLifecycle:
         serving, and teardown still leaves nothing behind."""
 
         async def main():
-            cluster = ClusterDeployment(cluster_spec(shards=2, codec="binary"), random.Random(17))
+            cluster = ClusterDeployment(
+                cluster_spec(shards=2, codec="binary", deadline=2.0), random.Random(17)
+            )
             await cluster.start()
             pids = list(cluster.pids)
             os.kill(pids[0], signal.SIGKILL)
@@ -127,7 +131,7 @@ class TestClusterLifecycle:
             probes = await cluster.probe(timeout=0.5)
             assert probes[0] is False and probes[1] is True
             # The surviving shard still serves: pick a key it owns.
-            client = cluster.new_register_client(random.Random(5), deadline=2.0)
+            client = cluster.new_register_client(random.Random(5))
             key = next(
                 f"k{i}" for i in range(64) if cluster.shard_for(f"k{i}") == 1
             )

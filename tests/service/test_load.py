@@ -330,8 +330,8 @@ def record_client_calls(deployment, calls):
     """
     make_client = deployment.new_register_client
 
-    def new_register_client(rng, deadline=None, writer_id=None):
-        client = make_client(rng, deadline=deadline, writer_id=writer_id)
+    def new_register_client(rng, writer_id=None):
+        client = make_client(rng, writer_id=writer_id)
         number = new_register_client.made
         new_register_client.made += 1
         write, read = client.write, client.read

@@ -142,12 +142,12 @@ class TestShardedDeployment:
         with pytest.raises(ConfigurationError):
             ShardedAsyncRegisterClient(deployment, [client])
 
-    def test_clients_take_the_spec_deadline_unless_given_one(self):
+    def test_clients_take_the_spec_deadline(self):
         deployment = ShardedDeployment(
             DeploymentSpec(scenario=SCENARIO, shards=2, deadline=1.0), random.Random(1)
         )
         assert deployment.client_for_shard(0).deadline == 1.0
-        assert deployment.client_for_shard(1, deadline=0.2).deadline == 0.2
+        assert deployment.client_for_shard(1).deadline == 1.0
         register_client = deployment.new_register_client(random.Random(2))
         assert [client.deadline for client in register_client.clients] == [1.0, 1.0]
         unbounded = ShardedDeployment(
@@ -157,8 +157,10 @@ class TestShardedDeployment:
 
     def test_writes_land_only_on_the_keys_shard(self):
         async def scenario():
-            deployment = ShardedDeployment(DeploymentSpec(scenario=SCENARIO, shards=2), random.Random(3))
-            client = deployment.new_register_client(random.Random(4), deadline=1.0)
+            deployment = ShardedDeployment(
+                DeploymentSpec(scenario=SCENARIO, shards=2, deadline=1.0), random.Random(3)
+            )
+            client = deployment.new_register_client(random.Random(4))
             keys = [f"x{i}" for i in range(6)]
             for key in keys:
                 await client.write(key, f"value-{key}")
@@ -183,8 +185,10 @@ class TestShardedDeployment:
 
     def test_crashed_shard_only_affects_its_own_keys(self):
         async def scenario():
-            deployment = ShardedDeployment(DeploymentSpec(scenario=SCENARIO, shards=2), random.Random(5))
-            client = deployment.new_register_client(random.Random(6), deadline=0.01)
+            deployment = ShardedDeployment(
+                DeploymentSpec(scenario=SCENARIO, shards=2, deadline=0.01), random.Random(5)
+            )
+            client = deployment.new_register_client(random.Random(6))
             keys = [f"x{i}" for i in range(8)]
             for key in keys:
                 await client.write(key, "before-the-crash")
@@ -210,12 +214,13 @@ class TestShardedDeployment:
     def test_tcp_deployment_starts_and_serves(self):
         async def scenario():
             deployment = ShardedDeployment(
-                DeploymentSpec(scenario=SCENARIO, shards=2, transport="tcp"), random.Random(7)
+                DeploymentSpec(scenario=SCENARIO, shards=2, transport="tcp", deadline=1.0),
+                random.Random(7),
             )
             async with deployment:
                 ports = {shard.server.port for shard in deployment.shards}
                 assert len(ports) == 2
-                client = deployment.new_register_client(random.Random(8), deadline=1.0)
+                client = deployment.new_register_client(random.Random(8))
                 await client.write("x0", "tcp-value")
                 outcome = await client.read("x0")
                 assert outcome.value in ("tcp-value", None)

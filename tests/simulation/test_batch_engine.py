@@ -25,6 +25,7 @@ import multiprocessing
 import random
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,7 +38,6 @@ from repro.core.masking import ProbabilisticMaskingSystem
 from repro.core.strategy import ExplicitStrategy, UniformSubsetStrategy
 from repro.exceptions import ConfigurationError
 from repro.protocol.timestamps import Timestamp
-from repro.protocol.variable import ProbabilisticRegister
 from repro.quorum.base import MASK_BLOCK_RANKS, sample_subset_batch, sample_subset_mask
 from repro.quorum.measures import load_of_strategy
 from repro.simulation import batch
@@ -50,7 +50,7 @@ from repro.simulation.monte_carlo import (
     history_values,
     multiwriter_values,
 )
-from repro.simulation.scenario import AntiEntropySpec, ScenarioSpec
+from repro.simulation.scenario import AntiEntropySpec, ScenarioSpec, WorkloadSpec
 
 EQUIVALENCE_TRIALS = 10_000
 
@@ -88,16 +88,13 @@ class TestEngineEquivalence:
     SYSTEM = UniformEpsilonIntersectingSystem(25, 5)
 
     def _both(self, model, trials=EQUIVALENCE_TRIALS):
-        sequential = estimate_read_consistency(
-            self.SYSTEM, n=25, plan_factory=model, trials=trials, seed=42
-        )
-        batch = estimate_read_consistency(
-            self.SYSTEM, n=25, plan_factory=model, trials=trials, seed=42, engine="batch"
-        )
+        spec = ScenarioSpec(system=self.SYSTEM, failure_model=model)
+        sequential = estimate_read_consistency(spec, trials=trials, seed=42)
+        batch = estimate_read_consistency(spec, trials=trials, seed=42, engine="batch")
         return sequential, batch
 
     def test_no_failures(self):
-        sequential, batch = self._both(None)
+        sequential, batch = self._both(FailureModel.none())
         tol = two_sided_tolerance(EQUIVALENCE_TRIALS, EQUIVALENCE_TRIALS)
         assert batch.fresh_fraction == pytest.approx(sequential.fresh_fraction, abs=tol)
         assert batch.fabricated == sequential.fabricated == 0
@@ -155,18 +152,17 @@ class TestEngineEquivalence:
     def test_matches_analytical_epsilon(self):
         # The batch engine on its own must track the exact closed form.
         batch = estimate_read_consistency(
-            self.SYSTEM, n=25, trials=40_000, seed=7, engine="batch"
+            ScenarioSpec(system=self.SYSTEM), trials=40_000, seed=7, engine="batch"
         )
         assert batch.error_fraction == pytest.approx(
             self.SYSTEM.epsilon, abs=hoeffding_tolerance(40_000)
         )
 
     def test_staleness_distribution_agrees(self):
-        sequential = estimate_staleness_distribution(
-            self.SYSTEM, n=25, writes=4, trials=3_000, seed=9
-        )
+        spec = ScenarioSpec(system=self.SYSTEM, workload=WorkloadSpec(writes=4))
+        sequential = estimate_staleness_distribution(spec, trials=3_000, seed=9)
         batch = estimate_staleness_distribution(
-            self.SYSTEM, n=25, writes=4, trials=EQUIVALENCE_TRIALS, seed=9, engine="batch"
+            spec, trials=EQUIVALENCE_TRIALS, seed=9, engine="batch"
         )
         tol = two_sided_tolerance(3_000, EQUIVALENCE_TRIALS)
         assert batch.fresh_fraction == pytest.approx(sequential.fresh_fraction, abs=tol)
@@ -175,14 +171,14 @@ class TestEngineEquivalence:
 
     def test_gossip_drives_staleness_down_in_batch_mode(self):
         without = estimate_staleness_distribution(
-            self.SYSTEM, n=25, writes=4, trials=4_000, seed=13, engine="batch"
+            ScenarioSpec(system=self.SYSTEM, workload=WorkloadSpec(writes=4)),
+            trials=4_000,
+            seed=13,
+            engine="batch",
         )
+        gossiped = WorkloadSpec(writes=4, gossip_rounds_between_writes=3, gossip_fanout=3)
         with_gossip = estimate_staleness_distribution(
-            self.SYSTEM,
-            n=25,
-            writes=4,
-            gossip_rounds_between_writes=3,
-            gossip_fanout=3,
+            ScenarioSpec(system=self.SYSTEM, workload=gossiped),
             trials=4_000,
             seed=13,
             engine="batch",
@@ -228,10 +224,12 @@ class TestTyingForgeryEquivalence:
         writes = 3
         own_value = history_values(writes)[tied_version]
         for value in ("FORGED", "zFORGED", ("zFORGED",), own_value):
-            spec = self._spec(value, Timestamp(tied_version + 1, 0))
+            spec = self._spec(
+                value, Timestamp(tied_version + 1, 0), workload=WorkloadSpec(writes=writes)
+            )
             sequential, batch = (
                 estimate_staleness_distribution(
-                    spec, writes=writes, trials=EQUIVALENCE_TRIALS, seed=3, engine=engine
+                    spec, trials=EQUIVALENCE_TRIALS, seed=3, engine=engine
                 ).lag_histogram()
                 for engine in ("sequential", "batch")
             )
@@ -349,12 +347,11 @@ class TestByzantineEngineEquivalence:
             failure_model=FailureModel.colluding_forgers(
                 5, "FORGED", Timestamp.forged_maximum()
             ),
+            workload=WorkloadSpec(writes=3),
         )
-        sequential = estimate_staleness_distribution(
-            spec, writes=3, trials=3_000, seed=9
-        )
+        sequential = estimate_staleness_distribution(spec, trials=3_000, seed=9)
         batch = estimate_staleness_distribution(
-            spec, writes=3, trials=EQUIVALENCE_TRIALS, seed=9, engine="batch"
+            spec, trials=EQUIVALENCE_TRIALS, seed=9, engine="batch"
         )
         tol = two_sided_tolerance(3_000, EQUIVALENCE_TRIALS)
         assert batch.fresh_fraction == pytest.approx(sequential.fresh_fraction, abs=tol)
@@ -365,12 +362,11 @@ class TestByzantineEngineEquivalence:
         spec = ScenarioSpec(
             system=self.DISSEMINATION,
             failure_model=FailureModel.replay_attack(4),
+            workload=WorkloadSpec(writes=4),
         )
-        sequential = estimate_staleness_distribution(
-            spec, writes=4, trials=3_000, seed=15
-        )
+        sequential = estimate_staleness_distribution(spec, trials=3_000, seed=15)
         batch = estimate_staleness_distribution(
-            spec, writes=4, trials=EQUIVALENCE_TRIALS, seed=15, engine="batch"
+            spec, trials=EQUIVALENCE_TRIALS, seed=15, engine="batch"
         )
         tol = two_sided_tolerance(3_000, EQUIVALENCE_TRIALS)
         assert batch.fresh_fraction == pytest.approx(sequential.fresh_fraction, abs=tol)
@@ -605,50 +601,28 @@ class TestBatchSamplingInvariants:
         )
         assert independent.crashed.mean() == pytest.approx(0.25, abs=0.02)
 
-    def test_failure_model_bind_produces_matching_plans(self):
+    def test_failure_model_plans_match_the_model(self):
         model = FailureModel.random_byzantine(3)
-        plan = model.bind(20)(random.Random(0))
+        plan = model.sample_plan_for(20, random.Random(0))
         assert len(plan.byzantine) == 3
         assert not plan.crashed
 
 
 class TestEngineDispatchAndDeterminism:
-    SYSTEM = UniformEpsilonIntersectingSystem(25, 8)
+    SPEC = ScenarioSpec(system=UniformEpsilonIntersectingSystem(25, 8))
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ConfigurationError):
-            estimate_read_consistency(self.SYSTEM, n=25, trials=10, engine="warp")
-
-    def test_batch_engine_requires_declarative_specs(self):
-        factory = lambda cluster, rng: ProbabilisticRegister(self.SYSTEM, cluster, rng=rng)
-        with pytest.raises(ConfigurationError):
-            estimate_read_consistency(factory, n=25, trials=10, engine="batch")
-        with pytest.raises(ConfigurationError):
-            estimate_read_consistency(
-                self.SYSTEM,
-                n=25,
-                plan_factory=lambda rng: None,
-                trials=10,
-                engine="batch",
-            )
+            estimate_read_consistency(self.SPEC, trials=10, engine="warp")
 
     def test_sequential_engine_accepts_declarative_specs(self):
-        report = estimate_read_consistency(
-            self.SYSTEM,
-            n=25,
-            plan_factory=FailureModel.independent_crashes(0.1),
-            trials=50,
-            seed=1,
-        )
+        spec = replace(self.SPEC, failure_model=FailureModel.independent_crashes(0.1))
+        report = estimate_read_consistency(spec, trials=50, seed=1)
         assert report.trials == 50
 
     def test_batch_runs_are_reproducible(self):
-        first = estimate_read_consistency(
-            self.SYSTEM, n=25, trials=5_000, seed=21, engine="batch"
-        )
-        second = estimate_read_consistency(
-            self.SYSTEM, n=25, trials=5_000, seed=21, engine="batch"
-        )
+        first = estimate_read_consistency(self.SPEC, trials=5_000, seed=21, engine="batch")
+        second = estimate_read_consistency(self.SPEC, trials=5_000, seed=21, engine="batch")
         assert (first.fresh, first.stale, first.empty, first.fabricated) == (
             second.fresh,
             second.stale,
@@ -657,16 +631,16 @@ class TestEngineDispatchAndDeterminism:
         )
 
     def test_chunked_execution_covers_every_trial(self):
-        engine = BatchTrialEngine(self.SYSTEM, seed=0, chunk_size=700)
+        engine = BatchTrialEngine(self.SPEC, seed=0, chunk_size=700)
         report = engine.estimate_read_consistency(5_000)
         assert report.trials == 5_000
         assert report.fresh + report.stale + report.empty + report.fabricated == 5_000
 
     def test_trial_validation(self):
         with pytest.raises(ConfigurationError):
-            estimate_read_consistency(self.SYSTEM, n=25, trials=0, engine="batch")
+            estimate_read_consistency(self.SPEC, trials=0, engine="batch")
         with pytest.raises(ConfigurationError):
-            BatchTrialEngine(self.SYSTEM, chunk_size=0)
+            BatchTrialEngine(self.SPEC, chunk_size=0)
 
     def test_tying_forgery_is_modelled_for_single_write_scenarios(self):
         # A forgery whose timestamp equals the honest write's resolves through
@@ -674,19 +648,16 @@ class TestEngineDispatchAndDeterminism:
         # single-write estimator now models it instead of rejecting it.
         tying = FailureModel.colluding_forgers(3, "FORGED", Timestamp(1, 0))
         report = estimate_read_consistency(
-            self.SYSTEM, n=25, plan_factory=tying, trials=100, engine="batch"
+            replace(self.SPEC, failure_model=tying), trials=100, engine="batch"
         )
         assert report.trials == 100
 
     def test_tying_forgery_is_still_fenced_for_write_histories(self):
         # Non-tying forgeries (the paper's forged_maximum) run; tying ones,
         # histories included, are TestTyingForgeryEquivalence's.
+        forgers = FailureModel.colluding_forgers(3, "F", Timestamp.forged_maximum())
         report = estimate_read_consistency(
-            self.SYSTEM,
-            n=25,
-            plan_factory=FailureModel.colluding_forgers(3, "F", Timestamp.forged_maximum()),
-            trials=100,
-            engine="batch",
+            replace(self.SPEC, failure_model=forgers), trials=100, engine="batch"
         )
         assert report.trials == 100
 
@@ -714,7 +685,7 @@ def _counts(report) -> tuple:
 
 
 def _estimate_in_child(spec, trials, chunk_size, connection) -> None:
-    engine = BatchTrialEngine.from_spec(spec, seed=3, chunk_size=chunk_size)
+    engine = BatchTrialEngine(spec, seed=3, chunk_size=chunk_size)
     connection.send(_counts(engine.estimate_read_consistency(trials)))
     connection.close()
 
@@ -730,7 +701,7 @@ class TestConcurrentChunks:
     TRIALS = 2_300  # five chunks, the last one short
 
     def _engine(self, name: str) -> BatchTrialEngine:
-        return BatchTrialEngine.from_spec(CONCURRENT_SPECS[name], seed=3, chunk_size=self.CHUNK)
+        return BatchTrialEngine(CONCURRENT_SPECS[name], seed=3, chunk_size=self.CHUNK)
 
     @pytest.mark.parametrize("name", sorted(CONCURRENT_SPECS))
     def test_reports_do_not_depend_on_the_helper_count(self, name, monkeypatch):
@@ -760,9 +731,7 @@ class TestConcurrentChunks:
     def test_concurrent_callers_each_get_their_solo_result(self, monkeypatch):
         monkeypatch.setattr(batch, "_helper_count", lambda: 3)
         shared = self._engine("masking")
-        gossiped = BatchTrialEngine.from_spec(
-            HISTORY_SPECS["gossiped"], seed=3, chunk_size=self.CHUNK
-        )
+        gossiped = BatchTrialEngine(HISTORY_SPECS["gossiped"], seed=3, chunk_size=self.CHUNK)
         engines = [shared, shared, self._engine("dissemination"), self._engine("tying"), gossiped]
         solo = [_counts(engine.estimate_read_consistency(self.TRIALS)) for engine in engines]
         results = [[] for _ in engines]
@@ -845,6 +814,7 @@ HISTORY_SPECS = {
     "staleness": ScenarioSpec(
         system=UniformEpsilonIntersectingSystem(60, 8),
         failure_model=FailureModel.random_crashes(4),
+        workload=WorkloadSpec(writes=4, gossip_rounds_between_writes=1),
     ),
     "multiwriter": ScenarioSpec(
         system=HISTORY_SYSTEM, failure_model=FailureModel.replay_attack(3), writers=3
@@ -859,11 +829,9 @@ HISTORY_SPECS = {
 
 def _history_outcome(name: str, chunk_size: int, trials: int) -> tuple:
     """The report of one history estimate: lags in trial order, or outcome counts."""
-    engine = BatchTrialEngine.from_spec(HISTORY_SPECS[name], seed=5, chunk_size=chunk_size)
+    engine = BatchTrialEngine(HISTORY_SPECS[name], seed=5, chunk_size=chunk_size)
     if name == "staleness":
-        report = engine.estimate_staleness_distribution(
-            trials, writes=4, gossip_rounds_between_writes=1
-        )
+        report = engine.estimate_staleness_distribution(trials)
         return tuple(report.versions_behind)
     return _counts(engine.estimate_read_consistency(trials))
 

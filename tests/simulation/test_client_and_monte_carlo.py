@@ -10,13 +10,13 @@ from repro.core.epsilon_intersecting import UniformEpsilonIntersectingSystem
 from repro.core.strategy import ExplicitStrategy
 from repro.exceptions import ConfigurationError
 from repro.protocol.timestamps import Timestamp
-from repro.protocol.variable import ProbabilisticRegister
 from repro.simulation.client import LoadMeasurement, WorkloadClient, measure_system_load
 from repro.simulation.failures import FailureModel
 from repro.simulation.monte_carlo import (
     estimate_read_consistency,
     estimate_staleness_distribution,
 )
+from repro.simulation.scenario import ScenarioSpec, WorkloadSpec
 
 
 class TestWorkloadClient:
@@ -57,12 +57,7 @@ class TestWorkloadClient:
 class TestConsistencyEstimator:
     def test_perfect_consistency_without_failures(self):
         system = UniformEpsilonIntersectingSystem.for_epsilon(25, 1e-3)
-        report = estimate_read_consistency(
-            lambda cluster, rng: ProbabilisticRegister(system, cluster, rng=rng),
-            n=25,
-            trials=100,
-            seed=0,
-        )
+        report = estimate_read_consistency(ScenarioSpec(system=system), trials=100, seed=0)
         assert report.trials == 100
         assert report.fresh_fraction >= 0.97
         assert report.fabricated == 0
@@ -71,26 +66,14 @@ class TestConsistencyEstimator:
     def test_measured_error_tracks_analytical_epsilon(self):
         # Use a deliberately loose construction so the error is measurable.
         system = UniformEpsilonIntersectingSystem(25, 5)
-        report = estimate_read_consistency(
-            lambda cluster, rng: ProbabilisticRegister(system, cluster, rng=rng),
-            n=25,
-            trials=400,
-            seed=1,
-        )
+        report = estimate_read_consistency(ScenarioSpec(system=system), trials=400, seed=1)
         assert report.error_fraction == pytest.approx(system.epsilon, abs=0.08)
 
     def test_crash_failures_increase_error(self):
         system = UniformEpsilonIntersectingSystem(25, 6)
-        baseline = estimate_read_consistency(
-            lambda cluster, rng: ProbabilisticRegister(system, cluster, rng=rng),
-            n=25,
-            trials=200,
-            seed=2,
-        )
+        baseline = estimate_read_consistency(ScenarioSpec(system=system), trials=200, seed=2)
         crashing = estimate_read_consistency(
-            lambda cluster, rng: ProbabilisticRegister(system, cluster, rng=rng),
-            n=25,
-            plan_factory=lambda rng: FailureModel.independent_crashes(0.3).sample_plan_for(25, rng),
+            ScenarioSpec(system=system, failure_model=FailureModel.independent_crashes(0.3)),
             trials=200,
             seed=2,
         )
@@ -99,21 +82,18 @@ class TestConsistencyEstimator:
     def test_trial_validation(self):
         system = UniformEpsilonIntersectingSystem(25, 10)
         with pytest.raises(ConfigurationError):
-            estimate_read_consistency(
-                lambda cluster, rng: ProbabilisticRegister(system, cluster, rng=rng),
-                n=25,
-                trials=0,
-            )
+            estimate_read_consistency(ScenarioSpec(system=system), trials=0)
 
 
 class TestStalenessEstimator:
-    def _factory(self, system):
-        return lambda cluster, rng: ProbabilisticRegister(system, cluster, rng=rng)
+    @staticmethod
+    def _spec(system, **workload):
+        return ScenarioSpec(system=system, workload=WorkloadSpec(**workload))
 
     def test_reads_are_mostly_fresh_with_tight_epsilon(self):
         system = UniformEpsilonIntersectingSystem.for_epsilon(25, 1e-3)
         report = estimate_staleness_distribution(
-            self._factory(system), n=25, writes=4, trials=60, seed=3
+            self._spec(system, writes=4), trials=60, seed=3
         )
         assert report.fresh_fraction >= 0.9
         assert report.mean_lag <= 0.5
@@ -123,14 +103,10 @@ class TestStalenessEstimator:
         # A loose construction misses often; gossip between writes repairs it.
         system = UniformEpsilonIntersectingSystem(25, 4)
         without = estimate_staleness_distribution(
-            self._factory(system), n=25, writes=4, trials=150, seed=4
+            self._spec(system, writes=4), trials=150, seed=4
         )
         with_gossip = estimate_staleness_distribution(
-            self._factory(system),
-            n=25,
-            writes=4,
-            gossip_rounds_between_writes=3,
-            gossip_fanout=3,
+            self._spec(system, writes=4, gossip_rounds_between_writes=3, gossip_fanout=3),
             trials=150,
             seed=4,
         )
@@ -145,9 +121,10 @@ class TestStalenessEstimator:
 
         def lags(fabricated_value):
             model = FailureModel.colluding_forgers(3, fabricated_value, Timestamp(3, 0))
-            return estimate_staleness_distribution(
-                system, writes=3, plan_factory=model, trials=20, seed=1
-            ).lag_histogram()
+            spec = ScenarioSpec(
+                system=system, failure_model=model, workload=WorkloadSpec(writes=3)
+            )
+            return estimate_staleness_distribution(spec, trials=20, seed=1).lag_histogram()
 
         assert lags("forged") == {3: 20}
         assert lags(("value", 2)) == {0: 20}
@@ -155,6 +132,6 @@ class TestStalenessEstimator:
     def test_validation(self):
         system = UniformEpsilonIntersectingSystem(25, 10)
         with pytest.raises(ConfigurationError):
-            estimate_staleness_distribution(self._factory(system), n=25, writes=0)
+            estimate_staleness_distribution(self._spec(system, writes=0))
         with pytest.raises(ConfigurationError):
-            estimate_staleness_distribution(self._factory(system), n=25, trials=0)
+            estimate_staleness_distribution(self._spec(system), trials=0)

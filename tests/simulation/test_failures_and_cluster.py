@@ -17,6 +17,7 @@ from repro.protocol.timestamps import Timestamp
 from repro.simulation.batch import BatchTrialEngine
 from repro.simulation.cluster import Cluster
 from repro.simulation.failures import FailureModel, FailurePlan
+from repro.simulation.scenario import ScenarioSpec
 from repro.simulation.server import (
     ByzantineForgeBehavior,
     ByzantineReplayBehavior,
@@ -272,9 +273,10 @@ class TestAdversaryFleetModels:
 
     def test_batch_gray_fenced_off_multi_operation_kernels(self):
         system = ProbabilisticMaskingSystem(16, 8, 1)
-        engine = BatchTrialEngine(
-            system, failure_model=FailureModel.gray_nodes(2, 0.3), writers=2
+        spec = ScenarioSpec(
+            system=system, failure_model=FailureModel.gray_nodes(2, 0.3), writers=2
         )
+        engine = BatchTrialEngine(spec)
         with pytest.raises(ConfigurationError, match="sequential"):
             engine.estimate_read_consistency(100)
 

@@ -31,7 +31,7 @@ from repro.core.masking import ProbabilisticMaskingSystem
 from repro.protocol.timestamps import Timestamp
 from repro.simulation.batch import BatchTrialEngine
 from repro.simulation.failures import FailureModel
-from repro.simulation.scenario import AntiEntropySpec, ScenarioSpec
+from repro.simulation.scenario import AntiEntropySpec, ScenarioSpec, WorkloadSpec
 
 TRIALS = 1500
 CHUNK_SIZE = 512
@@ -82,15 +82,17 @@ def case(system: str, model: str, kernel: str, seed: int) -> Callable[[], str]:
                 writers=writers,
                 anti_entropy=anti_entropy,
             )
-            engine = BatchTrialEngine.from_spec(spec, seed=seed, chunk_size=CHUNK_SIZE)
+            engine = BatchTrialEngine(spec, seed=seed, chunk_size=CHUNK_SIZE)
             report = engine.estimate_read_consistency(TRIALS)
             return digest(report.fresh, report.stale, report.empty, report.fabricated)
         writes, gossip = STALENESS[kernel]
-        spec = ScenarioSpec(system=SYSTEMS[system], failure_model=MODELS[model])
-        engine = BatchTrialEngine.from_spec(spec, seed=seed, chunk_size=CHUNK_SIZE)
-        report = engine.estimate_staleness_distribution(
-            TRIALS, writes=writes, gossip_rounds_between_writes=gossip, gossip_fanout=1
+        spec = ScenarioSpec(
+            system=SYSTEMS[system],
+            failure_model=MODELS[model],
+            workload=WorkloadSpec(writes, gossip, gossip_fanout=1),
         )
+        engine = BatchTrialEngine(spec, seed=seed, chunk_size=CHUNK_SIZE)
+        report = engine.estimate_staleness_distribution(TRIALS)
         return digest(report.versions_behind)
 
     return run

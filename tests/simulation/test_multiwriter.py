@@ -27,6 +27,7 @@ from repro.core.epsilon_intersecting import UniformEpsilonIntersectingSystem
 from repro.exceptions import ConfigurationError
 from repro.protocol.timestamps import Timestamp
 from repro.protocol.variable import ProbabilisticRegister
+from repro.simulation.batch import BatchTrialEngine
 from repro.simulation.cluster import Cluster
 from repro.simulation.failures import FailureModel
 from repro.simulation.monte_carlo import (
@@ -105,12 +106,10 @@ class TestMultiwriterEngineEquivalence:
         )
 
     def test_single_writer_reduces_to_the_classic_estimate(self):
-        # writers=1 must be bit-identical to the pre-contention path: same
-        # seed, same engine, same counts.
-        spec = ScenarioSpec(system=self.SYSTEM, failure_model=FailureModel.none())
-        classic = estimate_read_consistency(
-            self.SYSTEM, n=25, trials=2_000, seed=7, engine="batch"
-        )
+        # writers=1 must be bit-identical to the engine's one-write kernel:
+        # same seed, same (default) chunking, same counts.
+        spec = ScenarioSpec(system=self.SYSTEM, failure_model=FailureModel.none(), writers=1)
+        classic = BatchTrialEngine(spec, seed=7).estimate_read_consistency(2_000)
         declarative = estimate_read_consistency(
             spec, trials=2_000, seed=7, engine="batch"
         )

@@ -25,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.epsilon_intersecting import UniformEpsilonIntersectingSystem
+from repro.core.masking import ProbabilisticMaskingSystem
 from repro.protocol.classification import OUTCOME_LABELS, classify_read_outcome
 from repro.protocol.selection import ReadRule, tiebreak_key
 from repro.protocol.timestamps import Timestamp
@@ -35,6 +36,7 @@ from repro.simulation.batch import (
     classify_tying_votes,
 )
 from repro.simulation.failures import BatchFailureMasks, FailureModel
+from repro.simulation.scenario import ScenarioSpec
 from repro.simulation.server import StoredValue
 
 WRITTEN = ("v", Timestamp(1, 0))
@@ -104,7 +106,7 @@ def test_tying_kernel_names_the_rule_winner(quorums, forged_value):
     pairs = {"honest": WRITTEN, "forged": (forged_value, WRITTEN[1])}
     model = FailureModel.colluding_forgers(1, forged_value, WRITTEN[1])
     _, tie, forged_key_wins, values_collide = BatchTrialEngine(
-        SYSTEM, failure_model=model
+        ScenarioSpec(system=SYSTEM, failure_model=model)
     )._forgery([WRITTEN[1]], [WRITTEN[0]])
     assert tie == 0
     honest, forged = one_write_votes(rows)
@@ -163,11 +165,15 @@ def test_history_read_names_the_rule_winner(history):
                 version_of[trial, server] = version
                 masks.replay[trial, server] = kind == "replay"
                 pairs[label] = (values[version], timestamps[version])
+    # The kernels read only the rule of the system: a masking system with
+    # b = 1 and an explicit k carries ReadRule(threshold=k).
     engine = BatchTrialEngine(
-        SYSTEM,
-        failure_model=FailureModel.colluding_forgers(1, *forged_pair),
-        rule=ReadRule(threshold=threshold),
+        ScenarioSpec(
+            system=ProbabilisticMaskingSystem(8, 4, 1, threshold=threshold),
+            failure_model=FailureModel.colluding_forgers(1, *forged_pair),
+        )
     )
+    assert engine.rule == ReadRule(threshold=threshold)
     read, forged_wins = engine._read_versions(
         np.ones(shape, dtype=bool),
         masks,

@@ -151,61 +151,45 @@ class TestScenarioResolution:
         assert "random_byzantine" in text
 
 
+#: Every way into the Monte-Carlo engines; each takes one ScenarioSpec.
+ENTRY_POINTS = {
+    "consistency-sequential": lambda spec: estimate_read_consistency(spec, trials=10),
+    "consistency-batch": lambda spec: estimate_read_consistency(
+        spec, trials=10, engine="batch"
+    ),
+    "staleness-sequential": lambda spec: estimate_staleness_distribution(spec, trials=10),
+    "staleness-batch": lambda spec: estimate_staleness_distribution(
+        spec, trials=10, engine="batch"
+    ),
+    "batch-engine": lambda spec: BatchTrialEngine(spec),
+}
+
+#: Descriptions that are not a ScenarioSpec: a bare system and two factories.
+NOT_SPECS = {
+    "bare-system": MASKING,
+    "register-factory": lambda cluster, rng: ProbabilisticRegister(PLAIN, cluster, rng=rng),
+    "plan-factory": lambda rng: FailureModel.random_crashes(2).sample_plan_for(25, rng),
+}
+
+
 class TestEstimatorDispatch:
-    def test_spec_carries_n_and_rejects_mismatches(self):
-        spec = ScenarioSpec(system=PLAIN)
-        report = estimate_read_consistency(spec, trials=50, seed=1)
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("description", NOT_SPECS)
+    def test_only_a_scenario_spec_gets_in(self, entry, description):
+        with pytest.raises(ConfigurationError, match="ScenarioSpec"):
+            ENTRY_POINTS[entry](NOT_SPECS[description])
+
+    def test_the_spec_carries_n(self):
+        report = estimate_read_consistency(ScenarioSpec(system=PLAIN), trials=50, seed=1)
         assert report.trials == 50
-        with pytest.raises(ConfigurationError):
-            estimate_read_consistency(spec, n=26, trials=50)
 
-    def test_spec_rejects_extra_plan_factory(self):
-        spec = ScenarioSpec(system=PLAIN)
-        with pytest.raises(ConfigurationError):
-            estimate_read_consistency(
-                spec, plan_factory=FailureModel.none(), trials=10
-            )
-
-    def test_legacy_factories_require_n(self):
-        factory = lambda cluster, rng: ProbabilisticRegister(PLAIN, cluster, rng=rng)
-        with pytest.raises(ConfigurationError):
-            estimate_read_consistency(factory, trials=10)
-        report = estimate_read_consistency(factory, n=25, trials=10)
-        assert report.trials == 10
-
-    def test_bare_system_with_arbitrary_plan_factory_stays_sequential(self):
-        # A plan *factory* (not a FailureModel) cannot be promoted to a spec,
-        # but the bare system must still lower to a register on the oracle.
-        from repro.simulation.failures import FailurePlan
-
-        report = estimate_read_consistency(
-            PLAIN,
-            plan_factory=lambda rng: FailureModel.independent_crashes(0.1).sample_plan_for(25, rng),
-            n=25,
-            trials=40,
-            seed=6,
-        )
-        assert report.trials == 40
-        staleness = estimate_staleness_distribution(
-            PLAIN,
-            plan_factory=lambda rng: FailurePlan(),
-            n=25,
-            writes=2,
-            trials=20,
-            seed=6,
-        )
-        assert staleness.trials == 20
-
-    def test_bare_masking_system_gets_the_threshold_read_on_both_engines(self):
-        # Promotion to an auto spec means a masking system drives the
-        # Section 5 protocol even when passed bare, on either engine.
+    def test_auto_masking_spec_gets_the_threshold_read_on_both_engines(self):
+        # An auto-resolved spec over a masking system drives the Section 5
+        # protocol on either engine.
         model = FailureModel.random_byzantine(5)
-        sequential = estimate_read_consistency(
-            MASKING, plan_factory=model, trials=400, seed=3
-        )
-        batch = estimate_read_consistency(
-            MASKING, plan_factory=model, trials=400, seed=3, engine="batch"
-        )
+        spec = ScenarioSpec(system=MASKING, failure_model=model)
+        sequential = estimate_read_consistency(spec, trials=400, seed=3)
+        batch = estimate_read_consistency(spec, trials=400, seed=3, engine="batch")
         # With 5 of 25 servers silent, a single-vote read almost always still
         # finds one storer; the k=2 threshold visibly fails more often.
         plain = estimate_read_consistency(
@@ -217,62 +201,39 @@ class TestEstimatorDispatch:
         assert sequential.fresh_fraction < 0.96 < plain.fresh_fraction
         assert batch.fresh_fraction < 0.96
 
-    def test_staleness_defaults_come_from_the_workload(self):
-        spec = ScenarioSpec(
-            system=PLAIN,
-            workload=WorkloadSpec(writes=3, gossip_rounds_between_writes=2),
-        )
-        report = estimate_staleness_distribution(spec, trials=200, seed=2, engine="batch")
-        assert max(report.versions_behind) <= 3
-        # Explicit arguments override the workload.
-        report = estimate_staleness_distribution(
-            spec, writes=2, gossip_rounds_between_writes=0, trials=200, seed=2,
-            engine="batch",
-        )
-        assert max(report.versions_behind) <= 2
-
-    # Each override goes through WorkloadSpec's own checks.  Regression: a
-    # negative gossip count used to run silently with no gossip.
-    BAD_OVERRIDES = [
-        ({"writes": 0}, "at least one write"),
-        ({"gossip_rounds_between_writes": -1}, "gossip round count"),
-        ({"gossip_fanout": 0}, "gossip fanout"),
-    ]
-
     @pytest.mark.parametrize("engine", ["sequential", "batch"])
-    @pytest.mark.parametrize("override, message", BAD_OVERRIDES)
-    def test_bad_workload_override_is_rejected(self, engine, override, message):
-        with pytest.raises(ConfigurationError, match=message):
-            estimate_staleness_distribution(
-                ScenarioSpec(system=PLAIN), trials=10, engine=engine, **override
+    def test_the_staleness_history_is_the_workload(self, engine):
+        for writes in (2, 3):
+            spec = ScenarioSpec(
+                system=PLAIN,
+                workload=WorkloadSpec(writes=writes, gossip_rounds_between_writes=2),
             )
+            report = estimate_staleness_distribution(spec, trials=200, seed=2, engine=engine)
+            assert max(report.versions_behind) <= writes
 
-    @pytest.mark.parametrize(
-        "override, message",
-        [
-            ({"writes": 0}, "at least one write"),
-            ({"gossip_rounds_between_writes": -4}, "gossip round count"),
-            ({"gossip_fanout": 0}, "gossip fanout"),
-        ],
-    )
-    def test_bad_history_is_rejected_by_the_batch_engine(self, override, message):
-        engine = BatchTrialEngine.from_spec(ScenarioSpec(system=PLAIN))
-        with pytest.raises(ConfigurationError, match=message):
-            engine.estimate_staleness_distribution(10, **override)
+    def test_a_staleness_history_has_one_writer(self):
+        spec = ScenarioSpec(system=PLAIN, writers=3)
+        for run in (
+            lambda: estimate_staleness_distribution(spec, trials=10),
+            lambda: estimate_staleness_distribution(spec, trials=10, engine="batch"),
+            lambda: BatchTrialEngine(spec).estimate_staleness_distribution(10),
+        ):
+            with pytest.raises(ConfigurationError, match="single-writer"):
+                run()
 
-    def test_batch_engine_from_spec_is_reproducible(self):
+    def test_batch_engine_is_reproducible(self):
         spec = ScenarioSpec(
             system=MASKING, failure_model=FailureModel.random_byzantine(5)
         )
-        first = BatchTrialEngine.from_spec(spec, seed=11).estimate_read_consistency(2_000)
-        second = BatchTrialEngine.from_spec(spec, seed=11).estimate_read_consistency(2_000)
+        first = BatchTrialEngine(spec, seed=11).estimate_read_consistency(2_000)
+        second = BatchTrialEngine(spec, seed=11).estimate_read_consistency(2_000)
         assert (first.fresh, first.stale, first.empty, first.fabricated) == (
             second.fresh,
             second.stale,
             second.empty,
             second.fabricated,
         )
-        assert BatchTrialEngine.from_spec(spec).rule.threshold == 2
+        assert BatchTrialEngine(spec).rule.threshold == 2
 
     def test_spec_written_value_is_used_by_the_sequential_engine(self):
         spec = ScenarioSpec(system=PLAIN, workload=WorkloadSpec(written_value="payload"))

@@ -19,6 +19,8 @@ whose votes come from ``first_seen``.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,7 +33,7 @@ from repro.simulation import batch
 from repro.simulation.batch import BatchTrialEngine, _record_write
 from repro.simulation.diffusion import gossip_rounds_batch
 from repro.simulation.failures import FailureModel
-from repro.simulation.scenario import AntiEntropySpec, ScenarioSpec
+from repro.simulation.scenario import AntiEntropySpec, ScenarioSpec, WorkloadSpec
 
 
 def reference_record_write(latest, first_seen, touched, version, scratch):
@@ -125,13 +127,12 @@ class TestKernelsMatchMaskedWrites:
     @pytest.mark.parametrize("writes", range(1, 7))
     @pytest.mark.parametrize("gossip_rounds", [0, 1])
     def test_staleness_histories(self, monkeypatch, name, writes, gossip_rounds):
-        spec = scenarios()[name]
+        workload = WorkloadSpec(writes=writes, gossip_rounds_between_writes=gossip_rounds)
+        spec = replace(scenarios()[name], workload=workload)
 
         def run():
-            engine = BatchTrialEngine.from_spec(spec, seed=writes, chunk_size=256)
-            return engine.estimate_staleness_distribution(
-                600, writes=writes, gossip_rounds_between_writes=gossip_rounds
-            ).versions_behind
+            engine = BatchTrialEngine(spec, seed=writes, chunk_size=256)
+            return engine.estimate_staleness_distribution(600).versions_behind
 
         actual, expected = run_both(monkeypatch, run)
         assert actual == expected
@@ -155,7 +156,7 @@ class TestKernelsMatchMaskedWrites:
         )
 
         def run():
-            engine = BatchTrialEngine.from_spec(spec, seed=writers, chunk_size=256)
+            engine = BatchTrialEngine(spec, seed=writers, chunk_size=256)
             report = engine.estimate_read_consistency(600)
             return report.fresh, report.stale, report.empty, report.fabricated
 
