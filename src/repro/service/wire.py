@@ -8,7 +8,7 @@ objects (honest and forged), signature bytes and
 a bijection on that whole value space, not just on JSON's native one.  Two
 codecs implement that bijection behind one framing:
 
-**json** (the debug codec and the default) packs every
+**json** (the default, and the one readable as text) packs every
 container and protocol object behind a one-key tag object before
 serialisation:
 
@@ -53,24 +53,36 @@ which is in :mod:`repro.service.net`), each with a fast encoder::
     ("mreq", op_id, (server_id, ...), method, args)        encode_vectored_request_frame
     ("mrsp", op_id, (((server_id, ...), envelope), ...))   encode_grouped_response_frames
 
-(decoded by :func:`decode_binary_request_body` / :func:`decode_binary_response_body`).
-An ``mreq`` may end in its trace id; the generic decoder accepts that sixth
-element on either request.  Under the binary codec two inner layouts are
-fixed too.  A server-id list of ints inside int64 is one ``!BI`` +
-``Bq``-per-id struct (:func:`_pack_int64_tuple` /
-:func:`_unpack_int64_tuple`); a list holding a ``bool`` or an id outside
-int64 takes the generic walk.  A live read reply ``("ok",
-StoredValue(<bytes>, Timestamp, None))`` is a constant prefix, the value's
-length and bytes, a ``!Bqq`` timestamp record and the ``None`` tag
-(:func:`_pack_reply` / :func:`_unpack_reply`, shared by ``rsp`` and every
-``mrsp`` group).  Every fast path is byte-identical to (encoders) or
-value-identical with (decoders) the generic :func:`encode_frame` /
-:func:`decode_binary_body` on the tuple shown, and falls back to them on
-anything irregular.  An ``mrsp`` groups replicas by their reply's **encoded
-bytes** — never ``==`` (``1 == True == 1.0``) — and splits into several
-frames, same ``op_id``, rather than exceed :data:`MAX_FRAME_BYTES`;
-``tests/service/test_wire_vectored.py`` is the differential fuzz over all
-four shapes and both codecs.
+(decoded by :func:`decode_binary_request_body` / :func:`decode_binary_response_body`
+and :func:`decode_json_body`).  An ``mreq`` may end in its trace id; the
+generic decoder accepts that sixth element on either request.  Both codecs
+fix the same inner layouts, the live shapes of a quorum operation:
+
+* **server-id lists.**  Binary: ints inside int64 are one ``!BI`` +
+  ``Bq``-per-id struct (:func:`_pack_int64_tuple` /
+  :func:`_unpack_int64_tuple`).  JSON: exact ints are joined as decimal
+  text (:func:`_json_ids`).  A ``bool``, a non-int or (binary) an id
+  outside int64 takes the generic walk.
+* **the live read reply** ``("ok", StoredValue(<bytes>, Timestamp, None))``,
+  shared by ``rsp`` and every ``mrsp`` group.  Binary: a constant prefix,
+  the value's length and bytes, a ``!Bqq`` timestamp record and the
+  ``None`` tag (:func:`_pack_reply` / :func:`_unpack_reply`).  JSON: one
+  bytes ``%``-format around the value's base64 (:func:`_json_reply`; a
+  write's ``("ok", True)`` and an empty read's ``("ok", None)`` are
+  constants).
+* **JSON request args**: a read's ``(key,)`` and a write's ``(key, <bytes>,
+  Timestamp, None)`` (:func:`request_tail`).  A JSON body is parsed by one
+  ``json.loads`` and the four envelopes above are read from it in one
+  shaped pass (:func:`_shaped_envelope`).
+
+Every fast path is byte-identical to (encoders) or value- and
+error-identical with (decoders) the generic :func:`encode_frame` /
+:func:`decode_binary_body` / :func:`unpack_value` on the tuple shown, and
+falls back to them on anything irregular.  An ``mrsp`` groups replicas by
+their reply's **encoded bytes** — never ``==`` (``1 == True == 1.0``) —
+and splits into several frames, same ``op_id``, rather than exceed
+:data:`MAX_FRAME_BYTES`; ``tests/service/test_wire_vectored.py`` is the
+differential fuzz over all four shapes and both codecs.
 
 A frame is a 4-byte big-endian length prefix followed by the body.
 :class:`FrameDecoder` is an *incremental* decoder: feed it whatever chunks
@@ -85,6 +97,7 @@ peer can pin.
 from __future__ import annotations
 
 import base64
+import binascii
 import json
 import struct
 from typing import Any, Callable, List, Optional, Sequence, Tuple
@@ -101,11 +114,13 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 #: Length-prefix width in bytes (big-endian, unsigned).
 _PREFIX_BYTES = 4
 
-#: The wire codecs.  ``"json"`` is the debug codec and the default;
-#: ``"binary"`` is the struct-packed fast path.
+#: The wire codecs.  ``"json"`` is the default and the text one;
+#: ``"binary"`` is struct-packed and carries bytes raw, not as base64.
+#: Both have fixed layouts for the live read and write shapes.
 WIRE_CODECS = ("json", "binary")
 
 _SCALARS = (bool, int, float, str)
+_EXACT_INT = frozenset((int,))
 
 
 def pack_value(value: Any) -> Any:
@@ -188,6 +203,154 @@ def unpack_value(packed: Any) -> Any:
             f"malformed {tag!r} wire payload: a {type(body).__name__}, not a {expected.__name__}"
         )
     raise WireFormatError(f"cannot deserialise wire payload of type {type(packed).__name__!r}")
+
+
+# -- the JSON codec's fixed layouts ------------------------------------------------
+
+
+def _json_record(value: Any, timestamp: Any, signature: Any) -> Optional[bytes]:
+    """``<bytes>, Timestamp(<int>, <int>), None`` as the JSON array items :func:`pack_value` writes.
+
+    One ``%``-format around the base64 text; ``None`` for any other shape
+    (a signature, a ``bytes`` subclass, a non-int timestamp field), which
+    the caller then sends through the generic walk.
+    """
+    if type(value) is bytes and type(timestamp) is Timestamp and signature is None:
+        counter, writer_id = timestamp.counter, timestamp.writer_id
+        if type(counter) is int and type(writer_id) is int:
+            return b'{"b":"%s"},{"ts":[%d,%d]},null' % (
+                binascii.b2a_base64(value, newline=False), counter, writer_id
+            )
+    return None
+
+
+def _json_reply(reply: Any) -> bytes:
+    """One reply envelope's JSON text; byte-identical to ``json.dumps(pack_value(reply))``.
+
+    The JSON mirror of :func:`_pack_reply`: a live read reply ``("ok",
+    StoredValue(<bytes>, Timestamp, None))`` is one format around its
+    :func:`_json_record`, and a write's ``("ok", True)`` / an empty read's
+    ``("ok", None)`` a constant; any other shape takes the generic walk.
+    """
+    if type(reply) is tuple and len(reply) == 2 and type(reply[0]) is str and reply[0] == "ok":
+        stored = reply[1]
+        if type(stored) is StoredValue:
+            record = _json_record(stored.value, stored.timestamp, stored.signature)
+            if record is not None:
+                return b'{"t":["ok",{"sv":[%s]}]}' % record
+        elif stored is True:
+            return b'{"t":["ok",true]}'
+        elif stored is None:
+            return b'{"t":["ok",null]}'
+    return json.dumps(pack_value(reply), separators=(",", ":")).encode("ascii")
+
+
+def _tag_list(packed: Any, tag: str) -> list:
+    """The list body of the tag object ``{tag: [...]}``; raise on any other shape."""
+    if type(packed) is dict and len(packed) == 1:
+        body = packed.get(tag)
+        if type(body) is list:
+            return body
+    raise ValueError(f"not a {tag!r} list")
+
+
+def _shaped_ids(packed: Any) -> Tuple[int, ...]:
+    """Invert :func:`_json_ids` on exact ints."""
+    ids = _tag_list(packed, "t")
+    if not _EXACT_INT.issuperset(map(type, ids)):  # a bool, a float, a str ...
+        raise ValueError("not a list of exact ints")
+    return tuple(ids)
+
+
+def _shaped_record(value: Any, timestamp: Any) -> Tuple[bytes, Timestamp]:
+    """Invert :func:`_json_record`'s value and timestamp; the caller checks the ``None``."""
+    if type(value) is dict and len(value) == 1:
+        text = value.get("b")
+        if type(text) is str:
+            fields = _tag_list(timestamp, "ts")
+            if len(fields) == 2:
+                counter, writer_id = fields
+                if type(counter) is int and type(writer_id) is int:
+                    data = base64.b64decode(text.encode("ascii"), validate=True)  # as unpack_value
+                    return data, Timestamp(counter, writer_id)
+    raise ValueError("not an unsigned bytes record")
+
+
+def _shaped_reply(packed: Any) -> Any:
+    """Invert :func:`_json_reply`."""
+    body = _tag_list(packed, "t")
+    if len(body) == 2 and body[0] == "ok":
+        stored = body[1]
+        if stored is None or stored is True:
+            return ("ok", stored)
+        fields = _tag_list(stored, "sv")
+        if len(fields) == 3 and fields[2] is None:
+            value, timestamp = _shaped_record(fields[0], fields[1])
+            return ("ok", StoredValue(value, timestamp, None))
+    raise ValueError("not a live reply")
+
+
+def _shaped_args(packed: Any) -> tuple:
+    """Invert :func:`request_tail`'s read ``(key,)`` and write ``(key, <record>)`` args."""
+    args = _tag_list(packed, "t")
+    if args and type(args[0]) is str:
+        if len(args) == 1:
+            return (args[0],)
+        if len(args) == 4 and args[3] is None:
+            value, timestamp = _shaped_record(args[1], args[2])
+            return (args[0], value, timestamp, None)
+    raise ValueError("not read or write args")
+
+
+def _shaped_envelope(packed: Any) -> tuple:
+    """The canonical envelopes, read in one pass; raise on any other shape.
+
+    ``req``/``mreq`` with int ids, a ``str`` method and :func:`_shaped_args`
+    (an ``mreq`` may end in an int trace id); ``rsp``/``mrsp`` with an int
+    id and :func:`_shaped_reply` envelopes under :func:`_shaped_ids` groups.
+    """
+    frame = _tag_list(packed, "t")
+    kind = frame[0]
+    if kind == "mrsp" and len(frame) == 3 and type(frame[1]) is int:
+        groups = []
+        for group in _tag_list(frame[2], "t"):
+            pair = _tag_list(group, "t")
+            if len(pair) != 2:
+                raise ValueError("not an (ids, reply) pair")
+            groups.append((_shaped_ids(pair[0]), _shaped_reply(pair[1])))
+        return ("mrsp", frame[1], tuple(groups))
+    if kind == "rsp" and len(frame) == 3 and type(frame[1]) is int:
+        return ("rsp", frame[1], _shaped_reply(frame[2]))
+    if type(frame[1]) is int and type(frame[3]) is str:
+        if kind == "mreq" and (len(frame) == 5 or (len(frame) == 6 and type(frame[5]) is int)):
+            ids, args = _shaped_ids(frame[2]), _shaped_args(frame[4])
+            return ("mreq", frame[1], ids, frame[3], args, *frame[5:])
+        if kind == "req" and len(frame) == 5 and type(frame[2]) is int:
+            return ("req", frame[1], frame[2], frame[3], _shaped_args(frame[4]))
+    raise ValueError("not a canonical envelope")
+
+
+def decode_json_body(body: bytes) -> Any:
+    """Decode one JSON frame body; raise :class:`WireFormatError` on garbage.
+
+    The body is parsed once; the canonical envelopes (:func:`_shaped_envelope`)
+    then decode in one pass, and any other shape — or any exception on the
+    way — hands the *same* parsed object to :func:`unpack_value`, so every
+    value and every error is the generic path's.
+    """
+    try:
+        packed = json.loads(body.decode("utf-8"))
+        try:
+            return _shaped_envelope(packed)
+        except Exception:
+            pass
+        return unpack_value(packed)
+    except WireFormatError:
+        raise
+    except (ValueError, RecursionError) as error:
+        # RecursionError: a few hundred nested brackets outrun
+        # unpack_value's recursion, as a binary body can.
+        raise WireFormatError(f"undecodable frame body: {error}") from error
 
 
 # -- the binary codec --------------------------------------------------------------
@@ -472,14 +635,22 @@ def request_tail(method: str, args: tuple, codec: str = "json"):
     apart from the ids in front of it.  Compose with
     :func:`encode_vectored_request_frame` (one frame per quorum operation)
     or :func:`encode_request_frame` (one per RPC); the tail is ``str``
-    under the JSON codec and ``bytes`` under the binary one.
+    under the JSON codec and ``bytes`` under the binary one.  Under JSON a
+    read's ``(key,)`` and a write's ``(key, <bytes>, Timestamp, None)`` are
+    formatted directly (:func:`_json_record`); other args take the generic
+    walk.
     """
     if codec == "json":
-        return (
-            json.dumps(method)
-            + ","
-            + json.dumps(pack_value(tuple(args)), separators=(",", ":"))
-        )
+        args = tuple(args)
+        if len(args) == 1 and type(args[0]) is str:  # a read
+            return '%s,{"t":[%s]}' % (json.dumps(method), json.dumps(args[0]))
+        if len(args) == 4 and type(args[0]) is str:  # a write or repair
+            record = _json_record(*args[1:])
+            if record is not None:
+                return '%s,{"t":[%s,%s]}' % (
+                    json.dumps(method), json.dumps(args[0]), record.decode("ascii")
+                )
+        return json.dumps(method) + "," + json.dumps(pack_value(args), separators=(",", ":"))
     if codec == "binary":
         out = bytearray()
         _pack_str(method, out)
@@ -585,11 +756,13 @@ def _unpack_reply(body: bytes, offset: int) -> Tuple[Any, int]:
 def encode_response_frame(request_id: int, payload: Any, codec: str = "json") -> bytes:
     """One response frame; byte-identical to ``encode_frame(("rsp", ...))``.
 
-    The response envelope is as fixed as the request one, so the binary
-    path glues a precomputed prefix instead of packing the outer tuple —
-    this is the server's per-request hot path.  The reply goes through
-    :func:`_pack_reply`, the codec an ``mrsp`` group uses too.
+    The response envelope is as fixed as the request one, so both codecs
+    glue a fixed opening instead of packing the outer tuple — this is the
+    server's per-request hot path.  The reply goes through
+    :func:`_pack_reply` or :func:`_json_reply`, as an ``mrsp`` group's does.
     """
+    if codec == "json" and type(request_id) is int:
+        return _frame(b'{"t":["rsp",%d,%s]}' % (request_id, _json_reply(payload)))
     if codec != "binary":
         return encode_frame(("rsp", request_id, payload), codec)
     out = bytearray(_BINARY_RSP_PREFIX)
@@ -713,9 +886,10 @@ def _pack_int64_tuple(values: Sequence[int]) -> bytes:
 
 def _json_ids(values: Sequence[int]) -> str:
     """A server-id list as the items of a JSON array, as :func:`pack_value` writes them."""
-    if bool in map(type, values):  # str(True) is not JSON
-        return json.dumps([pack_value(value) for value in values], separators=(",", ":"))[1:-1]
-    return ",".join(map(str, values))
+    if _EXACT_INT.issuperset(map(type, values)):
+        return ",".join(map(str, values))
+    # str() of True, None, "a" or inf is not the JSON pack_value writes.
+    return json.dumps([pack_value(value) for value in values], separators=(",", ":"))[1:-1]
 
 
 def encode_vectored_request_frame(
@@ -786,10 +960,7 @@ def encode_grouped_response_frames(
         identity = _reply_identity(reply)
         key = encoded.get(identity)
         if key is None:
-            if binary:
-                key = _pack_reply(reply)
-            else:
-                key = json.dumps(pack_value(reply), separators=(",", ":")).encode("ascii")
+            key = _pack_reply(reply) if binary else _json_reply(reply)
             encoded[identity] = key
         grouped.setdefault(key, []).append(server_id)
     if binary:
@@ -887,14 +1058,7 @@ class FrameDecoder:
                 payloads.append(self._decode_binary(body))
             else:
                 self.codec = "json"
-                try:
-                    payloads.append(unpack_value(json.loads(body.decode("utf-8"))))
-                except WireFormatError:
-                    raise
-                except (ValueError, RecursionError) as error:
-                    # RecursionError: a few hundred nested brackets outrun
-                    # unpack_value's recursion, as a binary body can.
-                    raise WireFormatError(f"undecodable frame body: {error}") from error
+                payloads.append(decode_json_body(body))
             self.frames_decoded += 1
         if offset:
             del buffer[:offset]

@@ -15,10 +15,16 @@ layout, two implementations are pinned to each other:
   by encoded bytes, so ``1``/``True``/``1.0`` and ``b""``/``""`` stay apart;
 * a live read reply ``("ok", StoredValue(<bytes>, Timestamp, None))``
   crosses both fast paths without the generic walk, and its look-alikes
-  (a signed reply among them) take it.
+  (a signed reply among them) take it;
+* under JSON, the shaped decode (``decode_json_body``) equals ``json.loads``
+  + ``unpack_value`` on valid, mutated and look-alike bodies, and a live
+  read and write cross it and the JSON encoders with no ``pack_value`` or
+  ``unpack_value`` call.
 """
 
 from __future__ import annotations
+
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -411,3 +417,196 @@ def test_an_irregular_mrsp_id_list_encodes_as_the_generic_frame(server_ids, code
     assert frames == [encode_frame(("mrsp", 7, ((server_ids, reply),)), codec)]
     (decoded,) = FrameDecoder(decode_binary=decode_binary_response_body).feed(frames[0])
     assert same(decoded, ("mrsp", 7, ((server_ids, reply),)))
+
+
+# -- the JSON codec's fixed layouts -----------------------------------------------
+
+
+#: Server-id lists whose items ``str()`` would not write as JSON (all but
+#: the last): each must take ``pack_value``, as ``encode_frame`` does.
+NON_INT_IDS = [(None, 1), ("a", 1), (float("inf"), 1), (1.5, 2)]
+
+
+@pytest.mark.parametrize("codec", WIRE_CODECS)
+@pytest.mark.parametrize("server_ids", NON_INT_IDS)
+def test_a_non_int_id_list_encodes_as_the_generic_frame(server_ids, codec):
+    tail = request_tail("read", ("k",), codec)
+    mreq = encode_vectored_request_frame(7, server_ids, tail)
+    assert mreq == encode_frame(("mreq", 7, server_ids, "read", ("k",)), codec)
+    reply = ("ok", StoredValue(b"v", Timestamp(5, 1), None))
+    mrsp = encode_grouped_response_frames(7, [(server, reply) for server in server_ids], codec)
+    assert mrsp == [encode_frame(("mrsp", 7, ((server_ids, reply),)), codec)]
+    decoded = FrameDecoder().feed(mreq + mrsp[0])
+    assert same(decoded, [
+        ("mreq", 7, server_ids, "read", ("k",)),
+        ("mrsp", 7, ((server_ids, reply),)),
+    ])
+
+
+def generic_json_body(body):
+    """The generic JSON decode: one ``json.loads``, then the whole :func:`unpack_value` walk."""
+    try:
+        return wire.unpack_value(json.loads(body.decode("utf-8")))
+    except WireFormatError:
+        raise
+    except (ValueError, RecursionError) as error:
+        raise WireFormatError(f"undecodable frame body: {error}") from error
+
+
+#: Fragments a splice drops into a JSON body: the tags, the kinds and the
+#: scalars the fixed layouts test for, and a few that break the text.
+JSON_SPLICES = [
+    '"ok"', '"err"', "true", "false", "null", "0", "-1", "1.5", "9223372036854775808",
+    '{"b":"AA=="}', '{"ts":[1,2]}', '{"t":[]}', '"mrsp"', '"mreq"', '"rsp"', '"req"',
+    "[", "]", "{", "}", ",", '"', ":", '{"t":[1],"x":2}', '"é"',
+]
+
+
+class TestJsonFixedLayouts:
+    """``decode_json_body`` against the generic walk, and the encoders beside it."""
+
+    @given(fast_encoded())
+    @settings(max_examples=300, deadline=None)
+    def test_the_shaped_decode_equals_the_generic_walk(self, case):
+        generic, frames = case
+        body = frames["json"][4:]
+        assert same(wire.decode_json_body(body), generic_json_body(body))
+        assert same(wire.decode_json_body(body), generic)
+
+    @given(fast_encoded(), st.data())
+    @settings(max_examples=600, deadline=None)
+    def test_mutated_bodies_never_diverge_from_the_generic_walk(self, case, data):
+        _, frames = case
+        body = bytearray(frames["json"][4:])
+        position = data.draw(st.integers(0, len(body) - 1))
+        mutation = data.draw(st.sampled_from(("flip", "truncate", "splice", "replace")))
+        if mutation == "flip":
+            body[position] ^= 1 << data.draw(st.integers(0, 7))
+        elif mutation == "truncate":
+            del body[position:]
+        else:
+            fragment = data.draw(st.sampled_from(JSON_SPLICES)).encode("utf-8")
+            cut = data.draw(st.integers(0, 12)) if mutation == "replace" else 0
+            body[position : position + cut] = fragment
+        body = bytes(body)
+        assert outcome(wire.decode_json_body, body) == outcome(generic_json_body, body)
+
+    @pytest.mark.parametrize(
+        "original, lookalike",
+        [
+            ("null]}", '{"b":"c2ln"}]}'),  # a signed reply
+            ("[5,1]", "[true,1]"),  # a bool counter
+            ("[5,1]", "[9223372036854775808,1]"),  # a counter beyond int64
+            ("[5,1]", "[-5,1]"),  # a negative counter
+            ("[5,1]", "[5,1.0]"),  # a float writer id
+            ('"ok"', '"err"'),  # a tag other than "ok"
+            ('{"b":"dg=="}', '{"b":"dg==","x":1}'),  # a two-key tag object
+            ('{"b":"dg=="}', '{"b":"dé=="}'),  # a non-ASCII base64 body
+            ('{"b":"dg=="}', '{"b":"dg=\\n="}'),  # a base64 body with a newline
+            ('{"t":[0,2]}', '{"t":[true,2]}'),  # a bool server id
+            ('{"t":[0,2]}', '{"t":[0,2.0]}'),  # a float server id
+            ('"mrsp",4', '"mrsp",true'),  # a bool op id
+            ("]}]}]}", "],1]}]}]}"),  # a group of three
+            (",77]}", ',{"b":"AA=="}]}'),  # a tagged trace id
+            (",77]}", ",true]}"),  # a bool trace id
+            ('"write"', '{"t":["write"]}'),  # a tagged method
+            ('"k"', '{"b":"AA=="}'),  # a tagged key
+        ],
+    )
+    def test_lookalikes_match_the_generic_walk(self, original, lookalike):
+        reply = ("ok", StoredValue(b"v", Timestamp(5, 1), None))
+        tail = request_tail("write", ("k", b"v", Timestamp(5, 1), None), "json")
+        frames = [
+            encode_grouped_response_frames(4, [(0, reply), (2, reply)], "json")[0],
+            encode_response_frame(4, reply, "json"),
+            encode_vectored_request_frame(4, (0, 2), tail, trace_id=77),
+            encode_request_frame(4, 2, tail),
+        ]
+        texts = [frame[4:].decode("utf-8") for frame in frames]
+        assert any(original in text for text in texts)
+        for text in texts:
+            body = text.replace(original, lookalike, 1).encode("utf-8")
+            assert outcome(wire.decode_json_body, body) == outcome(generic_json_body, body)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("k",),
+            ("k", b"v" * 1024, Timestamp(9, 3), None),
+            ("k", b"v", Timestamp(9, 3), b"signature"),  # signed: the generic walk
+            ("k", Blob(b"v"), Timestamp(9, 3), None),
+            ("k", b"v", Timestamp(True, 3), None),
+            (1, b"v", Timestamp(9, 3), None),
+            ("k", "v"),
+            (),
+        ],
+    )
+    def test_request_tails_equal_the_generic_frame(self, args):
+        for method in ("write", "read", "méthode"):
+            tail = request_tail(method, args, "json")
+            frame = encode_vectored_request_frame(3, (1, 2), tail, trace_id=8)
+            assert frame == encode_frame(("mreq", 3, (1, 2), method, args, 8), "json")
+            req = encode_request_frame(5, 1, tail)
+            assert req == encode_frame(("req", 5, 1, method, args), "json")
+            for body in (frame[4:], req[4:]):  # a bool counter does not decode on either
+                assert outcome(wire.decode_json_body, body) == outcome(generic_json_body, body)
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            ("ok", True),
+            ("ok", None),
+            ("ok", 1),
+            ("ok", False),
+            ("ok", StoredValue(b"", Timestamp(0, 0), None)),
+            ("ok", StoredValue(b"v", Timestamp(2**64, -(2**70)), None)),
+            ("ok", StoredValue(b"v", Timestamp(1.5, 2), None)),
+            ("ok", StoredValue(b"v", None, None)),
+            ("OK", StoredValue(b"v", Timestamp(1, 2), None)),
+            ("ok", StoredValue(b"v", Timestamp(1, 2), None), None),
+        ],
+    )
+    def test_replies_equal_the_generic_frame(self, reply):
+        rsp = encode_response_frame(True, reply, "json")  # a bool id: the generic frame
+        assert rsp == encode_frame(("rsp", True, reply), "json")
+        for request_id in (0, 2**70):
+            rsp = encode_response_frame(request_id, reply, "json")
+            assert rsp == encode_frame(("rsp", request_id, reply), "json")
+            (mrsp,) = encode_grouped_response_frames(request_id, [(0, reply)], "json")
+            assert mrsp == encode_frame(("mrsp", request_id, (((0,), reply),)), "json")
+            for body in (rsp[4:], mrsp[4:]):  # a float counter does not decode on either
+                assert outcome(wire.decode_json_body, body) == outcome(generic_json_body, body)
+
+    def test_a_live_json_read_and_write_never_take_the_generic_walk(self, monkeypatch):
+        replies = live_read()
+        write_args = ("k", bytes(range(256)) * 4, Timestamp(9, 3), None)
+        calls = []
+        for name in ("pack_value", "unpack_value"):
+            generic = getattr(wire, name)
+
+            def counted(*args, _generic=generic, _name=name):
+                calls.append(_name)
+                return _generic(*args)
+
+            monkeypatch.setattr(wire, name, counted)
+        (mrsp,) = encode_grouped_response_frames(4, replies, "json")
+        rsp = encode_response_frame(5, replies[0][1], "json")
+        quorum = tuple(range(10))
+        (ack,) = encode_grouped_response_frames(6, [(server, ("ok", True)) for server in quorum])
+        read = encode_vectored_request_frame(7, quorum, request_tail("read", ("k",), "json"))
+        write = encode_vectored_request_frame(
+            8, quorum, request_tail("write", write_args, "json"), trace_id=11
+        )
+        decoded = FrameDecoder().feed(mrsp + rsp + ack + read + write)
+        assert calls == []
+        monkeypatch.undo()
+        assert same(expand(decoded[:1]), dict(replies))
+        assert same(decoded[1:], [
+            ("rsp", 5, replies[0][1]),
+            ("mrsp", 6, ((quorum, ("ok", True)),)),
+            ("mreq", 7, quorum, "read", ("k",)),
+            ("mreq", 8, quorum, "write", write_args, 11),
+        ])
+        for frame, payload in zip((mrsp, rsp, ack, read, write), decoded):
+            assert frame == encode_frame(payload, "json")
+            assert same(generic_json_body(frame[4:]), payload)
